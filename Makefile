@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fmt-check fuzz bench bench-shard bench-gate bench-registry bench-registry-gate bench-mmwave bench-mmwave-gate obs-determinism chaos adapt flows-determinism migrate-determinism mmwave-determinism verify
+.PHONY: build test race vet fmt-check fuzz bench bench-shard bench-gate bench-registry bench-registry-gate scenarios verify
 
 build:
 	$(GO) build ./...
@@ -120,109 +120,16 @@ bench-registry-gate:
 bench-gate:
 	./scripts/bench_gate.sh
 
-# Two separate processes run the observability demo with the same seed;
-# their full event logs and metrics snapshots must be byte-identical.
-# (TestObsDeterminism covers the in-process variant; this catches
-# process-level leaks like map-iteration or address ordering.)
-obs-determinism:
-	@$(GO) run ./cmd/wsim -events -seed 7 > /tmp/obs-run1.txt
-	@$(GO) run ./cmd/wsim -events -seed 7 > /tmp/obs-run2.txt
-	@cmp /tmp/obs-run1.txt /tmp/obs-run2.txt && echo "obs-determinism: OK"
+# The scripted-scenario gate: every row of experiments.Scenarios runs
+# twice at its gate seed under the race detector; the two outputs must
+# be byte-identical and hash to the digest committed in
+# internal/experiments/testdata/scenarios.sha256. The digest was cut by
+# another process on another commit, so it covers what a run-twice-and-
+# cmp of two `wsim` processes did, plus what that could not see: a
+# change that moves the output at all. Re-cut a digest only with
+# `go test ./internal/experiments -run TestScenarios -update`.
+scenarios:
+	$(GO) test -race -count=1 -run TestScenarios ./internal/experiments
 
-# Chaos soak: the fault-injection scenario under the race detector,
-# then two separate processes with the same seed whose full outputs
-# (per-leg results, event log, metrics) must be byte-identical. The
-# scenario itself asserts transfer integrity, filter quarantine, EEM
-# client recovery, and control-plane liveness.
-chaos:
-	$(GO) test -race -count=1 -run 'TestChaos' ./internal/faults
-	@$(GO) run ./cmd/wsim -chaos -seed 11 > /tmp/chaos-run1.txt
-	@$(GO) run ./cmd/wsim -chaos -seed 11 > /tmp/chaos-run2.txt
-	@cmp /tmp/chaos-run1.txt /tmp/chaos-run2.txt && echo "chaos: OK"
-
-# Adaptive-services gate: the policy-engine scenario under the race
-# detector, then two separate processes with the same seed whose full
-# outputs (per-leg results, policy trace, event log, metrics) must be
-# byte-identical. The scenario itself asserts a complete
-# load→hold→unload hysteresis cycle on both proxies and checksum-clean
-# transfers on every leg.
-adapt:
-	$(GO) test -race -count=1 ./internal/policy
-	$(GO) test -race -count=1 -run 'TestPolicyDeterminism' ./internal/experiments
-	@$(GO) run ./cmd/wsim -adapt -seed 13 > /tmp/adapt-run1.txt
-	@$(GO) run ./cmd/wsim -adapt -seed 13 > /tmp/adapt-run2.txt
-	@cmp /tmp/adapt-run1.txt /tmp/adapt-run2.txt && echo "adapt: OK"
-
-# Flow-analytics gate: the flow-log package and shard-merge property
-# under the race detector, then two separate processes running the
-# flow-log scenario with the same seed whose full outputs (transfer
-# legs, flow aggregates, rendered flows table, policy trace, metrics)
-# must be byte-identical. The scenario itself asserts the policy rule
-# fires on flow.retrans_ratio during the lossy window and reverts
-# after recovery.
-flows-determinism:
-	$(GO) test -race -count=1 ./internal/flowlog
-	$(GO) test -race -count=1 -run 'TestFlowRecordsShardMergeEquivalence' ./internal/dataplane
-	$(GO) test -race -count=1 -run 'TestFlowsDeterminism' ./internal/experiments
-	@$(GO) run ./cmd/wsim -flows -seed 17 > /tmp/flows-run1.txt
-	@$(GO) run ./cmd/wsim -flows -seed 17 > /tmp/flows-run2.txt
-	@cmp /tmp/flows-run1.txt /tmp/flows-run2.txt && echo "flows-determinism: OK"
-
-# Stream-migration gate: the migration codec/protocol packages and the
-# snapshot round-trip tests under the race detector, then two separate
-# processes running the migration scenario with the same seed whose
-# full outputs (per-leg outcomes across the fault matrix, migration
-# events, metrics) must be byte-identical. The scenario itself asserts
-# the ownership invariant — every attempt ends completed on the
-# destination XOR resumed on the source — plus payload integrity and
-# TTSF state continuity on every leg.
-migrate-determinism:
-	$(GO) test -race -count=1 ./internal/migrate
-	$(GO) test -race -count=1 -run 'TestTTSFSnapshot|TestWSizeCapSnapshot|TestZWSMNotSnapshottable' ./internal/filters
-	$(GO) test -race -count=1 -run 'TestExportImport|TestImportQueueCounters|TestMigrate' ./internal/proxy ./internal/experiments
-	@$(GO) run ./cmd/wsim -migrate -seed 23 > /tmp/migrate-run1.txt
-	@$(GO) run ./cmd/wsim -migrate -seed 23 > /tmp/migrate-run2.txt
-	@cmp /tmp/migrate-run1.txt /tmp/migrate-run2.txt && echo "migrate-determinism: OK"
-
-# 5G mmWave gate: the link-shaping and mwin unit/property tests under
-# the race detector, then two separate processes running the mmWave
-# scenario with the same seed whose full outputs (trace table, per-leg
-# goodput/occupancy lines, shed timeline, RESULT summary) must be
-# byte-identical. The scenario itself asserts mwin keeps the proxy's
-# mmWave buffer below the baseline's and the managed pack moves data at
-# >= 1.5x the no-proxy baseline.
-mmwave-determinism:
-	$(GO) test -race -count=1 -run 'TestShape|TestShaping|TestBlockage|TestTrace|TestNLoS' ./internal/netsim
-	$(GO) test -race -count=1 -run 'TestMwin' ./internal/filters
-	$(GO) test -race -count=1 -run 'TestMMWaveDeterminism' ./internal/experiments
-	@$(GO) run ./cmd/wsim -mmwave -seed 7 > /tmp/mmwave-run1.txt
-	@$(GO) run ./cmd/wsim -mmwave -seed 7 > /tmp/mmwave-run2.txt
-	@cmp /tmp/mmwave-run1.txt /tmp/mmwave-run2.txt && echo "mmwave-determinism: OK"
-
-# 5G scenario record: run the mmWave scenario and distill its RESULT
-# line (per-leg goodput, peak mmWave queue occupancy, speedup) into
-# BENCH_mmwave.json. Virtual-time numbers — exact per seed, so the
-# record is a stable contract, not a noisy measurement.
-bench-mmwave:
-	@$(GO) run ./cmd/wsim -mmwave -seed 7 | tee /tmp/bench_mmwave.txt
-	@awk '/^RESULT mmwave / { \
-		for (i = 3; i <= NF; i++) { split($$i, kv, "="); v[kv[1]] = kv[2]; } \
-	} \
-	END { \
-		printf "{\n  \"scenario\": \"mmwave\",\n  \"seed\": 7,\n"; \
-		printf "  \"baseline_bps\": %d,\n  \"mwin_bps\": %d,\n  \"managed_bps\": %d,\n", \
-			v["baseline_bps"], v["mwin_bps"], v["managed_bps"]; \
-		printf "  \"baseline_peak\": %d,\n  \"mwin_peak\": %d,\n  \"managed_peak\": %d,\n", \
-			v["baseline_peak"], v["mwin_peak"], v["managed_peak"]; \
-		printf "  \"speedup\": %s\n}\n", v["speedup"]; \
-	}' /tmp/bench_mmwave.txt > BENCH_mmwave.json
-	@cat BENCH_mmwave.json
-
-# 5G scenario gate: fresh run checked against the scenario's own
-# acceptance bars and, when committed, the exact BENCH_mmwave.json
-# record (virtual time: same seed => same numbers, no tolerance).
-bench-mmwave-gate:
-	./scripts/bench_mmwave_gate.sh
-
-verify: build test vet fmt-check obs-determinism chaos adapt flows-determinism migrate-determinism mmwave-determinism
+verify: build race vet fmt-check scenarios
 	@echo "verify: OK"

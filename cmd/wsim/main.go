@@ -1,30 +1,24 @@
 // Command wsim is the experiment driver: it regenerates the thesis's
-// tables and figures (DESIGN.md's E1–E16 index) on the deterministic
-// network simulator.
+// tables and figures (DESIGN.md's E1–E22 index) on the deterministic
+// network simulator, and runs the scripted scenarios of
+// experiments.Scenarios.
 //
 // Usage:
 //
 //	wsim -list             list experiments
 //	wsim -exp E7           run one experiment
 //	wsim -all              run every experiment in order
-//	wsim -events           run the observability demo (full event log
-//	                       + metrics snapshot; byte-identical per seed)
-//	wsim -chaos            run the chaos soak (fault matrix + resilience
-//	                       assertions; byte-identical per seed)
-//	wsim -adapt            run the adaptive-services scenario (policy
-//	                       engines close the EEM→SP loop around a link
-//	                       degradation; byte-identical per seed)
-//	wsim -flows            run the flow-log analytics scenario (per-flow
-//	                       L4 records drive a policy rule on the fleet
-//	                       retrans ratio; byte-identical per seed)
-//	wsim -migrate          run the live stream-migration scenario (proxy-
-//	                       to-proxy handoff under a fault matrix;
-//	                       byte-identical per seed)
-//	wsim -mmwave           run the 5G mmWave scenario (blockage-trace
-//	                       replay on a dual mmWave+LTE topology; mwin
-//	                       window control and policy-driven leg shedding
-//	                       vs a no-proxy baseline; byte-identical per
-//	                       seed)
+//	wsim -<scenario>       run one scenario; output is byte-identical
+//	                       per seed, and -seed defaults to the seed its
+//	                       committed digest was cut at
+//
+//	scenario   seed  topology                     asserts
+//	-events    7     single proxy + Kati user     full event log and metrics snapshot replay exactly
+//	-chaos     11    single proxy, lossy ARQ      transfers survive the fault matrix; quarantine, EEM redial, policy cycle
+//	-adapt     13    double proxy                 comp/decomp load on degrade, unload on restore; every leg intact
+//	-flows     17    single proxy                 rule fires on flow.retrans_ratio under loss, reverts after
+//	-migrate   23    double proxy + migration     completed XOR resumed on every fault leg; TTSF state continuity
+//	-mmwave    7     dual link mmWave + LTE       mwin queue peak below baseline; managed goodput >= 1.5x baseline
 package main
 
 import (
@@ -33,66 +27,48 @@ import (
 	"os"
 
 	"repro/internal/experiments"
-	"repro/internal/faults"
 )
 
 func main() {
 	list := flag.Bool("list", false, "list experiments")
 	exp := flag.String("exp", "", "run one experiment by id (e.g. E7)")
 	all := flag.Bool("all", false, "run every experiment")
-	events := flag.Bool("events", false, "run the observability demo scenario")
-	chaos := flag.Bool("chaos", false, "run the chaos soak scenario (fault injection)")
-	adapt := flag.Bool("adapt", false, "run the adaptive-services scenario (policy engine)")
-	flows := flag.Bool("flows", false, "run the flow-log analytics scenario (per-flow records feed the policy loop)")
-	migrateFlag := flag.Bool("migrate", false, "run the live stream-migration scenario (crash-safe proxy-to-proxy handoff)")
-	mmwave := flag.Bool("mmwave", false, "run the 5G mmWave scenario (blockage-trace replay, mwin window control, LTE shedding)")
-	seed := flag.Int64("seed", 7, "simulation seed for -events/-chaos/-adapt/-flows/-migrate/-mmwave")
+	chosen := make([]*bool, len(experiments.Scenarios))
+	for i, sc := range experiments.Scenarios {
+		chosen[i] = flag.Bool(sc.Name, false, sc.Help)
+	}
+	seed := flag.Int64("seed", 0, "simulation seed for a scenario (default: the scenario's gate seed)")
 	flag.Parse()
+	var sc *experiments.Scenario
+	for i := range chosen {
+		if *chosen[i] && sc == nil {
+			sc = &experiments.Scenarios[i]
+		}
+	}
+	seedSet := false
+	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
 
+	var err error
 	switch {
 	case *list:
 		for _, e := range experiments.All() {
 			fmt.Printf("%-4s %-55s %s\n", e.ID, e.Paper, e.Description)
 		}
 	case *exp != "":
-		if err := experiments.Run(*exp, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		err = experiments.Run(*exp, os.Stdout)
 	case *all:
 		experiments.RunAll(os.Stdout)
-	case *events:
-		if err := experiments.ObsDemo(*seed, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	case sc != nil:
+		if !seedSet {
+			*seed = sc.Seed
 		}
-	case *chaos:
-		if err := faults.Chaos(*seed, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *adapt:
-		if err := experiments.AdaptDemo(*seed, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *flows:
-		if err := experiments.FlowsDemo(*seed, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *migrateFlag:
-		if err := experiments.MigrateDemo(*seed, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *mmwave:
-		if err := experiments.MMWaveDemo(*seed, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		err = sc.Run(*seed, os.Stdout)
 	default:
 		flag.Usage()
 		os.Exit(2)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

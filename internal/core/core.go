@@ -18,6 +18,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -473,4 +474,21 @@ func (s *System) Transfer(payload []byte, srcPort, dstPort uint16, deadline time
 		res.Elapsed = s.Sched.Now().Sub(start)
 	}
 	return res, nil
+}
+
+// CheckedTransfer is Transfer plus the integrity check every scenario
+// leg makes: the error names what (e.g. "adapt: leg baseline") unless
+// the transfer completed with exactly the payload's bytes. The result
+// is nil only when the transfer could not start, so a caller can still
+// print the leg before failing on a corrupt or incomplete one.
+func (s *System) CheckedTransfer(what string, payload []byte, srcPort, dstPort uint16, deadline time.Duration) (*TransferResult, error) {
+	res, err := s.Transfer(payload, srcPort, dstPort, deadline)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", what, err)
+	}
+	if !res.Completed || !bytes.Equal(res.Received, payload) {
+		err = fmt.Errorf("%s corrupt or incomplete: completed=%v received=%d/%d",
+			what, res.Completed, len(res.Received), res.Sent)
+	}
+	return res, err
 }

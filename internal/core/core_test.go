@@ -36,6 +36,25 @@ func TestSystemQuickstartTransfer(t *testing.T) {
 	}
 }
 
+// TestCheckedTransferVerdicts pins the three outcomes scenario legs
+// branch on: clean (no error), incomplete (error, result kept so the
+// leg can still be printed), and could-not-start (error, nil result).
+func TestCheckedTransferVerdicts(t *testing.T) {
+	sys := core.NewSystem(core.Config{})
+	payload := bytes.Repeat([]byte("comma"), 10_000)
+	if res, err := sys.CheckedTransfer("leg clean", payload, 7, 5001, 120*time.Second); err != nil || !res.Completed {
+		t.Fatalf("clean transfer: res=%+v err=%v", res, err)
+	}
+	res, err := sys.CheckedTransfer("leg short", payload, 8, 5002, time.Millisecond)
+	if err == nil || res == nil || !strings.Contains(err.Error(), "leg short corrupt or incomplete: completed=false") {
+		t.Fatalf("transfer cut off by its deadline: res=%v err=%v", res, err)
+	}
+	if res, err := sys.CheckedTransfer("leg again", payload, 9, 5001, time.Second); err == nil || res != nil ||
+		!strings.HasPrefix(err.Error(), "leg again: ") {
+		t.Fatalf("transfer to a port already listened on: res=%v err=%v", res, err)
+	}
+}
+
 func TestSystemDoubleProxyCompression(t *testing.T) {
 	sys := core.NewSystem(core.Config{
 		DoubleProxy: true,

@@ -47,8 +47,7 @@ type Plane struct {
 	workers []*worker // nil in inline mode
 	n       int
 
-	// bus receives the single "proxy/command" event per control line
-	// when the plane (rather than a lone shard) routes commands.
+	// bus receives the single "proxy/command" event per control line.
 	bus *obs.Bus
 
 	// epoch counts applied control-plane mutations. A reader that
@@ -518,6 +517,8 @@ func (pl *Plane) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.Counter(prefix+".dropped_by_filter", func() int64 { return pl.StatsSnapshot().DroppedByFilter })
 	r.Counter(prefix+".injected", func() int64 { return pl.StatsSnapshot().Injected })
 	r.Counter(prefix+".reinjected", func() int64 { return pl.StatsSnapshot().Reinjected })
+	r.Counter(prefix+".hook_panics", func() int64 { return pl.StatsSnapshot().HookPanics })
+	r.Counter(prefix+".filter_quarantines", func() int64 { return pl.StatsSnapshot().FilterQuarantines })
 	r.Counter(prefix+".registry_misses", func() int64 { return pl.StatsSnapshot().RegistryMisses })
 	r.Counter(prefix+".registry_rebuilds", func() int64 { return pl.StatsSnapshot().RegistryRebuilds })
 	r.Gauge(prefix+".flow.active", func() float64 { return float64(pl.FlowStats().Active) })
@@ -583,13 +584,14 @@ func (pl *Plane) extNames() []string {
 
 // Command implements proxy.Commander over the sharded plane. Extension
 // commands dispatch first (they exist at the plane, not on any shard).
-// With one inline shard every remaining line is delegated verbatim —
-// today's behavior, event for event. Otherwise the plane emits a
-// single "proxy/command" event and routes by the shared cmdspec table:
-// exact-key add/delete go to the owning shard, registry/service
-// mutations broadcast under the quiesce protocol, report/streams merge
-// per-shard state, and shared-state queries (stats, events, filters,
-// services, help) answer from shard 0.
+// Every other line costs one "proxy/command" event, emitted here so the
+// event log does not depend on the shard count, and routes by the
+// shared cmdspec table: exact-key add/delete go to the owning shard,
+// registry/service mutations broadcast under the quiesce protocol,
+// report/streams/flows merge per-shard state, and shared-state queries
+// (stats, events, filters, services, help) answer from shard 0. One
+// inline shard is not a special case: do/doShard call it directly, and
+// the merged renderers are the ones the proxy's own handlers use.
 func (pl *Plane) Command(line string) string {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
@@ -607,9 +609,6 @@ func (pl *Plane) Command(line string) string {
 		// regardless of shard count.
 		pl.bus.Emit("proxy", "command", fields[0], obs.F("args", len(fields)-1))
 		return cmdspec.HelpLine(pl.extNames()...)
-	}
-	if pl.n == 1 && pl.inline() {
-		return pl.shards[0].Command(line)
 	}
 	pl.bus.Emit("proxy", "command", fields[0], obs.F("args", len(fields)-1))
 	route := cmdspec.RouteShard0
@@ -639,12 +638,15 @@ func (pl *Plane) Command(line string) string {
 		}
 		return pl.mergedReport(name)
 	case cmdspec.RouteMergedStreams:
-		return pl.mergedStreams()
+		return proxy.RenderStreams(pl.Streams())
 	case cmdspec.RouteMergedFlows:
+		spec, _ := cmdspec.Lookup(fields[0])
 		n := flowlog.DefaultShow
+		if !spec.ArityOK(len(fields) - 1) {
+			return spec.UsageError()
+		}
 		if len(fields) > 1 {
 			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil {
-				spec, _ := cmdspec.Lookup("flows")
 				return spec.UsageError()
 			}
 		}
@@ -668,49 +670,40 @@ func (pl *Plane) Command(line string) string {
 
 // LoadFilter loads a filter library on every shard.
 func (pl *Plane) LoadFilter(libName string) (string, error) {
-	if pl.n == 1 && pl.inline() {
-		return pl.shards[0].LoadFilter(libName)
-	}
 	names := make([]string, pl.n)
-	errs := make([]error, pl.n)
-	pl.mutate(func(i int, p *proxy.Proxy) { names[i], errs[i] = p.LoadFilter(libName) })
-	for _, err := range errs {
-		if err != nil {
-			return "", err
-		}
+	err := pl.mutateErr(func(i int, p *proxy.Proxy) (err error) {
+		names[i], err = p.LoadFilter(libName)
+		return err
+	})
+	if err != nil {
+		return "", err
 	}
 	return names[0], nil
 }
 
 // UnloadFilter unloads a filter library from every shard.
 func (pl *Plane) UnloadFilter(name string) error {
-	if pl.n == 1 && pl.inline() {
-		return pl.shards[0].UnloadFilter(name)
-	}
-	errs := make([]error, pl.n)
-	pl.mutate(func(i int, p *proxy.Proxy) { errs[i] = p.UnloadFilter(name) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return pl.mutateErr(func(_ int, p *proxy.Proxy) error { return p.UnloadFilter(name) })
 }
 
 // AddFilter binds a loaded filter (or defined service) to a stream
 // key: exact keys route to the owning shard, wild-cards broadcast.
 func (pl *Plane) AddFilter(name string, k filter.Key, args []string) error {
-	if pl.n == 1 && pl.inline() {
-		return pl.shards[0].AddFilter(name, k, args)
-	}
-	if !k.IsWild() {
-		var err error
-		pl.doShard(ShardOf(k, pl.n), func(p *proxy.Proxy) { err = p.AddFilter(name, k, args) })
-		pl.epoch.Add(1)
-		return err
-	}
+	return pl.keyed(k, func(p *proxy.Proxy) error { return p.AddFilter(name, k, args) })
+}
+
+// DeleteFilter removes a filter's registration and attachments for a
+// stream key, routed like AddFilter.
+func (pl *Plane) DeleteFilter(name string, k filter.Key) error {
+	return pl.keyed(k, func(p *proxy.Proxy) error { return p.DeleteFilter(name, k) })
+}
+
+// mutateErr is mutate for operations that can fail: shards are
+// deterministic replicas for registry/pool/service state, so their
+// errors agree and the first one is returned.
+func (pl *Plane) mutateErr(fn func(i int, p *proxy.Proxy) error) error {
 	errs := make([]error, pl.n)
-	pl.mutate(func(i int, p *proxy.Proxy) { errs[i] = p.AddFilter(name, k, args) })
+	pl.mutate(func(i int, p *proxy.Proxy) { errs[i] = fn(i, p) })
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -719,26 +712,17 @@ func (pl *Plane) AddFilter(name string, k filter.Key, args []string) error {
 	return nil
 }
 
-// DeleteFilter removes a filter's registration and attachments for a
-// stream key, routed like AddFilter.
-func (pl *Plane) DeleteFilter(name string, k filter.Key) error {
-	if pl.n == 1 && pl.inline() {
-		return pl.shards[0].DeleteFilter(name, k)
+// keyed applies fn where packets matching k can be seen: on the owning
+// shard for an exact key (both directions steer identically, so no
+// other shard ever needs the binding), on every shard for a wild-card.
+func (pl *Plane) keyed(k filter.Key, fn func(p *proxy.Proxy) error) error {
+	if k.IsWild() {
+		return pl.mutateErr(func(_ int, p *proxy.Proxy) error { return fn(p) })
 	}
-	if !k.IsWild() {
-		var err error
-		pl.doShard(ShardOf(k, pl.n), func(p *proxy.Proxy) { err = p.DeleteFilter(name, k) })
-		pl.epoch.Add(1)
-		return err
-	}
-	errs := make([]error, pl.n)
-	pl.mutate(func(i int, p *proxy.Proxy) { errs[i] = p.DeleteFilter(name, k) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	var err error
+	pl.doShard(ShardOf(k, pl.n), func(p *proxy.Proxy) { err = fn(p) })
+	pl.epoch.Add(1)
+	return err
 }
 
 // broadcast Execs line on every shard under the quiesce barrier and
@@ -793,15 +777,6 @@ func (pl *Plane) Streams() []proxy.StreamInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
 	return out
-}
-
-func (pl *Plane) mergedStreams() string {
-	var b strings.Builder
-	for _, si := range pl.Streams() {
-		fmt.Fprintf(&b, "%s\t[%s]\t%d pkts %d bytes\n",
-			si.Key, strings.Join(si.Filters, ","), si.Packets, si.Bytes)
-	}
-	return b.String()
 }
 
 // FlowRecords gathers every shard's flow records under the quiesce

@@ -8,10 +8,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataplane"
+	"repro/internal/faults"
 	"repro/internal/filter"
 	"repro/internal/filters"
 	"repro/internal/ip"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 )
@@ -69,6 +71,41 @@ func TestInlineShardingEquivalence(t *testing.T) {
 		}
 		t.Fatalf("event logs diverge at byte %d:\n1 shard: %.160q\n4 shards: %.160q",
 			i, log1[lo:], log4[lo:])
+	}
+}
+
+// TestMergedMetricsCoverProxy: a sharded plane's merged metrics must
+// name everything a single proxy's do — an operator's `stats` on a
+// multi-shard SP must not lose sight of a counter, least of all the
+// two that report a misbehaving filter. A panicking filter on a
+// 4-shard inline plane has to show up as filter_quarantines >= 1.
+func TestMergedMetricsCoverProxy(t *testing.T) {
+	sys := core.NewSystem(core.Config{Seed: 5, Shards: 4})
+	faults.RegisterChaosFilter(sys.Catalog)
+	const key = " 11.11.10.99 7 11.11.10.10 5001"
+	for _, c := range []string{"load tcp", "load chaos", "add tcp" + key, "add chaos" + key + " panic"} {
+		sys.MustCommand(c)
+	}
+	if res, err := sys.Transfer(make([]byte, 20000), 7, 5001, 10e9); err != nil || !res.Completed {
+		t.Fatalf("transfer under a panicking filter: err=%v res=%+v", err, res)
+	}
+
+	merged := make(map[string]string)
+	for _, s := range sys.Metrics.Snapshot() {
+		merged[s.Name] = s.Value
+	}
+	single := obs.NewRegistry()
+	sys.Plane.Shard(0).RegisterMetrics(single, "proxy")
+	for _, name := range single.Names() {
+		if _, ok := merged[name]; !ok {
+			t.Errorf("merged plane registers no %s", name)
+		}
+	}
+	if v := merged["proxy.filter_quarantines"]; v == "" || v == "0" {
+		t.Errorf("proxy.filter_quarantines = %q after a quarantine, want >= 1", v)
+	}
+	if v := merged["proxy.hook_panics"]; v == "" || v == "0" {
+		t.Errorf("proxy.hook_panics = %q after a quarantine, want >= 1", v)
 	}
 }
 
@@ -159,6 +196,10 @@ func TestCommandRouting(t *testing.T) {
 	pl.Command("delete rdrop " + exact)
 	if got := pl.Shard(owner).RegistrationCount(); got != 1 {
 		t.Fatalf("owner has %d registrations after exact delete, want 1 (the wildcard)", got)
+	}
+	// A merged query checks arity like the proxy's own handler does.
+	if got, want := pl.Command("flows 1 2"), pl.Shard(0).Command("flows 1 2"); got != want {
+		t.Fatalf("flows with two args: plane %q, proxy %q", got, want)
 	}
 }
 

@@ -166,18 +166,17 @@ func TestCommaWithPDARefreshesOutOfRange(t *testing.T) {
 	}
 }
 
-// TestCommaDeprecatedWrapperEquivalence: the legacy Client methods and
-// the Comma facade observe the same protected data area state when
-// driven by the same server over the same scenario.
-func TestCommaDeprecatedWrapperEquivalence(t *testing.T) {
+// TestCommaPDAReadSemantics pins the protected data area's read
+// contract: GetValue and IsInRange see the pumped value, HasChanged
+// reports an update without consuming it, and only GetValue clears the
+// changed mark.
+func TestCommaPDAReadSemantics(t *testing.T) {
 	r := newEEMRig(t, time.Second)
 	id := sysUpTimeID(r.serverAddr)
 	if err := r.client.Register(id, eem.Attr{Lower: eem.LongValue(0), Op: eem.GTE}); err != nil {
 		t.Fatal(err)
 	}
 	r.sched.RunFor(3 * time.Second)
-	// Facade and wrapper reads must agree on value, range, and change
-	// state (HasChanged clears on read, so compare across both orders).
 	if got, ok := r.client.GetValue(id); !ok || got.Kind != eem.Long {
 		t.Fatalf("GetValue = %v %v", got, ok)
 	}

@@ -22,8 +22,7 @@
 // The notification mode of a registration — silent PDA updates (the
 // default), interrupt callback (WithCallback), client-driven PDA
 // refresh (WithPDA), or explicit polling (WithPoll) — is selected by
-// functional options on Comma.Register. The older Client methods
-// remain as thin deprecated wrappers over the same machinery.
+// functional options on Comma.Register.
 package eem
 
 import (

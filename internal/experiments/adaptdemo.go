@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"time"
@@ -13,15 +12,15 @@ import (
 	"repro/internal/policy"
 )
 
-// AdaptDemo is the adaptive-services scenario behind `wsim -adapt` and
-// `make adapt`: the closed EEM→SP control loop of the thesis running
-// end to end. A double-proxy deployment carries bulk transfers while
-// policy engines on both proxies watch the wireless bandwidth through
-// the comma_* client API. When an injected fault degrades the link
-// below the rules' enter bound, the A engine loads and attaches the
-// compress filter and the B engine the decompressor — no operator, no
-// Kati session. When the link recovers past the exit bound, both
-// engines withdraw their filters again.
+// AdaptDemo is the adaptive-services scenario behind `wsim -adapt`:
+// the closed EEM→SP control loop of the thesis running end to end. A
+// double-proxy deployment carries bulk transfers while policy engines
+// on both proxies watch the wireless bandwidth through the comma_*
+// client API. When an injected fault degrades the link below the
+// rules' enter bound, the A engine loads and attaches the compress
+// filter and the B engine the decompressor — no operator, no Kati
+// session. When the link recovers past the exit bound, both engines
+// withdraw their filters again.
 //
 // Three transfer legs bracket the cycle: a baseline leg before the
 // fault, a compressed leg during it (which must put well under half
@@ -30,8 +29,8 @@ import (
 // scenario asserts one complete load→hold→unload hysteresis cycle on
 // each engine and checksum-clean delivery on every leg. Everything
 // runs on virtual time, so the full output must be byte-identical
-// across runs with the same seed; TestPolicyDeterminism and
-// `make adapt` diff exactly this output.
+// across runs with the same seed; TestScenarios digests exactly this
+// output.
 func AdaptDemo(seed int64, w io.Writer) error {
 	const (
 		enterBound = 1_000_000 // b/s: rules engage below this
@@ -88,44 +87,24 @@ func AdaptDemo(seed int64, w io.Writer) error {
 
 	inj := faults.NewInjector(sys.Sched, sys.Obs)
 	payload := repeatText(120_000)
-	policyEvents := func() (fires, reverts int) {
-		for _, e := range sys.Obs.Events() {
-			if e.Subsys != "policy" {
-				continue
-			}
-			switch e.Kind {
-			case "fire":
-				fires++
-			case "revert":
-				reverts++
-			}
-		}
-		return
-	}
 	leg := func(name string, srcPort, dstPort uint16, window time.Duration) (carried int64, err error) {
 		before := sys.Wireless.StatsAB().Bytes
-		res, err := sys.Transfer(payload, srcPort, dstPort, window)
-		if err != nil {
-			return 0, fmt.Errorf("adapt: leg %s: %w", name, err)
+		res, err := sys.CheckedTransfer("adapt: leg "+name, payload, srcPort, dstPort, window)
+		if res == nil {
+			return 0, err
 		}
 		carried = sys.Wireless.StatsAB().Bytes - before
-		sum, want := sha256.Sum256(res.Received), sha256.Sum256(payload)
-		intact := res.Completed && sum == want
 		fmt.Fprintf(w, "leg %-10s sent=%d received=%d wireless=%d ratio=%.2f elapsed=%v intact=%v\n",
 			name, res.Sent, len(res.Received), carried,
-			float64(carried)/float64(res.Sent), res.Elapsed, intact)
-		if !intact {
-			return 0, fmt.Errorf("adapt: leg %s corrupt or incomplete: completed=%v received=%d/%d",
-				name, res.Completed, len(res.Received), res.Sent)
-		}
-		return carried, nil
+			float64(carried)/float64(res.Sent), res.Elapsed, err == nil)
+		return carried, err
 	}
 
 	// Leg 1: full-quality baseline; the engines stay idle.
 	if _, err := leg("baseline", 7000, 7001, 30*time.Second); err != nil {
 		return err
 	}
-	if f, r := policyEvents(); f != 0 || r != 0 {
+	if f, r := policyEvents(sys); f != 0 || r != 0 {
 		return fmt.Errorf("adapt: engines acted on a healthy link (fires=%d reverts=%d)", f, r)
 	}
 
@@ -135,7 +114,7 @@ func AdaptDemo(seed int64, w io.Writer) error {
 	inj.DegradeLink("wireless", sys.Wireless, 100*time.Millisecond, 40*time.Second,
 		256_000, netsim.Bernoulli{})
 	sys.Sched.RunFor(3 * time.Second)
-	fires, _ := policyEvents()
+	fires, _ := policyEvents(sys)
 	fmt.Fprintf(w, "degraded to 256 kb/s: policy fires=%d\n", fires)
 	if fires < 2 {
 		return fmt.Errorf("adapt: want both engines fired after degrade, got %d fires", fires)
@@ -157,7 +136,7 @@ func AdaptDemo(seed int64, w io.Writer) error {
 	// The degrade window expires; the link is back at 2 Mb/s, above
 	// the exit bound. Both engines must hold and revert.
 	sys.Sched.RunFor(12 * time.Second)
-	fires, reverts := policyEvents()
+	fires, reverts := policyEvents(sys)
 	fmt.Fprintf(w, "restored to 2 Mb/s: policy fires=%d reverts=%d\n", fires, reverts)
 	if reverts < 2 {
 		return fmt.Errorf("adapt: want both engines reverted after restore, got %d reverts", reverts)
@@ -174,21 +153,7 @@ func AdaptDemo(seed int64, w io.Writer) error {
 			carried, len(payload))
 	}
 
-	// The control surface view: rule state through the SP `policy`
-	// command (engine A rides the A plane's command table) and the B
-	// engine queried directly.
-	fmt.Fprintf(w, "\n=== policy state ===\n")
-	fmt.Fprint(w, sys.MustCommand("policy list"))
-	fmt.Fprint(w, engB.Command([]string{"list"}))
-	fmt.Fprintf(w, "\n=== policy trace (A) ===\n")
-	fmt.Fprint(w, sys.MustCommand("policy trace 40"))
-	fmt.Fprintf(w, "\n=== policy events ===\n")
-	for _, e := range sys.Obs.Events() {
-		if e.Subsys == "policy" {
-			fmt.Fprintln(w, e.String())
-		}
-	}
-	fmt.Fprintf(w, "\n=== metrics snapshot ===\n")
-	fmt.Fprint(w, sys.Metrics.Table("adaptive services metrics").String())
+	// Engine A rides the A plane's command table; B is queried directly.
+	policyTrailer(w, sys, engB.Command([]string{"list"}), "policy trace (A)", "adaptive services metrics")
 	return nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"time"
@@ -11,14 +10,14 @@ import (
 	"repro/internal/netsim"
 )
 
-// FlowsDemo is the flow-log analytics scenario behind `wsim -flows`
-// and `make flows-determinism`: the policy loop closed over
-// traffic-derived variables instead of link metrics. The proxy's flow
-// log accumulates per-flow L4 records (retransmissions by sequence
-// regression, zero-window events, SYN→SYN-ACK and data→ACK RTT) on the
-// intercept path; their fleet aggregates are EEM variables, and a
-// policy rule watches flow.retrans_ratio — retransmitted-per-data
-// segments over the last aggregation window.
+// FlowsDemo is the flow-log analytics scenario behind `wsim -flows`:
+// the policy loop closed over traffic-derived variables instead of
+// link metrics. The proxy's flow log accumulates per-flow L4 records
+// (retransmissions by sequence regression, zero-window events,
+// SYN→SYN-ACK and data→ACK RTT) on the intercept path; their fleet
+// aggregates are EEM variables, and a policy rule watches
+// flow.retrans_ratio — retransmitted-per-data segments over the last
+// aggregation window.
 //
 // An injected fault makes the wireless link lossy without touching its
 // bandwidth, so no link-level variable moves: only the flow log sees
@@ -28,7 +27,7 @@ import (
 // loss clears and the ratio windows decay to zero. Three checksummed
 // transfer legs bracket the cycle. Everything runs on virtual time:
 // the full output must be byte-identical across runs with the same
-// seed — TestFlowsDeterminism and `make flows-determinism` diff it.
+// seed — TestScenarios digests it.
 func FlowsDemo(seed int64, w io.Writer) error {
 	sys := core.NewSystem(core.Config{
 		Seed:         seed,
@@ -58,39 +57,18 @@ func FlowsDemo(seed int64, w io.Writer) error {
 	inj := faults.NewInjector(sys.Sched, sys.Obs)
 	payload := repeatText(120_000)
 	bulk := repeatText(1_200_000)
-	policyEvents := func() (fires, reverts int) {
-		for _, e := range sys.Obs.Events() {
-			if e.Subsys != "policy" {
-				continue
-			}
-			switch e.Kind {
-			case "fire":
-				fires++
-			case "revert":
-				reverts++
-			}
-		}
-		return
-	}
 	flowLine := func(tag string) {
 		fs := sys.Plane.FlowStats()
 		fmt.Fprintf(w, "flow aggregates %-9s active=%d opened=%d closed=%d retrans=%d zero_win=%d rtt_samples=%d\n",
 			tag, fs.Active, fs.Opened, fs.Closed, fs.Retrans, fs.ZeroWin, fs.RTTSamples)
 	}
 	leg := func(name string, payload []byte, srcPort, dstPort uint16, window time.Duration) error {
-		res, err := sys.Transfer(payload, srcPort, dstPort, window)
-		if err != nil {
-			return fmt.Errorf("flows: leg %s: %w", name, err)
+		res, err := sys.CheckedTransfer("flows: leg "+name, payload, srcPort, dstPort, window)
+		if res != nil {
+			fmt.Fprintf(w, "leg %-8s sent=%d received=%d elapsed=%v intact=%v\n",
+				name, res.Sent, len(res.Received), res.Elapsed, err == nil)
 		}
-		sum, want := sha256.Sum256(res.Received), sha256.Sum256(payload)
-		intact := res.Completed && sum == want
-		fmt.Fprintf(w, "leg %-8s sent=%d received=%d elapsed=%v intact=%v\n",
-			name, res.Sent, len(res.Received), res.Elapsed, intact)
-		if !intact {
-			return fmt.Errorf("flows: leg %s corrupt or incomplete: completed=%v received=%d/%d",
-				name, res.Completed, len(res.Received), res.Sent)
-		}
-		return nil
+		return err
 	}
 
 	// Leg 1: clean link — the flow log records the stream, the ratio
@@ -99,7 +77,7 @@ func FlowsDemo(seed int64, w io.Writer) error {
 		return err
 	}
 	flowLine("baseline")
-	if f, r := policyEvents(); f != 0 || r != 0 {
+	if f, r := policyEvents(sys); f != 0 || r != 0 {
 		return fmt.Errorf("flows: engine acted on a clean link (fires=%d reverts=%d)", f, r)
 	}
 
@@ -118,7 +96,7 @@ func FlowsDemo(seed int64, w io.Writer) error {
 		return err
 	}
 	flowLine("lossy")
-	fires, _ := policyEvents()
+	fires, _ := policyEvents(sys)
 	fmt.Fprintf(w, "lossy window: policy fires=%d\n", fires)
 	if fires < 1 {
 		return fmt.Errorf("flows: rule never fired on the retrans ratio (fires=%d)", fires)
@@ -131,7 +109,7 @@ func FlowsDemo(seed int64, w io.Writer) error {
 	// feeding them, the ratio windows decay to zero, and the engine
 	// must hold below the exit bound and revert.
 	sys.Sched.RunFor(40 * time.Second)
-	fires, reverts := policyEvents()
+	fires, reverts := policyEvents(sys)
 	fmt.Fprintf(w, "\nrestored: policy fires=%d reverts=%d\n", fires, reverts)
 	if reverts < 1 {
 		return fmt.Errorf("flows: rule never reverted after recovery (reverts=%d)", reverts)
@@ -143,17 +121,6 @@ func FlowsDemo(seed int64, w io.Writer) error {
 	}
 	flowLine("clean")
 
-	fmt.Fprintf(w, "\n=== policy state ===\n")
-	fmt.Fprint(w, sys.MustCommand("policy list"))
-	fmt.Fprintf(w, "\n=== policy trace ===\n")
-	fmt.Fprint(w, sys.MustCommand("policy trace 40"))
-	fmt.Fprintf(w, "\n=== policy events ===\n")
-	for _, e := range sys.Obs.Events() {
-		if e.Subsys == "policy" {
-			fmt.Fprintln(w, e.String())
-		}
-	}
-	fmt.Fprintf(w, "\n=== metrics snapshot ===\n")
-	fmt.Fprint(w, sys.Metrics.Table("flow analytics metrics").String())
+	policyTrailer(w, sys, "", "policy trace", "flow analytics metrics")
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/filter"
 	"repro/internal/filters"
 	"repro/internal/ip"
+	"repro/internal/obs"
 	"repro/internal/tcp"
 )
 
@@ -197,4 +198,37 @@ func keepAliveStream(sys *core.System) *tcp.Conn {
 	}
 	client.OnEstablished = func() { sys.Sched.After(0, trickle) }
 	return client
+}
+
+// policyEvents counts the policy engines' fire and revert transitions
+// on the bus so far.
+func policyEvents(sys *core.System) (fires, reverts int) {
+	return sys.Obs.Count("policy", "fire"), sys.Obs.Count("policy", "revert")
+}
+
+// eventsTrailer closes a scenario's output: the bus events keep
+// selects under an "=== <heading> ===" line, then the unified metrics
+// snapshot under the given table title.
+func eventsTrailer(w io.Writer, sys *core.System, heading string, keep func(obs.Event) bool, metricsTitle string) {
+	fmt.Fprintf(w, "\n=== %s ===\n", heading)
+	for _, e := range sys.Obs.Events() {
+		if keep(e) {
+			fmt.Fprintln(w, e.String())
+		}
+	}
+	fmt.Fprintf(w, "\n=== metrics snapshot ===\n")
+	fmt.Fprint(w, sys.Metrics.Table(metricsTitle).String())
+}
+
+// policyTrailer closes a policy scenario's output with the control
+// surface view — rule state through the SP `policy` command (plus
+// moreState, for engines that do not ride the A plane's command
+// table) and the A engine's trace — then the policy events and the
+// metrics snapshot.
+func policyTrailer(w io.Writer, sys *core.System, moreState, traceHeading, metricsTitle string) {
+	fmt.Fprintf(w, "\n=== policy state ===\n")
+	fmt.Fprint(w, sys.MustCommand("policy list"), moreState)
+	fmt.Fprintf(w, "\n=== %s ===\n", traceHeading)
+	fmt.Fprint(w, sys.MustCommand("policy trace 40"))
+	eventsTrailer(w, sys, "policy events", func(e obs.Event) bool { return e.Subsys == "policy" }, metricsTitle)
 }

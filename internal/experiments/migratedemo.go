@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"strings"
@@ -13,11 +12,12 @@ import (
 	"repro/internal/filters"
 	"repro/internal/migrate"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 )
 
 // MigrateDemo is the live stream-migration scenario behind
-// `wsim -migrate` and `make migrate-determinism`: proxy-to-proxy
-// handoff of serviced streams under a matrix of injected faults.
+// `wsim -migrate`: proxy-to-proxy handoff of serviced streams under a
+// matrix of injected faults.
 //
 // A double-proxy deployment runs migration managers on both SPs. Each
 // leg starts a bulk transfer serviced on the A proxy by tcp + ttsf +
@@ -55,7 +55,6 @@ func MigrateDemo(seed int64, w io.Writer) error {
 	fmt.Fprintf(w, "=== live stream migration (seed %d) ===\n", seed)
 	inj := faults.NewInjector(sys.Sched, sys.Obs)
 	payload := repeatText(256_000)
-	wantSum := sha256.Sum256(payload)
 
 	for _, c := range []string{"load tcp", "load ttsf", "load wsize"} {
 		sys.MustCommand(c) // A only: B auto-loads from its catalog on import
@@ -163,18 +162,12 @@ func MigrateDemo(seed int64, w io.Writer) error {
 			sys.Sched.After(migrateAt+300*time.Millisecond, back)
 		}
 
-		res, err := sys.Transfer(payload, srcPort, dstPort, 60*time.Second)
-		if err != nil {
-			return fmt.Errorf("migrate: leg %s: %w", lg.name, err)
+		if _, err := sys.CheckedTransfer("migrate: leg "+lg.name, payload, srcPort, dstPort, 60*time.Second); err != nil {
+			return err
 		}
 		stopProbe = true
 		sys.Sched.RunFor(8 * time.Second) // protocol wrap-up + queue teardown grace
 
-		intact := res.Completed && sha256.Sum256(res.Received) == wantSum
-		if !intact {
-			return fmt.Errorf("migrate: leg %s corrupt or incomplete: completed=%v received=%d/%d",
-				lg.name, res.Completed, len(res.Received), res.Sent)
-		}
 		if !strings.HasPrefix(cmdOut, "migrating") {
 			return fmt.Errorf("migrate: leg %s: command answered %q", lg.name, cmdOut)
 		}
@@ -218,8 +211,8 @@ func MigrateDemo(seed int64, w io.Writer) error {
 			return fmt.Errorf("migrate: leg %s: %d installs on the bus, want %d",
 				lg.name, installed, lg.install)
 		}
-		fmt.Fprintf(w, "leg %-17s outcome=%s owner=%s bindings=A:%d/B:%d ttsf_bytes=%d->%d installs=%d intact=%v\n",
-			lg.name, outcomeName(dA), ownerName(lg.ownerB), bindA, bindB, preBytes, post.BytesIn, installed, intact)
+		fmt.Fprintf(w, "leg %-17s outcome=%s owner=%s bindings=A:%d/B:%d ttsf_bytes=%d->%d installs=%d intact=true\n",
+			lg.name, outcomeName(dA), ownerName(lg.ownerB), bindA, bindB, preBytes, post.BytesIn, installed)
 	}
 
 	// Command-surface error paths: unknown streams and wild cards are
@@ -238,14 +231,9 @@ func MigrateDemo(seed int64, w io.Writer) error {
 	fmt.Fprintf(w, "A manager: attempts=%d completed=%d resumed=%d aborted=%d (outcomes account for every attempt)\n",
 		a, c, r, ab)
 
-	fmt.Fprintf(w, "\n=== migration events ===\n")
-	for _, e := range sys.Obs.Events() {
-		if e.Subsys == "migrate" || strings.HasPrefix(e.Kind, "migrate-") {
-			fmt.Fprintln(w, e.String())
-		}
-	}
-	fmt.Fprintf(w, "\n=== metrics snapshot ===\n")
-	fmt.Fprint(w, sys.Metrics.Table("stream migration metrics").String())
+	eventsTrailer(w, sys, "migration events", func(e obs.Event) bool {
+		return e.Subsys == "migrate" || strings.HasPrefix(e.Kind, "migrate-")
+	}, "stream migration metrics")
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -12,41 +11,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 )
-
-// TestMigrateDeterminism is the migration gate: two in-process runs of
-// the stream-migration scenario with the same seed must produce
-// byte-identical output — leg outcomes, migration events (including the
-// injected faults and the retries they provoke), and the metrics
-// snapshot. The scenario itself asserts the ownership invariant on
-// every leg; this test asserts the whole fault matrix replays exactly.
-func TestMigrateDeterminism(t *testing.T) {
-	var a, b bytes.Buffer
-	if err := MigrateDemo(23, &a); err != nil {
-		t.Fatalf("run 1: %v\n%s", err, a.String())
-	}
-	if err := MigrateDemo(23, &b); err != nil {
-		t.Fatalf("run 2: %v\n%s", err, b.String())
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		la, lb := strings.Split(a.String(), "\n"), strings.Split(b.String(), "\n")
-		for i := 0; i < len(la) && i < len(lb); i++ {
-			if la[i] != lb[i] {
-				t.Fatalf("outputs diverge at line %d:\n run1: %s\n run2: %s", i+1, la[i], lb[i])
-			}
-		}
-		t.Fatalf("outputs differ in length: %d vs %d bytes", a.Len(), b.Len())
-	}
-	out := a.String()
-	for _, want := range []string{
-		"leg clean", "leg corrupt-offer", "leg crash-post-commit", "leg round-trip",
-		"outcomes account for every attempt",
-		"migrate.attempts", "migrate.completed", "migrate.resumed", "migrate.aborted", "migrate.bytes",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("migration output missing %q:\n%s", want, out)
-		}
-	}
-}
 
 // migrateOnce runs one clean A→B migration on a system with the given
 // shard count and returns the migrate.* metric samples afterwards.

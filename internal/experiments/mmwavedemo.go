@@ -79,7 +79,6 @@ func MMWaveDemo(seed int64, w io.Writer) error {
 	}
 
 	payload := pattern(8 << 20)
-	want := sha256.Sum256(payload)
 	shedRule := "shed when link.bw:1 LT 1000000 for 1 then command mmwave:shed" +
 		" on 0.0.0.0 0 0.0.0.0 0 rate 1"
 	legs := []mmLeg{
@@ -90,7 +89,7 @@ func MMWaveDemo(seed int64, w io.Writer) error {
 
 	results := make([]mmResult, 0, len(legs))
 	for _, leg := range legs {
-		r, err := runMMWaveLeg(w, seed, payload, want, leg)
+		r, err := runMMWaveLeg(w, seed, payload, leg)
 		if err != nil {
 			return err
 		}
@@ -131,7 +130,7 @@ func MMWaveDemo(seed int64, w io.Writer) error {
 
 // runMMWaveLeg builds a fresh system (same seed — the legs differ only
 // in proxy services), replays the trace, and pushes the payload.
-func runMMWaveLeg(w io.Writer, seed int64, payload []byte, want [32]byte, leg mmLeg) (mmResult, error) {
+func runMMWaveLeg(w io.Writer, seed int64, payload []byte, leg mmLeg) (mmResult, error) {
 	sys := core.NewSystem(core.Config{
 		Seed:         seed,
 		MMWave:       true,
@@ -160,15 +159,11 @@ func runMMWaveLeg(w io.Writer, seed int64, payload []byte, want [32]byte, leg mm
 	defer player.Stop()
 	sys.Sched.RunFor(300 * time.Millisecond)
 
-	res, err := sys.Transfer(payload, 7000, 5001, 30*time.Second)
+	res, err := sys.CheckedTransfer("mmwave: leg "+leg.name, payload, 7000, 5001, 30*time.Second)
 	if err != nil {
-		return mmResult{}, fmt.Errorf("mmwave: leg %s: %w", leg.name, err)
+		return mmResult{}, err
 	}
 	sum := sha256.Sum256(res.Received)
-	if !res.Completed || sum != want {
-		return mmResult{}, fmt.Errorf("mmwave: leg %s corrupt or incomplete: completed=%v received=%d/%d",
-			leg.name, res.Completed, len(res.Received), res.Sent)
-	}
 
 	out := mmResult{
 		name:     leg.name,
@@ -178,17 +173,7 @@ func runMMWaveLeg(w io.Writer, seed int64, payload []byte, want [32]byte, leg mm
 		lteBytes: sys.LTELink.StatsAB().Bytes,
 		zeroCap:  sys.Wireless.StatsAB().ZeroCapDrops + sys.Wireless.StatsBA().ZeroCapDrops,
 	}
-	for _, e := range sys.Obs.Events() {
-		if e.Subsys != "policy" {
-			continue
-		}
-		switch e.Kind {
-		case "fire":
-			out.fires++
-		case "revert":
-			out.reverts++
-		}
-	}
+	out.fires, out.reverts = policyEvents(sys)
 	fmt.Fprintf(w, "leg %-10s elapsed=%-12v goodput=%6.2f Mb/s peak_mmwave_queue=%-3d"+
 		" lte_bytes=%-8d zero_cap_drops=%-5d fires=%d reverts=%d sha=%x\n",
 		leg.name, res.Elapsed, out.bps/1e6, out.peak,

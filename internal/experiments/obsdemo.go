@@ -18,8 +18,7 @@ import (
 //
 // Everything printed derives from virtual time and the seeded
 // scheduler, so two runs with the same seed must be byte-identical —
-// TestObsDeterminism and `make obs-determinism` diff exactly this
-// output. The scenario deliberately exercises the historical
+// TestScenarios digests exactly this output. The scenario deliberately exercises the historical
 // nondeterminism sources: multiple EEM sessions ticked every second
 // (map-ordered before the ordered-slice fix) and ARQ recovery
 // accounting on the lossy link.

@@ -13,13 +13,12 @@ import (
 	"repro/internal/policy"
 )
 
-// Chaos is the chaos soak scenario behind `wsim -chaos` and
-// `make chaos`: a full Comma deployment runs a sequence of bulk
-// transfers while the Injector and the chaos filter break things
-// around and inside it — link flaps, an asymmetric partition, quality
-// degradation, an EEM server crash with a supervised client riding it,
-// a panicking filter, an injected insertion failure, deterministic
-// drop and delay.
+// Chaos is the chaos soak scenario behind `wsim -chaos`: a full Comma
+// deployment runs a sequence of bulk transfers while the Injector and
+// the chaos filter break things around and inside it — link flaps, an
+// asymmetric partition, quality degradation, an EEM server crash with
+// a supervised client riding it, a panicking filter, an injected
+// insertion failure, deterministic drop and delay.
 //
 // The scenario is its own assertion: it returns an error unless every
 // transfer arrives complete and checksum-clean, the panicking filter
@@ -28,8 +27,7 @@ import (
 // answers afterwards. Everything — fault script, recovery, transfers —
 // runs on virtual time with the seeded scheduler, so the full output
 // (per-leg results, event log, metrics) must be byte-identical across
-// runs with the same seed; TestChaosDeterminism and `make chaos` diff
-// exactly this output.
+// runs with the same seed; TestScenarios digests exactly this output.
 func Chaos(seed int64, w io.Writer) error {
 	sys := core.NewSystem(core.Config{
 		Seed:         seed,
@@ -125,18 +123,14 @@ func Chaos(seed int64, w io.Writer) error {
 		if lg.faults != nil {
 			lg.faults()
 		}
-		payload := chaosPayload(lg.size)
-		res, err := sys.Transfer(payload, lg.srcPort, lg.dstPort, lg.window)
-		if err != nil {
-			return fmt.Errorf("chaos: leg %s: %w", lg.name, err)
+		res, err := sys.CheckedTransfer("chaos: leg "+lg.name, chaosPayload(lg.size), lg.srcPort, lg.dstPort, lg.window)
+		if res != nil {
+			sum := sha256.Sum256(res.Received)
+			fmt.Fprintf(w, "leg %-18s sent=%d received=%d completed=%v elapsed=%v sha=%x intact=%v\n",
+				lg.name, res.Sent, len(res.Received), res.Completed, res.Elapsed, sum[:8], err == nil)
 		}
-		sum, want := sha256.Sum256(res.Received), sha256.Sum256(payload)
-		intact := res.Completed && sum == want
-		fmt.Fprintf(w, "leg %-18s sent=%d received=%d completed=%v elapsed=%v sha=%x intact=%v\n",
-			lg.name, res.Sent, len(res.Received), res.Completed, res.Elapsed, sum[:8], intact)
-		if !intact {
-			return fmt.Errorf("chaos: leg %s corrupt or incomplete: completed=%v received=%d/%d",
-				lg.name, res.Completed, len(res.Received), res.Sent)
+		if err != nil {
+			return err
 		}
 		if res.Elapsed < lg.minElapsed {
 			return fmt.Errorf("chaos: leg %s finished in %v, before its fault window (%v) — fault missed the transfer",
@@ -169,18 +163,7 @@ func Chaos(seed int64, w io.Writer) error {
 	inj.DegradeLink("wireless", sys.Wireless, 250*time.Millisecond, 3*time.Second,
 		256_000, netsim.Bernoulli{})
 	sys.Sched.RunFor(7 * time.Second)
-	var policyFires, policyReverts int
-	for _, e := range sys.Obs.Events() {
-		if e.Subsys != "policy" {
-			continue
-		}
-		switch e.Kind {
-		case "fire":
-			policyFires++
-		case "revert":
-			policyReverts++
-		}
-	}
+	policyFires, policyReverts := sys.Obs.Count("policy", "fire"), sys.Obs.Count("policy", "revert")
 	fmt.Fprintf(w, "policy fires=%d reverts=%d\n", policyFires, policyReverts)
 	fmt.Fprint(w, eng.Command([]string{"list"}))
 	if policyFires == 0 {
@@ -194,17 +177,9 @@ func Chaos(seed int64, w io.Writer) error {
 	// and the supervised client holds fresh (non-stale) data again.
 	report := sys.MustCommand("report")
 	fmt.Fprintf(w, "\n=== post-fault control plane ===\n%s", report)
-	var quarantines, redials, reconnects int
-	for _, e := range sys.Obs.Events() {
-		switch {
-		case e.Subsys == "proxy" && e.Kind == "filter-quarantine":
-			quarantines++
-		case e.Subsys == "eem-client" && e.Kind == "redial-scheduled":
-			redials++
-		case e.Subsys == "eem-client" && e.Kind == "reconnected":
-			reconnects++
-		}
-	}
+	quarantines := sys.Obs.Count("proxy", "filter-quarantine")
+	redials := sys.Obs.Count("eem-client", "redial-scheduled")
+	reconnects := sys.Obs.Count("eem-client", "reconnected")
 	fmt.Fprintf(w, "quarantines=%d redials=%d reconnects=%d\n", quarantines, redials, reconnects)
 	if quarantines == 0 {
 		return fmt.Errorf("chaos: panicking filter was never quarantined")

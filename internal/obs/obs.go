@@ -12,8 +12,8 @@
 // Determinism contract: everything emitted derives from simulation
 // state — virtual time, seeded randomness, scheduler order. Two runs
 // of the same seeded scenario therefore produce byte-identical event
-// logs and metrics snapshots; `make obs-determinism` and the
-// TestObsDeterminism golden test enforce exactly that. Wall-clock
+// logs and metrics snapshots; the committed scenario digests
+// (experiments.TestScenarios) enforce exactly that. Wall-clock
 // time, goroutine identity, and map iteration order must never leak
 // into an event or a snapshot.
 package obs
@@ -201,6 +201,22 @@ func (b *Bus) Events() []Event {
 	}
 	out = append(out, b.ring[b.next:]...)
 	return append(out, b.ring[:b.next]...)
+}
+
+// Count returns how many retained events carry the given subsystem
+// and kind — the "did the rule fire, was the filter quarantined"
+// question scenarios ask of the log. Safe on a nil bus.
+func (b *Bus) Count(subsys, kind string) int {
+	if b == nil {
+		return 0
+	}
+	n := 0
+	for i := range b.ring {
+		if b.ring[i].Subsys == subsys && b.ring[i].Kind == kind {
+			n++
+		}
+	}
+	return n
 }
 
 // WriteLog writes the canonical event log: a header line followed by

@@ -54,6 +54,10 @@ func TestBusRingRetention(t *testing.T) {
 			t.Fatalf("retained[%d] = %v, want i=%s", j, e.Fields[0], want.V)
 		}
 	}
+	// Count sees what is retained, matched on both subsystem and kind.
+	if b.Count("x", "e") != 4 || b.Count("x", "f") != 0 || b.Count("y", "e") != 0 {
+		t.Fatalf("Count = %d/%d/%d, want 4/0/0", b.Count("x", "e"), b.Count("x", "f"), b.Count("y", "e"))
+	}
 	// Tail clamps to what is retained.
 	if got := strings.Count(b.Tail(2), "\n"); got != 2 {
 		t.Fatalf("Tail(2) lines = %d", got)
@@ -67,7 +71,7 @@ func TestNilBusIsInert(t *testing.T) {
 	var b *Bus
 	b.Emit("x", "y", "z")
 	b.EmitPacket("x", "y", "z", []byte{1})
-	if b.Enabled() || b.PacketsTraced() || b.Total() != 0 || b.Events() != nil {
+	if b.Enabled() || b.PacketsTraced() || b.Total() != 0 || b.Events() != nil || b.Count("x", "y") != 0 {
 		t.Fatal("nil bus not inert")
 	}
 }

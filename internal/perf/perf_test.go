@@ -193,7 +193,7 @@ func TestInterceptFlowLogZeroAlloc(t *testing.T) {
 			hook(raw, in)
 		}
 		cycle++
-	}); allocs != 0 {
+	}); allocs != 0 && !raceEnabled { // under -race sync.Pool drops puts at random, so the packet pool allocates
 		t.Fatalf("flow-logged intercept allocates %.0f times per cycle, want 0", allocs)
 	}
 	fs := sys.Proxy.FlowStats()

@@ -151,12 +151,7 @@ var execHandlers = map[string]func(p *Proxy, rest []string) string{
 	},
 	// streams: extension used by Kati — per-stream accounting.
 	"streams": func(p *Proxy, rest []string) string {
-		var b strings.Builder
-		for _, si := range p.Streams() {
-			fmt.Fprintf(&b, "%s\t[%s]\t%d pkts %d bytes\n",
-				si.Key, strings.Join(si.Filters, ","), si.Packets, si.Bytes)
-		}
-		return b.String()
+		return RenderStreams(p.Streams())
 	},
 	// stats: extension used by Kati — the unified metrics snapshot
 	// (proxy, links, TCP stacks, EEM — whatever is registered).

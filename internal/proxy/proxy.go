@@ -102,7 +102,7 @@ type Proxy struct {
 	progKeys     []filter.Key
 	matchScratch []int32
 
-	// emit is the reusable return slice of intercept: the node
+	// emit is the reusable return slice of Intercept: the node
 	// consumes it before the next interception, so the hot path never
 	// allocates a fresh [][]byte per packet.
 	emit [][]byte
@@ -199,7 +199,7 @@ func (a StatsSnapshot) Merge(b StatsSnapshot) StatsSnapshot {
 // hook. Filters are loaded from catalog by the load command.
 func New(node *netsim.Node, catalog *filter.Catalog) *Proxy {
 	p := NewDetached(node, catalog)
-	node.SetHook(p.intercept)
+	node.SetHook(p.Intercept)
 	return p
 }
 
@@ -400,44 +400,32 @@ func (p *Proxy) Spawn(name string, k filter.Key, args []string) error {
 
 // --- interception path -------------------------------------------------------
 
-// Intercept runs the interception path on one raw datagram exactly as
-// the node packet hook would. The sharded data plane calls it from
-// shard workers (in may be nil — the path ignores it); the returned
-// emit slice is borrowed, valid until the proxy's next interception.
+// Intercept is the node packet hook — what New installs and what the
+// inline data plane calls on the owning shard (in may be nil; the path
+// ignores it). It runs InterceptAppend into the proxy's reusable emit
+// list, so the steady-state hook path never allocates a fresh [][]byte
+// per packet; the returned slice is borrowed, valid until the proxy's
+// next interception.
 func (p *Proxy) Intercept(raw []byte, in *netsim.Iface) [][]byte {
-	return p.intercept(raw, in)
-}
-
-// InterceptAppend runs the interception path on raw and appends every
-// output datagram to dst, returning the extended slice. Unlike
-// Intercept — whose returned slice is reused on the next interception
-// — the appended entries stay valid across later interceptions: each
-// is either the caller's raw buffer passed through untouched, or a
-// freshly marshalled datagram the proxy never writes again. The
-// batched shard pipeline relies on this to accumulate a whole batch's
-// output before one sink delivery.
-func (p *Proxy) InterceptAppend(raw []byte, in *netsim.Iface, dst [][]byte) [][]byte {
-	return p.interceptInto(raw, in, dst)
-}
-
-// intercept is the node packet hook: the returned slice is the proxy's
-// reusable emit list, valid until the next interception, so the
-// steady-state hook path never allocates a fresh [][]byte per packet.
-func (p *Proxy) intercept(raw []byte, in *netsim.Iface) [][]byte {
 	for i := range p.emit {
 		p.emit[i] = nil // drop references from the previous packet
 	}
-	p.emit = p.interceptInto(raw, in, p.emit[:0])
+	p.emit = p.InterceptAppend(raw, in, p.emit[:0])
 	return p.emit
 }
 
-// interceptInto is the interception path: parse, match, build queues
+// InterceptAppend is the interception path: parse, match, build queues
 // on demand, run the in and out queues, and append the surviving (and
-// injected) datagrams to dst. The steady-state pass-through path (no
-// matching service, or a clean traversal of the tcp filter) is
+// injected) datagrams to dst, returning the extended slice. The
+// appended entries stay valid across later interceptions: each is
+// either the caller's raw buffer passed through untouched, or a
+// freshly marshalled datagram the proxy never writes again. The
+// batched shard pipeline relies on this to accumulate a whole batch's
+// output before one sink delivery. The steady-state pass-through path
+// (no matching service, or a clean traversal of the tcp filter) is
 // allocation-free: the parsed view comes from the packet pool and is
 // Released before returning.
-func (p *Proxy) interceptInto(raw []byte, in *netsim.Iface, dst [][]byte) [][]byte {
+func (p *Proxy) InterceptAppend(raw []byte, in *netsim.Iface, dst [][]byte) [][]byte {
 	p.Stats.Intercepted.Add(1)
 	pkt, err := filter.Parse(raw)
 	if err != nil {
@@ -915,6 +903,17 @@ type StreamInfo struct {
 	Filters []string // in queue order (descending priority)
 	Packets int64
 	Bytes   int64
+}
+
+// RenderStreams renders the "streams" listing, one line per stream. The
+// sharded data plane renders its merged view through it too.
+func RenderStreams(streams []StreamInfo) string {
+	var b strings.Builder
+	for _, si := range streams {
+		fmt.Fprintf(&b, "%s\t[%s]\t%d pkts %d bytes\n",
+			si.Key, strings.Join(si.Filters, ","), si.Packets, si.Bytes)
+	}
+	return b.String()
 }
 
 // LoadedFilters lists the filter pool, sorted by name.
