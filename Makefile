@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fmt-check fuzz bench bench-shard bench-gate bench-registry bench-registry-gate scenarios verify
+.PHONY: build test race vet fmt-check fuzz bench bench-shard bench-gate bench-registry bench-registry-gate scenarios benchmark-check verify
 
 build:
 	$(GO) build ./...
@@ -25,9 +25,11 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Native fuzz targets, each for $(FUZZTIME): codec round-trip
-# stability and no-panic over the packet parsers.
+# stability and no-panic over the packet parsers, and the word-wise
+# checksum against its two-byte reference.
 fuzz:
 	$(GO) test ./internal/ip -fuzz FuzzIPParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ip -fuzz FuzzChecksum -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tcp -fuzz FuzzTCPParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filter -fuzz FuzzFilterParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filter -fuzz FuzzSteerKey -fuzztime $(FUZZTIME)
@@ -131,5 +133,16 @@ bench-gate:
 scenarios:
 	$(GO) test -race -count=1 -run TestScenarios ./internal/experiments
 
-verify: build race vet fmt-check scenarios
+# The repository benchmark is a module of its own, so `go build ./...`
+# and `go test ./...` never compile it: an internal rename could break
+# the yardstick unnoticed. Vet and test it, then run the two closed-loop
+# packet workloads for 2 s each — exit 0 means the 2^16-packet
+# verification pass and the counter checks held (edit-bulk: every
+# checksum, payload, remapped sequence number and translated ACK).
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	bash benchmark/run.sh --workload edit-bulk --seed 1 --seconds 2 --trace 0
+	bash benchmark/run.sh --workload fwd-small --seed 1 --seconds 2 --trace 0
+
+verify: build race vet fmt-check scenarios benchmark-check
 	@echo "verify: OK"

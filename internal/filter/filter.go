@@ -142,9 +142,9 @@ func (p Priority) String() string {
 // Release, so the decoded view is only valid until the owner (the
 // interception path) releases it. Filters that need any part of a
 // packet beyond the current hook invocation must copy it (snoop's
-// Encode snapshot, the TTSF's payload snapshot); holding the *Packet,
-// its TCP/UDP pointers, or slices of its decoded headers across
-// packets is a use-after-release bug.
+// Encode snapshot, the bytes of an edit the TTSF records); holding the
+// *Packet, its TCP/UDP pointers, or slices of its decoded headers
+// across packets is a use-after-release bug.
 type Packet struct {
 	Raw []byte        // datagram as intercepted (stale once dirty)
 	IP  ip.Header     // decoded network header
@@ -164,11 +164,6 @@ type Packet struct {
 	// header allocations.
 	tcpSeg tcp.Segment
 	udpDgm udp.Datagram
-	// segBuf is scratch for the transport-layer marshal inside
-	// Remarshal/Encode. It never escapes the Packet: only the final
-	// IP-layer buffer (which must stay immutable once handed to the
-	// network) is freshly allocated.
-	segBuf []byte
 }
 
 // packetPool recycles Packet structs between Parse and Release. Raw
@@ -220,13 +215,17 @@ func (p *Packet) Release() {
 	for i := range p.injects {
 		p.injects[i] = nil
 	}
-	injects, segBuf := p.injects[:0], p.segBuf
-	*p = Packet{injects: injects, segBuf: segBuf}
+	*p = Packet{injects: p.injects[:0]}
 	packetPool.Put(p)
 }
 
 // Drop marks the packet to be discarded instead of reinjected.
 func (p *Packet) Drop() { p.dropped = true }
+
+// Undrop withdraws a lower-priority filter's drop verdict. It exists
+// for the TTSF alone, whose record of what the mobile was already sent
+// overrides what a service does to a retransmission of it.
+func (p *Packet) Undrop() { p.dropped = false }
 
 // Dropped reports whether an out method dropped the packet.
 func (p *Packet) Dropped() bool { return p.dropped }
@@ -242,12 +241,10 @@ func (p *Packet) Dirty() bool { return p.dirty }
 // TCP checksums, clearing the dirty mark. This is what the thesis's
 // "tcp" filter does as the highest-priority out method.
 //
-// The transport segment is marshalled into the packet's scratch
-// buffer (reused across packets); only the final IP datagram — which
-// escapes to the network and must stay immutable in flight — is
-// freshly allocated.
+// It makes exactly one allocation: the datagram itself, which escapes
+// to the network and must stay immutable in flight.
 func (p *Packet) Remarshal() error {
-	raw, err := p.IP.Marshal(p.transportBytes())
+	raw, err := p.marshal(&p.IP)
 	if err != nil {
 		return err
 	}
@@ -256,19 +253,28 @@ func (p *Packet) Remarshal() error {
 	return nil
 }
 
-// transportBytes marshals the decoded transport layer into segBuf,
-// computing checksums, and returns it (or Data when undecoded).
-func (p *Packet) transportBytes() []byte {
+// marshal encodes the decoded state into one fresh datagram: the
+// transport layer is marshalled (with its checksum, which lands in the
+// decoded view too) directly behind the room left for the IP header,
+// then h fills that in.
+func (p *Packet) marshal(h *ip.Header) ([]byte, error) {
+	hl := h.HeaderLength()
+	var b []byte
 	switch {
 	case p.TCP != nil:
-		p.segBuf = p.TCP.AppendMarshal(p.segBuf[:0], p.IP.Src, p.IP.Dst)
-		return p.segBuf
+		b = make([]byte, hl, hl+p.TCP.HeaderLength()+len(p.TCP.Payload))
+		b = p.TCP.AppendMarshal(b, h.Src, h.Dst)
 	case p.UDP != nil:
-		p.segBuf = p.UDP.AppendMarshal(p.segBuf[:0], p.IP.Src, p.IP.Dst)
-		return p.segBuf
+		b = make([]byte, hl, hl+udp.HeaderLen+len(p.UDP.Payload))
+		b = p.UDP.AppendMarshal(b, h.Src, h.Dst)
 	default:
-		return p.Data
+		b = make([]byte, hl+len(p.Data))
+		copy(b[hl:], p.Data)
 	}
+	if err := h.MarshalInto(b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // Encode marshals the packet's current decoded state into a fresh
@@ -284,9 +290,9 @@ func (p *Packet) Encode() ([]byte, error) {
 		udpCk = p.UDP.Checksum
 	}
 	h := p.IP
-	b, err := h.Marshal(p.transportBytes())
-	// transportBytes recomputes transport checksums in place; Encode
-	// promises not to modify the packet, so restore the wire values.
+	b, err := p.marshal(&h)
+	// marshal recomputes transport checksums in place; Encode promises
+	// not to modify the packet, so restore the wire values.
 	if p.TCP != nil {
 		p.TCP.Checksum = tcpCk
 	}

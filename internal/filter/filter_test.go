@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ip"
 	"repro/internal/tcp"
+	"repro/internal/udp"
 )
 
 func mustKey(t *testing.T, fields ...string) Key {
@@ -159,6 +160,89 @@ func TestRemarshalFixesChecksums(t *testing.T) {
 	got, _ := tcp.Unmarshal(seg)
 	if got.Window != 1234 || !bytes.Equal(got.Payload, []byte("HELLO THERE")) {
 		t.Fatalf("rewritten fields lost: %+v", got)
+	}
+}
+
+// TestRemarshalMatchesTwoStepMarshal: the single-buffer re-marshal
+// (transport written directly behind the IP header) must produce the
+// bytes of the plain composition Header.Marshal(Segment.Marshal()),
+// for every shape the packet view has; Encode must produce them too
+// and leave the packet as it found it.
+func TestRemarshalMatchesTwoStepMarshal(t *testing.T) {
+	src, dst := ip.MustParseAddr("11.11.10.99"), ip.MustParseAddr("11.11.10.10")
+	odd := bytes.Repeat([]byte{0xa5, 0x01, 0xff}, 487) // 1461 bytes: odd length, last word padded
+	tcpSeg := func(mss uint16, payload []byte) func(*ip.Header) []byte {
+		return func(h *ip.Header) []byte {
+			h.Protocol = ip.ProtoTCP
+			seg := tcp.Segment{SrcPort: 7, DstPort: 1169, Seq: 0xfffffff0, Ack: 50,
+				Flags: tcp.FlagACK | tcp.FlagPSH, Window: 8760, Urgent: 3, MSS: mss, Payload: payload}
+			return seg.Marshal(src, dst)
+		}
+	}
+	cases := []struct {
+		name      string
+		ipOptions []byte
+		transport func(*ip.Header) []byte
+	}{
+		{"tcp", nil, tcpSeg(0, odd)},
+		{"tcp-pure-ack", nil, tcpSeg(0, nil)},
+		{"tcp-mss-option", nil, tcpSeg(1460, []byte("syn data"))},
+		{"tcp-ip-options", []byte{1, 1, 1, 0, 1, 1, 1, 0}, tcpSeg(0, odd)},
+		{"tcp-mss-and-ip-options", []byte{1, 1, 1, 0}, tcpSeg(536, odd)},
+		{"udp", nil, func(h *ip.Header) []byte {
+			h.Protocol = ip.ProtoUDP
+			d := udp.Datagram{SrcPort: 5004, DstPort: 5006, Payload: odd}
+			return d.Marshal(src, dst)
+		}},
+		{"udp-ip-options", []byte{1, 1, 1, 0}, func(h *ip.Header) []byte {
+			h.Protocol = ip.ProtoUDP
+			d := udp.Datagram{SrcPort: 5004, DstPort: 5006}
+			return d.Marshal(src, dst)
+		}},
+		{"undecoded", []byte{1, 1, 1, 0}, func(h *ip.Header) []byte {
+			h.Protocol = ip.ProtoICMP
+			return odd
+		}},
+		{"tcp-truncated-header", nil, func(h *ip.Header) []byte {
+			h.Protocol = ip.ProtoTCP
+			return []byte{0, 7, 4, 145, 0} // does not decode: carried as Data
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h := ip.Header{TOS: 0x10, ID: 0x1234, Flags: ip.FlagDF, TTL: 64, Src: src, Dst: dst, Options: c.ipOptions}
+			want, err := h.Marshal(c.transport(&h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := Parse(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Release()
+			// Nothing was edited, so re-marshalling must reproduce the
+			// datagram, in a buffer of its own.
+			enc, err := p.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, want) {
+				t.Fatalf("Encode differs from the two-step marshal:\n% x\n% x", enc, want)
+			}
+			if &p.Raw[0] != &want[0] || p.Dirty() {
+				t.Fatal("Encode touched Raw or the dirty mark")
+			}
+			p.MarkDirty()
+			if err := p.Remarshal(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(p.Raw, want) {
+				t.Fatalf("Remarshal differs from the two-step marshal:\n% x\n% x", p.Raw, want)
+			}
+			if &p.Raw[0] == &want[0] || &p.Raw[0] == &enc[0] {
+				t.Fatal("Remarshal reused a buffer that already escaped")
+			}
+		})
 	}
 }
 

@@ -12,10 +12,9 @@ import (
 // richTTSF builds an instance with every flag and field populated the
 // way a mid-stream snoop/transform leaves them.
 func richTTSF() *ttsfInst {
-	return &ttsfInst{
+	t := &ttsfInst{
 		started:       true,
 		frontier:      99173,
-		base:          -512,
 		haveMobileAck: true,
 		mobileAckNew:  88001,
 		haveAckFwd:    true,
@@ -35,6 +34,8 @@ func richTTSF() *ttsfInst {
 			{origStart: 3000, origLen: 10, newBytes: bytes.Repeat([]byte{0xAB}, 400)},
 		},
 	}
+	t.reindex(-512) // the pruned edits' delta
+	return t
 }
 
 func TestTTSFSnapshotRoundTrip(t *testing.T) {
@@ -50,7 +51,7 @@ func TestTTSFSnapshotRoundTrip(t *testing.T) {
 	if dst.pendingValid {
 		t.Fatal("restore must invalidate the pending in-packet snapshot")
 	}
-	if dst.started != src.started || dst.frontier != src.frontier || dst.base != src.base ||
+	if dst.started != src.started || dst.frontier != src.frontier || dst.total != src.total ||
 		dst.haveMobileAck != src.haveMobileAck || dst.mobileAckNew != src.mobileAckNew ||
 		dst.haveAckFwd != src.haveAckFwd || dst.maxAckFwd != src.maxAckFwd ||
 		dst.haveTemplate != src.haveTemplate || dst.tmplSeq != src.tmplSeq ||
@@ -86,7 +87,6 @@ func TestTTSFSnapshotProperty(t *testing.T) {
 		src := &ttsfInst{
 			started:       rng.Intn(2) == 1,
 			frontier:      rng.Uint32(),
-			base:          rng.Int63() - 1<<62,
 			haveMobileAck: rng.Intn(2) == 1,
 			mobileAckNew:  rng.Uint32(),
 			haveAckFwd:    rng.Intn(2) == 1,
@@ -109,6 +109,7 @@ func TestTTSFSnapshotProperty(t *testing.T) {
 				origStart: rng.Uint32(), origLen: rng.Uint32() % 1500, newBytes: nb,
 			})
 		}
+		src.reindex(rng.Int63() - 1<<62)
 		snap, err := src.SnapshotState()
 		if err != nil {
 			t.Fatalf("trial %d: snapshot: %v", trial, err)

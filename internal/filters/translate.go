@@ -34,11 +34,11 @@ type TranslateStats struct {
 }
 
 // translateInstances exposes per-stream stats, keyed by forward key.
-var translateInstances = map[filter.Key]*translateInst{}
+var translateInstances instanceTable[translateInst]
 
 // TranslateStatsFor returns the stats of the translate instance on k.
 func TranslateStatsFor(k filter.Key) (TranslateStats, bool) {
-	if inst, ok := translateInstances[k]; ok {
+	if inst, ok := translateInstances.get(k); ok {
 		return inst.stats, true
 	}
 	return TranslateStats{}, false
@@ -92,11 +92,11 @@ func (f *translate) New(env filter.Env, k filter.Key, args []string) error {
 				p.Drop()
 			}
 		},
-		OnClose: func() { delete(translateInstances, k) },
+		OnClose: func() { translateInstances.del(k) },
 	})
 	if err != nil {
 		return err
 	}
-	translateInstances[k] = inst
+	translateInstances.put(k, inst)
 	return nil
 }

@@ -3,6 +3,7 @@ package filters
 import (
 	"bytes"
 	"fmt"
+	"sort"
 
 	"repro/internal/filter"
 	"repro/internal/ip"
@@ -30,7 +31,8 @@ import (
 //   - retransmissions of already-serviced ranges are reconstructed
 //     from a record of past edits, so the mobile always sees the same
 //     transformation regardless of how often the sender retransmits
-//     (§8.1.4's "TCP-specific issues");
+//     (§8.1.4's "TCP-specific issues") — the record overrides whatever
+//     the services did to the retransmitted copy, a drop included;
 //   - when a service drops the segment at the mobile's ack frontier,
 //     the TTSF acknowledges the dropped bytes to the sender itself —
 //     otherwise the sender would retransmit them forever.
@@ -58,11 +60,11 @@ type TTSFStats struct {
 }
 
 // ttsfInstances exposes per-stream stats; keyed by the forward key.
-var ttsfInstances = map[filter.Key]*ttsfInst{}
+var ttsfInstances instanceTable[ttsfInst]
 
 // TTSFStatsFor returns the stats of the TTSF on key k, if any.
 func TTSFStatsFor(k filter.Key) (TTSFStats, bool) {
-	if inst, ok := ttsfInstances[k]; ok {
+	if inst, ok := ttsfInstances.get(k); ok {
 		return inst.stats, true
 	}
 	return TTSFStats{}, false
@@ -73,10 +75,16 @@ type edit struct {
 	origStart uint32
 	origLen   uint32
 	newBytes  []byte // transformed payload; empty = dropped
+	// before is the cumulative delta of every edit recorded before
+	// this one, pruned ones included: what maps origStart into the
+	// modified space, and what makes the remap a binary search.
+	before int64
 }
 
-func (e *edit) origEnd() uint32 { return e.origStart + e.origLen }
-func (e *edit) delta() int64    { return int64(len(e.newBytes)) - int64(e.origLen) }
+func (e *edit) origEnd() uint32  { return e.origStart + e.origLen }
+func (e *edit) delta() int64     { return int64(len(e.newBytes)) - int64(e.origLen) }
+func (e *edit) newStart() uint32 { return uint32(int64(e.origStart) + e.before) }
+func (e *edit) newEnd() uint32   { return e.newStart() + uint32(len(e.newBytes)) }
 
 type ttsfInst struct {
 	env filter.Env
@@ -84,8 +92,12 @@ type ttsfInst struct {
 
 	started  bool   // frontier initialised
 	frontier uint32 // original space: end of the processed region
-	base     int64  // cumulative delta of pruned edits
-	edits    []edit // live edits, ascending origStart
+	// The edit log: edits[head:] are the live edits, ascending
+	// origStart; edits[:head] are pruned slots the next slide reclaims.
+	// total is the cumulative delta of every edit ever recorded.
+	edits []edit
+	head  int
+	total int64
 
 	// In-hook snapshot of the pre-service payload of the packet
 	// currently traversing the queue.
@@ -124,7 +136,7 @@ func (f *ttsf) New(env filter.Env, k filter.Key, args []string) error {
 		In:  inst.forwardIn,
 		Out: inst.forwardOut,
 		OnClose: func() {
-			delete(ttsfInstances, k)
+			ttsfInstances.del(k)
 			detachRev()
 		},
 		State: inst,
@@ -133,7 +145,7 @@ func (f *ttsf) New(env filter.Env, k filter.Key, args []string) error {
 		detachRev()
 		return err
 	}
-	ttsfInstances[k] = inst
+	ttsfInstances.put(k, inst)
 	return nil
 }
 
@@ -148,12 +160,15 @@ const (
 )
 
 // SnapshotState implements filter.StateSnapshotter: it serializes the
-// full sequence-remapping state — frontier, pruned-edit base, the live
-// edit log, both ack high-waters, the ACK-synthesis template, and the
-// stats — so a peer SP can continue the remapping mid-stream. The
-// pending in-packet snapshot is deliberately excluded: snapshots are
-// taken at a batch boundary, where no packet is traversing the queue.
+// full sequence-remapping state — frontier, the cumulative delta of
+// the pruned edits, the live edit log, both ack high-waters, the
+// ACK-synthesis template, and the stats — so a peer SP can continue
+// the remapping mid-stream. The per-edit cumulatives are not on the
+// wire: RestoreState recomputes them. The pending in-packet snapshot
+// is deliberately excluded: snapshots are taken at a batch boundary,
+// where no packet is traversing the queue.
 func (t *ttsfInst) SnapshotState() ([]byte, error) {
+	live := t.live()
 	var w stateWriter
 	var flags byte
 	if t.started {
@@ -170,7 +185,7 @@ func (t *ttsfInst) SnapshotState() ([]byte, error) {
 	}
 	w.u8(flags)
 	w.u32(t.frontier)
-	w.i64(t.base)
+	w.i64(t.before(live, 0))
 	w.u32(t.mobileAckNew)
 	w.u32(t.maxAckFwd)
 	w.u32(t.tmplSeq)
@@ -183,9 +198,9 @@ func (t *ttsfInst) SnapshotState() ([]byte, error) {
 	w.i64(t.stats.Reconstructed)
 	w.i64(t.stats.SynthesizedAcks)
 	w.i64(t.stats.Unreconstructable)
-	w.u32(uint32(len(t.edits)))
-	for i := range t.edits {
-		e := &t.edits[i]
+	w.u32(uint32(len(live)))
+	for i := range live {
+		e := &live[i]
 		w.u32(e.origStart)
 		w.u32(e.origLen)
 		w.bytes(e.newBytes)
@@ -231,7 +246,6 @@ func (t *ttsfInst) RestoreState(b []byte) error {
 	t.haveAckFwd = flags&ttsfFlagAckFwd != 0
 	t.haveTemplate = flags&ttsfFlagTemplate != 0
 	t.frontier = frontier
-	t.base = base
 	t.mobileAckNew = mobileAckNew
 	t.maxAckFwd = maxAckFwd
 	t.tmplSeq = tmplSeq
@@ -239,26 +253,51 @@ func (t *ttsfInst) RestoreState(b []byte) error {
 	t.tmplSrc = tmplSrc
 	t.tmplDst = tmplDst
 	t.stats = stats
-	t.edits = edits
+	t.edits, t.head = edits, 0
+	t.reindex(base)
 	t.pendingValid = false
 	return nil
+}
+
+// reindex recomputes the cumulative of every edit and the total on top
+// of base, the cumulative delta of the edits pruned before them.
+func (t *ttsfInst) reindex(base int64) {
+	for i := range t.edits {
+		t.edits[i].before = base
+		base += t.edits[i].delta()
+	}
+	t.total = base
 }
 
 var _ filter.StateSnapshotter = (*ttsfInst)(nil)
 
 // --- mapping ------------------------------------------------------------------
 
+// live returns the edits not yet pruned, ascending origStart.
+func (t *ttsfInst) live() []edit { return t.edits[t.head:] }
+
+// before returns the cumulative delta of every edit before live[i];
+// i == len(live) stands for "after all of them".
+func (t *ttsfInst) before(live []edit, i int) int64 {
+	if i == len(live) {
+		return t.total
+	}
+	return live[i].before
+}
+
+// firstEndingAfter returns the index of the first edit in live that
+// ends after original position s. Live edits are disjoint, ascending
+// and span far less than 2³¹ of sequence space, so "ends at or before
+// s" holds for a prefix of them and a binary search finds its end.
+func firstEndingAfter(live []edit, s uint32) int {
+	return sort.Search(len(live), func(i int) bool { return seqLTu(s, live[i].origEnd()) })
+}
+
 // deltaBefore returns the cumulative sequence-space delta of all edits
 // that end at or before original position s.
 func (t *ttsfInst) deltaBefore(s uint32) int64 {
-	d := t.base
-	for i := range t.edits {
-		if !seqLEu(t.edits[i].origEnd(), s) {
-			break
-		}
-		d += t.edits[i].delta()
-	}
-	return d
+	live := t.live()
+	return t.before(live, firstEndingAfter(live, s))
 }
 
 // mapOrig translates an original-space sequence number at an edit
@@ -271,30 +310,25 @@ func (t *ttsfInst) mapOrig(s uint32) uint32 {
 // to the original space, taking the upper preimage: an ack that covers
 // a transformed range acknowledges every original byte behind it, and
 // an ack sitting exactly at a dropped range acknowledges the dropped
-// bytes too.
+// bytes too (a dropped range is empty in the modified space, so the
+// ack is not before its end and the search passes over it).
 func (t *ttsfInst) invMapAck(a uint32) uint32 {
-	d := t.base
-	for i := range t.edits {
-		e := &t.edits[i]
-		newStart := uint32(int64(e.origStart) + d)
-		newEnd := newStart + uint32(len(e.newBytes))
-		if seqLTu(a, newStart) {
-			return uint32(int64(a) - d)
-		}
-		if seqLTu(a, newEnd) {
-			// Partial ack of a transformed range: conservatively claim
-			// nothing of the original range.
-			return e.origStart
-		}
-		d += e.delta()
+	live := t.live()
+	i := sort.Search(len(live), func(i int) bool { return seqLTu(a, live[i].newEnd()) })
+	if i < len(live) && !seqLTu(a, live[i].newStart()) {
+		// Partial ack of a transformed range: conservatively claim
+		// nothing of the original range.
+		return live[i].origStart
 	}
-	return uint32(int64(a) - d)
+	return uint32(int64(a) - t.before(live, i))
 }
 
 // --- forward path ---------------------------------------------------------------
 
-// forwardIn snapshots the pre-service payload so forwardOut can
-// compare it with the post-service payload.
+// forwardIn notes the pre-service payload so forwardOut can compare it
+// with the post-service payload. It keeps the slice, not a copy: the
+// payload aliases Raw, which nobody may write, and the note is dead
+// once forwardOut has run for the same packet.
 func (t *ttsfInst) forwardIn(p *filter.Packet) {
 	t.pendingValid = false
 	if p.TCP == nil {
@@ -312,7 +346,7 @@ func (t *ttsfInst) forwardIn(p *filter.Packet) {
 		t.frontier = p.TCP.Seq
 	}
 	t.pendingSeq = p.TCP.Seq
-	t.pendingOrig = append(t.pendingOrig[:0], p.TCP.Payload...)
+	t.pendingOrig = p.TCP.Payload
 	t.pendingValid = true
 }
 
@@ -373,13 +407,11 @@ func (t *ttsfInst) recordNew(p *filter.Packet, seq, origLen uint32) {
 	cur := p.TCP.Payload
 	switch {
 	case p.Dropped():
-		t.edits = append(t.edits, edit{origStart: seq, origLen: origLen})
-		t.stats.Edits++
-	case t.pendingValid && !bytes.Equal(cur, t.pendingOrig):
+		t.appendEdit(seq, origLen, nil)
+	case t.pendingValid && !sameBytes(cur, t.pendingOrig):
 		nb := make([]byte, len(cur))
 		copy(nb, cur)
-		t.edits = append(t.edits, edit{origStart: seq, origLen: origLen, newBytes: nb})
-		t.stats.Edits++
+		t.appendEdit(seq, origLen, nb)
 		t.stats.BytesOut += int64(len(cur))
 	default:
 		t.stats.BytesOut += int64(origLen)
@@ -392,11 +424,33 @@ func (t *ttsfInst) recordNew(p *filter.Packet, seq, origLen uint32) {
 	}
 }
 
+// appendEdit records that the original range [seq, seq+origLen) now
+// reads newBytes.
+func (t *ttsfInst) appendEdit(seq, origLen uint32, newBytes []byte) {
+	e := edit{origStart: seq, origLen: origLen, newBytes: newBytes, before: t.total}
+	t.total += e.delta()
+	t.edits = append(t.edits, e)
+	t.stats.Edits++
+}
+
+// sameBytes reports whether a and b hold the same bytes; the slice a
+// service never touched is recognised without reading it.
+func sameBytes(a, b []byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	return len(a) == 0 || &a[0] == &b[0] || bytes.Equal(a, b)
+}
+
 // reconstruct rebuilds a retransmitted range from the edit log:
 // identity gaps come from the packet's own (pre-service) bytes, edited
 // ranges from their recorded transformations. Ranges that only
 // partially overlap an edit cannot be reproduced and are dropped — the
-// sender's next retransmission will align.
+// sender's next retransmission will align. Whatever it produces
+// replaces the services' verdict on this copy, a drop included: the
+// mobile must get the recorded transformation of a range however often
+// the sender retransmits it (a service that drops at random would
+// otherwise starve a range it once let pass).
 func (t *ttsfInst) reconstruct(p *filter.Packet, seq, origLen uint32) {
 	orig := t.pendingOrig
 	if !t.pendingValid {
@@ -406,11 +460,9 @@ func (t *ttsfInst) reconstruct(p *filter.Packet, seq, origLen uint32) {
 	var out []byte
 	cur := seq
 	truncated := false
-	for i := range t.edits {
-		e := &t.edits[i]
-		if seqLEu(e.origEnd(), cur) {
-			continue
-		}
+	live := t.live()
+	for i := firstEndingAfter(live, seq); i < len(live); i++ {
+		e := &live[i]
 		if seqLEu(end, e.origStart) {
 			break
 		}
@@ -447,6 +499,7 @@ func (t *ttsfInst) reconstruct(p *filter.Packet, seq, origLen uint32) {
 		t.ackDroppedFrontier(true)
 		return
 	}
+	p.Undrop()
 	newSeq := t.mapOrig(seq)
 	if !bytes.Equal(out, p.TCP.Payload) {
 		p.TCP.Payload = out
@@ -528,17 +581,22 @@ func (t *ttsfInst) ackDroppedFrontier(force bool) {
 }
 
 // prune discards edits wholly below the sender's acknowledged
-// frontier; the sender will never retransmit them.
+// frontier; the sender will never retransmit them. It advances head
+// over them, releasing their bytes, and slides the live edits down to
+// the front of the backing array once more than half of it is dead —
+// each slide moves fewer edits than were pruned since the last one, so
+// pruning is O(1) amortised and the array is reused, not reallocated.
 func (t *ttsfInst) prune() {
 	if !t.haveAckFwd {
 		return
 	}
-	n := 0
-	for n < len(t.edits) && seqLEu(t.edits[n].origEnd(), t.maxAckFwd) {
-		t.base += t.edits[n].delta()
-		n++
+	for t.head < len(t.edits) && seqLEu(t.edits[t.head].origEnd(), t.maxAckFwd) {
+		t.edits[t.head].newBytes = nil
+		t.head++
 	}
-	if n > 0 {
-		t.edits = append(t.edits[:0], t.edits[n:]...)
+	if t.head > len(t.edits)/2 {
+		n := copy(t.edits, t.edits[t.head:])
+		clear(t.edits[n:]) // the moved edits' old slots still hold their bytes
+		t.edits, t.head = t.edits[:n], 0
 	}
 }

@@ -297,6 +297,25 @@ func TestTTSFDroppedRangeRetransmission(t *testing.T) {
 	}
 }
 
+// TestTTSFRetransmissionOverridesServiceDrop: a segment the service
+// let pass is retransmitted (the first copy may have died on the
+// wireless leg) and this time the service drops it. The record says
+// the mobile is owed those bytes, so the copy goes through.
+func TestTTSFRetransmissionOverridesServiceDrop(t *testing.T) {
+	_, fwd, _ := ttsfUnit(t)
+	data := bytes.Repeat([]byte{'p'}, 100)
+	fwd(mkData(1, data), nil)
+
+	pr := mkData(1, data)
+	fwd(pr, func(p *filter.Packet) { p.Drop() })
+	if pr.Dropped() {
+		t.Fatal("retransmission of a passed segment stayed dropped")
+	}
+	if pr.TCP.Seq != 1 || !bytes.Equal(pr.TCP.Payload, data) {
+		t.Fatalf("retransmission altered: seq=%d len=%d", pr.TCP.Seq, len(pr.TCP.Payload))
+	}
+}
+
 // TestTTSFPureAckAndFinRemapping: forward segments without payload
 // (pure ACKs, FIN) get their sequence numbers remapped too.
 func TestTTSFPureAckFinRemap(t *testing.T) {
@@ -347,6 +366,16 @@ func TestTTSFPropertyRandomTransformations(t *testing.T) {
 		}
 		return true
 	}
+	// A quick.Check input that once failed: 66% rdrop, 1% loss. A
+	// segment rdrop let pass is lost on the wireless leg, and rdrop
+	// drops every one of its retransmissions; the sender gave up in
+	// FIN_WAIT_1 after 17 RTOs while reconstruct rebuilt the payload
+	// each time and left the drop standing.
+	t.Run("redropped-retransmission", func(t *testing.T) {
+		if !f(2412331193461908953, 0xa1) {
+			t.Fatal("pinned input failed")
+		}
+	})
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -123,17 +124,35 @@ func (h *Header) HeaderLength() int { return HeaderLen + len(h.Options) }
 // setting TotalLen and Checksum. The caller's Header is updated with
 // the computed values.
 func (h *Header) Marshal(payload []byte) ([]byte, error) {
+	hl := h.HeaderLength()
+	b := make([]byte, hl+len(payload))
+	if err := h.MarshalInto(b); err != nil {
+		return nil, err
+	}
+	copy(b[hl:], payload)
+	return b, nil
+}
+
+// MarshalInto encodes the header into the first HeaderLength() bytes
+// of datagram, setting TotalLen to len(datagram) and Checksum (both
+// also updated in h). The rest of datagram is the payload, which the
+// caller places — before or after, the header checksum does not cover
+// it — so a transport segment can be marshalled directly behind the
+// header instead of being copied there.
+func (h *Header) MarshalInto(datagram []byte) error {
 	optLen := len(h.Options)
 	if optLen%4 != 0 || optLen > 40 {
-		return nil, fmt.Errorf("ip: bad options length %d", optLen)
+		return fmt.Errorf("ip: bad options length %d", optLen)
 	}
 	hl := HeaderLen + optLen
-	total := hl + len(payload)
-	if total > MaxPacket {
-		return nil, fmt.Errorf("ip: packet too large (%d bytes)", total)
+	if len(datagram) < hl {
+		return fmt.Errorf("ip: buffer of %d bytes shorter than the %d-byte header", len(datagram), hl)
 	}
-	h.TotalLen = uint16(total)
-	b := make([]byte, total)
+	if len(datagram) > MaxPacket {
+		return fmt.Errorf("ip: packet too large (%d bytes)", len(datagram))
+	}
+	h.TotalLen = uint16(len(datagram))
+	b := datagram[:hl]
 	b[0] = 4<<4 | byte(hl/4)
 	b[1] = h.TOS
 	binary.BigEndian.PutUint16(b[2:], h.TotalLen)
@@ -141,14 +160,13 @@ func (h *Header) Marshal(payload []byte) ([]byte, error) {
 	binary.BigEndian.PutUint16(b[6:], uint16(h.Flags)<<13|h.FragOff&0x1fff)
 	b[8] = h.TTL
 	b[9] = h.Protocol
-	// checksum at b[10:12] computed below
+	b[10], b[11] = 0, 0 // checksum field must be zero while summing
 	binary.BigEndian.PutUint32(b[12:], uint32(h.Src))
 	binary.BigEndian.PutUint32(b[16:], uint32(h.Dst))
 	copy(b[20:], h.Options)
-	h.Checksum = Checksum(b[:hl])
+	h.Checksum = Checksum(b)
 	binary.BigEndian.PutUint16(b[10:], h.Checksum)
-	copy(b[hl:], payload)
-	return b, nil
+	return nil
 }
 
 // Unmarshal decodes an IPv4 header from b. It returns the decoded
@@ -207,15 +225,37 @@ func Checksum(b []byte) uint16 {
 }
 
 // sumBytes accumulates the 16-bit ones'-complement sum of b onto acc.
+//
+// The sum is byte-order independent (RFC 1071 §2(B)): b is summed as
+// little-endian 64-bit words with an end-around carry — one load and
+// one add-with-carry per eight bytes — then folded to 16 bits and
+// byte-swapped once into the big-endian value the wire format wants.
+// A trailing odd byte lands in the low half of its little-endian word,
+// which the swap turns into the high-order byte RFC 1071 pads to.
 func sumBytes(acc uint32, b []byte) uint32 {
-	n := len(b) &^ 1
-	for i := 0; i < n; i += 2 {
-		acc += uint32(binary.BigEndian.Uint16(b[i:]))
+	var s, c uint64
+	for len(b) >= 32 {
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[8:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[16:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[24:]), c)
+		b = b[32:]
 	}
-	if len(b)%2 == 1 {
-		acc += uint32(b[len(b)-1]) << 8
+	for len(b) >= 8 {
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b), c)
+		b = b[8:]
 	}
-	return acc
+	var tail uint64
+	for i, x := range b {
+		tail |= uint64(x) << (8 * uint(i))
+	}
+	s, c = bits.Add64(s, tail, c)
+	s += c // cannot wrap: a sum that carried out is at most 2⁶⁴-2
+	s = s>>32 + s&0xffffffff
+	s = s>>16 + s&0xffff
+	s = s>>16 + s&0xffff
+	s = s>>16 + s&0xffff
+	return acc + uint32(bits.ReverseBytes16(uint16(s)))
 }
 
 func finishChecksum(acc uint32) uint16 {
@@ -229,12 +269,9 @@ func finishChecksum(acc uint32) uint16 {
 // pseudo-header (src, dst, protocol, transport length) and adds the
 // transport segment bytes. Used by TCP and UDP.
 func PseudoHeaderChecksum(src, dst Addr, proto byte, segment []byte) uint16 {
-	var ph [12]byte
-	binary.BigEndian.PutUint32(ph[0:], uint32(src))
-	binary.BigEndian.PutUint32(ph[4:], uint32(dst))
-	ph[9] = proto
-	binary.BigEndian.PutUint16(ph[10:], uint16(len(segment)))
-	return finishChecksum(sumBytes(sumBytes(0, ph[:]), segment))
+	ph := uint32(src>>16) + uint32(src&0xffff) + uint32(dst>>16) + uint32(dst&0xffff) +
+		uint32(proto) + uint32(uint16(len(segment)))
+	return finishChecksum(sumBytes(ph, segment))
 }
 
 // Encapsulate wraps an encoded IP packet inner in a new IP-in-IP outer

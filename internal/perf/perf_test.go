@@ -3,6 +3,7 @@ package perf
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/filter"
@@ -310,33 +311,44 @@ func (chopHalf) New(env filter.Env, k filter.Key, args []string) error {
 	return err
 }
 
+// ttsfEditMapSetup builds a proxy whose benchmark stream runs under
+// tcp+ttsf+chop and pushes edits data segments through it, so the
+// TTSF's log holds that many live edits (no reverse traffic has
+// flowed, so nothing is pruned). It returns the hook and the next
+// original sequence number.
+func ttsfEditMapSetup(tb testing.TB, edits int) (hook netsim.Hook, in *netsim.Iface, seq uint32) {
+	tb.Helper()
+	sys := core.NewSystem(core.Config{Seed: 17})
+	sys.Catalog.Register("chop", func() filter.Factory { return chopHalf{} })
+	sys.MustCommand("load tcp")
+	sys.MustCommand("load ttsf")
+	sys.MustCommand("load chop")
+	sys.MustCommand("add tcp " + benchKey())
+	sys.MustCommand("add ttsf " + benchKey())
+	sys.MustCommand("add chop " + benchKey())
+	hook = sys.ProxyHost.PacketHook()
+	in = sys.ProxyHost.Ifaces()[0]
+	seq = 1000
+	for i := 0; i < edits; i++ {
+		hook(mkTCP(tb, seq, 100), in)
+		seq += 100
+	}
+	k := filter.Key{SrcIP: core.WiredAddr, SrcPort: 7,
+		DstIP: core.MobileAddr, DstPort: 5001}
+	if st, ok := filters.TTSFStatsFor(k); !ok || st.Edits != int64(edits) {
+		tb.Fatalf("edit log has %d edits, want %d", st.Edits, edits)
+	}
+	return hook, in, seq
+}
+
 // BenchmarkTTSFEditMap measures sequence-space remapping against a
-// growing edit log: a pure ACK at the frontier walks every live edit
-// in mapOrig. No reverse traffic flows, so nothing is pruned and the
-// log size stays fixed at the sub-benchmark's edit count.
+// growing edit log: a pure ACK at the frontier maps its sequence
+// number past every live edit — a binary search over their cumulative
+// deltas, so the cost must stay flat (TestTTSFEditMapFlat).
 func BenchmarkTTSFEditMap(b *testing.B) {
 	for _, edits := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("edits-%d", edits), func(b *testing.B) {
-			sys := core.NewSystem(core.Config{Seed: 17})
-			sys.Catalog.Register("chop", func() filter.Factory { return chopHalf{} })
-			sys.MustCommand("load tcp")
-			sys.MustCommand("load ttsf")
-			sys.MustCommand("load chop")
-			sys.MustCommand("add tcp " + benchKey())
-			sys.MustCommand("add ttsf " + benchKey())
-			sys.MustCommand("add chop " + benchKey())
-			hook := sys.ProxyHost.PacketHook()
-			in := sys.ProxyHost.Ifaces()[0]
-			seq := uint32(1000)
-			for i := 0; i < edits; i++ {
-				hook(mkTCP(b, seq, 100), in)
-				seq += 100
-			}
-			k := filter.Key{SrcIP: core.WiredAddr, SrcPort: 7,
-				DstIP: core.MobileAddr, DstPort: 5001}
-			if st, ok := filters.TTSFStatsFor(k); !ok || st.Edits != int64(edits) {
-				b.Fatalf("edit log has %d edits, want %d", st.Edits, edits)
-			}
+			hook, in, seq := ttsfEditMapSetup(b, edits)
 			ack := mkTCP(b, seq, 0) // pure ACK at the frontier
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -344,5 +356,89 @@ func BenchmarkTTSFEditMap(b *testing.B) {
 				hook(ack, in)
 			}
 		})
+	}
+}
+
+// TestTTSFEditMapFlat asserts what BenchmarkTTSFEditMap shows: the
+// remap of a pure ACK against 4096 live edits costs at most 1.5x what
+// it costs against 16. Each side is the fastest of several timed
+// loops, so a neighbour on the host slows a loop, not the verdict.
+func TestTTSFEditMapFlat(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing gate: needs an uninstrumented binary and a few hundred ms")
+	}
+	best := func(edits int) time.Duration {
+		hook, in, seq := ttsfEditMapSetup(t, edits)
+		ack := mkTCP(t, seq, 0)
+		const loops, ops = 9, 20000
+		fastest := time.Duration(1<<63 - 1)
+		for l := 0; l < loops; l++ {
+			start := time.Now()
+			for i := 0; i < ops; i++ {
+				hook(ack, in)
+			}
+			if d := time.Since(start); d < fastest {
+				fastest = d
+			}
+		}
+		return fastest / ops
+	}
+	small, large := best(16), best(4096)
+	t.Logf("pure-ACK remap: %v at 16 live edits, %v at 4096", small, large)
+	if large > small*3/2 {
+		t.Fatalf("remap at 4096 live edits costs %v, more than 1.5x the %v at 16", large, small)
+	}
+}
+
+// TestRemarshalOneAlloc gates the single-buffer re-marshal: the one
+// allocation is the datagram that escapes to the network.
+func TestRemarshalOneAlloc(t *testing.T) {
+	pkt, err := filter.Parse(mkTCP(t, 1, 1460))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pkt.Release()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		pkt.MarkDirty()
+		if err := pkt.Remarshal(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("Remarshal allocates %.1f times per packet, want 1 (the datagram)", allocs)
+	}
+}
+
+// TestTTSFReverseAckOneAlloc gates the reverse path of an editing
+// stream: each ACK from the mobile is translated back to the sender's
+// sequence space (so it is dirty and the tcp filter re-marshals it —
+// the one allocation, the emitted datagram) and prunes the edit it
+// covers. The log shrinks from 256 live edits to 128 over the measured
+// ACKs, sliding down its backing array on the way; the remap and the
+// prune must allocate nothing.
+func TestTTSFReverseAckOneAlloc(t *testing.T) {
+	const acks = 128
+	hook, in, _ := ttsfEditMapSetup(t, 128+acks)
+	// chop halves every 100-byte segment from sequence 1000 on, so the
+	// mobile's n-th ACK, in its own sequence space, is 1000 + 50n.
+	raws := make([][]byte, 0, acks+1)
+	for n := 1; n <= acks+1; n++ {
+		raws = append(raws, mkTCPRev(t, 1, uint32(1000+50*n)))
+	}
+	next := 0
+	var last []byte
+	if allocs := testing.AllocsPerRun(acks, func() { // acks runs and one warm-up
+		last = hook(raws[next], in)[0]
+		next++
+	}); allocs != 1 && !raceEnabled { // under -race sync.Pool drops puts at random, so the packet pool allocates
+		t.Fatalf("reverse ACK through tcp+ttsf allocates %.2f times, want 1 (the datagram)", allocs)
+	}
+	// The sender must hear the original bytes acknowledged: 100 a segment.
+	pkt, err := filter.Parse(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pkt.Release()
+	if want := uint32(1000 + 100*(acks+1)); pkt.TCP.Ack != want {
+		t.Fatalf("last ACK translated to %d, want %d", pkt.TCP.Ack, want)
 	}
 }

@@ -1,7 +1,9 @@
 package perf
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -44,11 +46,18 @@ func shardedPlane(tb testing.TB, shards, depth, batch int, sink dataplane.Sink) 
 		cmds = append(cmds, "add rdrop 0.0.0.0 0 0.0.0.0 0 0")
 	}
 	for _, c := range cmds {
-		if out := pl.Command(c); len(out) >= 5 && out[:5] == "error" {
-			tb.Fatalf("%s: %s", c, out)
-		}
+		mustPlaneCommand(tb, pl, c)
 	}
 	return pl
+}
+
+// mustPlaneCommand runs one control line on the plane and fails the
+// test on an error reply.
+func mustPlaneCommand(tb testing.TB, pl *dataplane.Plane, line string) {
+	tb.Helper()
+	if out := pl.Command(line); strings.HasPrefix(out, "error") {
+		tb.Fatalf("%s: %s", line, out)
+	}
 }
 
 // benchSharded is the shared body of the sharded throughput
@@ -164,5 +173,50 @@ func TestShardedConcurrentNoLoss(t *testing.T) {
 	}
 	if snap := pl.StatsSnapshot(); snap.Intercepted != n {
 		t.Fatalf("intercepted %d, want %d", snap.Intercepted, n)
+	}
+}
+
+// TestShardedTTSFSpawnAndClose drives the one piece of state TTSF
+// instances share across shards — the table behind TTSFStatsFor — from
+// several shard goroutines at once: first-sight packets of 256 streams
+// make a wild-card launcher spawn a TTSF per stream on whichever shard
+// owns it, and a wild-card delete then closes them all, every shard at
+// the same time. Under -race this fails if the table is unguarded.
+func TestShardedTTSFSpawnAndClose(t *testing.T) {
+	cat := filter.NewCatalog()
+	filters.RegisterAll(cat)
+	pl := dataplane.NewConcurrent(dataplane.ConcurrentConfig{
+		Shards: 4, Catalog: cat, Seed: 17, RingSize: 1024,
+		Sink: func(int, [][]byte) {},
+	})
+	defer pl.Close()
+	wild := fmt.Sprintf("%v 0 %v 0", core.WiredAddr, core.MobileAddr)
+	for _, c := range []string{"load tcp", "load ttsf", "load launcher", "add launcher " + wild + " tcp ttsf"} {
+		mustPlaneCommand(t, pl, c)
+	}
+
+	const flows = 256
+	key := func(i int) filter.Key {
+		return filter.Key{SrcIP: core.WiredAddr, SrcPort: uint16(1000 + i), DstIP: core.MobileAddr, DstPort: 5001}
+	}
+	shardsUsed := map[int]bool{}
+	for i := 0; i < flows; i++ {
+		pl.Dispatch(mkTCPFlow(t, uint16(1000+i), 1, 100))
+		shardsUsed[dataplane.ShardOf(key(i), pl.N())] = true
+	}
+	pl.Drain()
+	if len(shardsUsed) < 2 {
+		t.Fatalf("all %d streams steered to one shard", flows)
+	}
+	for i := 0; i < flows; i++ {
+		if st, ok := filters.TTSFStatsFor(key(i)); !ok || st.BytesIn != 100 {
+			t.Fatalf("stream %d: TTSF missing or idle (ok=%v, %+v)", i, ok, st)
+		}
+	}
+	mustPlaneCommand(t, pl, "delete ttsf "+wild)
+	for i := 0; i < flows; i++ {
+		if _, ok := filters.TTSFStatsFor(key(i)); ok {
+			t.Fatalf("stream %d: TTSF still listed after its close", i)
+		}
 	}
 }

@@ -81,6 +81,15 @@ func (s *Segment) SeqLen() uint32 {
 	return n
 }
 
+// HeaderLength returns the encoded header length in bytes, including
+// the MSS option when present.
+func (s *Segment) HeaderLength() int {
+	if s.MSS != 0 {
+		return HeaderLen + 4
+	}
+	return HeaderLen
+}
+
 // Marshal encodes the segment, computing the transport checksum over
 // the IPv4 pseudo-header for src→dst.
 func (s *Segment) Marshal(src, dst ip.Addr) []byte {
@@ -92,11 +101,7 @@ func (s *Segment) Marshal(src, dst ip.Addr) []byte {
 // scratch buffer instead of allocating per segment; the appended
 // region must not already alias s.Payload.
 func (s *Segment) AppendMarshal(dst0 []byte, src, dst ip.Addr) []byte {
-	optLen := 0
-	if s.MSS != 0 {
-		optLen = 4
-	}
-	hl := HeaderLen + optLen
+	hl := s.HeaderLength()
 	off := len(dst0)
 	dst0 = growSlice(dst0, hl+len(s.Payload))
 	b := dst0[off:]
