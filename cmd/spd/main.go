@@ -8,19 +8,12 @@
 // Usage:
 //
 //	spd [-listen :12000] [-loss 0.02] [-bw 2000000] [-shards 4]
-//	    [-batch 64] [-policy '<rule>' ...] [-churn 0]
+//	    [-policy '<rule>' ...]
 //
 // Each -policy flag (repeatable) arms one adaptive rule on the policy
 // engine; rule state is then inspectable over the control port with
 // `policy list` and `policy trace`. See internal/policy for the rule
 // grammar.
-//
-// -churn N skips the daemon entirely: it drives N short-lived flows
-// (fresh stream keys, SYN/FIN storms, a wild-card launcher spawning a
-// tcp filter per flow) through a concurrent data plane at -shards
-// and -batch, prints the throughput and registry-classifier counters,
-// and exits. It is the command-line form of the registry churn
-// workload (internal/workload, BenchmarkRegistryChurn).
 package main
 
 import (
@@ -33,7 +26,6 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"runtime"
-	"sync/atomic"
 	"time"
 	"unicode/utf8"
 
@@ -44,7 +36,6 @@ import (
 	"repro/internal/proxy"
 	"repro/internal/sim"
 	"repro/internal/tcp"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -53,15 +44,9 @@ func main() {
 	bw := flag.Int64("bw", 2e6, "wireless bandwidth, bits/s")
 	debug := flag.String("debug", "", "address for expvar/pprof debug HTTP (e.g. localhost:6060); empty disables")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "data-plane shard count (1 = classic single interception loop)")
-	batch := flag.Int("batch", 0, "concurrent data-plane ring-slot batch size (0 = default; only shapes concurrent planes — the inline simulation intercepts synchronously and ignores it)")
-	churn := flag.Int("churn", 0, "drive N short flows through a concurrent data plane, print registry-churn stats, and exit (0 = run the daemon)")
 	var rules multiFlag
 	flag.Var(&rules, "policy", "adaptive policy rule (repeatable); see internal/policy for the grammar")
 	flag.Parse()
-	if *churn > 0 {
-		runChurn(*churn, *shards, *batch)
-		return
-	}
 	for _, r := range rules {
 		if _, err := policy.ParseRule(r); err != nil {
 			log.Fatalf("spd: %v", err)
@@ -71,7 +56,6 @@ func main() {
 	sys := core.NewSystem(core.Config{
 		Seed:   time.Now().UnixNano(),
 		Shards: *shards,
-		Batch:  *batch,
 		Wireless: netsim.LinkConfig{
 			Bandwidth: *bw,
 			Delay:     10 * time.Millisecond,
@@ -123,42 +107,6 @@ func main() {
 		}
 		go serve(conn, rt, sys)
 	}
-}
-
-// runChurn is the -churn mode: a registry-churn storm against a real
-// concurrent plane. Every flow is first-sight (a compiled-classifier
-// lookup), every match spawns a tcp bookkeeping filter through the
-// wild-card launcher, and every teardown schedules a queue removal —
-// the workload the compiled registry classifier exists for.
-func runChurn(flows, shards, batch int) {
-	var emitted atomic.Int64
-	pl := core.NewConcurrentPlane(core.Config{Seed: 1, Shards: shards, Batch: batch},
-		func(_ int, out [][]byte) { emitted.Add(int64(len(out))) })
-	defer pl.Close()
-	pl.Command("load tcp")
-	pl.Command("load launcher")
-	pl.Command("add launcher 0.0.0.0 0 0.0.0.0 0 tcp")
-
-	c := workload.NewChurn(workload.ChurnConfig{DataPkts: 1, PayloadSize: 64})
-	start := time.Now()
-	st := c.Drive(flows, pl.Dispatch)
-	pl.Drain()
-	elapsed := time.Since(start)
-
-	snap := pl.StatsSnapshot()
-	var queues int64
-	for i := 0; i < pl.N(); i++ {
-		queues += pl.Shard(i).QueueCount()
-	}
-	log.Printf("spd: churn: %d flows (%d packets, %d bytes) through %d shards in %v",
-		st.Flows, st.Packets, st.Bytes, pl.N(), elapsed.Round(time.Millisecond))
-	log.Printf("spd: churn: %.0f flows/s, %.0f pkts/s, %d emitted",
-		float64(st.Flows)/elapsed.Seconds(), float64(st.Packets)/elapsed.Seconds(), emitted.Load())
-	log.Printf("spd: churn: intercepted=%d misses=%d rebuilds=%d live-queues=%d",
-		snap.Intercepted, snap.RegistryMisses, snap.RegistryRebuilds, queues)
-	fs := pl.FlowStats()
-	log.Printf("spd: churn: flow-log active=%d opened=%d closed=%d evicted=%d retrans=%d",
-		fs.Active, fs.Opened, fs.Closed, fs.Evicted, fs.Retrans)
 }
 
 // multiFlag collects a repeatable string flag.

@@ -9,6 +9,6 @@
 // Start with internal/core (assembled deployments), cmd/wsim (the
 // experiment driver regenerating the thesis's tables and figures), and
 // the runnable programs under examples/. DESIGN.md maps every paper
-// artifact to the module and benchmark that reproduces it;
+// artifact to the module and experiment that reproduces it;
 // EXPERIMENTS.md records the measured results.
 package repro

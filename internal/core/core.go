@@ -20,6 +20,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/dataplane"
@@ -57,12 +58,7 @@ type Config struct {
 	// single interception loop, byte-for-byte deterministic; N>1
 	// partitions proxy state by flow-steering hash, still inline and
 	// deterministic inside the simulator).
-	Shards int
-	// Batch is the concurrent data plane's ring-slot batch size
-	// (dataplane.DefaultBatchSize when 0). It only shapes planes built
-	// through NewConcurrentPlane — the inline plane NewSystem installs
-	// intercepts synchronously and never batches.
-	Batch       int
+	Shards      int
 	EEMInterval time.Duration
 	// WithUser adds a Kati workstation node wired to the proxy.
 	WithUser bool
@@ -374,28 +370,6 @@ func NewSystem(cfg Config) *System {
 	return sys
 }
 
-// NewConcurrentPlane builds a standalone concurrent (batched,
-// goroutine-per-shard) data plane from the same Config knobs the
-// simulated deployment uses — Seed, Shards, Batch — with the full
-// filter catalog registered. It is the assembly path for throughput
-// work outside the deterministic simulator: benchmarks, stress
-// harnesses, and eventual kernel-bypass backends. The caller owns the
-// plane's lifecycle (Close) and its sink.
-func NewConcurrentPlane(cfg Config, sink dataplane.Sink) *dataplane.Plane {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	cat := filter.NewCatalog()
-	filters.RegisterAll(cat)
-	return dataplane.NewConcurrent(dataplane.ConcurrentConfig{
-		Shards:    cfg.Shards,
-		Catalog:   cat,
-		Seed:      cfg.Seed,
-		BatchSize: cfg.Batch,
-		Sink:      sink,
-	})
-}
-
 func registerStacks(node *netsim.Node, t *tcp.Stack, u *udp.Stack) {
 	node.RegisterProto(ip.ProtoTCP, func(h ip.Header, p, raw []byte, in *netsim.Iface) {
 		t.Deliver(h.Src, h.Dst, p)
@@ -410,11 +384,7 @@ func registerStacks(node *netsim.Node, t *tcp.Stack, u *udp.Stack) {
 // MustCommand runs an SP command on the primary proxy and panics on an
 // error response (setup helper for examples and experiments).
 func (s *System) MustCommand(line string) string {
-	out := s.Plane.Command(line)
-	if len(out) >= 5 && out[:5] == "error" {
-		panic(fmt.Sprintf("core: proxy command %q: %s", line, out))
-	}
-	return out
+	return mustCommand(s.Plane, "proxy", line)
 }
 
 // MustCommandB is MustCommand against the second proxy.
@@ -422,9 +392,13 @@ func (s *System) MustCommandB(line string) string {
 	if s.PlaneB == nil {
 		panic("core: no second proxy (Config.DoubleProxy)")
 	}
-	out := s.PlaneB.Command(line)
-	if len(out) >= 5 && out[:5] == "error" {
-		panic(fmt.Sprintf("core: proxyB command %q: %s", line, out))
+	return mustCommand(s.PlaneB, "proxyB", line)
+}
+
+func mustCommand(pl *dataplane.Plane, name, line string) string {
+	out := pl.Command(line)
+	if strings.HasPrefix(out, "error") {
+		panic(fmt.Sprintf("core: %s command %q: %s", name, line, out))
 	}
 	return out
 }

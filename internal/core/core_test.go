@@ -3,15 +3,12 @@ package core_test
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/eem"
-	"repro/internal/ip"
 	"repro/internal/netsim"
-	"repro/internal/tcp"
 )
 
 func TestSystemQuickstartTransfer(t *testing.T) {
@@ -122,46 +119,5 @@ func TestReportThroughControlPort(t *testing.T) {
 	sys.Sched.RunFor(2 * time.Second)
 	if !strings.Contains(resp.String(), "tcp") {
 		t.Fatalf("control response: %q", resp.String())
-	}
-}
-
-func mkCoreSeg(t testing.TB, srcPort uint16, seq uint32) []byte {
-	t.Helper()
-	seg := tcp.Segment{SrcPort: srcPort, DstPort: 5001, Seq: seq, Ack: 1,
-		Flags: tcp.FlagACK, Window: 65535, Payload: []byte("concurrent plane probe")}
-	h := ip.Header{TTL: 64, Protocol: ip.ProtoTCP, Src: core.WiredAddr, Dst: core.MobileAddr}
-	raw, err := h.Marshal(seg.Marshal(core.WiredAddr, core.MobileAddr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
-
-func TestNewConcurrentPlane(t *testing.T) {
-	// The standalone concurrent assembly honors the Shards/Batch knobs,
-	// carries the full filter catalog, and delivers traffic through the
-	// batched pipeline end to end.
-	var mu sync.Mutex
-	got := 0
-	pl := core.NewConcurrentPlane(core.Config{Shards: 2, Batch: 8}, func(_ int, out [][]byte) {
-		mu.Lock()
-		got += len(out)
-		mu.Unlock()
-	})
-	defer pl.Close()
-	if pl.N() != 2 {
-		t.Fatalf("shards = %d, want 2", pl.N())
-	}
-	if out := pl.Command("load tcp"); out != "tcp\n" {
-		t.Fatalf("load output %q", out)
-	}
-	for i := 0; i < 100; i++ {
-		pl.Dispatch(mkCoreSeg(t, uint16(4000+i%8), uint32(1+i)))
-	}
-	pl.Drain()
-	mu.Lock()
-	defer mu.Unlock()
-	if got != 100 {
-		t.Fatalf("sink received %d packets, want 100", got)
 	}
 }

@@ -28,10 +28,10 @@ import (
 type Sink func(shard int, out [][]byte)
 
 // DefaultBatchSize is the number of packets accumulated per ring slot
-// when ConcurrentConfig.BatchSize is zero. Batching amortizes the
-// per-slot handoff (atomics, empty-transition wakeup, consumer
-// park/unpark) over the batch, which is what lets the concurrent
-// plane scale with shards instead of drowning in per-packet signaling.
+// when BatchSize is zero. Batching amortizes the per-slot handoff
+// (atomics, empty-transition wakeup, consumer park/unpark) over the
+// batch, which is what lets the concurrent plane scale with shards
+// instead of drowning in per-packet signaling.
 const DefaultBatchSize = 64
 
 // DefaultFlushInterval bounds how long a partial batch may sit in a

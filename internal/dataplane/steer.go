@@ -2,10 +2,9 @@
 // the Service Proxy: a dispatcher hashes each packet's stream key onto
 // one of N shards, and each shard is a complete single-writer proxy
 // instance (its own slice of the stream registry, filter queues,
-// negative-match cache, and Stats). Both directions of a stream land
-// on the same shard, so per-stream packet order — the property TCP
-// filters depend on — is preserved while unrelated streams proceed in
-// parallel.
+// flow log, and Stats). Both directions of a stream land on the same
+// shard, so per-stream packet order — the property TCP filters depend
+// on — is preserved while unrelated streams proceed in parallel.
 //
 // The plane runs in one of two modes:
 //

@@ -3,7 +3,7 @@
 // E1–E16). Each experiment builds a fresh deterministic simulation via
 // internal/core, drives the scenario, and prints its result through
 // internal/trace. cmd/wsim runs them from the command line; the
-// repository benchmarks wrap them for `go test -bench`.
+// repository benchmark's sim-suite workload times the scenario table.
 package experiments
 
 import (

@@ -50,14 +50,14 @@ func TestExperimentOutputs(t *testing.T) {
 		"E8":  {"2048", "shape check"},
 		"E9":  {"with ZWSM", "plain TCP", "persist probes"},
 		"E10": {"sender completed", "true"},
-		"E11": {"text (repetitive)", "image (random pixels)", "intact"},
+		"E11": {"text (repetitive)", "image (random pixels)", "intact", "0.0719  true", "0.133   true"},
 		"E12": {"no discard", "discard >0", "250/250"},
 		"E13": {"triangular", "binding cache", "lost"},
-		"E14": {"RGB image -> mono", "text preserved: true"},
+		"E14": {"RGB image -> mono", "all tiles mono: true", "text preserved: true"},
 		"E15": {"filters in queue", "ns/packet"},
 		"E16": {"sender completed cleanly:        true", "⊆ original:      true"},
 		"E17": {"I-TCP split", "completed cleanly", "knows delivery failed"},
-		"E18": {"interactive alone", "wsize cap on bulk", "shape check"},
+		"E18": {"interactive alone", "wsize cap on bulk  51.7", "shape check"},
 		"E19": {"Bernoulli", "Gilbert", "finding"},
 		"E20": {"no service", "cache filter at proxy", "shape check"},
 		"E21": {"link ARQ", "snoop (TCP-aware)", "finding"},

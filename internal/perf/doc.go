@@ -1,17 +1,20 @@
-// Package perf holds the micro-benchmarks and allocation gates for
-// the packet hot path: parse/remarshal cost, interception with filter
-// queues of increasing depth, registry matching at increasing registry
-// sizes (first-sight scan vs the negative-match cache), and TTSF
-// edit-map lookup at increasing edit counts.
+// Package perf holds the performance invariants of the packet hot
+// path, as tests: a regression fails `go test ./...`, nobody has to
+// read a number.
 //
-// The pass-through invariants — BenchmarkInterceptPassThrough and
-// BenchmarkInterceptTCPFilter run at 0 allocs/op — are asserted by
-// tests in this package via testing.AllocsPerRun, so a regression
-// fails `go test ./...`, not just a benchmark eyeball. So are the edit
-// path's: a re-marshal and a translated reverse ACK allocate exactly
-// the emitted datagram, and the TTSF remap costs the same against 4096
-// live edits as against 16.
+// Allocation gates (testing.AllocsPerRun): pass-through and
+// tcp-filtered interception, the flow log, the pooled Parse/Release,
+// steering across inline shards, an 8000-rule classifier lookup and a
+// churn of 2^16 never-matching keys allocate nothing; a re-marshal and
+// a translated reverse ACK allocate exactly the emitted datagram.
 //
-// Run `./bench.sh` (or `make bench`) for benchstat-ready output:
-// every benchmark reports allocations and runs with -count=10.
+// Ratio gates (fastestOf, skipped under -short and -race): the TTSF
+// remap costs the same against 4096 live edits as against 16
+// (TestTTSFEditMapFlat), a classifier lookup the same against 8000
+// rules as against 1 (TestRegistryLookupFlat), and 8 shard goroutines
+// carry no less than 0.7x what 1 does (TestShardedNoCollapse).
+//
+// The package measures nothing for the record. Numbers — per layer and
+// end to end, and their comparison across commits — come from the
+// repository benchmark: `bash benchmark/run.sh --workload W --trace 1`.
 package perf

@@ -1,8 +1,6 @@
 package perf
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/classifier"
@@ -10,10 +8,9 @@ import (
 	"repro/internal/filter"
 	"repro/internal/ip"
 	"repro/internal/tcp"
-	"repro/internal/workload"
 )
 
-// lookupSink defeats dead-code elimination in the lookup benchmarks.
+// lookupSink keeps the compiler from eliding TestRegistryLookupFlat's loop.
 var lookupSink int
 
 // registryRules builds n distinct registrations of the proxy's common
@@ -45,72 +42,32 @@ func registryProbes() []filter.Key {
 	return probes
 }
 
-// BenchmarkRegistryLookup isolates the compiled classifier: one
-// AppendMatches per op against registries of increasing size. The
-// program answers in O(1) w.r.t. rule count — two map probes, two port
-// table reads, three cross-table reads — so ns/lookup must stay flat
-// as rules grow. scripts/bench_registry_gate.sh enforces that the
-// 8000-rule cost stays within 1.25x of the 1-rule cost, at
-// 0 allocs/op everywhere.
-func BenchmarkRegistryLookup(b *testing.B) {
-	for _, rules := range []int{1, 64, 1000, 8000} {
-		b.Run(fmt.Sprintf("rules-%d", rules), func(b *testing.B) {
-			pr := classifier.Compile(registryRules(rules))
-			probes := registryProbes()
-			var scratch []int32
+// TestRegistryLookupFlat gates the compiled classifier's O(1) lookup:
+// the program answers with two map probes, two port-table reads and
+// three cross-table reads whatever the rule count, so a fixed run of
+// Match calls against 8000 rules costs at most 1.25x the same run
+// against 1. Above that, something rule-linear is back on the hot path
+// (the scan fallback behind classifier.MaxCrossEntries is exactly that).
+func TestRegistryLookupFlat(t *testing.T) {
+	skipTimingGate(t)
+	const lookups, bound = 1 << 16, 1.25
+	probes := registryProbes()
+	match := func(rules int) func() {
+		pr := classifier.Compile(registryRules(rules))
+		return func() {
 			hits := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				scratch = pr.AppendMatches(scratch[:0], probes[i&15])
-				hits += len(scratch)
+			for i := 0; i < lookups; i++ {
+				if pr.Match(probes[i&15]) {
+					hits++
+				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/lookup")
 			lookupSink = hits
-		})
-	}
-}
-
-// BenchmarkRegistryChurn is the full short-flow lifecycle under a
-// wild-card launcher: per op, one fresh-key flow (SYN handshake, one
-// data segment, FIN both ways) traverses the proxy, spawning and —
-// once simulated time passes the tcp filter's close grace — reclaiming
-// a queue pair. bytes/flow is the end-to-end allocation cost of one
-// flow (generator included); the scheduler is pumped every 1024 flows
-// so teardown work is paid inside the measured region.
-func BenchmarkRegistryChurn(b *testing.B) {
-	sys := core.NewSystem(core.Config{Seed: 29})
-	sys.MustCommand("load tcp")
-	sys.MustCommand("load launcher")
-	sys.MustCommand("add launcher 0.0.0.0 0 0.0.0.0 0 tcp")
-	hook := sys.ProxyHost.PacketHook()
-	in := sys.ProxyHost.Ifaces()[0]
-	c := workload.NewChurn(workload.ChurnConfig{DataPkts: 1, PayloadSize: 64})
-	for _, raw := range c.NextFlow() { // warm pools and the compiled program
-		hook(raw, in)
-	}
-	sys.Sched.RunFor(30e9)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	before := ms.TotalAlloc
-	pkts := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, raw := range c.NextFlow() {
-			hook(raw, in)
-			pkts++
-		}
-		if i%1024 == 1023 {
-			sys.Sched.RunFor(30e9)
 		}
 	}
-	sys.Sched.RunFor(30e9)
-	b.StopTimer()
-	runtime.ReadMemStats(&ms)
-	b.ReportMetric(float64(ms.TotalAlloc-before)/float64(b.N), "bytes/flow")
-	b.ReportMetric(float64(pkts)/b.Elapsed().Seconds(), "pkts/s")
-	if got := sys.Proxy.QueueCount(); got != 0 {
-		b.Fatalf("%d queues leaked after churn", got)
+	one, many := fastestOf(64, bound, match(1), match(8000))
+	t.Logf("2^16 lookups: %v against 1 rule, %v against 8000", one, many)
+	if float64(many) > bound*float64(one) {
+		t.Fatalf("8000-rule lookups cost %v, more than %vx the %v at 1 rule", many, bound, one)
 	}
 }
 

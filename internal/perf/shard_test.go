@@ -15,8 +15,8 @@ import (
 	"repro/internal/tcp"
 )
 
-// mkTCPFlow is mkTCP with a caller-chosen source port, so benchmarks
-// can spread traffic across distinct streams (and therefore shards).
+// mkTCPFlow is mkTCP with a caller-chosen source port, so tests can
+// spread traffic across distinct streams (and therefore shards).
 func mkTCPFlow(tb testing.TB, srcPort uint16, seq uint32, payload int) []byte {
 	tb.Helper()
 	seg := tcp.Segment{SrcPort: srcPort, DstPort: 5001, Seq: seq, Ack: 1,
@@ -31,7 +31,7 @@ func mkTCPFlow(tb testing.TB, srcPort uint16, seq uint32, payload int) []byte {
 
 // shardedPlane builds a concurrent plane with the tcp bookkeeping
 // filter plus `depth` no-op rdrop filters on every stream — the same
-// per-packet work as the E15 queue-depth benchmarks, now spread over
+// per-packet work as the E15 queue-depth table, now spread over
 // shards. batch is the ring-slot batch size (0 = default).
 func shardedPlane(tb testing.TB, shards, depth, batch int, sink dataplane.Sink) *dataplane.Plane {
 	tb.Helper()
@@ -60,71 +60,40 @@ func mustPlaneCommand(tb testing.TB, pl *dataplane.Plane, line string) {
 	}
 }
 
-// benchSharded is the shared body of the sharded throughput
-// benchmarks: GOMAXPROCS-many shards behind the flow-steering
-// dispatcher, 4 flows per shard, tcp + 4 rdrop filters per stream.
-func benchSharded(b *testing.B, batch int) {
-	shards := runtime.GOMAXPROCS(0)
-	var emitted atomic.Int64
-	pl := shardedPlane(b, shards, 4, batch, func(_ int, out [][]byte) {
-		emitted.Add(int64(len(out)))
-	})
-	defer pl.Close()
-	flows := make([][]byte, 4*shards)
-	for i := range flows {
-		flows[i] = mkTCPFlow(b, uint16(1000+i), 1, 1000)
-	}
-	for _, raw := range flows { // build queues, warm pools and caches
-		pl.Dispatch(raw)
-	}
-	pl.Drain()
-	b.SetBytes(int64(len(flows[0])))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pl.Dispatch(flows[i%len(flows)])
-	}
-	pl.Drain()
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-	if got := emitted.Load(); got != int64(b.N+len(flows)) {
-		b.Fatalf("emitted %d packets, want %d", got, b.N+len(flows))
-	}
-}
-
-// BenchmarkShardedIntercept is the multi-core aggregate interception
-// rate through the batched pipeline (default batch size). Run with
-// -cpu 1,2,4,8 to sweep the shard count; `make bench-shard` records
-// the curve in BENCH_shard.json and `make bench-gate` enforces it.
-// The steady state must stay 0 allocs/op: arenas and delivery buffers
-// recycle, packets are never copied.
-func BenchmarkShardedIntercept(b *testing.B) {
-	benchSharded(b, 0)
-}
-
-// BenchmarkShardedInterceptBatch1 is the same pipeline degenerated to
-// one packet per ring slot — the per-packet handoff the pre-batching
-// plane paid on every packet. The gap to BenchmarkShardedIntercept is
-// the amortization win; on a single-core host it is the difference
-// between collapsing under futex traffic and keeping pace.
-func BenchmarkShardedInterceptBatch1(b *testing.B) {
-	benchSharded(b, 1)
-}
-
-// BenchmarkSteerKey is the dispatcher's per-packet overhead on its
-// own: key extraction plus the shard hash.
-func BenchmarkSteerKey(b *testing.B) {
-	raw := mkTCP(b, 1, 1000)
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k, ok := filter.SteerKey(raw)
-		if !ok {
-			b.Fatal("SteerKey failed")
+// TestShardedNoCollapse gates the batched ring handoff: a fixed run of
+// packets (tcp + 4 rdrop filters per stream, 4 flows per shard) goes
+// through 8 shard goroutines at no less than 0.7x the aggregate rate of
+// 1 shard, on any host — with fewer cores than shards the extra workers
+// can only cost wakeups and context switches, and batching is what
+// keeps that cost per ring slot, not per packet. On a host with the
+// cores to show it, 8 shards must also beat one by more than 4x.
+func TestShardedNoCollapse(t *testing.T) {
+	skipTimingGate(t)
+	const pkts, floor = 200000, 0.7
+	through := func(shards int) func() {
+		pl := shardedPlane(t, shards, 4, 0, func(int, [][]byte) {})
+		t.Cleanup(pl.Close)
+		flows := make([][]byte, 4*shards)
+		for i := range flows {
+			flows[i] = mkTCPFlow(t, uint16(1000+i), 1, 1000)
+			pl.Dispatch(flows[i]) // build the queues, warm pools and caches
 		}
-		if dataplane.ShardOf(k, 8) > 7 {
-			b.Fatal("impossible shard")
+		pl.Drain()
+		return func() {
+			for i := 0; i < pkts; i++ {
+				pl.Dispatch(flows[i%len(flows)])
+			}
+			pl.Drain()
 		}
+	}
+	one, eight := fastestOf(3, 1/floor, through(1), through(8))
+	scale := float64(one) / float64(eight)
+	t.Logf("%d packets: %v through 1 shard, %v through 8 (8v1 scale %.2f)", pkts, one, eight, scale)
+	if scale < floor {
+		t.Fatalf("8 shards run at %.2fx the rate of 1, want >= %v: shard handoff collapse", scale, floor)
+	}
+	if runtime.NumCPU() >= 8 && scale <= 4 {
+		t.Fatalf("8 shards run at %.2fx the rate of 1 on %d CPUs, want > 4", scale, runtime.NumCPU())
 	}
 }
 
@@ -151,8 +120,8 @@ func TestShardedInlineZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentNoLoss sanity-checks the benchmark harness
-// itself: every dispatched packet comes out exactly once.
+// TestShardedConcurrentNoLoss: every packet dispatched into the
+// concurrent plane comes out exactly once.
 func TestShardedConcurrentNoLoss(t *testing.T) {
 	var emitted atomic.Int64
 	pl := shardedPlane(t, 4, 2, 16, func(_ int, out [][]byte) {
