@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -86,22 +87,20 @@ func TestExperimentOutputs(t *testing.T) {
 	}
 }
 
-// TestExperimentsDeterministic: the seeded experiments produce
-// identical output across runs (E15's wall-clock table excluded).
+// TestExperimentsDeterministic is the determinism gate of E1–E22: every
+// experiment but E15 (its two tables are wall-clock) runs twice, the
+// two outputs must be byte-identical and must hash to the digest
+// committed in testdata/experiments.sha256 — the same gate TestScenarios
+// is for the scripted scenarios.
 func TestExperimentsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs experiments twice")
 	}
-	for _, id := range []string{"E1", "E4", "E5", "E9", "E10", "E13", "E17"} {
-		var a, b strings.Builder
-		if err := experiments.Run(id, &a); err != nil {
-			t.Fatal(err)
-		}
-		if err := experiments.Run(id, &b); err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
-			t.Errorf("%s not deterministic", id)
+	var rows []gateRow
+	for _, e := range experiments.All() {
+		if id := e.ID; id != "E15" {
+			rows = append(rows, gateRow{name: id, run: func(w io.Writer) error { return experiments.Run(id, w) }})
 		}
 	}
+	digestGate(t, experimentDigests, rows)
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -12,16 +13,19 @@ import (
 	"repro/internal/experiments"
 )
 
-var update = flag.Bool("update", false, "re-cut "+digestFile+" from this build's scenario output")
+var update = flag.Bool("update", false, "re-cut the digest file of the gate tests run (-run selects them) from this build's output")
 
-// digestFile holds one "<sha256>  <scenario>" line per row of
-// experiments.Scenarios: the digest of the scenario's full output at
-// its gate seed. The lines are written by a different process on a
-// different commit than the one that checks them, so a match proves
-// both that the run is reproducible across processes and that no byte
-// of the output moved since the digest was cut. The only way to change
-// a line is `go test ./internal/experiments -run TestScenarios -update`.
-const digestFile = "testdata/scenarios.sha256"
+// The digest files hold one "<sha256>  <name>" line per gated row: the
+// digest of the row's full output. The lines are written by a different
+// process on a different commit than the one that checks them, so a
+// match proves both that the run is reproducible across processes and
+// that no byte of the output moved since the digest was cut. The only
+// way to change a line is `go test ./internal/experiments -run <the
+// gate test> -update`.
+const (
+	scenarioDigests   = "testdata/scenarios.sha256"   // rows of experiments.Scenarios at their gate seeds
+	experimentDigests = "testdata/experiments.sha256" // E1–E22 but E15
+)
 
 // scenarioWants lists, per scenario, what its output must show — the
 // reactions the scenario exists to provoke, readable without a digest.
@@ -60,54 +64,82 @@ var scenarioWants = map[string][]string{
 // with the first diverging line), must contain the row's wants, and
 // must hash to the committed digest.
 func TestScenarios(t *testing.T) {
-	committed := readDigests(t)
-	var cut bytes.Buffer
+	var rows []gateRow
 	for _, sc := range experiments.Scenarios {
-		t.Run(sc.Name, func(t *testing.T) {
+		sc := sc
+		wants, ok := scenarioWants[sc.Name]
+		if !ok {
+			t.Errorf("%s: no scenarioWants entry", sc.Name)
+		}
+		rows = append(rows, gateRow{sc.Name, wants, func(w io.Writer) error {
+			if err := sc.Run(sc.Seed, w); err != nil {
+				return fmt.Errorf("seed %d: %w", sc.Seed, err)
+			}
+			return nil
+		}})
+	}
+	digestGate(t, scenarioDigests, rows)
+}
+
+// gateRow is one output the digest gate pins: what produces it and
+// what it must contain whatever its digest.
+type gateRow struct {
+	name  string
+	wants []string
+	run   func(io.Writer) error
+}
+
+// digestGate runs every row twice as a subtest: the two outputs must
+// be byte-identical, contain the row's wants, and hash to the row's
+// line in file. Under -update it rewrites file from this run instead
+// of comparing.
+func digestGate(t *testing.T, file string, rows []gateRow) {
+	committed := readDigests(t, file)
+	var cut bytes.Buffer
+	for _, row := range rows {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
 			run := func() []byte {
 				var buf bytes.Buffer
-				if err := sc.Run(sc.Seed, &buf); err != nil {
-					t.Fatalf("seed %d: %v\n%s", sc.Seed, err, buf.String())
+				if err := row.run(&buf); err != nil {
+					t.Fatalf("%v\n%s", err, buf.String())
 				}
 				return buf.Bytes()
 			}
 			out := run()
 			if d := firstDiff(out, run()); d != "" {
-				t.Fatalf("two runs at seed %d diverge at %s", sc.Seed, d)
+				t.Fatalf("two runs diverge at %s", d)
 			}
-			wants, ok := scenarioWants[sc.Name]
-			if !ok {
-				t.Errorf("no scenarioWants entry")
-			}
-			for _, want := range wants {
+			for _, want := range row.wants {
 				if !bytes.Contains(out, []byte(want)) {
 					t.Errorf("output missing %q", want)
 				}
 			}
 			got := fmt.Sprintf("%x", sha256.Sum256(out))
-			fmt.Fprintf(&cut, "%s  %s\n", got, sc.Name)
+			fmt.Fprintf(&cut, "%s  %s\n", got, row.name)
 			if *update {
 				return
 			}
-			if want := committed[sc.Name]; got != want {
-				t.Errorf("output moved: sha256 %s, committed %q.\n"+
-					"Diff `wsim -%s` against the commit that cut the digest to see what changed;\n"+
-					"if the change is intended, re-cut with `go test ./internal/experiments -run TestScenarios -update`.",
-					got, want, sc.Name)
+			if want := committed[row.name]; got != want {
+				gate := strings.SplitN(t.Name(), "/", 2)[0]
+				t.Errorf("output moved: sha256 %s, committed %q in %s.\n"+
+					"Diff the output against the commit that cut the digest to see what changed;\n"+
+					"if the change is intended, re-cut with `go test ./internal/experiments -run %s -update`.",
+					got, want, file, gate)
 			}
 		})
 	}
 	if *update && !t.Failed() {
-		if err := os.WriteFile(digestFile, cut.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(file, cut.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// readDigests parses digestFile into scenario name -> hex digest.
-func readDigests(t *testing.T) map[string]string {
+// readDigests parses a digest file into row name -> hex digest.
+func readDigests(t *testing.T, file string) map[string]string {
 	t.Helper()
-	raw, err := os.ReadFile(digestFile)
+	raw, err := os.ReadFile(file)
 	if err != nil && !*update {
 		t.Fatal(err)
 	}
