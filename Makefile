@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fmt-check fuzz scenarios benchmark-check verify
+.PHONY: build test race vet fmt-check fuzz scenarios examples benchmark-check verify
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,14 @@ fuzz:
 scenarios:
 	$(GO) test -race -count=1 -run TestScenarios ./internal/experiments
 
+# `go build ./...` compiles the examples but nothing executes them, and
+# they are the first thing a reader runs against the public API. Each
+# finishes in well under a second; exit 0 means every proxy command it
+# issued was accepted (MustCommand panics otherwise) and no transfer
+# failed to start.
+examples:
+	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
+
 # The repository benchmark is a module of its own, so `go build ./...`
 # and `go test ./...` never compile it: an internal rename could break
 # the yardstick unnoticed. Vet and test it, then run the two closed-loop
@@ -62,5 +70,5 @@ benchmark-check:
 	bash benchmark/run.sh --workload edit-bulk --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload fwd-small --seed 1 --seconds 2 --trace 0
 
-verify: build test race vet fmt-check scenarios benchmark-check
+verify: build test race vet fmt-check scenarios examples benchmark-check
 	@echo "verify: OK"

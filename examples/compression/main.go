@@ -21,11 +21,11 @@ import (
 
 func run(withCompression bool) (wirelessBytes int64, elapsed time.Duration, intact bool) {
 	sys := core.NewSystem(core.Config{
-		DoubleProxy: true,
-		Wireless:    netsim.LinkConfig{Bandwidth: 500e3, Delay: 30 * time.Millisecond},
+		Topology: core.TopoDouble,
+		Wireless: netsim.LinkConfig{Bandwidth: 500e3, Delay: 30 * time.Millisecond},
 	})
 	sys.MustCommand("load tcp")
-	sys.MustCommandB("load tcp")
+	sys.Peer.MustCommand("load tcp")
 	if withCompression {
 		for _, c := range []string{"load ttsf", "load comp", "load launcher",
 			fmt.Sprintf("add launcher %v 0 %v 0 tcp ttsf comp:6", core.WiredAddr, core.MobileAddr)} {
@@ -33,7 +33,7 @@ func run(withCompression bool) (wirelessBytes int64, elapsed time.Duration, inta
 		}
 		for _, c := range []string{"load ttsf", "load decomp", "load launcher",
 			fmt.Sprintf("add launcher %v 0 %v 0 tcp ttsf decomp", core.WiredAddr, core.MobileAddr)} {
-			sys.MustCommandB(c)
+			sys.Peer.MustCommand(c)
 		}
 	} else {
 		sys.MustCommand("load launcher")

@@ -36,9 +36,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("proxy report mid-transfer (thesis §5.3 'report' command):")
-	fmt.Print(sys.Proxy.Command("report"))
+	fmt.Print(sys.MustCommand("report"))
 	fmt.Println("\nproxy stream accounting:")
-	fmt.Print(sys.Proxy.Command("streams"))
+	fmt.Print(sys.MustCommand("streams"))
 
 	// Let the transfer finish.
 	sys.Sched.RunFor(2 * time.Minute)

@@ -12,9 +12,13 @@
 //	                        ├ Service Proxy  (control on TCP :12000)
 //	                        └ EEM server     (control on TCP :12001)
 //
-// With Config.DoubleProxy a second proxy sits on the far side of the
-// wireless link (thesis §10.2.4), which is how the transparent
-// compression service is deployed end-to-end.
+// Config.Topology picks the shape, one value per shape in use. Every
+// Service Proxy in a deployment is a Site — host node, data plane,
+// optional control stack, migration manager and policy engine — built
+// by one constructor; a System embeds its primary Site and, in the
+// double-proxy shapes (thesis §10.2.4: a second proxy on the far side
+// of the wireless link, which is how the transparent compression
+// service is deployed end-to-end), carries the other as Peer.
 package core
 
 import (
@@ -46,43 +50,57 @@ var (
 	UserAddr      = ip.MustParseAddr("11.11.9.2")  // Kati workstation
 )
 
-// Config shapes a System. Zero values give a 2 Mb/s, 10 ms, lossless
-// wireless link and default TCP parameters.
+// Topology names the shape of a deployment. The shapes are exclusive by
+// construction: a System has exactly one.
+type Topology int
+
+const (
+	// TopoReference is thesis Fig 4.1: wired host, one proxy host, mobile.
+	TopoReference Topology = iota
+	// TopoKati is the reference shape plus a Kati workstation node
+	// (System.User, System.UserTCP) wired to the proxy host.
+	TopoKati
+	// TopoDouble puts a second Service Proxy (System.Peer) on the far
+	// side of the wireless link, wired to the mobile (thesis §10.2.4).
+	TopoDouble
+	// TopoDoubleMigrating is TopoDouble with live stream migration
+	// armed: a migration manager on each proxy host speaks the two-phase
+	// transfer protocol on migrate.Port, the peer host gets a control
+	// stack to terminate it, and the "migrate" command appears on both
+	// SPs.
+	TopoDoubleMigrating
+	// TopoMMWaveLTE is the 5G dual-connectivity shape: the wireless link
+	// becomes the mmWave leg and a second, steadier LTE leg
+	// (Config.LTE, System.LTELink) connects proxy host and mobile in
+	// parallel. The mmWave leg is preferred while administratively up;
+	// the "mmwave shed on|off" SP command (drivable from a policy rule
+	// via the command action) switches both ends to the LTE leg and
+	// back.
+	TopoMMWaveLTE
+)
+
+// Config shapes a System. Zero values give the reference topology with
+// a 2 Mb/s, 10 ms, lossless wireless link and default TCP parameters.
 type Config struct {
-	Seed        int64
-	Wireless    netsim.LinkConfig
-	Wire        netsim.LinkConfig
-	TCP         tcp.Config
-	DoubleProxy bool
-	// Shards is the data-plane shard count (0 or 1 = the classic
-	// single interception loop, byte-for-byte deterministic; N>1
+	Seed     int64
+	Topology Topology
+	Wireless netsim.LinkConfig
+	Wire     netsim.LinkConfig
+	TCP      tcp.Config
+	// Shards is the data-plane shard count of every proxy (0 or 1 = the
+	// classic single interception loop, byte-for-byte deterministic; N>1
 	// partitions proxy state by flow-steering hash, still inline and
 	// deterministic inside the simulator).
 	Shards      int
 	EEMInterval time.Duration
-	// WithUser adds a Kati workstation node wired to the proxy.
-	WithUser bool
 	// ObsRetention bounds the observability event ring
 	// (obs.DefaultRetention when 0).
 	ObsRetention int
 	// Policy, when it carries rules, arms an adaptive policy engine
-	// against the A-side data plane (thesis ch. 7: the control loop
+	// against the primary data plane (thesis ch. 7: the control loop
 	// that loads services in response to EEM conditions).
 	Policy PolicyConfig
-	// Migration arms live stream migration between the two service
-	// proxies: a migration manager on each proxy host speaks the
-	// two-phase transfer protocol on migrate.Port and the "migrate"
-	// command appears on both SPs. Requires DoubleProxy.
-	Migration bool
-	// MMWave arms the 5G dual-connectivity topology: the wireless link
-	// becomes the mmWave leg and a second, steadier LTE leg (LTE config)
-	// connects proxy host and mobile in parallel. The mmWave leg is
-	// preferred while administratively up; the "mmwave shed on|off" SP
-	// command (drivable from a policy rule via the command action)
-	// switches both ends to the LTE leg and back. Mutually exclusive
-	// with DoubleProxy.
-	MMWave bool
-	// LTE shapes the LTE leg under MMWave; zero values give a
+	// LTE shapes the LTE leg of TopoMMWaveLTE; zero values give a
 	// 12 Mb/s, 25 ms link — an order of magnitude below a healthy
 	// mmWave leg but immune to its blockage dynamics.
 	LTE netsim.LinkConfig
@@ -92,50 +110,62 @@ type Config struct {
 type PolicyConfig struct {
 	// Period is the engine's sampling tick (policy.DefaultPeriod when 0).
 	Period time.Duration
-	// Rules are parsed by policy.ParseRule; a bad rule panics NewSystem.
+	// Rules are parsed by policy.ParseRule; a bad rule in Config.Policy
+	// panics NewSystem.
 	Rules []string
 }
 
-// System is a running Comma deployment.
+// Site is one Service Proxy in place on the network.
+type Site struct {
+	ProxyHost *netsim.Node
+	// Catalog is the filter catalogue the site's proxy loads from.
+	Catalog *filter.Catalog
+	// Plane is the sharded data plane owning the host's packet hook;
+	// commands go through it so mutations reach every shard.
+	Plane *dataplane.Plane
+	Proxy *proxy.Proxy // shard 0 of Plane
+	// Ctrl terminates TCP on the proxy host: SP and EEM control on the
+	// primary, the migration protocol on either. Nil on a peer that
+	// migrates nothing — nothing else is addressed to it.
+	Ctrl *tcp.Stack
+	// Migrate is the site's migration manager; nil unless the topology
+	// arms migration.
+	Migrate *migrate.Manager
+	// Policy is the site's adaptive engine; nil until ArmPolicy.
+	Policy *policy.Engine
+
+	tag string // "" on the primary, "B" on the peer: suffix of node and metric names
+}
+
+// System is a running Comma deployment. It embeds its primary Site, so
+// sys.Proxy, sys.Plane, sys.MustCommand … address the proxy of the
+// reference topology in every shape.
 type System struct {
 	Sched *sim.Scheduler
 	Net   *netsim.Network
 
+	*Site
+	// Peer is the proxy on the far side of the wireless link; nil unless
+	// TopoDouble or TopoDoubleMigrating.
+	Peer *Site
+
 	Wired, Mobile *netsim.Node
-	ProxyHost     *netsim.Node
-	ProxyHostB    *netsim.Node // nil unless DoubleProxy
-	User          *netsim.Node // nil unless WithUser
+	User          *netsim.Node // nil unless TopoKati
 
-	Proxy  *proxy.Proxy // shard 0 of Plane
-	ProxyB *proxy.Proxy // nil unless DoubleProxy; shard 0 of PlaneB
-	EEM    *eem.Server
-
-	// Plane is the sharded data plane owning the proxy host's packet
-	// hook; commands go through it so mutations reach every shard.
-	Plane  *dataplane.Plane
-	PlaneB *dataplane.Plane // nil unless DoubleProxy
+	EEM *eem.Server // on the primary proxy host
 
 	WiredTCP, MobileTCP *tcp.Stack
 	WiredUDP, MobileUDP *udp.Stack
-	UserTCP             *tcp.Stack // nil unless WithUser
+	UserTCP             *tcp.Stack // nil unless TopoKati
 
 	Wireless *netsim.Link
-	// LTELink is the parallel LTE leg; nil unless Config.MMWave.
+	// LTELink is the parallel LTE leg; nil unless TopoMMWaveLTE.
 	LTELink *netsim.Link
-	Catalog *filter.Catalog
 
 	// Obs is the deployment-wide event bus; Metrics the unified
 	// counter/gauge registry (rendered by the SP "stats" command).
 	Obs     *obs.Bus
 	Metrics *obs.Registry
-
-	// Policy is the adaptive engine; nil unless Config.Policy has rules.
-	Policy *policy.Engine
-
-	// Migrate and MigrateB are the per-SP migration managers; nil
-	// unless Config.Migration.
-	Migrate  *migrate.Manager
-	MigrateB *migrate.Manager
 }
 
 // NewSystem builds and starts a Comma deployment.
@@ -158,17 +188,6 @@ func NewSystem(cfg Config) *System {
 	if cfg.EEMInterval == 0 {
 		cfg.EEMInterval = eem.DefaultUpdateInterval
 	}
-	if cfg.MMWave {
-		if cfg.DoubleProxy {
-			panic("core: MMWave is mutually exclusive with DoubleProxy")
-		}
-		if cfg.LTE.Bandwidth == 0 {
-			cfg.LTE.Bandwidth = 12e6
-		}
-		if cfg.LTE.Delay == 0 {
-			cfg.LTE.Delay = 25 * time.Millisecond
-		}
-	}
 
 	s := sim.NewScheduler(cfg.Seed)
 	n := netsim.New(s)
@@ -180,59 +199,63 @@ func NewSystem(cfg Config) *System {
 	n.SetObs(sys.Obs)
 
 	sys.Wired = n.AddNode("wired")
-	sys.ProxyHost = n.AddNode("proxy")
-	sys.ProxyHost.Forwarding = true
+	sys.Site = sys.newSite("", cfg, true)
 	sys.Mobile = n.AddNode("mobile")
 
 	lw := n.Connect(sys.Wired, WiredAddr, sys.ProxyHost, ProxyCtrlAddr, cfg.Wire)
 	sys.Wired.AddDefaultRoute(lw.IfaceA())
 	lw.RegisterMetrics(sys.Metrics, "link.wire")
 
-	sys.Catalog = filter.NewCatalog()
-	filters.RegisterAll(sys.Catalog)
-	sys.Plane = dataplane.NewInline(sys.ProxyHost, sys.Catalog, cfg.Shards)
-	sys.Proxy = sys.Plane.Shard(0)
-	sys.Plane.SetObs(sys.Obs, sys.Metrics)
-	sys.Plane.RegisterMetrics(sys.Metrics, "proxy")
-
-	if cfg.DoubleProxy {
-		sys.ProxyHostB = n.AddNode("proxyB")
-		sys.ProxyHostB.Forwarding = true
-		wless := n.Connect(sys.ProxyHost, ip.MustParseAddr("11.11.11.1"),
-			sys.ProxyHostB, ip.MustParseAddr("11.11.11.2"), cfg.Wireless)
-		sys.Wireless = wless
-		lm := n.Connect(sys.ProxyHostB, ip.MustParseAddr("11.11.12.1"), sys.Mobile, MobileAddr, cfg.Wire)
-		sys.ProxyHost.AddRoute(MobileAddr.Mask(32), 32, wless.IfaceA())
-		sys.ProxyHostB.AddDefaultRoute(wless.IfaceB())
-		sys.ProxyHostB.AddRoute(MobileAddr.Mask(32), 32, lm.IfaceA())
-		sys.Mobile.AddDefaultRoute(lm.IfaceB())
-		catB := filter.NewCatalog()
-		filters.RegisterAll(catB)
-		sys.PlaneB = dataplane.NewInline(sys.ProxyHostB, catB, cfg.Shards)
-		sys.ProxyB = sys.PlaneB.Shard(0)
-		sys.PlaneB.SetObs(sys.Obs, sys.Metrics)
-		sys.PlaneB.RegisterMetrics(sys.Metrics, "proxyB")
-	} else {
-		wless := n.Connect(sys.ProxyHost, ip.MustParseAddr("11.11.11.1"), sys.Mobile, MobileAddr, cfg.Wireless)
-		sys.Wireless = wless
-		sys.ProxyHost.AddRoute(MobileAddr.Mask(32), 32, wless.IfaceA())
-		sys.Mobile.AddDefaultRoute(wless.IfaceB())
-		if cfg.MMWave {
-			// The LTE leg rides in parallel. Both ends install their LTE
-			// routes *after* the mmWave ones, so the mmWave leg wins
-			// while administratively up (first-added wins prefix ties;
-			// the proxy's implicit connected route to the mobile only
-			// matches a leg whose transmit direction is up) and routing
-			// falls back to LTE the moment the mmWave leg is shed.
-			lte := n.Connect(sys.ProxyHost, ip.MustParseAddr("11.11.13.1"),
-				sys.Mobile, ip.MustParseAddr("11.11.13.2"), cfg.LTE)
-			sys.LTELink = lte
-			sys.ProxyHost.AddRoute(MobileAddr.Mask(32), 32, lte.IfaceA())
-			sys.Mobile.AddDefaultRoute(lte.IfaceB())
-			lte.RegisterMetrics(sys.Metrics, "link.lte")
+	// Everything past the wire is the topology's. Node and link order
+	// inside a case is part of the output: interface indices are EEM
+	// variable indices, and first-added wins a route-prefix tie.
+	switch cfg.Topology {
+	case TopoReference:
+		sys.connectMobile(cfg.Wireless)
+	case TopoKati:
+		sys.connectMobile(cfg.Wireless)
+		sys.User = n.AddNode("user")
+		lu := n.Connect(sys.User, UserAddr, sys.ProxyHost, ip.MustParseAddr("11.11.9.1"), cfg.Wire)
+		sys.User.AddDefaultRoute(lu.IfaceA())
+		sys.ProxyHost.AddRoute(UserAddr.Mask(24), 24, lu.IfaceB())
+		sys.UserTCP = tcp.NewStack(sys.User, cfg.TCP)
+		registerStacks(sys.User, sys.UserTCP, nil)
+		sys.UserTCP.RegisterMetrics(sys.Metrics, "tcp.user")
+	case TopoMMWaveLTE:
+		sys.connectMobile(cfg.Wireless)
+		if cfg.LTE.Bandwidth == 0 {
+			cfg.LTE.Bandwidth = 12e6
 		}
+		if cfg.LTE.Delay == 0 {
+			cfg.LTE.Delay = 25 * time.Millisecond
+		}
+		// The LTE leg rides in parallel. Both ends install their LTE
+		// routes *after* the mmWave ones, so the mmWave leg wins
+		// while administratively up (first-added wins prefix ties;
+		// the proxy's implicit connected route to the mobile only
+		// matches a leg whose transmit direction is up) and routing
+		// falls back to LTE the moment the mmWave leg is shed.
+		lte := n.Connect(sys.ProxyHost, ip.MustParseAddr("11.11.13.1"),
+			sys.Mobile, ip.MustParseAddr("11.11.13.2"), cfg.LTE)
+		sys.LTELink = lte
+		sys.ProxyHost.AddRoute(MobileAddr.Mask(32), 32, lte.IfaceA())
+		sys.Mobile.AddDefaultRoute(lte.IfaceB())
+		lte.RegisterMetrics(sys.Metrics, "link.lte")
+		sys.Plane.RegisterCommand("mmwave", sys.mmwaveCommand)
+	case TopoDouble:
+		sys.connectPeer(cfg, false)
+	case TopoDoubleMigrating:
+		sys.connectPeer(cfg, true)
+		// The primary has no route to the peer's wireless address (only
+		// keyed routes toward the mobile); the migration control
+		// connection needs one. The peer's default route covers the way
+		// back.
+		sys.ProxyHost.AddRoute(peerWirelessAddr.Mask(32), 32, sys.Wireless.IfaceA())
+		sys.armMigration(sys.Site, 1)
+		sys.armMigration(sys.Peer, 2)
+	default:
+		panic(fmt.Sprintf("core: unknown Topology %d", cfg.Topology))
 	}
-
 	sys.Wireless.RegisterMetrics(sys.Metrics, "link.wireless")
 
 	// Data-plane stacks.
@@ -248,20 +271,16 @@ func NewSystem(cfg Config) *System {
 	sys.ProxyHost.RegisterMetrics(sys.Metrics, "node.proxy")
 	sys.Mobile.RegisterMetrics(sys.Metrics, "node.mobile")
 
-	// Control plane on the proxy host: SP command port and EEM server.
-	ctrl := tcp.NewStack(sys.ProxyHost, cfg.TCP)
-	sys.ProxyHost.RegisterProto(ip.ProtoTCP, func(h ip.Header, p, raw []byte, in *netsim.Iface) {
-		ctrl.Deliver(h.Src, h.Dst, p)
-	})
-	if err := proxy.ServeControl(ctrl, proxy.ControlPort, sys.Plane); err != nil {
+	// Control plane on the primary proxy host: SP command port and EEM
+	// server.
+	if err := proxy.ServeControl(sys.Ctrl, proxy.ControlPort, sys.Plane); err != nil {
 		panic(fmt.Sprintf("core: control port: %v", err))
 	}
-	ctrl.RegisterMetrics(sys.Metrics, "tcp.proxyctrl")
 	sys.EEM = eem.NewServer("proxy")
 	sys.EEM.Interval = cfg.EEMInterval
 	sys.EEM.SetObs(sys.Obs)
 	sys.EEM.RegisterMetrics(sys.Metrics, "eem")
-	nodeSrc := &eem.NodeSource{Node: sys.ProxyHost, TCP: ctrl}
+	nodeSrc := &eem.NodeSource{Node: sys.ProxyHost, TCP: sys.Ctrl}
 	sys.EEM.AddSource(nodeSrc)
 	// Traffic-derived variables from the flow-log analytics plane, so
 	// policy rules can react to what the streams are doing (retrans
@@ -271,9 +290,6 @@ func NewSystem(cfg Config) *System {
 	// ...), indexed by the proxy host's interface order — the blockage
 	// signal the mmWave policy rules fire on.
 	sys.EEM.AddSource(newLinkVarSource(s, sys.ProxyHost))
-	if cfg.MMWave {
-		sys.Plane.RegisterCommand("mmwave", sys.mmwaveCommand)
-	}
 	// Adaptive filters query the same variables through their Env
 	// (thesis ch. 6: filters are EEM clients too).
 	sys.Plane.SetMetricSource(func(name string, index int) (float64, bool) {
@@ -289,85 +305,111 @@ func NewSystem(cfg Config) *System {
 		}
 		return 0, false
 	})
-	if err := eem.ServeSim(ctrl, eem.DefaultPort, sys.EEM); err != nil {
+	if err := eem.ServeSim(sys.Ctrl, eem.DefaultPort, sys.EEM); err != nil {
 		panic(fmt.Sprintf("core: eem port: %v", err))
 	}
 	sys.EEM.StartSimTicker(s)
 
-	if cfg.Migration {
-		if !cfg.DoubleProxy {
-			panic("core: Migration requires DoubleProxy")
-		}
-		// The A-side proxy has no route to B's wireless address (only
-		// keyed routes toward the mobile); the migration control
-		// connection needs one. B's default route covers the way back.
-		sys.ProxyHost.AddRoute(ip.MustParseAddr("11.11.11.2").Mask(32), 32, sys.Wireless.IfaceA())
-		// B gets its own control stack: until now nothing terminated
-		// TCP on the far proxy host.
-		ctrlB := tcp.NewStack(sys.ProxyHostB, cfg.TCP)
-		sys.ProxyHostB.RegisterProto(ip.ProtoTCP, func(h ip.Header, p, raw []byte, in *netsim.Iface) {
-			ctrlB.Deliver(h.Src, h.Dst, p)
-		})
-		ctrlB.RegisterMetrics(sys.Metrics, "tcp.proxyctrlB")
-		sys.Migrate = migrate.NewManager(migrate.Config{
-			Name: "migrate", ID: 1, Sched: s,
-			Plane: sys.Plane, Stack: ctrl, Bus: sys.Obs,
-		})
-		sys.MigrateB = migrate.NewManager(migrate.Config{
-			Name: "migrateB", ID: 2, Sched: s,
-			Plane: sys.PlaneB, Stack: ctrlB, Bus: sys.Obs,
-		})
-		if err := sys.Migrate.Serve(); err != nil {
-			panic(fmt.Sprintf("core: migrate port: %v", err))
-		}
-		if err := sys.MigrateB.Serve(); err != nil {
-			panic(fmt.Sprintf("core: migrate port (B): %v", err))
-		}
-		sys.Migrate.RegisterMetrics(sys.Metrics, "migrate")
-		sys.MigrateB.RegisterMetrics(sys.Metrics, "migrateB")
-		sys.Plane.RegisterCommand("migrate", sys.Migrate.Command)
-		sys.PlaneB.RegisterCommand("migrate", sys.MigrateB.Command)
-	}
-
-	if cfg.WithUser {
-		sys.User = n.AddNode("user")
-		lu := n.Connect(sys.User, UserAddr, sys.ProxyHost, ip.MustParseAddr("11.11.9.1"), cfg.Wire)
-		sys.User.AddDefaultRoute(lu.IfaceA())
-		sys.ProxyHost.AddRoute(UserAddr.Mask(24), 24, lu.IfaceB())
-		sys.UserTCP = tcp.NewStack(sys.User, cfg.TCP)
-		registerStacks(sys.User, sys.UserTCP, nil)
-		sys.UserTCP.RegisterMetrics(sys.Metrics, "tcp.user")
-	}
-
 	if len(cfg.Policy.Rules) > 0 {
-		// The engine is an EEM client like any other: it dials the
-		// proxy's control address from the wired host (the simulator
-		// has no loopback path, so the proxy host cannot dial itself).
-		cm := eem.NewComma(eem.SimDialer(sys.WiredTCP))
-		cm.UseScheduler(s)
-		cm.SetObs(sys.Obs)
-		sys.Policy = policy.New(policy.Config{
-			Sched:   s,
-			Comma:   cm,
-			Control: sys.Plane,
-			Server:  ProxyCtrlAddr.String(),
-			Bus:     sys.Obs,
-			Period:  cfg.Policy.Period,
-		})
-		sys.Policy.RegisterMetrics(sys.Metrics, "policy")
-		for _, spec := range cfg.Policy.Rules {
-			if err := sys.Policy.AddRule(spec); err != nil {
-				panic(fmt.Sprintf("core: %v", err))
-			}
+		if err := sys.ArmPolicy(sys.Site, cfg.Policy); err != nil {
+			panic(fmt.Sprintf("core: %v", err))
 		}
-		// Expose the engine on the SP control port so Kati's `policy`
-		// command reaches it like any other SP command. Registered only
-		// when configured, so default deployments keep their command
-		// surface (and help text) unchanged.
-		sys.Plane.RegisterCommand("policy", sys.Policy.Command)
-		sys.Policy.Start()
 	}
 	return sys
+}
+
+// The two ends of the wireless link when a proxy sits on each.
+var (
+	proxyWirelessAddr = ip.MustParseAddr("11.11.11.1")
+	peerWirelessAddr  = ip.MustParseAddr("11.11.11.2")
+)
+
+// newSite is the one place a Service Proxy is put on the network: a
+// forwarding host node "proxy"+tag with its own filter catalogue and an
+// inline data plane hooked on it, reporting to the deployment's bus and
+// registry. With control the host also terminates TCP on a stack of
+// its own.
+func (s *System) newSite(tag string, cfg Config, control bool) *Site {
+	st := &Site{tag: tag, ProxyHost: s.Net.AddNode("proxy" + tag), Catalog: filter.NewCatalog()}
+	st.ProxyHost.Forwarding = true
+	filters.RegisterAll(st.Catalog)
+	st.Plane = dataplane.NewInline(st.ProxyHost, st.Catalog, cfg.Shards)
+	st.Proxy = st.Plane.Shard(0)
+	st.Plane.SetObs(s.Obs, s.Metrics)
+	st.Plane.RegisterMetrics(s.Metrics, "proxy"+tag)
+	if control {
+		st.Ctrl = tcp.NewStack(st.ProxyHost, cfg.TCP)
+		registerStacks(st.ProxyHost, st.Ctrl, nil)
+		st.Ctrl.RegisterMetrics(s.Metrics, "tcp.proxyctrl"+tag)
+	}
+	return st
+}
+
+// connectMobile hangs the mobile off the primary proxy host over the
+// wireless link: the single-proxy shapes.
+func (s *System) connectMobile(wireless netsim.LinkConfig) {
+	s.Wireless = s.Net.Connect(s.ProxyHost, proxyWirelessAddr, s.Mobile, MobileAddr, wireless)
+	s.ProxyHost.AddRoute(MobileAddr.Mask(32), 32, s.Wireless.IfaceA())
+	s.Mobile.AddDefaultRoute(s.Wireless.IfaceB())
+}
+
+// connectPeer puts the second proxy between the wireless link and the
+// mobile: the double-proxy shapes.
+func (s *System) connectPeer(cfg Config, control bool) {
+	s.Peer = s.newSite("B", cfg, control)
+	peer := s.Peer.ProxyHost
+	s.Wireless = s.Net.Connect(s.ProxyHost, proxyWirelessAddr, peer, peerWirelessAddr, cfg.Wireless)
+	lm := s.Net.Connect(peer, ip.MustParseAddr("11.11.12.1"), s.Mobile, MobileAddr, cfg.Wire)
+	s.ProxyHost.AddRoute(MobileAddr.Mask(32), 32, s.Wireless.IfaceA())
+	peer.AddDefaultRoute(s.Wireless.IfaceB())
+	peer.AddRoute(MobileAddr.Mask(32), 32, lm.IfaceA())
+	s.Mobile.AddDefaultRoute(lm.IfaceB())
+}
+
+// armMigration gives a site its migration manager: listening on
+// migrate.Port of the site's control stack, counted under
+// "migrate"+tag, and reachable as the site's "migrate" SP command.
+func (s *System) armMigration(st *Site, id uint8) {
+	st.Migrate = migrate.NewManager(migrate.Config{
+		Name: "migrate" + st.tag, ID: id, Sched: s.Sched,
+		Plane: st.Plane, Stack: st.Ctrl, Bus: s.Obs,
+	})
+	if err := st.Migrate.Serve(); err != nil {
+		panic(fmt.Sprintf("core: migrate port (proxy%s): %v", st.tag, err))
+	}
+	st.Migrate.RegisterMetrics(s.Metrics, "migrate"+st.tag)
+	st.Plane.RegisterCommand("migrate", st.Migrate.Command)
+}
+
+// ArmPolicy starts an adaptive policy engine with st's data plane as
+// its control surface, counted under "policy"+tag and reachable as the
+// site's "policy" SP command (so Kati's `policy` reaches it like any
+// other; a site without an engine keeps its command surface and help
+// text unchanged). Every engine is an EEM client of the primary proxy
+// host — whose interface 1 is the shared wireless link — dialling from
+// the wired host: the simulator has no loopback path, so a proxy host
+// cannot dial itself. Rules are parsed by policy.ParseRule.
+func (s *System) ArmPolicy(st *Site, pc PolicyConfig) error {
+	cm := eem.NewComma(eem.SimDialer(s.WiredTCP))
+	cm.UseScheduler(s.Sched)
+	cm.SetObs(s.Obs)
+	st.Policy = policy.New(policy.Config{
+		Sched:   s.Sched,
+		Comma:   cm,
+		Control: st.Plane,
+		Server:  ProxyCtrlAddr.String(),
+		Bus:     s.Obs,
+		Period:  pc.Period,
+	})
+	st.Policy.RegisterMetrics(s.Metrics, "policy"+st.tag)
+	for _, spec := range pc.Rules {
+		if err := st.Policy.AddRule(spec); err != nil {
+			return err
+		}
+	}
+	st.Plane.RegisterCommand("policy", st.Policy.Command)
+	st.Policy.Start()
+	return nil
 }
 
 func registerStacks(node *netsim.Node, t *tcp.Stack, u *udp.Stack) {
@@ -381,24 +423,12 @@ func registerStacks(node *netsim.Node, t *tcp.Stack, u *udp.Stack) {
 	}
 }
 
-// MustCommand runs an SP command on the primary proxy and panics on an
+// MustCommand runs an SP command on the site's proxy and panics on an
 // error response (setup helper for examples and experiments).
-func (s *System) MustCommand(line string) string {
-	return mustCommand(s.Plane, "proxy", line)
-}
-
-// MustCommandB is MustCommand against the second proxy.
-func (s *System) MustCommandB(line string) string {
-	if s.PlaneB == nil {
-		panic("core: no second proxy (Config.DoubleProxy)")
-	}
-	return mustCommand(s.PlaneB, "proxyB", line)
-}
-
-func mustCommand(pl *dataplane.Plane, name, line string) string {
-	out := pl.Command(line)
+func (st *Site) MustCommand(line string) string {
+	out := st.Plane.Command(line)
 	if strings.HasPrefix(out, "error") {
-		panic(fmt.Sprintf("core: %s command %q: %s", name, line, out))
+		panic(fmt.Sprintf("core: proxy%s command %q: %s", st.tag, line, out))
 	}
 	return out
 }

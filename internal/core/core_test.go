@@ -52,10 +52,63 @@ func TestCheckedTransferVerdicts(t *testing.T) {
 	}
 }
 
+// TestTopologies builds every Topology value and carries 10 KB across
+// it intact; the parts a shape documents are there for that shape and
+// nil for every other. One value per shape is what makes a half-built
+// combination (migration without a peer, an LTE leg beside one)
+// impossible to ask for.
+func TestTopologies(t *testing.T) {
+	rows := []struct {
+		name                     string
+		topo                     core.Topology
+		peer, migrate, lte, user bool
+	}{
+		{"reference", core.TopoReference, false, false, false, false},
+		{"kati", core.TopoKati, false, false, false, true},
+		{"double", core.TopoDouble, true, false, false, false},
+		{"double-migrating", core.TopoDoubleMigrating, true, true, false, false},
+		{"mmwave-lte", core.TopoMMWaveLTE, false, false, true, false},
+	}
+	payload := bytes.Repeat([]byte("comma"), 2000)
+	for i, row := range rows {
+		row := row
+		if row.topo != core.Topology(i) {
+			t.Fatalf("row %d is %s: the table must list every Topology value in order", i, row.name)
+		}
+		t.Run(row.name, func(t *testing.T) {
+			sys := core.NewSystem(core.Config{Topology: row.topo})
+			if _, err := sys.CheckedTransfer(row.name, payload, 7, 5001, 30*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if got := sys.Peer != nil; got != row.peer {
+				t.Errorf("Peer present = %v, want %v", got, row.peer)
+			}
+			if got := sys.Migrate != nil; got != row.migrate {
+				t.Errorf("Migrate present = %v, want %v", got, row.migrate)
+			}
+			if got := sys.Peer != nil && sys.Peer.Migrate != nil; got != row.migrate {
+				t.Errorf("Peer.Migrate present = %v, want %v", got, row.migrate)
+			}
+			if got := sys.LTELink != nil; got != row.lte {
+				t.Errorf("LTELink present = %v, want %v", got, row.lte)
+			}
+			if got := sys.User != nil && sys.UserTCP != nil; got != row.user {
+				t.Errorf("User present = %v, want %v", got, row.user)
+			}
+		})
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Topology %d built: add its row above", len(rows))
+		}
+	}()
+	core.NewSystem(core.Config{Topology: core.Topology(len(rows))})
+}
+
 func TestSystemDoubleProxyCompression(t *testing.T) {
 	sys := core.NewSystem(core.Config{
-		DoubleProxy: true,
-		Wireless:    netsim.LinkConfig{Bandwidth: 1e6, Delay: 20 * time.Millisecond},
+		Topology: core.TopoDouble,
+		Wireless: netsim.LinkConfig{Bandwidth: 1e6, Delay: 20 * time.Millisecond},
 	})
 	for _, c := range []string{"load tcp", "load ttsf", "load comp", "load launcher",
 		"add launcher 11.11.10.99 0 11.11.10.10 0 tcp ttsf comp"} {
@@ -63,7 +116,7 @@ func TestSystemDoubleProxyCompression(t *testing.T) {
 	}
 	for _, c := range []string{"load tcp", "load ttsf", "load decomp", "load launcher",
 		"add launcher 11.11.10.99 0 11.11.10.10 0 tcp ttsf decomp"} {
-		sys.MustCommandB(c)
+		sys.Peer.MustCommand(c)
 	}
 	payload := bytes.Repeat([]byte("all work and no play makes jack a dull boy. "), 2000)
 	res, err := sys.Transfer(payload, 7, 5001, 300*time.Second)
@@ -79,7 +132,7 @@ func TestSystemDoubleProxyCompression(t *testing.T) {
 }
 
 func TestSystemEEMReachable(t *testing.T) {
-	sys := core.NewSystem(core.Config{WithUser: true, EEMInterval: time.Second})
+	sys := core.NewSystem(core.Config{Topology: core.TopoKati, EEMInterval: time.Second})
 	client := eem.NewComma(eem.SimDialer(sys.UserTCP))
 	var got eem.Value
 	client.GetValueOnce(eem.ID{Var: "sysName", Server: "11.11.9.1"}, func(v eem.Value, err error) {

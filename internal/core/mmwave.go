@@ -7,7 +7,7 @@ import (
 	"repro/internal/obs"
 )
 
-// mmwaveCommand is the "mmwave" SP command, registered only on MMWave
+// mmwaveCommand is the "mmwave" SP command, registered only on TopoMMWaveLTE
 // deployments. It drives the dual-connectivity leg switch of the 5G
 // scenario pack:
 //

@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/eem"
 	"repro/internal/faults"
 	"repro/internal/netsim"
-	"repro/internal/policy"
 )
 
 // AdaptDemo is the adaptive-services scenario behind `wsim -adapt`:
@@ -39,7 +37,7 @@ func AdaptDemo(seed int64, w io.Writer) error {
 	)
 	sys := core.NewSystem(core.Config{
 		Seed:         seed,
-		DoubleProxy:  true,
+		Topology:     core.TopoDouble,
 		EEMInterval:  time.Second,
 		ObsRetention: 1 << 16,
 		Wireless:     netsim.LinkConfig{Bandwidth: 2e6, Delay: 10 * time.Millisecond},
@@ -56,23 +54,13 @@ func AdaptDemo(seed int64, w io.Writer) error {
 	// The B proxy gets its own engine: same EEM server (the A proxy
 	// host's ifSpeed:1 IS the shared wireless link), its own client
 	// API session, and the B data plane as control surface.
-	cmB := eem.NewComma(eem.SimDialer(sys.WiredTCP))
-	cmB.UseScheduler(sys.Sched)
-	cmB.SetObs(sys.Obs)
-	engB := policy.New(policy.Config{
-		Sched:   sys.Sched,
-		Comma:   cmB,
-		Control: sys.PlaneB,
-		Server:  core.ProxyCtrlAddr.String(),
-		Bus:     sys.Obs,
-		Period:  250 * time.Millisecond,
-	})
-	engB.RegisterMetrics(sys.Metrics, "policyB")
-	if err := engB.AddRule(fmt.Sprintf("expand when ifSpeed:1 LT %d exit %d for 2 then load decomp%s",
-		enterBound, exitBound, wild)); err != nil {
+	if err := sys.ArmPolicy(sys.Peer, core.PolicyConfig{
+		Period: 250 * time.Millisecond,
+		Rules: []string{fmt.Sprintf("expand when ifSpeed:1 LT %d exit %d for 2 then load decomp%s",
+			enterBound, exitBound, wild)},
+	}); err != nil {
 		return fmt.Errorf("adapt: B rule: %w", err)
 	}
-	engB.Start()
 
 	// Static plumbing both engines build on: interception and sequence
 	// fixing on every wired→mobile stream. The adaptive comp/decomp
@@ -81,7 +69,7 @@ func AdaptDemo(seed int64, w io.Writer) error {
 	for _, c := range []string{"load tcp", "load ttsf",
 		"add tcp 11.11.10.99 0 11.11.10.10 0", "add ttsf 11.11.10.99 0 11.11.10.10 0"} {
 		sys.MustCommand(c)
-		sys.MustCommandB(c)
+		sys.Peer.MustCommand(c)
 	}
 	sys.Sched.RunFor(time.Second)
 
@@ -154,6 +142,6 @@ func AdaptDemo(seed int64, w io.Writer) error {
 	}
 
 	// Engine A rides the A plane's command table; B is queried directly.
-	policyTrailer(w, sys, engB.Command([]string{"list"}), "policy trace (A)", "adaptive services metrics")
+	policyTrailer(w, sys, sys.Peer.Policy.Command([]string{"list"}), "policy trace (A)", "adaptive services metrics")
 	return nil
 }

@@ -74,7 +74,7 @@ func runE1(w io.Writer) {
 }
 
 func runE2(w io.Writer) {
-	sys := core.NewSystem(core.Config{Seed: 12, WithUser: true, EEMInterval: 10 * time.Second})
+	sys := core.NewSystem(core.Config{Seed: 12, Topology: core.TopoKati, EEMInterval: 10 * time.Second})
 	cm := eem.NewComma(eem.SimDialer(sys.UserTCP))
 	id := eem.ID{Var: "sysUpTime", Server: "11.11.9.1"}
 	attr := eem.Attr{Lower: eem.LongValue(0), Upper: eem.LongValue(2000), Op: eem.IN}
@@ -95,7 +95,7 @@ func runE2(w io.Writer) {
 }
 
 func runE3(w io.Writer) {
-	sys := core.NewSystem(core.Config{Seed: 13, WithUser: true, EEMInterval: time.Second})
+	sys := core.NewSystem(core.Config{Seed: 13, Topology: core.TopoKati, EEMInterval: time.Second})
 	sys.MustCommand("load tcp")
 	sys.MustCommand("load launcher")
 	sys.MustCommand("load wsize")
@@ -162,7 +162,7 @@ func runE4(w io.Writer) {
 
 func runE5(w io.Writer) {
 	sys := core.NewSystem(core.Config{
-		Seed: 15, DoubleProxy: true,
+		Seed: 15, Topology: core.TopoDouble,
 		Wireless: netsim.LinkConfig{Bandwidth: 1e6, Delay: 20 * time.Millisecond},
 	})
 	for _, c := range []string{"load tcp", "load ttsf", "load comp", "load launcher",
@@ -171,7 +171,7 @@ func runE5(w io.Writer) {
 	}
 	for _, c := range []string{"load tcp", "load ttsf", "load decomp", "load launcher",
 		fmt.Sprintf("add launcher %v 0 %v 0 tcp ttsf decomp", core.WiredAddr, core.MobileAddr)} {
-		sys.MustCommandB(c)
+		sys.Peer.MustCommand(c)
 	}
 	payload := repeatText(120_000)
 	res, err := sys.Transfer(payload, 7, 5001, 300*time.Second)

@@ -280,7 +280,7 @@ func runE11(w io.Writer) {
 	}
 	for _, cl := range classes {
 		sys := core.NewSystem(core.Config{
-			Seed: 11, DoubleProxy: true,
+			Seed: 11, Topology: core.TopoDouble,
 			Wireless: netsim.LinkConfig{Bandwidth: 2e6, Delay: 20 * time.Millisecond},
 		})
 		for _, c := range []string{"load tcp", "load ttsf", "load comp", "load launcher",
@@ -289,7 +289,7 @@ func runE11(w io.Writer) {
 		}
 		for _, c := range []string{"load tcp", "load ttsf", "load decomp", "load launcher",
 			fmt.Sprintf("add launcher %v 0 %v 0 tcp ttsf decomp", core.WiredAddr, core.MobileAddr)} {
-			sys.MustCommandB(c)
+			sys.Peer.MustCommand(c)
 		}
 		res, err := sys.Transfer(cl.data, 7, 5001, 600*time.Second)
 		if err != nil {

@@ -47,8 +47,7 @@ import (
 func MigrateDemo(seed int64, w io.Writer) error {
 	sys := core.NewSystem(core.Config{
 		Seed:         seed,
-		DoubleProxy:  true,
-		Migration:    true,
+		Topology:     core.TopoDoubleMigrating,
 		ObsRetention: 1 << 16,
 		Wireless:     netsim.LinkConfig{Bandwidth: 2e6, Delay: 10 * time.Millisecond},
 	})
@@ -123,7 +122,7 @@ func MigrateDemo(seed int64, w io.Writer) error {
 		if lg.arm != nil {
 			lg.arm(migrateAt)
 		}
-		beforeA, beforeB := counters(sys.Migrate), counters(sys.MigrateB)
+		beforeA, beforeB := counters(sys.Migrate), counters(sys.Peer.Migrate)
 		nEvents := len(sys.Obs.Events())
 		var preBytes int64
 		var cmdOut string
@@ -155,7 +154,7 @@ func MigrateDemo(seed int64, w io.Writer) error {
 			// protocol is still in flight at +300ms), then send it home.
 			var back func()
 			back = func() {
-				if out := sys.PlaneB.Command("migrate " + keyStr + " 11.11.11.1"); strings.HasPrefix(out, "error") {
+				if out := sys.Peer.Plane.Command("migrate " + keyStr + " 11.11.11.1"); strings.HasPrefix(out, "error") {
 					sys.Sched.After(100*time.Millisecond, back)
 				}
 			}
@@ -177,13 +176,13 @@ func MigrateDemo(seed int64, w io.Writer) error {
 		}
 		// The ownership invariant: exactly one proxy holds the stream's
 		// exact-key bindings, and it is the one the outcome names.
-		bindA, bindB := sys.Plane.StreamBindings(k), sys.PlaneB.StreamBindings(k)
+		bindA, bindB := sys.Plane.StreamBindings(k), sys.Peer.Plane.StreamBindings(k)
 		wantA, wantB := 3, 0
 		if lg.ownerB {
 			wantA, wantB = 0, 3
 		}
 		if lg.back {
-			dB := sub(counters(sys.MigrateB), beforeB)
+			dB := sub(counters(sys.Peer.Migrate), beforeB)
 			if dB != (delta{1, 1, 0, 0}) {
 				return fmt.Errorf("migrate: leg %s: B outcome %+v, want one completion", lg.name, dB)
 			}

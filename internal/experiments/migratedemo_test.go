@@ -17,11 +17,10 @@ import (
 func migrateOnce(t *testing.T, shards int) []obs.Sample {
 	t.Helper()
 	sys := core.NewSystem(core.Config{
-		Seed:        5,
-		DoubleProxy: true,
-		Migration:   true,
-		Shards:      shards,
-		Wireless:    netsim.LinkConfig{Bandwidth: 2e6, Delay: 10 * time.Millisecond},
+		Seed:     5,
+		Topology: core.TopoDoubleMigrating,
+		Shards:   shards,
+		Wireless: netsim.LinkConfig{Bandwidth: 2e6, Delay: 10 * time.Millisecond},
 	})
 	const srcPort, dstPort = 7000, 8000
 	keyStr := fmt.Sprintf("11.11.10.99 %d 11.11.10.10 %d", srcPort, dstPort)

@@ -133,7 +133,7 @@ func MMWaveDemo(seed int64, w io.Writer) error {
 func runMMWaveLeg(w io.Writer, seed int64, payload []byte, leg mmLeg) (mmResult, error) {
 	sys := core.NewSystem(core.Config{
 		Seed:         seed,
-		MMWave:       true,
+		Topology:     core.TopoMMWaveLTE,
 		EEMInterval:  time.Second,
 		ObsRetention: 1 << 16,
 		// A deep transmit queue (128 vs the 64 default) keeps the buffer

@@ -25,7 +25,7 @@ import (
 func ObsDemo(seed int64, w io.Writer) error {
 	sys := core.NewSystem(core.Config{
 		Seed:        seed,
-		WithUser:    true,
+		Topology:    core.TopoKati,
 		EEMInterval: time.Second,
 		Wireless: netsim.LinkConfig{
 			Bandwidth: 2e6,

@@ -48,12 +48,12 @@ type ADiscardStats struct {
 }
 
 // adiscardInstances exposes per-stream state, keyed by forward key.
-var adiscardInstances = map[filter.Key]*adiscardInst{}
+var adiscardInstances instanceTable[adiscardInst]
 
 // ADiscardStatsFor returns the stats of the adaptive-discard instance
 // on k.
 func ADiscardStatsFor(k filter.Key) (ADiscardStats, bool) {
-	if inst, ok := adiscardInstances[k]; ok {
+	if inst, ok := adiscardInstances.get(k); ok {
 		st := inst.stats
 		st.CurrentMaxLayer = inst.maxLayer
 		return st, true
@@ -104,13 +104,13 @@ func (f *adiscard) New(env filter.Env, k filter.Key, args []string) error {
 		OnClose: func() {
 			inst.closed = true
 			inst.timer.Stop()
-			delete(adiscardInstances, k)
+			adiscardInstances.del(k)
 		},
 	})
 	if err != nil {
 		return err
 	}
-	adiscardInstances[k] = inst
+	adiscardInstances.put(k, inst)
 	inst.arm()
 	return nil
 }

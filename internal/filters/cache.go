@@ -77,11 +77,11 @@ type CacheStats struct {
 }
 
 // cacheInstances exposes per-stream stats, keyed by the request key.
-var cacheInstances = map[filter.Key]*cacheInst{}
+var cacheInstances instanceTable[cacheInst]
 
 // CacheStatsFor returns the stats of the cache instance on k.
 func CacheStatsFor(k filter.Key) (CacheStats, bool) {
-	if inst, ok := cacheInstances[k]; ok {
+	if inst, ok := cacheInstances.get(k); ok {
 		return inst.stats, true
 	}
 	return CacheStats{}, false
@@ -116,7 +116,7 @@ func (f *cacheFilter) New(env filter.Env, k filter.Key, args []string) error {
 		Filter: "cache", Priority: filter.Normal,
 		Out: inst.answerRequest,
 		OnClose: func() {
-			delete(cacheInstances, k)
+			cacheInstances.del(k)
 			detachRev()
 		},
 	})
@@ -124,7 +124,7 @@ func (f *cacheFilter) New(env filter.Env, k filter.Key, args []string) error {
 		detachRev()
 		return err
 	}
-	cacheInstances[k] = inst
+	cacheInstances.put(k, inst)
 	return nil
 }
 

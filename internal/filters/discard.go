@@ -33,11 +33,11 @@ type DiscardStats struct {
 }
 
 // discardInstances exposes per-stream stats, keyed by forward key.
-var discardInstances = map[filter.Key]*discardInst{}
+var discardInstances instanceTable[discardInst]
 
 // DiscardStatsFor returns the stats of the discard instance on k.
 func DiscardStatsFor(k filter.Key) (DiscardStats, bool) {
-	if inst, ok := discardInstances[k]; ok {
+	if inst, ok := discardInstances.get(k); ok {
 		return inst.stats, true
 	}
 	return DiscardStats{}, false
@@ -77,11 +77,11 @@ func (f *discard) New(env filter.Env, k filter.Key, args []string) error {
 			inst.stats.Passed++
 			inst.stats.BytesPassed += int64(len(p.Raw))
 		},
-		OnClose: func() { delete(discardInstances, k) },
+		OnClose: func() { discardInstances.del(k) },
 	})
 	if err != nil {
 		return err
 	}
-	discardInstances[k] = inst
+	discardInstances.put(k, inst)
 	return nil
 }

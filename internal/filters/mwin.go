@@ -311,23 +311,24 @@ func (m *mwinInst) SnapshotState() ([]byte, error) {
 	if m.active {
 		flags |= mwinFlagActive
 	}
-	return []byte{
-		flags,
-		byte(m.window >> 8), byte(m.window),
-		byte(m.lastAck >> 24), byte(m.lastAck >> 16), byte(m.lastAck >> 8), byte(m.lastAck),
-	}, nil
+	var w filter.StateWriter
+	w.U8(flags)
+	w.U16(m.window)
+	w.U32(m.lastAck)
+	return w.B, nil
 }
 
 // RestoreState implements filter.StateSnapshotter.
 func (m *mwinInst) RestoreState(b []byte) error {
-	if len(b) != 7 {
-		return fmt.Errorf("mwin: state needs 7 bytes, got %d", len(b))
+	r := filter.StateReader{B: b}
+	flags, window, lastAck := r.U8(), r.U16(), r.U32()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("mwin: restore: %w", err)
 	}
-	flags := b[0]
 	m.haveAck = flags&mwinFlagHaveAck != 0
 	m.active = flags&mwinFlagActive != 0
-	m.window = uint16(b[1])<<8 | uint16(b[2])
-	m.lastAck = uint32(b[3])<<24 | uint32(b[4])<<16 | uint32(b[5])<<8 | uint32(b[6])
+	m.window = window
+	m.lastAck = lastAck
 	m.ackedBytes = 0
 	return nil
 }

@@ -37,13 +37,13 @@ type SnoopStats struct {
 }
 
 // snoopInstances lets experiments retrieve per-stream stats; keyed by
-// the forward stream key. Single simulation goroutine — no locking.
-var snoopInstances = map[filter.Key]*snoopInst{}
+// the forward stream key.
+var snoopInstances instanceTable[snoopInst]
 
 // SnoopStatsFor returns the stats of the snoop instance on key k, if
 // any.
 func SnoopStatsFor(k filter.Key) (SnoopStats, bool) {
-	if inst, ok := snoopInstances[k]; ok {
+	if inst, ok := snoopInstances.get(k); ok {
 		return inst.stats, true
 	}
 	return SnoopStats{}, false
@@ -100,7 +100,7 @@ func (f *snoop) New(env filter.Env, k filter.Key, args []string) error {
 		OnClose: func() {
 			inst.closed = true
 			inst.timer.Stop()
-			delete(snoopInstances, k)
+			snoopInstances.del(k)
 			detachRev()
 		},
 	})
@@ -108,7 +108,7 @@ func (f *snoop) New(env filter.Env, k filter.Key, args []string) error {
 		detachRev()
 		return err
 	}
-	snoopInstances[k] = inst
+	snoopInstances.put(k, inst)
 	return nil
 }
 

@@ -169,7 +169,7 @@ const (
 // where no packet is traversing the queue.
 func (t *ttsfInst) SnapshotState() ([]byte, error) {
 	live := t.live()
-	var w stateWriter
+	var w filter.StateWriter
 	var flags byte
 	if t.started {
 		flags |= ttsfFlagStarted
@@ -183,62 +183,62 @@ func (t *ttsfInst) SnapshotState() ([]byte, error) {
 	if t.haveTemplate {
 		flags |= ttsfFlagTemplate
 	}
-	w.u8(flags)
-	w.u32(t.frontier)
-	w.i64(t.before(live, 0))
-	w.u32(t.mobileAckNew)
-	w.u32(t.maxAckFwd)
-	w.u32(t.tmplSeq)
-	w.u16(t.tmplWindow)
-	w.u32(uint32(t.tmplSrc))
-	w.u32(uint32(t.tmplDst))
-	w.i64(t.stats.Edits)
-	w.i64(t.stats.BytesIn)
-	w.i64(t.stats.BytesOut)
-	w.i64(t.stats.Reconstructed)
-	w.i64(t.stats.SynthesizedAcks)
-	w.i64(t.stats.Unreconstructable)
-	w.u32(uint32(len(live)))
+	w.U8(flags)
+	w.U32(t.frontier)
+	w.I64(t.before(live, 0))
+	w.U32(t.mobileAckNew)
+	w.U32(t.maxAckFwd)
+	w.U32(t.tmplSeq)
+	w.U16(t.tmplWindow)
+	w.U32(uint32(t.tmplSrc))
+	w.U32(uint32(t.tmplDst))
+	w.I64(t.stats.Edits)
+	w.I64(t.stats.BytesIn)
+	w.I64(t.stats.BytesOut)
+	w.I64(t.stats.Reconstructed)
+	w.I64(t.stats.SynthesizedAcks)
+	w.I64(t.stats.Unreconstructable)
+	w.U32(uint32(len(live)))
 	for i := range live {
 		e := &live[i]
-		w.u32(e.origStart)
-		w.u32(e.origLen)
-		w.bytes(e.newBytes)
+		w.U32(e.origStart)
+		w.U32(e.origLen)
+		w.Bytes(e.newBytes)
 	}
-	return w.b, nil
+	return w.B, nil
 }
 
 // RestoreState implements filter.StateSnapshotter on a freshly
 // instantiated instance at the destination proxy.
 func (t *ttsfInst) RestoreState(b []byte) error {
-	r := stateReader{b: b}
-	flags := r.u8()
-	frontier := r.u32()
-	base := r.i64()
-	mobileAckNew := r.u32()
-	maxAckFwd := r.u32()
-	tmplSeq := r.u32()
-	tmplWindow := r.u16()
-	tmplSrc := ip.Addr(r.u32())
-	tmplDst := ip.Addr(r.u32())
+	r := filter.StateReader{B: b}
+	flags := r.U8()
+	frontier := r.U32()
+	base := r.I64()
+	mobileAckNew := r.U32()
+	maxAckFwd := r.U32()
+	tmplSeq := r.U32()
+	tmplWindow := r.U16()
+	tmplSrc := ip.Addr(r.U32())
+	tmplDst := ip.Addr(r.U32())
 	stats := TTSFStats{
-		Edits:             r.i64(),
-		BytesIn:           r.i64(),
-		BytesOut:          r.i64(),
-		Reconstructed:     r.i64(),
-		SynthesizedAcks:   r.i64(),
-		Unreconstructable: r.i64(),
+		Edits:             r.I64(),
+		BytesIn:           r.I64(),
+		BytesOut:          r.I64(),
+		Reconstructed:     r.I64(),
+		SynthesizedAcks:   r.I64(),
+		Unreconstructable: r.I64(),
 	}
-	n := int(r.u32())
+	n := int(r.U32())
 	var edits []edit
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err == nil; i++ {
 		edits = append(edits, edit{
-			origStart: r.u32(),
-			origLen:   r.u32(),
-			newBytes:  r.bytes(),
+			origStart: r.U32(),
+			origLen:   r.U32(),
+			newBytes:  r.Bytes(),
 		})
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("ttsf: restore: %w", err)
 	}
 	t.started = flags&ttsfFlagStarted != 0

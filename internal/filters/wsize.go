@@ -92,15 +92,19 @@ func (w *wsizeCapInst) out(p *filter.Packet) {
 // SnapshotState implements filter.StateSnapshotter: the clamp as two
 // big-endian bytes.
 func (w *wsizeCapInst) SnapshotState() ([]byte, error) {
-	return []byte{byte(w.capBytes >> 8), byte(w.capBytes)}, nil
+	var sw filter.StateWriter
+	sw.U16(w.capBytes)
+	return sw.B, nil
 }
 
 // RestoreState implements filter.StateSnapshotter.
 func (w *wsizeCapInst) RestoreState(b []byte) error {
-	if len(b) != 2 {
-		return fmt.Errorf("wsize: cap state needs 2 bytes, got %d", len(b))
+	r := filter.StateReader{B: b}
+	capBytes := r.U16()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("wsize: restore: %w", err)
 	}
-	w.capBytes = uint16(b[0])<<8 | uint16(b[1])
+	w.capBytes = capBytes
 	return nil
 }
 

@@ -27,13 +27,12 @@
 package migrate
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"repro/internal/filter"
-	"repro/internal/ip"
 	"repro/internal/proxy"
 )
 
@@ -60,39 +59,38 @@ var (
 
 // EncodeSnapshot serializes a stream export for the wire.
 func EncodeSnapshot(ex *proxy.StreamExport) ([]byte, error) {
-	b := make([]byte, 0, 256)
-	b = append(b, snapshotMagic[:]...)
-	b = append(b, SnapshotVersion)
-	b = appendKey(b, ex.Key)
-	b = binary.BigEndian.AppendUint64(b, uint64(ex.Pkts))
-	b = binary.BigEndian.AppendUint64(b, uint64(ex.Bytes))
-	b = binary.BigEndian.AppendUint64(b, uint64(ex.RevPkts))
-	b = binary.BigEndian.AppendUint64(b, uint64(ex.RevBytes))
+	w := filter.StateWriter{B: make([]byte, 0, 256)}
+	w.B = append(w.B, snapshotMagic[:]...)
+	w.U8(SnapshotVersion)
+	w.Key(ex.Key)
+	w.I64(ex.Pkts)
+	w.I64(ex.Bytes)
+	w.I64(ex.RevPkts)
+	w.I64(ex.RevBytes)
 	if len(ex.Bindings) > 0xffff || len(ex.States) > 0xffff {
 		return nil, fmt.Errorf("migrate: snapshot of %v has too many sections", ex.Key)
 	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(ex.Bindings)))
+	w.U16(uint16(len(ex.Bindings)))
 	for _, bd := range ex.Bindings {
-		b = appendString(b, bd.Filter)
-		b = appendKey(b, bd.Key)
+		w.String(bd.Filter)
+		w.Key(bd.Key)
 		if len(bd.Args) > 0xffff {
 			return nil, fmt.Errorf("migrate: binding %s has too many args", bd.Filter)
 		}
-		b = binary.BigEndian.AppendUint16(b, uint16(len(bd.Args)))
+		w.U16(uint16(len(bd.Args)))
 		for _, a := range bd.Args {
-			b = appendString(b, a)
+			w.String(a)
 		}
 	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(ex.States)))
+	w.U16(uint16(len(ex.States)))
 	for _, st := range ex.States {
-		b = appendString(b, st.Filter)
-		b = appendKey(b, st.Key)
-		b = binary.BigEndian.AppendUint16(b, st.Ordinal)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(st.State)))
-		b = append(b, st.State...)
+		w.String(st.Filter)
+		w.Key(st.Key)
+		w.U16(st.Ordinal)
+		w.Bytes(st.State)
 	}
-	sum := sha256.Sum256(b)
-	b = append(b, sum[:]...)
+	sum := sha256.Sum256(w.B)
+	b := append(w.B, sum[:]...)
 	if len(b) > MaxSnapshotSize {
 		return nil, fmt.Errorf("%w: %d bytes encoding %v", ErrOversize, len(b), ex.Key)
 	}
@@ -108,165 +106,48 @@ func DecodeSnapshot(b []byte) (*proxy.StreamExport, error) {
 		return nil, ErrTruncated
 	}
 	body, trailer := b[:len(b)-sha256.Size], b[len(b)-sha256.Size:]
-	if sum := sha256.Sum256(body); !bytesEqual(sum[:], trailer) {
+	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], trailer) {
 		return nil, ErrChecksum
 	}
-	r := &snapReader{b: body}
-	var magic [4]byte
-	copy(magic[:], r.take(4))
-	if r.err == nil && magic != snapshotMagic {
+	// The length check above covers magic and version.
+	if [4]byte(body[:4]) != snapshotMagic {
 		return nil, ErrBadMagic
 	}
-	if v := r.u8(); r.err == nil && v != SnapshotVersion {
+	if v := body[4]; v != SnapshotVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
+	r := &filter.StateReader{B: body[5:]}
 	ex := &proxy.StreamExport{}
-	ex.Key = r.key()
-	ex.Pkts = r.i64()
-	ex.Bytes = r.i64()
-	ex.RevPkts = r.i64()
-	ex.RevBytes = r.i64()
-	nb := int(r.u16())
-	for i := 0; i < nb && r.err == nil; i++ {
+	ex.Key = r.Key()
+	ex.Pkts = r.I64()
+	ex.Bytes = r.I64()
+	ex.RevPkts = r.I64()
+	ex.RevBytes = r.I64()
+	nb := int(r.U16())
+	for i := 0; i < nb && r.Err == nil; i++ {
 		var bd proxy.BindingExport
-		bd.Filter = r.str()
-		bd.Key = r.key()
-		na := int(r.u16())
-		for j := 0; j < na && r.err == nil; j++ {
-			bd.Args = append(bd.Args, r.str())
+		bd.Filter = r.String()
+		bd.Key = r.Key()
+		na := int(r.U16())
+		for j := 0; j < na && r.Err == nil; j++ {
+			bd.Args = append(bd.Args, r.String())
 		}
 		ex.Bindings = append(ex.Bindings, bd)
 	}
-	ns := int(r.u16())
-	for i := 0; i < ns && r.err == nil; i++ {
+	ns := int(r.U16())
+	for i := 0; i < ns && r.Err == nil; i++ {
 		var st proxy.FilterState
-		st.Filter = r.str()
-		st.Key = r.key()
-		st.Ordinal = r.u16()
-		st.State = r.blob()
+		st.Filter = r.String()
+		st.Key = r.Key()
+		st.Ordinal = r.U16()
+		st.State = r.Bytes()
 		ex.States = append(ex.States, st)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, ErrTruncated
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrTruncated, len(r.b))
+	if len(r.B) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrTruncated, len(r.B))
 	}
 	return ex, nil
-}
-
-func appendKey(b []byte, k filter.Key) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(k.SrcIP))
-	b = binary.BigEndian.AppendUint16(b, k.SrcPort)
-	b = binary.BigEndian.AppendUint32(b, uint32(k.DstIP))
-	b = binary.BigEndian.AppendUint16(b, k.DstPort)
-	return b
-}
-
-func appendString(b []byte, s string) []byte {
-	if len(s) > 0xffff {
-		s = s[:0xffff]
-	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// snapReader consumes snapshot fields with bounds checking: the first
-// short read latches err and later reads return zero values, so the
-// decoder parses straight-line and checks err once per section. Every
-// declared length is validated against the remaining buffer before any
-// allocation.
-type snapReader struct {
-	b   []byte
-	err error
-}
-
-func (r *snapReader) take(n int) []byte {
-	if r.err != nil || len(r.b) < n {
-		r.err = ErrTruncated
-		return nil
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *snapReader) u8() byte {
-	v := r.take(1)
-	if v == nil {
-		return 0
-	}
-	return v[0]
-}
-
-func (r *snapReader) u16() uint16 {
-	v := r.take(2)
-	if v == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(v)
-}
-
-func (r *snapReader) u32() uint32 {
-	v := r.take(4)
-	if v == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(v)
-}
-
-func (r *snapReader) i64() int64 {
-	v := r.take(8)
-	if v == nil {
-		return 0
-	}
-	return int64(binary.BigEndian.Uint64(v))
-}
-
-func (r *snapReader) key() filter.Key {
-	v := r.take(12)
-	if v == nil {
-		return filter.Key{}
-	}
-	return filter.Key{
-		SrcIP:   ip.Addr(binary.BigEndian.Uint32(v[0:4])),
-		SrcPort: binary.BigEndian.Uint16(v[4:6]),
-		DstIP:   ip.Addr(binary.BigEndian.Uint32(v[6:10])),
-		DstPort: binary.BigEndian.Uint16(v[10:12]),
-	}
-}
-
-func (r *snapReader) str() string {
-	n := int(r.u16())
-	v := r.take(n)
-	if v == nil {
-		return ""
-	}
-	return string(v)
-}
-
-func (r *snapReader) blob() []byte {
-	n := int(r.u32())
-	if n == 0 {
-		return nil
-	}
-	v := r.take(n)
-	if v == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, v)
-	return out
 }

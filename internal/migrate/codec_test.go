@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -69,7 +70,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-encode: %v", err)
 	}
-	if !bytesEqual(b, b2) {
+	if !bytes.Equal(b, b2) {
 		t.Fatalf("re-encode not canonical: %d vs %d bytes", len(b), len(b2))
 	}
 }
