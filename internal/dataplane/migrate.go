@@ -19,7 +19,7 @@ func (pl *Plane) ExtractStream(k filter.Key) (*proxy.StreamExport, error) {
 		ex  *proxy.StreamExport
 		err error
 	)
-	pl.doShard(ShardOf(k, pl.n), func(p *proxy.Proxy) { ex, err = p.ExtractStream(k) })
+	pl.exec.on(ShardOf(k, pl.n), func(p *proxy.Proxy) { ex, err = p.ExtractStream(k) })
 	pl.epoch.Add(1)
 	return ex, err
 }
@@ -29,7 +29,7 @@ func (pl *Plane) ExtractStream(k filter.Key) (*proxy.StreamExport, error) {
 // anything.
 func (pl *Plane) ValidateImport(ex *proxy.StreamExport) error {
 	var err error
-	pl.doShard(ShardOf(ex.Key, pl.n), func(p *proxy.Proxy) { err = p.ValidateImport(ex) })
+	pl.exec.on(ShardOf(ex.Key, pl.n), func(p *proxy.Proxy) { err = p.ValidateImport(ex) })
 	return err
 }
 
@@ -38,7 +38,7 @@ func (pl *Plane) ValidateImport(ex *proxy.StreamExport) error {
 // a failed restore leaves the plane unchanged.
 func (pl *Plane) RestoreStream(ex *proxy.StreamExport) error {
 	var err error
-	pl.doShard(ShardOf(ex.Key, pl.n), func(p *proxy.Proxy) {
+	pl.exec.on(ShardOf(ex.Key, pl.n), func(p *proxy.Proxy) {
 		err = p.ImportStream(ex)
 		if err != nil {
 			p.DropStream(ex.Key)
@@ -48,18 +48,10 @@ func (pl *Plane) RestoreStream(ex *proxy.StreamExport) error {
 	return err
 }
 
-// HasStream reports whether the plane owns stream k (live queue or
-// exact-key binding on the owning shard).
-func (pl *Plane) HasStream(k filter.Key) bool {
-	var ok bool
-	pl.doShard(ShardOf(k, pl.n), func(p *proxy.Proxy) { ok = p.HasStream(k) })
-	return ok
-}
-
 // StreamBindings counts the exact-key registrations bound to k or its
 // reverse on the owning shard — the migration ownership measure.
 func (pl *Plane) StreamBindings(k filter.Key) int {
 	var n int
-	pl.doShard(ShardOf(k, pl.n), func(p *proxy.Proxy) { n = p.StreamBindings(k) })
+	pl.exec.on(ShardOf(k, pl.n), func(p *proxy.Proxy) { n = p.StreamBindings(k) })
 	return n
 }

@@ -2,10 +2,8 @@ package dataplane
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,37 +13,23 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/proxy"
-	"repro/internal/sim"
 )
-
-// Sink receives each shard's interception output in concurrent mode,
-// one call per drained batch: out holds the surviving datagrams of
-// every packet in the batch, in interception order. The slice is the
-// shard's reusable delivery buffer — valid only until that shard's
-// next batch — so the sink must consume (forward, count, copy)
-// synchronously, exactly like netsim's hook contract. The referenced
-// buffers themselves are stable (see proxy.InterceptAppend).
-type Sink func(shard int, out [][]byte)
-
-// DefaultBatchSize is the number of packets accumulated per ring slot
-// when BatchSize is zero. Batching amortizes the per-slot handoff
-// (atomics, empty-transition wakeup, consumer park/unpark) over the
-// batch, which is what lets the concurrent plane scale with shards
-// instead of drowning in per-packet signaling.
-const DefaultBatchSize = 64
-
-// DefaultFlushInterval bounds how long a partial batch may sit in a
-// shard's open arena before the flush timer seals it, keeping latency
-// deterministic under trickle traffic.
-const DefaultFlushInterval = time.Millisecond
 
 // Plane is the sharded data plane: N proxy shards behind a
 // flow-steering dispatcher, plus the epoch/quiesce control plane that
 // keeps the telnet interface (and Kati behind it) working unchanged.
+// It holds what is the same however the shards run — steering, Command
+// routing, the typed control surface, stream migration, the merged
+// renderers, epoch and extensions — and reaches the shards' proxies
+// through exec, chosen once by the constructor.
 type Plane struct {
-	shards  []*proxy.Proxy
-	workers []*worker // nil in inline mode
-	n       int
+	shards []*proxy.Proxy
+	n      int
+
+	exec executor
+	// ring is exec on a NewConcurrent plane, nil otherwise: Dispatch
+	// calls the owning worker on the concrete type, not through exec.
+	ring *ringExec
 
 	// bus receives the single "proxy/command" event per control line.
 	bus *obs.Bus
@@ -55,28 +39,18 @@ type Plane struct {
 	// 1..E: the counter is bumped only after the quiesce barrier.
 	epoch atomic.Uint64
 
-	// flushStop/flushDone bracket the flush-timer goroutine that seals
-	// aged partial batches (concurrent mode, FlushInterval >= 0).
-	flushStop chan struct{}
-	flushDone chan struct{}
-
-	// watchdogTrips counts shard-stall detections (concurrent mode).
-	watchdogTrips atomic.Int64
-
 	// ext holds runtime-registered extension commands (e.g. the policy
 	// engine's "policy"), dispatched ahead of shard routing so they
 	// work at every shard count. Extension names are appended to the
 	// plane's help line.
 	ext map[string]func(args []string) string
-
-	closed bool
 }
 
-// NewInline builds a plane whose steering and interception run
-// synchronously on the caller's goroutine — inside the deterministic
-// simulator. It installs itself as node's packet hook. With shards=1
-// the plane is a transparent wrapper over today's proxy: same hook,
-// same events, same bytes.
+// NewInline builds a plane over inlineExec: steering, interception and
+// control all run synchronously on the caller's goroutine — inside the
+// deterministic simulator. It installs itself as node's packet hook.
+// With shards=1 the plane is a transparent wrapper over today's proxy:
+// same hook, same events, same bytes.
 func NewInline(node *netsim.Node, catalog *filter.Catalog, shards int) *Plane {
 	if shards < 1 {
 		shards = 1
@@ -85,109 +59,22 @@ func NewInline(node *netsim.Node, catalog *filter.Catalog, shards int) *Plane {
 	for i := 0; i < shards; i++ {
 		pl.shards = append(pl.shards, proxy.NewDetached(node, catalog))
 	}
+	pl.exec = inlineExec{pl.shards}
 	node.SetHook(pl.Hook)
 	return pl
 }
 
-// ConcurrentConfig shapes NewConcurrent.
-type ConcurrentConfig struct {
-	Shards  int
-	Catalog *filter.Catalog
-	// Seed seeds each shard's private scheduler (shard i gets
-	// Seed + i), so filters drawing randomness stay single-writer.
-	Seed int64
-	// RingSize bounds each shard's SPSC ring in batch slots (rounded
-	// up to a power of two; default 1024). The ring's capacity in
-	// packets is RingSize × BatchSize.
-	RingSize int
-	// BatchSize is the number of packets accumulated per ring slot
-	// (DefaultBatchSize when 0). 1 degenerates to the per-packet
-	// handoff of the pre-batching plane — every packet pays the full
-	// slot cost — and exists for comparison benchmarks and tests.
-	BatchSize int
-	// FlushInterval bounds how long a partial batch may wait in a
-	// shard's open arena before the flush timer seals it
-	// (DefaultFlushInterval when 0). Negative disables the timer:
-	// partial batches then move only at size, quiesce, Drain, or
-	// Close boundaries — tests use this for deterministic batching.
-	FlushInterval time.Duration
-	// Sink receives interception output; nil discards it.
-	Sink Sink
-}
-
-// NewConcurrent builds a plane with one goroutine per shard, each fed
-// whole batches through a bounded SPSC ring. Each shard owns a private
-// scheduler and node (filter timers never fire — this mode is for
-// throughput paths and stress tests, not the deterministic
-// experiments; see DESIGN.md).
+// NewConcurrent builds a plane over ringExec: one goroutine per shard,
+// each fed whole batches through a bounded SPSC ring by Dispatch. This
+// is the throughput path of the benchmark and the stress tests, not
+// the deterministic experiments: see ringExec for what it does not run.
 func NewConcurrent(cfg ConcurrentConfig) *Plane {
-	n := cfg.Shards
-	if n < 1 {
-		n = 1
-	}
-	size := cfg.RingSize
-	if size <= 0 {
-		size = 1024
-	}
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
-	pl := &Plane{n: n}
-	for i := 0; i < n; i++ {
-		s := sim.NewScheduler(cfg.Seed + int64(i))
-		net := netsim.New(s)
-		node := net.AddNode(fmt.Sprintf("shard%d", i))
-		w := &worker{
-			idx:      i,
-			prox:     proxy.NewDetached(node, cfg.Catalog),
-			ring:     newRing(size),
-			free:     newRing(size + 2), // every in-flight arena fits: ring slots + open + draining
-			sink:     cfg.Sink,
-			batchCap: batch,
-			open:     make([][]byte, 0, batch),
-			ctrl:     make(chan ctrlMsg, 4),
-			wake:     make(chan struct{}, 1),
-			stop:     make(chan struct{}),
-			done:     make(chan struct{}),
-		}
+	e := newRingExec(cfg)
+	pl := &Plane{n: len(e.workers), exec: e, ring: e}
+	for _, w := range e.workers {
 		pl.shards = append(pl.shards, w.prox)
-		pl.workers = append(pl.workers, w)
-	}
-	for _, w := range pl.workers {
-		go w.run()
-	}
-	interval := cfg.FlushInterval
-	if interval == 0 {
-		interval = DefaultFlushInterval
-	}
-	if interval > 0 {
-		pl.flushStop = make(chan struct{})
-		pl.flushDone = make(chan struct{})
-		go pl.flushLoop(interval)
 	}
 	return pl
-}
-
-// flushLoop is the partial-batch flush timer: every interval it seals
-// any open arena holding packets, bounding how long a packet can wait
-// for its batch to fill under trickle traffic.
-func (pl *Plane) flushLoop(interval time.Duration) {
-	defer close(pl.flushDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-pl.flushStop:
-			return
-		case <-t.C:
-			for _, w := range pl.workers {
-				if w.pending() {
-					w.flush()
-				}
-			}
-		}
-	}
 }
 
 // N returns the shard count.
@@ -196,18 +83,16 @@ func (pl *Plane) N() int { return pl.n }
 // Epoch returns the number of applied control-plane mutations.
 func (pl *Plane) Epoch() uint64 { return pl.epoch.Load() }
 
-// Shard exposes shard i's proxy. In concurrent mode only its atomic
+// Shard exposes shard i's proxy. On a concurrent plane only its atomic
 // surface (Stats, QueueCount, RegistrationCount) is safe to touch from
 // outside the shard goroutine.
 func (pl *Plane) Shard(i int) *proxy.Proxy { return pl.shards[i] }
 
-func (pl *Plane) inline() bool { return pl.workers == nil }
-
 // --- packet path -------------------------------------------------------------
 
-// Hook is the inline-mode node packet hook: steer, then run the owning
-// shard's interception synchronously. Allocation-free: SteerKey reads
-// the raw bytes in place and the shard reuses its emit list.
+// Hook is the inline plane's node packet hook: steer, then run the
+// owning shard's interception synchronously. Allocation-free: SteerKey
+// reads the raw bytes in place and the shard reuses its emit list.
 func (pl *Plane) Hook(raw []byte, in *netsim.Iface) [][]byte {
 	if pl.n == 1 {
 		return pl.shards[0].Intercept(raw, in)
@@ -215,273 +100,88 @@ func (pl *Plane) Hook(raw []byte, in *netsim.Iface) [][]byte {
 	return pl.shards[pl.steer(raw)].Intercept(raw, in)
 }
 
-// Dispatch steers raw into its shard's open batch arena (concurrent
-// mode). The packet reaches the shard when the arena fills to the
-// batch size, the flush timer fires, or a quiesce/Drain seals it. A
-// full ring applies backpressure: the producer wakes the consumer and
-// yields until a slot frees, so packets are delayed, never dropped.
+// Dispatch is the concurrent plane's packet entry: it steers raw into
+// its shard's open batch arena. The packet reaches the shard when the
+// arena fills to the batch size, the flush timer fires, or a
+// quiesce/Drain seals it. A full ring applies backpressure: the
+// producer wakes the consumer and yields until a slot frees, so
+// packets are delayed, never dropped.
 func (pl *Plane) Dispatch(raw []byte) {
-	pl.workers[pl.steer(raw)].enqueue(raw)
-}
-
-// DispatchBurst steers a burst of packets, paying the per-shard
-// producer lock once per run of consecutive same-shard packets — the
-// receive-burst idiom of DPDK-style planes, where packets arrive in
-// bursts that often share flows.
-func (pl *Plane) DispatchBurst(raws [][]byte) {
-	if len(raws) == 0 {
-		return
-	}
-	start, cur := 0, pl.steer(raws[0])
-	for i := 1; i < len(raws); i++ {
-		if si := pl.steer(raws[i]); si != cur {
-			pl.workers[cur].enqueueBurst(raws[start:i])
-			start, cur = i, si
-		}
-	}
-	pl.workers[cur].enqueueBurst(raws[start:])
+	pl.ring.workers[pl.steer(raw)].enqueue(raw)
 }
 
 // Flush seals every shard's open partial batch onto its ring. Drain
 // and the quiesce broadcast call it implicitly; tests running with the
 // flush timer disabled call it directly.
-func (pl *Plane) Flush() {
-	if pl.inline() {
-		return
-	}
-	for _, w := range pl.workers {
-		w.flush()
-	}
-}
+func (pl *Plane) Flush() { pl.exec.flush() }
 
 // Drain blocks until every open batch is sealed, every ring is empty,
 // and every shard has passed a batch boundary — all packets dispatched
 // before the call have been fully processed and delivered. The caller
 // must not dispatch concurrently.
-func (pl *Plane) Drain() {
-	if pl.inline() {
-		return
-	}
-	for _, w := range pl.workers {
-		w.flush()
-		for w.ring.len() > 0 {
-			w.wakeup()
-			runtime.Gosched()
-		}
-	}
-	pl.do(func(int, *proxy.Proxy) {}) // quiesce: in-flight batch completes
-}
+func (pl *Plane) Drain() { pl.exec.drain() }
 
 // Stalls returns the total dispatcher spins on full rings — a
 // backpressure indicator for sizing RingSize.
-func (pl *Plane) Stalls() int64 {
-	var t int64
-	for _, w := range pl.workers {
-		t += w.stalls.Load()
-	}
-	return t
-}
+func (pl *Plane) Stalls() int64 { return pl.exec.counters().stalls }
 
 // Batches returns the total batches drained across shards.
-func (pl *Plane) Batches() int64 {
-	var t int64
-	for _, w := range pl.workers {
-		t += w.batches.Load()
-	}
-	return t
-}
+func (pl *Plane) Batches() int64 { return pl.exec.counters().batches }
 
 // Wakeups returns the total wakeup signals sent to shard goroutines —
 // at most one per batch by construction. Batches()/Wakeups() is the
 // handoff amortization factor the batching exists to maximize.
-func (pl *Plane) Wakeups() int64 {
-	var t int64
-	for _, w := range pl.workers {
-		t += w.wakes.Load()
-	}
-	return t
-}
+func (pl *Plane) Wakeups() int64 { return pl.exec.counters().wakeups }
 
 // Close stops the shard goroutines after sealing open batches and
-// draining the rings. The plane must not be used afterwards. No-op in
-// inline mode.
-func (pl *Plane) Close() {
-	if pl.inline() || pl.closed {
-		return
-	}
-	pl.closed = true
-	if pl.flushStop != nil {
-		// Stop the flush timer first: a flush racing the workers'
-		// stop-drain could seal a batch after its ring was drained.
-		close(pl.flushStop)
-		<-pl.flushDone
-	}
-	for _, w := range pl.workers {
-		w.flush()
-		close(w.stop)
-		w.wakeup()
-	}
-	for _, w := range pl.workers {
-		<-w.done
-	}
-}
+// draining the rings. The plane must not be used afterwards.
+func (pl *Plane) Close() { pl.exec.close() }
 
 // --- shard watchdog ----------------------------------------------------------
 
-// StartWatchdog launches a wall-clock monitor over the concurrent
-// shards: a shard that holds backlog (ring batches or queued control
-// messages) across a full interval without making any progress is
-// flagged stalled, counted in WatchdogTrips, and nudged awake — which
-// also heals the one benign cause, a lost wakeup. Progress is the
-// worker's fine-grained counter — batch pickups, every packet inside a
-// batch, control executions — not completed batches: a shard grinding
-// through a large in-flight batch advances it packet by packet and is
-// never spuriously flagged just because no whole batch finished within
-// the interval. The flag clears on its own when the shard makes
-// progress again. Inline planes run on the caller's goroutine and
-// cannot stall independently, so the watchdog is a no-op there.
-// Returns a stop function (idempotent).
+// StartWatchdog launches a wall-clock monitor over the shard
+// goroutines: a shard holding backlog (ring batches or queued control
+// messages) that made no progress since the last look is nudged awake
+// — which heals the one benign cause, a lost wakeup — and at the
+// second such look in a row (stallLooks) is flagged stalled and counted
+// in WatchdogTrips. The flag clears when the shard makes progress
+// again. A plane that intercepts on its caller's goroutine has nothing
+// to watch. Returns a stop function (idempotent).
 func (pl *Plane) StartWatchdog(interval time.Duration) (stop func()) {
-	if pl.inline() {
-		return func() {}
-	}
-	if interval <= 0 {
-		interval = time.Second
-	}
-	stopCh := make(chan struct{})
-	var once sync.Once
-	last := make([]int64, len(pl.workers))
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-t.C:
-				for i, w := range pl.workers {
-					p := w.progress.Load()
-					backlog := w.ring.len() > 0 || len(w.ctrl) > 0
-					if backlog && p == last[i] {
-						if !w.stalled.Swap(true) {
-							pl.watchdogTrips.Add(1)
-						}
-						w.wakeup()
-					} else if p != last[i] || !backlog {
-						w.stalled.Store(false)
-					}
-					last[i] = p
-				}
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(stopCh) }) }
+	return pl.exec.startWatchdog(interval)
 }
 
 // StalledShards returns the indices currently flagged by the watchdog,
-// in order. Empty on a healthy (or inline) plane.
-func (pl *Plane) StalledShards() []int {
-	var out []int
-	for i, w := range pl.workers {
-		if w.stalled.Load() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// in order. Empty on a healthy plane.
+func (pl *Plane) StalledShards() []int { return pl.exec.stalledShards() }
 
 // WatchdogTrips returns the cumulative number of stall detections.
-func (pl *Plane) WatchdogTrips() int64 { return pl.watchdogTrips.Load() }
+func (pl *Plane) WatchdogTrips() int64 { return pl.exec.watchdogTrips() }
 
 // InjectStall wedges shard i's goroutine for d at its next batch
-// boundary — the fault-injection primitive the watchdog tests and the
-// chaos harness use. Fire-and-forget: the caller is not blocked for
-// the stall's duration. No-op in inline mode.
-func (pl *Plane) InjectStall(i int, d time.Duration) {
-	if pl.inline() {
-		return
-	}
-	pl.workers[i].send(ctrlMsg{fn: func(*proxy.Proxy) { time.Sleep(d) }})
-}
-
-// Processed returns shard i's count of fully intercepted packets.
-func (pl *Plane) Processed(i int) int64 {
-	if pl.inline() {
-		return pl.shards[i].Stats.Intercepted.Load()
-	}
-	return pl.workers[i].processed.Load()
-}
-
-// --- epoch/quiesce control protocol ------------------------------------------
-
-// do runs fn against every shard's proxy and returns when all have
-// finished. Inline: direct calls in shard order. Concurrent: each
-// shard's open partial batch is sealed first, then fn is executed by
-// the shard goroutine at a batch boundary — do is both the mutation
-// broadcast and the quiesce barrier, and a mutation can never land
-// mid-batch. The barrier is bounded: a worker reaches the next batch
-// boundary within at most one batch of packets. fn runs concurrently
-// across shards; it must not share unsynchronized state.
-func (pl *Plane) do(fn func(i int, p *proxy.Proxy)) {
-	if pl.inline() {
-		for i, s := range pl.shards {
-			fn(i, s)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(pl.workers))
-	for i, w := range pl.workers {
-		i := i
-		w.flush() // quiesce seals partial batches: no packet waits out a mutation in an open arena
-		w.send(ctrlMsg{fn: func(p *proxy.Proxy) { fn(i, p) }, done: &wg})
-	}
-	wg.Wait()
-}
-
-// doShard is do for a single shard.
-func (pl *Plane) doShard(i int, fn func(p *proxy.Proxy)) {
-	if pl.inline() {
-		fn(pl.shards[i])
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	pl.workers[i].flush()
-	pl.workers[i].send(ctrlMsg{fn: fn, done: &wg})
-	wg.Wait()
-}
-
-// mutate is do plus an epoch bump after the barrier.
-func (pl *Plane) mutate(fn func(i int, p *proxy.Proxy)) {
-	pl.do(fn)
-	pl.epoch.Add(1)
-}
+// boundary — the fault-injection primitive of the watchdog tests.
+// Fire-and-forget: the caller is not blocked for the stall's duration.
+func (pl *Plane) InjectStall(i int, d time.Duration) { pl.exec.injectStall(i, d) }
 
 // --- control plane -----------------------------------------------------------
 
+// mutate broadcasts fn under the quiesce barrier, then bumps the epoch.
+func (pl *Plane) mutate(fn func(i int, p *proxy.Proxy)) {
+	pl.exec.all(fn)
+	pl.epoch.Add(1)
+}
+
 // SetObs attaches the deployment bus and metrics registry to the plane
-// and every shard (inline mode only: shards in concurrent mode run on
-// private schedulers and must not share a scheduler-bound bus).
+// and every shard. The concurrent plane refuses (see ringExec).
 func (pl *Plane) SetObs(b *obs.Bus, r *obs.Registry) {
-	if !pl.inline() {
-		panic("dataplane: SetObs is inline-only (concurrent shards own private schedulers)")
-	}
+	pl.exec.setObs(b, r)
 	pl.bus = b
-	for _, s := range pl.shards {
-		s.SetObs(b, r)
-	}
 }
 
 // SetMetricSource forwards the execution-environment variable source
 // to every shard (filters are EEM clients, thesis ch. 6).
 func (pl *Plane) SetMetricSource(fn func(name string, index int) (float64, bool)) {
-	pl.do(func(_ int, p *proxy.Proxy) { p.SetMetricSource(fn) })
-}
-
-// SetLog forwards the diagnostic log sink to every shard.
-func (pl *Plane) SetLog(fn func(string)) {
-	pl.do(func(_ int, p *proxy.Proxy) { p.Log = fn })
+	pl.exec.all(func(_ int, p *proxy.Proxy) { p.SetMetricSource(fn) })
 }
 
 // FlushMatchCache recompiles every shard's registry match program. The
@@ -490,7 +190,7 @@ func (pl *Plane) SetLog(fn func(string)) {
 // observe a half-built program, and once the call returns every shard
 // answers from a program at least as new as the current registry.
 func (pl *Plane) FlushMatchCache() {
-	pl.do(func(_ int, p *proxy.Proxy) { p.FlushMatchCache() })
+	pl.exec.all(func(_ int, p *proxy.Proxy) { p.FlushMatchCache() })
 }
 
 // StatsSnapshot returns the exact merged counters across shards (each
@@ -503,15 +203,15 @@ func (pl *Plane) StatsSnapshot() proxy.StatsSnapshot {
 	return t
 }
 
-// RegisterMetrics exposes the plane's counters. With one inline shard
-// it delegates to the proxy so the "stats" table is byte-identical to
-// the unsharded deployment; otherwise it registers merged aggregates
-// plus per-shard breakdowns and the control epoch.
+// RegisterMetrics exposes the plane's counters: merged aggregates,
+// per-shard breakdowns and the control epoch, plus whatever rows the
+// executor adds (or, for one inline shard, the proxy's own table).
 func (pl *Plane) RegisterMetrics(r *obs.Registry, prefix string) {
-	if pl.n == 1 && pl.inline() {
-		pl.shards[0].RegisterMetrics(r, prefix)
-		return
-	}
+	pl.exec.registerMetrics(pl, r, prefix)
+}
+
+// registerMerged is the part of RegisterMetrics both executors share.
+func (pl *Plane) registerMerged(r *obs.Registry, prefix string) {
 	r.Counter(prefix+".intercepted", func() int64 { return pl.StatsSnapshot().Intercepted })
 	r.Counter(prefix+".filtered", func() int64 { return pl.StatsSnapshot().Filtered })
 	r.Counter(prefix+".dropped_by_filter", func() int64 { return pl.StatsSnapshot().DroppedByFilter })
@@ -543,13 +243,6 @@ func (pl *Plane) RegisterMetrics(r *obs.Registry, prefix string) {
 	})
 	r.Gauge(prefix+".shards", func() float64 { return float64(pl.n) })
 	r.Counter(prefix+".epoch", func() int64 { return int64(pl.Epoch()) })
-	if !pl.inline() {
-		r.Counter(prefix+".watchdog_trips", func() int64 { return pl.WatchdogTrips() })
-		r.Gauge(prefix+".stalled_shards", func() float64 { return float64(len(pl.StalledShards())) })
-		r.Counter(prefix+".batches", func() int64 { return pl.Batches() })
-		r.Counter(prefix+".wakeups", func() int64 { return pl.Wakeups() })
-		r.Counter(prefix+".ring_stalls", func() int64 { return pl.Stalls() })
-	}
 	for i, s := range pl.shards {
 		s := s
 		sp := fmt.Sprintf("%s.shard%d", prefix, i)
@@ -590,8 +283,8 @@ func (pl *Plane) extNames() []string {
 // registry/service mutations broadcast under the quiesce protocol,
 // report/streams/flows merge per-shard state, and shared-state queries
 // (stats, events, filters, services, help) answer from shard 0. One
-// inline shard is not a special case: do/doShard call it directly, and
-// the merged renderers are the ones the proxy's own handlers use.
+// inline shard is not a special case: its executor calls it directly,
+// and the merged renderers are the ones the proxy's own handlers use.
 func (pl *Plane) Command(line string) string {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
@@ -623,7 +316,7 @@ func (pl *Plane) Command(line string) string {
 				// packets (both directions steer identically), so route
 				// there instead of building ghost queues on every shard.
 				var out string
-				pl.doShard(ShardOf(k, pl.n), func(p *proxy.Proxy) { out = p.Exec(line) })
+				pl.exec.on(ShardOf(k, pl.n), func(p *proxy.Proxy) { out = p.Exec(line) })
 				pl.epoch.Add(1)
 				return out
 			}
@@ -654,7 +347,7 @@ func (pl *Plane) Command(line string) string {
 	default:
 		// Identical shared state on every shard — answer from shard 0.
 		var out string
-		pl.doShard(0, func(p *proxy.Proxy) { out = p.Exec(line) })
+		pl.exec.on(0, func(p *proxy.Proxy) { out = p.Exec(line) })
 		return out
 	}
 }
@@ -720,7 +413,7 @@ func (pl *Plane) keyed(k filter.Key, fn func(p *proxy.Proxy) error) error {
 		return pl.mutateErr(func(_ int, p *proxy.Proxy) error { return fn(p) })
 	}
 	var err error
-	pl.doShard(ShardOf(k, pl.n), func(p *proxy.Proxy) { err = fn(p) })
+	pl.exec.on(ShardOf(k, pl.n), func(p *proxy.Proxy) { err = fn(p) })
 	pl.epoch.Add(1)
 	return err
 }
@@ -749,7 +442,7 @@ func (pl *Plane) mergedReport(name string) string {
 		err   error
 	}
 	rs := make([]res, pl.n)
-	pl.do(func(i int, p *proxy.Proxy) {
+	pl.exec.all(func(i int, p *proxy.Proxy) {
 		rs[i].names, rs[i].per, rs[i].err = p.ReportData(name)
 	})
 	for _, r := range rs {
@@ -770,26 +463,12 @@ func (pl *Plane) mergedReport(name string) string {
 // sorted by key.
 func (pl *Plane) Streams() []proxy.StreamInfo {
 	rs := make([][]proxy.StreamInfo, pl.n)
-	pl.do(func(i int, p *proxy.Proxy) { rs[i] = p.Streams() })
+	pl.exec.all(func(i int, p *proxy.Proxy) { rs[i] = p.Streams() })
 	var out []proxy.StreamInfo
 	for _, r := range rs {
 		out = append(out, r...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
-	return out
-}
-
-// FlowRecords gathers every shard's flow records under the quiesce
-// barrier. Steering is direction-normalized, so each flow lives whole
-// on exactly one shard: concatenation is the complete merge, and the
-// renderer's total order makes the output independent of the layout.
-func (pl *Plane) FlowRecords() []flowlog.Record {
-	rs := make([][]flowlog.Record, pl.n)
-	pl.do(func(i int, p *proxy.Proxy) { rs[i] = p.AppendFlowRecords(nil) })
-	var out []flowlog.Record
-	for _, r := range rs {
-		out = append(out, r...)
-	}
 	return out
 }
 
@@ -802,8 +481,18 @@ func (pl *Plane) FlowStats() flowlog.StatsSnapshot {
 	return t
 }
 
+// mergedFlows gathers every shard's flow records under the quiesce
+// barrier. Steering is direction-normalized, so each flow lives whole
+// on exactly one shard: concatenation is the complete merge, and the
+// renderer's total order makes the output independent of the layout.
 func (pl *Plane) mergedFlows(n int) string {
-	return flowlog.Render(pl.FlowRecords(), n)
+	rs := make([][]flowlog.Record, pl.n)
+	pl.exec.all(func(i int, p *proxy.Proxy) { rs[i] = p.AppendFlowRecords(nil) })
+	var out []flowlog.Record
+	for _, r := range rs {
+		out = append(out, r...)
+	}
+	return flowlog.Render(out, n)
 }
 
 var _ proxy.Commander = (*Plane)(nil)

@@ -174,13 +174,8 @@ func TestBatchedControlVsTrafficRace(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		burst := make([][]byte, per)
-		for i := 0; i < bursts; i++ {
-			for j := range burst {
-				port := uint16(1000 + (i*per+j)%64)
-				burst[j] = mkSeg(t, port, uint32(1+i*per+j), []byte("batched race payload"))
-			}
-			pl.DispatchBurst(burst)
+		for i := 0; i < bursts*per; i++ {
+			pl.Dispatch(mkSeg(t, uint16(1000+i%64), uint32(1+i), []byte("batched race payload")))
 		}
 	}()
 

@@ -235,7 +235,7 @@ func TestPartialBatchFlushOnDrain(t *testing.T) {
 func TestWakeupOncePerBatch(t *testing.T) {
 	const batch = 8
 	pl := concurrentPlane(t, 1, batch, -1, nil)
-	w := pl.workers[0]
+	w := pl.ring.workers[0]
 
 	pl.InjectStall(0, 500*time.Millisecond)
 	// Wait until the worker picked the stall up: the ctrl queue
@@ -265,7 +265,7 @@ func TestWakeupOncePerBatch(t *testing.T) {
 		t.Fatalf("dispatching 3 full batches sent %d wakeups, want exactly 1", got)
 	}
 	pl.Drain()
-	if got := w.processed.Load(); got != 3*batch {
+	if got := w.prox.Stats.Intercepted.Load(); got != 3*batch {
 		t.Fatalf("processed %d packets, want %d", got, 3*batch)
 	}
 	if got := w.batches.Load(); got != 3 {
@@ -278,7 +278,7 @@ func TestWakeupOncePerBatch(t *testing.T) {
 func TestArenaRecycling(t *testing.T) {
 	const batch = 4
 	pl := concurrentPlane(t, 1, batch, -1, nil)
-	w := pl.workers[0]
+	w := pl.ring.workers[0]
 	// Prime: a few rounds populate the free ring.
 	for round := 0; round < 8; round++ {
 		for i := 0; i < batch; i++ {

@@ -1,0 +1,284 @@
+package dataplane
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/filter"
+	"repro/internal/netsim"
+	"repro/internal/obs"
+	"repro/internal/proxy"
+	"repro/internal/sim"
+)
+
+// Sink receives each shard's interception output on a concurrent
+// plane, one call per drained batch: out holds the surviving datagrams
+// of every packet in the batch, in interception order. The slice is
+// the shard's reusable delivery buffer — valid only until that shard's
+// next batch — so the sink must consume (forward, count, copy)
+// synchronously, exactly like netsim's hook contract. The referenced
+// buffers themselves are stable (see proxy.InterceptAppend).
+type Sink func(shard int, out [][]byte)
+
+// DefaultBatchSize is the number of packets accumulated per ring slot
+// when BatchSize is zero. Batching amortizes the per-slot handoff
+// (atomics, empty-transition wakeup, consumer park/unpark) over the
+// batch, which is what lets the concurrent plane scale with shards
+// instead of drowning in per-packet signaling.
+const DefaultBatchSize = 64
+
+// stallLooks is how many consecutive watchdog looks must find a shard
+// with backlog and an unchanged progress counter before it is flagged:
+// at one, a goroutine the OS kept off-CPU for an interval looks wedged.
+const stallLooks = 2
+
+// ConcurrentConfig shapes NewConcurrent.
+type ConcurrentConfig struct {
+	Shards  int
+	Catalog *filter.Catalog
+	// Seed seeds each shard's private scheduler (shard i gets
+	// Seed + i), so filters drawing randomness stay single-writer.
+	Seed int64
+	// RingSize bounds each shard's SPSC ring in batch slots (rounded
+	// up to a power of two; default 1024). The ring's capacity in
+	// packets is RingSize × BatchSize.
+	RingSize int
+	// BatchSize is the number of packets accumulated per ring slot
+	// (DefaultBatchSize when 0). 1 degenerates to the per-packet
+	// handoff of the pre-batching plane — every packet pays the full
+	// slot cost — and exists for comparison benchmarks and tests.
+	BatchSize int
+	// FlushInterval bounds how long a partial batch may wait in a
+	// shard's open arena before the flush timer seals it (1 ms when
+	// 0). Negative disables the timer: partial batches then move only
+	// at size, quiesce, Drain, or Close boundaries — tests use this
+	// for deterministic batching.
+	FlushInterval time.Duration
+	// Sink receives interception output; nil discards it.
+	Sink Sink
+}
+
+// ringExec is the concurrent executor: one goroutine per shard, each
+// fed whole batches through a bounded SPSC ring. A control operation
+// seals the shard's open arena, posts a ctrlMsg and waits for the
+// shard goroutine to run it at its next batch boundary, so it never
+// lands mid-batch and waits out at most one batch of packets.
+//
+// What it does not run: each shard owns a private scheduler nobody
+// advances, so filter timers never fire (FIN teardown, mwin's roll,
+// snoop's RTO, the flow log's idle sweep), and setObs refuses because
+// the event bus is bound to one scheduler.
+type ringExec struct {
+	workers []*worker
+
+	// flushStop/flushDone bracket the flush-timer goroutine that seals
+	// aged partial batches (FlushInterval >= 0).
+	flushStop chan struct{}
+	flushDone chan struct{}
+
+	trips  atomic.Int64 // shard-stall detections
+	closed bool
+}
+
+func newRingExec(cfg ConcurrentConfig) *ringExec {
+	n := cfg.Shards
+	if n < 1 {
+		n = 1
+	}
+	size := cfg.RingSize
+	if size <= 0 {
+		size = 1024
+	}
+	batch := cfg.BatchSize
+	if batch <= 0 {
+		batch = DefaultBatchSize
+	}
+	e := &ringExec{}
+	for i := 0; i < n; i++ {
+		s := sim.NewScheduler(cfg.Seed + int64(i))
+		net := netsim.New(s)
+		node := net.AddNode(fmt.Sprintf("shard%d", i))
+		e.workers = append(e.workers, &worker{
+			idx:      i,
+			prox:     proxy.NewDetached(node, cfg.Catalog),
+			ring:     newRing(size),
+			free:     newRing(size + 2), // every in-flight arena fits: ring slots + open + draining
+			sink:     cfg.Sink,
+			batchCap: batch,
+			open:     make([][]byte, 0, batch),
+			ctrl:     make(chan ctrlMsg, 4),
+			wake:     make(chan struct{}, 1),
+			stop:     make(chan struct{}),
+			done:     make(chan struct{}),
+		})
+	}
+	for _, w := range e.workers {
+		go w.run()
+	}
+	interval := cfg.FlushInterval
+	if interval == 0 {
+		interval = time.Millisecond
+	}
+	if interval > 0 {
+		e.flushStop = make(chan struct{})
+		e.flushDone = make(chan struct{})
+		go e.flushLoop(interval)
+	}
+	return e
+}
+
+// flushLoop is the partial-batch flush timer: every interval it seals
+// any open arena holding packets, bounding how long a packet can wait
+// for its batch to fill under trickle traffic.
+func (e *ringExec) flushLoop(interval time.Duration) {
+	defer close(e.flushDone)
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-e.flushStop:
+			return
+		case <-t.C:
+			e.flush()
+		}
+	}
+}
+
+func (e *ringExec) on(i int, fn func(p *proxy.Proxy)) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	e.workers[i].flush()
+	e.workers[i].send(ctrlMsg{fn: fn, done: &wg})
+	wg.Wait()
+}
+
+func (e *ringExec) all(fn func(i int, p *proxy.Proxy)) {
+	var wg sync.WaitGroup
+	wg.Add(len(e.workers))
+	for i, w := range e.workers {
+		i := i
+		w.flush() // quiesce seals partial batches: no packet waits out a mutation in an open arena
+		w.send(ctrlMsg{fn: func(p *proxy.Proxy) { fn(i, p) }, done: &wg})
+	}
+	wg.Wait()
+}
+
+func (e *ringExec) flush() {
+	for _, w := range e.workers {
+		w.flush()
+	}
+}
+
+func (e *ringExec) drain() {
+	for _, w := range e.workers {
+		w.flush()
+		for w.ring.len() > 0 {
+			w.wakeup()
+			runtime.Gosched()
+		}
+	}
+	e.all(func(int, *proxy.Proxy) {}) // quiesce: in-flight batch completes
+}
+
+func (e *ringExec) close() {
+	if e.closed {
+		return
+	}
+	e.closed = true
+	if e.flushStop != nil {
+		// Stop the flush timer first: a flush racing the workers'
+		// stop-drain could seal a batch after its ring was drained.
+		close(e.flushStop)
+		<-e.flushDone
+	}
+	for _, w := range e.workers {
+		w.flush()
+		close(w.stop)
+		w.wakeup()
+	}
+	for _, w := range e.workers {
+		<-w.done
+	}
+}
+
+func (*ringExec) setObs(*obs.Bus, *obs.Registry) {
+	panic("dataplane: SetObs is inline-only (concurrent shards own private schedulers)")
+}
+
+func (e *ringExec) registerMetrics(pl *Plane, r *obs.Registry, prefix string) {
+	pl.registerMerged(r, prefix)
+	r.Counter(prefix+".watchdog_trips", e.watchdogTrips)
+	r.Gauge(prefix+".stalled_shards", func() float64 { return float64(len(e.stalledShards())) })
+	r.Counter(prefix+".batches", func() int64 { return e.counters().batches })
+	r.Counter(prefix+".wakeups", func() int64 { return e.counters().wakeups })
+	r.Counter(prefix+".ring_stalls", func() int64 { return e.counters().stalls })
+}
+
+func (e *ringExec) counters() ringCounters {
+	var c ringCounters
+	for _, w := range e.workers {
+		c.stalls += w.stalls.Load()
+		c.batches += w.batches.Load()
+		c.wakeups += w.wakes.Load()
+	}
+	return c
+}
+
+// startWatchdog: progress is the worker's fine-grained counter — batch
+// pickups, every packet inside a batch, control executions — not
+// completed batches, so a shard grinding through a large in-flight
+// batch is never flagged for finishing none within the interval.
+func (e *ringExec) startWatchdog(interval time.Duration) (stop func()) {
+	if interval <= 0 {
+		interval = time.Second
+	}
+	stopCh := make(chan struct{})
+	last := make([]int64, len(e.workers))
+	idle := make([]int, len(e.workers)) // consecutive looks with backlog and no progress
+	go func() {
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-stopCh:
+				return
+			case <-t.C:
+				for i, w := range e.workers {
+					p := w.progress.Load()
+					backlog := w.ring.len() > 0 || len(w.ctrl) > 0
+					if backlog && p == last[i] {
+						idle[i]++
+						if idle[i] >= stallLooks && !w.stalled.Swap(true) {
+							e.trips.Add(1)
+						}
+						w.wakeup() // on the first look already: heals a lost wakeup
+					} else {
+						idle[i] = 0
+						w.stalled.Store(false)
+					}
+					last[i] = p
+				}
+			}
+		}
+	}()
+	return sync.OnceFunc(func() { close(stopCh) })
+}
+
+func (e *ringExec) stalledShards() []int {
+	var out []int
+	for i, w := range e.workers {
+		if w.stalled.Load() {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func (e *ringExec) watchdogTrips() int64 { return e.trips.Load() }
+
+func (e *ringExec) injectStall(i int, d time.Duration) {
+	e.workers[i].send(ctrlMsg{fn: func(*proxy.Proxy) { time.Sleep(d) }})
+}

@@ -6,16 +6,18 @@
 // shard, so per-stream packet order — the property TCP filters depend
 // on — is preserved while unrelated streams proceed in parallel.
 //
-// The plane runs in one of two modes:
+// Plane routes over one of two executors, chosen by its constructor
+// and by nothing else (exec.go):
 //
-//   - Inline (NewInline): steering and interception run synchronously
-//     on the caller's goroutine, inside the deterministic simulator.
-//     With one shard this is byte-for-byte today's proxy; with more it
-//     partitions state while keeping scheduler-ordered execution.
-//   - Concurrent (NewConcurrent): one goroutine per shard behind a
-//     bounded SPSC ring, for multi-core throughput outside the
-//     deterministic simulator (benchmarks, stress tests, future
-//     kernel-bypass backends).
+//   - inlineExec (NewInline): steering, interception and control run
+//     synchronously on the caller's goroutine, inside the deterministic
+//     simulator. With one shard this is byte-for-byte today's proxy;
+//     with more it partitions state while keeping scheduler-ordered
+//     execution.
+//   - ringExec (NewConcurrent): one goroutine per shard behind a
+//     bounded SPSC ring of packet batches, control delivered at batch
+//     boundaries, for multi-core throughput outside the simulator (the
+//     benchmark, stress tests). Filter timers do not fire there.
 package dataplane
 
 import "repro/internal/filter"
@@ -56,10 +58,10 @@ func ShardOf(k filter.Key, n int) int {
 	return int(Hash(k) % uint64(n))
 }
 
-// steer is the shared steering step of every packet entry point
-// (inline Hook, Dispatch, DispatchBurst): extract the stream key from
-// the raw bytes in place and hash it to the owning shard. Packets that
-// fail extraction go to shard 0.
+// steer is the shared steering step of both packet entry points (Hook,
+// Dispatch): extract the stream key from the raw bytes in place and
+// hash it to the owning shard. Packets that fail extraction go to
+// shard 0.
 func (pl *Plane) steer(raw []byte) int {
 	if pl.n == 1 {
 		return 0

@@ -63,8 +63,6 @@ type worker struct {
 	// empty→non-empty ring transition, i.e. at most one per batch.
 	wakes atomic.Int64
 
-	// processed counts packets fully intercepted.
-	processed atomic.Int64
 	// batches counts batches fully drained.
 	batches atomic.Int64
 	// progress advances on every unit of forward motion the shard
@@ -72,8 +70,8 @@ type worker struct {
 	// message — so the watchdog can tell a shard grinding through a
 	// large in-flight batch from a wedged one.
 	progress atomic.Int64
-	// stalled is the watchdog's verdict: backlog with no progress over
-	// a full observation interval. Cleared when progress resumes.
+	// stalled is the watchdog's verdict: backlog with no progress on
+	// stallLooks consecutive looks. Cleared when progress resumes.
 	stalled atomic.Bool
 }
 
@@ -104,21 +102,9 @@ func (w *worker) enqueue(raw []byte) {
 	w.mu.Unlock()
 }
 
-// enqueueBurst is enqueue for a run of packets already steered to this
-// shard, paying for the producer lock once per run.
-func (w *worker) enqueueBurst(raws [][]byte) {
-	w.mu.Lock()
-	for _, raw := range raws {
-		w.open = append(w.open, raw)
-		if len(w.open) >= w.batchCap {
-			w.flushLocked()
-		}
-	}
-	w.mu.Unlock()
-}
-
 // flush seals the open arena onto the ring even if partially filled —
 // the timer and quiesce path ("a partial batch never waits forever").
+// An empty arena is left alone.
 func (w *worker) flush() {
 	w.mu.Lock()
 	w.flushLocked()
@@ -152,14 +138,6 @@ func (w *worker) flushLocked() {
 		w.arenaAllocs.Add(1)
 		w.open = make([][]byte, 0, w.batchCap)
 	}
-}
-
-// pending reports whether the open arena holds unsealed packets.
-func (w *worker) pending() bool {
-	w.mu.Lock()
-	n := len(w.open)
-	w.mu.Unlock()
-	return n > 0
 }
 
 // run is the shard loop: control messages take priority over batches
@@ -212,7 +190,6 @@ func (w *worker) deliverBatch(b [][]byte) {
 	w.progress.Add(1)
 	for _, raw := range b {
 		w.out = w.prox.InterceptAppend(raw, nil, w.out)
-		w.processed.Add(1)
 		w.progress.Add(1)
 	}
 	if w.sink != nil && len(w.out) > 0 {

@@ -1,7 +1,7 @@
 // Package faults is the deterministic fault-injection plane: scripted
-// link flaps, asymmetric partitions, quality degradation, EEM server
-// crashes, and shard stalls, all driven off the simulation scheduler so
-// a fault script is part of the reproducible experiment — two runs with
+// link flaps, asymmetric partitions, quality degradation, and EEM
+// server crashes, all driven off the simulation scheduler so a fault
+// script is part of the reproducible experiment — two runs with
 // the same seed inject the same faults at the same virtual instants and
 // must produce byte-identical event logs.
 //
@@ -14,10 +14,8 @@
 package faults
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/dataplane"
 	"repro/internal/eem"
 	"repro/internal/migrate"
 	"repro/internal/netsim"
@@ -167,18 +165,5 @@ func (in *Injector) RestartMigration(name string, m *migrate.Manager, at time.Du
 	in.sched.After(at, func() {
 		m.Restart()
 		in.emit("migrate-restart", name)
-	})
-}
-
-// StallShard wedges one shard of a concurrent data plane for stall,
-// exercising the watchdog. The stall is fire-and-forget (the shard
-// goroutine sleeps; the injector is not blocked). On an inline plane
-// this is a no-op — inline shards run on the caller's goroutine and
-// cannot stall independently of it.
-func (in *Injector) StallShard(pl *dataplane.Plane, shard int, at, stall time.Duration) {
-	in.sched.After(at, func() {
-		in.emit("shard-stall", fmt.Sprintf("shard%d", shard),
-			obs.F("stall_ms", int(stall/time.Millisecond)))
-		pl.InjectStall(shard, stall)
 	})
 }

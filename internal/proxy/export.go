@@ -233,16 +233,6 @@ func (p *Proxy) findSnapshotter(name string, k filter.Key, ordinal uint16) *atta
 	return nil
 }
 
-// HasStream reports whether this proxy owns stream k: a live forward
-// filter queue or an exact-key registration in either direction.
-// Owning-goroutine only.
-func (p *Proxy) HasStream(k filter.Key) bool {
-	if _, ok := p.queues[k]; ok {
-		return true
-	}
-	return p.StreamBindings(k) > 0
-}
-
 // StreamBindings counts the exact-key registrations bound to k or its
 // reverse — the ownership measure the migration invariant checks (live
 // queues come and go with TCP connections; registrations persist).

@@ -93,8 +93,11 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if _, err := a.ExtractStream(k); err != nil {
 		t.Fatalf("extract: %v", err)
 	}
-	if a.StreamBindings(k) != 0 || a.HasStream(k) {
+	if a.StreamBindings(k) != 0 {
 		t.Fatal("source still owns the stream after extract")
+	}
+	if _, err := a.ExportStream(k); !errors.Is(err, proxy.ErrNoSuchStream) {
+		t.Fatalf("source still holds a queue for the stream after extract: %v", err)
 	}
 
 	// Import on B: filters auto-load from the catalog.
@@ -106,8 +109,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if got := b.StreamBindings(k); got != 3 {
 		t.Fatalf("destination has %d bindings, want 3", got)
 	}
-	if !b.HasStream(k) {
-		t.Fatal("destination does not own the stream")
+	if _, err := b.ExportStream(k); err != nil {
+		t.Fatalf("destination holds no queue for the stream: %v", err)
 	}
 	if len(snaps["B"]) != 2 {
 		t.Fatalf("destination instantiated %d snap instances, want 2", len(snaps["B"]))

@@ -612,11 +612,6 @@ func (p *Proxy) rebuildProgram() {
 // internals.
 func (p *Proxy) FlushMatchCache() { p.rebuildProgram() }
 
-// MatchProgramStats exposes the compiled program's shape (rule count,
-// equivalence classes, table entries, scan fallback). Owning-goroutine
-// only, like every registry accessor.
-func (p *Proxy) MatchProgramStats() classifier.Stats { return p.program().Stats() }
-
 // buildQueue instantiates every registered filter whose wild-card key
 // matches the new exact key (thesis: "a filter queue is built by
 // creating a new instantiation of each filter object in the stream
