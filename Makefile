@@ -32,14 +32,16 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Native fuzz targets, each for $(FUZZTIME): codec round-trip
-# stability and no-panic over the packet parsers, and the word-wise
-# checksum against its two-byte reference.
+# stability and no-panic over the packet parsers, the word-wise
+# checksum against its two-byte reference, and the strconv key renderer
+# against its fmt reference.
 fuzz:
 	$(GO) test ./internal/ip -fuzz FuzzIPParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ip -fuzz FuzzChecksum -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tcp -fuzz FuzzTCPParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filter -fuzz FuzzFilterParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filter -fuzz FuzzSteerKey -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/filter -fuzz FuzzKeyString -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataplane -fuzz FuzzSteer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/classifier -fuzz FuzzClassifierParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/migrate -fuzz FuzzMigrationSnapshotDecode -fuzztime $(FUZZTIME)
@@ -66,13 +68,16 @@ examples:
 # The repository benchmark is a module of its own, so `go build ./...`
 # and `go test ./...` never compile it: an internal rename could break
 # the yardstick unnoticed. Vet and test it, then run the two closed-loop
-# packet workloads for 2 s each — exit 0 means the 2^16-packet
-# verification pass and the counter checks held (edit-bulk: every
-# checksum, payload, remapped sequence number and translated ACK).
+# packet workloads and the flow-lifecycle workload for 2 s each — exit 0
+# means the 2^16-packet verification pass and the counter checks held
+# (edit-bulk: every checksum, payload, remapped sequence number and
+# translated ACK; churn: every flow closed in the flow log and no queue
+# left after the last clock advance, on recycled queues and instances).
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh --workload edit-bulk --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload fwd-small --seed 1 --seconds 2 --trace 0
+	bash benchmark/run.sh --workload churn --seed 1 --seconds 2 --trace 0
 
 verify: build test race vet fmt-check scenarios examples benchmark-check
 	@echo "verify: OK"

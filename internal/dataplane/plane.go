@@ -468,7 +468,7 @@ func (pl *Plane) Streams() []proxy.StreamInfo {
 	for _, r := range rs {
 		out = append(out, r...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
+	filter.SortByKey(out, func(si proxy.StreamInfo) filter.Key { return si.Key })
 	return out
 }
 

@@ -215,7 +215,7 @@ func TestSuperviseBackoffGrows(t *testing.T) {
 		if e.Subsys != "eem-client" || e.Kind != "redial-scheduled" {
 			continue
 		}
-		for _, f := range e.Fields {
+		for _, f := range e.Fields() {
 			if f.K == "attempt" {
 				attempts = append(attempts, len(attempts))
 			}

@@ -8,6 +8,7 @@ package filter
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,7 +72,60 @@ func (k Key) IsWild() bool {
 // String renders the key in the thesis's report format:
 // "11.11.10.99 7 -> 11.11.10.10 1169".
 func (k Key) String() string {
-	return fmt.Sprintf("%v %d -> %v %d", k.SrcIP, k.SrcPort, k.DstIP, k.DstPort)
+	var buf [len("255.255.255.255 65535 -> 255.255.255.255 65535")]byte
+	return string(k.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the report format of k to b. Every queue build and
+// teardown renders its key for the event bus; the buffer in String
+// stays on the stack, so the string itself is the only allocation.
+func (k Key) AppendTo(b []byte) []byte {
+	b = k.SrcIP.AppendTo(b)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(k.SrcPort), 10)
+	b = append(b, " -> "...)
+	b = k.DstIP.AppendTo(b)
+	b = append(b, ' ')
+	return strconv.AppendUint(b, uint64(k.DstPort), 10)
+}
+
+// SortByKey sorts s by the rendered text of each element's key: the
+// order every listing and teardown sequence has, and the one the
+// committed digests hold (it is not the numeric order: "10" sorts
+// before "9"). Each key is rendered once, where a comparator calling
+// String renders two per comparison.
+func SortByKey[T any](s []T, key func(T) Key) {
+	type row struct {
+		text string
+		v    T
+	}
+	rows := make([]row, len(s))
+	for i, v := range s {
+		rows[i] = row{key(v).String(), v}
+	}
+	slices.SortStableFunc(rows, func(a, b row) int { return strings.Compare(a.text, b.text) })
+	for i := range rows {
+		s[i] = rows[i].v
+	}
+}
+
+// SortKeys is SortByKey over the keys themselves.
+func SortKeys(keys []Key) { SortByKey(keys, func(k Key) Key { return k }) }
+
+// Spec is one parsed `filter[:arg[:arg...]]` entry, the syntax the
+// launcher's arguments and a service definition share.
+type Spec struct {
+	Name string
+	Args []string
+}
+
+// ParseSpec splits spec at its colons. Whoever instantiates the entry
+// per stream parses it once and keeps the result: Args is handed to
+// Factory.New as is, which (like a registration's arguments) must not
+// modify it.
+func ParseSpec(spec string) Spec {
+	parts := strings.Split(spec, ":")
+	return Spec{Name: parts[0], Args: parts[1:]}
 }
 
 // ParseKey parses the four whitespace-separated fields of a key as

@@ -2,7 +2,6 @@ package filters
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/filter"
 )
@@ -13,10 +12,15 @@ import (
 // its own arguments separated by colons, e.g.
 //
 //	add launcher 0.0.0.0 0 11.11.10.10 0 tcp wsize:cap:4096
-type launcher struct{}
+type launcher struct {
+	// specs holds each service spec parsed once, not once per stream:
+	// New sees the same few argument strings for every flow that
+	// matches its registrations.
+	specs map[string]filter.Spec
+}
 
 // NewLauncher returns the launcher filter factory.
-func NewLauncher() filter.Factory { return &launcher{} }
+func NewLauncher() filter.Factory { return &launcher{specs: make(map[string]filter.Spec)} }
 
 func (*launcher) Name() string              { return "launcher" }
 func (*launcher) Priority() filter.Priority { return filter.Highest }
@@ -33,10 +37,13 @@ func (f *launcher) New(env filter.Env, k filter.Key, args []string) error {
 		return fmt.Errorf("launcher: no services configured")
 	}
 	for _, spec := range args {
-		parts := strings.Split(spec, ":")
-		name, svcArgs := parts[0], parts[1:]
-		if err := sp.Spawn(name, k, svcArgs); err != nil {
-			return fmt.Errorf("launcher: spawn %s on %v: %w", name, k, err)
+		svc, ok := f.specs[spec]
+		if !ok {
+			svc = filter.ParseSpec(spec)
+			f.specs[spec] = svc
+		}
+		if err := sp.Spawn(svc.Name, k, svc.Args); err != nil {
+			return fmt.Errorf("launcher: spawn %s on %v: %w", svc.Name, k, err)
 		}
 	}
 	return nil

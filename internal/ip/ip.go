@@ -71,7 +71,21 @@ func MustParseAddr(s string) Addr {
 
 // String renders the address in dotted-quad form.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	var buf [len("255.255.255.255")]byte
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the dotted-quad form of a to b. Stream keys are
+// rendered once per bus event on the flow set-up and teardown path, so
+// this stays clear of fmt and of the allocator.
+func (a Addr) AppendTo(b []byte) []byte {
+	for shift := 24; shift >= 0; shift -= 8 {
+		b = strconv.AppendUint(b, uint64(byte(a>>shift)), 10)
+		if shift > 0 {
+			b = append(b, '.')
+		}
+	}
+	return b
 }
 
 // IsZero reports whether the address is the wildcard 0.0.0.0.

@@ -4,7 +4,12 @@
 // It has two halves. The event bus records structured records
 // (sim.Time, subsystem, kind, key, fields) in the exact order the
 // scheduler produced them, with ring-buffer retention and an optional
-// pcap-style packet-capture sink. The metrics registry unifies the
+// pcap-style packet-capture sink. An event holds its fields' values —
+// strings and tagged numbers, copied into the ring slot — and is
+// rendered when somebody reads it, so emitting costs the emitter its
+// key string and nothing in the bus; only a fmt.Stringer or a value of
+// a type F does not know is formatted at emission. The ring grows to
+// its retention as events arrive. The metrics registry unifies the
 // per-package counters (proxy.Stats, netsim.LinkStats/NodeStats, the
 // tcp MIB, eem.Server stats) behind named, snapshotable counters and
 // gauges rendered through internal/trace.
@@ -21,48 +26,99 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"repro/internal/sim"
 )
 
-// Field is one key=value pair attached to an event. Values are
-// formatted at emission time so records are immutable and rendering is
-// byte-stable.
+// Field is one key=value pair attached to an event. It holds the value
+// itself — a string or a tagged number — not its text: the text is
+// produced when somebody reads the event. The value is a copy, so a
+// record is as immutable as one that was formatted when it was emitted,
+// and rendering is byte-stable.
 type Field struct {
-	K, V string
+	K string
+
+	kind valueKind
+	num  uint64 // kindInt, kindUint, kindFloat (IEEE bits), kindBool, kindTime
+	str  string // kindString
 }
 
-// F builds a Field, formatting v deterministically. Supported value
-// types are the ones simulation state is made of; everything else goes
-// through %v (callers must ensure that is deterministic too — no maps,
-// no pointers).
+type valueKind uint8
+
+const (
+	kindString valueKind = iota
+	kindInt
+	kindUint
+	kindFloat
+	kindBool
+	kindTime
+)
+
+// F builds a Field. Supported value types are the ones simulation
+// state is made of; they are recorded as values. Everything else is
+// formatted here, at emission, because it may change afterwards: a
+// fmt.Stringer through String, the rest through %v (callers must
+// ensure that is deterministic too — no maps, no pointers).
 func F(k string, v any) Field {
-	var s string
+	f := Field{K: k}
 	switch x := v.(type) {
 	case string:
-		s = x
+		f.str = x
 	case int:
-		s = strconv.Itoa(x)
+		f.kind, f.num = kindInt, uint64(x)
 	case int64:
-		s = strconv.FormatInt(x, 10)
+		f.kind, f.num = kindInt, uint64(x)
 	case uint64:
-		s = strconv.FormatUint(x, 10)
+		f.kind, f.num = kindUint, x
 	case uint16:
-		s = strconv.FormatUint(uint64(x), 10)
+		f.kind, f.num = kindUint, uint64(x)
 	case bool:
-		s = strconv.FormatBool(x)
+		f.kind = kindBool
+		if x {
+			f.num = 1
+		}
 	case float64:
-		s = strconv.FormatFloat(x, 'g', -1, 64)
+		f.kind, f.num = kindFloat, math.Float64bits(x)
 	case sim.Time:
-		s = x.String()
+		f.kind, f.num = kindTime, uint64(x)
 	case fmt.Stringer:
-		s = x.String()
+		f.str = x.String()
 	default:
-		s = fmt.Sprintf("%v", v)
+		f.str = fmt.Sprintf("%v", v)
 	}
-	return Field{K: k, V: s}
+	return f
 }
+
+// appendValue appends the text of the field's value to b.
+func (f Field) appendValue(b []byte) []byte {
+	switch f.kind {
+	case kindInt:
+		return strconv.AppendInt(b, int64(f.num), 10)
+	case kindUint:
+		return strconv.AppendUint(b, f.num, 10)
+	case kindFloat:
+		return strconv.AppendFloat(b, math.Float64frombits(f.num), 'g', -1, 64)
+	case kindBool:
+		return strconv.AppendBool(b, f.num != 0)
+	case kindTime:
+		return append(b, sim.Time(f.num).String()...)
+	}
+	return append(b, f.str...)
+}
+
+// Value renders the field's value.
+func (f Field) Value() string {
+	if f.kind == kindString {
+		return f.str
+	}
+	return string(f.appendValue(nil))
+}
+
+// inlineFields is how many fields an Event holds in place; no emitter
+// in the tree passes more than four.
+const inlineFields = 4
 
 // Event is one structured observability record.
 type Event struct {
@@ -71,12 +127,35 @@ type Event struct {
 	Subsys string   // emitting subsystem: "proxy", "eem", "netsim", "tcp"
 	Kind   string   // event kind within the subsystem
 	Key    string   // primary key: stream key, session id, link name
-	Fields []Field  // ordered extra fields
+
+	// The ordered extra fields: the first inlineFields in place, so
+	// that recording an event copies values and allocates nothing, and
+	// any beyond that in more.
+	nInline int
+	inline  [inlineFields]Field
+	more    []Field
+}
+
+// setFields copies fields into the event.
+func (e *Event) setFields(fields []Field) {
+	e.nInline = copy(e.inline[:], fields)
+	for i := e.nInline; i < inlineFields; i++ {
+		e.inline[i] = Field{}
+	}
+	e.more = nil
+	if len(fields) > inlineFields {
+		e.more = append(e.more, fields[inlineFields:]...)
+	}
+}
+
+// Fields returns a copy of the event's ordered extra fields.
+func (e *Event) Fields() []Field {
+	return append(append([]Field(nil), e.inline[:e.nInline]...), e.more...)
 }
 
 // appendLine renders the event in the canonical tab-separated log
 // format: "time<TAB>subsys<TAB>kind<TAB>key<TAB>k=v k=v".
-func (e Event) appendLine(b []byte) []byte {
+func (e *Event) appendLine(b []byte) []byte {
 	b = append(b, e.At.String()...)
 	b = append(b, '\t')
 	b = append(b, e.Subsys...)
@@ -84,15 +163,15 @@ func (e Event) appendLine(b []byte) []byte {
 	b = append(b, e.Kind...)
 	b = append(b, '\t')
 	b = append(b, e.Key...)
-	for i, f := range e.Fields {
-		if i == 0 {
-			b = append(b, '\t')
-		} else {
-			b = append(b, ' ')
+	sep := byte('\t')
+	for _, fs := range [2][]Field{e.inline[:e.nInline], e.more} {
+		for i := range fs {
+			b = append(b, sep)
+			sep = ' '
+			b = append(b, fs[i].K...)
+			b = append(b, '=')
+			b = fs[i].appendValue(b)
 		}
-		b = append(b, f.K...)
-		b = append(b, '=')
-		b = append(b, f.V...)
 	}
 	return append(b, '\n')
 }
@@ -115,41 +194,58 @@ const DefaultRetention = 4096
 // component it lives on the scheduler's single thread (the realtime
 // driver funnels daemon access through DoSync).
 type Bus struct {
-	clock *sim.Scheduler
-	ring  []Event
-	next  int    // ring slot the next event lands in
-	total uint64 // events emitted over the bus's lifetime
+	clock     *sim.Scheduler
+	retention int
+	ring      []Event // grows to retention on demand, then wraps
+	next      int     // ring slot the next event lands in, once full
+	total     uint64  // events emitted over the bus's lifetime
 
 	capture      *Capture
 	tracePackets bool
 }
 
 // NewBus creates a bus stamping events with clock's virtual time and
-// retaining the last retention events (DefaultRetention if <= 0).
+// retaining the last retention events (DefaultRetention if <= 0). The
+// ring is not allocated here: most buses of a scenario sweep never see
+// a fraction of their retention.
 func NewBus(clock *sim.Scheduler, retention int) *Bus {
 	if retention <= 0 {
 		retention = DefaultRetention
 	}
-	return &Bus{clock: clock, ring: make([]Event, 0, retention)}
+	return &Bus{clock: clock, retention: retention}
 }
 
 // Enabled reports whether events emitted here are recorded.
 func (b *Bus) Enabled() bool { return b != nil }
 
-// Emit appends one event. Safe on a nil bus (no-op).
+// Emit appends one event. Safe on a nil bus (no-op). The fields are
+// copied into the ring slot, so the caller's argument slice does not
+// escape and the bus allocates only when the ring grows.
 func (b *Bus) Emit(subsys, kind, key string, fields ...Field) {
 	if b == nil {
 		return
 	}
-	e := Event{At: b.clock.Now(), Seq: b.total, Subsys: subsys, Kind: kind, Key: key, Fields: fields}
+	e := b.slot()
+	e.At, e.Seq, e.Subsys, e.Kind, e.Key = b.clock.Now(), b.total, subsys, kind, key
+	e.setFields(fields)
 	b.total++
-	if len(b.ring) < cap(b.ring) {
-		b.ring = append(b.ring, e)
-		b.next = len(b.ring) % cap(b.ring)
-		return
+}
+
+// slot returns the ring slot the next event lands in: a fresh one
+// until the ring holds retention events, the oldest one after.
+func (b *Bus) slot() *Event {
+	if len(b.ring) == b.retention {
+		e := &b.ring[b.next]
+		b.next = (b.next + 1) % b.retention
+		return e
 	}
-	b.ring[b.next] = e
-	b.next = (b.next + 1) % len(b.ring)
+	if len(b.ring) == cap(b.ring) {
+		grown := make([]Event, len(b.ring), min(max(2*cap(b.ring), 16), b.retention))
+		copy(grown, b.ring)
+		b.ring = grown
+	}
+	b.ring = b.ring[:len(b.ring)+1]
+	return &b.ring[len(b.ring)-1]
 }
 
 // SetCapture attaches a pcap-style packet sink fed by EmitPacket.
@@ -196,10 +292,7 @@ func (b *Bus) Events() []Event {
 		return nil
 	}
 	out := make([]Event, 0, len(b.ring))
-	if len(b.ring) < cap(b.ring) {
-		return append(out, b.ring...)
-	}
-	out = append(out, b.ring[b.next:]...)
+	out = append(out, b.ring[b.next:]...) // next stays 0 until the ring is full
 	return append(out, b.ring[:b.next]...)
 }
 
@@ -228,8 +321,8 @@ func (b *Bus) WriteLog(w io.Writer) error {
 		return err
 	}
 	var line []byte
-	for _, e := range evs {
-		line = e.appendLine(line[:0])
+	for i := range evs {
+		line = evs[i].appendLine(line[:0])
 		if _, err := w.Write(line); err != nil {
 			return err
 		}
@@ -245,8 +338,8 @@ func (b *Bus) Tail(n int) string {
 		evs = evs[len(evs)-n:]
 	}
 	var out []byte
-	for _, e := range evs {
-		out = e.appendLine(out)
+	for i := range evs {
+		out = evs[i].appendLine(out)
 	}
 	return string(out)
 }

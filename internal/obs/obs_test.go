@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/binary"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -49,9 +50,8 @@ func TestBusRingRetention(t *testing.T) {
 		t.Fatalf("retained = %d, want 4", len(evs))
 	}
 	for j, e := range evs {
-		want := Field{K: "i", V: string(rune('6' + j))}
-		if e.Fields[0] != want {
-			t.Fatalf("retained[%d] = %v, want i=%s", j, e.Fields[0], want.V)
+		if f := e.Fields(); len(f) != 1 || f[0].K != "i" || f[0].Value() != string(rune('6'+j)) {
+			t.Fatalf("retained[%d] = %v, want i=%d", j, f, 6+j)
 		}
 	}
 	// Count sees what is retained, matched on both subsystem and kind.
@@ -64,6 +64,82 @@ func TestBusRingRetention(t *testing.T) {
 	}
 	if got := strings.Count(b.Tail(0), "\n"); got != 4 {
 		t.Fatalf("Tail(0) lines = %d", got)
+	}
+}
+
+// mutableStringer changes what it prints, as live simulation state
+// behind a String method does.
+type mutableStringer struct{ s string }
+
+func (m *mutableStringer) String() string { return m.s }
+
+// TestEventLineIndependentOfWhenRendered: an event records values and
+// renders them when read, so its line must not depend on when that is —
+// at once, from a copy kept across ten thousand later emits and many
+// ring wraps, or from a ring that grew under it. Every type F knows is
+// held to the text strconv/fmt gave it at emission; the two fallbacks
+// (fmt.Stringer, %v) are formatted at emission, because what they print
+// can change afterwards.
+func TestEventLineIndependentOfWhenRendered(t *testing.T) {
+	str := &mutableStringer{"before"}
+	list := []int{1, 2}
+	emit := func(b *Bus) {
+		b.Emit("test", "types", "k",
+			F("s", "text"), F("i", -42), F("i64", int64(-1)<<62), F("u64", ^uint64(0)),
+			F("u16", uint16(65535)), F("t", true), F("f", false), F("fl", 0.1), F("big", 1e21),
+			F("at", sim.Time(1500*time.Millisecond)), F("str", str), F("v", list), F("empty", ""))
+	}
+	const want = "0s\ttest\ttypes\tk\ts=text i=-42 i64=-4611686018427387904 u64=18446744073709551615 " +
+		"u16=65535 t=true f=false fl=0.1 big=1e+21 at=1.5s str=before v=[1 2] empty="
+
+	s := sim.NewScheduler(1)
+	small, large := NewBus(s, 64), NewBus(s, 1<<14)
+	emit(small)
+	emit(large)
+	kept := small.Events()[0]
+	if got := kept.String(); got != want {
+		t.Fatalf("rendered at once:\n got %q\nwant %q", got, want)
+	}
+	str.s, list[0] = "after", 9
+	for i := 0; i < 10000; i++ {
+		small.Emit("test", "filler", "k", F("i", i), F("s", "x"))
+		large.Emit("test", "filler", "k", F("i", i))
+	}
+	if got := kept.String(); got != want {
+		t.Fatalf("a copy rendered after the ring wrapped:\n got %q\nwant %q", got, want)
+	}
+	if evs := large.Events(); len(evs) != 10001 || evs[0].String() != want {
+		t.Fatalf("rendered from a ring that grew to %d events:\n got %q\nwant %q", len(evs), evs[0].String(), want)
+	}
+	if evs := small.Events(); len(evs) != 64 || evs[0].String() != "0s\ttest\tfiller\tk\ti=9936 s=x" {
+		t.Fatalf("wrapped ring: %d events, oldest %q", len(evs), evs[0].String())
+	}
+	if f := kept.Fields(); len(f) != 13 || f[1].K != "i" || f[1].Value() != "-42" || f[12].K != "empty" {
+		t.Fatalf("Fields() = %v", f)
+	}
+}
+
+// TestBusRingGrowsToRetention: the ring is allocated as events arrive,
+// and retention is what it was when the whole ring was made up front.
+func TestBusRingGrowsToRetention(t *testing.T) {
+	b := NewBus(sim.NewScheduler(1), 100)
+	if cap(b.ring) != 0 {
+		t.Fatalf("NewBus allocated a ring of %d", cap(b.ring))
+	}
+	for i := 0; i < 250; i++ {
+		b.Emit("x", "e", "k", F("i", i))
+		if cap(b.ring) > 100 {
+			t.Fatalf("ring capacity %d exceeds retention", cap(b.ring))
+		}
+	}
+	evs := b.Events()
+	if len(evs) != 100 || b.Total() != 250 {
+		t.Fatalf("retained %d of %d", len(evs), b.Total())
+	}
+	for j := range evs {
+		if evs[j].Seq != uint64(150+j) || evs[j].Fields()[0].Value() != strconv.Itoa(150+j) {
+			t.Fatalf("retained[%d] = %v", j, evs[j])
+		}
 	}
 }
 

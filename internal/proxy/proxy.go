@@ -3,10 +3,20 @@
 // wild-card keys bound to filters, per-stream filter queues with the
 // in/out priority discipline of Fig 5.2, filter accounting, and the
 // telnet-style command interface of §5.3.
+//
+// A stream's lifecycle — queue build at first sight, teardown by the tcp
+// filter's timer, a detach handle, a delete command or a quarantine —
+// recycles its structs: queues and attachments come off per-Proxy free
+// lists and go back at teardown, so a flow costs its two detach handles
+// and the key strings of its bus events (DESIGN.md, "Flow lifecycle
+// budget"). Every teardown path closes each attachment exactly once
+// and marks it detached first; a detach handle that outlives its
+// attachment does nothing.
 package proxy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -37,6 +47,11 @@ type attachment struct {
 	// the current interception.
 	strikes     int
 	quarantined bool
+
+	// q is the queue the attachment sits in; nil once it has been
+	// detached or its queue torn down, which is what makes a detach
+	// handle that outlives either a no-op.
+	q *queue
 }
 
 // queue is the double filter queue of one exact stream key: conceptually
@@ -134,6 +149,18 @@ type Proxy struct {
 	// flows is the per-shard flow-log accumulator: every parsed TCP
 	// segment folds into its flow record on the interception path.
 	flows *flowlog.Table
+
+	// freeQueues and freeAtts recycle what a stream's teardown leaves
+	// behind (a queue keeps its attached slice's capacity), so the next
+	// first-sight flow builds its queues without the allocator.
+	freeQueues filter.FreeList[queue]
+	freeAtts   filter.FreeList[attachment]
+
+	// running is the queue whose hooks InterceptAppend is iterating. A
+	// hook may detach itself or remove its own stream; what the
+	// iteration can still see is then neither edited in place nor
+	// recycled.
+	running *queue
 }
 
 // Stats counts packets through the interception module. The counters
@@ -285,63 +312,105 @@ func (p *Proxy) noteSizes() {
 func (p *Proxy) Clock() *sim.Scheduler { return p.node.Clock() }
 
 // Attach implements filter.Env: it splices hooks into the queue for
-// exact key k, creating the queue if necessary.
+// exact key k, creating the queue if necessary. The queue and the
+// attachment come off the proxy's free lists; the detach handle is the
+// one allocation, and it does nothing once the attachment is gone —
+// detached, or closed with its queue — whoever holds the struct now.
 func (p *Proxy) Attach(k filter.Key, h filter.Hooks) (func(), error) {
 	if k.IsWild() {
 		return nil, fmt.Errorf("proxy: cannot attach hooks to wild-card key %v", k)
 	}
 	q := p.queues[k]
 	if q == nil {
-		q = &queue{key: k}
+		if q = p.freeQueues.Get(); q == nil {
+			q = new(queue)
+		}
+		q.key = k
 		p.queues[k] = q
 		p.noteSizes()
 	}
-	a := &attachment{hooks: h, seq: p.seq}
+	a := p.freeAtts.Get()
+	if a == nil {
+		a = new(attachment)
+	}
+	seq := p.seq // never repeats, so it tells this use of a from the next
 	p.seq++
+	a.hooks, a.seq, a.q = h, seq, q
 	q.insert(a)
-	detached := false
 	return func() {
-		if detached {
-			return
+		if a.seq == seq && a.q != nil {
+			p.detach(a)
 		}
-		detached = true
-		p.detach(q, a)
 	}, nil
 }
 
-func (p *Proxy) detach(q *queue, a *attachment) {
-	for i, b := range q.attached {
-		if b == a {
-			q.attached = append(q.attached[:i], q.attached[i+1:]...)
-			if a.hooks.OnClose != nil {
-				a.hooks.OnClose()
-			}
-			break
-		}
+// detach removes one live attachment from its queue and closes it; the
+// queue goes with its last attachment.
+func (p *Proxy) detach(a *attachment) {
+	q := a.q
+	i := slices.Index(q.attached, a)
+	if q == p.running {
+		// The interception in progress keeps iterating the old array.
+		q.attached = append(slices.Clone(q.attached[:i]), q.attached[i+1:]...)
+	} else {
+		q.attached = slices.Delete(q.attached, i, i+1)
 	}
-	if len(q.attached) == 0 {
-		delete(p.queues, q.key)
-		p.noteSizes()
-		p.obs.Emit("proxy", "queue-teardown", q.key.String(),
-			obs.F("pkts", q.pkts), obs.F("bytes", q.bytes))
+	a.q = nil
+	if a.hooks.OnClose != nil {
+		a.hooks.OnClose()
+	}
+	p.recycle(q, a)
+	// OnClose may itself have emptied and dropped q.
+	if len(q.attached) == 0 && p.queues[q.key] == q {
+		p.dropQueue(q)
 	}
 }
 
 // RemoveStream implements filter.Env: tear down the queue for k.
 func (p *Proxy) RemoveStream(k filter.Key) {
-	q := p.queues[k]
-	if q == nil {
-		return
+	if q := p.queues[k]; q != nil {
+		p.dropQueue(q)
 	}
-	delete(p.queues, k)
+}
+
+// dropQueue tears a live queue down: out of the map, every attachment
+// still in it closed, the teardown event, and the pieces onto the free
+// lists. The attachments are marked detached before the first OnClose
+// runs, so a handle called from an OnClose (the forward side of ttsf,
+// wsize, snoop and cache detaches its reverse side) or at any time
+// later finds nothing to close a second time.
+func (p *Proxy) dropQueue(q *queue) {
+	delete(p.queues, q.key)
 	p.noteSizes()
+	for _, a := range q.attached {
+		a.q = nil
+	}
 	for _, a := range q.attached {
 		if a.hooks.OnClose != nil {
 			a.hooks.OnClose()
 		}
 	}
-	p.obs.Emit("proxy", "queue-teardown", k.String(),
+	p.obs.Emit("proxy", "queue-teardown", q.key.String(),
 		obs.F("pkts", q.pkts), obs.F("bytes", q.bytes))
+	if q == p.running {
+		return
+	}
+	p.recycle(q, q.attached...)
+	clear(q.attached)
+	*q = queue{attached: q.attached[:0]}
+	p.freeQueues.Put(q)
+}
+
+// recycle puts closed attachments of q on the free list, zeroed: no
+// strikes, not quarantined, no hooks.
+func (p *Proxy) recycle(q *queue, as ...*attachment) {
+	if q == p.running {
+		return
+	}
+	for _, a := range as {
+		*a = attachment{}
+		p.freeAtts.Put(a)
+	}
 }
 
 // Inject implements filter.Env: emit a raw datagram from the proxy.
@@ -451,6 +520,7 @@ func (p *Proxy) InterceptAppend(raw []byte, in *netsim.Iface, dst [][]byte) [][]
 
 	// In queue: descending priority (attached is already sorted that
 	// way). Read-only inspection.
+	p.running = q
 	for _, a := range q.attached {
 		if a.hooks.In != nil && !a.quarantined {
 			p.runHook(q, a, a.hooks.In, pkt)
@@ -463,6 +533,7 @@ func (p *Proxy) InterceptAppend(raw []byte, in *netsim.Iface, dst [][]byte) [][]
 			p.runHook(q, a, a.hooks.Out, pkt)
 		}
 	}
+	p.running = nil
 	if q.pendingQuarantine {
 		p.sweepQuarantined(q)
 	}
@@ -527,12 +598,7 @@ func (p *Proxy) noteHookPanic(q *queue, a *attachment, r any) {
 // filter and let it panic another QuarantineStrikes times per rebuild.
 func (p *Proxy) sweepQuarantined(q *queue) {
 	q.pendingQuarantine = false
-	kept := q.attached[:0]
-	for _, a := range q.attached {
-		if !a.quarantined {
-			kept = append(kept, a)
-			continue
-		}
+	for _, a := range q.take(func(a *attachment) bool { return a.quarantined }) {
 		p.Stats.FilterQuarantines.Add(1)
 		p.obs.Emit("proxy", "filter-quarantine", q.key.String(),
 			obs.F("filter", a.hooks.Filter), obs.F("strikes", a.strikes))
@@ -546,8 +612,28 @@ func (p *Proxy) sweepQuarantined(q *queue) {
 				a.hooks.OnClose()
 			}()
 		}
+		p.recycle(q, a)
 	}
+}
+
+// take removes from q every attachment pick selects and returns them in
+// queue order, marked detached. The caller closes them afterwards, when
+// the queue is whole again, so an OnClose that detaches another member
+// of q edits a consistent slice.
+func (q *queue) take(pick func(*attachment) bool) []*attachment {
+	var taken []*attachment
+	kept := q.attached[:0]
+	for _, a := range q.attached {
+		if pick(a) {
+			a.q = nil
+			taken = append(taken, a)
+		} else {
+			kept = append(kept, a)
+		}
+	}
+	clear(q.attached[len(kept):])
 	q.attached = kept
+	return taken
 }
 
 // matchesRegistry is the naive reference matcher: scan every
@@ -718,7 +804,7 @@ func (p *Proxy) AddFilter(name string, k filter.Key, args []string) error {
 			live = append(live, qk)
 		}
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].String() < live[j].String() })
+	filter.SortKeys(live)
 	for _, qk := range live {
 		if err := f.New(p, qk, args); err != nil {
 			return err
@@ -773,27 +859,22 @@ func (p *Proxy) removeAttachments(name string, match func(filter.Key) bool) int 
 			keys = append(keys, qk)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	filter.SortKeys(keys)
 	removed := 0
 	for _, qk := range keys {
 		q := p.queues[qk]
-		kept := q.attached[:0]
-		for _, a := range q.attached {
-			if a.hooks.Filter == name {
-				if a.hooks.OnClose != nil {
-					a.hooks.OnClose()
-				}
-				removed++
-				continue
-			}
-			kept = append(kept, a)
+		if q == nil {
+			continue // emptied by an OnClose run for an earlier key
 		}
-		q.attached = kept
-		if len(q.attached) == 0 {
-			delete(p.queues, qk)
-			p.noteSizes()
-			p.obs.Emit("proxy", "queue-teardown", qk.String(),
-				obs.F("pkts", q.pkts), obs.F("bytes", q.bytes))
+		for _, a := range q.take(func(a *attachment) bool { return a.hooks.Filter == name }) {
+			if a.hooks.OnClose != nil {
+				a.hooks.OnClose()
+			}
+			removed++
+			p.recycle(q, a)
+		}
+		if len(q.attached) == 0 && p.queues[qk] == q {
+			p.dropQueue(q)
 		}
 	}
 	return removed
@@ -888,7 +969,7 @@ func (p *Proxy) Streams() []StreamInfo {
 		}
 		out = append(out, si)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
+	filter.SortByKey(out, func(si StreamInfo) filter.Key { return si.Key })
 	return out
 }
 

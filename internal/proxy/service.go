@@ -17,8 +17,9 @@ import (
 
 // serviceDef is a named filter composition.
 type serviceDef struct {
-	name  string
-	specs []string
+	name   string
+	specs  []string
+	parsed []filter.Spec // specs, split once at definition
 }
 
 // DefineService registers (or replaces) a named composition. Every
@@ -30,16 +31,17 @@ func (p *Proxy) DefineService(name string, specs []string) error {
 	if _, clash := p.pool[name]; clash {
 		return fmt.Errorf("proxy: %q is a loaded filter, not a service name", name)
 	}
-	for _, spec := range specs {
-		fname := strings.SplitN(spec, ":", 2)[0]
-		if _, ok := p.pool[fname]; !ok {
-			return fmt.Errorf("proxy: service %q references unloaded filter %q", name, fname)
+	parsed := make([]filter.Spec, len(specs))
+	for i, spec := range specs {
+		parsed[i] = filter.ParseSpec(spec)
+		if _, ok := p.pool[parsed[i].Name]; !ok {
+			return fmt.Errorf("proxy: service %q references unloaded filter %q", name, parsed[i].Name)
 		}
 	}
 	if p.services == nil {
 		p.services = make(map[string]*serviceDef)
 	}
-	p.services[name] = &serviceDef{name: name, specs: specs}
+	p.services[name] = &serviceDef{name: name, specs: specs, parsed: parsed}
 	return nil
 }
 
@@ -75,9 +77,8 @@ func (p *Proxy) ServiceSpec(name string) ([]string, bool) {
 // applyService instantiates every filter of a service on the given
 // exact key, in spec order.
 func (p *Proxy) applyService(d *serviceDef, k filter.Key) error {
-	for _, spec := range d.specs {
-		parts := strings.Split(spec, ":")
-		if err := p.Spawn(parts[0], k, parts[1:]); err != nil {
+	for _, spec := range d.parsed {
+		if err := p.Spawn(spec.Name, k, spec.Args); err != nil {
 			return fmt.Errorf("proxy: service %s: %w", d.name, err)
 		}
 	}

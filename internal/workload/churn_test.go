@@ -127,6 +127,11 @@ func TestChurnDriveStats(t *testing.T) {
 // — and every one of them must be reclaimed once the FIN handshakes
 // age past the tcp filter's close grace. A leak here is the
 // million-flow memory cliff the registry redesign is meant to survive.
+// Three storms run on one system: the second and third are built from
+// the queues, attachments and tcp instances the one before gave back,
+// and must come out the same — every flow a queue pair, every pair
+// reclaimed, every flow closed in the flow log. (The free lists'
+// lengths are held in internal/proxy's TestFreeListsBoundedByLiveSet.)
 func TestChurnLauncherStorm(t *testing.T) {
 	sys := core.NewSystem(core.Config{Seed: 23})
 	sys.MustCommand("load tcp")
@@ -135,21 +140,27 @@ func TestChurnLauncherStorm(t *testing.T) {
 	hook := sys.ProxyHost.PacketHook()
 	in := sys.ProxyHost.Ifaces()[0]
 
-	const flows = 2000
 	c := workload.NewChurn(workload.ChurnConfig{DataPkts: 1, PayloadSize: 64})
-	st := c.Drive(flows, func(raw []byte) { hook(raw, in) })
-	if st.Flows != flows {
-		t.Fatalf("drove %d flows, want %d", st.Flows, flows)
-	}
-	// Mid-storm: every flow spawned a queue pair and the FIN teardowns
-	// are still inside the close grace, so the queues are live.
-	if got := sys.Proxy.QueueCount(); got == 0 {
-		t.Fatalf("no live queues after %d spawned flows", flows)
-	}
-	// Let simulated time pass the tcp filter's close grace: all
-	// scheduled removals fire and the proxy returns to empty.
-	sys.Sched.RunFor(30e9)
-	if got := sys.Proxy.QueueCount(); got != 0 {
-		t.Fatalf("%d queues leaked after close grace", got)
+	closed := 0
+	for storm, flows := range []int{2000, 3000, 1000} {
+		st := c.Drive(flows, func(raw []byte) { hook(raw, in) })
+		if st.Flows != flows {
+			t.Fatalf("storm %d: drove %d flows, want %d", storm, st.Flows, flows)
+		}
+		// Mid-storm: every flow spawned a queue pair and the FIN teardowns
+		// are still inside the close grace, so the queues are live.
+		if got := sys.Proxy.QueueCount(); got != int64(2*flows) {
+			t.Fatalf("storm %d: %d live queues after %d spawned flows, want %d", storm, got, flows, 2*flows)
+		}
+		// Let simulated time pass the tcp filter's close grace: all
+		// scheduled removals fire and the proxy returns to empty.
+		sys.Sched.RunFor(30e9)
+		if got := sys.Proxy.QueueCount(); got != 0 {
+			t.Fatalf("storm %d: %d queues leaked after close grace", storm, got)
+		}
+		closed += flows
+		if fs := sys.Proxy.FlowStats(); fs.Closed != int64(closed) || fs.Active != 0 {
+			t.Fatalf("storm %d: flow log has %d closed and %d active flows, want %d and 0", storm, fs.Closed, fs.Active, closed)
+		}
 	}
 }
