@@ -33,8 +33,9 @@ fmt-check:
 
 # Native fuzz targets, each for $(FUZZTIME): codec round-trip
 # stability and no-panic over the packet parsers, the word-wise
-# checksum against its two-byte reference, and the strconv key renderer
-# against its fmt reference.
+# checksum against its two-byte reference, the strconv key renderer
+# against its fmt reference, and the recycled scheduler against its
+# container/heap reference.
 fuzz:
 	$(GO) test ./internal/ip -fuzz FuzzIPParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ip -fuzz FuzzChecksum -fuzztime $(FUZZTIME)
@@ -45,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/dataplane -fuzz FuzzSteer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/classifier -fuzz FuzzClassifierParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/migrate -fuzz FuzzMigrationSnapshotDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -fuzz FuzzScheduler -fuzztime $(FUZZTIME)
 
 # The scripted-scenario gate: every row of experiments.Scenarios runs
 # twice at its gate seed under the race detector; the two outputs must
@@ -68,16 +70,19 @@ examples:
 # The repository benchmark is a module of its own, so `go build ./...`
 # and `go test ./...` never compile it: an internal rename could break
 # the yardstick unnoticed. Vet and test it, then run the two closed-loop
-# packet workloads and the flow-lifecycle workload for 2 s each — exit 0
-# means the 2^16-packet verification pass and the counter checks held
-# (edit-bulk: every checksum, payload, remapped sequence number and
-# translated ACK; churn: every flow closed in the flow log and no queue
-# left after the last clock advance, on recycled queues and instances).
+# packet workloads, the flow-lifecycle workload and the simulator suite
+# for 2 s each — exit 0 means the 2^16-packet verification pass and the
+# counter checks held (edit-bulk: every checksum, payload, remapped
+# sequence number and translated ACK; churn: every flow closed in the
+# flow log and no queue left after the last clock advance, on recycled
+# queues and instances; sim-suite: every iteration's output hashed as
+# the first did and no scenario failed, on recycled scheduler events).
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh --workload edit-bulk --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload fwd-small --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload churn --seed 1 --seconds 2 --trace 0
+	bash benchmark/run.sh --workload sim-suite --seed 1 --seconds 2 --trace 0
 
 verify: build test race vet fmt-check scenarios examples benchmark-check
 	@echo "verify: OK"

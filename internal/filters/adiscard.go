@@ -71,7 +71,7 @@ type adiscardInst struct {
 	lastOctets float64
 	lastSample sim.Time
 	haveSample bool
-	timer      *sim.Timer
+	timer      sim.Timer
 	closed     bool
 
 	stats ADiscardStats

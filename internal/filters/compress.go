@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 
 	"repro/internal/filter"
 	"repro/internal/tcp"
@@ -41,17 +42,21 @@ const (
 	tagCompressed = 0x01
 )
 
+// writers pools deflate writers by level (flate.HuffmanOnly..
+// BestCompression, offset by two). Building one costs several hundred
+// kilobytes of tables; Reset is documented to leave it in the state
+// NewWriter would, so a recycled writer frames byte-identical output.
+var writers [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool
+
+// readers pools inflaters, reset onto each frame through flate.Resetter.
+var readers sync.Pool
+
 // CompressPayload frames one payload, compressing when it helps.
 // Exported for the experiment harness and the decomp tests.
 func CompressPayload(payload []byte, level int) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(tagCompressed)
-	w, err := flate.NewWriter(&buf, level)
-	if err == nil {
-		if _, err = w.Write(payload); err == nil {
-			err = w.Close()
-		}
-	}
+	err := deflate(&buf, payload, level)
 	if err != nil || buf.Len() >= len(payload)+1 {
 		out := make([]byte, len(payload)+1)
 		out[0] = tagStored
@@ -61,6 +66,41 @@ func CompressPayload(payload []byte, level int) []byte {
 	out := make([]byte, buf.Len())
 	copy(out, buf.Bytes())
 	return out
+}
+
+// deflate compresses payload onto buf at level with a pooled writer.
+func deflate(buf *bytes.Buffer, payload []byte, level int) error {
+	if level < flate.HuffmanOnly || level > flate.BestCompression {
+		return fmt.Errorf("comp: bad level %d", level)
+	}
+	pool := &writers[level-flate.HuffmanOnly]
+	w, _ := pool.Get().(*flate.Writer)
+	if w == nil {
+		w, _ = flate.NewWriter(buf, level) // level is valid
+	} else {
+		w.Reset(buf)
+	}
+	_, err := w.Write(payload)
+	if err == nil {
+		err = w.Close()
+	}
+	pool.Put(w)
+	return err
+}
+
+// inflate decompresses a deflate stream with a pooled reader.
+func inflate(stream []byte) ([]byte, error) {
+	src := bytes.NewReader(stream)
+	r, _ := readers.Get().(io.ReadCloser)
+	if r == nil {
+		r = flate.NewReader(src)
+	} else if err := r.(flate.Resetter).Reset(src, nil); err != nil {
+		return nil, err
+	}
+	out, err := io.ReadAll(r)
+	r.Close()
+	readers.Put(r)
+	return out, err
 }
 
 // DecompressPayload inverts CompressPayload.
@@ -74,9 +114,7 @@ func DecompressPayload(framed []byte) ([]byte, error) {
 		copy(out, framed[1:])
 		return out, nil
 	case tagCompressed:
-		r := flate.NewReader(bytes.NewReader(framed[1:]))
-		defer r.Close()
-		out, err := io.ReadAll(r)
+		out, err := inflate(framed[1:])
 		if err != nil {
 			return nil, fmt.Errorf("comp: inflate: %w", err)
 		}

@@ -164,7 +164,7 @@ type mwinInst struct {
 	window uint16
 	active bool
 
-	timer  *sim.Timer
+	timer  sim.Timer
 	closed bool
 
 	// Counters for reports and experiments.

@@ -68,7 +68,7 @@ type snoopInst struct {
 
 	// Wireless RTT estimate for the local retransmission timer.
 	srtt         time.Duration
-	timer        *sim.Timer
+	timer        sim.Timer
 	timerBackoff uint // consecutive timer firings without progress
 	closed       bool
 

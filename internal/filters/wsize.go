@@ -136,7 +136,7 @@ type zwsmInst struct {
 	tmplAck      uint32 // mobile's cumulative ack — never advanced by us
 	tmplWindow   uint16
 	srcIP, dstIP ip.Addr
-	timer        *sim.Timer
+	timer        sim.Timer
 	closed       bool
 
 	// Stats for experiments.

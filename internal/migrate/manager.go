@@ -92,12 +92,12 @@ type journalEntry struct {
 type attempt struct {
 	conn    *tcp.Conn
 	retries int
-	timer   *sim.Timer
+	timer   sim.Timer
 }
 
 type pendingOffer struct {
 	ex    *proxy.StreamExport
-	timer *sim.Timer
+	timer sim.Timer
 }
 
 // Manager runs both halves of the migration protocol for one SP: it is
@@ -420,9 +420,7 @@ func (m *Manager) onPrepared(tx uint64) {
 	e.phase = phaseCommitted
 	if at := m.attempts[tx]; at != nil {
 		at.retries = m.cfg.CommitRetries
-		if at.timer != nil {
-			at.timer.Stop()
-		}
+		at.timer.Stop()
 	}
 	if m.takeFault("crash-post-commit") {
 		m.emit("fault", e.ex.Key.String(), obs.F("point", "crash-post-commit"))
@@ -499,9 +497,7 @@ func (m *Manager) finishAttempt(tx uint64) {
 		return
 	}
 	delete(m.attempts, tx)
-	if at.timer != nil {
-		at.timer.Stop()
-	}
+	at.timer.Stop()
 	if at.conn != nil {
 		at.conn.Close()
 	}
@@ -582,9 +578,7 @@ func (m *Manager) onCommit(c *tcp.Conn, tx uint64) {
 		return
 	}
 	delete(m.pending, tx)
-	if po.timer != nil {
-		po.timer.Stop()
-	}
+	po.timer.Stop()
 	if err := m.cfg.Plane.RestoreStream(po.ex); err != nil {
 		m.discarded[tx] = true
 		m.emit("install-failed", po.ex.Key.String(), obs.F("tx", txString(tx)), obs.F("err", err.Error()))
@@ -603,9 +597,7 @@ func (m *Manager) onAbort(tx uint64) {
 		return
 	}
 	delete(m.pending, tx)
-	if po.timer != nil {
-		po.timer.Stop()
-	}
+	po.timer.Stop()
 	m.discarded[tx] = true
 	m.emit("abort-rcvd", po.ex.Key.String(), obs.F("tx", txString(tx)))
 }

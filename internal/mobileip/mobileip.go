@@ -160,7 +160,7 @@ type ForeignAgent struct {
 	careOf  ip.Addr
 	mobiles map[ip.Addr]bool // mobiles currently visiting
 
-	advTimer *sim.Timer
+	advTimer sim.Timer
 
 	// Stats.
 	Decapsulated       int64

@@ -316,6 +316,8 @@ type Network struct {
 	// obs, when non-nil, receives link-level events (queue drops,
 	// losses, ARQ activity). Never touched on the lossless fast path.
 	obs *obs.Bus
+	// flights holds released arrival records for reuse.
+	flights []*flight
 }
 
 // SetObs attaches the observability bus to the whole network.
@@ -455,21 +457,31 @@ func (nd *Node) SetHook(h Hook) { nd.hook = h }
 func (nd *Node) PacketHook() Hook { return nd.hook }
 
 // SendIP builds and routes an IP datagram from this node's primary
-// address. It satisfies tcp.Network.
+// address.
 func (nd *Node) SendIP(dst ip.Addr, proto byte, payload []byte) {
 	nd.SendIPFrom(nd.Addr(), dst, proto, payload)
 }
 
 // SendIPFrom is SendIP with an explicit source address.
 func (nd *Node) SendIPFrom(src, dst ip.Addr, proto byte, payload []byte) {
+	datagram := make([]byte, ip.HeaderLen+len(payload))
+	copy(datagram[ip.HeaderLen:], payload)
+	nd.SendDatagram(src, dst, proto, datagram)
+}
+
+// SendDatagram routes a datagram whose first ip.HeaderLen bytes are
+// room for its IP header and whose rest is the payload: the header is
+// written into that room, so a transport that marshals its segment
+// behind it hands the network one buffer. The datagram is the
+// network's from then on. It satisfies tcp.Network.
+func (nd *Node) SendDatagram(src, dst ip.Addr, proto byte, datagram []byte) {
 	nd.ipID++
 	h := ip.Header{TTL: 64, Protocol: proto, ID: nd.ipID, Src: src, Dst: dst}
-	raw, err := h.Marshal(payload)
-	if err != nil {
+	if err := h.MarshalInto(datagram); err != nil {
 		return
 	}
 	nd.Stats.IPOutRequests++
-	nd.routePacket(raw, h.Dst, nil)
+	nd.routePacket(datagram, dst, nil)
 }
 
 // InjectPacket routes a pre-built raw IP datagram from this node. The
@@ -690,31 +702,68 @@ func (f *Iface) transmit(raw []byte) {
 	d.stats.Packets++
 	d.stats.Bytes += int64(len(raw))
 	d.stats.BusyTime += serialize
-	peer := f.peer()
 	delay := d.cfg.Delay
 	if d.cfg.Jitter > 0 {
 		delay += time.Duration(s.Rand().Int63n(int64(d.cfg.Jitter)))
 	}
-	arrive := d.nextFree.Add(delay)
-	pkt := raw // captured; callers must not mutate after transmit
-	s.At(d.nextFree, func() { d.queued-- })
-	s.At(arrive, func() {
-		if d.down || peer.link == nil {
-			return // link went down while in flight
-		}
-		if d.cfg.Loss.Drop(s.Rand(), len(pkt)) {
-			if d.cfg.ARQ != nil {
-				d.arqRecover(s, peer, pkt)
-				return
-			}
-			d.stats.Dropped++
-			if b := l.net.obs; b.Enabled() {
-				b.Emit("netsim", "loss", linkKey(peer), obs.F("len", len(pkt)))
-			}
+	// Two events a packet, in this order so same-instant ties break as
+	// they always have: the end of its serialisation (the direction
+	// itself) and its arrival at the peer (a recycled flight). The
+	// datagram is carried as is; callers must not mutate it after
+	// transmit.
+	s.Schedule(d.nextFree, d)
+	fl := l.net.flight()
+	fl.d, fl.peer, fl.pkt, fl.link = d, f.peer(), raw, l
+	s.Schedule(d.nextFree.Add(delay), fl)
+}
+
+// Fire ends one packet's serialisation: the direction is its own
+// serialisation-done event, so scheduling it allocates nothing.
+func (d *direction) Fire() { d.queued-- }
+
+// flight is one packet crossing a link direction: the arrival event
+// Iface.transmit schedules. Records are recycled on the Network.
+type flight struct {
+	d    *direction
+	peer *Iface
+	pkt  []byte
+	link *Link
+}
+
+// flight returns a cleared flight record, recycled when one is free.
+func (n *Network) flight() *flight {
+	if k := len(n.flights); k > 0 {
+		fl := n.flights[k-1]
+		n.flights = n.flights[:k-1]
+		return fl
+	}
+	return new(flight)
+}
+
+// Fire delivers the packet at the far end of the link, unless the
+// link went down while it was in flight or the loss model takes it.
+// The record goes back to the Network first, so the delivery's own
+// transmissions can reuse it.
+func (fl *flight) Fire() {
+	d, peer, pkt, l := fl.d, fl.peer, fl.pkt, fl.link
+	*fl = flight{}
+	l.net.flights = append(l.net.flights, fl)
+	if d.down || peer.link == nil {
+		return // link went down while in flight
+	}
+	s := l.net.sched
+	if d.cfg.Loss.Drop(s.Rand(), len(pkt)) {
+		if d.cfg.ARQ != nil {
+			d.arqRecover(s, peer, pkt)
 			return
 		}
-		d.stats.DeliveredPkts++
-		d.stats.DeliveredBytes += int64(len(pkt))
-		peer.node.receive(pkt, peer)
-	})
+		d.stats.Dropped++
+		if b := l.net.obs; b.Enabled() {
+			b.Emit("netsim", "loss", linkKey(peer), obs.F("len", len(pkt)))
+		}
+		return
+	}
+	d.stats.DeliveredPkts++
+	d.stats.DeliveredBytes += int64(len(pkt))
+	peer.node.receive(pkt, peer)
 }

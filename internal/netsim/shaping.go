@@ -180,7 +180,7 @@ type Blockage struct {
 	rng   *rand.Rand
 	nlos  bool
 	log   []Transition
-	timer *sim.Timer
+	timer sim.Timer
 	done  bool
 }
 
@@ -235,9 +235,7 @@ func (b *Blockage) Transitions() []Transition {
 // applied (restore explicitly with Shape if needed).
 func (b *Blockage) Stop() {
 	b.done = true
-	if b.timer != nil {
-		b.timer.Stop()
-	}
+	b.timer.Stop()
 }
 
 // TraceSegment is one segment of a replayable link trace: the shaping
@@ -272,7 +270,7 @@ type TracePlayer struct {
 	profile TraceProfile
 	loop    bool
 	log     []Transition
-	timer   *sim.Timer
+	timer   sim.Timer
 	done    bool
 }
 
@@ -330,7 +328,5 @@ func (tp *TracePlayer) Transitions() []Transition {
 // place.
 func (tp *TracePlayer) Stop() {
 	tp.done = true
-	if tp.timer != nil {
-		tp.timer.Stop()
-	}
+	tp.timer.Stop()
 }

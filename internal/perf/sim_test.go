@@ -1,0 +1,66 @@
+package perf
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/ip"
+	"repro/internal/netsim"
+	"repro/internal/sim"
+)
+
+// TestSchedulerEventZeroAlloc gates the recycled scheduler: with a
+// thousand far-future timers pending, scheduling one event and running
+// it takes a released record off the free list and puts it back, so in
+// steady state it allocates nothing.
+func TestSchedulerEventZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: run it on an uninstrumented binary")
+	}
+	s := sim.NewScheduler(1)
+	idle := func() {}
+	for i := 0; i < 1000; i++ {
+		s.After(time.Hour+time.Duration(i), idle)
+	}
+	fired := 0
+	fire := func() { fired++ }
+	if allocs := testing.AllocsPerRun(1000, func() {
+		s.After(time.Nanosecond, fire)
+		s.Step()
+	}); allocs != 0 {
+		t.Fatalf("After + Step allocates %.2f times per event, want 0", allocs)
+	}
+	if fired != 1001 || s.Pending() != 1000 {
+		t.Fatalf("fired %d events with %d pending, want 1001 with 1000", fired, s.Pending())
+	}
+}
+
+// TestNetsimHopOneAlloc gates the closure-free link hop: serialisation
+// and arrival are a direction and a recycled flight on recycled
+// scheduler records, so a datagram crossing a link allocates at most
+// once — the datagram itself.
+func TestNetsimHopOneAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: run it on an uninstrumented binary")
+	}
+	nw := netsim.New(sim.NewScheduler(1))
+	a, b := nw.AddNode("a"), nw.AddNode("b")
+	addrA, addrB := ip.MustParseAddr("10.9.0.1"), ip.MustParseAddr("10.9.0.2")
+	nw.Connect(a, addrA, b, addrB, netsim.LinkConfig{Bandwidth: 10e9})
+	const proto, burst = 253, 32
+	got := 0
+	b.RegisterProto(proto, func(ip.Header, []byte, []byte, *netsim.Iface) { got++ })
+	payload := pattern(64)
+	perRun := testing.AllocsPerRun(100, func() {
+		for i := 0; i < burst; i++ {
+			a.SendIP(addrB, proto, payload)
+		}
+		nw.Scheduler().Run()
+	})
+	if perHop := perRun / burst; perHop > 1 {
+		t.Fatalf("a link hop allocates %.2f times, want at most 1 (the datagram)", perHop)
+	}
+	if got != 101*burst {
+		t.Fatalf("%d datagrams delivered, want %d", got, 101*burst)
+	}
+}

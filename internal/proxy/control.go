@@ -234,11 +234,9 @@ const (
 func serveControlConn(stack *tcp.Stack, c *tcp.Conn, exec func(string) string) {
 	var buf []byte
 	clock := stack.Clock()
-	var idle *sim.Timer
+	var idle sim.Timer
 	armIdle := func() {
-		if idle != nil {
-			idle.Stop()
-		}
+		idle.Stop()
 		idle = clock.After(ControlIdleTimeout, func() { c.Abort() })
 	}
 	armIdle()
@@ -281,11 +279,7 @@ func serveControlConn(stack *tcp.Stack, c *tcp.Conn, exec func(string) string) {
 		}
 	}
 	c.OnRemoteClose = func() { c.Close() }
-	c.OnClose = func(error) {
-		if idle != nil {
-			idle.Stop()
-		}
-	}
+	c.OnClose = func(error) { idle.Stop() }
 }
 
 // ServeControl exposes the command interface on the given simulated

@@ -3,10 +3,24 @@
 // endpoints, the service proxy, the EEM) schedules work on a single
 // Scheduler, so whole-system experiments run repeatably and far faster
 // than real time.
+//
+// Events fire in (deadline, scheduling order): two events due at the
+// same instant run first-scheduled first. The scheduler owns its event
+// records — it keeps them on a free list and in a binary heap of its
+// own — so scheduling an event in steady state allocates nothing.
+//
+// A Timer is a value handle to one scheduled event: the scheduler, the
+// record, and the record's generation when it was scheduled. A record
+// is released — its callback cleared, its generation bumped, and the
+// record put back on the free list — when its event is stopped and
+// before its callback runs. From then on every handle to it is stale:
+// Active reports false and Stop does nothing and reports false, even
+// after the record has been reused for another event. A callback that
+// stops its own timer therefore stops nothing, and the zero Timer is a
+// stale handle to no event.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -29,73 +43,64 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // String formats the time as a duration from the simulation start.
 func (t Time) String() string { return Duration(t).String() }
 
-// event is a scheduled callback. seq breaks ties so events scheduled at
-// the same instant fire in scheduling order (deterministic FIFO).
+// Handler is what a scheduled event runs. A type whose pointer is a
+// Handler can be scheduled without a closure, and so without
+// allocating.
+type Handler interface{ Fire() }
+
+// fn adapts a plain function to Handler. A func value is a single
+// pointer, so the conversion to Handler does not allocate.
+type fn func()
+
+func (f fn) Fire() { f() }
+
+// event is a scheduler-owned record of one scheduled callback. seq
+// breaks ties so events scheduled at the same instant fire in
+// scheduling order (deterministic FIFO).
 type event struct {
-	at      Time
-	seq     uint64
-	fn      func()
-	stopped bool
-	index   int // heap index, -1 when popped
+	at    Time
+	seq   uint64
+	h     Handler
+	index int    // position in the heap while scheduled
+	gen   uint64 // bumped on every release; a Timer holds the value it was scheduled at
+	next  *event // free-list link while released
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+// before reports whether e fires ahead of o.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
 // Timer is a handle to a scheduled event. Stop cancels the event if it
-// has not yet fired.
+// has not yet fired. The zero Timer is inactive.
 type Timer struct {
-	ev *event
+	s   *Scheduler
+	e   *event
+	gen uint64
 }
 
-// Stop cancels the timer. It reports whether the call prevented the
-// event from firing.
-func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.stopped || t.ev.index == -1 {
+// Stop cancels the timer, removing its event from the scheduler at
+// once. It reports whether the call prevented the event from firing.
+func (t Timer) Stop() bool {
+	if !t.Active() {
 		return false
 	}
-	t.ev.stopped = true
+	t.s.remove(t.e.index)
+	t.s.release(t.e)
 	return true
 }
 
 // Active reports whether the timer is still pending.
-func (t *Timer) Active() bool {
-	return t != nil && t.ev != nil && !t.ev.stopped && t.ev.index != -1
-}
+func (t Timer) Active() bool { return t.e != nil && t.e.gen == t.gen }
 
 // Scheduler owns the virtual clock and the pending-event queue.
 // The zero value is not usable; call NewScheduler.
 type Scheduler struct {
-	now    Time
-	seq    uint64
-	events eventHeap
-	rng    *rand.Rand
+	now  Time
+	seq  uint64
+	heap []*event // binary min-heap ordered by event.before
+	free *event   // released records
+	rng  *rand.Rand
 }
 
 // NewScheduler returns a scheduler whose clock reads zero and whose
@@ -112,20 +117,31 @@ func (s *Scheduler) Now() Time { return s.now }
 // run is reproducible from its seed.
 func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 
-// At schedules fn to run at the absolute virtual time t. Scheduling in
-// the past panics: it indicates a logic error in the caller.
-func (s *Scheduler) At(t Time, fn func()) *Timer {
+// Schedule arranges for h.Fire to run at the absolute virtual time t.
+// Scheduling in the past panics: it indicates a logic error in the
+// caller.
+func (s *Scheduler) Schedule(t Time, h Handler) Timer {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
 	}
-	e := &event{at: t, seq: s.seq, fn: fn}
+	e := s.free
+	if e != nil {
+		s.free, e.next = e.next, nil
+	} else {
+		e = new(event)
+	}
+	e.at, e.seq, e.h = t, s.seq, h
 	s.seq++
-	heap.Push(&s.events, e)
-	return &Timer{ev: e}
+	s.heap = append(s.heap, e)
+	s.up(e, len(s.heap)-1)
+	return Timer{s: s, e: e, gen: e.gen}
 }
 
+// At schedules fn to run at the absolute virtual time t.
+func (s *Scheduler) At(t Time, f func()) Timer { return s.Schedule(t, fn(f)) }
+
 // After schedules fn to run d from now. Negative d is treated as zero.
-func (s *Scheduler) After(d Duration, fn func()) *Timer {
+func (s *Scheduler) After(d Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
@@ -135,36 +151,19 @@ func (s *Scheduler) After(d Duration, fn func()) *Timer {
 // Step runs the earliest pending event, advancing the clock to its
 // deadline. It reports whether an event ran.
 func (s *Scheduler) Step() bool {
-	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*event)
-		if e.stopped {
-			continue
-		}
-		s.now = e.at
-		e.fn()
-		return true
+	if len(s.heap) == 0 {
+		return false
 	}
-	return false
+	s.fireFirst()
+	return true
 }
 
-// RunUntil executes events in order until the queue is empty or the
-// next event lies after deadline. The clock is left at the later of its
-// current value and deadline... precisely: at the time of the last
-// event executed, then advanced to deadline.
+// RunUntil runs every event due at or before deadline, in order, then
+// leaves the clock at deadline — or where it was, if that is later.
+// Events the callbacks schedule inside the window run too.
 func (s *Scheduler) RunUntil(deadline Time) {
-	for len(s.events) > 0 {
-		// Peek; skip stopped events without advancing time.
-		e := s.events[0]
-		if e.stopped {
-			heap.Pop(&s.events)
-			continue
-		}
-		if e.at > deadline {
-			break
-		}
-		heap.Pop(&s.events)
-		s.now = e.at
-		e.fn()
+	for len(s.heap) > 0 && s.heap[0].at <= deadline {
+		s.fireFirst()
 	}
 	if s.now < deadline {
 		s.now = deadline
@@ -182,13 +181,82 @@ func (s *Scheduler) Run() {
 	}
 }
 
-// Pending returns the number of live (non-cancelled) events queued.
-func (s *Scheduler) Pending() int {
-	n := 0
-	for _, e := range s.events {
-		if !e.stopped {
-			n++
-		}
+// Pending returns the number of events queued. Stopped events leave
+// the queue when they are stopped, so every one of them is live.
+func (s *Scheduler) Pending() int { return len(s.heap) }
+
+// fireFirst takes the earliest event off the heap, advances the clock
+// to it, releases its record and runs its callback.
+func (s *Scheduler) fireFirst() {
+	e := s.heap[0]
+	s.remove(0)
+	s.now = e.at
+	h := e.h
+	s.release(e)
+	h.Fire()
+}
+
+// release clears e, invalidates every Timer that refers to it and puts
+// it on the free list.
+func (s *Scheduler) release(e *event) {
+	e.h = nil
+	e.gen++
+	e.next, s.free = s.free, e
+}
+
+// remove takes the event at heap position i out of the heap.
+func (s *Scheduler) remove(i int) {
+	n := len(s.heap) - 1
+	last := s.heap[n]
+	s.heap[n] = nil
+	s.heap = s.heap[:n]
+	if i == n {
+		return
 	}
-	return n
+	if i > 0 && last.before(s.heap[(i-1)/2]) {
+		s.up(last, i)
+	} else {
+		s.down(last, i)
+	}
+}
+
+// up places e at heap position i, then moves it toward the root past
+// every ancestor it fires before.
+func (s *Scheduler) up(e *event, i int) {
+	h := s.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = e
+	e.index = i
+}
+
+// down places e at heap position i, then moves it toward the leaves
+// past every child that fires before it.
+func (s *Scheduler) down(e *event, i int) {
+	h := s.heap
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = e
+	e.index = i
 }

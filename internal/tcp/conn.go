@@ -77,11 +77,15 @@ type Conn struct {
 	rttStart     sim.Time
 	backoff      uint
 
-	rtxTimer     *sim.Timer
-	persistTimer *sim.Timer
+	rtxTimer     sim.Timer
+	persistTimer sim.Timer
 	persistShift uint
 	probePending bool // a one-byte zero-window probe is outstanding
-	twTimer      *sim.Timer
+	twTimer      sim.Timer
+
+	// The timers' callbacks, bound once in newConn rather than on
+	// every arming.
+	onRTO, onPersist, onTimeWait func()
 
 	stats Stats
 }
@@ -102,6 +106,9 @@ func (s *Stack) newConn(t fourTuple) *Conn {
 		ssthresh: 64 * 1024,
 	}
 	c.cwnd = int(c.smss) * s.cfg.InitialCwndSegs
+	c.onRTO = c.onRetransmitTimeout
+	c.onPersist = c.persistProbe
+	c.onTimeWait = func() { c.teardown(nil) }
 	return c
 }
 
@@ -302,7 +309,7 @@ func (c *Conn) updatePersist() {
 		if d > c.stack.cfg.PersistMax {
 			d = c.stack.cfg.PersistMax
 		}
-		c.persistTimer = c.clock().After(d, c.persistProbe)
+		c.persistTimer = c.clock().After(d, c.onPersist)
 	} else {
 		c.persistTimer.Stop()
 		c.persistShift = 0
@@ -330,7 +337,6 @@ func (c *Conn) persistProbe() {
 	if c.persistShift < 16 {
 		c.persistShift++
 	}
-	c.persistTimer = nil
 	c.updatePersist()
 }
 
@@ -343,8 +349,7 @@ func (c *Conn) sendSegment(seg *Segment) {
 	if c.stack.OnSegment != nil {
 		c.stack.OnSegment(true, c.tuple.localAddr, c.tuple.remoteAddr, seg)
 	}
-	raw := seg.Marshal(c.tuple.localAddr, c.tuple.remoteAddr)
-	c.stack.net.SendIPFrom(c.tuple.localAddr, c.tuple.remoteAddr, ip.ProtoTCP, raw)
+	c.stack.send(c.tuple.localAddr, c.tuple.remoteAddr, seg)
 }
 
 // --- retransmission --------------------------------------------------------
@@ -357,7 +362,7 @@ func (c *Conn) armRetransmit() {
 	if d > c.stack.cfg.MaxRTO {
 		d = c.stack.cfg.MaxRTO
 	}
-	c.rtxTimer = c.clock().After(d, c.onRetransmitTimeout)
+	c.rtxTimer = c.clock().After(d, c.onRTO)
 }
 
 // onRetransmitTimeout implements the congestion response the thesis
@@ -365,7 +370,6 @@ func (c *Conn) armRetransmit() {
 // window collapses and the timeout backs off exponentially — exactly
 // the misbehaviour a wireless link provokes.
 func (c *Conn) onRetransmitTimeout() {
-	c.rtxTimer = nil
 	if c.state == StateClosed || c.state == StateTimeWait {
 		return
 	}
@@ -866,7 +870,7 @@ func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.rtxTimer.Stop()
 	c.persistTimer.Stop()
-	c.twTimer = c.clock().After(c.stack.cfg.TimeWait, func() { c.teardown(nil) })
+	c.twTimer = c.clock().After(c.stack.cfg.TimeWait, c.onTimeWait)
 }
 
 // teardown releases all connection state and fires OnClose.

@@ -42,13 +42,12 @@ func (s State) String() string {
 // Network is the IP service a Stack runs over: a host in the simulated
 // network (or any other packet carrier).
 type Network interface {
-	// SendIP emits an IP datagram with the given protocol and payload
-	// toward dst, using the host's primary address as source.
-	SendIP(dst ip.Addr, proto byte, payload []byte)
-	// SendIPFrom is SendIP with an explicit source address, needed on
-	// multi-homed hosts so segments leave with the address the
-	// connection is bound to.
-	SendIPFrom(src, dst ip.Addr, proto byte, payload []byte)
+	// SendDatagram emits an IP datagram from src to dst. Its first
+	// ip.HeaderLen bytes are room for the IP header, which the network
+	// writes in place; the rest is the protocol's payload. The source
+	// is explicit so that on multi-homed hosts segments leave with the
+	// address the connection is bound to.
+	SendDatagram(src, dst ip.Addr, proto byte, datagram []byte)
 	// Addr returns the host's primary IP address.
 	Addr() ip.Addr
 	// Clock returns the scheduler driving this host.
@@ -281,7 +280,14 @@ func (s *Stack) transmit(src, dst ip.Addr, seg *Segment) {
 	if s.OnSegment != nil {
 		s.OnSegment(true, src, dst, seg)
 	}
-	s.net.SendIPFrom(src, dst, ip.ProtoTCP, seg.Marshal(src, dst))
+	s.send(src, dst, seg)
+}
+
+// send marshals seg behind room for the IP header and hands the one
+// buffer to the network.
+func (s *Stack) send(src, dst ip.Addr, seg *Segment) {
+	datagram := make([]byte, ip.HeaderLen, ip.HeaderLen+seg.HeaderLength()+len(seg.Payload))
+	s.net.SendDatagram(src, dst, ip.ProtoTCP, seg.AppendMarshal(datagram, src, dst))
 }
 
 // ConnCount returns the number of live connections (tests).
