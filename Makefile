@@ -18,11 +18,11 @@ test:
 # The whole suite under the race detector; the concurrent plane's tests
 # in internal/dataplane are the bulk of what it can catch. The second
 # line repeats the scheduling-sensitive ones (wall-clock watchdog,
-# control against live traffic), so a flake shows up here, not in
-# somebody's unrelated PR.
+# control against live traffic, the idle worker's park handshake), so
+# a flake shows up here, not in somebody's unrelated PR.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'Watchdog|VsTrafficRace' ./internal/dataplane
+	$(GO) test -race -count=20 -run 'Watchdog|VsTrafficRace|NoStrandedPacket' ./internal/dataplane
 
 vet:
 	$(GO) vet ./...

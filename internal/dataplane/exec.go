@@ -21,8 +21,7 @@ type executor interface {
 	// across shards, so it must not share unsynchronized state.
 	all(fn func(i int, p *proxy.Proxy))
 
-	flush() // seal packets accepted but not yet handed to a shard
-	drain() // flush, then wait until every accepted packet is delivered
+	drain() // wait until every accepted packet is delivered
 	close() // drain and stop; idempotent
 
 	setObs(b *obs.Bus, r *obs.Registry)
@@ -40,7 +39,7 @@ type ringCounters struct{ stalls, batches, wakeups int64 }
 
 // inlineExec runs everything on the caller's goroutine, the only one
 // that intercepts (the simulator's): a direct call in shard order can
-// never meet a packet, there is nothing to seal or drain, and no shard
+// never meet a packet, there is nothing to drain, and no shard
 // can stall on its own.
 type inlineExec struct{ shards []*proxy.Proxy }
 
@@ -52,7 +51,6 @@ func (e inlineExec) all(fn func(i int, p *proxy.Proxy)) {
 	}
 }
 
-func (inlineExec) flush() {}
 func (inlineExec) drain() {}
 func (inlineExec) close() {}
 

@@ -101,19 +101,14 @@ func (pl *Plane) Hook(raw []byte, in *netsim.Iface) [][]byte {
 }
 
 // Dispatch is the concurrent plane's packet entry: it steers raw into
-// its shard's open batch arena. The packet reaches the shard when the
-// arena fills to the batch size, the flush timer fires, or a
-// quiesce/Drain seals it. A full ring applies backpressure: the
-// producer wakes the consumer and yields until a slot frees, so
-// packets are delayed, never dropped.
+// its shard's open batch arena. An idle shard takes the arena at once
+// (a parked one is woken by this packet); a busy one finds it sealed
+// at the batch size, or takes it partial when its ring runs dry. A full
+// ring applies backpressure: the producer wakes the consumer and
+// yields until a slot frees, so packets are delayed, never dropped.
 func (pl *Plane) Dispatch(raw []byte) {
 	pl.ring.workers[pl.steer(raw)].enqueue(raw)
 }
-
-// Flush seals every shard's open partial batch onto its ring. Drain
-// and the quiesce broadcast call it implicitly; tests running with the
-// flush timer disabled call it directly.
-func (pl *Plane) Flush() { pl.exec.flush() }
 
 // Drain blocks until every open batch is sealed, every ring is empty,
 // and every shard has passed a batch boundary — all packets dispatched

@@ -233,7 +233,7 @@ func runScriptConcurrent(t *testing.T, script []scriptStep, shards, batch int) s
 	res := scriptResult{perStream: make(map[filter.Key][][]byte)}
 	pl := dataplane.NewConcurrent(dataplane.ConcurrentConfig{
 		Shards: shards, Catalog: detCatalog(), Seed: 7, RingSize: 64,
-		BatchSize: batch, FlushInterval: -1,
+		BatchSize: batch,
 		Sink: func(_ int, out [][]byte) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -264,8 +264,8 @@ func runScriptConcurrent(t *testing.T, script []scriptStep, shards, batch int) s
 // TestBatchedEquivalentToInlineUnderControl is the batching tentpole's
 // equivalence property: for a random interleaving of traffic and
 // control-plane operations, the concurrent batched plane — at every
-// shard count and batch size, including partial batches sealed only at
-// quiesce boundaries — must emit exactly the inline plane's per-stream
+// shard count and batch size, including partial batches an idle worker
+// takes itself or a quiesce seals — must emit exactly the inline plane's per-stream
 // event log, and every control line must produce the same output.
 // Control mutations landing mid-batch, a stale negative-match cache
 // surviving an epoch, or a partial batch lost at a quiesce would all

@@ -1,7 +1,10 @@
 package dataplane_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -75,16 +78,6 @@ func TestControlVsTrafficRace(t *testing.T) {
 	}
 }
 
-// TestBatchedControlVsTrafficRace is the batching variant of the race
-// gate: full-rate burst traffic through small batches with the flush
-// timer armed (so timer flushes race dispatcher flushes on the
-// producer lock), while the control side swaps epochs with
-// library-wide load/remove cycles, fires exact-key mutations at the
-// owning shards, forces classifier recompiles, and injects
-// micro-stalls at batch boundaries with the watchdog running. The
-// race detector is the oracle for shard-state isolation; the final
-// count asserts no packet was lost in a partial batch across all the
-// quiesce points.
 // TestProgramSwapVsTrafficRace pins the ordering contract between
 // registry mutations and the compiled match program on the concurrent
 // plane: a mutation (or explicit FlushMatchCache) rides the
@@ -100,8 +93,8 @@ func TestProgramSwapVsTrafficRace(t *testing.T) {
 	var emitted atomic.Int64
 	pl := dataplane.NewConcurrent(dataplane.ConcurrentConfig{
 		Shards: 4, Catalog: cat, Seed: 13, RingSize: 64,
-		BatchSize: 16, FlushInterval: 200 * time.Microsecond,
-		Sink: func(_ int, out [][]byte) { emitted.Add(int64(len(out))) },
+		BatchSize: 16,
+		Sink:      func(_ int, out [][]byte) { emitted.Add(int64(len(out))) },
 	})
 	defer pl.Close()
 	stopDog := pl.StartWatchdog(5 * time.Millisecond)
@@ -158,12 +151,22 @@ func TestProgramSwapVsTrafficRace(t *testing.T) {
 	}
 }
 
+// TestBatchedControlVsTrafficRace is the batching variant of the race
+// gate: full-rate burst traffic through small batches (so idle workers
+// taking their open arenas race dispatcher seals on the producer lock),
+// while the control side swaps epochs with library-wide load/remove
+// cycles, fires exact-key mutations at the owning shards, forces
+// classifier recompiles, seals every open arena from a third goroutine
+// with wild-card commands, and injects micro-stalls at batch
+// boundaries with the watchdog running. The race detector is the
+// oracle for shard-state isolation; the final count asserts no packet
+// was lost in a partial batch across all the quiesce points.
 func TestBatchedControlVsTrafficRace(t *testing.T) {
 	cat := filter.NewCatalog()
 	filters.RegisterAll(cat)
 	pl := dataplane.NewConcurrent(dataplane.ConcurrentConfig{
 		Shards: 4, Catalog: cat, Seed: 11, RingSize: 64,
-		BatchSize: 16, FlushInterval: 200 * time.Microsecond,
+		BatchSize: 16,
 	})
 	defer pl.Close()
 	stopDog := pl.StartWatchdog(5 * time.Millisecond)
@@ -217,8 +220,92 @@ func TestBatchedControlVsTrafficRace(t *testing.T) {
 			pl.InjectStall(i%4, 100*time.Microsecond)
 			pl.Command("streams")
 		case 6:
-			pl.Flush()
+			pl.Command("delete rdrop 0.0.0.0 0 0.0.0.0 0")
 			pl.StatsSnapshot()
 		}
+	}
+}
+
+// TestParkHandshakeNoStrandedPacket races the producer's parked check
+// against the worker's poll, park and idle seal: bursts separated by
+// random gaps of 0–200 µs, so that packets land while the worker is
+// busy, polling, deciding to park and parked. No Drain and no Command
+// is issued — nothing but the handshake moves a packet — and every one
+// must reach the sink, in order per flow, before the deadline. The
+// RingSize 2 case fills the ring, so the producer holds the lock while
+// it spins and the worker must never wait for it. Dispatch runs on its
+// own goroutine, so a hang fails at the deadline too.
+func TestParkHandshakeNoStrandedPacket(t *testing.T) {
+	type tc struct{ shards, batch, ring int }
+	var cases []tc
+	for _, shards := range []int{1, 4} {
+		for _, batch := range []int{1, 7, 64} {
+			cases = append(cases, tc{shards, batch, 64})
+		}
+	}
+	cases = append(cases, tc{1, 1, 2})
+	for i, c := range cases {
+		t.Run(fmt.Sprintf("shards=%d/batch=%d/ring=%d", c.shards, c.batch, c.ring), func(t *testing.T) {
+			const flows, bursts = 16, 300
+			rng := rand.New(rand.NewSource(int64(i)))
+			var seq [flows]uint32
+			sched := make([][][]byte, bursts)
+			gaps := make([]time.Duration, bursts)
+			total := int64(0)
+			for b := range sched {
+				for n := 1 + rng.Intn(32); n > 0; n-- {
+					f := rng.Intn(flows)
+					seq[f]++
+					sched[b] = append(sched[b], mkSeg(t, uint16(1000+f), seq[f], nil))
+				}
+				total += int64(len(sched[b]))
+				gaps[b] = time.Duration(rng.Intn(200)) * time.Microsecond
+			}
+			var got, disorder atomic.Int64
+			var last [flows]uint32 // per flow, written only by its shard's goroutine
+			pl := dataplane.NewConcurrent(dataplane.ConcurrentConfig{
+				Shards: c.shards, Catalog: filter.NewCatalog(), Seed: 5, RingSize: c.ring, BatchSize: c.batch,
+				Sink: func(_ int, out [][]byte) {
+					for _, raw := range out {
+						// mkSeg's datagram: 20-byte IP header, then the
+						// TCP source port and sequence number.
+						f := binary.BigEndian.Uint16(raw[20:]) - 1000
+						seq := binary.BigEndian.Uint32(raw[24:])
+						if seq != last[f]+1 {
+							disorder.Add(1)
+						}
+						last[f] = seq
+					}
+					got.Add(int64(len(out)))
+				},
+			})
+			dispatched := make(chan struct{})
+			go func() {
+				defer close(dispatched)
+				for b, burst := range sched {
+					for _, raw := range burst {
+						pl.Dispatch(raw)
+					}
+					for start := time.Now(); time.Since(start) < gaps[b]; {
+						runtime.Gosched()
+					}
+				}
+			}()
+			// On failure the plane is left running: closing it could
+			// wait on the very hang being reported.
+			for deadline := time.Now().Add(5 * time.Second); got.Load() < total; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d packets stranded without a Drain", total-got.Load(), total)
+				}
+			}
+			<-dispatched
+			pl.Close()
+			if n := disorder.Load(); n != 0 {
+				t.Fatalf("%d packets delivered out of flow order", n)
+			}
+			if c.ring == 2 && pl.Stalls() == 0 {
+				t.Fatal("the producer never found the 2-slot ring full")
+			}
+		})
 	}
 }

@@ -23,11 +23,13 @@ import (
 // buffers themselves are stable (see proxy.InterceptAppend).
 type Sink func(shard int, out [][]byte)
 
-// DefaultBatchSize is the number of packets accumulated per ring slot
-// when BatchSize is zero. Batching amortizes the per-slot handoff
-// (atomics, empty-transition wakeup, consumer park/unpark) over the
-// batch, which is what lets the concurrent plane scale with shards
-// instead of drowning in per-packet signaling.
+// DefaultBatchSize is the most packets a ring slot holds when BatchSize
+// is zero. A shard that falls behind its producer finds full arenas
+// waiting and pays the per-slot handoff (atomics, empty-transition
+// wakeup, consumer park/unpark) once per 64 packets, which is what lets
+// the concurrent plane scale with shards instead of drowning in
+// per-packet signaling; a shard that keeps up takes each arena as it
+// stands, so the size bounds a batch without delaying a packet.
 const DefaultBatchSize = 64
 
 // stallLooks is how many consecutive watchdog looks must find a shard
@@ -46,23 +48,19 @@ type ConcurrentConfig struct {
 	// up to a power of two; default 1024). The ring's capacity in
 	// packets is RingSize × BatchSize.
 	RingSize int
-	// BatchSize is the number of packets accumulated per ring slot
-	// (DefaultBatchSize when 0). 1 degenerates to the per-packet
-	// handoff of the pre-batching plane — every packet pays the full
-	// slot cost — and exists for comparison benchmarks and tests.
+	// BatchSize caps the packets per ring slot (DefaultBatchSize when
+	// 0): the producer seals an arena when it fills. A partial arena
+	// needs no timer — the shard's worker takes it as soon as its ring
+	// is empty, and a parked worker is woken by the next packet. 1
+	// degenerates to the per-packet handoff of the pre-batching plane
+	// and exists for comparison benchmarks and tests.
 	BatchSize int
-	// FlushInterval bounds how long a partial batch may wait in a
-	// shard's open arena before the flush timer seals it (1 ms when
-	// 0). Negative disables the timer: partial batches then move only
-	// at size, quiesce, Drain, or Close boundaries — tests use this
-	// for deterministic batching.
-	FlushInterval time.Duration
 	// Sink receives interception output; nil discards it.
 	Sink Sink
 }
 
 // ringExec is the concurrent executor: one goroutine per shard, each
-// fed whole batches through a bounded SPSC ring. A control operation
+// fed batches through a bounded SPSC ring. A control operation
 // seals the shard's open arena, posts a ctrlMsg and waits for the
 // shard goroutine to run it at its next batch boundary, so it never
 // lands mid-batch and waits out at most one batch of packets.
@@ -73,11 +71,6 @@ type ConcurrentConfig struct {
 // the event bus is bound to one scheduler.
 type ringExec struct {
 	workers []*worker
-
-	// flushStop/flushDone bracket the flush-timer goroutine that seals
-	// aged partial batches (FlushInterval >= 0).
-	flushStop chan struct{}
-	flushDone chan struct{}
 
 	trips  atomic.Int64 // shard-stall detections
 	closed bool
@@ -101,11 +94,12 @@ func newRingExec(cfg ConcurrentConfig) *ringExec {
 		s := sim.NewScheduler(cfg.Seed + int64(i))
 		net := netsim.New(s)
 		node := net.AddNode(fmt.Sprintf("shard%d", i))
+		r := newRing(size)
 		e.workers = append(e.workers, &worker{
 			idx:      i,
 			prox:     proxy.NewDetached(node, cfg.Catalog),
-			ring:     newRing(size),
-			free:     newRing(size + 2), // every in-flight arena fits: ring slots + open + draining
+			ring:     r,
+			free:     newRing(len(r.slots) + 2), // every live arena fits: ring slots + open + draining
 			sink:     cfg.Sink,
 			batchCap: batch,
 			open:     make([][]byte, 0, batch),
@@ -118,33 +112,7 @@ func newRingExec(cfg ConcurrentConfig) *ringExec {
 	for _, w := range e.workers {
 		go w.run()
 	}
-	interval := cfg.FlushInterval
-	if interval == 0 {
-		interval = time.Millisecond
-	}
-	if interval > 0 {
-		e.flushStop = make(chan struct{})
-		e.flushDone = make(chan struct{})
-		go e.flushLoop(interval)
-	}
 	return e
-}
-
-// flushLoop is the partial-batch flush timer: every interval it seals
-// any open arena holding packets, bounding how long a packet can wait
-// for its batch to fill under trickle traffic.
-func (e *ringExec) flushLoop(interval time.Duration) {
-	defer close(e.flushDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-e.flushStop:
-			return
-		case <-t.C:
-			e.flush()
-		}
-	}
 }
 
 func (e *ringExec) on(i int, fn func(p *proxy.Proxy)) {
@@ -166,12 +134,6 @@ func (e *ringExec) all(fn func(i int, p *proxy.Proxy)) {
 	wg.Wait()
 }
 
-func (e *ringExec) flush() {
-	for _, w := range e.workers {
-		w.flush()
-	}
-}
-
 func (e *ringExec) drain() {
 	for _, w := range e.workers {
 		w.flush()
@@ -188,12 +150,6 @@ func (e *ringExec) close() {
 		return
 	}
 	e.closed = true
-	if e.flushStop != nil {
-		// Stop the flush timer first: a flush racing the workers'
-		// stop-drain could seal a batch after its ring was drained.
-		close(e.flushStop)
-		<-e.flushDone
-	}
 	for _, w := range e.workers {
 		w.flush()
 		close(w.stop)
@@ -231,6 +187,8 @@ func (e *ringExec) counters() ringCounters {
 // pickups, every packet inside a batch, control executions — not
 // completed batches, so a shard grinding through a large in-flight
 // batch is never flagged for finishing none within the interval.
+// Backlog counts the open arena too: packets a wedged worker never took
+// wait there, unsealed, until a quiesce.
 func (e *ringExec) startWatchdog(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = time.Second
@@ -248,7 +206,7 @@ func (e *ringExec) startWatchdog(interval time.Duration) (stop func()) {
 			case <-t.C:
 				for i, w := range e.workers {
 					p := w.progress.Load()
-					backlog := w.ring.len() > 0 || len(w.ctrl) > 0
+					backlog := w.ring.len() > 0 || len(w.ctrl) > 0 || w.openBacklog()
 					if backlog && p == last[i] {
 						idle[i]++
 						if idle[i] >= stallLooks && !w.stalled.Swap(true) {

@@ -11,7 +11,9 @@ import (
 
 // TestWatchdogDetectsInjectedStall wedges one shard of a concurrent
 // plane and checks the watchdog flags it while backlog accumulates,
-// then clears the flag once the shard resumes and drains.
+// then clears the flag once the shard resumes and drains. The 32
+// packets are fewer than a batch, so they wait unsealed in the open
+// arena: the watchdog has to count that as backlog.
 func TestWatchdogDetectsInjectedStall(t *testing.T) {
 	cat := filter.NewCatalog()
 	filters.RegisterAll(cat)
@@ -115,21 +117,26 @@ func TestWatchdogNoSpuriousTripOnLargeBatch(t *testing.T) {
 	cat.Register("slow", func() filter.Factory { return &slowFilter{delay: 3 * time.Millisecond} })
 	pl := dataplane.NewConcurrent(dataplane.ConcurrentConfig{
 		Shards: 1, Catalog: cat, Seed: 4, RingSize: 8,
-		BatchSize: batch, FlushInterval: -1,
+		BatchSize: batch,
 	})
 	defer pl.Close()
 	pl.Command("load slow")
 	pl.Command("add slow 0.0.0.0 0 0.0.0.0 0")
 
-	stop := pl.StartWatchdog(40 * time.Millisecond)
-	defer stop()
-
-	// Two full batches on one flow: the first is picked up and ground
-	// at ~3ms/packet (~190ms/batch, ~5 watchdog intervals) while the
-	// second sits in the ring as visible backlog the whole time.
+	// An idle shard takes each packet as it comes, so the two full
+	// batches are built behind a short wedge: the producer seals them at
+	// the batch size. The wedge ends before the watchdog's first look.
+	pl.InjectStall(0, 30*time.Millisecond)
+	time.Sleep(10 * time.Millisecond)
 	for i := 0; i < 2*batch; i++ {
 		pl.Dispatch(mkSeg(t, 9000, uint32(1+i), []byte("slow grind")))
 	}
+	stop := pl.StartWatchdog(40 * time.Millisecond)
+	defer stop()
+
+	// The first batch is ground at ~3ms/packet (~190ms/batch, ~5
+	// watchdog intervals) while the second sits in the ring as visible
+	// backlog the whole time.
 	pl.Drain()
 	if n := pl.WatchdogTrips(); n != 0 {
 		t.Fatalf("watchdog tripped %d times on a shard grinding a large batch", n)

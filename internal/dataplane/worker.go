@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/proxy"
 )
@@ -18,14 +19,24 @@ type ctrlMsg struct {
 	done *sync.WaitGroup
 }
 
+// pollSpin is how long a worker that ran out of work keeps looking,
+// yielding between looks, before it parks: about one park→wake round
+// trip. A parked goroutine woken by a producer that keeps running
+// becomes runnable on the producer's P and waits there until an idle P
+// steals it, ~58 µs at the median on a 2-CPU host; a worker that parked
+// at once would add that to every packet of a trickle.
+const pollSpin = 50 * time.Microsecond
+
 // worker is one concurrent shard: a goroutine draining batches from an
 // SPSC ring into its private proxy instance. The producer side — the
 // steering stage — accumulates packets into the shard's open arena and
-// seals it onto the ring when it fills (or when the flush timer or a
-// quiesce forces a partial batch out). Control messages are checked at
-// batch boundaries only, so a shard's proxy state is touched by
-// exactly one goroutine at a time and a control mutation never lands
-// mid-batch.
+// seals it onto the ring when it fills, when it finds the worker
+// parked, or when a quiesce, Drain or Close forces it out. A worker
+// whose ring is empty takes the open arena itself, so a packet never
+// waits for a batch to fill while its shard has nothing else to do.
+// Control messages are checked at batch boundaries only, so a shard's
+// proxy state is touched by exactly one goroutine at a time and a
+// control mutation never lands mid-batch.
 type worker struct {
 	idx      int
 	prox     *proxy.Proxy
@@ -34,12 +45,23 @@ type worker struct {
 	sink     Sink
 	batchCap int
 
+	// The producer's fields sit on cache lines of their own: it writes
+	// mu and open per packet and reads parked per packet, while the
+	// worker writes out and progress per packet.
+	_ [64]byte
 	// mu serializes the producer side: the open arena and ring pushes.
-	// Dispatchers, the flush timer, and quiesce-time flushes all land
-	// here, so the ring keeps a single logical producer even though
-	// several goroutines may seal batches.
+	// Dispatchers, quiesce-time flushes and the idle worker taking the
+	// open arena all land here, so the ring keeps a single logical
+	// producer even though several goroutines may seal batches. The
+	// worker and the watchdog only ever TryLock it: a producer spinning
+	// on a full ring holds mu until the worker drains a slot.
 	mu   sync.Mutex
 	open [][]byte // accumulating batch; nil refs after recycle
+	// parked is set by the worker just before it blocks and cleared by
+	// the first producer that sees it, which seals its packet and so
+	// wakes the worker: one wakeup per park.
+	parked atomic.Bool
+	_      [64]byte
 
 	// out accumulates the whole batch's interception output for one
 	// sink call per batch. Reused across batches; refs cleared after
@@ -54,13 +76,13 @@ type worker struct {
 	// stalls counts producer spins on a full ring (backpressure).
 	stalls atomic.Int64
 
-	// arenaAllocs counts fresh arena allocations — ramp-up only; in
-	// steady state drained arenas recycle through the free ring and
-	// this stays flat.
+	// arenaAllocs counts fresh arena allocations. Drained arenas
+	// recycle through the free ring, which holds every arena that can
+	// be live at once, so this never exceeds the ring's slots plus two.
 	arenaAllocs atomic.Int64
 
-	// wakes counts wakeup signals actually sent — at most one per
-	// empty→non-empty ring transition, i.e. at most one per batch.
+	// wakes counts wakeup signals actually sent — at most one per park
+	// from the packet path, plus control messages and watchdog nudges.
 	wakes atomic.Int64
 
 	// batches counts batches fully drained.
@@ -85,37 +107,45 @@ func (w *worker) wakeup() {
 	}
 }
 
-// send enqueues a control message and wakes the worker.
+// send enqueues a control message and wakes the worker. The wakeup
+// follows the message, so a parked worker that waits only on wake
+// still finds it.
 func (w *worker) send(m ctrlMsg) {
 	w.ctrl <- m
 	w.wakeup()
 }
 
 // enqueue appends raw to the shard's open arena, sealing it onto the
-// ring when it reaches the batch size.
+// ring when it reaches the batch size or when the worker is parked.
+// The parked check is a plain load; only the producer that finds the
+// flag set pays a store.
 func (w *worker) enqueue(raw []byte) {
 	w.mu.Lock()
 	w.open = append(w.open, raw)
-	if len(w.open) >= w.batchCap {
+	parked := w.parked.Load()
+	if parked {
+		w.parked.Store(false)
+	}
+	if parked || len(w.open) >= w.batchCap {
 		w.flushLocked()
 	}
 	w.mu.Unlock()
 }
 
 // flush seals the open arena onto the ring even if partially filled —
-// the timer and quiesce path ("a partial batch never waits forever").
-// An empty arena is left alone.
+// the quiesce, Drain and Close path. An empty arena is left alone.
 func (w *worker) flush() {
 	w.mu.Lock()
 	w.flushLocked()
 	w.mu.Unlock()
 }
 
-// flushLocked pushes the open arena as one ring slot and replaces it
-// with a recycled (or, during ramp-up, fresh) arena. A full ring
-// applies backpressure: the producer wakes the consumer and yields
-// until a slot frees, so packets are delayed, never dropped. Caller
-// holds mu.
+// flushLocked pushes the open arena as one ring slot and replaces it.
+// A full ring applies backpressure: the producer wakes the consumer and
+// yields until a slot frees, so packets are delayed, never dropped.
+// The push that finds the ring empty wakes the worker; a parked worker
+// has always drained its ring, so sealing for it always wakes it.
+// Caller holds mu.
 func (w *worker) flushLocked() {
 	if len(w.open) == 0 {
 		return
@@ -132,6 +162,12 @@ func (w *worker) flushLocked() {
 		w.wakeup()
 		runtime.Gosched()
 	}
+	w.nextOpen()
+}
+
+// nextOpen replaces the sealed open arena with a recycled one, or a
+// fresh one while the free ring is empty. Caller holds mu.
+func (w *worker) nextOpen() {
 	if a, ok := w.free.pop(); ok {
 		w.open = a
 	} else {
@@ -140,36 +176,108 @@ func (w *worker) flushLocked() {
 	}
 }
 
-// run is the shard loop: control messages take priority over batches
-// (a mutation broadcast quiesces within one batch even under sustained
-// traffic, and never lands mid-batch), batches drain the ring, and an
-// empty ring parks on the wake channel. On stop the ring is drained
-// before exiting so no dispatched packet is silently lost.
+// takeOpen is the worker sealing its own batch: when the ring is empty
+// it takes the open arena, however few packets it holds, straight into
+// its hands. It only TryLocks — Lock could wait on a producer spinning
+// on a full ring, which only this worker can drain — and re-checks the
+// ring under mu, so a batch sealed since the worker's last pop is
+// delivered first. nil when there is nothing to take or mu is busy.
+func (w *worker) takeOpen() [][]byte {
+	if !w.mu.TryLock() {
+		return nil
+	}
+	var b [][]byte
+	if len(w.open) > 0 && w.ring.len() == 0 {
+		b = w.open
+		w.nextOpen()
+	}
+	w.mu.Unlock()
+	return b
+}
+
+// openBacklog reports whether the open arena holds packets, for the
+// watchdog. A busy mu reads as no: the producer holding it is either
+// mid-enqueue or spinning on a full ring, which shows as ring backlog.
+func (w *worker) openBacklog() bool {
+	if !w.mu.TryLock() {
+		return false
+	}
+	n := len(w.open)
+	w.mu.Unlock()
+	return n > 0
+}
+
+// run is the shard loop: work while there is any, poll for one
+// wake latency when there is none, then park. It ends when the plane
+// stops.
 func (w *worker) run() {
 	defer close(w.done)
-	for {
-		select {
-		case m := <-w.ctrl:
-			w.runCtrl(m)
-			continue
-		default:
+	for w.work() || w.poll() || w.park() {
+	}
+}
+
+// work does one unit of it and reports whether there was any. Control
+// messages take priority over batches (a mutation broadcast quiesces
+// within one batch even under sustained traffic, and never lands
+// mid-batch); an empty ring sends the worker to the open arena.
+func (w *worker) work() bool {
+	select {
+	case m := <-w.ctrl:
+		w.runCtrl(m)
+		return true
+	default:
+	}
+	b, ok := w.ring.pop()
+	if !ok {
+		b = w.takeOpen()
+	}
+	if b == nil {
+		return false
+	}
+	w.deliverBatch(b)
+	return true
+}
+
+// poll looks for work, yielding between looks, until some turns up or
+// pollSpin has passed.
+func (w *worker) poll() bool {
+	for start := time.Now(); time.Since(start) < pollSpin; {
+		runtime.Gosched()
+		if w.work() {
+			return true
 		}
-		if b, ok := w.ring.pop(); ok {
-			w.deliverBatch(b)
-			continue
-		}
-		select {
-		case m := <-w.ctrl:
-			w.runCtrl(m)
-		case <-w.wake:
-		case <-w.stop:
-			for {
-				b, ok := w.ring.pop()
-				if !ok {
-					return
-				}
-				w.deliverBatch(b)
+	}
+	return false
+}
+
+// park blocks until a wakeup. It publishes parked first and then
+// re-checks the ring and the open arena under mu: a producer that
+// appended before the check left its packet where the check finds it,
+// and one that appends after sees the flag and seals, which wakes the
+// worker. A busy mu means a producer is mid-enqueue, so the worker
+// polls again instead of parking. On stop the ring is drained before
+// park reports false, so no dispatched packet is silently lost.
+func (w *worker) park() bool {
+	w.parked.Store(true)
+	defer w.parked.Store(false)
+	if !w.mu.TryLock() {
+		return true
+	}
+	idle := len(w.open) == 0 && w.ring.len() == 0
+	w.mu.Unlock()
+	if !idle {
+		return true
+	}
+	select {
+	case <-w.wake:
+		return true
+	case <-w.stop:
+		for {
+			b, ok := w.ring.pop()
+			if !ok {
+				return false
 			}
+			w.deliverBatch(b)
 		}
 	}
 }
@@ -203,5 +311,5 @@ func (w *worker) deliverBatch(b [][]byte) {
 		b[i] = nil
 	}
 	w.batches.Add(1)
-	w.free.push(b[:0]) // a full free ring drops the arena to the GC
+	w.free.push(b[:0]) // the free ring holds every live arena, so this never drops one
 }
