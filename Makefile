@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fmt-check fuzz scenarios examples benchmark-check verify
+.PHONY: build test race vet fmt-check fuzz examples benchmark-check verify
 
 build:
 	$(GO) build ./...
@@ -48,17 +48,6 @@ fuzz:
 	$(GO) test ./internal/migrate -fuzz FuzzMigrationSnapshotDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -fuzz FuzzScheduler -fuzztime $(FUZZTIME)
 
-# The scripted-scenario gate: every row of experiments.Scenarios runs
-# twice at its gate seed under the race detector; the two outputs must
-# be byte-identical and hash to the digest committed in
-# internal/experiments/testdata/scenarios.sha256. The digest was cut by
-# another process on another commit, so it covers what a run-twice-and-
-# cmp of two `wsim` processes did, plus what that could not see: a
-# change that moves the output at all. Re-cut a digest only with
-# `go test ./internal/experiments -run TestScenarios -update`.
-scenarios:
-	$(GO) test -race -count=1 -run TestScenarios ./internal/experiments
-
 # `go build ./...` compiles the examples but nothing executes them, and
 # they are the first thing a reader runs against the public API. Each
 # finishes in well under a second; exit 0 means every proxy command it
@@ -84,5 +73,5 @@ benchmark-check:
 	bash benchmark/run.sh --workload churn --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload sim-suite --seed 1 --seconds 2 --trace 0
 
-verify: build test race vet fmt-check scenarios examples benchmark-check
+verify: build test race vet fmt-check examples benchmark-check
 	@echo "verify: OK"

@@ -1,24 +1,19 @@
-// Command wsim is the experiment driver: it regenerates the thesis's
-// tables and figures (DESIGN.md's E1–E22 index) on the deterministic
-// network simulator, and runs the scripted scenarios of
-// experiments.Scenarios.
+// Command wsim runs the rows of experiments.Table on the deterministic
+// network simulator: the thesis's tables and figures (E1–E22, indexed
+// in DESIGN.md) and the scripted scenarios (README.md "Scripted
+// scenarios"). Output is byte-identical per seed, except the wall-clock
+// tables of E15.
 //
 // Usage:
 //
-//	wsim -list             list experiments
-//	wsim -exp E7           run one experiment
-//	wsim -all              run every experiment in order
-//	wsim -<scenario>       run one scenario; output is byte-identical
-//	                       per seed, and -seed defaults to the seed its
-//	                       committed digest was cut at
+//	wsim -list             list every row with its gate seed
+//	wsim -exp E7           run one row by name (an experiment or a scenario)
+//	wsim -exp chaos -seed 42
+//	                       -seed defaults to the row's gate seed, the one
+//	                       its committed digest was cut at
+//	wsim -all              run E1–E22 in order at their gate seeds
 //
-//	scenario   seed  topology                     asserts
-//	-events    7     single proxy + Kati user     full event log and metrics snapshot replay exactly
-//	-chaos     11    single proxy, lossy ARQ      transfers survive the fault matrix; quarantine, EEM redial, policy cycle
-//	-adapt     13    double proxy                 comp/decomp load on degrade, unload on restore; every leg intact
-//	-flows     17    single proxy                 rule fires on flow.retrans_ratio under loss, reverts after
-//	-migrate   23    double proxy + migration     completed XOR resumed on every fault leg; TTSF state continuity
-//	-mmwave    7     dual link mmWave + LTE       mwin queue peak below baseline; managed goodput >= 1.5x baseline
+// wsim exits 1 when a row's output breaks one of its own claims.
 package main
 
 import (
@@ -30,39 +25,33 @@ import (
 )
 
 func main() {
-	list := flag.Bool("list", false, "list experiments")
-	exp := flag.String("exp", "", "run one experiment by id (e.g. E7)")
-	all := flag.Bool("all", false, "run every experiment")
-	chosen := make([]*bool, len(experiments.Scenarios))
-	for i, sc := range experiments.Scenarios {
-		chosen[i] = flag.Bool(sc.Name, false, sc.Help)
-	}
-	seed := flag.Int64("seed", 0, "simulation seed for a scenario (default: the scenario's gate seed)")
+	list := flag.Bool("list", false, "list every row with its gate seed")
+	exp := flag.String("exp", "", "run one row by name (e.g. E7, chaos)")
+	all := flag.Bool("all", false, "run every experiment (E1–E22) at its gate seed")
+	seed := flag.Int64("seed", 0, "simulation seed for -exp (default: the row's gate seed)")
 	flag.Parse()
-	var sc *experiments.Scenario
-	for i := range chosen {
-		if *chosen[i] && sc == nil {
-			sc = &experiments.Scenarios[i]
-		}
-	}
 	seedSet := false
 	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
 
 	var err error
 	switch {
 	case *list:
-		for _, e := range experiments.All() {
-			fmt.Printf("%-4s %-55s %s\n", e.ID, e.Paper, e.Description)
+		for _, e := range experiments.Table {
+			fmt.Printf("%-8s %-3d %-55s %s\n", e.Name, e.Seed, e.Paper, e.Description)
 		}
 	case *exp != "":
-		err = experiments.Run(*exp, os.Stdout)
-	case *all:
-		experiments.RunAll(os.Stdout)
-	case sc != nil:
-		if !seedSet {
-			*seed = sc.Seed
+		err = fmt.Errorf("wsim: no row %q (see wsim -list)", *exp)
+		for _, e := range experiments.Table {
+			if e.Name == *exp {
+				if !seedSet {
+					*seed = e.Seed
+				}
+				err = e.Exec(*seed, os.Stdout)
+				break
+			}
 		}
-		err = sc.Run(*seed, os.Stdout)
+	case *all:
+		err = experiments.RunAll(os.Stdout)
 	default:
 		flag.Usage()
 		os.Exit(2)

@@ -10,7 +10,7 @@ import (
 	"repro/internal/netsim"
 )
 
-// AdaptDemo is the adaptive-services scenario behind `wsim -adapt`:
+// AdaptDemo is the adaptive-services scenario behind `wsim -exp adapt`:
 // the closed EEM→SP control loop of the thesis running end to end. A
 // double-proxy deployment carries bulk transfers while policy engines
 // on both proxies watch the wireless bandwidth through the comma_*

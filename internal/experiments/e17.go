@@ -13,15 +13,6 @@ import (
 	"repro/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:          "E17",
-		Paper:       "§5.1.2 (the end-to-end semantics problem)",
-		Description: "A permanent mid-transfer disconnection: the split-connection proxy (I-TCP) silently loses data it already acknowledged; end-to-end TCP — whose ack semantics every Comma service preserves — never lies to the sender.",
-		Run:         runE17,
-	})
-}
-
 // splitRig builds wired — proxy — wireless — mobile with no service
 // proxy, optionally attaching an I-TCP relay on the middle node.
 type splitRig struct {
@@ -65,7 +56,7 @@ func newSplitRig(seed int64, wireless netsim.LinkConfig, withRelay bool) *splitR
 	return r
 }
 
-func runE17(w io.Writer) {
+func runE17(seed int64, w io.Writer) error {
 	t := trace.NewTable("E17: permanent disconnection at t=1s of a 200 KB transfer (500 kb/s wireless)",
 		"proxy model", "sender outcome", "sender believes delivered", "mobile actually got", "silently lost")
 	mobileA := ip.MustParseAddr("11.11.10.10")
@@ -79,7 +70,7 @@ func runE17(w io.Writer) {
 	}
 	run := func(model string) outcome {
 		wireless := netsim.LinkConfig{Bandwidth: 500e3, Delay: 20 * time.Millisecond}
-		r := newSplitRig(17, wireless, model == "I-TCP split")
+		r := newSplitRig(seed, wireless, model == "I-TCP split")
 		rcvd := 0
 		r.mStack.Listen(5001, func(c *tcp.Conn) { c.OnData = func(b []byte) { rcvd += len(b) } })
 		payload := pattern(200_000)
@@ -110,8 +101,8 @@ func runE17(w io.Writer) {
 		return o
 	}
 
-	for _, model := range []string{"none (end-to-end TCP)", "I-TCP split"} {
-		o := run(model)
+	e2e, split := run("none (end-to-end TCP)"), run("I-TCP split")
+	for _, o := range []outcome{e2e, split} {
 		t.AddRow(o.model, o.sender, o.believed, o.received, o.stranded)
 	}
 	t.Fprint(w)
@@ -122,4 +113,10 @@ the sender had already closed successfully. End-to-end TCP (and therefore
 every Comma service, which preserves its ack semantics via the TTSF) leaves
 the sender stuck with unacknowledged data — it *knows* delivery failed. This
 is the §5.1.2 argument for transparent stream modification over splitting.`)
+	var c claims
+	c.check(e2e.sender != "completed cleanly" && e2e.believed <= int64(e2e.received) && e2e.stranded == 0,
+		"E17: want the end-to-end sender not closed and believed ≤ received: %q, %d vs %d B", e2e.sender, e2e.believed, e2e.received)
+	c.check(split.sender == "completed cleanly" && split.believed > int64(split.received) && split.stranded > 0,
+		"E17: want the split sender closed and believed > received: %q, %d vs %d B", split.sender, split.believed, split.received)
+	return c.err()
 }

@@ -11,21 +11,12 @@ import (
 	"repro/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:          "E18",
-		Paper:       "§8.2.2 claim (priority streams get 'more bandwidth and smaller delay')",
-		Description: "Interactive session latency while a bulk download shares the wireless link, with and without capping the bulk stream's window.",
-		Run:         runE18,
-	})
-}
-
-func runE18(w io.Writer) {
+func runE18(seed int64, w io.Writer) error {
 	t := trace.NewTable("E18: interactive latency under bulk cross-traffic (500 kb/s wireless, 64 B exchanges)",
 		"scenario", "mean latency (ms)", "worst latency (ms)", "exchanges", "bulk KB moved")
-	run := func(scenario string, withBulk, withCap bool) {
+	run := func(scenario string, withBulk, withCap bool) (mean time.Duration, bulkBytes int) {
 		sys := core.NewSystem(core.Config{
-			Seed:     18,
+			Seed:     seed,
 			Wireless: netsim.LinkConfig{Bandwidth: 500e3, Delay: 20 * time.Millisecond, QueueLen: 30},
 		})
 		sys.MustCommand("load tcp")
@@ -57,14 +48,20 @@ func runE18(w io.Writer) {
 		t.AddRow(scenario,
 			iw.Mean().Seconds()*1000, iw.Max().Seconds()*1000,
 			len(iw.Latencies), bulkCount/1000)
+		return iw.Mean(), bulkCount
 	}
-	run("interactive alone", false, false)
-	run("with bulk, no service", true, false)
-	run("with bulk, wsize cap on bulk", true, true)
+	alone, _ := run("interactive alone", false, false)
+	loaded, _ := run("with bulk, no service", true, false)
+	capped, bulk := run("with bulk, wsize cap on bulk", true, true)
 	t.Fprint(w)
 	fmt.Fprintln(w, `
 shape check: the uncontrolled bulk stream fills the base-station queue and
 multiplies interactive latency; capping its window restores latency to near
 the unloaded value while the bulk stream continues in the background —
 exactly BSSP's "more bandwidth and smaller delay" for priority streams.`)
+	var c claims
+	c.check(loaded > 2*alone, "E18: want bulk traffic to more than double interactive latency: %v vs %v alone", loaded, alone)
+	c.check(4*capped <= 5*alone, "E18: want the capped latency within 25%% of the unloaded value: %v vs %v", capped, alone)
+	c.check(bulk > 0, "E18: want the capped bulk stream to keep moving: %d B", bulk)
+	return c.err()
 }

@@ -11,16 +11,7 @@ import (
 	"repro/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:          "E19",
-		Paper:       "§2.3 ablation (burst loss)",
-		Description: "E7 repeated under Gilbert–Elliott burst loss instead of independent loss, at the same average rate.",
-		Run:         runE19,
-	})
-}
-
-func runE19(w io.Writer) {
+func runE19(seed int64, w io.Writer) error {
 	// Both models are tuned to the same ~5% average loss; the GE model
 	// concentrates it into bursts (mean burst ≈ 3 packets).
 	iid := netsim.Bernoulli{P: 0.05}
@@ -29,18 +20,21 @@ func runE19(w io.Writer) {
 	}
 	t := trace.NewTable("E19: loss-model ablation at ≈5% average loss (300 KB, 2 Mb/s, 25 ms)",
 		"loss model", "plain TCP KB/s", "snoop KB/s", "snoop advantage")
-	for _, model := range []string{"independent (Bernoulli)", "bursty (Gilbert–Elliott)"} {
+	models := []string{"independent (Bernoulli)", "bursty (Gilbert–Elliott)"}
+	byModel := map[string]map[string]float64{} // model -> mode -> KB/s
+	for _, model := range models {
 		goodput := map[string]float64{}
+		byModel[model] = goodput
 		for _, mode := range []string{"plain", "snoop"} {
 			total := 0.0
 			const seeds = 3
-			for seed := int64(41); seed < 41+seeds; seed++ {
+			for sd := seed; sd < seed+seeds; sd++ {
 				var loss netsim.LossModel = iid
 				if model != "independent (Bernoulli)" {
 					loss = mkGE()
 				}
 				sys := core.NewSystem(core.Config{
-					Seed: seed,
+					Seed: sd,
 					TCP:  tcp.Config{RcvWnd: 16384},
 					Wireless: netsim.LinkConfig{Bandwidth: 2e6, Delay: 25 * time.Millisecond,
 						Loss: loss, QueueLen: 200},
@@ -69,4 +63,18 @@ finding: at equal *average* loss, concentrating losses into bursts produces
 fewer recovery events, so goodput is comparable (slightly better) for both
 modes — the penalty of wireless loss is per-event, not per-packet. Snoop's
 local-repair advantage persists under both models.`)
+	// The finding above holds at this row's gate seed only: across seeds
+	// 1–20 bursts move goodput either way, and under bursts snoop loses
+	// to plain at seeds 2–5. What holds at every seed is checked; see
+	// EXPERIMENTS.md §E19.
+	var c claims
+	indep := byModel[models[0]]
+	c.check(indep["snoop"] > indep["plain"],
+		"E19: want snoop > plain under independent loss: %.1f vs %.1f KB/s", indep["snoop"], indep["plain"])
+	for _, m := range models {
+		for _, mode := range []string{"plain", "snoop"} {
+			c.check(byModel[m][mode] > 0, "E19: want %s to complete a transfer under %s loss", mode, m)
+		}
+	}
+	return c.err()
 }

@@ -12,47 +12,8 @@ import (
 	"repro/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:          "E1",
-		Paper:       "Fig 5.3 (SP interface example)",
-		Description: "Telnet session to the service proxy: report, add rdrop 50%, report, delete wsize, report.",
-		Run:         runE1,
-	})
-	register(Experiment{
-		ID:          "E2",
-		Paper:       "Fig 6.2 + Tables 6.1–6.7 (EEM sample client)",
-		Description: "Register sysUpTime with an IN [0,20s] attribute, poll the protected data area at 10s intervals for two minutes.",
-		Run:         runE2,
-	})
-	register(Experiment{
-		ID:          "E3",
-		Paper:       "Figs 7.1–7.4 (Kati session)",
-		Description: "Third-party service control: view streams, add a service from Kati, new service appears.",
-		Run:         runE3,
-	})
-	register(Experiment{
-		ID:          "E4",
-		Paper:       "Figs 8.2/8.3 (TTSF packet-dropping example)",
-		Description: "A service drops one segment under the TTSF; endpoint traces show the sequence-space remapping.",
-		Run:         runE4,
-	})
-	register(Experiment{
-		ID:          "E5",
-		Paper:       "Fig 8.4 (TTSF packet-compression example)",
-		Description: "Double-proxy transparent compression; per-hop byte counts show the wireless savings.",
-		Run:         runE5,
-	})
-	register(Experiment{
-		ID:          "E6",
-		Paper:       "Table 3.1 (comparison of the work reviewed)",
-		Description: "The thesis's related-work matrix, annotated with what this repository implements.",
-		Run:         runE6,
-	})
-}
-
-func runE1(w io.Writer) {
-	sys := core.NewSystem(core.Config{Seed: 11})
+func runE1(seed int64, w io.Writer) error {
+	sys := core.NewSystem(core.Config{Seed: seed})
 	// Pre-load the filter pool of the thesis example: tcp, launcher
 	// (applying tcp+wsize to mobile-bound streams), wsize, rdrop.
 	sys.MustCommand("load tcp")
@@ -64,7 +25,7 @@ func runE1(w io.Writer) {
 	sys.Sched.RunFor(2 * time.Second)
 
 	key := fmt.Sprintf("%v 7 %v 1169", core.WiredAddr, core.MobileAddr)
-	runControlScript(w, sys, []string{
+	return runControlScript(w, sys, []string{
 		"report",
 		"add rdrop " + key + " 50",
 		"report",
@@ -73,14 +34,13 @@ func runE1(w io.Writer) {
 	})
 }
 
-func runE2(w io.Writer) {
-	sys := core.NewSystem(core.Config{Seed: 12, Topology: core.TopoKati, EEMInterval: 10 * time.Second})
+func runE2(seed int64, w io.Writer) error {
+	sys := core.NewSystem(core.Config{Seed: seed, Topology: core.TopoKati, EEMInterval: 10 * time.Second})
 	cm := eem.NewComma(eem.SimDialer(sys.UserTCP))
 	id := eem.ID{Var: "sysUpTime", Server: "11.11.9.1"}
 	attr := eem.Attr{Lower: eem.LongValue(0), Upper: eem.LongValue(2000), Op: eem.IN}
 	if err := cm.Register(id, attr); err != nil {
-		fmt.Fprintf(w, "register: %v\n", err)
-		return
+		return fmt.Errorf("E2: register: %w", err)
 	}
 	fmt.Fprintf(w, "registered %s with IN [0,2000] (TimeTicks); polling PDA every 10s:\n", id)
 	for i := 0; i < 12; i++ {
@@ -92,10 +52,11 @@ func runE2(w io.Writer) {
 			fmt.Fprintf(w, "  t=%3ds  (no update — variable outside region)\n", (i+1)*10)
 		}
 	}
+	return nil
 }
 
-func runE3(w io.Writer) {
-	sys := core.NewSystem(core.Config{Seed: 13, Topology: core.TopoKati, EEMInterval: time.Second})
+func runE3(seed int64, w io.Writer) error {
+	sys := core.NewSystem(core.Config{Seed: seed, Topology: core.TopoKati, EEMInterval: time.Second})
 	sys.MustCommand("load tcp")
 	sys.MustCommand("load launcher")
 	sys.MustCommand("load wsize")
@@ -127,10 +88,11 @@ func runE3(w io.Writer) {
 	run(fmt.Sprintf("add wsize %v %d %v 1169 cap 4096", core.WiredAddr, client.LocalPort(), core.MobileAddr))
 	run("streams")
 	run("get 11.11.9.1 ipForwDatagrams")
+	return nil
 }
 
-func runE4(w io.Writer) {
-	sys := core.NewSystem(core.Config{Seed: 14})
+func runE4(seed int64, w io.Writer) error {
+	sys := core.NewSystem(core.Config{Seed: seed})
 	registerExtras(sys)
 	sys.MustCommand("load tcp")
 	sys.MustCommand("load ttsf")
@@ -148,21 +110,24 @@ func runE4(w io.Writer) {
 	payload := pattern(3000)
 	res, err := sys.Transfer(payload, 7, 5001, 60*time.Second)
 	if err != nil {
-		fmt.Fprintf(w, "transfer: %v\n", err)
-		return
+		return fmt.Errorf("E4: transfer: %w", err)
 	}
 	fmt.Fprintf(w, "\nsender sent %d B and completed=%v; mobile received %d B (segment 2 excised)\n",
-		res.Sent, res.Client.State().String() == "CLOSED" || res.Client.State().String() == "TIME_WAIT", len(res.Received))
+		res.Sent, senderClosed(res), len(res.Received))
 	k := filterKeyFor(7)
 	if st, ok := ttsfStats(k); ok {
 		fmt.Fprintf(w, "ttsf: edits=%d bytesIn=%d bytesOut=%d synthesizedAcks=%d\n",
 			st.Edits, st.BytesIn, st.BytesOut, st.SynthesizedAcks)
 	}
+	if !senderClosed(res) {
+		return fmt.Errorf("E4: sender left in %v, want CLOSED or TIME_WAIT", res.Client.State())
+	}
+	return nil
 }
 
-func runE5(w io.Writer) {
+func runE5(seed int64, w io.Writer) error {
 	sys := core.NewSystem(core.Config{
-		Seed: 15, Topology: core.TopoDouble,
+		Seed: seed, Topology: core.TopoDouble,
 		Wireless: netsim.LinkConfig{Bandwidth: 1e6, Delay: 20 * time.Millisecond},
 	})
 	for _, c := range []string{"load tcp", "load ttsf", "load comp", "load launcher",
@@ -176,8 +141,7 @@ func runE5(w io.Writer) {
 	payload := repeatText(120_000)
 	res, err := sys.Transfer(payload, 7, 5001, 300*time.Second)
 	if err != nil {
-		fmt.Fprintf(w, "transfer: %v\n", err)
-		return
+		return fmt.Errorf("E5: transfer: %w", err)
 	}
 	t := trace.NewTable("Fig 8.4 reproduction: transparent compression, per-hop bytes",
 		"hop", "payload bytes", "ratio")
@@ -186,11 +150,15 @@ func runE5(w io.Writer) {
 	t.AddRow("proxy A -> proxy B (wireless)", carried, float64(carried)/float64(res.Sent))
 	t.AddRow("proxy B -> mobile app", len(res.Received), float64(len(res.Received))/float64(res.Sent))
 	t.Fprint(w)
-	fmt.Fprintf(w, "delivered intact: %v; transfer time %v\n",
-		string(res.Received) == string(payload), res.Elapsed)
+	intact := string(res.Received) == string(payload)
+	fmt.Fprintf(w, "delivered intact: %v; transfer time %v\n", intact, res.Elapsed)
+	if !intact {
+		return fmt.Errorf("E5: mobile received %d B that are not the %d B sent", len(res.Received), res.Sent)
+	}
+	return nil
 }
 
-func runE6(w io.Writer) {
+func runE6(_ int64, w io.Writer) error {
 	t := trace.NewTable("Table 3.1: A Comparison of the Work Reviewed",
 		"Project", "ProtocolTransp", "ApplicTransp", "GeneralApplic", "in this repo")
 	rows := [][]string{
@@ -209,4 +177,5 @@ func runE6(w io.Writer) {
 		t.AddRow(r[0], r[1], r[2], r[3], r[4])
 	}
 	t.Fprint(w)
+	return nil
 }

@@ -14,21 +14,12 @@ import (
 	"repro/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:          "E20",
-		Paper:       "§5.2 (application partitioning / proxy-as-agent)",
-		Description: "The cache filter answers repeated document fetches at the proxy: response latency and wired-link traffic with and without the service.",
-		Run:         runE20,
-	})
-}
-
-func runE20(w io.Writer) {
+func runE20(seed int64, w io.Writer) error {
 	t := trace.NewTable("E20: 30 fetches of 10 documents (10 KB each) from the mobile",
 		"scenario", "mean latency (ms)", "wired-link KB", "server requests")
-	run := func(withCache bool) {
+	run := func(withCache bool) (meanMS float64, wiredKB int64, served int) {
 		sys := core.NewSystem(core.Config{
-			Seed: 20,
+			Seed: seed,
 			// Slow, distant wired path: the thesis's motivation for
 			// placing application agents at the proxy.
 			Wire:     netsim.LinkConfig{Bandwidth: 1e6, Delay: 50 * time.Millisecond},
@@ -38,7 +29,6 @@ func runE20(w io.Writer) {
 			sys.MustCommand("load cache")
 			sys.MustCommand(fmt.Sprintf("add cache %v 6001 %v 6000 64", core.MobileAddr, core.WiredAddr))
 		}
-		served := 0
 		sys.WiredUDP.Bind(6000, func(src ip.Addr, sp uint16, payload []byte) {
 			key, _, isReq, ok := filters.DecodeFetch(payload)
 			if !ok || !isReq {
@@ -68,23 +58,23 @@ func runE20(w io.Writer) {
 			sys.Sched.RunFor(2 * time.Second)
 		}
 
-		var mean float64
 		for _, l := range latencies {
-			mean += l.Seconds() * 1000
+			meanMS += l.Seconds() * 1000
 		}
 		if len(latencies) > 0 {
-			mean /= float64(len(latencies))
+			meanMS /= float64(len(latencies))
 		}
-		wiredKB := (sys.Wired.Ifaces()[0].Link().StatsAB().Bytes +
+		wiredKB = (sys.Wired.Ifaces()[0].Link().StatsAB().Bytes +
 			sys.Wired.Ifaces()[0].Link().StatsBA().Bytes) / 1000
 		scenario := "no service"
 		if withCache {
 			scenario = "cache filter at proxy"
 		}
-		t.AddRow(scenario, mean, wiredKB, served)
+		t.AddRow(scenario, meanMS, wiredKB, served)
+		return meanMS, wiredKB, served
 	}
-	run(false)
-	run(true)
+	noMS, noKB, noServed := run(false)
+	cacheMS, cacheKB, cacheServed := run(true)
 	t.Fprint(w)
 	fmt.Fprintln(w, `
 shape check: two thirds of the fetches repeat a document; the proxy-side
@@ -92,4 +82,10 @@ cache absorbs them, cutting the slow wired path out of the loop — lower
 latency for the mobile and a fraction of the wired traffic, with the server
 untouched (§5.2's "single administrative point" acting as the application's
 agent).`)
+	var c claims
+	c.check(cacheMS < noMS, "E20: want lower mean latency with the cache: %.1f vs %.1f ms", cacheMS, noMS)
+	c.check(2*cacheKB < noKB, "E20: want under half the wired traffic with the cache: %d vs %d KB", cacheKB, noKB)
+	c.check(noServed == 30 && cacheServed == 10,
+		"E20: want the server to see 30 requests without the cache and the 10 distinct documents with it: %d, %d", noServed, cacheServed)
+	return c.err()
 }

@@ -11,16 +11,7 @@ import (
 	"repro/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:          "E21",
-		Paper:       "§3.2 (AIRMAIL-style link ARQ vs TCP-aware snoop)",
-		Description: "A TCP-oblivious link-layer ARQ hides loss but produces duplicates and delay spikes that trigger spurious sender retransmissions; snoop repairs loss without confusing the transport.",
-		Run:         runE21,
-	})
-}
-
-func runE21(w io.Writer) {
+func runE21(seed int64, w io.Writer) error {
 	t := trace.NewTable("E21: 300 KB over a 2 Mb/s, 25 ms link at 8% frame loss (3 seeds)",
 		"link recovery", "goodput KB/s", "sender fast rexmits", "sender RTOs",
 		"dup ACKs at sender", "wireless KB carried")
@@ -32,7 +23,7 @@ func runE21(w io.Writer) {
 	run := func(mode string) result {
 		var acc result
 		const seeds = 3
-		for seed := int64(51); seed < 51+seeds; seed++ {
+		for sd := seed; sd < seed+seeds; sd++ {
 			wireless := netsim.LinkConfig{Bandwidth: 2e6, Delay: 25 * time.Millisecond,
 				Loss: netsim.Bernoulli{P: 0.08}, QueueLen: 200}
 			if mode == "link ARQ (AIRMAIL-style)" {
@@ -45,7 +36,7 @@ func runE21(w io.Writer) {
 				}
 			}
 			sys := core.NewSystem(core.Config{
-				Seed:     seed,
+				Seed:     sd,
 				TCP:      tcp.Config{RcvWnd: 16384},
 				Wireless: wireless,
 			})
@@ -70,10 +61,13 @@ func runE21(w io.Writer) {
 		acc.goodput /= seeds
 		return acc
 	}
+	var rs []result
 	for _, mode := range []string{"none (plain TCP)", "link ARQ (AIRMAIL-style)", "snoop (TCP-aware)"} {
 		r := run(mode)
+		rs = append(rs, r)
 		t.AddRow(mode, r.goodput, r.fast/3, r.rtos/3, r.dupAcks/3, r.wirelessKB/3)
 	}
+	plain, arq, snoop := rs[0], rs[1], rs[2]
 	t.Fprint(w)
 	fmt.Fprintln(w, `
 finding (the §3.2 trade-off): the oblivious ARQ hides loss completely and
@@ -85,4 +79,17 @@ over the wireless link. Snoop recovers loss with *zero* transport confusion
 and the leanest wireless usage; on a shared or saturated cell (E18), that
 wasted capacity is other users' latency. This is §3.2's point: link recovery
 should be TCP-aware.`)
+	// "Best raw goodput", "zero" confusion and "leanest" hold at this
+	// row's gate seed; across seeds 1–20 snoop out-runs the ARQ at 4,
+	// sees a stray dup ACK at 10 and carries more than plain at 14. What
+	// holds at every seed is checked; see EXPERIMENTS.md §E21.
+	var c claims
+	c.check(arq.rtos == 0, "E21: want 0 RTOs behind the ARQ: %d", arq.rtos)
+	c.check(arq.goodput > plain.goodput, "E21: want the ARQ's goodput > plain's: %.1f vs %.1f KB/s", arq.goodput, plain.goodput)
+	c.check(arq.fast > 0 && arq.dupAcks > 0, "E21: want fast retransmits and dup ACKs behind the ARQ: %d, %d", arq.fast, arq.dupAcks)
+	c.check(10*snoop.fast <= arq.fast && 10*snoop.dupAcks <= arq.dupAcks,
+		"E21: want snoop's fast retransmits and dup ACKs ≤ a tenth of the ARQ's: %d vs %d, %d vs %d",
+		snoop.fast, arq.fast, snoop.dupAcks, arq.dupAcks)
+	c.check(snoop.wirelessKB < arq.wirelessKB, "E21: want snoop's wireless bytes < the ARQ's: %d vs %d KB", snoop.wirelessKB, arq.wirelessKB)
+	return c.err()
 }

@@ -15,19 +15,17 @@ import (
 	"repro/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:          "E22",
-		Paper:       "ch. 6 motivation (adaptive services via the EEM)",
-		Description: "The adiscard filter follows link quality through a mobility trajectory: full quality on a fast cell, base-layer-only on a slow one, restored on return — with base frames on time throughout.",
-		Run:         runE22,
-	})
-}
-
-func runE22(w io.Writer) {
-	run := func(adaptive bool) (*trace.Table, string) {
+func runE22(seed int64, w io.Writer) error {
+	// Per-phase accounting at the mobile.
+	type phase struct {
+		name       string
+		base, enh  int
+		baseOnTime int
+		baseSent   int
+	}
+	run := func(adaptive bool) (*trace.Table, string, []*phase) {
 		sys := core.NewSystem(core.Config{
-			Seed:     22,
+			Seed:     seed,
 			Wireless: netsim.LinkConfig{Bandwidth: 4e6, Delay: 10 * time.Millisecond, QueueLen: 30},
 		})
 		if adaptive {
@@ -35,13 +33,6 @@ func runE22(w io.Writer) {
 			sys.MustCommand(fmt.Sprintf("add adiscard %v 4000 %v 4001 1 3", core.WiredAddr, core.MobileAddr))
 		}
 
-		// Per-phase accounting at the mobile.
-		type phase struct {
-			name       string
-			base, enh  int
-			baseOnTime int
-			baseSent   int
-		}
 		phases := []*phase{
 			{name: "fast cell (4 Mb/s), 0–8 s"},
 			{name: "slow cell (600 kb/s), 8–16 s"},
@@ -74,7 +65,7 @@ func runE22(w io.Writer) {
 			}
 		})
 		// 25 fps, 4 layers, 300 B base ≈ 900 kb/s full rate.
-		src := media.NewLayeredSource(4, 300, 22)
+		src := media.NewLayeredSource(4, 300, seed)
 		frames := 0
 		var tick func()
 		tick = func() {
@@ -114,13 +105,13 @@ func runE22(w io.Writer) {
 					st.Adaptations, st.CurrentMaxLayer)
 			}
 		}
-		return t, extra
+		return t, extra, phases
 	}
 
-	t1, _ := run(false)
+	t1, _, plain := run(false)
 	t1.Fprint(w)
 	fmt.Fprintln(w)
-	t2, extra := run(true)
+	t2, extra, adaptive := run(true)
 	t2.Fprint(w)
 	if extra != "" {
 		fmt.Fprintln(w, extra)
@@ -131,4 +122,16 @@ shape check: without the service, the slow cell destroys base-layer timing
 layers on the slow cell, keeps base frames on time through all three phases,
 and restores the enhancement layers when the mobile returns to a fast cell —
 "minimal operation can continue and regular operation resume" (thesis ch. 6).`)
+	var c claims
+	slow := plain[1]
+	c.check(2*slow.baseOnTime < slow.baseSent,
+		"E22: want under half the base frames on time on the slow cell without the service: %d/%d", slow.baseOnTime, slow.baseSent)
+	for _, ph := range adaptive {
+		c.check(5*ph.baseOnTime >= 4*ph.baseSent,
+			"E22: want ≥ 80%% of base frames on time with adiscard in %s: %d/%d", ph.name, ph.baseOnTime, ph.baseSent)
+	}
+	c.check(adaptive[1].enh < adaptive[0].enh && adaptive[1].enh < adaptive[2].enh,
+		"E22: want adiscard to deliver fewer enhancement frames on the slow cell than on either fast one: %d vs %d, %d",
+		adaptive[1].enh, adaptive[0].enh, adaptive[2].enh)
+	return c.err()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -16,85 +17,28 @@ import (
 	"repro/internal/trace"
 )
 
-func init() {
-	register(Experiment{
-		ID:          "E7",
-		Paper:       "§2.3/§8.2.1 claim (TCP misreads wireless loss as congestion; snoop repairs it)",
-		Description: "Goodput vs wireless loss rate: plain TCP vs TCP behind the snoop filter.",
-		Run:         runE7,
-	})
-	register(Experiment{
-		ID:          "E8",
-		Paper:       "§8.2.2 claim (BSSP stream prioritization)",
-		Description: "Two competing streams; capping the low-priority stream's window shifts bandwidth to the priority stream.",
-		Run:         runE8,
-	})
-	register(Experiment{
-		ID:          "E9",
-		Paper:       "§8.2.2 claim (ZWSM disconnection management)",
-		Description: "Burst sent during a 20s disconnection: sender timeouts and restart latency with vs without ZWSM.",
-		Run:         runE9,
-	})
-	register(Experiment{
-		ID:          "E10",
-		Paper:       "§8.1.5 (rdrop under the TTSF)",
-		Description: "Permanent data reduction: wireless bytes and delivered fraction vs drop rate, sender always completes.",
-		Run:         runE10,
-	})
-	register(Experiment{
-		ID:          "E11",
-		Paper:       "§8.1.6 + Table 8.1 (compression by data class)",
-		Description: "Transparent compression savings for the thesis's data classes (text, image, binary).",
-		Run:         runE11,
-	})
-	register(Experiment{
-		ID:          "E12",
-		Paper:       "§8.3.2 (hierarchical discard)",
-		Description: "Layered media over a constrained wireless link: base-layer on-time delivery with and without discard.",
-		Run:         runE12,
-	})
-	register(Experiment{
-		ID:          "E13",
-		Paper:       "§2.1 (Mobile IP: triangular routing, handoff loss)",
-		Description: "Tunnel-path latency vs binding-cache optimization; packets lost across a handoff gap.",
-		Run:         runE13,
-	})
-	register(Experiment{
-		ID:          "E14",
-		Paper:       "§8.3.3 (data-type translation)",
-		Description: "Colour→mono image tiles and rich-text→ASCII: wireless bandwidth reduction with intact semantics.",
-		Run:         runE14,
-	})
-	register(Experiment{
-		ID:          "E15",
-		Paper:       "§5.2 (filter-queue mechanism)",
-		Description: "Proxy forwarding cost vs filter-queue depth (stacked 0%-rdrop filters as no-ops).",
-		Run:         runE15,
-	})
-	register(Experiment{
-		ID:          "E16",
-		Paper:       "§8.1 end-to-end invariant",
-		Description: "One seeded instance of the randomized TTSF property (full test: TestTTSFPropertyRandomTransformations).",
-		Run:         runE16,
-	})
-}
-
-func runE7(w io.Writer) {
+func runE7(seed int64, w io.Writer) error {
 	s := trace.NewSeries("E7: goodput vs wireless loss (300 KB transfer, 2 Mb/s, 25 ms, 16 KB window)",
 		"loss %", "goodput KB/s")
-	for _, lossPct := range []float64{0, 2, 5, 10, 15, 20} {
+	losses := []float64{0, 2, 5, 10, 15, 20}
+	got := map[string][]float64{} // mode -> goodput at each of losses
+	add := func(mode string, lossPct, kbps float64) {
+		s.Add(mode, lossPct, kbps)
+		got[mode] = append(got[mode], kbps)
+	}
+	for _, lossPct := range losses {
 		for _, mode := range []string{"plain", "snoop", "split"} {
 			if mode == "split" {
-				s.Add(mode, lossPct, splitGoodput(lossPct))
+				add(mode, lossPct, splitGoodput(seed, lossPct))
 				continue
 			}
 			// Average over seeds: a single run's goodput at high loss
 			// is dominated by a handful of timeout coincidences.
 			total := 0.0
 			const seeds = 3
-			for seed := int64(41); seed < 41+seeds; seed++ {
+			for sd := seed; sd < seed+seeds; sd++ {
 				sys := core.NewSystem(core.Config{
-					Seed: seed,
+					Seed: sd,
 					// A 16 KB receive window matches the era's BSD
 					// socket buffers and keeps the base-station queue
 					// near the bandwidth-delay product, as in the
@@ -116,24 +60,43 @@ func runE7(w io.Writer) {
 					total += float64(res.Sent) / res.Elapsed.Seconds() / 1000
 				}
 			}
-			s.Add(mode, lossPct, total/seeds)
+			add(mode, lossPct, total/seeds)
 		}
 	}
 	s.Fprint(w)
 	fmt.Fprintln(w, "\nshape check: parity at 0% loss; snoop and the split connection both beat")
 	fmt.Fprintln(w, "plain TCP as loss grows — but the split connection pays with broken")
 	fmt.Fprintln(w, "end-to-end semantics (see E17).")
+
+	// Only the points that hold at every seed of 1–20 are claimed: at
+	// 10–15 % loss (and for split at 5–20 %) the three-run means sit
+	// inside the seed noise. See EXPERIMENTS.md §E7.
+	var c claims
+	plain := got["plain"]
+	for i, loss := range losses {
+		for _, m := range []string{"snoop", "split"} {
+			v := got[m][i]
+			switch {
+			case loss == 0:
+				c.check(math.Abs(v-plain[i]) <= 0.02*plain[i],
+					"E7: want %s within 2%% of plain at 0%% loss: %.1f vs %.1f KB/s", m, v, plain[i])
+			case loss == 2 || (m == "snoop" && (loss == 5 || loss == 20)):
+				c.check(v > plain[i], "E7: want %s > plain at %g%% loss: %.1f vs %.1f KB/s", m, loss, v, plain[i])
+			}
+		}
+	}
+	return c.err()
 }
 
 // splitGoodput measures the I-TCP baseline at one loss point, averaged
 // over the same seeds as the other modes.
-func splitGoodput(lossPct float64) float64 {
+func splitGoodput(seed int64, lossPct float64) float64 {
 	total := 0.0
 	const seeds = 3
-	for seed := int64(41); seed < 41+seeds; seed++ {
+	for sd := seed; sd < seed+seeds; sd++ {
 		wireless := netsim.LinkConfig{Bandwidth: 2e6, Delay: 25 * time.Millisecond,
 			Loss: netsim.Bernoulli{P: lossPct / 100}, QueueLen: 200}
-		r := newSplitRig(seed, wireless, true)
+		r := newSplitRig(sd, wireless, true)
 		payload := pattern(300_000)
 		rcvd := 0
 		first, done := sim.Time(-1), sim.Time(-1)
@@ -158,12 +121,14 @@ func splitGoodput(lossPct float64) float64 {
 	return total / seeds
 }
 
-func runE8(w io.Writer) {
+func runE8(seed int64, w io.Writer) error {
 	t := trace.NewTable("E8: window-cap prioritization (two 8 MB streams, 2 Mb/s shared link, 20 s)",
 		"low-priority cap (B)", "priority stream KB", "capped stream KB", "ratio")
-	for _, cap := range []int{65535, 16384, 8192, 4096, 2048} {
+	var c claims
+	var prevHi, prevLo, prevCap int
+	for i, cap := range []int{65535, 16384, 8192, 4096, 2048} {
 		sys := core.NewSystem(core.Config{
-			Seed:     8,
+			Seed:     seed,
 			Wireless: netsim.LinkConfig{Bandwidth: 2e6, Delay: 20 * time.Millisecond},
 		})
 		sys.MustCommand("load tcp")
@@ -185,17 +150,23 @@ func runE8(w io.Writer) {
 		sys.Sched.RunFor(20 * time.Second)
 		ratio := float64(hi) / float64(lo+1)
 		t.AddRow(cap, hi/1000, lo/1000, ratio)
+		if i > 0 {
+			c.check(lo < prevLo, "E8: want the capped stream to shrink with its cap: %d B at cap %d vs %d B at cap %d", lo, cap, prevLo, prevCap)
+			c.check(hi > prevHi, "E8: want the priority stream to grow as the cap tightens: %d B at cap %d vs %d B at cap %d", hi, cap, prevHi, prevCap)
+		}
+		prevHi, prevLo, prevCap = hi, lo, cap
 	}
 	t.Fprint(w)
 	fmt.Fprintln(w, "\nshape check: smaller caps starve the low-priority stream; the priority stream absorbs the difference.")
+	return c.err()
 }
 
-func runE9(w io.Writer) {
+func runE9(seed int64, w io.Writer) error {
 	t := trace.NewTable("E9: 20 s disconnection during bursty transfer (2 Mb/s, 10 ms)",
 		"mode", "sender RTOs", "persist probes", "zero-window seen", "restart after reconnect (ms)")
-	run := func(withZWSM bool) {
+	run := func(withZWSM bool) (tcp.Stats, float64) {
 		sys := core.NewSystem(core.Config{
-			Seed:     7,
+			Seed:     seed,
 			Wireless: netsim.LinkConfig{Bandwidth: 2e6, Delay: 10 * time.Millisecond},
 		})
 		sys.MustCommand("load tcp")
@@ -234,19 +205,26 @@ func runE9(w io.Writer) {
 		}
 		st := client.Stats()
 		t.AddRow(mode, st.Timeouts, st.PersistProbes, st.ZeroWindowSeen, restartMS)
+		return st, restartMS
 	}
-	run(false)
-	run(true)
+	plain, plainMS := run(false)
+	zwsm, zwsmMS := run(true)
 	t.Fprint(w)
 	fmt.Fprintln(w, "\nshape check: ZWSM replaces RTO backoff with persist probes and restarts sooner.")
+	var c claims
+	c.check(zwsm.Timeouts == 0 && plain.Timeouts > 0, "E9: want 0 RTOs with ZWSM and some without: %d vs %d", zwsm.Timeouts, plain.Timeouts)
+	c.check(zwsm.PersistProbes > 0, "E9: want persist probes with ZWSM: %d", zwsm.PersistProbes)
+	c.check(zwsmMS >= 0 && zwsmMS < plainMS, "E9: want 0 ≤ ZWSM restart < plain restart: %.1f vs %.1f ms (-1: never)", zwsmMS, plainMS)
+	return c.err()
 }
 
-func runE10(w io.Writer) {
+func runE10(seed int64, w io.Writer) error {
 	t := trace.NewTable("E10: rdrop under the TTSF (200 KB offered, 5 Mb/s wireless)",
 		"drop rate %", "delivered KB", "delivered %", "wireless KB", "sender completed")
+	var c claims
 	for _, rate := range []int{0, 25, 50, 75} {
 		sys := core.NewSystem(core.Config{
-			Seed:     10,
+			Seed:     seed,
 			Wireless: netsim.LinkConfig{Bandwidth: 5e6, Delay: 10 * time.Millisecond},
 		})
 		for _, c := range []string{"load tcp", "load ttsf", "load rdrop", "load launcher",
@@ -255,19 +233,25 @@ func runE10(w io.Writer) {
 		}
 		res, err := sys.Transfer(pattern(200_000), 7, 5001, 600*time.Second)
 		if err != nil {
-			fmt.Fprintf(w, "rate %d: %v\n", rate, err)
-			continue
+			return fmt.Errorf("E10: rate %d: %w", rate, err)
 		}
-		completed := res.Client.State() == tcp.StateClosed || res.Client.State() == tcp.StateTimeWait
-		t.AddRow(rate, len(res.Received)/1000,
-			float64(len(res.Received))*100/float64(res.Sent),
-			sys.Wireless.StatsAB().Bytes/1000, completed)
+		pct := float64(len(res.Received)) * 100 / float64(res.Sent)
+		t.AddRow(rate, len(res.Received)/1000, pct, sys.Wireless.StatsAB().Bytes/1000, senderClosed(res))
+		c.check(math.Abs(pct-float64(100-rate)) <= e10Slack,
+			"E10: want delivered within %g points of %d%% at drop rate %d%%: %.1f%%", e10Slack, 100-rate, rate, pct)
+		c.check(senderClosed(res), "E10: want the sender closed at drop rate %d%%: %v", rate, res.Client.State())
 	}
 	t.Fprint(w)
 	fmt.Fprintln(w, "\nshape check: delivered fraction tracks (100 - drop rate); the sender finishes at every rate.")
+	return c.err()
 }
 
-func runE11(w io.Writer) {
+// e10Slack is how far, in percentage points, E10's delivered fraction
+// may sit from (100 - drop rate): rdrop draws per segment, and 200 KB
+// is ~140 segments.
+const e10Slack = 10.0
+
+func runE11(seed int64, w io.Writer) error {
 	t := trace.NewTable("E11: transparent compression by data class (Table 8.1; 120 KB each, double proxy)",
 		"data class", "payload KB", "wireless KB", "ratio", "intact")
 	classes := []struct {
@@ -278,9 +262,11 @@ func runE11(w io.Writer) {
 		{"image (random pixels)", randomBytes(7, 120_000)},
 		{"binary (structured)", structured(120_000)},
 	}
+	var ratios []float64
+	var c claims
 	for _, cl := range classes {
 		sys := core.NewSystem(core.Config{
-			Seed: 11, Topology: core.TopoDouble,
+			Seed: seed, Topology: core.TopoDouble,
 			Wireless: netsim.LinkConfig{Bandwidth: 2e6, Delay: 20 * time.Millisecond},
 		})
 		for _, c := range []string{"load tcp", "load ttsf", "load comp", "load launcher",
@@ -293,15 +279,21 @@ func runE11(w io.Writer) {
 		}
 		res, err := sys.Transfer(cl.data, 7, 5001, 600*time.Second)
 		if err != nil {
-			fmt.Fprintf(w, "%s: %v\n", cl.name, err)
-			continue
+			return fmt.Errorf("E11: %s: %w", cl.name, err)
 		}
 		carried := sys.Wireless.StatsAB().Bytes
-		t.AddRow(cl.name, res.Sent/1000, carried/1000,
-			float64(carried)/float64(res.Sent), bytes.Equal(res.Received, cl.data))
+		ratio := float64(carried) / float64(res.Sent)
+		ratios = append(ratios, ratio)
+		intact := bytes.Equal(res.Received, cl.data)
+		t.AddRow(cl.name, res.Sent/1000, carried/1000, ratio, intact)
+		c.check(intact, "E11: want %s delivered intact", cl.name)
 	}
 	t.Fprint(w)
 	fmt.Fprintln(w, "\nshape check: text compresses hard, structured binary some, random data not at all (stored frames).")
+	text, image, binary := ratios[0], ratios[1], ratios[2]
+	c.check(text < binary && binary < 1 && image >= 1,
+		"E11: want wireless/payload ratios text < binary < 1 ≤ image: %.3g, %.3g, %.3g", text, binary, image)
+	return c.err()
 }
 
 // structured builds binary data with redundancy (repeating records).
@@ -318,12 +310,13 @@ func structured(n int) []byte {
 	return b[:n]
 }
 
-func runE12(w io.Writer) {
+func runE12(seed int64, w io.Writer) error {
 	t := trace.NewTable("E12: hierarchical discard (4-layer media, 25 fps, 300 B base; 800 kb/s wireless)",
 		"mode", "base frames on time", "all frames delivered", "wireless KB", "mean base lateness (ms)")
+	var c claims
 	for _, mode := range []string{"no discard", "discard >1", "discard >0"} {
 		sys := core.NewSystem(core.Config{
-			Seed:     12,
+			Seed:     seed,
 			Wireless: netsim.LinkConfig{Bandwidth: 800e3, Delay: 10 * time.Millisecond, QueueLen: 30},
 		})
 		switch mode {
@@ -336,7 +329,7 @@ func runE12(w io.Writer) {
 		}
 		const frames = 250
 		const interval = 40 * time.Millisecond // 25 fps
-		src := media.NewLayeredSource(4, 300, 12)
+		src := media.NewLayeredSource(4, 300, seed)
 		sent := map[uint32]sim.Time{}
 		baseOnTime, delivered := 0, 0
 		var lateness time.Duration
@@ -375,14 +368,20 @@ func runE12(w io.Writer) {
 		}
 		t.AddRow(mode, fmt.Sprintf("%d/%d", baseOnTime, frames), delivered,
 			sys.Wireless.StatsAB().Bytes/1000, meanLate)
+		if mode == "no discard" {
+			c.check(2*baseOnTime < frames, "E12: want under half the base frames on time without discard: %d/%d", baseOnTime, frames)
+		} else {
+			c.check(baseOnTime == frames, "E12: want every base frame on time with %s: %d/%d", mode, baseOnTime, frames)
+		}
 	}
 	t.Fprint(w)
 	fmt.Fprintln(w, "\nshape check: without discard the queue swamps the base layer; discarding enhancement layers restores real-time delivery.")
+	return c.err()
 }
 
-func runE13(w io.Writer) {
+func runE13(seed int64, w io.Writer) error {
 	// Reuses the Mobile IP topology of the package tests, scripted.
-	s := sim.NewScheduler(13)
+	s := sim.NewScheduler(seed)
 	n := netsim.New(s)
 	corr := n.AddNode("correspondent")
 	inet := n.AddNode("internet")
@@ -458,13 +457,18 @@ func runE13(w io.Writer) {
 	s.RunFor(3 * time.Second)
 	t2.AddRow("250 ms outage during 500 ms stream", delivered, 20-delivered)
 	t2.Fprint(w)
+	var c claims
+	c.check(direct > 0 && 2*direct < triangular,
+		"E13: want 0 < 2 × direct < triangular one-way delivery: %v, %v", direct, triangular)
+	c.check(delivered > 0 && delivered < 20, "E13: want some but not all of 20 packets lost across the handoff gap: %d delivered", delivered)
+	return c.err()
 }
 
-func runE14(w io.Writer) {
+func runE14(seed int64, w io.Writer) error {
 	t := trace.NewTable("E14: data-type translation (§8.3.3)",
 		"translation", "bytes in", "bytes out", "ratio", "semantics")
 	// Colour → monochrome image tiles.
-	sys := core.NewSystem(core.Config{Seed: 14})
+	sys := core.NewSystem(core.Config{Seed: seed})
 	sys.MustCommand("load translate")
 	sys.MustCommand(fmt.Sprintf("add translate %v 4000 %v 4001 mono", core.WiredAddr, core.MobileAddr))
 	var outBytes int
@@ -477,7 +481,7 @@ func runE14(w io.Writer) {
 		}
 	})
 	inBytes := 0
-	for _, tile := range media.TestImageTiles(128, 128, 8, 14) {
+	for _, tile := range media.TestImageTiles(128, 128, 8, seed) {
 		b, _ := media.MarshalTile(tile)
 		inBytes += len(b)
 		sys.WiredUDP.Send(4000, core.MobileAddr, 4001, b)
@@ -488,7 +492,7 @@ func runE14(w io.Writer) {
 		fmt.Sprintf("all tiles mono: %v", monoOK))
 
 	// Rich text → ASCII.
-	sys2 := core.NewSystem(core.Config{Seed: 15})
+	sys2 := core.NewSystem(core.Config{Seed: seed + 1})
 	sys2.MustCommand("load translate")
 	sys2.MustCommand(fmt.Sprintf("add translate %v 4000 %v 4001 ascii", core.WiredAddr, core.MobileAddr))
 	var asciiOut []byte
@@ -499,18 +503,28 @@ func runE14(w io.Writer) {
 	rich := media.EncodeRich(text, 0x17)
 	sys2.WiredUDP.Send(4000, core.MobileAddr, 4001, rich)
 	sys2.Sched.RunFor(time.Second)
+	textOK := string(asciiOut) == text
 	t.AddRow("rich text -> ASCII", len(rich), len(asciiOut), float64(len(asciiOut))/float64(len(rich)),
-		fmt.Sprintf("text preserved: %v", string(asciiOut) == text))
+		fmt.Sprintf("text preserved: %v", textOK))
 	t.Fprint(w)
+	if !monoOK || !textOK {
+		return fmt.Errorf("E14: want every tile mono and the text preserved, got mono=%v text=%v", monoOK, textOK)
+	}
+	return nil
 }
 
-func runE15(w io.Writer) {
+func runE15(seed int64, w io.Writer) error {
 	t := trace.NewTable("E15: proxy forwarding cost vs filter-queue depth (2 MB transfer, best of 3)",
 		"filters in queue", "packets through proxy", "wall µs/packet", "relative")
-	filterQueueCost(2) // warm up the process before measuring
+	if _, _, err := filterQueueCost(seed, 2); err != nil { // warm up the process before measuring
+		return err
+	}
 	base := 0.0
 	for _, depth := range []int{0, 1, 2, 4, 8} {
-		pkts, usPerPkt := filterQueueCost(depth)
+		pkts, usPerPkt, err := filterQueueCost(seed, depth)
+		if err != nil {
+			return err
+		}
 		if depth == 0 {
 			base = usPerPkt
 		}
@@ -525,20 +539,21 @@ func runE15(w io.Writer) {
 	t2 := trace.NewTable("", "filters in queue", "ns/packet (hook only)", "relative")
 	base = 0.0
 	for _, depth := range []int{0, 1, 2, 4, 8} {
-		ns := hookCost(depth)
+		ns := hookCost(seed+1, depth)
 		if depth == 0 {
 			base = ns
 		}
 		t2.AddRow(depth, ns, ns/base)
 	}
 	t2.Fprint(w)
+	return nil
 }
 
 // hookCost drives the proxy's interception hook directly with a
 // prepared TCP data packet, isolating the filter-queue mechanism from
 // the rest of the simulation.
-func hookCost(depth int) float64 {
-	sys := core.NewSystem(core.Config{Seed: 17})
+func hookCost(seed int64, depth int) float64 {
+	sys := core.NewSystem(core.Config{Seed: seed})
 	sys.MustCommand("load tcp")
 	key := fmt.Sprintf("%v 7 %v 5001", core.WiredAddr, core.MobileAddr)
 	sys.MustCommand("add tcp " + key)
@@ -566,10 +581,10 @@ func hookCost(depth int) float64 {
 // of depth no-op service filters (rdrop at 0%), plus the tcp filter.
 // The best of several repetitions is reported; single runs at this
 // scale are dominated by scheduler noise.
-func filterQueueCost(depth int) (pkts int64, usPerPkt float64) {
+func filterQueueCost(seed int64, depth int) (pkts int64, usPerPkt float64, err error) {
 	best := -1.0
 	for rep := 0; rep < 3; rep++ {
-		sys := core.NewSystem(core.Config{Seed: 16,
+		sys := core.NewSystem(core.Config{Seed: seed,
 			Wireless: netsim.LinkConfig{Bandwidth: 100e6, Delay: time.Millisecond}})
 		sys.MustCommand("load tcp")
 		sys.MustCommand("load launcher")
@@ -584,7 +599,7 @@ func filterQueueCost(depth int) (pkts int64, usPerPkt float64) {
 		start := time.Now()
 		res, err := sys.Transfer(pattern(2_000_000), 7, 5001, 120*time.Second)
 		if err != nil || !res.Completed {
-			return 0, -1
+			return 0, 0, fmt.Errorf("E15: the 2 MB transfer through %d filters did not complete (err %v)", depth, err)
 		}
 		pkts = sys.Proxy.Stats.Intercepted.Load()
 		us := float64(time.Since(start).Microseconds()) / float64(pkts)
@@ -592,12 +607,12 @@ func filterQueueCost(depth int) (pkts int64, usPerPkt float64) {
 			best = us
 		}
 	}
-	return pkts, best
+	return pkts, best, nil
 }
 
-func runE16(w io.Writer) {
+func runE16(seed int64, w io.Writer) error {
 	sys := core.NewSystem(core.Config{
-		Seed:     99,
+		Seed:     seed,
 		Wireless: netsim.LinkConfig{Bandwidth: 5e6, Delay: 10 * time.Millisecond, Loss: netsim.Bernoulli{P: 0.03}, QueueLen: 500},
 	})
 	for _, c := range []string{"load tcp", "load ttsf", "load rdrop", "load launcher",
@@ -607,15 +622,18 @@ func runE16(w io.Writer) {
 	payload := pattern(100_000)
 	res, err := sys.Transfer(payload, 7, 5001, 600*time.Second)
 	if err != nil {
-		fmt.Fprintf(w, "transfer: %v\n", err)
-		return
+		return fmt.Errorf("E16: transfer: %w", err)
 	}
-	completed := res.Client.State() == tcp.StateClosed || res.Client.State() == tcp.StateTimeWait
+	completed := senderClosed(res)
 	subseq := isSubsequence(res.Received, payload)
 	fmt.Fprintf(w, "seeded instance (3%% wireless loss + 40%% permanent rdrop under TTSF):\n")
 	fmt.Fprintf(w, "  sender completed cleanly:        %v\n", completed)
 	fmt.Fprintf(w, "  receiver stream ⊆ original:      %v (%d of %d bytes)\n", subseq, len(res.Received), res.Sent)
 	fmt.Fprintln(w, "full randomized property: go test ./internal/filters -run TestTTSFPropertyRandomTransformations")
+	if !completed || !subseq {
+		return fmt.Errorf("E16: want sender closed and received ⊆ sent, got closed=%v subsequence=%v", completed, subseq)
+	}
+	return nil
 }
 
 func isSubsequence(got, want []byte) bool {

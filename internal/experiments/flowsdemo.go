@@ -10,7 +10,7 @@ import (
 	"repro/internal/netsim"
 )
 
-// FlowsDemo is the flow-log analytics scenario behind `wsim -flows`:
+// FlowsDemo is the flow-log analytics scenario behind `wsim -exp flows`:
 // the policy loop closed over traffic-derived variables instead of
 // link metrics. The proxy's flow log accumulates per-flow L4 records
 // (retransmissions by sequence regression, zero-window events,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -105,11 +106,10 @@ func (st *segTracer) hook() func(send bool, src, dst ip.Addr, seg *tcp.Segment) 
 // runControlScript opens a control session from the wired host to the
 // proxy's SP port, sends each command, and renders a telnet-style
 // transcript (thesis Fig 5.3).
-func runControlScript(w io.Writer, sys *core.System, commands []string) {
+func runControlScript(w io.Writer, sys *core.System, commands []string) error {
 	conn, err := sys.WiredTCP.Connect(core.ProxyCtrlAddr, 12000)
 	if err != nil {
-		fmt.Fprintf(w, "connect: %v\n", err)
-		return
+		return fmt.Errorf("connect: %w", err)
 	}
 	fmt.Fprintf(w, "wired:~> telnet %v 12000\n", core.ProxyCtrlAddr)
 	fmt.Fprintf(w, "Trying %v...\nConnected to proxy.\n", core.ProxyCtrlAddr)
@@ -139,6 +139,7 @@ func runControlScript(w io.Writer, sys *core.System, commands []string) {
 		}
 	}
 	fmt.Fprintln(w, "Connection closed.")
+	return nil
 }
 
 // pattern builds n bytes of deterministic, incompressible-ish data.
@@ -179,6 +180,27 @@ func filterKeyFor(srcPort uint16) filter.Key {
 // ttsfStats fetches TTSF stats for a stream key.
 func ttsfStats(k filter.Key) (filters.TTSFStats, bool) {
 	return filters.TTSFStatsFor(k)
+}
+
+// claims collects the broken claims of a row's "shape check:" or
+// "finding:" line, each naming its inequality and operands, so the row
+// can print its prose unconditionally and then return what failed.
+type claims []error
+
+// check records a broken claim when ok is false.
+func (c *claims) check(ok bool, format string, args ...any) {
+	if !ok {
+		*c = append(*c, fmt.Errorf(format, args...))
+	}
+}
+
+// err joins the broken claims; nil when every claim held.
+func (c claims) err() error { return errors.Join(c...) }
+
+// senderClosed reports whether a transfer's sender finished its close.
+func senderClosed(res *core.TransferResult) bool {
+	st := res.Client.State()
+	return st == tcp.StateClosed || st == tcp.StateTimeWait
 }
 
 // keepAliveStream opens a long-lived stream wired:7 -> mobile:1169

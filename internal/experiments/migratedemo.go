@@ -16,7 +16,7 @@ import (
 )
 
 // MigrateDemo is the live stream-migration scenario behind
-// `wsim -migrate`: proxy-to-proxy handoff of serviced streams under a
+// `wsim -exp migrate`: proxy-to-proxy handoff of serviced streams under a
 // matrix of injected faults.
 //
 // A double-proxy deployment runs migration managers on both SPs. Each

@@ -10,7 +10,7 @@ import (
 	"repro/internal/netsim"
 )
 
-// MMWaveTrace is the committed blockage trace behind `wsim -mmwave`:
+// MMWaveTrace is the committed blockage trace behind `wsim -exp mmwave`:
 // one 5s urban-canyon cycle, looped. A long line-of-sight segment at
 // full mmWave rate, a hard blockage (zero capacity — the beam is
 // gone, not the link), a short LoS gap, and a soft NLoS segment where
@@ -53,7 +53,7 @@ type mmResult struct {
 	fires, reverts int
 }
 
-// MMWaveDemo is the 5G scenario behind `wsim -mmwave`: a dual-link
+// MMWaveDemo is the 5G scenario behind `wsim -exp mmwave`: a dual-link
 // (mmWave + LTE) deployment replaying the committed blockage trace,
 // compared across three legs built from the same seed:
 //

@@ -10,7 +10,7 @@ import (
 	"repro/internal/netsim"
 )
 
-// ObsDemo is the determinism-gate scenario behind `wsim -events`: a
+// ObsDemo is the determinism-gate scenario behind `wsim -exp events`: a
 // full deployment (wired host, proxy+EEM, lossy ARQ wireless link,
 // mobile host, Kati workstation) with packet tracing on, two EEM
 // client sessions, and a filtered bulk transfer. It dumps the complete
@@ -48,7 +48,7 @@ func ObsDemo(seed int64, w io.Writer) error {
 	// Two EEM sessions from different hosts, both watching an
 	// always-in-range variable (one update per session per tick) plus
 	// an interrupt registration. Their per-tick wire order is the
-	// determinism hazard the ordered session registry fixes.
+	// determinism hazard the EEM server's ordered session list fixes.
 	always := eem.Attr{Lower: eem.LongValue(0), Op: eem.GTE}
 	userClient := eem.NewComma(eem.SimDialer(sys.UserTCP))
 	if err := userClient.Register(eem.ID{Var: "sysUpTime", Server: "11.11.9.1"}, always); err != nil {

@@ -13,7 +13,7 @@ import (
 	"repro/internal/policy"
 )
 
-// Chaos is the chaos soak scenario behind `wsim -chaos`: a full Comma
+// Chaos is the chaos soak scenario behind `wsim -exp chaos`: a full Comma
 // deployment runs a sequence of bulk transfers while the Injector and
 // the chaos filter break things around and inside it — link flaps, an
 // asymmetric partition, quality degradation, an EEM server crash with

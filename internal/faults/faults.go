@@ -10,7 +10,7 @@
 // injects faults *inside* the Service Proxy's filter queues — panics,
 // insertion failures, deterministic drop and delay — to exercise the
 // proxy's isolation and quarantine machinery. Chaos (chaos.go) composes
-// both into the soak scenario behind `wsim -chaos`.
+// both into the soak scenario behind `wsim -exp chaos`.
 package faults
 
 import (
