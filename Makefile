@@ -34,8 +34,9 @@ fmt-check:
 # Native fuzz targets, each for $(FUZZTIME): codec round-trip
 # stability and no-panic over the packet parsers, the word-wise
 # checksum against its two-byte reference, the strconv key renderer
-# against its fmt reference, and the recycled scheduler against its
-# container/heap reference.
+# against its fmt reference, the recycled scheduler against its
+# container/heap reference, and the control-port line session against
+# its line-by-line model under any split of the stream.
 fuzz:
 	$(GO) test ./internal/ip -fuzz FuzzIPParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ip -fuzz FuzzChecksum -fuzztime $(FUZZTIME)
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test ./internal/classifier -fuzz FuzzClassifierParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/migrate -fuzz FuzzMigrationSnapshotDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -fuzz FuzzScheduler -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lines -fuzz FuzzLineSession -fuzztime $(FUZZTIME)
 
 # `go build ./...` compiles the examples but nothing executes them, and
 # they are the first thing a reader runs against the public API. Each

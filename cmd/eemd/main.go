@@ -9,93 +9,37 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"log"
 	"net"
-	"net/http"
 	_ "net/http/pprof"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/eem"
-	"repro/internal/obs"
+	"repro/internal/core/daemon"
 	"repro/internal/sim"
 )
-
-// netConn adapts a real net.Conn to the EEM protocol Conn, funnelling
-// writes through the realtime driver so the server never races.
-type netConn struct {
-	c net.Conn
-}
-
-func (n netConn) Write(b []byte) error { _, err := n.c.Write(b); return err }
-func (n netConn) Close()               { n.c.Close() }
 
 func main() {
 	listen := flag.String("listen", ":12001", "address for the EEM protocol")
 	interval := flag.Duration("interval", 10*time.Second, "periodic update interval")
 	debug := flag.String("debug", "", "address for expvar/pprof debug HTTP (e.g. localhost:6061); empty disables")
 	flag.Parse()
+	log.SetPrefix("eemd: ")
 
 	sys := core.NewSystem(core.Config{Seed: time.Now().UnixNano(), EEMInterval: *interval})
 	rt := sim.NewRealtime(sys.Sched)
 	go rt.Run(5 * time.Millisecond)
 
 	if *debug != "" {
-		serveDebug(*debug, rt, sys.Metrics)
+		daemon.ServeDebug(*debug, rt, sys.Metrics)
 	}
 
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
-		log.Fatalf("eemd: %v", err)
+		log.Fatal(err)
 	}
-	log.Printf("eemd: EEM server on %s (interval %v, %d variables)",
+	log.Printf("EEM server on %s (interval %v, %d variables)",
 		*listen, *interval, len(sys.EEM.Variables()))
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			log.Fatalf("eemd: accept: %v", err)
-		}
-		go serve(conn, rt, sys.EEM)
-	}
-}
-
-// serveDebug exposes the unified metrics snapshot through expvar
-// (under "comma") plus the stock pprof handlers on a debug HTTP port.
-func serveDebug(addr string, rt *sim.Realtime, metrics *obs.Registry) {
-	expvar.Publish("comma", expvar.Func(func() any {
-		var snap []obs.Sample
-		rt.DoSync(func() { snap = metrics.Snapshot() })
-		out := make(map[string]string, len(snap))
-		for _, s := range snap {
-			out[s.Name] = s.Value
-		}
-		return out
-	}))
-	go func() {
-		log.Printf("eemd: debug HTTP (expvar, pprof) on %s", addr)
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			log.Printf("eemd: debug HTTP: %v", err)
-		}
-	}()
-}
-
-func serve(conn net.Conn, rt *sim.Realtime, srv *eem.Server) {
-	var onData func([]byte)
-	var onClose func()
-	rt.DoSync(func() { onData, onClose = srv.Accept(netConn{conn}) })
-	defer rt.Do(onClose)
-	buf := make([]byte, 4096)
-	for {
-		n, err := conn.Read(buf)
-		if n > 0 {
-			data := make([]byte, n)
-			copy(data, buf[:n])
-			rt.DoSync(func() { onData(data) })
-		}
-		if err != nil {
-			return
-		}
-	}
+	log.Fatal(daemon.Serve(l, rt, sys.EEM.Accept))
 }

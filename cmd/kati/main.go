@@ -116,3 +116,4 @@ type realConn struct{ c net.Conn }
 
 func (r realConn) Write(b []byte) error { _, err := r.c.Write(b); return err }
 func (r realConn) Close()               { r.c.Close() }
+func (r realConn) Abort()               { r.c.Close() }

@@ -17,21 +17,17 @@
 package main
 
 import (
-	"bufio"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	_ "net/http/pprof"
 	"runtime"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/core"
+	"repro/internal/core/daemon"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/proxy"
 	"repro/internal/sim"
@@ -47,9 +43,10 @@ func main() {
 	var rules multiFlag
 	flag.Var(&rules, "policy", "adaptive policy rule (repeatable); see internal/policy for the grammar")
 	flag.Parse()
+	log.SetPrefix("spd: ")
 	for _, r := range rules {
 		if _, err := policy.ParseRule(r); err != nil {
-			log.Fatalf("spd: %v", err)
+			log.Fatal(err)
 		}
 	}
 
@@ -92,21 +89,15 @@ func main() {
 	go rt.Run(5 * time.Millisecond)
 
 	if *debug != "" {
-		serveDebug(*debug, rt, sys.Metrics)
+		daemon.ServeDebug(*debug, rt, sys.Metrics)
 	}
 
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
-		log.Fatalf("spd: %v", err)
+		log.Fatal(err)
 	}
-	log.Printf("spd: service proxy control on %s (try: telnet %s then 'report')", *listen, *listen)
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			log.Fatalf("spd: accept: %v", err)
-		}
-		go serve(conn, rt, sys)
-	}
+	log.Printf("service proxy control on %s (try: telnet %s then 'report')", *listen, *listen)
+	log.Fatal(daemon.Serve(l, rt, proxy.AcceptControl(sys.Sched, sys.Plane.Command, nil)))
 }
 
 // multiFlag collects a repeatable string flag.
@@ -117,60 +108,4 @@ func (m *multiFlag) String() string { return fmt.Sprint([]string(*m)) }
 func (m *multiFlag) Set(v string) error {
 	*m = append(*m, v)
 	return nil
-}
-
-// serveDebug exposes the unified metrics snapshot through expvar
-// (under "comma") plus the stock pprof handlers on a debug HTTP port.
-// Simulation state is only touched inside DoSync, so scrapes are safe
-// against the realtime driver.
-func serveDebug(addr string, rt *sim.Realtime, metrics *obs.Registry) {
-	expvar.Publish("comma", expvar.Func(func() any {
-		var snap []obs.Sample
-		rt.DoSync(func() { snap = metrics.Snapshot() })
-		out := make(map[string]string, len(snap))
-		for _, s := range snap {
-			out[s.Name] = s.Value
-		}
-		return out
-	}))
-	go func() {
-		log.Printf("spd: debug HTTP (expvar, pprof) on %s", addr)
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			log.Printf("spd: debug HTTP: %v", err)
-		}
-	}()
-}
-
-// serve runs one control session under the same bounds as the
-// simulated control port (proxy.serveControlConn): lines are capped at
-// proxy.MaxControlLine (an unframed flood gets a diagnostic and the
-// session is severed), non-UTF-8 lines are rejected but the session
-// lives, and a session idle past proxy.ControlIdleTimeout is dropped.
-func serve(conn net.Conn, rt *sim.Realtime, sys *core.System) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 512), proxy.MaxControlLine)
-	for {
-		conn.SetReadDeadline(time.Now().Add(proxy.ControlIdleTimeout))
-		if !sc.Scan() {
-			if sc.Err() == bufio.ErrTooLong {
-				fmt.Fprintf(conn, "error: command line exceeds %d bytes\n", proxy.MaxControlLine)
-			}
-			return
-		}
-		line := sc.Text()
-		if !utf8.ValidString(line) {
-			if _, err := conn.Write([]byte("error: command line is not valid UTF-8\n")); err != nil {
-				return
-			}
-			continue
-		}
-		var out string
-		rt.DoSync(func() { out = sys.Plane.Command(line) })
-		if out != "" {
-			if _, err := conn.Write([]byte(out)); err != nil {
-				return
-			}
-		}
-	}
 }

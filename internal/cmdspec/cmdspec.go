@@ -1,10 +1,11 @@
 // Package cmdspec is the single authoritative table of the SP control
 // grammar: every command's name, argument signature, arity bounds,
 // help text, mutation flag, and data-plane routing class lives here.
-// proxy/control.go (arity checks, usage diagnostics, help, auth
-// gating), dataplane/plane.go (shard routing), and kati/kati.go
-// (forwarding set, generated help) all read this table, so the three
-// surfaces cannot drift apart.
+// dataplane/plane.go (shard routing, extension arity, help),
+// proxy/control.go (the shards' arity checks and usage diagnostics,
+// the control session's auth gating), and kati/kati.go (forwarding
+// set, generated help) all read this table, so the surfaces cannot
+// drift apart.
 package cmdspec
 
 import (
@@ -50,9 +51,8 @@ type Spec struct {
 	// currently selected service proxy.
 	Kati bool
 	// Ext marks plane-extension commands (registered at runtime via
-	// Plane.RegisterCommand, absent from a bare proxy): they are not
-	// listed in the base help line and a lone proxy answers them with
-	// "unknown command".
+	// Plane.RegisterCommand): they are not listed in the base help
+	// line, and a plane without them answers "unknown command".
 	Ext bool
 	// Route is the data-plane routing class.
 	Route Route

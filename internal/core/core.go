@@ -273,7 +273,7 @@ func NewSystem(cfg Config) *System {
 
 	// Control plane on the primary proxy host: SP command port and EEM
 	// server.
-	if err := proxy.ServeControl(sys.Ctrl, proxy.ControlPort, sys.Plane); err != nil {
+	if err := proxy.ServeControl(sys.Ctrl, proxy.ControlPort, sys.Plane.Command); err != nil {
 		panic(fmt.Sprintf("core: control port: %v", err))
 	}
 	sys.EEM = eem.NewServer("proxy")

@@ -270,7 +270,8 @@ func (pl *Plane) extNames() []string {
 	return out
 }
 
-// Command implements proxy.Commander over the sharded plane. Extension
+// Command runs one SP command line over the sharded plane; the control
+// port (proxy.ServeControl) and the daemons serve it. Extension
 // commands dispatch first (they exist at the plane, not on any shard).
 // Every other line costs one "proxy/command" event, emitted here so the
 // event log does not depend on the shard count, and routes by the
@@ -278,8 +279,7 @@ func (pl *Plane) extNames() []string {
 // registry/service mutations broadcast under the quiesce protocol,
 // report/streams/flows merge per-shard state, and shared-state queries
 // (stats, events, filters, services, help) answer from shard 0. One
-// inline shard is not a special case: its executor calls it directly,
-// and the merged renderers are the ones the proxy's own handlers use.
+// inline shard is not a special case: its executor calls it directly.
 func (pl *Plane) Command(line string) string {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
@@ -489,5 +489,3 @@ func (pl *Plane) mergedFlows(n int) string {
 	}
 	return flowlog.Render(out, n)
 }
-
-var _ proxy.Commander = (*Plane)(nil)

@@ -197,9 +197,9 @@ func TestCommandRouting(t *testing.T) {
 	if got := pl.Shard(owner).RegistrationCount(); got != 1 {
 		t.Fatalf("owner has %d registrations after exact delete, want 1 (the wildcard)", got)
 	}
-	// A merged query checks arity like the proxy's own handler does.
-	if got, want := pl.Command("flows 1 2"), pl.Shard(0).Command("flows 1 2"); got != want {
-		t.Fatalf("flows with two args: plane %q, proxy %q", got, want)
+	// A merged query checks arity against the shared grammar.
+	if got, want := pl.Command("flows 1 2"), "error: usage: flows [n]\n"; got != want {
+		t.Fatalf("flows with two args: %q, want %q", got, want)
 	}
 }
 

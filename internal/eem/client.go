@@ -38,102 +38,40 @@ type pdaEntry struct {
 	stale     bool // server lost since the value arrived
 }
 
-// Client is the low-level EEM client connection machinery. All methods
-// must be called from the event-loop goroutine driving the transports.
-//
-// The comma_* surface lives on the Comma facade (comma.go), which
-// renders the thesis's interface with explicit notification modes on
-// top of the unexported cores below. Client keeps only the plumbing
-// that is mode-independent: lifecycle (NewClient, Close), transport
-// supervision, staleness, and the variable catalogue.
-type Client struct {
-	dial    Dialer
-	conns   map[string]Conn
-	pda     map[ID]*pdaEntry
-	cb      func(ID, Value) // interrupt-style callback
-	nextSeq int64
-	polls   map[int64]func(Value, error)
-	pollSrv map[int64]string // seq → server, to fail polls on disconnect
-	listReq map[int64]func([]string)
-	closed  bool
-
-	// interests mirrors every live registration so the supervisor can
-	// replay them on a fresh connection after the server comes back.
-	interests map[ID]Attr
-
-	sup *supervisor
-	obs *obs.Bus
-}
-
-// NewClient initializes the client library (comma_init).
-func NewClient(dial Dialer) *Client {
-	return &Client{
-		dial:      dial,
-		conns:     make(map[string]Conn),
-		pda:       make(map[ID]*pdaEntry),
-		polls:     make(map[int64]func(Value, error)),
-		pollSrv:   make(map[int64]string),
-		listReq:   make(map[int64]func([]string)),
-		interests: make(map[ID]Attr),
-	}
-}
-
-// SetObs attaches the observability bus; connection-lifecycle events
-// are emitted under the "eem-client" subsystem, keyed by server name.
-func (c *Client) SetObs(b *obs.Bus) { c.obs = b }
-
-// setCallback installs the interrupt-notification callback
-// (comma_setcallback); Comma.Register's WithCallback mode routes
-// through it.
-func (c *Client) setCallback(fn func(ID, Value)) { c.cb = fn }
-
-// Close disconnects from all servers and drops state (comma_term).
-func (c *Client) Close() { c.close() }
-
-func (c *Client) close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	for _, conn := range c.conns {
-		conn.Close()
-	}
-	c.conns = nil
-}
+// The transport half of Comma: connections, the protected data area,
+// polls, and the reconnection supervisor. The comma_* surface and its
+// notification modes are in comma.go.
 
 // connTo returns (dialing if needed) the stream to server.
-func (c *Client) connTo(server string) (Conn, error) {
-	if conn, ok := c.conns[server]; ok {
+func (cm *Comma) connTo(server string) (Conn, error) {
+	if conn, ok := cm.conns[server]; ok {
 		return conn, nil
 	}
-	conn, wire, err := c.dial(server)
+	conn, wire, err := cm.dial(server)
 	if err != nil {
 		return nil, fmt.Errorf("eem: dial %s: %w", server, err)
 	}
-	var lb lineBuffer
-	wire(func(data []byte) {
-		lb.feed(data, func(line []byte) { c.handleLine(server, line) })
-	})
+	wire(readLines(conn, nil, func(line []byte) { cm.handleLine(server, line) }))
 	if n, ok := conn.(CloseNotifier); ok {
-		n.OnDown(func() { c.noteDisconnect(server) })
+		n.OnDown(func() { cm.noteDisconnect(server) })
 	}
-	c.conns[server] = conn
+	cm.conns[server] = conn
 	return conn, nil
 }
 
 // writeTo sends msg on the (freshly dialed if needed) stream to
 // server. Any failure evicts the cached connection so the next call
 // redials instead of reusing a dead conn.
-func (c *Client) writeTo(server string, msg []byte) error {
-	conn, err := c.connTo(server)
+func (cm *Comma) writeTo(server string, msg []byte) error {
+	conn, err := cm.connTo(server)
 	if err != nil {
-		if c.sup != nil {
-			c.sup.scheduleRedial(c, server)
+		if cm.sup != nil {
+			cm.sup.scheduleRedial(cm, server)
 		}
 		return err
 	}
 	if err := conn.Write(msg); err != nil {
-		c.noteDisconnect(server)
+		cm.noteDisconnect(server)
 		return fmt.Errorf("eem: write to %s: %w", server, err)
 	}
 	return nil
@@ -143,14 +81,14 @@ func (c *Client) writeTo(server string, msg []byte) error {
 // server's protected-data-area entries stale, and fails its pending
 // polls. Safe to call repeatedly; the supervisor (if any) owns the
 // redial schedule.
-func (c *Client) noteDisconnect(server string) {
-	if c.closed {
+func (cm *Comma) noteDisconnect(server string) {
+	if cm.closed {
 		return
 	}
-	if conn, ok := c.conns[server]; ok {
-		delete(c.conns, server)
+	if conn, ok := cm.conns[server]; ok {
+		delete(cm.conns, server)
 		conn.Close()
-		for id, e := range c.pda {
+		for id, e := range cm.pda {
 			if id.Server == server {
 				e.stale = true
 			}
@@ -158,25 +96,25 @@ func (c *Client) noteDisconnect(server string) {
 		// Outstanding polls on this stream will never be answered;
 		// fail them now, in seq order for reproducible callback order.
 		var seqs []int64
-		for seq, srv := range c.pollSrv {
+		for seq, srv := range cm.pollSrv {
 			if srv == server {
 				seqs = append(seqs, seq)
 			}
 		}
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		for _, seq := range seqs {
-			fn := c.polls[seq]
-			delete(c.polls, seq)
-			delete(c.pollSrv, seq)
+			fn := cm.polls[seq]
+			delete(cm.polls, seq)
+			delete(cm.pollSrv, seq)
 			if fn != nil {
 				fn(Value{}, wrapKind(ErrConnLost,
 					fmt.Sprintf("eem: connection to %s lost", server)))
 			}
 		}
-		c.obs.Emit("eem-client", "conn-down", server)
+		cm.obs.Emit("eem-client", "conn-down", server)
 	}
-	if c.sup != nil {
-		c.sup.scheduleRedial(c, server)
+	if cm.sup != nil {
+		cm.sup.scheduleRedial(cm, server)
 	}
 }
 
@@ -186,69 +124,57 @@ func (c *Client) noteDisconnect(server string) {
 // the region. The interest is remembered even if the server is
 // currently unreachable: a supervising client re-registers it once
 // the connection comes back.
-func (c *Client) register(id ID, attr Attr) error {
-	c.interests[id] = attr
-	if _, ok := c.pda[id]; !ok {
-		c.pda[id] = &pdaEntry{}
+func (cm *Comma) register(id ID, attr Attr) error {
+	cm.interests[id] = attr
+	if _, ok := cm.pda[id]; !ok {
+		cm.pda[id] = &pdaEntry{}
 	}
-	return c.writeTo(id.Server, encodeMsg(wireMsg{Kind: msgRegister, ID: id, A: attr}))
+	return cm.writeTo(id.Server, encodeMsg(wireMsg{Kind: msgRegister, ID: id, A: attr}))
 }
 
 // localRegister records a client-only registration (Comma's WithPoll
 // mode): a PDA slot exists for GetValueOnce results but the server is
 // never contacted and the supervisor never replays it.
-func (c *Client) localRegister(id ID) {
-	if _, ok := c.pda[id]; !ok {
-		c.pda[id] = &pdaEntry{}
+func (cm *Comma) localRegister(id ID) {
+	if _, ok := cm.pda[id]; !ok {
+		cm.pda[id] = &pdaEntry{}
 	}
 }
 
 // deregister removes one registration (comma_var_deregister).
-func (c *Client) deregister(id ID) error {
-	delete(c.interests, id)
-	delete(c.pda, id)
-	return c.writeTo(id.Server, encodeMsg(wireMsg{Kind: msgDeregister, ID: id}))
+func (cm *Comma) deregister(id ID) error {
+	delete(cm.interests, id)
+	delete(cm.pda, id)
+	return cm.writeTo(id.Server, encodeMsg(wireMsg{Kind: msgDeregister, ID: id}))
 }
 
 // localDeregister drops a client-only registration without touching
 // the server.
-func (c *Client) localDeregister(id ID) {
-	delete(c.interests, id)
-	delete(c.pda, id)
+func (cm *Comma) localDeregister(id ID) {
+	delete(cm.interests, id)
+	delete(cm.pda, id)
 }
 
 // deregisterAll removes every registration on every server
 // (comma_var_deregisterall).
-func (c *Client) deregisterAll() {
-	servers := make([]string, 0, len(c.conns))
-	for s := range c.conns {
+func (cm *Comma) deregisterAll() {
+	servers := make([]string, 0, len(cm.conns))
+	for s := range cm.conns {
 		servers = append(servers, s)
 	}
 	sort.Strings(servers)
 	for _, s := range servers {
-		c.writeTo(s, encodeMsg(wireMsg{Kind: msgDeregisterAll}))
+		cm.writeTo(s, encodeMsg(wireMsg{Kind: msgDeregisterAll}))
 	}
-	c.pda = make(map[ID]*pdaEntry)
-	c.interests = make(map[ID]Attr)
-}
-
-// value returns the most recent value from the protected data area
-// (comma_query_getvalue) and whether one has arrived. It clears the
-// changed mark.
-func (c *Client) value(id ID) (Value, bool) {
-	e, ok := c.pda[id]
-	if !ok || !e.haveValue {
-		return Value{}, false
-	}
-	e.changed = false
-	return e.val, true
+	cm.pda = make(map[ID]*pdaEntry)
+	cm.interests = make(map[ID]Attr)
 }
 
 // storePDA writes a value into the protected data area directly —
 // Comma's WithPDA refresh pump stores poll results through it, keeping
 // the changed/stale bookkeeping identical to a server-pushed update.
-func (c *Client) storePDA(id ID, v Value, inRange bool) {
-	e, ok := c.pda[id]
+func (cm *Comma) storePDA(id ID, v Value, inRange bool) {
+	e, ok := cm.pda[id]
 	if !ok {
 		return
 	}
@@ -261,50 +187,26 @@ func (c *Client) storePDA(id ID, v Value, inRange bool) {
 	e.stale = false
 }
 
-// Stale reports whether id's protected-data-area value predates a
-// disconnect from its server — still readable, but possibly outdated.
-// It clears when fresh data arrives after the reconnect.
-func (c *Client) Stale(id ID) bool { return c.stale(id) }
-
-func (c *Client) stale(id ID) bool {
-	e, ok := c.pda[id]
-	return ok && e.stale
-}
-
-// inRange reports whether the most recent update had the variable
-// inside its region of interest (comma_query_isinrange).
-func (c *Client) inRange(id ID) bool {
-	e, ok := c.pda[id]
-	return ok && e.inRange
-}
-
-// hasChanged reports whether the variable changed since last read
-// (comma_query_haschanged).
-func (c *Client) hasChanged(id ID) bool {
-	e, ok := c.pda[id]
-	return ok && e.changed
-}
-
 // pollOnce retrieves a single value directly from the server
 // (comma_query_getvalue_once). The reply is delivered asynchronously
 // to fn — the event-driven rendering of the thesis's synchronous call.
 // If the connection dies before the reply, fn receives an error.
-func (c *Client) pollOnce(id ID, fn func(Value, error)) error {
-	conn, err := c.connTo(id.Server)
+func (cm *Comma) pollOnce(id ID, fn func(Value, error)) error {
+	conn, err := cm.connTo(id.Server)
 	if err != nil {
-		if c.sup != nil {
-			c.sup.scheduleRedial(c, id.Server)
+		if cm.sup != nil {
+			cm.sup.scheduleRedial(cm, id.Server)
 		}
 		return err
 	}
-	c.nextSeq++
-	seq := c.nextSeq
-	c.polls[seq] = fn
-	c.pollSrv[seq] = id.Server
+	cm.nextSeq++
+	seq := cm.nextSeq
+	cm.polls[seq] = fn
+	cm.pollSrv[seq] = id.Server
 	if err := conn.Write(encodeMsg(wireMsg{Kind: msgPoll, Seq: seq, ID: id})); err != nil {
-		delete(c.polls, seq)
-		delete(c.pollSrv, seq)
-		c.noteDisconnect(id.Server)
+		delete(cm.polls, seq)
+		delete(cm.pollSrv, seq)
+		cm.noteDisconnect(id.Server)
 		return fmt.Errorf("eem: write to %s: %w", id.Server, err)
 	}
 	return nil
@@ -312,49 +214,45 @@ func (c *Client) pollOnce(id ID, fn func(Value, error)) error {
 
 // ListVariables asks a server for its variable catalogue (Kati's
 // browsing support).
-func (c *Client) ListVariables(server string, fn func([]string)) error {
-	return c.listVariables(server, fn)
-}
-
-func (c *Client) listVariables(server string, fn func([]string)) error {
-	conn, err := c.connTo(server)
+func (cm *Comma) ListVariables(server string, fn func([]string)) error {
+	conn, err := cm.connTo(server)
 	if err != nil {
-		if c.sup != nil {
-			c.sup.scheduleRedial(c, server)
+		if cm.sup != nil {
+			cm.sup.scheduleRedial(cm, server)
 		}
 		return err
 	}
-	c.nextSeq++
-	seq := c.nextSeq
-	c.listReq[seq] = fn
+	cm.nextSeq++
+	seq := cm.nextSeq
+	cm.listReq[seq] = fn
 	if err := conn.Write(encodeMsg(wireMsg{Kind: msgListVars, Seq: seq})); err != nil {
-		delete(c.listReq, seq)
-		c.noteDisconnect(server)
+		delete(cm.listReq, seq)
+		cm.noteDisconnect(server)
 		return fmt.Errorf("eem: write to %s: %w", server, err)
 	}
 	return nil
 }
 
 // handleLine processes one inbound protocol message from server.
-func (c *Client) handleLine(server string, line []byte) {
+func (cm *Comma) handleLine(server string, line []byte) {
 	var m wireMsg
 	if err := json.Unmarshal(line, &m); err != nil {
 		return
 	}
 	// Any parseable message proves the server alive: reset the
 	// supervisor's backoff so the next outage starts from BaseDelay.
-	if c.sup != nil {
-		c.sup.attempt[server] = 0
+	if cm.sup != nil {
+		cm.sup.attempt[server] = 0
 	}
 	switch m.Kind {
 	case msgUpdate:
 		for _, u := range m.Batch {
-			e, ok := c.pda[u.ID]
+			e, ok := cm.pda[u.ID]
 			if !ok {
 				// Tolerate servers that strip the server name.
 				id := u.ID
 				id.Server = server
-				e, ok = c.pda[id]
+				e, ok = cm.pda[id]
 				if !ok {
 					continue
 				}
@@ -369,7 +267,7 @@ func (c *Client) handleLine(server string, line []byte) {
 		}
 	case msgNotify:
 		id := m.ID
-		if e, ok := c.pda[id]; ok {
+		if e, ok := cm.pda[id]; ok {
 			if !e.haveValue || !e.val.Equal(m.V) {
 				e.changed = true
 			}
@@ -378,16 +276,16 @@ func (c *Client) handleLine(server string, line []byte) {
 			e.inRange = true
 			e.stale = false
 		}
-		if c.cb != nil {
-			c.cb(id, m.V)
+		if fn, ok := cm.cbs[id]; ok {
+			fn(id, m.V)
 		}
 	case msgPollReply:
-		fn, ok := c.polls[m.Seq]
+		fn, ok := cm.polls[m.Seq]
 		if !ok {
 			return
 		}
-		delete(c.polls, m.Seq)
-		delete(c.pollSrv, m.Seq)
+		delete(cm.polls, m.Seq)
+		delete(cm.pollSrv, m.Seq)
 		if m.Err != "" {
 			if kind := kindForCode(m.Code); kind != nil {
 				fn(Value{}, wrapKind(kind, "eem: "+m.Err))
@@ -398,8 +296,8 @@ func (c *Client) handleLine(server string, line []byte) {
 			fn(m.V, nil)
 		}
 	case msgVarList:
-		if fn, ok := c.listReq[m.Seq]; ok {
-			delete(c.listReq, m.Seq)
+		if fn, ok := cm.listReq[m.Seq]; ok {
+			delete(cm.listReq, m.Seq)
 			fn(m.Names)
 		}
 	case msgError:
@@ -423,25 +321,30 @@ type supervisor struct {
 	attempt map[string]int
 }
 
-// Supervise attaches a reconnection supervisor driven by the given
-// scheduler: when a connection dies the client redials with
-// exponential backoff and jitter drawn from the scheduler's seeded RNG
-// (deterministic per seed, yet de-synchronized across clients), and
-// replays every registration held on that server once a redial sticks.
-// PDA entries stay readable but report Stale until fresh data arrives.
-func (c *Client) Supervise(sched *sim.Scheduler, cfg SuperviseConfig) {
+// Supervise attaches a reconnection supervisor driven by the
+// UseScheduler scheduler: when a connection dies the client redials
+// with exponential backoff and jitter drawn from the scheduler's
+// seeded RNG (deterministic per seed, yet de-synchronized across
+// clients), and replays every server-side registration once a redial
+// sticks. PDA entries stay readable but report Stale until fresh data
+// arrives.
+func (cm *Comma) Supervise(cfg SuperviseConfig) error {
+	if cm.sched == nil {
+		return ErrNoScheduler
+	}
 	if cfg.BaseDelay <= 0 {
 		cfg.BaseDelay = 500 * time.Millisecond
 	}
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 15 * time.Second
 	}
-	c.sup = &supervisor{
-		sched:   sched,
+	cm.sup = &supervisor{
+		sched:   cm.sched,
 		cfg:     cfg,
 		pending: make(map[string]bool),
 		attempt: make(map[string]int),
 	}
+	return nil
 }
 
 // backoff computes the next redial delay for server: exponential in
@@ -460,40 +363,40 @@ func (s *supervisor) backoff(server string) time.Duration {
 }
 
 // scheduleRedial arms (at most one) pending redial timer for server.
-func (s *supervisor) scheduleRedial(c *Client, server string) {
+func (s *supervisor) scheduleRedial(cm *Comma, server string) {
 	if s.pending[server] {
 		return
 	}
 	s.pending[server] = true
 	d := s.backoff(server)
 	s.attempt[server]++
-	c.obs.Emit("eem-client", "redial-scheduled", server,
+	cm.obs.Emit("eem-client", "redial-scheduled", server,
 		obs.F("attempt", s.attempt[server]), obs.F("delay_ms", d.Milliseconds()))
 	s.sched.After(d, func() {
 		s.pending[server] = false
-		if c.closed {
+		if cm.closed {
 			return
 		}
-		if _, ok := c.conns[server]; ok {
+		if _, ok := cm.conns[server]; ok {
 			return // something else already reconnected
 		}
-		if err := c.reconnect(server); err != nil {
-			c.obs.Emit("eem-client", "redial-failed", server)
-			s.scheduleRedial(c, server)
+		if err := cm.reconnect(server); err != nil {
+			cm.obs.Emit("eem-client", "redial-failed", server)
+			s.scheduleRedial(cm, server)
 		}
 	})
 }
 
 // reconnect redials server and replays its registrations in a
 // deterministic (var, index) order.
-func (c *Client) reconnect(server string) error {
-	conn, err := c.connTo(server)
+func (cm *Comma) reconnect(server string) error {
+	conn, err := cm.connTo(server)
 	if err != nil {
 		return err
 	}
-	c.obs.Emit("eem-client", "reconnected", server)
-	ids := make([]ID, 0, len(c.interests))
-	for id := range c.interests {
+	cm.obs.Emit("eem-client", "reconnected", server)
+	ids := make([]ID, 0, len(cm.interests))
+	for id := range cm.interests {
 		if id.Server == server {
 			ids = append(ids, id)
 		}
@@ -505,13 +408,13 @@ func (c *Client) reconnect(server string) error {
 		return ids[i].Index < ids[j].Index
 	})
 	for _, id := range ids {
-		if err := conn.Write(encodeMsg(wireMsg{Kind: msgRegister, ID: id, A: c.interests[id]})); err != nil {
-			c.noteDisconnect(server)
+		if err := conn.Write(encodeMsg(wireMsg{Kind: msgRegister, ID: id, A: cm.interests[id]})); err != nil {
+			cm.noteDisconnect(server)
 			return err
 		}
 	}
 	if len(ids) > 0 {
-		c.obs.Emit("eem-client", "re-register", server, obs.F("count", len(ids)))
+		cm.obs.Emit("eem-client", "re-register", server, obs.F("count", len(ids)))
 	}
 	return nil
 }

@@ -26,6 +26,7 @@ func (f *fakeConn) Write(b []byte) error {
 }
 
 func (f *fakeConn) Close() { f.closed = true }
+func (f *fakeConn) Abort() { f.closed = true }
 
 // TestDeadConnEvictedOnWriteError is the regression test for the
 // connection-cache poisoning bug: before the fix, a conn whose Write

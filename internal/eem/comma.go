@@ -8,9 +8,8 @@ import (
 )
 
 // Comma is the paper-faithful rendering of the comma_* client
-// interface (thesis Tables 6.3–6.7). It wraps the low-level Client
-// machinery and makes the notification mode of every registration
-// explicit through functional options:
+// interface (thesis Tables 6.3–6.7), with the notification mode of
+// every registration explicit through functional options:
 //
 //	Register(id, attr)                  silent periodic updates into the
 //	                                    protected data area (the thesis
@@ -28,8 +27,23 @@ import (
 // WithCallback and WithPDA compose; WithPoll is exclusive. All methods
 // must be called from the event-loop goroutine driving the transports.
 type Comma struct {
-	c     *Client
+	dial    Dialer
+	conns   map[string]Conn
+	pda     map[ID]*pdaEntry
+	nextSeq int64
+	polls   map[int64]func(Value, error)
+	pollSrv map[int64]string // seq → server, to fail polls on disconnect
+	listReq map[int64]func([]string)
+	closed  bool
+
+	// interests mirrors every live server-side registration so the
+	// supervisor can replay them on a fresh connection after the
+	// server comes back.
+	interests map[ID]Attr
+
 	sched *sim.Scheduler
+	sup   *supervisor
+	obs   *obs.Bus
 
 	modes    map[ID]regMode
 	cbs      map[ID]func(ID, Value)
@@ -78,20 +92,18 @@ func WithPoll() RegisterOption {
 
 // NewComma initializes the client library (comma_init).
 func NewComma(dial Dialer) *Comma {
-	cm := &Comma{
-		c:        NewClient(dial),
-		modes:    make(map[ID]regMode),
-		cbs:      make(map[ID]func(ID, Value)),
-		pdaStops: make(map[ID]func()),
+	return &Comma{
+		dial:      dial,
+		conns:     make(map[string]Conn),
+		pda:       make(map[ID]*pdaEntry),
+		polls:     make(map[int64]func(Value, error)),
+		pollSrv:   make(map[int64]string),
+		listReq:   make(map[int64]func([]string)),
+		interests: make(map[ID]Attr),
+		modes:     make(map[ID]regMode),
+		cbs:       make(map[ID]func(ID, Value)),
+		pdaStops:  make(map[ID]func()),
 	}
-	// One underlying callback demuxes interrupt notifications to the
-	// per-registration callbacks.
-	cm.c.setCallback(func(id ID, v Value) {
-		if fn, ok := cm.cbs[id]; ok {
-			fn(id, v)
-		}
-	})
-	return cm
 }
 
 // UseScheduler attaches the scheduler that drives WithPDA refresh
@@ -100,26 +112,22 @@ func (cm *Comma) UseScheduler(sched *sim.Scheduler) { cm.sched = sched }
 
 // SetObs attaches the observability bus; connection-lifecycle events
 // are emitted under the "eem-client" subsystem, keyed by server name.
-func (cm *Comma) SetObs(b *obs.Bus) { cm.c.SetObs(b) }
-
-// Supervise attaches a reconnection supervisor (see Client.Supervise):
-// dead connections are redialed with seeded-jitter exponential backoff
-// and server-side registrations are replayed once a redial sticks.
-func (cm *Comma) Supervise(cfg SuperviseConfig) error {
-	if cm.sched == nil {
-		return ErrNoScheduler
-	}
-	cm.c.Supervise(cm.sched, cfg)
-	return nil
-}
+func (cm *Comma) SetObs(b *obs.Bus) { cm.obs = b }
 
 // Term disconnects from all servers and drops state (comma_term).
 func (cm *Comma) Term() {
+	if cm.closed {
+		return
+	}
+	cm.closed = true
 	for _, stop := range cm.pdaStops {
 		stop()
 	}
 	cm.pdaStops = make(map[ID]func())
-	cm.c.close()
+	for _, conn := range cm.conns {
+		conn.Close()
+	}
+	cm.conns = nil
 }
 
 // validAttr rejects attributes that can never match: an operator
@@ -157,7 +165,7 @@ func (cm *Comma) Register(id ID, attr Attr, opts ...RegisterOption) error {
 
 	mode := regMode{callback: rc.cb != nil, pda: rc.pdaPeriod > 0, poll: rc.poll}
 	if rc.poll {
-		cm.c.localRegister(id)
+		cm.localRegister(id)
 		cm.modes[id] = mode
 		return nil
 	}
@@ -170,7 +178,7 @@ func (cm *Comma) Register(id ID, attr Attr, opts ...RegisterOption) error {
 	} else {
 		delete(cm.cbs, id)
 	}
-	if err := cm.c.register(id, attr); err != nil {
+	if err := cm.register(id, attr); err != nil {
 		// The interest is remembered (a supervised client replays it on
 		// reconnect), so the mode bookkeeping must survive the error too.
 		cm.modes[id] = mode
@@ -201,7 +209,7 @@ func (cm *Comma) armPDA(id ID, attr Attr, period time.Duration) {
 		if stopped {
 			return
 		}
-		cm.c.pollOnce(id, func(v Value, err error) {
+		cm.pollOnce(id, func(v Value, err error) {
 			if stopped || err != nil {
 				return
 			}
@@ -209,7 +217,7 @@ func (cm *Comma) armPDA(id ID, attr Attr, period time.Duration) {
 			if merr != nil {
 				in = false
 			}
-			cm.c.storePDA(id, v, in)
+			cm.storePDA(id, v, in)
 		})
 		cm.sched.After(period, tick)
 	}
@@ -226,10 +234,10 @@ func (cm *Comma) Deregister(id ID) error {
 	delete(cm.cbs, id)
 	delete(cm.modes, id)
 	if known && mode.poll {
-		cm.c.localDeregister(id)
+		cm.localDeregister(id)
 		return nil
 	}
-	return cm.c.deregister(id)
+	return cm.deregister(id)
 }
 
 // DeregisterAll removes every registration on every server
@@ -241,25 +249,42 @@ func (cm *Comma) DeregisterAll() {
 	cm.pdaStops = make(map[ID]func())
 	cm.cbs = make(map[ID]func(ID, Value))
 	cm.modes = make(map[ID]regMode)
-	cm.c.deregisterAll()
+	cm.deregisterAll()
 }
 
 // GetValue returns the most recent value from the protected data area
 // (comma_query_getvalue) and whether one has arrived. It clears the
 // changed mark.
-func (cm *Comma) GetValue(id ID) (Value, bool) { return cm.c.value(id) }
+func (cm *Comma) GetValue(id ID) (Value, bool) {
+	e, ok := cm.pda[id]
+	if !ok || !e.haveValue {
+		return Value{}, false
+	}
+	e.changed = false
+	return e.val, true
+}
 
 // IsInRange reports whether the most recent update had the variable
 // inside its region of interest (comma_query_isinrange).
-func (cm *Comma) IsInRange(id ID) bool { return cm.c.inRange(id) }
+func (cm *Comma) IsInRange(id ID) bool {
+	e, ok := cm.pda[id]
+	return ok && e.inRange
+}
 
 // HasChanged reports whether the variable changed since last read
 // (comma_query_haschanged).
-func (cm *Comma) HasChanged(id ID) bool { return cm.c.hasChanged(id) }
+func (cm *Comma) HasChanged(id ID) bool {
+	e, ok := cm.pda[id]
+	return ok && e.changed
+}
 
 // Stale reports whether id's protected-data-area value predates a
-// disconnect from its server.
-func (cm *Comma) Stale(id ID) bool { return cm.c.stale(id) }
+// disconnect from its server — still readable, but possibly outdated.
+// It clears when fresh data arrives after the reconnect.
+func (cm *Comma) Stale(id ID) bool {
+	e, ok := cm.pda[id]
+	return ok && e.stale
+}
 
 // GetValueOnce retrieves a single value directly from the server
 // (comma_query_getvalue_once); the reply is delivered asynchronously
@@ -267,17 +292,12 @@ func (cm *Comma) Stale(id ID) bool { return cm.c.stale(id) }
 // stored in the protected data area for later GetValue reads.
 func (cm *Comma) GetValueOnce(id ID, fn func(Value, error)) error {
 	mode := cm.modes[id]
-	return cm.c.pollOnce(id, func(v Value, err error) {
+	return cm.pollOnce(id, func(v Value, err error) {
 		if err == nil && mode.poll {
-			cm.c.storePDA(id, v, true)
+			cm.storePDA(id, v, true)
 		}
 		if fn != nil {
 			fn(v, err)
 		}
 	})
-}
-
-// ListVariables asks a server for its variable catalogue.
-func (cm *Comma) ListVariables(server string, fn func([]string)) error {
-	return cm.c.listVariables(server, fn)
 }

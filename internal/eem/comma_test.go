@@ -13,6 +13,7 @@ type capConn struct{ lines []string }
 
 func (c *capConn) Write(b []byte) error { c.lines = append(c.lines, string(b)); return nil }
 func (c *capConn) Close()               {}
+func (c *capConn) Abort()               {}
 
 func capDialer() (eem.Dialer, *capConn) {
 	c := &capConn{}

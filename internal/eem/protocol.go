@@ -3,6 +3,8 @@ package eem
 import (
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/lines"
 )
 
 // The EEM wire protocol is newline-delimited JSON messages over a byte
@@ -57,38 +59,29 @@ func encodeMsg(m wireMsg) []byte {
 	return append(b, '\n')
 }
 
-// lineBuffer accumulates stream bytes and emits complete lines.
-type lineBuffer struct {
-	buf []byte
-}
+// MaxLine bounds one protocol message. The largest legitimate line is
+// the periodic update of a client registered to the whole catalogue at
+// every interface index of the proxy host: about 18 KiB for the 78
+// variables of core.NewSystem (TestEEMFullCatalogueUpdate; the
+// var-list reply is ~1 KiB). 64 KiB leaves room for further sources
+// and still caps what a peer can make the other side hold. The SP
+// port's 4 KiB would cut that update off, hence a bound per protocol.
+const MaxLine = 64 << 10
 
-// feed appends data and calls fn for each complete line.
-func (lb *lineBuffer) feed(data []byte, fn func(line []byte)) {
-	lb.buf = append(lb.buf, data...)
-	for {
-		i := -1
-		for j, c := range lb.buf {
-			if c == '\n' {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			return
-		}
-		line := lb.buf[:i]
-		lb.buf = lb.buf[i+1:]
+// errTooLong answers a message over MaxLine.
+var errTooLong = encodeMsg(wireMsg{Kind: msgError, Err: fmt.Sprintf("message exceeds %d bytes", MaxLine)})
+
+// readLines frames conn's inbound messages for handle under MaxLine,
+// skipping blank lines; diag, if any, answers an over-long one.
+func readLines(conn Conn, diag []byte, handle func(line []byte)) func([]byte) {
+	return lines.New(conn, MaxLine, diag, func(line []byte) error {
 		if len(line) > 0 {
-			fn(line)
+			handle(line)
 		}
-	}
+		return nil
+	})
 }
 
-// Conn abstracts the byte stream the protocol runs over: the simulated
-// TCP connection in experiments, a real net.Conn in the daemons.
-type Conn interface {
-	// Write sends bytes toward the peer.
-	Write(b []byte) error
-	// Close tears the stream down.
-	Close()
-}
+// Conn is the byte stream the protocol runs over: the simulated TCP
+// connection in experiments, a real net.Conn in the daemons.
+type Conn = lines.Conn

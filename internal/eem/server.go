@@ -31,7 +31,6 @@ type registrationState struct {
 type session struct {
 	id   int64 // stable per-server session number, for observability
 	conn Conn
-	lb   lineBuffer
 	regs []*registrationState
 }
 
@@ -134,7 +133,7 @@ func (s *Server) Crash() {
 	sessions := s.sessions
 	s.sessions = nil
 	for _, sess := range sessions {
-		abortConn(sess.conn)
+		sess.conn.Abort()
 	}
 }
 
@@ -153,41 +152,28 @@ func (s *Server) Restart() {
 // Down reports whether the server is crashed.
 func (s *Server) Down() bool { return s.down }
 
-// abortConn severs conn with a reset when the transport supports it
-// (crash semantics the peer detects immediately), else falls back to
-// an ordinary close.
-func abortConn(c Conn) {
-	if a, ok := c.(interface{ Abort() }); ok {
-		a.Abort()
-	} else {
-		c.Close()
-	}
-}
-
 // Accept attaches a client connection. Feed inbound bytes through the
 // returned function (wire it to the stream's data callback).
 func (s *Server) Accept(conn Conn) (onData func([]byte), onClose func()) {
 	if s.down {
 		// A crashed host answers SYNs with RST; the sim listener has
 		// already completed the handshake, so sever immediately.
-		abortConn(conn)
+		conn.Abort()
 		return func([]byte) {}, func() {}
 	}
 	s.nextSess++
 	sess := &session{id: s.nextSess, conn: conn}
 	s.sessions = append(s.sessions, sess)
 	s.obs.Emit("eem", "session-open", sess.key())
-	return func(data []byte) {
-			sess.lb.feed(data, func(line []byte) { s.handleLine(sess, line) })
-		}, func() {
-			for i, other := range s.sessions {
-				if other == sess {
-					s.sessions = append(s.sessions[:i], s.sessions[i+1:]...)
-					s.obs.Emit("eem", "session-close", sess.key())
-					return
-				}
+	return readLines(conn, errTooLong, func(line []byte) { s.handleLine(sess, line) }), func() {
+		for i, other := range s.sessions {
+			if other == sess {
+				s.sessions = append(s.sessions[:i], s.sessions[i+1:]...)
+				s.obs.Emit("eem", "session-close", sess.key())
+				return
 			}
 		}
+	}
 }
 
 func (s *Server) handleLine(sess *session, line []byte) {

@@ -6,8 +6,10 @@ package eem
 // session each message went to without a full simulated network.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -28,6 +30,7 @@ func (c *recConn) Write(b []byte) error {
 }
 
 func (c *recConn) Close() {}
+func (c *recConn) Abort() {}
 
 // register feeds one register line into a session's data callback.
 func register(onData func([]byte), id ID, a Attr) {
@@ -175,5 +178,45 @@ func TestInterruptRefiresAfterMatchesError(t *testing.T) {
 	s.Tick()
 	if got := notifies(); got != 2 {
 		t.Fatalf("after type-mismatch round-trip: %d notifies, want 2", got)
+	}
+}
+
+// floodConn records the server's writes and whether it was aborted.
+type floodConn struct {
+	wrote   [][]byte
+	aborted bool
+}
+
+func (c *floodConn) Write(b []byte) error { c.wrote = append(c.wrote, b); return nil }
+func (c *floodConn) Close()               {}
+func (c *floodConn) Abort()               { c.aborted = true }
+
+// TestEEMUnframedFloodSevered is the regression test for the unbounded
+// session buffer: a peer streaming bytes with no newline used to grow
+// the server's memory by every byte it sent. Now the session is told
+// why and aborted, and what the server allocated while reading stays
+// within a small multiple of the bound, not of the flood.
+func TestEEMUnframedFloodSevered(t *testing.T) {
+	s := NewServer("test")
+	c := &floodConn{}
+	onData, _ := s.Accept(c)
+	chunk := bytes.Repeat([]byte("x"), 4096)
+	const flood = 64 * MaxLine
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for sent := 0; sent < flood; sent += len(chunk) {
+		onData(chunk)
+	}
+	runtime.ReadMemStats(&after)
+
+	if !c.aborted {
+		t.Fatalf("%d bytes without a newline did not abort the session", flood)
+	}
+	if len(c.wrote) != 1 || !bytes.Contains(c.wrote[0], []byte("exceeds")) {
+		t.Fatalf("flood diagnostic: wrote %q", c.wrote)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*MaxLine {
+		t.Fatalf("reading a %d-byte flood allocated %d bytes, bound %d", flood, grew, MaxLine)
 	}
 }

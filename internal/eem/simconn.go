@@ -2,6 +2,7 @@ package eem
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/ip"
 	"repro/internal/sim"
@@ -60,7 +61,7 @@ func SimDialer(stack *tcp.Stack) Dialer {
 	return func(server string) (Conn, func(onData func([]byte)), error) {
 		addrStr := server
 		port := uint16(DefaultPort)
-		if i := indexByte(server, ':'); i >= 0 {
+		if i := strings.IndexByte(server, ':'); i >= 0 {
 			addrStr = server[:i]
 			var p int
 			if _, err := fmt.Sscanf(server[i+1:], "%d", &p); err != nil || p <= 0 || p > 65535 {
@@ -79,13 +80,4 @@ func SimDialer(stack *tcp.Stack) Dialer {
 		wire := func(onData func([]byte)) { c.OnData = onData }
 		return simConn{c}, wire, nil
 	}
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dataplane"
 	"repro/internal/eem"
 	"repro/internal/filter"
 	"repro/internal/filters"
@@ -25,7 +26,6 @@ type katiRig struct {
 	sched      *sim.Scheduler
 	out        bytes.Buffer
 	shell      *kati.Shell
-	prox       *proxy.Proxy
 	wStack     *tcp.Stack
 	mStack     *tcp.Stack
 	mobileAddr ip.Addr
@@ -55,14 +55,14 @@ func newKatiRig(t *testing.T) *katiRig {
 
 	cat := filter.NewCatalog()
 	filters.RegisterAll(cat)
-	prox := proxy.New(r, cat)
+	pl := dataplane.NewInline(r, cat, 1)
 
 	// Control plane on the proxy host: SP port 12000, EEM port 12001.
 	ctrlStack := tcp.NewStack(r, tcp.Config{})
 	r.RegisterProto(ip.ProtoTCP, func(h ip.Header, p, raw []byte, in *netsim.Iface) {
 		ctrlStack.Deliver(h.Src, h.Dst, p)
 	})
-	if err := proxy.ServeControl(ctrlStack, proxy.ControlPort, prox); err != nil {
+	if err := proxy.ServeControl(ctrlStack, proxy.ControlPort, pl.Command); err != nil {
 		t.Fatal(err)
 	}
 	srv := eem.NewServer("proxyhost")
@@ -83,7 +83,7 @@ func newKatiRig(t *testing.T) *katiRig {
 	userStack := tcp.NewStack(user, tcp.Config{})
 	user.RegisterProto(ip.ProtoTCP, func(h ip.Header, p, raw []byte, in *netsim.Iface) { userStack.Deliver(h.Src, h.Dst, p) })
 
-	rig := &katiRig{sched: s, prox: prox, wStack: wStack, mStack: mStack,
+	rig := &katiRig{sched: s, wStack: wStack, mStack: mStack,
 		mobileAddr: ip.MustParseAddr("10.0.2.1"), proxyAddr: "10.0.9.254"}
 
 	spDial := func(addr string, onReply func(string)) (*kati.SPSession, error) {

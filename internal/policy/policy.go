@@ -30,22 +30,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Control is the typed SP mutation surface the engine drives. Both
-// *proxy.Proxy and the sharded *dataplane.Plane satisfy it; the engine
-// depends on the shape, not the implementation, so it works identically
-// against one shard or many.
+// Control is the SP surface the engine drives: typed mutations, plus
+// the raw command line that rules with the "command" action run. The
+// sharded *dataplane.Plane satisfies it; the engine depends on the
+// shape, not the implementation, so it works identically against one
+// shard or many.
 type Control interface {
 	LoadFilter(lib string) (string, error)
 	UnloadFilter(name string) error
 	AddFilter(name string, k filter.Key, args []string) error
 	DeleteFilter(name string, k filter.Key) error
-}
-
-// Commander is the raw SP command surface a Control may additionally
-// expose (the sharded plane and the proxy both do). Rules with the
-// "command" action need it; on a Control without it such rules fail
-// their fire instead of silently doing nothing.
-type Commander interface {
 	Command(line string) string
 }
 
@@ -379,13 +373,9 @@ func (e *Engine) doFire(r *boundRule) error {
 // the rule's filter spec becomes the command name and arguments, with
 // "on" (fire) or "off" (revert) appended.
 func (e *Engine) runCommand(r *boundRule, state string) error {
-	cmdr, ok := e.ctrl.(Commander)
-	if !ok {
-		return fmt.Errorf("command %s: control surface has no raw commands", r.Filter)
-	}
 	parts := append([]string{r.Filter}, r.FArgs...)
 	line := strings.Join(append(parts, state), " ")
-	if out := cmdr.Command(line); strings.HasPrefix(out, "error") {
+	if out := e.ctrl.Command(line); strings.HasPrefix(out, "error") {
 		return fmt.Errorf("command %q: %s", line, out)
 	}
 	return nil

@@ -49,6 +49,11 @@ func (f *fakeControl) DeleteFilter(name string, k filter.Key) error {
 	return nil
 }
 
+func (f *fakeControl) Command(line string) string {
+	f.calls = append(f.calls, "cmd:"+line)
+	return ""
+}
+
 // polRig is a two-host EEM rig whose server exports a test-scripted
 // "load" variable, with a policy engine sampling it every 100ms.
 type polRig struct {

@@ -8,9 +8,8 @@ import (
 
 	"repro/internal/cmdspec"
 	"repro/internal/filter"
-	"repro/internal/flowlog"
 	"repro/internal/ip"
-	"repro/internal/obs"
+	"repro/internal/lines"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 )
@@ -20,32 +19,16 @@ import (
 // machine").
 const ControlPort = 12000
 
-// Command executes one SP command line and returns its output. Per the
-// thesis the interface is fail-silent: successful load prints the
-// registered name, report prints its listing, and everything else
+// Exec runs one SP command line on this proxy and returns its output.
+// Per the thesis the interface is fail-silent: successful load prints
+// the registered name, report prints its listing, and everything else
 // prints nothing. Errors return a brief diagnostic (a small usability
 // deviation, documented in DESIGN.md).
 //
-// Commands:
-//
-//	load <filter-lib>
-//	remove <filter-lib>
-//	add <filter> <srcIP> <srcPort> <dstIP> <dstPort> [args...]
-//	delete <filter> <srcIP> <srcPort> <dstIP> <dstPort>
-//	report [<filter>]
-func (p *Proxy) Command(line string) string {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return ""
-	}
-	p.obs.Emit("proxy", "command", fields[0], obs.F("args", len(fields)-1))
-	return p.exec(fields)
-}
-
-// Exec runs one command line without emitting the "proxy/command"
-// event. The sharded data plane broadcasts a mutation by Exec-ing it
-// on every shard after emitting a single command event itself, so the
-// event log does not depend on the shard count.
+// A proxy is always reached through a dataplane.Plane, whose Command
+// emits the single "proxy/command" event, answers report, streams and
+// flows from its merged renderers, and Execs the rest on the shards
+// that own it — so the event log does not depend on the shard count.
 func (p *Proxy) Exec(line string) string {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
@@ -58,8 +41,9 @@ func (p *Proxy) Exec(line string) string {
 // grammar — arity bounds, usage diagnostics, help, mutation class —
 // comes from the shared cmdspec table, so this map holds only the
 // semantics. Table entries without a handler here (auth, which the
-// ControlSession intercepts, and plane extensions like policy) fall
-// through to the unknown-command diagnostic on a bare proxy.
+// ControlSession intercepts; report, streams and flows, which the
+// plane merges across shards; plane extensions like policy) never
+// reach a shard.
 var execHandlers = map[string]func(p *Proxy, rest []string) string{
 	"load": func(p *Proxy, rest []string) string {
 		name, err := p.LoadFilter(rest[0])
@@ -116,17 +100,6 @@ var execHandlers = map[string]func(p *Proxy, rest []string) string{
 		}
 		return b.String()
 	},
-	"report": func(p *Proxy, rest []string) string {
-		name := ""
-		if len(rest) > 0 {
-			name = rest[0]
-		}
-		out, err := p.Report(name)
-		if err != nil {
-			return fmt.Sprintf("error: %v\n", err)
-		}
-		return out
-	},
 	// filters: extension used by Kati — the loaded pool and what the
 	// catalog could still load.
 	"filters": func(p *Proxy, rest []string) string {
@@ -148,10 +121,6 @@ var execHandlers = map[string]func(p *Proxy, rest []string) string{
 			}
 		}
 		return b.String()
-	},
-	// streams: extension used by Kati — per-stream accounting.
-	"streams": func(p *Proxy, rest []string) string {
-		return RenderStreams(p.Streams())
 	},
 	// stats: extension used by Kati — the unified metrics snapshot
 	// (proxy, links, TCP stacks, EEM — whatever is registered).
@@ -176,18 +145,6 @@ var execHandlers = map[string]func(p *Proxy, rest []string) string{
 		}
 		return p.obs.Tail(n)
 	},
-	// flows: per-flow L4 records from the flow-log analytics plane
-	// (default display bound flowlog.DefaultShow).
-	"flows": func(p *Proxy, rest []string) string {
-		n := flowlog.DefaultShow
-		if len(rest) > 0 {
-			if _, err := fmt.Sscanf(rest[0], "%d", &n); err != nil {
-				spec, _ := cmdspec.Lookup("flows")
-				return spec.UsageError()
-			}
-		}
-		return flowlog.Render(p.AppendFlowRecords(nil), n)
-	},
 	"help": func(p *Proxy, rest []string) string {
 		return cmdspec.HelpLine()
 	},
@@ -206,21 +163,14 @@ func (p *Proxy) exec(fields []string) string {
 	return h(p, rest)
 }
 
-// Commander executes SP command lines — implemented by *Proxy and by
-// the sharded dataplane.Plane, so the control interface (and Kati
-// behind it) works unchanged against either.
-type Commander interface {
-	Command(line string) string
-}
-
 // Control-session bounds: the control plane sits at a sensitive
 // network position, so a wedged or malicious client must not be able
 // to hold it by streaming newline-less bytes or parking a dead
 // session.
 const (
-	// MaxControlLine bounds one command line. A session that buffers
-	// this much without a newline gets a clear error and is severed;
-	// a framed line over the bound is rejected but the session lives.
+	// MaxControlLine bounds one command line (see lines.New): a longer
+	// line is rejected with a diagnostic and the session lives; one
+	// that runs on without a newline is severed.
 	MaxControlLine = 4096
 	// ControlIdleTimeout severs a session that completes no command
 	// line for this long. Generous enough for a human at a telnet
@@ -228,77 +178,46 @@ const (
 	ControlIdleTimeout = 2 * time.Minute
 )
 
-// serveControlConn wires the shared line framing, size bounds, UTF-8
-// validation, and idle deadline of one control connection; exec runs
-// each complete, validated command line.
-func serveControlConn(stack *tcp.Stack, c *tcp.Conn, exec func(string) string) {
-	var buf []byte
-	clock := stack.Clock()
-	var idle sim.Timer
-	armIdle := func() {
-		idle.Stop()
-		idle = clock.After(ControlIdleTimeout, func() { c.Abort() })
-	}
-	armIdle()
-	c.OnData = func(b []byte) {
-		buf = append(buf, b...)
-		for {
-			i := indexByte(buf, '\n')
-			if i < 0 {
-				if len(buf) > MaxControlLine {
-					// Unframed flood: no newline in sight and the
-					// buffer is past the bound. Tell the client why,
-					// then sever — buffering further is the DoS.
-					c.Write([]byte(fmt.Sprintf("error: command line exceeds %d bytes\n", MaxControlLine)))
-					idle.Stop()
-					buf = nil
-					c.Abort()
-				}
-				return
-			}
-			line := strings.TrimRight(string(buf[:i]), "\r")
-			buf = buf[i+1:]
-			armIdle()
-			if len(line) > MaxControlLine {
-				if err := c.Write([]byte(fmt.Sprintf("error: command line exceeds %d bytes\n", MaxControlLine))); err != nil {
-					return
-				}
-				continue
-			}
-			if !utf8.ValidString(line) {
-				if err := c.Write([]byte("error: command line is not valid UTF-8\n")); err != nil {
-					return
-				}
-				continue
-			}
-			if out := exec(line); out != "" {
-				if err := c.Write([]byte(out)); err != nil {
-					return
-				}
-			}
+var (
+	errTooLong = []byte(fmt.Sprintf("error: command line exceeds %d bytes\n", MaxControlLine))
+	errUTF8    = []byte("error: command line is not valid UTF-8\n")
+)
+
+// AcceptControl returns the constructor of one SP control session:
+// lines framed under MaxControlLine, each checked for UTF-8, gated by
+// policy's token (nil: open) and run through command; a session that
+// completes no line for ControlIdleTimeout of clock time is severed.
+// Feed the connection's inbound bytes to onData and call onClose when
+// it goes down. The simulated port and the spd daemon both serve
+// through it.
+func AcceptControl(clock *sim.Scheduler, command func(string) string, policy *ControlPolicy) func(lines.Conn) (onData func([]byte), onClose func()) {
+	return func(c lines.Conn) (func([]byte), func()) {
+		sess := NewControlSession(command, policy)
+		var idle sim.Timer
+		armIdle := func() {
+			idle.Stop()
+			idle = clock.After(ControlIdleTimeout, c.Abort)
 		}
+		armIdle()
+		onData := lines.New(c, MaxControlLine, errTooLong, func(line []byte) error {
+			armIdle()
+			if !utf8.Valid(line) {
+				return c.Write(errUTF8)
+			}
+			if out := sess.Exec(string(line)); out != "" {
+				return c.Write([]byte(out))
+			}
+			return nil
+		})
+		return onData, func() { idle.Stop() }
 	}
-	c.OnRemoteClose = func() { c.Close() }
-	c.OnClose = func(error) { idle.Stop() }
 }
 
 // ServeControl exposes the command interface on the given simulated
 // TCP stack, one command per line, mirroring the thesis's telnet
 // interface on port 12000.
-func ServeControl(stack *tcp.Stack, port uint16, p Commander) error {
-	_, err := stack.Listen(port, func(c *tcp.Conn) {
-		serveControlConn(stack, c, p.Command)
-	})
-	return err
-}
-
-func indexByte(b []byte, c byte) int {
-	for i, v := range b {
-		if v == c {
-			return i
-		}
-	}
-	return -1
+func ServeControl(stack *tcp.Stack, port uint16, command func(string) string) error {
+	return ServeControlWithPolicy(stack, port, command, nil)
 }
 
 // ControlPolicy restricts who may use the control interface — the
@@ -333,18 +252,18 @@ func (cp *ControlPolicy) peerAllowed(addr ip.Addr) bool {
 // grammar table is authoritative).
 func mutating(cmd string) bool { return cmdspec.Mutating(cmd) }
 
-// ControlSession wraps Command with the per-connection authentication
-// state of a ControlPolicy.
+// ControlSession wraps a plane's Command with the per-connection
+// authentication state of a ControlPolicy.
 type ControlSession struct {
-	p      Commander
-	policy *ControlPolicy
-	authed bool
+	command func(string) string
+	policy  *ControlPolicy
+	authed  bool
 }
 
 // NewControlSession creates a session under the given policy (nil
 // policy = fully open, matching the thesis's prototype).
-func NewControlSession(p Commander, policy *ControlPolicy) *ControlSession {
-	return &ControlSession{p: p, policy: policy}
+func NewControlSession(command func(string) string, policy *ControlPolicy) *ControlSession {
+	return &ControlSession{command: command, policy: policy}
 }
 
 // Exec runs one command line under the session's authentication state.
@@ -366,19 +285,22 @@ func (s *ControlSession) Exec(line string) string {
 	if s.policy != nil && s.policy.Token != "" && !s.authed && mutating(fields[0]) {
 		return "error: authentication required (auth <token>)\n"
 	}
-	return s.p.Command(line)
+	return s.command(line)
 }
 
 // ServeControlWithPolicy is ServeControl with per-peer access control
 // and per-session authentication.
-func ServeControlWithPolicy(stack *tcp.Stack, port uint16, p Commander, policy *ControlPolicy) error {
+func ServeControlWithPolicy(stack *tcp.Stack, port uint16, command func(string) string, policy *ControlPolicy) error {
+	accept := AcceptControl(stack.Clock(), command, policy)
 	_, err := stack.Listen(port, func(c *tcp.Conn) {
 		if !policy.peerAllowed(c.RemoteAddr()) {
 			c.Abort()
 			return
 		}
-		sess := NewControlSession(p, policy)
-		serveControlConn(stack, c, sess.Exec)
+		onData, onClose := accept(c)
+		c.OnData = onData
+		c.OnRemoteClose = func() { c.Close() }
+		c.OnClose = func(error) { onClose() }
 	})
 	return err
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dataplane"
 	"repro/internal/filter"
 	"repro/internal/ip"
 	"repro/internal/netsim"
@@ -17,7 +18,8 @@ import (
 // controlRig is a minimal client ↔ SP topology with a live control
 // session over simulated TCP, for exercising the session-level bounds
 // (line length, UTF-8, idle deadline) that the in-process Command
-// tests cannot reach.
+// tests cannot reach. The port serves a one-shard inline plane, the
+// path deployments run.
 type controlRig struct {
 	sched  *sim.Scheduler
 	client *tcp.Conn
@@ -36,8 +38,8 @@ func newControlRig(t *testing.T) *controlRig {
 	ss := tcp.NewStack(sh, tcp.Config{})
 	ch.RegisterProto(ip.ProtoTCP, func(h ip.Header, p, raw []byte, in *netsim.Iface) { cs.Deliver(h.Src, h.Dst, p) })
 	sh.RegisterProto(ip.ProtoTCP, func(h ip.Header, p, raw []byte, in *netsim.Iface) { ss.Deliver(h.Src, h.Dst, p) })
-	p := proxy.New(sh, filter.NewCatalog())
-	if err := proxy.ServeControl(ss, proxy.ControlPort, p); err != nil {
+	pl := dataplane.NewInline(sh, filter.NewCatalog(), 1)
+	if err := proxy.ServeControl(ss, proxy.ControlPort, pl.Command); err != nil {
 		t.Fatal(err)
 	}
 	rig := &controlRig{sched: s}
@@ -86,8 +88,15 @@ func TestControlSessionBounds(t *testing.T) {
 			followUpOK: true,
 		},
 		{
+			name:       "over-long line rejected, session lives",
+			send:       append(bytes.Repeat([]byte("A"), proxy.MaxControlLine+1000), '\n'),
+			wantReply:  "exceeds",
+			wantSever:  false,
+			followUpOK: true,
+		},
+		{
 			name:      "newline-less flood severed with diagnostic",
-			send:      bytes.Repeat([]byte("A"), proxy.MaxControlLine+1000),
+			send:      bytes.Repeat([]byte("A"), 2*proxy.MaxControlLine+1000),
 			wantReply: "exceeds",
 			wantSever: true,
 		},

@@ -4,19 +4,19 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dataplane"
 	"repro/internal/filter"
 	"repro/internal/filters"
 	"repro/internal/netsim"
-	"repro/internal/proxy"
 	"repro/internal/sim"
 )
 
-func newControlProxy(t *testing.T) *proxy.Proxy {
+func newControlPlane(t *testing.T) *dataplane.Plane {
 	t.Helper()
 	cat := filter.NewCatalog()
 	filters.RegisterAll(cat)
 	node := netsim.New(sim.NewScheduler(1)).AddNode("proxy")
-	return proxy.New(node, cat)
+	return dataplane.NewInline(node, cat, 1)
 }
 
 // TestCommandMalformedLines drives the SP control parser with
@@ -52,7 +52,7 @@ func TestCommandMalformedLines(t *testing.T) {
 		{"report unknown filter", "report nosuchfilter"},
 		{"unknown command", "frobnicate everything"},
 	}
-	p := newControlProxy(t)
+	p := newControlPlane(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			out := p.Command(tc.line)
@@ -62,7 +62,7 @@ func TestCommandMalformedLines(t *testing.T) {
 		})
 	}
 	// None of the rejected lines may have left state behind.
-	if got := p.LoadedFilters(); len(got) != 0 {
+	if got := p.Shard(0).LoadedFilters(); len(got) != 0 {
 		t.Fatalf("rejected commands loaded filters: %v", got)
 	}
 	if got := p.Streams(); len(got) != 0 {
@@ -73,7 +73,7 @@ func TestCommandMalformedLines(t *testing.T) {
 // TestCommandWellFormedLines pins the happy path the experiments rely
 // on, so the strictness added for malformed input cannot regress it.
 func TestCommandWellFormedLines(t *testing.T) {
-	p := newControlProxy(t)
+	p := newControlPlane(t)
 	goodKey := "11.11.10.99 7 11.11.10.10 5001"
 	steps := []struct {
 		line string

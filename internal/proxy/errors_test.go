@@ -19,7 +19,7 @@ func newErrRig(t *testing.T) *proxy.Proxy {
 	node := n.AddNode("proxyhost")
 	cat := filter.NewCatalog()
 	filters.RegisterAll(cat)
-	return proxy.New(node, cat)
+	return proxy.NewDetached(node, cat)
 }
 
 func mustKey(t *testing.T) filter.Key {

@@ -56,15 +56,15 @@ func TestInterceptAppendBufferStability(t *testing.T) {
 	net := netsim.New(s)
 	node := net.AddNode("proxy")
 	p := proxy.NewDetached(node, cat)
-	if out := p.Command("load trunc"); out != "trunc\n" {
+	if out := p.Exec("load trunc"); out != "trunc\n" {
 		t.Fatalf("load output %q", out)
 	}
 	// Odd flows get the remarshalling filter; even flows pass the
 	// caller's raw buffer through untouched. Both kinds must be stable.
-	if out := p.Command("add trunc 11.11.10.99 1001 11.11.10.10 5001"); out != "" {
+	if out := p.Exec("add trunc 11.11.10.99 1001 11.11.10.10 5001"); out != "" {
 		t.Fatalf("add output %q", out)
 	}
-	if out := p.Command("add trunc 11.11.10.99 1003 11.11.10.10 5001"); out != "" {
+	if out := p.Exec("add trunc 11.11.10.99 1003 11.11.10.10 5001"); out != "" {
 		t.Fatalf("add output %q", out)
 	}
 

@@ -14,7 +14,7 @@ import (
 	"repro/internal/workload"
 )
 
-// lifecycleProxy is a bare proxy with a bus, for tests that look at the
+// lifecycleProxy is a detached proxy shard with a bus, for tests that look at the
 // free lists; extra registers test filters beside the real ones.
 func lifecycleProxy(t *testing.T, extra ...filter.Factory) (*Proxy, *sim.Scheduler, *obs.Bus) {
 	t.Helper()
@@ -25,7 +25,7 @@ func lifecycleProxy(t *testing.T, extra ...filter.Factory) (*Proxy, *sim.Schedul
 		cat.Register(f.Name(), func() filter.Factory { return f })
 	}
 	sched := sim.NewScheduler(1)
-	p := New(netsim.New(sched).AddNode("proxy"), cat)
+	p := NewDetached(netsim.New(sched).AddNode("proxy"), cat)
 	bus := obs.NewBus(sched, 0)
 	p.SetObs(bus, nil)
 	for _, f := range extra {
@@ -105,7 +105,7 @@ func TestStaleDetachAfterRemoveStream(t *testing.T) {
 func TestFreeListsBoundedByLiveSet(t *testing.T) {
 	p, sched, _ := lifecycleProxy(t)
 	for _, cmd := range []string{"load tcp", "load launcher", "add launcher 0.0.0.0 0 0.0.0.0 0 tcp"} {
-		if out := p.Command(cmd); out != "" && out != "tcp\n" && out != "launcher\n" {
+		if out := p.Exec(cmd); out != "" && out != "tcp\n" && out != "launcher\n" {
 			t.Fatalf("%s: %q", cmd, out)
 		}
 	}
@@ -219,9 +219,9 @@ func TestTeardownFromInsideHook(t *testing.T) {
 func TestDeleteFilterWhoseCloseDetachesItsReverse(t *testing.T) {
 	for _, key := range []string{"10.1.0.1 80 10.2.0.1 2000", "10.2.0.1 2000 10.1.0.1 80"} {
 		p, _, bus := lifecycleProxy(t)
-		p.Command("load ttsf")
+		p.Exec("load ttsf")
 		for _, cmd := range []string{"add ttsf " + key, "delete ttsf " + key} {
-			if out := p.Command(cmd); out != "" {
+			if out := p.Exec(cmd); out != "" {
 				t.Fatalf("%s: %q", cmd, out)
 			}
 		}

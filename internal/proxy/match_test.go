@@ -36,7 +36,7 @@ func newMatchProxy(t *testing.T) *Proxy {
 	cat.Register("nop", func() filter.Factory { return nopFactory{name: "nop"} })
 	cat.Register("fail", func() filter.Factory { return failFactory{} })
 	node := netsim.New(sim.NewScheduler(1)).AddNode("proxy")
-	p := New(node, cat)
+	p := NewDetached(node, cat)
 	if _, err := p.LoadFilter("nop"); err != nil {
 		t.Fatal(err)
 	}

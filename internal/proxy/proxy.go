@@ -222,14 +222,6 @@ func (a StatsSnapshot) Merge(b StatsSnapshot) StatsSnapshot {
 	return a
 }
 
-// New attaches a new service proxy to node, installing its packet
-// hook. Filters are loaded from catalog by the load command.
-func New(node *netsim.Node, catalog *filter.Catalog) *Proxy {
-	p := NewDetached(node, catalog)
-	node.SetHook(p.Intercept)
-	return p
-}
-
 // NewDetached builds a proxy bound to node for clock/injection but
 // without installing the node packet hook: the sharded data plane owns
 // dispatch and feeds each shard through Intercept directly.
@@ -878,17 +870,6 @@ func (p *Proxy) removeAttachments(name string, match func(filter.Key) bool) int 
 		}
 	}
 	return removed
-}
-
-// Report implements the "report" command: for each loaded filter (or
-// just the named one), list the exact stream keys it services, in the
-// format of thesis Fig 5.3.
-func (p *Proxy) Report(name string) (string, error) {
-	names, perFilter, err := p.ReportData(name)
-	if err != nil {
-		return "", err
-	}
-	return RenderReport(names, perFilter), nil
 }
 
 // ReportData gathers the raw report listing: the filter names to show

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dataplane"
 	"repro/internal/filter"
 	"repro/internal/ip"
 	"repro/internal/netsim"
@@ -26,14 +27,15 @@ func (f *fakeFilter) New(env filter.Env, k filter.Key, args []string) error {
 	return f.onNew(env, k, args)
 }
 
-// testRig is a wired-host -> proxy -> mobile topology with a proxy on
-// the middle router.
+// testRig is a wired-host -> proxy -> mobile topology with a one-shard
+// inline plane on the middle router, the path deployments run.
 type testRig struct {
 	sched          *sim.Scheduler
 	net            *netsim.Network
 	wired, mobile  *netsim.Node
 	router         *netsim.Node
-	prox           *proxy.Proxy
+	pl             *dataplane.Plane
+	prox           *proxy.Proxy // pl's one shard
 	catalog        *filter.Catalog
 	wStack, mStack *tcp.Stack
 }
@@ -52,7 +54,8 @@ func newRig(t *testing.T, catalog *filter.Catalog) *testRig {
 	m.AddDefaultRoute(m.Ifaces()[0])
 	r.AddRoute(ip.MustParseAddr("10.2.0.0"), 24, lm.IfaceA())
 	rig := &testRig{sched: s, net: n, wired: w, mobile: m, router: r, catalog: catalog}
-	rig.prox = proxy.New(r, catalog)
+	rig.pl = dataplane.NewInline(r, catalog, 1)
+	rig.prox = rig.pl.Shard(0)
 	rig.wStack = tcp.NewStack(w, tcp.Config{})
 	rig.mStack = tcp.NewStack(m, tcp.Config{})
 	w.RegisterProto(ip.ProtoTCP, func(h ip.Header, p, raw []byte, in *netsim.Iface) { rig.wStack.Deliver(h.Src, h.Dst, p) })
@@ -70,7 +73,7 @@ func TestLoadAddReportDelete(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	p := rig.prox
+	p := rig.pl
 
 	if out := p.Command("load noop"); out != "noop\n" {
 		t.Fatalf("load output %q", out)
@@ -102,7 +105,7 @@ func TestLoadAddReportDelete(t *testing.T) {
 
 func TestUnknownCommandsAndErrors(t *testing.T) {
 	rig := newRig(t, filter.NewCatalog())
-	p := rig.prox
+	p := rig.pl
 	if out := p.Command("bogus"); !strings.HasPrefix(out, "error") {
 		t.Errorf("bogus command: %q", out)
 	}
@@ -132,7 +135,7 @@ func TestWildcardMatchingBuildsQueues(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	p := rig.prox
+	p := rig.pl
 	p.Command("load watch")
 	// Wild-card: everything to the mobile, any port.
 	p.Command("add watch 0.0.0.0 0 10.2.0.1 0")
@@ -175,7 +178,7 @@ func TestInOutOrderingByPriority(t *testing.T) {
 	cat.Register("mid", mk("mid", filter.Normal))
 	cat.Register("lo", mk("lo", filter.Low))
 	rig := newRig(t, cat)
-	p := rig.prox
+	p := rig.pl
 	for _, c := range []string{"load hi", "load mid", "load lo",
 		"add lo 0.0.0.0 0 10.2.0.1 0",
 		"add hi 0.0.0.0 0 10.2.0.1 0",
@@ -214,8 +217,8 @@ func TestFilterDropsPacket(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	rig.prox.Command("load blackhole")
-	rig.prox.Command("add blackhole 0.0.0.0 0 10.2.0.1 0")
+	rig.pl.Command("load blackhole")
+	rig.pl.Command("add blackhole 0.0.0.0 0 10.2.0.1 0")
 
 	accepted := false
 	rig.mStack.Listen(2000, func(c *tcp.Conn) { accepted = true })
@@ -250,8 +253,8 @@ func TestModificationWithoutRemarshalBreaksChecksum(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	rig.prox.Command("load careless")
-	rig.prox.Command("add careless 0.0.0.0 0 10.2.0.1 0")
+	rig.pl.Command("load careless")
+	rig.pl.Command("add careless 0.0.0.0 0 10.2.0.1 0")
 	accepted := false
 	rig.mStack.Listen(2000, func(c *tcp.Conn) { accepted = true })
 	rig.wStack.Connect(rig.mobile.Addr(), 2000)
@@ -279,16 +282,16 @@ func TestSpawnViaLauncherPattern(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	rig.prox.Command("load svc")
-	rig.prox.Command("load spawner")
-	rig.prox.Command("add spawner 0.0.0.0 0 10.2.0.1 0")
+	rig.pl.Command("load svc")
+	rig.pl.Command("load spawner")
+	rig.pl.Command("add spawner 0.0.0.0 0 10.2.0.1 0")
 	rig.mStack.Listen(2000, func(c *tcp.Conn) {})
 	rig.wStack.Connect(rig.mobile.Addr(), 2000)
 	rig.sched.RunFor(1e9)
 	if !spawned {
 		t.Fatal("launcher-style spawn never happened")
 	}
-	rep := rig.prox.Command("report svc")
+	rep := rig.pl.Command("report svc")
 	if !strings.Contains(rep, "10.2.0.1 2000") {
 		t.Fatalf("spawned filter not in report:\n%s", rep)
 	}
@@ -306,7 +309,7 @@ func TestAddExactKeyToActiveStream(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	rig.prox.Command("load count")
+	rig.pl.Command("load count")
 	var server *tcp.Conn
 	rig.mStack.Listen(2000, func(c *tcp.Conn) { server = c })
 	client, _ := rig.wStack.Connect(rig.mobile.Addr(), 2000)
@@ -341,7 +344,7 @@ func TestRemoveStreamClosesHooks(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	rig.prox.Command("load cl")
+	rig.pl.Command("load cl")
 	k := filter.Key{SrcIP: rig.wired.Addr(), SrcPort: 80, DstIP: rig.mobile.Addr(), DstPort: 2000}
 	rig.prox.AddFilter("cl", k, nil)
 	if len(rig.prox.Streams()) != 1 {
@@ -375,7 +378,7 @@ func TestControlOverSimulatedTCP(t *testing.T) {
 			ctrlStack.Deliver(h.Src, h.Dst, p)
 		}
 	})
-	if err := proxy.ServeControl(ctrlStack, proxy.ControlPort, rig.prox); err != nil {
+	if err := proxy.ServeControl(ctrlStack, proxy.ControlPort, rig.pl.Command); err != nil {
 		t.Fatal(err)
 	}
 	var resp strings.Builder
@@ -404,8 +407,8 @@ func TestStreamsAccounting(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	rig.prox.Command("load noop")
-	rig.prox.Command("add noop 0.0.0.0 0 10.2.0.1 0")
+	rig.pl.Command("load noop")
+	rig.pl.Command("add noop 0.0.0.0 0 10.2.0.1 0")
 	rig.mStack.Listen(2000, func(c *tcp.Conn) {})
 	client, _ := rig.wStack.Connect(rig.mobile.Addr(), 2000)
 	client.OnEstablished = func() { client.Write(make([]byte, 5000)) }
@@ -417,7 +420,7 @@ func TestStreamsAccounting(t *testing.T) {
 	if ss[0].Packets == 0 || ss[0].Bytes < 5000 {
 		t.Fatalf("accounting: %+v", ss[0])
 	}
-	out := rig.prox.Command("streams")
+	out := rig.pl.Command("streams")
 	if !strings.Contains(out, "noop") {
 		t.Fatalf("streams command output: %q", out)
 	}
@@ -434,8 +437,8 @@ func TestFiltersCommand(t *testing.T) {
 			onNew: func(env filter.Env, k filter.Key, args []string) error { return nil }}
 	})
 	rig := newRig(t, cat)
-	rig.prox.Command("load noop2")
-	out := rig.prox.Command("filters")
+	rig.pl.Command("load noop2")
+	out := rig.pl.Command("filters")
 	if !strings.Contains(out, "loaded: noop2") {
 		t.Fatalf("filters output missing loaded:\n%s", out)
 	}

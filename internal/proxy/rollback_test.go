@@ -32,7 +32,7 @@ func TestAddFilterRollsBackFailedRegistration(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	p := rig.prox
+	p := rig.pl
 	p.Command("load flaky")
 
 	const key = "10.1.0.1 7 10.2.0.1 2000"

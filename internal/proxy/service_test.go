@@ -27,7 +27,7 @@ func TestServiceDefinitionAndApply(t *testing.T) {
 	registerNoop(cat, "f1")
 	registerNoop(cat, "f2")
 	rig := newRig(t, cat)
-	p := rig.prox
+	p := rig.pl
 
 	// Defining with unloaded filters fails.
 	if out := p.Command("service combo f1 f2"); !strings.HasPrefix(out, "error") {
@@ -79,8 +79,8 @@ func TestServiceNameCannotShadowFilter(t *testing.T) {
 	cat := filter.NewCatalog()
 	registerNoop(cat, "f1")
 	rig := newRig(t, cat)
-	rig.prox.Command("load f1")
-	if out := rig.prox.Command("service f1 f1"); !strings.HasPrefix(out, "error") {
+	rig.pl.Command("load f1")
+	if out := rig.pl.Command("service f1 f1"); !strings.HasPrefix(out, "error") {
 		t.Fatalf("service shadowing a filter accepted: %q", out)
 	}
 }
@@ -90,7 +90,7 @@ func TestControlSessionAuth(t *testing.T) {
 	registerNoop(cat, "f1")
 	rig := newRig(t, cat)
 	policy := &proxy.ControlPolicy{Token: "sekrit"}
-	sess := proxy.NewControlSession(rig.prox, policy)
+	sess := proxy.NewControlSession(rig.pl.Command, policy)
 
 	// Read-only commands work unauthenticated.
 	if out := sess.Exec("report"); strings.HasPrefix(out, "error") {
@@ -110,7 +110,7 @@ func TestControlSessionAuth(t *testing.T) {
 		t.Fatalf("authenticated load: %q", out)
 	}
 	// Auth on a policy without a token is an error.
-	open := proxy.NewControlSession(rig.prox, nil)
+	open := proxy.NewControlSession(rig.pl.Command, nil)
 	if out := open.Exec("auth anything"); !strings.Contains(out, "not enabled") {
 		t.Fatalf("auth without policy: %q", out)
 	}
@@ -133,7 +133,7 @@ func TestControlPolicyPeerACL(t *testing.T) {
 	})
 	// Only the mobile (10.2.0.1) is allowed to control the proxy.
 	policy := &proxy.ControlPolicy{AllowedPeers: []ip.Addr{rig.mobile.Addr()}}
-	if err := proxy.ServeControlWithPolicy(ctrlStack, proxy.ControlPort, rig.prox, policy); err != nil {
+	if err := proxy.ServeControlWithPolicy(ctrlStack, proxy.ControlPort, rig.pl.Command, policy); err != nil {
 		t.Fatal(err)
 	}
 
