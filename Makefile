@@ -35,12 +35,15 @@ fmt-check:
 # stability and no-panic over the packet parsers, the word-wise
 # checksum against its two-byte reference, the strconv key renderer
 # against its fmt reference, the recycled scheduler against its
-# container/heap reference, and the control-port line session against
-# its line-by-line model under any split of the stream.
+# container/heap reference, the control-port line session against
+# its line-by-line model under any split of the stream, and TCP
+# delivery of Writes split at any sizes and virtual times against
+# their concatenation, with every written slice left untouched.
 fuzz:
 	$(GO) test ./internal/ip -fuzz FuzzIPParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ip -fuzz FuzzChecksum -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tcp -fuzz FuzzTCPParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tcp -fuzz FuzzConnWriteSplits -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filter -fuzz FuzzFilterParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filter -fuzz FuzzSteerKey -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filter -fuzz FuzzKeyString -fuzztime $(FUZZTIME)

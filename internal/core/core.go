@@ -435,7 +435,13 @@ func (st *Site) MustCommand(line string) string {
 
 // TransferResult reports a bulk transfer driven by Transfer.
 type TransferResult struct {
-	Sent      int
+	Sent int
+	// Received is exactly the bytes the mobile application got. While
+	// they match the payload they are not copied: Received is then a
+	// prefix of the payload slice itself, sharing its backing array, so
+	// the caller must not modify either while it uses the other. Once a
+	// byte differs (a filter dropped or rewrote data) Received is a
+	// separate buffer and the payload is left as it was.
 	Received  []byte
 	Client    *tcp.Conn
 	Elapsed   time.Duration
@@ -446,14 +452,24 @@ type TransferResult struct {
 // and runs the simulation until delivery completes or deadline
 // elapses. The mobile side echoes nothing; it just consumes.
 func (s *System) Transfer(payload []byte, srcPort, dstPort uint16, deadline time.Duration) (*TransferResult, error) {
-	// Received ends up exactly as long as payload on every intact leg;
-	// growing it by doubling was the largest allocation of a scenario.
-	res := &TransferResult{Sent: len(payload), Received: make([]byte, 0, len(payload))}
+	res := &TransferResult{Sent: len(payload)}
 	start := s.Sched.Now()
 	var done sim.Time = -1
+	intact := true // Received is still a prefix of payload
 	_, err := s.MobileTCP.Listen(dstPort, func(c *tcp.Conn) {
 		c.OnData = func(b []byte) {
-			res.Received = append(res.Received, b...)
+			n := len(res.Received)
+			if intact && n+len(b) <= len(payload) && bytes.Equal(b, payload[n:n+len(b)]) {
+				res.Received = payload[: n+len(b) : n+len(b)]
+			} else {
+				if intact {
+					// First divergence: the matched prefix moves into a
+					// buffer of its own, sized for a full-length leg.
+					intact = false
+					res.Received = append(make([]byte, 0, max(len(payload), n+len(b))), res.Received...)
+				}
+				res.Received = append(res.Received, b...)
+			}
 			if len(res.Received) == len(payload) {
 				done = s.Sched.Now()
 			}

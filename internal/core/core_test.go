@@ -2,13 +2,17 @@ package core_test
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/eem"
+	"repro/internal/ip"
 	"repro/internal/netsim"
+	"repro/internal/tcp"
 )
 
 func TestSystemQuickstartTransfer(t *testing.T) {
@@ -49,6 +53,81 @@ func TestCheckedTransferVerdicts(t *testing.T) {
 	if res, err := sys.CheckedTransfer("leg again", payload, 9, 5001, time.Second); err == nil || res != nil ||
 		!strings.HasPrefix(err.Error(), "leg again: ") {
 		t.Fatalf("transfer to a port already listened on: res=%v err=%v", res, err)
+	}
+}
+
+// TestTransferReceivedAliasing pins TransferResult.Received: on an
+// intact transfer it is the payload itself (same backing array, no
+// copy); on a leg whose filters excise or rewrite bytes it is a buffer
+// of its own holding what arrived, the payload is left as it was, and
+// CheckedTransfer reports the leg.
+func TestTransferReceivedAliasing(t *testing.T) {
+	payload := make([]byte, 200_000)
+	rand.New(rand.NewSource(29)).Read(payload)
+	orig := bytes.Clone(payload)
+
+	sys := core.NewSystem(core.Config{})
+	res, err := sys.CheckedTransfer("intact", payload, 7, 5001, 120*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Received, orig) || unsafe.SliceData(res.Received) != unsafe.SliceData(payload) {
+		t.Fatal("intact transfer: Received is not the payload's own bytes")
+	}
+
+	for _, leg := range []struct {
+		name, filters string
+		intactPrefix  bool // the first divergence comes after some matching bytes
+	}{
+		// Whole segments vanish under the TTSF (E10's setup), after an
+		// intact prefix: the matched bytes move to Received's own buffer.
+		{"rdrop", "rdrop:25", true},
+		// Every segment is re-framed, from the first byte on.
+		{"comp", "comp", false},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			sys := core.NewSystem(core.Config{
+				Seed:     10,
+				Wireless: netsim.LinkConfig{Bandwidth: 5e6, Delay: 10 * time.Millisecond},
+			})
+			for _, c := range []string{"load tcp", "load ttsf", "load rdrop", "load comp", "load launcher",
+				"add launcher 11.11.10.99 0 11.11.10.10 0 tcp ttsf " + leg.filters} {
+				sys.MustCommand(c)
+			}
+			// The stream the mobile was sent, rebuilt from the segments
+			// its stack accepted: what the application must have got.
+			var isn uint32
+			var arrived []byte
+			sys.MobileTCP.OnSegment = func(send bool, _, _ ip.Addr, seg *tcp.Segment) {
+				switch {
+				case send || seg.DstPort != 5001:
+				case seg.Flags&tcp.FlagSYN != 0:
+					isn = seg.Seq + 1
+				case len(seg.Payload) > 0 && int32(seg.Seq-isn) >= 0:
+					off := int(seg.Seq - isn)
+					if end := off + len(seg.Payload); end > len(arrived) {
+						arrived = append(arrived, make([]byte, end-len(arrived))...)
+					}
+					copy(arrived[off:], seg.Payload)
+				}
+			}
+			res, err := sys.CheckedTransfer(leg.name, payload, 7, 5001, 600*time.Second)
+			if err == nil || res == nil {
+				t.Fatalf("CheckedTransfer accepted a leg that altered the stream: res=%v err=%v", res, err)
+			}
+			if !bytes.Equal(payload, orig) {
+				t.Fatal("the payload changed")
+			}
+			if len(arrived) == 0 || !bytes.Equal(res.Received, arrived) {
+				t.Fatalf("Received holds %d bytes, not the %d that arrived", len(res.Received), len(arrived))
+			}
+			if unsafe.SliceData(res.Received) == unsafe.SliceData(payload) {
+				t.Fatal("Received shares the payload's backing array")
+			}
+			if got := res.Received[0] == orig[0]; got != leg.intactPrefix {
+				t.Fatalf("leg starts intact = %v, want %v: the test no longer covers its divergence", got, leg.intactPrefix)
+			}
+		})
 	}
 }
 

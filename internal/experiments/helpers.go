@@ -142,11 +142,20 @@ func runControlScript(w io.Writer, sys *core.System, commands []string) error {
 	return nil
 }
 
-// pattern builds n bytes of deterministic, incompressible-ish data.
+// patternPeriod is the period of pattern's bytes: byte(i*31 + i/253)
+// is unchanged by adding 256·253 to i (it adds 256·253·31 + 256).
+const patternPeriod = 256 * 253
+
+// pattern builds n bytes of deterministic, incompressible-ish data,
+// byte(i*31 + i/253) at index i. One period is computed; the rest is
+// copied from it, doubling each time.
 func pattern(n int) []byte {
 	b := make([]byte, n)
-	for i := range b {
+	for i := range b[:min(n, patternPeriod)] {
 		b[i] = byte(i*31 + i/253)
+	}
+	for k := patternPeriod; k < n; k *= 2 {
+		copy(b[k:], b[:k])
 	}
 	return b
 }

@@ -1,9 +1,11 @@
 package perf
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ip"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -62,5 +64,31 @@ func TestNetsimHopOneAlloc(t *testing.T) {
 	}
 	if got != 101*burst {
 		t.Fatalf("%d datagrams delivered, want %d", got, 101*burst)
+	}
+}
+
+// TestIntactTransferBytesPerByte gates the bulk path of a transfer:
+// Conn.Write keeps the payload as its send buffer and an intact
+// Transfer's Received is the payload itself, so a 4 MB transfer across
+// the default topology allocates only the datagrams (one marshalled at
+// the sender, one forwarding copy at the proxy) plus ACKs and
+// bookkeeping — at most 2.6 bytes per payload byte. Copying into the
+// send buffer and into Received cost two more.
+func TestIntactTransferBytesPerByte(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: run it on an uninstrumented binary")
+	}
+	payload := pattern(4 << 20)
+	sys := core.NewSystem(core.Config{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := sys.CheckedTransfer("4 MB", payload, 7, 5001, 120*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(payload))
+	t.Logf("%.2f bytes allocated per payload byte", perByte)
+	if perByte > 2.6 {
+		t.Fatalf("an intact 4 MB transfer allocates %.2f bytes per payload byte, want at most 2.6", perByte)
 	}
 }

@@ -146,6 +146,11 @@ func (c *Conn) clock() *sim.Scheduler { return c.stack.net.Clock() }
 
 // Write queues p for transmission. The send buffer is unbounded; flow
 // and congestion control pace the network, not the API.
+//
+// Write takes ownership of p: the connection may keep p itself as its
+// send buffer until the peer acknowledges the bytes, so the caller must
+// not modify p after Write (reading it stays safe — TCP only reads its
+// send buffer). A read-only or freshly built p needs no copy.
 func (c *Conn) Write(p []byte) error {
 	switch c.state {
 	case StateEstablished, StateCloseWait, StateSynSent, StateSynRcvd:
@@ -155,7 +160,13 @@ func (c *Conn) Write(p []byte) error {
 	if c.finQueued {
 		return errors.New("tcp: write after Close")
 	}
-	c.sndBuf = append(c.sndBuf, p...)
+	if len(c.sndBuf) == 0 {
+		// The capacity clip makes the next Write's append copy rather
+		// than write into whatever follows p in its backing array.
+		c.sndBuf = p[:len(p):len(p)]
+	} else {
+		c.sndBuf = append(c.sndBuf, p...)
+	}
 	c.output()
 	return nil
 }
