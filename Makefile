@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fmt-check fuzz examples benchmark-check verify
+.PHONY: build test race vet fmt-check fuzz examples benchmark-check verify loc
 
 build:
 	$(GO) build ./...
@@ -80,3 +80,8 @@ benchmark-check:
 
 verify: build test race vet fmt-check examples benchmark-check
 	@echo "verify: OK"
+
+# Non-test Go lines in internal/, cmd/ and examples/: the size figure
+# the change log quotes. Not a gate.
+loc:
+	@find internal cmd examples -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l

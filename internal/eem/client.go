@@ -240,7 +240,7 @@ func (cm *Comma) handleLine(server string, line []byte) {
 		return
 	}
 	// Any parseable message proves the server alive: reset the
-	// supervisor's backoff so the next outage starts from BaseDelay.
+	// supervisor's backoff so the next outage starts from redialBase.
 	if cm.sup != nil {
 		cm.sup.attempt[server] = 0
 	}
@@ -305,18 +305,16 @@ func (cm *Comma) handleLine(server string, line []byte) {
 	}
 }
 
-// SuperviseConfig tunes the client's reconnection supervisor.
-type SuperviseConfig struct {
-	// BaseDelay is the first redial delay after a disconnect
-	// (default 500ms); successive failures double it.
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential backoff (default 15s).
-	MaxDelay time.Duration
-}
+// The supervisor's redial backoff: the first redial after a disconnect
+// waits redialBase, each consecutive failure doubles the wait, and
+// redialMax caps it.
+const (
+	redialBase = 250 * time.Millisecond
+	redialMax  = 4 * time.Second
+)
 
 type supervisor struct {
 	sched   *sim.Scheduler
-	cfg     SuperviseConfig
 	pending map[string]bool
 	attempt map[string]int
 }
@@ -328,19 +326,12 @@ type supervisor struct {
 // clients), and replays every server-side registration once a redial
 // sticks. PDA entries stay readable but report Stale until fresh data
 // arrives.
-func (cm *Comma) Supervise(cfg SuperviseConfig) error {
+func (cm *Comma) Supervise() error {
 	if cm.sched == nil {
 		return ErrNoScheduler
 	}
-	if cfg.BaseDelay <= 0 {
-		cfg.BaseDelay = 500 * time.Millisecond
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 15 * time.Second
-	}
 	cm.sup = &supervisor{
 		sched:   cm.sched,
-		cfg:     cfg,
 		pending: make(map[string]bool),
 		attempt: make(map[string]int),
 	}
@@ -348,15 +339,15 @@ func (cm *Comma) Supervise(cfg SuperviseConfig) error {
 }
 
 // backoff computes the next redial delay for server: exponential in
-// the consecutive-failure count, capped at MaxDelay, with ±25% jitter
+// the consecutive-failure count, capped at redialMax, with ±25% jitter
 // so a fleet of clients doesn't stampede a restarting server.
 func (s *supervisor) backoff(server string) time.Duration {
-	d := s.cfg.BaseDelay
-	for i := 0; i < s.attempt[server] && d < s.cfg.MaxDelay; i++ {
+	d := redialBase
+	for i := 0; i < s.attempt[server] && d < redialMax; i++ {
 		d *= 2
 	}
-	if d > s.cfg.MaxDelay {
-		d = s.cfg.MaxDelay
+	if d > redialMax {
+		d = redialMax
 	}
 	jitter := 0.75 + s.sched.Rand().Float64()/2
 	return time.Duration(float64(d) * jitter)

@@ -138,10 +138,7 @@ func TestSuperviseReconnectsAndReRegisters(t *testing.T) {
 	bus := obs.NewBus(r.sched, 4096)
 	r.client.SetObs(bus)
 	r.client.UseScheduler(r.sched)
-	if err := r.client.Supervise(eem.SuperviseConfig{
-		BaseDelay: 200 * time.Millisecond,
-		MaxDelay:  2 * time.Second,
-	}); err != nil {
+	if err := r.client.Supervise(); err != nil {
 		t.Fatal(err)
 	}
 	id := sysUpTimeID(r.serverAddr)
@@ -197,10 +194,7 @@ func TestSuperviseBackoffGrows(t *testing.T) {
 	bus := obs.NewBus(r.sched, 4096)
 	r.client.SetObs(bus)
 	r.client.UseScheduler(r.sched)
-	if err := r.client.Supervise(eem.SuperviseConfig{
-		BaseDelay: 100 * time.Millisecond,
-		MaxDelay:  5 * time.Second,
-	}); err != nil {
+	if err := r.client.Supervise(); err != nil {
 		t.Fatal(err)
 	}
 	id := sysUpTimeID(r.serverAddr)
@@ -209,7 +203,8 @@ func TestSuperviseBackoffGrows(t *testing.T) {
 	}
 	r.sched.RunFor(2 * time.Second)
 	r.server.Crash()
-	r.sched.RunFor(30 * time.Second)
+	const outage = 30 * time.Second
+	r.sched.RunFor(outage)
 
 	var attempts []int
 	for _, e := range bus.Events() {
@@ -225,11 +220,15 @@ func TestSuperviseBackoffGrows(t *testing.T) {
 	if len(attempts) < 4 {
 		t.Fatalf("only %d redials in 30s of outage, supervisor stalled?", len(attempts))
 	}
-	// With base 100ms doubling toward a 5s cap, 30s of outage cannot
-	// fit more than ~20 attempts; an unbounded retry loop would fit
-	// hundreds. This bounds the retry rate without depending on exact
-	// jitter draws.
-	if len(attempts) > 40 {
-		t.Fatalf("%d redials in 30s — backoff not applied", len(attempts))
+	// Each delay is at least 3/4 of RedialBase·2^i capped at RedialMax,
+	// so the outage fits at most maxRedials of them whatever the jitter
+	// draws; a retry loop without backoff would fit outage/RedialBase.
+	maxRedials := 0
+	for d, at := eem.RedialBase, time.Duration(0); at < outage; maxRedials++ {
+		at += d * 3 / 4
+		d = min(2*d, eem.RedialMax)
+	}
+	if len(attempts) > maxRedials {
+		t.Fatalf("%d redials in %v, at most %d fit the backoff", len(attempts), outage, maxRedials)
 	}
 }

@@ -299,6 +299,22 @@ func TestNodeSourceInterfaceVariables(t *testing.T) {
 	}
 }
 
+// TestNodeSourceRTOBoundsMatchTCP pins tcpRtoMin/tcpRtoMax to the
+// bounds the TCP stack actually clamps its RTO to.
+func TestNodeSourceRTOBoundsMatchTCP(t *testing.T) {
+	r := newEEMRig(t, time.Hour)
+	src := &eem.NodeSource{Node: r.sHost}
+	for name, want := range map[string]time.Duration{"tcpRtoMin": tcp.MinRTO, "tcpRtoMax": tcp.MaxRTO} {
+		v, err := src.Get(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Kind != eem.Long || v.L != want.Milliseconds() {
+			t.Errorf("%s = %v, want %d ms", name, v, want.Milliseconds())
+		}
+	}
+}
+
 func TestRateVariables(t *testing.T) {
 	r := newEEMRig(t, time.Hour)
 	src := &eem.NodeSource{Node: r.sHost}

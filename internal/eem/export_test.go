@@ -1,0 +1,7 @@
+package eem
+
+// The supervisor's backoff bounds, for the external tests.
+const (
+	RedialBase = redialBase
+	RedialMax  = redialMax
+)

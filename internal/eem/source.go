@@ -67,11 +67,6 @@ type NodeSource struct {
 	// TCP, when set, supplies the MIB-II tcp group (tcpActiveOpens,
 	// tcpCurrEstab, tcpRetransSegs, ...) from the host's TCP stack.
 	TCP *tcp.Stack
-	// Latency, when set, is reported as netLatency (milliseconds); the
-	// experiment harness wires it to a measured ping RTT.
-	Latency func() float64
-	// CPULoad, when set, is reported as cpuLoadAvg.
-	CPULoad func() float64
 
 	rates map[string]*rateSample
 }
@@ -187,9 +182,9 @@ func (s *NodeSource) Get(name string, index int) (Value, error) {
 	case "tcpRtoAlgorithm":
 		return LongValue(4), nil // vanj (Van Jacobson)
 	case "tcpRtoMin":
-		return LongValue(200), nil // milliseconds, Config default
+		return LongValue(tcp.MinRTO.Milliseconds()), nil
 	case "tcpRtoMax":
-		return LongValue(60000), nil
+		return LongValue(tcp.MaxRTO.Milliseconds()), nil
 	case "tcpMaxConn":
 		return LongValue(-1), nil // no fixed limit
 	case "tcpActiveOpens", "tcpPassiveOpens", "tcpAttemptFails",
@@ -217,16 +212,8 @@ func (s *NodeSource) Get(name string, index int) (Value, error) {
 		default:
 			return LongValue(m.RetransSegs), nil
 		}
-	case "netLatency":
-		if s.Latency != nil {
-			return DoubleValue(s.Latency()), nil
-		}
-		return DoubleValue(0), nil
-	case "cpuLoadAvg":
-		if s.CPULoad != nil {
-			return DoubleValue(s.CPULoad()), nil
-		}
-		return DoubleValue(0), nil
+	case "netLatency", "cpuLoadAvg":
+		return DoubleValue(0), nil // no simulator analogue; a double, as a measurement would be
 	case "deviceList":
 		var names []string
 		for i := range n.Ifaces() {

@@ -47,7 +47,7 @@ func newSplitRig(seed int64, wireless netsim.LinkConfig, withRelay bool) *splitR
 	w.RegisterProto(ip.ProtoTCP, func(h ip.Header, pl, raw []byte, in *netsim.Iface) { r.wStack.Deliver(h.Src, h.Dst, pl) })
 	m.RegisterProto(ip.ProtoTCP, func(h ip.Header, pl, raw []byte, in *netsim.Iface) { r.mStack.Deliver(h.Src, h.Dst, pl) })
 	if withRelay {
-		relay, err := itcp.New(p, mobileA, []uint16{5001}, tcp.Config{}, tcp.Config{})
+		relay, err := itcp.New(p, mobileA, []uint16{5001})
 		if err != nil {
 			panic(err)
 		}

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eem"
+	"repro/internal/filters"
+	"repro/internal/ip"
 	"repro/internal/kati"
 	"repro/internal/netsim"
 	"repro/internal/trace"
@@ -65,7 +67,7 @@ func runE3(seed int64, w io.Writer) error {
 	sys.Sched.RunFor(2 * time.Second)
 
 	spDial := func(addr string, onReply func(string)) (*kati.SPSession, error) {
-		a, err := parseAddr(addr)
+		a, err := ip.ParseAddr(addr)
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +117,7 @@ func runE4(seed int64, w io.Writer) error {
 	fmt.Fprintf(w, "\nsender sent %d B and completed=%v; mobile received %d B (segment 2 excised)\n",
 		res.Sent, senderClosed(res), len(res.Received))
 	k := filterKeyFor(7)
-	if st, ok := ttsfStats(k); ok {
+	if st, ok := filters.TTSFStatsFor(k); ok {
 		fmt.Fprintf(w, "ttsf: edits=%d bytesIn=%d bytesOut=%d synthesizedAcks=%d\n",
 			st.Edits, st.BytesIn, st.BytesOut, st.SynthesizedAcks)
 	}

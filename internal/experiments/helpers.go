@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/filter"
-	"repro/internal/filters"
 	"repro/internal/ip"
 	"repro/internal/obs"
 	"repro/internal/tcp"
@@ -84,9 +83,6 @@ func (st *segTracer) hook() func(send bool, src, dst ip.Addr, seg *tcp.Segment) 
 		revKey := dst.String() + ">" + src.String()
 		if seg.Flags&tcp.FlagSYN != 0 {
 			st.base[dirKey] = seg.Seq
-			if seg.Flags&tcp.FlagACK != 0 {
-				// SYN-ACK: ack rebases against the other direction.
-			}
 		}
 		if st.lines >= st.max {
 			return
@@ -177,18 +173,10 @@ func randomBytes(seed int64, n int) []byte {
 	return b
 }
 
-// parseAddr wraps ip.ParseAddr for dialers.
-func parseAddr(s string) (ip.Addr, error) { return ip.ParseAddr(s) }
-
 // filterKeyFor names the forward key of a Transfer stream to port 5001.
 func filterKeyFor(srcPort uint16) filter.Key {
 	return filter.Key{SrcIP: core.WiredAddr, SrcPort: srcPort,
 		DstIP: core.MobileAddr, DstPort: 5001}
-}
-
-// ttsfStats fetches TTSF stats for a stream key.
-func ttsfStats(k filter.Key) (filters.TTSFStats, bool) {
-	return filters.TTSFStatsFor(k)
 }
 
 // claims collects the broken claims of a row's "shape check:" or

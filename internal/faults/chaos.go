@@ -72,7 +72,7 @@ func Chaos(seed int64, w io.Writer) error {
 	client := eem.NewComma(eem.SimDialer(sys.WiredTCP))
 	client.SetObs(sys.Obs)
 	client.UseScheduler(sys.Sched)
-	if err := client.Supervise(eem.SuperviseConfig{BaseDelay: 250 * time.Millisecond, MaxDelay: 4 * time.Second}); err != nil {
+	if err := client.Supervise(); err != nil {
 		return fmt.Errorf("chaos: supervise: %w", err)
 	}
 	upID := eem.ID{Var: "sysUpTime", Server: core.ProxyCtrlAddr.String()}

@@ -67,17 +67,13 @@ func (*mwin) Description() string {
 	return "delay-aware receive-window sizing from measured wireless BDP: 'mwin [gain] [interval-ms]'"
 }
 
-// mwinMSS floors the computed window: one full segment always fits,
-// so the clamp can throttle a stream but never wedge it.
-const mwinMSS = 1460
-
 // mwinFloor is the lowest window the controller ever sets: four
 // segments, not one. A single-MSS window degenerates into one segment
 // per round trip with the receiver's delayed-ACK penalty on every
 // round — recovery from an outage would crawl for seconds. Four
 // segments keep the ACK clock dense enough to re-measure a delivery
 // rate within a roll or two while still draining a blocked queue.
-const mwinFloor = 4 * mwinMSS
+const mwinFloor = 4 * tcp.MSS
 
 // mwinMaxWindow is the largest expressible unscaled TCP window.
 const mwinMaxWindow = 65535

@@ -44,7 +44,6 @@ var (
 type rigOpts struct {
 	seed        int64
 	wireless    netsim.LinkConfig
-	tcpCfg      tcp.Config
 	doubleProxy bool
 }
 
@@ -90,8 +89,8 @@ func newRig(t *testing.T, o rigOpts) *rig {
 		r.mobile.AddDefaultRoute(r.mobile.Ifaces()[0])
 	}
 
-	r.wStack = tcp.NewStack(r.wired, o.tcpCfg)
-	r.mStack = tcp.NewStack(r.mobile, o.tcpCfg)
+	r.wStack = tcp.NewStack(r.wired, tcp.Config{})
+	r.mStack = tcp.NewStack(r.mobile, tcp.Config{})
 	r.wUDP = udp.NewStack(r.wired)
 	r.mUDP = udp.NewStack(r.mobile)
 	r.wired.RegisterProto(ip.ProtoTCP, func(h ip.Header, p, raw []byte, in *netsim.Iface) {

@@ -86,15 +86,13 @@ func (r *Relay) Stranded() int64 {
 }
 
 // New attaches a relay to the proxy node for connections to
-// mobile:port. wiredCfg and mobileCfg configure the two connection
-// halves independently (I-TCP's point: the wireless side can use
-// different parameters).
-func New(node *netsim.Node, mobile ip.Addr, ports []uint16, wiredCfg, mobileCfg tcp.Config) (*Relay, error) {
+// mobile:port.
+func New(node *netsim.Node, mobile ip.Addr, ports []uint16) (*Relay, error) {
 	r := &Relay{
 		node:       node,
 		mobile:     mobile,
-		wiredSide:  tcp.NewStack(node, wiredCfg),
-		mobileSide: tcp.NewStack(node, mobileCfg),
+		wiredSide:  tcp.NewStack(node, tcp.Config{}),
+		mobileSide: tcp.NewStack(node, tcp.Config{}),
 		ports:      make(map[uint16]bool),
 	}
 	for _, p := range ports {

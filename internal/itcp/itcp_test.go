@@ -48,7 +48,7 @@ func newITCPRig(t *testing.T, wireless netsim.LinkConfig) *itcpRig {
 	w.RegisterProto(ip.ProtoTCP, func(h ip.Header, pl, raw []byte, in *netsim.Iface) { r.wStack.Deliver(h.Src, h.Dst, pl) })
 	m.RegisterProto(ip.ProtoTCP, func(h ip.Header, pl, raw []byte, in *netsim.Iface) { r.mStack.Deliver(h.Src, h.Dst, pl) })
 
-	relay, err := itcp.New(p, mobileAddr, []uint16{5001}, tcp.Config{}, tcp.Config{MinRTO: 100 * time.Millisecond})
+	relay, err := itcp.New(p, mobileAddr, []uint16{5001})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,19 +64,21 @@ type Config struct {
 	Stack *tcp.Stack       // control stack the protocol runs over
 	Bus   *obs.Bus         // event bus (nil-safe)
 	Log   func(string, ...any)
-
-	// OfferTimeout paces source-side OFFER retries; after Retries
-	// expiries without a PREPARED the source resumes the stream, so a
-	// dead or partitioned peer never wedges it. CommitTimeout paces
-	// COMMIT re-sends (CommitRetries of them) once the journal says
-	// committed. PendingTimeout bounds how long the destination holds a
-	// validated-but-uncommitted offer.
-	OfferTimeout   time.Duration
-	Retries        int
-	CommitTimeout  time.Duration
-	CommitRetries  int
-	PendingTimeout time.Duration
 }
+
+// Protocol timings. offerTimeout paces source-side OFFER retries; after
+// offerRetries expiries without a PREPARED the source resumes the
+// stream, so a dead or partitioned peer never wedges it. commitTimeout
+// paces COMMIT re-sends (commitRetries of them) once the journal says
+// committed. pendingTimeout bounds how long the destination holds a
+// validated-but-uncommitted offer.
+const (
+	offerTimeout   = 250 * time.Millisecond
+	offerRetries   = 3
+	commitTimeout  = 250 * time.Millisecond
+	commitRetries  = 25
+	pendingTimeout = 2 * time.Second
+)
 
 type journalEntry struct {
 	tx    uint64
@@ -135,21 +137,6 @@ type Manager struct {
 
 // NewManager builds a Manager; call Serve to start accepting peers.
 func NewManager(cfg Config) *Manager {
-	if cfg.OfferTimeout <= 0 {
-		cfg.OfferTimeout = 250 * time.Millisecond
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 3
-	}
-	if cfg.CommitTimeout <= 0 {
-		cfg.CommitTimeout = 250 * time.Millisecond
-	}
-	if cfg.CommitRetries <= 0 {
-		cfg.CommitRetries = 25
-	}
-	if cfg.PendingTimeout <= 0 {
-		cfg.PendingTimeout = 2 * time.Second
-	}
 	if cfg.Log == nil {
 		cfg.Log = func(string, ...any) {}
 	}
@@ -279,7 +266,7 @@ func (m *Manager) startAttempt(tx uint64) {
 	if e == nil {
 		return
 	}
-	at := &attempt{retries: m.cfg.Retries}
+	at := &attempt{retries: offerRetries}
 	m.attempts[tx] = at
 	c, err := m.cfg.Stack.Connect(e.peer, Port)
 	if err != nil {
@@ -342,9 +329,9 @@ func (m *Manager) armRetry(tx uint64) {
 	if e == nil {
 		return
 	}
-	d := m.cfg.OfferTimeout
+	d := offerTimeout
 	if e.phase == phaseCommitted {
-		d = m.cfg.CommitTimeout
+		d = commitTimeout
 	}
 	gen := m.gen
 	at.timer = m.cfg.Sched.After(d, func() {
@@ -419,7 +406,7 @@ func (m *Manager) onPrepared(tx uint64) {
 	// own the stream, so the source may no longer resume it.
 	e.phase = phaseCommitted
 	if at := m.attempts[tx]; at != nil {
-		at.retries = m.cfg.CommitRetries
+		at.retries = commitRetries
 		at.timer.Stop()
 	}
 	if m.takeFault("crash-post-commit") {
@@ -549,7 +536,7 @@ func (m *Manager) onOffer(c *tcp.Conn, tx uint64, payload []byte) {
 	po := &pendingOffer{ex: ex}
 	m.pending[tx] = po
 	gen := m.gen
-	po.timer = m.cfg.Sched.After(m.cfg.PendingTimeout, func() {
+	po.timer = m.cfg.Sched.After(pendingTimeout, func() {
 		if m.gen != gen {
 			return
 		}
@@ -649,7 +636,7 @@ func (m *Manager) Restart() {
 			m.resumeSource(tx, "restart with uncommitted journal entry")
 		case phaseCommitted:
 			m.emit("recover-committed", e.ex.Key.String(), obs.F("tx", txString(tx)))
-			at := &attempt{retries: m.cfg.CommitRetries}
+			at := &attempt{retries: commitRetries}
 			m.attempts[tx] = at
 			c, err := m.cfg.Stack.Connect(e.peer, Port)
 			if err != nil {

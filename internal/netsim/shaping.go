@@ -167,10 +167,11 @@ type BlockageConfig struct {
 	// (mmWave measurements put blockage events at ~100ms–1s NLoS
 	// against seconds of LoS).
 	MeanLoS, MeanNLoS time.Duration
-	// MinDwell floors every dwell draw (default 10ms) so the model
-	// cannot degenerate into a zero-interval flap storm.
-	MinDwell time.Duration
 }
+
+// minDwell floors every dwell draw so the model cannot degenerate into
+// a zero-interval flap storm.
+const minDwell = 10 * time.Millisecond
 
 // Blockage is a running LoS/NLoS process bound to one link.
 type Blockage struct {
@@ -190,9 +191,6 @@ type Blockage struct {
 func StartBlockage(s *sim.Scheduler, l *Link, cfg BlockageConfig) *Blockage {
 	if cfg.Dir == 0 {
 		panic("netsim: StartBlockage needs an explicit Direction")
-	}
-	if cfg.MinDwell <= 0 {
-		cfg.MinDwell = 10 * time.Millisecond
 	}
 	b := &Blockage{sched: s, link: l, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	b.transition(false)
@@ -217,7 +215,7 @@ func (b *Blockage) transition(nlos bool) {
 	if bus := b.link.net.obs; bus.Enabled() {
 		bus.Emit("netsim", kind, b.cfg.Dir.String(), obs.F("dwell_ms", int(mean/time.Millisecond)))
 	}
-	dwell := b.cfg.MinDwell + time.Duration(b.rng.ExpFloat64()*float64(mean))
+	dwell := minDwell + time.Duration(b.rng.ExpFloat64()*float64(mean))
 	b.timer = b.sched.After(dwell, func() { b.transition(!nlos) })
 }
 

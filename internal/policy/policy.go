@@ -59,8 +59,6 @@ type Config struct {
 	Bus    *obs.Bus // optional
 	// Period is the sampling tick (DefaultPeriod when zero).
 	Period time.Duration
-	// TraceCap bounds the trace ring (DefaultTraceCap when zero).
-	TraceCap int
 }
 
 // Rule states.
@@ -97,13 +95,12 @@ type boundRule struct {
 
 // Engine evaluates rules on a fixed scheduler tick.
 type Engine struct {
-	sched    *sim.Scheduler
-	cm       *eem.Comma
-	ctrl     Control
-	server   string
-	bus      *obs.Bus
-	period   time.Duration
-	traceCap int
+	sched  *sim.Scheduler
+	cm     *eem.Comma
+	ctrl   Control
+	server string
+	bus    *obs.Bus
+	period time.Duration
 
 	rules []*boundRule
 	trace []string
@@ -119,17 +116,13 @@ func New(cfg Config) *Engine {
 	if cfg.Period <= 0 {
 		cfg.Period = DefaultPeriod
 	}
-	if cfg.TraceCap <= 0 {
-		cfg.TraceCap = DefaultTraceCap
-	}
 	return &Engine{
-		sched:    cfg.Sched,
-		cm:       cfg.Comma,
-		ctrl:     cfg.Control,
-		server:   cfg.Server,
-		bus:      cfg.Bus,
-		period:   cfg.Period,
-		traceCap: cfg.TraceCap,
+		sched:  cfg.Sched,
+		cm:     cfg.Comma,
+		ctrl:   cfg.Control,
+		server: cfg.Server,
+		bus:    cfg.Bus,
+		period: cfg.Period,
 	}
 }
 
@@ -439,8 +432,8 @@ func (e *Engine) event(kind, key string, fields ...obs.Field) {
 func (e *Engine) traceAdd(line string) {
 	entry := fmt.Sprintf("[%v] %s", e.sched.Now(), line)
 	e.trace = append(e.trace, entry)
-	if len(e.trace) > e.traceCap {
-		e.trace = e.trace[len(e.trace)-e.traceCap:]
+	if len(e.trace) > DefaultTraceCap {
+		e.trace = e.trace[len(e.trace)-DefaultTraceCap:]
 	}
 }
 

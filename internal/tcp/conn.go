@@ -101,11 +101,11 @@ func (s *Stack) newConn(t fourTuple) *Conn {
 		stack:    s,
 		tuple:    t,
 		state:    StateClosed,
-		smss:     s.cfg.MSS,
-		rto:      s.cfg.InitialRTO,
+		smss:     MSS,
+		rto:      initialRTO,
 		ssthresh: 64 * 1024,
 	}
-	c.cwnd = int(c.smss) * s.cfg.InitialCwndSegs
+	c.cwnd = int(c.smss) * initialCwndSegs
 	c.onRTO = c.onRetransmitTimeout
 	c.onPersist = c.persistProbe
 	c.onTimeWait = func() { c.teardown(nil) }
@@ -251,22 +251,10 @@ func (c *Conn) output() {
 		if n > int(c.smss) {
 			n = int(c.smss)
 		}
-		// Nagle: don't emit a sub-MSS segment while data is in flight
-		// and more may be coalesced (unless we're closing).
-		if c.stack.cfg.Nagle && n < int(c.smss) && inFlight > 0 && !c.finQueued {
-			break
-		}
+		// A window with less room than the segment gets what fits,
+		// however small: there is no sender-side silly-window avoidance.
 		if n > room {
-			// Don't send tiny sub-MSS fragments when the window is
-			// nearly full unless that's all the data there is.
-			if room < int(c.smss) && avail > room {
-				n = room
-			} else {
-				n = room
-			}
-		}
-		if n <= 0 {
-			break
+			n = room
 		}
 		off := int(c.sndNxt - c.bufSeq)
 		payload := c.sndBuf[off : off+n]
@@ -316,9 +304,9 @@ func (c *Conn) updatePersist() {
 		if c.persistTimer.Active() {
 			return
 		}
-		d := c.stack.cfg.PersistBase << c.persistShift
-		if d > c.stack.cfg.PersistMax {
-			d = c.stack.cfg.PersistMax
+		d := persistBase << c.persistShift
+		if d > persistMax {
+			d = persistMax
 		}
 		c.persistTimer = c.clock().After(d, c.onPersist)
 	} else {
@@ -370,8 +358,8 @@ func (c *Conn) armRetransmit() {
 		return
 	}
 	d := c.rto << c.backoff
-	if d > c.stack.cfg.MaxRTO {
-		d = c.stack.cfg.MaxRTO
+	if d > MaxRTO {
+		d = MaxRTO
 	}
 	c.rtxTimer = c.clock().After(d, c.onRTO)
 }
@@ -397,9 +385,9 @@ func (c *Conn) onRetransmitTimeout() {
 	c.rttPending = false
 	switch c.state {
 	case StateSynSent:
-		c.sendSegment(&Segment{Flags: FlagSYN, Seq: c.iss, Window: uint16(c.rcvWndSize()), MSS: c.stack.cfg.MSS})
+		c.sendSegment(&Segment{Flags: FlagSYN, Seq: c.iss, Window: uint16(c.rcvWndSize()), MSS: MSS})
 	case StateSynRcvd:
-		c.sendSegment(&Segment{Flags: FlagSYN | FlagACK, Seq: c.iss, Ack: c.rcvNxt, Window: uint16(c.rcvWndSize()), MSS: c.stack.cfg.MSS})
+		c.sendSegment(&Segment{Flags: FlagSYN | FlagACK, Seq: c.iss, Ack: c.rcvNxt, Window: uint16(c.rcvWndSize()), MSS: MSS})
 	default:
 		half := outstanding / 2
 		if half < 2*int(c.smss) {
@@ -475,11 +463,11 @@ func (c *Conn) sampleRTT(ack uint32) {
 		c.srtt = (7*c.srtt + m) / 8
 	}
 	rto := c.srtt + 4*c.rttvar
-	if rto < c.stack.cfg.MinRTO {
-		rto = c.stack.cfg.MinRTO
+	if rto < MinRTO {
+		rto = MinRTO
 	}
-	if rto > c.stack.cfg.MaxRTO {
-		rto = c.stack.cfg.MaxRTO
+	if rto > MaxRTO {
+		rto = MaxRTO
 	}
 	c.rto = rto
 }
@@ -529,7 +517,7 @@ func (c *Conn) handleSynSent(seg *Segment) {
 	if seg.MSS != 0 && seg.MSS < c.smss {
 		c.smss = seg.MSS
 	}
-	c.cwnd = int(c.smss) * c.stack.cfg.InitialCwndSegs
+	c.cwnd = int(c.smss) * initialCwndSegs
 	c.rtxTimer.Stop()
 	c.backoff = 0
 	c.state = StateEstablished
@@ -555,7 +543,7 @@ func (c *Conn) handleSynchronized(seg *Segment) {
 	}
 	if seg.Flags&FlagSYN != 0 && c.state == StateSynRcvd && seg.Seq == c.irs {
 		// Duplicate SYN: peer missed our SYN-ACK; resend it.
-		c.sendSegment(&Segment{Flags: FlagSYN | FlagACK, Seq: c.iss, Ack: c.rcvNxt, Window: uint16(c.rcvWndSize()), MSS: c.stack.cfg.MSS})
+		c.sendSegment(&Segment{Flags: FlagSYN | FlagACK, Seq: c.iss, Ack: c.rcvNxt, Window: uint16(c.rcvWndSize()), MSS: MSS})
 		return
 	}
 	if seg.Flags&FlagACK == 0 {
@@ -881,7 +869,7 @@ func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.rtxTimer.Stop()
 	c.persistTimer.Stop()
-	c.twTimer = c.clock().After(c.stack.cfg.TimeWait, c.onTimeWait)
+	c.twTimer = c.clock().After(timeWait, c.onTimeWait)
 }
 
 // teardown releases all connection state and fires OnClose.

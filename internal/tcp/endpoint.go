@@ -54,54 +54,24 @@ type Network interface {
 	Clock() *sim.Scheduler
 }
 
-// Config tunes a Stack. The zero value selects the defaults below.
+// Config tunes a Stack.
 type Config struct {
-	MSS    uint16 // default 1460
-	RcvWnd int    // receive window in bytes, default 65535
-	// Nagle enables RFC 896 small-segment coalescing: sub-MSS data is
-	// held back while earlier data is unacknowledged. Off by default —
-	// the thesis-era interactive experiments want each exchange on the
-	// wire immediately.
-	Nagle           bool
-	MinRTO          time.Duration // default 200ms
-	MaxRTO          time.Duration // default 60s
-	InitialRTO      time.Duration // default 1s
-	TimeWait        time.Duration // default 1s (shortened 2MSL for simulation)
-	PersistBase     time.Duration // zero-window probe base interval, default 500ms
-	PersistMax      time.Duration // probe backoff cap, default 8s
-	InitialCwndSegs int           // default 2 segments
+	RcvWnd int // receive window in bytes, default 65535
 }
 
-func (c Config) withDefaults() Config {
-	if c.MSS == 0 {
-		c.MSS = 1460
-	}
-	if c.RcvWnd == 0 {
-		c.RcvWnd = 65535
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 60 * time.Second
-	}
-	if c.InitialRTO == 0 {
-		c.InitialRTO = time.Second
-	}
-	if c.TimeWait == 0 {
-		c.TimeWait = time.Second
-	}
-	if c.PersistBase == 0 {
-		c.PersistBase = 500 * time.Millisecond
-	}
-	if c.PersistMax == 0 {
-		c.PersistMax = 8 * time.Second
-	}
-	if c.InitialCwndSegs == 0 {
-		c.InitialCwndSegs = 2
-	}
-	return c
-}
+// The stack's fixed protocol parameters. MSS, MinRTO and MaxRTO are
+// exported because other packages report or size by them.
+const (
+	MSS    = 1460 // the MSS every SYN offers
+	MinRTO = 200 * time.Millisecond
+	MaxRTO = 60 * time.Second
+
+	initialRTO      = time.Second
+	timeWait        = time.Second            // shortened 2MSL for simulation
+	persistBase     = 500 * time.Millisecond // zero-window probe base interval
+	persistMax      = 8 * time.Second        // probe backoff cap
+	initialCwndSegs = 2
+)
 
 type fourTuple struct {
 	localAddr  ip.Addr
@@ -132,9 +102,12 @@ type Stack struct {
 
 // NewStack creates a TCP stack on the given network host.
 func NewStack(n Network, cfg Config) *Stack {
+	if cfg.RcvWnd == 0 {
+		cfg.RcvWnd = 65535
+	}
 	return &Stack{
 		net:       n,
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		conns:     make(map[fourTuple]*Conn),
 		listeners: make(map[uint16]*Listener),
 		ephemeral: 1024,
@@ -209,7 +182,7 @@ func (s *Stack) ConnectFrom(lport uint16, raddr ip.Addr, rport uint16) (*Conn, e
 	c.sndUna = c.iss
 	c.sndNxt = c.iss + 1
 	c.sndMax = c.sndNxt
-	c.sendSegment(&Segment{Flags: FlagSYN, Seq: c.iss, Window: uint16(c.rcvWndSize()), MSS: s.cfg.MSS})
+	c.sendSegment(&Segment{Flags: FlagSYN, Seq: c.iss, Window: uint16(c.rcvWndSize()), MSS: MSS})
 	c.armRetransmit()
 	return c, nil
 }
@@ -268,7 +241,7 @@ func (s *Stack) acceptSyn(l *Listener, t fourTuple, seg *Segment) {
 	c.acceptFn = l.accept
 	c.sendSegment(&Segment{
 		Flags: FlagSYN | FlagACK, Seq: c.iss, Ack: c.rcvNxt,
-		Window: uint16(c.rcvWndSize()), MSS: s.cfg.MSS,
+		Window: uint16(c.rcvWndSize()), MSS: MSS,
 	})
 	c.armRetransmit()
 }

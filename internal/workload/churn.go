@@ -17,18 +17,20 @@ import (
 // cache entry and every 2^16 distinct keys the whole cache was
 // discarded, re-exposing the linear registry scan.
 type ChurnConfig struct {
-	// SrcIP/DstIP are the client and server addresses; they default to
-	// the testbed's wired host (11.11.10.99) and mobile host
-	// (11.11.10.10).
-	SrcIP ip.Addr
-	DstIP ip.Addr
-	// DstPort is the server port every flow targets (default 5001).
-	DstPort uint16
 	// DataPkts is the number of data segments per flow (default 2).
 	DataPkts int
 	// PayloadSize is the bytes per data segment (default 256).
 	PayloadSize int
 }
+
+// Every churn flow runs from the testbed's wired host to port 5001 on
+// its mobile host.
+var (
+	churnSrc = ip.AddrFrom4(11, 11, 10, 99)
+	churnDst = ip.AddrFrom4(11, 11, 10, 10)
+)
+
+const churnPort = 5001
 
 // ChurnStats totals what a Drive run emitted.
 type ChurnStats struct {
@@ -48,15 +50,6 @@ type Churn struct {
 
 // NewChurn builds a generator, applying ChurnConfig defaults.
 func NewChurn(cfg ChurnConfig) *Churn {
-	if cfg.SrcIP.IsZero() {
-		cfg.SrcIP = ip.AddrFrom4(11, 11, 10, 99)
-	}
-	if cfg.DstIP.IsZero() {
-		cfg.DstIP = ip.AddrFrom4(11, 11, 10, 10)
-	}
-	if cfg.DstPort == 0 {
-		cfg.DstPort = 5001
-	}
 	if cfg.DataPkts == 0 {
 		cfg.DataPkts = 2
 	}
@@ -84,7 +77,7 @@ func (c *Churn) Flows() int { return c.flow }
 // which requires buffer stability until the batch drains.
 func (c *Churn) NextFlow() [][]byte {
 	srcPort := uint16(1024 + c.flow%64511)
-	srcIP := c.cfg.SrcIP + ip.Addr(c.flow/64511)
+	srcIP := churnSrc + ip.Addr(c.flow/64511)
 	c.flow++
 
 	out := make([][]byte, 0, c.PacketsPerFlow())
@@ -92,20 +85,20 @@ func (c *Churn) NextFlow() [][]byte {
 	// Handshake.
 	out = append(out,
 		c.seg(srcIP, srcPort, true, tcp.Segment{
-			SrcPort: srcPort, DstPort: c.cfg.DstPort,
+			SrcPort: srcPort, DstPort: churnPort,
 			Seq: seq, Flags: tcp.FlagSYN, Window: 65535}),
 		c.seg(srcIP, srcPort, false, tcp.Segment{
-			SrcPort: c.cfg.DstPort, DstPort: srcPort,
+			SrcPort: churnPort, DstPort: srcPort,
 			Seq: ack, Ack: seq + 1, Flags: tcp.FlagSYN | tcp.FlagACK, Window: 65535}),
 		c.seg(srcIP, srcPort, true, tcp.Segment{
-			SrcPort: srcPort, DstPort: c.cfg.DstPort,
+			SrcPort: srcPort, DstPort: churnPort,
 			Seq: seq + 1, Ack: ack + 1, Flags: tcp.FlagACK, Window: 65535}))
 	seq++
 	ack++
 	// Data.
 	for i := 0; i < c.cfg.DataPkts; i++ {
 		out = append(out, c.seg(srcIP, srcPort, true, tcp.Segment{
-			SrcPort: srcPort, DstPort: c.cfg.DstPort,
+			SrcPort: srcPort, DstPort: churnPort,
 			Seq: seq, Ack: ack, Flags: tcp.FlagACK, Window: 65535,
 			Payload: c.payload}))
 		seq += uint32(len(c.payload))
@@ -114,10 +107,10 @@ func (c *Churn) NextFlow() [][]byte {
 	// filter watches for before scheduling queue removal).
 	out = append(out,
 		c.seg(srcIP, srcPort, true, tcp.Segment{
-			SrcPort: srcPort, DstPort: c.cfg.DstPort,
+			SrcPort: srcPort, DstPort: churnPort,
 			Seq: seq, Ack: ack, Flags: tcp.FlagFIN | tcp.FlagACK, Window: 65535}),
 		c.seg(srcIP, srcPort, false, tcp.Segment{
-			SrcPort: c.cfg.DstPort, DstPort: srcPort,
+			SrcPort: churnPort, DstPort: srcPort,
 			Seq: ack, Ack: seq + 1, Flags: tcp.FlagFIN | tcp.FlagACK, Window: 65535}))
 	return out
 }
@@ -125,7 +118,7 @@ func (c *Churn) NextFlow() [][]byte {
 // seg marshals one TCP segment into an IP datagram, forward
 // (client→server) or reverse.
 func (c *Churn) seg(srcIP ip.Addr, _ uint16, forward bool, s tcp.Segment) []byte {
-	src, dst := srcIP, c.cfg.DstIP
+	src, dst := srcIP, churnDst
 	if !forward {
 		src, dst = dst, src
 	}
