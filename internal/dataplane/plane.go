@@ -2,12 +2,10 @@ package dataplane
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cmdspec"
 	"repro/internal/filter"
 	"repro/internal/flowlog"
 	"repro/internal/netsim"
@@ -18,9 +16,9 @@ import (
 // Plane is the sharded data plane: N proxy shards behind a
 // flow-steering dispatcher, plus the epoch/quiesce control plane that
 // keeps the telnet interface (and Kati behind it) working unchanged.
-// It holds what is the same however the shards run — steering, Command
-// routing, the typed control surface, stream migration, the merged
-// renderers, epoch and extensions — and reaches the shards' proxies
+// It holds what is the same however the shards run — steering, Command,
+// the typed control surface (where all routing lives), stream
+// migration, epoch and extensions — and reaches the shards' proxies
 // through exec, chosen once by the constructor.
 type Plane struct {
 	shards []*proxy.Proxy
@@ -31,8 +29,10 @@ type Plane struct {
 	// calls the owning worker on the concrete type, not through exec.
 	ring *ringExec
 
-	// bus receives the single "proxy/command" event per control line.
-	bus *obs.Bus
+	// bus receives the single "proxy/command" event per control line;
+	// bus and metrics are what the stats and events commands read.
+	bus     *obs.Bus
+	metrics *obs.Registry
 
 	// epoch counts applied control-plane mutations. A reader that
 	// observes epoch E is guaranteed every shard has applied mutations
@@ -170,7 +170,7 @@ func (pl *Plane) mutate(fn func(i int, p *proxy.Proxy)) {
 // and every shard. The concurrent plane refuses (see ringExec).
 func (pl *Plane) SetObs(b *obs.Bus, r *obs.Registry) {
 	pl.exec.setObs(b, r)
-	pl.bus = b
+	pl.bus, pl.metrics = b, r
 }
 
 // SetMetricSource forwards the execution-environment variable source
@@ -260,101 +260,48 @@ func (pl *Plane) RegisterCommand(name string, fn func(args []string) string) {
 	pl.ext[name] = fn
 }
 
-// extNames lists registered extension commands, sorted.
-func (pl *Plane) extNames() []string {
-	out := make([]string, 0, len(pl.ext))
+// Help is the SP help line with the registered extension commands
+// appended, sorted.
+func (pl *Plane) Help() string {
+	names := make([]string, 0, len(pl.ext))
 	for n := range pl.ext {
-		out = append(out, n)
+		names = append(names, n)
 	}
-	sort.Strings(out)
-	return out
+	return proxy.HelpLine(names...)
 }
 
 // Command runs one SP command line over the sharded plane; the control
-// port (proxy.ServeControl) and the daemons serve it. Extension
-// commands dispatch first (they exist at the plane, not on any shard).
-// Every other line costs one "proxy/command" event, emitted here so the
-// event log does not depend on the shard count, and routes by the
-// shared cmdspec table: exact-key add/delete go to the owning shard,
-// registry/service mutations broadcast under the quiesce protocol,
-// report/streams/flows merge per-shard state, and shared-state queries
-// (stats, events, filters, services, help) answer from shard 0. One
-// inline shard is not a special case: its executor calls it directly.
+// port (proxy.ServeControl) and the daemons serve it. Every line costs
+// one "proxy/command" event, emitted here so the event log does not
+// depend on the shard count. Extension commands dispatch first (they
+// exist at the plane, not on any shard); every other line runs the
+// proxy's command table over the plane's typed control surface below,
+// which is where each command's routing lives.
 func (pl *Plane) Command(line string) string {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return ""
 	}
+	pl.bus.Emit("proxy", "command", fields[0], obs.F("args", len(fields)-1))
 	if fn, ok := pl.ext[fields[0]]; ok {
-		pl.bus.Emit("proxy", "command", fields[0], obs.F("args", len(fields)-1))
-		if spec, known := cmdspec.Lookup(fields[0]); known && !spec.ArityOK(len(fields)-1) {
+		if spec, known := proxy.Lookup(fields[0]); known && !spec.ArityOK(len(fields)-1) {
 			return spec.UsageError()
 		}
 		return fn(fields[1:])
 	}
-	if fields[0] == "help" && len(pl.ext) > 0 {
-		// Answer help at the plane so extension commands are listed
-		// regardless of shard count.
-		pl.bus.Emit("proxy", "command", fields[0], obs.F("args", len(fields)-1))
-		return cmdspec.HelpLine(pl.extNames()...)
-	}
-	pl.bus.Emit("proxy", "command", fields[0], obs.F("args", len(fields)-1))
-	route := cmdspec.RouteShard0
-	if spec, known := cmdspec.Lookup(fields[0]); known {
-		route = spec.Route
-	}
-	switch route {
-	case cmdspec.RouteKeyed:
-		if len(fields) >= 6 {
-			if k, err := filter.ParseKey(fields[2:6]); err == nil && !k.IsWild() {
-				// Exact key: only the owning shard can ever see matching
-				// packets (both directions steer identically), so route
-				// there instead of building ghost queues on every shard.
-				var out string
-				pl.exec.on(ShardOf(k, pl.n), func(p *proxy.Proxy) { out = p.Exec(line) })
-				pl.epoch.Add(1)
-				return out
-			}
-		}
-		return pl.broadcast(line)
-	case cmdspec.RouteBroadcast:
-		return pl.broadcast(line)
-	case cmdspec.RouteMergedReport:
-		name := ""
-		if len(fields) > 1 {
-			name = fields[1]
-		}
-		return pl.mergedReport(name)
-	case cmdspec.RouteMergedStreams:
-		return proxy.RenderStreams(pl.Streams())
-	case cmdspec.RouteMergedFlows:
-		spec, _ := cmdspec.Lookup(fields[0])
-		n := flowlog.DefaultShow
-		if !spec.ArityOK(len(fields) - 1) {
-			return spec.UsageError()
-		}
-		if len(fields) > 1 {
-			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil {
-				return spec.UsageError()
-			}
-		}
-		return pl.mergedFlows(n)
-	default:
-		// Identical shared state on every shard — answer from shard 0.
-		var out string
-		pl.exec.on(0, func(p *proxy.Proxy) { out = p.Exec(line) })
-		return out
-	}
+	return proxy.RunCommand(pl, fields)
 }
 
 // --- typed control surface ----------------------------------------------------
 //
-// The policy engine mutates filter state through these methods rather
-// than rendered command lines, so its rollback logic can branch on the
-// typed sentinels (proxy.ErrNotLoaded, proxy.ErrAlreadyLoaded,
-// proxy.ErrNoSuchStream, filter.ErrUnknownFilter). Routing matches
-// Command exactly; no "proxy/command" event is emitted — the engine
-// emits its own policy/* transitions instead.
+// The plane's proxy.Control: the command table runs over these methods,
+// and the policy engine mutates filter state through them directly, so
+// its rollback logic can branch on the typed sentinels
+// (proxy.ErrNotLoaded, proxy.ErrAlreadyLoaded, proxy.ErrNoSuchStream,
+// filter.ErrUnknownFilter). Registry, pool and service state is
+// replicated: mutations broadcast under the quiesce barrier and queries
+// answer from shard 0. Stream bindings live where their packets steer;
+// per-stream views merge every shard's.
 
 // LoadFilter loads a filter library on every shard.
 func (pl *Plane) LoadFilter(libName string) (string, error) {
@@ -386,6 +333,34 @@ func (pl *Plane) DeleteFilter(name string, k filter.Key) error {
 	return pl.keyed(k, func(p *proxy.Proxy) error { return p.DeleteFilter(name, k) })
 }
 
+// DefineService defines a named composition on every shard.
+func (pl *Plane) DefineService(name string, specs []string) error {
+	return pl.mutateErr(func(_ int, p *proxy.Proxy) error { return p.DefineService(name, specs) })
+}
+
+// UndefineService removes a named composition from every shard.
+func (pl *Plane) UndefineService(name string) error {
+	return pl.mutateErr(func(_ int, p *proxy.Proxy) error { return p.UndefineService(name) })
+}
+
+// FilterListing renders the replicated filter pool from shard 0.
+func (pl *Plane) FilterListing() (out string) {
+	pl.exec.on(0, func(p *proxy.Proxy) { out = p.FilterListing() })
+	return out
+}
+
+// ServiceListing renders the replicated service table from shard 0.
+func (pl *Plane) ServiceListing() (out string) {
+	pl.exec.on(0, func(p *proxy.Proxy) { out = p.ServiceListing() })
+	return out
+}
+
+// Bus returns the bus SetObs attached (nil if none).
+func (pl *Plane) Bus() *obs.Bus { return pl.bus }
+
+// Metrics returns the registry SetObs attached (nil if none).
+func (pl *Plane) Metrics() *obs.Registry { return pl.metrics }
+
 // mutateErr is mutate for operations that can fail: shards are
 // deterministic replicas for registry/pool/service state, so their
 // errors agree and the first one is returned.
@@ -413,24 +388,10 @@ func (pl *Plane) keyed(k filter.Key, fn func(p *proxy.Proxy) error) error {
 	return err
 }
 
-// broadcast Execs line on every shard under the quiesce barrier and
-// returns shard 0's output (shards are deterministic replicas for
-// registry/pool/service state, so outputs agree; any error wins).
-func (pl *Plane) broadcast(line string) string {
-	outs := make([]string, pl.n)
-	pl.mutate(func(i int, p *proxy.Proxy) { outs[i] = p.Exec(line) })
-	for _, o := range outs {
-		if strings.HasPrefix(o, "error") {
-			return o
-		}
-	}
-	return outs[0]
-}
-
-// mergedReport gathers ReportData from every shard and renders one
-// listing (keys are sorted and deduplicated by the renderer, so the
+// ReportData gathers every shard's report listing and merges the
+// per-filter keys (the renderer sorts and deduplicates them, so the
 // shard partitioning is invisible).
-func (pl *Plane) mergedReport(name string) string {
+func (pl *Plane) ReportData(name string) ([]string, map[string][]string, error) {
 	type res struct {
 		names []string
 		per   map[string][]string
@@ -440,18 +401,16 @@ func (pl *Plane) mergedReport(name string) string {
 	pl.exec.all(func(i int, p *proxy.Proxy) {
 		rs[i].names, rs[i].per, rs[i].err = p.ReportData(name)
 	})
-	for _, r := range rs {
-		if r.err != nil {
-			return fmt.Sprintf("error: %v\n", r.err)
-		}
-	}
 	merged := make(map[string][]string)
 	for _, r := range rs {
+		if r.err != nil {
+			return nil, nil, r.err
+		}
 		for f, keys := range r.per {
 			merged[f] = append(merged[f], keys...)
 		}
 	}
-	return proxy.RenderReport(rs[0].names, merged)
+	return rs[0].names, merged, nil
 }
 
 // Streams returns the merged per-stream accounting across shards,
@@ -476,16 +435,15 @@ func (pl *Plane) FlowStats() flowlog.StatsSnapshot {
 	return t
 }
 
-// mergedFlows gathers every shard's flow records under the quiesce
-// barrier. Steering is direction-normalized, so each flow lives whole
-// on exactly one shard: concatenation is the complete merge, and the
-// renderer's total order makes the output independent of the layout.
-func (pl *Plane) mergedFlows(n int) string {
+// AppendFlowRecords appends every shard's flow records to dst.
+// Steering is direction-normalized, so each flow lives whole on exactly
+// one shard: concatenation is the complete merge, and the renderer's
+// total order makes the output independent of the layout.
+func (pl *Plane) AppendFlowRecords(dst []flowlog.Record) []flowlog.Record {
 	rs := make([][]flowlog.Record, pl.n)
 	pl.exec.all(func(i int, p *proxy.Proxy) { rs[i] = p.AppendFlowRecords(nil) })
-	var out []flowlog.Record
 	for _, r := range rs {
-		out = append(out, r...)
+		dst = append(dst, r...)
 	}
-	return flowlog.Render(out, n)
+	return dst
 }

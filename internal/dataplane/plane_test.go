@@ -136,8 +136,8 @@ func mkSeg(t testing.TB, srcPort uint16, seq uint32, payload []byte) []byte {
 }
 
 // TestCommandRouting: exact-key mutations touch only the owning shard,
-// wild-card mutations reach every shard, and the merged report shows
-// one coherent listing.
+// malformed ones touch none, wild-card mutations reach every shard,
+// and the merged report shows one coherent listing.
 func TestCommandRouting(t *testing.T) {
 	pl := standalonePlane(t, 4)
 	if out := pl.Command("load rdrop"); out != "rdrop\n" {
@@ -173,6 +173,19 @@ func TestCommandRouting(t *testing.T) {
 	}
 	if epoch := pl.Epoch(); epoch != 2 { // load + add
 		t.Fatalf("epoch = %d, want 2", epoch)
+	}
+	// A line the grammar rejects reaches no shard and bumps no epoch.
+	for _, bad := range []string{
+		"add rdrop 11.11.10.99 7x 11.11.10.10 5001",
+		"delete rdrop " + exact + " extra",
+		"add rdrop 11.11.10.99 7",
+	} {
+		if out := pl.Command(bad); !strings.HasPrefix(out, "error:") {
+			t.Fatalf("%q: %q, want an error: diagnostic", bad, out)
+		}
+	}
+	if epoch := pl.Epoch(); epoch != 2 {
+		t.Fatalf("epoch = %d after rejected lines, want 2", epoch)
 	}
 	// Wild-card add replicates to every shard.
 	pl.Command("add rdrop 0.0.0.0 0 0.0.0.0 0 100")

@@ -13,6 +13,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func runE22(seed int64, w io.Writer) error {
@@ -48,7 +49,14 @@ func runE22(seed int64, w io.Writer) error {
 				return phases[2]
 			}
 		}
-		sent := map[uint32]sim.Time{}
+		// 25 fps, 4 layers, 300 B base ≈ 900 kb/s full rate; frame n
+		// leaves at start + n×interval.
+		const frames, interval = 600, 40 * time.Millisecond
+		start := sys.Sched.Now()
+		sentAt := func(seq uint32) sim.Time { return start.Add(time.Duration(seq) * interval) }
+		for n := uint32(0); n < frames; n++ {
+			phaseAt(sentAt(n)).baseSent++
+		}
 		sys.MobileUDP.Bind(4001, func(_ ip.Addr, _ uint16, payload []byte) {
 			f, err := media.UnmarshalFrame(payload)
 			if err != nil {
@@ -57,30 +65,14 @@ func runE22(seed int64, w io.Writer) error {
 			ph := phaseAt(sys.Sched.Now())
 			if f.Layer == 0 {
 				ph.base++
-				if sys.Sched.Now().Sub(sent[f.Seq]) < 100*time.Millisecond {
+				if sys.Sched.Now().Sub(sentAt(f.Seq)) < 100*time.Millisecond {
 					ph.baseOnTime++
 				}
 			} else {
 				ph.enh++
 			}
 		})
-		// 25 fps, 4 layers, 300 B base ≈ 900 kb/s full rate.
-		src := media.NewLayeredSource(4, 300, seed)
-		frames := 0
-		var tick func()
-		tick = func() {
-			fs := src.Next()
-			sent[fs[0].Seq] = sys.Sched.Now()
-			phaseAt(sys.Sched.Now()).baseSent++
-			for _, f := range fs {
-				sys.WiredUDP.Send(4000, core.MobileAddr, 4001, media.MarshalFrame(f))
-			}
-			frames++
-			if frames < 600 {
-				sys.Sched.After(40*time.Millisecond, tick)
-			}
-		}
-		sys.Sched.After(0, tick)
+		workload.StartCBRMedia(sys.Sched, sys.WiredUDP, core.MobileAddr, 4000, 4001, 4, 300, frames, interval, seed)
 
 		sys.Sched.RunFor(8 * time.Second)
 		sys.Wireless.Shape(netsim.DirBoth, netsim.Shaping{Fields: netsim.ShapeBandwidth, Bandwidth: 600e3})

@@ -15,6 +15,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func runE7(seed int64, w io.Writer) error {
@@ -329,8 +330,7 @@ func runE12(seed int64, w io.Writer) error {
 		}
 		const frames = 250
 		const interval = 40 * time.Millisecond // 25 fps
-		src := media.NewLayeredSource(4, 300, seed)
-		sent := map[uint32]sim.Time{}
+		start := sys.Sched.Now()
 		baseOnTime, delivered := 0, 0
 		var lateness time.Duration
 		sys.MobileUDP.Bind(4001, func(_ ip.Addr, _ uint16, payload []byte) {
@@ -340,27 +340,14 @@ func runE12(seed int64, w io.Writer) error {
 			}
 			delivered++
 			if f.Layer == 0 {
-				late := sys.Sched.Now().Sub(sent[f.Seq])
+				late := sys.Sched.Now().Sub(start.Add(time.Duration(f.Seq) * interval))
 				lateness += late
 				if late < 100*time.Millisecond {
 					baseOnTime++
 				}
 			}
 		})
-		n := 0
-		var tick func()
-		tick = func() {
-			fs := src.Next()
-			sent[fs[0].Seq] = sys.Sched.Now()
-			for _, f := range fs {
-				sys.WiredUDP.Send(4000, core.MobileAddr, 4001, media.MarshalFrame(f))
-			}
-			n++
-			if n < frames {
-				sys.Sched.After(interval, tick)
-			}
-		}
-		sys.Sched.After(0, tick)
+		workload.StartCBRMedia(sys.Sched, sys.WiredUDP, core.MobileAddr, 4000, 4001, 4, 300, frames, interval, seed)
 		sys.Sched.RunFor(time.Duration(frames)*interval + 5*time.Second)
 		meanLate := 0.0
 		if baseOnTime > 0 {

@@ -94,15 +94,6 @@ func (in *Injector) DegradeLink(name string, l *netsim.Link, at, dur time.Durati
 	})
 }
 
-// ShapeLink applies an explicit shaping to the selected direction(s)
-// at now+at — the injectable form of a single blockage-style retune.
-func (in *Injector) ShapeLink(name string, l *netsim.Link, dir netsim.Direction, at time.Duration, s netsim.Shaping) {
-	in.sched.After(at, func() {
-		l.Shape(dir, s)
-		in.emit("link-shape", name, obs.F("dir", dir.String()))
-	})
-}
-
 // Blockage starts a seeded LoS/NLoS blockage process on l at now+at
 // and stops it after dur, restoring the LoS shaping. The model's
 // transitions ride its own seeded RNG, so the fault script stays
@@ -145,16 +136,6 @@ func (in *Injector) ArmMigrationFault(name string, m *migrate.Manager, at time.D
 	in.sched.After(at, func() {
 		m.ArmFault(point)
 		in.emit("migrate-arm", name, obs.F("point", point))
-	})
-}
-
-// CrashMigration kills a migration manager at now+at: connections
-// reset, volatile protocol state lost, durable journal kept. Restart
-// it with RestartMigration to exercise journal recovery.
-func (in *Injector) CrashMigration(name string, m *migrate.Manager, at time.Duration) {
-	in.sched.After(at, func() {
-		m.Crash()
-		in.emit("migrate-crash", name)
 	})
 }
 

@@ -18,8 +18,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cmdspec"
 	"repro/internal/eem"
+	"repro/internal/proxy"
 )
 
 // SPSession is an open control connection to one service proxy.
@@ -92,7 +92,7 @@ func (sh *Shell) Exec(line string) {
 	default:
 		// SP commands forward verbatim to the selected proxy; the shared
 		// grammar table decides which names qualify.
-		if cmdspec.KatiForwards(cmd) {
+		if proxy.KatiForwards(cmd) {
 			sh.forward(cmd, rest)
 			return
 		}
@@ -113,7 +113,7 @@ func (sh *Shell) help() {
   help                        this text
 forwarded to the current service proxy:
 `)
-	fmt.Fprint(sh.out, cmdspec.KatiHelp())
+	fmt.Fprint(sh.out, proxy.KatiHelp())
 }
 
 func (sh *Shell) cmdSP(args []string) {

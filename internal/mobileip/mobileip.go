@@ -359,10 +359,6 @@ func (m *Mobile) handleReply(h ip.Header, payload, raw []byte, in *netsim.Iface)
 	}
 }
 
-// CurrentFA returns the care-of address of the FA the mobile last
-// registered through (zero if none).
-func (m *Mobile) CurrentFA() ip.Addr { return m.currentFA }
-
 // --- route optimization (binding caches, §2.1) -------------------------------
 
 // BindingCache implements the proposed triangular-routing fix: a

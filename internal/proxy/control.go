@@ -6,10 +6,9 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"repro/internal/cmdspec"
-	"repro/internal/filter"
 	"repro/internal/ip"
 	"repro/internal/lines"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 )
@@ -25,143 +24,35 @@ const ControlPort = 12000
 // prints nothing. Errors return a brief diagnostic (a small usability
 // deviation, documented in DESIGN.md).
 //
-// A proxy is always reached through a dataplane.Plane, whose Command
-// emits the single "proxy/command" event, answers report, streams and
-// flows from its merged renderers, and Execs the rest on the shards
-// that own it — so the event log does not depend on the shard count.
-func (p *Proxy) Exec(line string) string {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return ""
+// A deployment reaches its proxies through a dataplane.Plane, whose
+// Command runs the same table over the plane and emits the single
+// "proxy/command" event, so the event log does not depend on the
+// shard count.
+func (p *Proxy) Exec(line string) string { return RunCommand(p, strings.Fields(line)) }
+
+// FilterListing renders the loaded pool (with descriptions) and what
+// the catalog could still load.
+func (p *Proxy) FilterListing() string {
+	var b strings.Builder
+	for _, n := range p.LoadedFilters() {
+		fmt.Fprintf(&b, "loaded: %s\t%s\n", n, p.pool[n].Description())
 	}
-	return p.exec(fields)
+	for _, n := range p.catalog.Names() {
+		if _, ok := p.pool[n]; !ok {
+			fmt.Fprintf(&b, "available: %s\n", n)
+		}
+	}
+	return b.String()
 }
 
-// execHandlers dispatches command names to proxy operations. The
-// grammar — arity bounds, usage diagnostics, help, mutation class —
-// comes from the shared cmdspec table, so this map holds only the
-// semantics. Table entries without a handler here (auth, which the
-// ControlSession intercepts; report, streams and flows, which the
-// plane merges across shards; plane extensions like policy) never
-// reach a shard.
-var execHandlers = map[string]func(p *Proxy, rest []string) string{
-	"load": func(p *Proxy, rest []string) string {
-		name, err := p.LoadFilter(rest[0])
-		if err != nil {
-			return fmt.Sprintf("error: %v\n", err)
-		}
-		return name + "\n"
-	},
-	"remove": func(p *Proxy, rest []string) string {
-		if err := p.UnloadFilter(rest[0]); err != nil {
-			return fmt.Sprintf("error: %v\n", err)
-		}
-		return ""
-	},
-	"add": func(p *Proxy, rest []string) string {
-		k, err := filter.ParseKey(rest[1:5])
-		if err != nil {
-			return fmt.Sprintf("error: %v\n", err)
-		}
-		if err := p.AddFilter(rest[0], k, rest[5:]); err != nil {
-			return fmt.Sprintf("error: %v\n", err)
-		}
-		return ""
-	},
-	"delete": func(p *Proxy, rest []string) string {
-		k, err := filter.ParseKey(rest[1:5])
-		if err != nil {
-			return fmt.Sprintf("error: %v\n", err)
-		}
-		if err := p.DeleteFilter(rest[0], k); err != nil {
-			return fmt.Sprintf("error: %v\n", err)
-		}
-		return ""
-	},
-	// service <name> <filter[:args]>... — define a composition
-	// (thesis §10.2.1's layered service abstraction).
-	"service": func(p *Proxy, rest []string) string {
-		if err := p.DefineService(rest[0], rest[1:]); err != nil {
-			return fmt.Sprintf("error: %v\n", err)
-		}
-		return ""
-	},
-	"unservice": func(p *Proxy, rest []string) string {
-		if err := p.UndefineService(rest[0]); err != nil {
-			return fmt.Sprintf("error: %v\n", err)
-		}
-		return ""
-	},
-	"services": func(p *Proxy, rest []string) string {
-		var b strings.Builder
-		for _, n := range p.Services() {
-			specs, _ := p.ServiceSpec(n)
-			fmt.Fprintf(&b, "%s = %s\n", n, strings.Join(specs, " "))
-		}
-		return b.String()
-	},
-	// filters: extension used by Kati — the loaded pool and what the
-	// catalog could still load.
-	"filters": func(p *Proxy, rest []string) string {
-		var b strings.Builder
-		for _, n := range p.LoadedFilters() {
-			desc := ""
-			if f, ok := p.pool[n]; ok {
-				desc = "\t" + f.Description()
-			}
-			fmt.Fprintf(&b, "loaded: %s%s\n", n, desc)
-		}
-		loaded := map[string]bool{}
-		for _, n := range p.LoadedFilters() {
-			loaded[n] = true
-		}
-		for _, n := range p.Available() {
-			if !loaded[n] {
-				fmt.Fprintf(&b, "available: %s\n", n)
-			}
-		}
-		return b.String()
-	},
-	// stats: extension used by Kati — the unified metrics snapshot
-	// (proxy, links, TCP stacks, EEM — whatever is registered).
-	"stats": func(p *Proxy, rest []string) string {
-		if p.metrics == nil {
-			return "error: no metrics registry attached\n"
-		}
-		return p.metrics.Table("proxy statistics").String()
-	},
-	// events: extension used by Kati — the tail of the observability
-	// event log (default last 20 events).
-	"events": func(p *Proxy, rest []string) string {
-		if p.obs == nil {
-			return "error: no event bus attached\n"
-		}
-		n := 20
-		if len(rest) > 0 {
-			if _, err := fmt.Sscanf(rest[0], "%d", &n); err != nil {
-				spec, _ := cmdspec.Lookup("events")
-				return spec.UsageError()
-			}
-		}
-		return p.obs.Tail(n)
-	},
-	"help": func(p *Proxy, rest []string) string {
-		return cmdspec.HelpLine()
-	},
-}
+// Bus returns the attached event bus (nil if none).
+func (p *Proxy) Bus() *obs.Bus { return p.obs }
 
-func (p *Proxy) exec(fields []string) string {
-	cmd, rest := fields[0], fields[1:]
-	h, ok := execHandlers[cmd]
-	if !ok {
-		return fmt.Sprintf("error: unknown command %q\n", cmd)
-	}
-	spec, _ := cmdspec.Lookup(cmd)
-	if !spec.ArityOK(len(rest)) {
-		return spec.UsageError()
-	}
-	return h(p, rest)
-}
+// Metrics returns the attached metrics registry (nil if none).
+func (p *Proxy) Metrics() *obs.Registry { return p.metrics }
+
+// Help is the base help line: a bare proxy has no extensions.
+func (p *Proxy) Help() string { return HelpLine() }
 
 // Control-session bounds: the control plane sits at a sensitive
 // network position, so a wedged or malicious client must not be able
@@ -248,10 +139,6 @@ func (cp *ControlPolicy) peerAllowed(addr ip.Addr) bool {
 	return false
 }
 
-// mutating reports whether a command changes proxy state (the shared
-// grammar table is authoritative).
-func mutating(cmd string) bool { return cmdspec.Mutating(cmd) }
-
 // ControlSession wraps a plane's Command with the per-connection
 // authentication state of a ControlPolicy.
 type ControlSession struct {
@@ -282,7 +169,7 @@ func (s *ControlSession) Exec(line string) string {
 		}
 		return "error: bad token\n"
 	}
-	if s.policy != nil && s.policy.Token != "" && !s.authed && mutating(fields[0]) {
+	if spec, ok := Lookup(fields[0]); ok && spec.Mutating && s.policy != nil && s.policy.Token != "" && !s.authed {
 		return "error: authentication required (auth <token>)\n"
 	}
 	return s.command(line)

@@ -1,4 +1,4 @@
-package cmdspec
+package proxy
 
 import "testing"
 
@@ -57,15 +57,19 @@ func TestLookupAndFlags(t *testing.T) {
 	if _, ok := Lookup("bogus"); ok {
 		t.Errorf("Lookup(bogus) unexpectedly present")
 	}
+	mutating := func(name string) bool {
+		s, ok := Lookup(name)
+		return ok && s.Mutating
+	}
 	for _, name := range []string{"load", "remove", "add", "delete", "service", "unservice", "policy", "migrate"} {
-		if !Mutating(name) {
-			t.Errorf("Mutating(%q) = false, want true", name)
+		if !mutating(name) {
+			t.Errorf("%q is not mutating, want mutating", name)
 		}
 	}
 	for _, name := range []string{"report", "streams", "filters", "services",
 		"stats", "events", "flows", "auth", "help", "bogus"} {
-		if Mutating(name) {
-			t.Errorf("Mutating(%q) = true, want false", name)
+		if mutating(name) {
+			t.Errorf("%q is mutating, want read-only", name)
 		}
 	}
 	if KatiForwards("help") || KatiForwards("bogus") {

@@ -270,10 +270,6 @@ func (p *Proxy) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.Counter(prefix+".flow.zero_win", func() int64 { return fs.ZeroWin.Load() })
 }
 
-// FlowLog exposes the proxy's flow-log accumulator (owning-goroutine
-// access rules apply to Record/AppendRecords; Stats are atomics).
-func (p *Proxy) FlowLog() *flowlog.Table { return p.flows }
-
 // FlowStats snapshots the flow-log counters. Safe from any goroutine.
 func (p *Proxy) FlowStats() flowlog.StatsSnapshot { return p.flows.Stats().Snapshot() }
 
@@ -912,10 +908,10 @@ func (p *Proxy) ReportData(name string) ([]string, map[string][]string, error) {
 	return names, perFilter, nil
 }
 
-// RenderReport renders ReportData output in the Fig 5.3 format: each
+// renderReport renders ReportData output in the Fig 5.3 format: each
 // filter name on its own line, its (sorted, deduplicated) stream keys
 // tab-indented beneath it.
-func RenderReport(names []string, perFilter map[string][]string) string {
+func renderReport(names []string, perFilter map[string][]string) string {
 	var b strings.Builder
 	for _, n := range names {
 		keys := perFilter[n]
@@ -962,9 +958,8 @@ type StreamInfo struct {
 	Bytes   int64
 }
 
-// RenderStreams renders the "streams" listing, one line per stream. The
-// sharded data plane renders its merged view through it too.
-func RenderStreams(streams []StreamInfo) string {
+// renderStreams renders the "streams" listing, one line per stream.
+func renderStreams(streams []StreamInfo) string {
 	var b strings.Builder
 	for _, si := range streams {
 		fmt.Fprintf(&b, "%s\t[%s]\t%d pkts %d bytes\n",
@@ -982,6 +977,3 @@ func (p *Proxy) LoadedFilters() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Available lists filters the catalog could load.
-func (p *Proxy) Available() []string { return p.catalog.Names() }

@@ -55,23 +55,19 @@ func (p *Proxy) UndefineService(name string) error {
 	return nil
 }
 
-// Services lists defined service names, sorted.
-func (p *Proxy) Services() []string {
-	out := make([]string, 0, len(p.services))
+// ServiceListing renders the defined services, sorted by name, one
+// "name = composition" line each.
+func (p *Proxy) ServiceListing() string {
+	names := make([]string, 0, len(p.services))
 	for n := range p.services {
-		out = append(out, n)
+		names = append(names, n)
 	}
-	sort.Strings(out)
-	return out
-}
-
-// ServiceSpec returns the composition of a defined service.
-func (p *Proxy) ServiceSpec(name string) ([]string, bool) {
-	d, ok := p.services[name]
-	if !ok {
-		return nil, false
+	sort.Strings(names)
+	var b strings.Builder
+	for _, n := range names {
+		fmt.Fprintf(&b, "%s = %s\n", n, strings.Join(p.services[n].specs, " "))
 	}
-	return d.specs, true
+	return b.String()
 }
 
 // applyService instantiates every filter of a service on the given
