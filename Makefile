@@ -63,19 +63,23 @@ examples:
 
 # The repository benchmark is a module of its own, so `go build ./...`
 # and `go test ./...` never compile it: an internal rename could break
-# the yardstick unnoticed. Vet and test it, then run the two closed-loop
-# packet workloads, the flow-lifecycle workload and the simulator suite
-# for 2 s each — exit 0 means the 2^16-packet verification pass and the
-# counter checks held (edit-bulk: every checksum, payload, remapped
-# sequence number and translated ACK; churn: every flow closed in the
-# flow log and no queue left after the last clock advance, on recycled
-# queues and instances; sim-suite: every iteration's output hashed as
-# the first did and no scenario failed, on recycled scheduler events).
+# the yardstick unnoticed. Vet and test it, then run every workload for
+# 2 s — the two closed-loop packet workloads, the flow-lifecycle
+# workload, the open-loop paced workload and the simulator suite. Exit
+# 0 means the 2^16-packet verification pass and the counter checks
+# held (edit-bulk: every checksum, payload, remapped sequence number
+# and translated ACK; churn: every flow closed in the flow log and no
+# queue left after the last clock advance, on recycled queues and
+# instances; paced: the same verification pass, then every add/delete
+# control pair accepted beside open-loop traffic on the ring plane;
+# sim-suite: every iteration's output hashed as the first did and no
+# scenario failed, on recycled scheduler events).
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh --workload edit-bulk --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload fwd-small --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload churn --seed 1 --seconds 2 --trace 0
+	bash benchmark/run.sh --workload paced --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload sim-suite --seed 1 --seconds 2 --trace 0
 
 verify: build test race vet fmt-check examples benchmark-check

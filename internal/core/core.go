@@ -280,30 +280,22 @@ func NewSystem(cfg Config) *System {
 	sys.EEM.Interval = cfg.EEMInterval
 	sys.EEM.SetObs(sys.Obs)
 	sys.EEM.RegisterMetrics(sys.Metrics, "eem")
-	nodeSrc := &eem.NodeSource{Node: sys.ProxyHost, TCP: sys.Ctrl}
-	sys.EEM.AddSource(nodeSrc)
-	// Traffic-derived variables from the flow-log analytics plane, so
-	// policy rules can react to what the streams are doing (retrans
-	// ratio, zero-window rate), not just what the links report.
+	// The host's variables: SNMP, Table 6.2 and per-interface link.*
+	// (link.bw, link.delivery_bps, ... — the blockage signal the mmWave
+	// policy rules fire on), plus traffic-derived variables from the
+	// flow-log analytics plane, so policy rules can react to what the
+	// streams are doing (retrans ratio, zero-window rate), not just
+	// what the links report.
+	sys.EEM.AddSource(&eem.NodeSource{Node: sys.ProxyHost, TCP: sys.Ctrl})
 	sys.EEM.AddSource(newFlowVarSource(s, sys.Plane))
-	// Per-interface link-shaping variables (link.bw, link.delivery_bps,
-	// ...), indexed by the proxy host's interface order — the blockage
-	// signal the mmWave policy rules fire on.
-	sys.EEM.AddSource(newLinkVarSource(s, sys.ProxyHost))
-	// Adaptive filters query the same variables through their Env
-	// (thesis ch. 6: filters are EEM clients too).
+	// Adaptive filters read the same table through their Env (thesis
+	// ch. 6: filters are EEM clients too).
 	sys.Plane.SetMetricSource(func(name string, index int) (float64, bool) {
-		v, err := nodeSrc.Get(name, index)
+		v, err := sys.EEM.Get(name, index)
 		if err != nil {
 			return 0, false
 		}
-		switch v.Kind {
-		case eem.Long:
-			return float64(v.L), true
-		case eem.Double:
-			return v.D, true
-		}
-		return 0, false
+		return v.Float()
 	})
 	if err := eem.ServeSim(sys.Ctrl, eem.DefaultPort, sys.EEM); err != nil {
 		panic(fmt.Sprintf("core: eem port: %v", err))

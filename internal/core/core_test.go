@@ -13,6 +13,7 @@ import (
 	"repro/internal/ip"
 	"repro/internal/netsim"
 	"repro/internal/tcp"
+	"repro/internal/workload"
 )
 
 func TestSystemQuickstartTransfer(t *testing.T) {
@@ -223,6 +224,47 @@ func TestSystemEEMReachable(t *testing.T) {
 	sys.Sched.RunFor(2 * time.Second)
 	if got.S != "proxy" {
 		t.Fatalf("sysName = %q", got.S)
+	}
+}
+
+// TestFiltersReadTheEEMTable: a filter's Env.Metric and an EEM client
+// read one variable table — every numeric variable the proxy host's
+// EEM server lists, at every interface index, at several instants of a
+// bulk transfer, link.* and flow.* included.
+func TestFiltersReadTheEEMTable(t *testing.T) {
+	sys := core.NewSystem(core.Config{Topology: core.TopoMMWaveLTE})
+	var sunk int
+	if err := workload.ServeSink(sys.MobileTCP, 5001, &sunk); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workload.StartBulk(sys.WiredTCP, core.MobileAddr, 5001, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	ifs := len(sys.ProxyHost.Ifaces())
+	for step := 0; step < 4; step++ {
+		sys.Sched.RunFor(700 * time.Millisecond)
+		for _, name := range sys.EEM.Variables() {
+			for i := 0; i < ifs; i++ {
+				v, err := sys.EEM.Get(name, i)
+				if err != nil {
+					t.Fatalf("EEM %s[%d]: %v", name, i, err)
+				}
+				want, numeric := v.Float()
+				if !numeric {
+					continue
+				}
+				if got, ok := sys.Proxy.Metric(name, i); !ok || got != want {
+					t.Fatalf("t=%v: filter reads %s[%d] = %v (ok=%v), EEM reads %v",
+						sys.Sched.Now(), name, i, got, ok, want)
+				}
+			}
+		}
+	}
+	if bw, _ := sys.Proxy.Metric("link.bw", 1); bw <= 0 {
+		t.Fatalf("link.bw[1] = %v", bw)
+	}
+	if rtt, _ := sys.Proxy.Metric("flow.rtt", 0); rtt <= 0 || sunk == 0 {
+		t.Fatalf("no traffic measured: flow.rtt = %v, %d bytes delivered", rtt, sunk)
 	}
 }
 

@@ -20,32 +20,23 @@ var flowVarNames = []string{
 }
 
 // flowVarSource serves flow-log aggregates to the EEM. The windowed
-// ratios are deltas between successive window rolls, in the spirit of
-// NodeSource.rate: flow.retrans_ratio is retransmitted-per-data
-// segments over the last window, so it climbs while a degradation is
-// losing packets and decays to zero once the link recovers — which is
-// what lets a hysteresis rule revert. Windows are at least
-// flowVarMinWindow wide: retransmissions cluster around RTO expiries,
-// so a raw query-to-query delta (the EEM periodic pass and the policy
-// pump both read these variables, fragmenting the intervals) would
-// oscillate between 0 and spikes and flap any rule watching it.
-// Queries inside an open window return the previous window's value,
-// keeping the series deterministic regardless of reader interleaving.
+// ratios are an eem.Window, like NodeSource's rates:
+// flow.retrans_ratio is retransmitted-per-data segments over the last
+// window, so it climbs while a degradation is losing packets and
+// decays to zero once the link recovers — which is what lets a
+// hysteresis rule revert. Windows are at least flowVarMinWindow wide:
+// retransmissions cluster around RTO expiries, so a raw
+// query-to-query delta (the EEM periodic pass and the policy pump both
+// read these variables, fragmenting the intervals) would oscillate
+// between 0 and spikes and flap any rule watching it.
 type flowVarSource struct {
-	sched   *sim.Scheduler
-	plane   *dataplane.Plane
-	windows map[string]*flowWindow
-}
-
-// flowWindow is one ratio variable's inter-query delta state.
-type flowWindow struct {
-	lastT    sim.Time
-	num, den int64
-	value    float64
+	sched  *sim.Scheduler
+	plane  *dataplane.Plane
+	ratios eem.Window
 }
 
 func newFlowVarSource(s *sim.Scheduler, pl *dataplane.Plane) *flowVarSource {
-	return &flowVarSource{sched: s, plane: pl, windows: make(map[string]*flowWindow)}
+	return &flowVarSource{sched: s, plane: pl, ratios: eem.Window{Min: flowVarMinWindow}}
 }
 
 // Variables implements eem.Source.
@@ -72,11 +63,11 @@ func (s *flowVarSource) Get(name string, index int) (eem.Value, error) {
 	case "flow.zero_win":
 		return eem.LongValue(snap.ZeroWin), nil
 	case "flow.retrans_ratio":
-		return eem.DoubleValue(s.window(name, snap.Retrans, snap.DataPkts)), nil
+		return eem.DoubleValue(s.ratio(name, index, snap.Retrans, snap.DataPkts)), nil
 	case "flow.zero_win_rate":
-		return eem.DoubleValue(s.window(name, snap.ZeroWin, snap.Pkts)), nil
+		return eem.DoubleValue(s.ratio(name, index, snap.ZeroWin, snap.Pkts)), nil
 	case "flow.rtt_mean_ms":
-		return eem.DoubleValue(s.window(name, snap.RTTSumMicros, snap.RTTSamples) / 1000), nil
+		return eem.DoubleValue(s.ratio(name, index, snap.RTTSumMicros, snap.RTTSamples) / 1000), nil
 	case "flow.rtt":
 		// Lifetime mean RTT in milliseconds — the stable baseline a
 		// delay-aware rule compares the windowed flow.rtt_mean_ms
@@ -93,27 +84,15 @@ func (s *flowVarSource) Get(name string, index int) (eem.Value, error) {
 // flowVarMinWindow is the minimum width of a ratio window.
 const flowVarMinWindow = 2 * time.Second
 
-// window returns num/den over the last completed window (0 for an
-// empty or first window; the cached value while the current window is
-// still open).
-func (s *flowVarSource) window(key string, num, den int64) float64 {
-	now := s.sched.Now()
-	w := s.windows[key]
-	if w == nil {
-		s.windows[key] = &flowWindow{lastT: now, num: num, den: den}
+// ratio returns num/den over the last completed window (0 for an
+// empty or first window).
+func (s *flowVarSource) ratio(name string, index int, num, den int64) float64 {
+	return s.ratios.Roll(s.sched.Now(), name, index, num, den, func(_ time.Duration, dn, dd int64) float64 {
+		if dd > 0 {
+			return float64(dn) / float64(dd)
+		}
 		return 0
-	}
-	if now.Sub(w.lastT) < flowVarMinWindow {
-		return w.value
-	}
-	dn, dd := num-w.num, den-w.den
-	w.lastT, w.num, w.den = now, num, den
-	if dd > 0 {
-		w.value = float64(dn) / float64(dd)
-	} else {
-		w.value = 0
-	}
-	return w.value
+	})
 }
 
 var _ eem.Source = (*flowVarSource)(nil)

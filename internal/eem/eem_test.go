@@ -342,3 +342,63 @@ func TestRateVariables(t *testing.T) {
 		t.Fatalf("quiet rate = %v, want 0", v)
 	}
 }
+
+// TestParseValue pins the one value grammar of Kati and policy bounds:
+// numbers are whole tokens, anything else is a string.
+func TestParseValue(t *testing.T) {
+	for in, want := range map[string]eem.Value{
+		"7":     eem.LongValue(7),
+		"+7":    eem.LongValue(7),
+		"-3":    eem.LongValue(-3),
+		"1.5":   eem.DoubleValue(1.5),
+		"2e6":   eem.DoubleValue(2e6),
+		"20ms":  eem.StringValue("20ms"),
+		"1.5x":  eem.StringValue("1.5x"),
+		"proxy": eem.StringValue("proxy"),
+	} {
+		if got := eem.ParseValue(in); got != want {
+			t.Errorf("ParseValue(%q) = %#v, want %#v", in, got, want)
+		}
+	}
+}
+
+// TestRatesArePerInterface: each (variable, interface) pair keeps its
+// own rate window. Traffic on if0 must not show up as a negative rate
+// on an idle if1 read a second later, nor the other way round.
+func TestRatesArePerInterface(t *testing.T) {
+	s := sim.NewScheduler(3)
+	n := netsim.New(s)
+	a, hub, b := n.AddNode("a"), n.AddNode("hub"), n.AddNode("b")
+	n.Connect(a, ip.MustParseAddr("10.0.0.1"), hub, ip.MustParseAddr("10.0.0.2"), netsim.LinkConfig{})
+	n.Connect(hub, ip.MustParseAddr("10.0.1.2"), b, ip.MustParseAddr("10.0.1.1"), netsim.LinkConfig{})
+	src := &eem.NodeSource{Node: hub}
+	get := func(index int) float64 {
+		t.Helper()
+		v, err := src.Get("ethInAvg", index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.D
+	}
+	for i := 0; i < 20; i++ {
+		a.SendIP(ip.MustParseAddr("10.0.0.2"), ip.ProtoUDP, []byte("x"))
+	}
+	s.RunFor(time.Second)
+	if r := get(0); r != 0 {
+		t.Fatalf("if0 first read = %v, want 0", r)
+	}
+	s.RunFor(time.Second)
+	if r := get(1); r != 0 {
+		t.Fatalf("idle if1 first read = %v packets/s, want 0", r)
+	}
+	for i := 0; i < 10; i++ {
+		b.SendIP(ip.MustParseAddr("10.0.1.2"), ip.ProtoUDP, []byte("x"))
+	}
+	s.RunFor(time.Second)
+	if r := get(1); r != 10 {
+		t.Fatalf("if1 = %v packets/s, want 10", r)
+	}
+	if r := get(0); r != 0 {
+		t.Fatalf("idle if0 = %v packets/s, want 0", r)
+	}
+}

@@ -41,7 +41,6 @@ func (s *session) key() string { return "s" + strconv.FormatInt(s.id, 10) }
 // serves registrations from any number of clients (thesis §6.2).
 type Server struct {
 	name     string
-	sources  []Source
 	varIndex map[string]Source
 	// sessions is kept in insertion (accept) order. Tick iterates it
 	// directly: the wire-message order across clients under one seed
@@ -94,7 +93,6 @@ func (s *Server) RegisterMetrics(r *obs.Registry, prefix string) {
 // conflicts (application-specific sources can shadow defaults,
 // thesis §6.2).
 func (s *Server) AddSource(src Source) {
-	s.sources = append(s.sources, src)
 	for _, v := range src.Variables() {
 		s.varIndex[v] = src
 	}
@@ -110,14 +108,17 @@ func (s *Server) Variables() []string {
 	return out
 }
 
-// get resolves a variable through the source index.
-func (s *Server) get(id ID) (Value, error) {
-	src, ok := s.varIndex[id.Var]
+// Get resolves a variable through the source index — the host's one
+// variable table, which EEM clients, the policy engine and the proxy's
+// filters all read. It answers while the server is down: the sources
+// belong to the host, not to the server process.
+func (s *Server) Get(name string, index int) (Value, error) {
+	src, ok := s.varIndex[name]
 	if !ok {
 		return Value{}, wrapKind(ErrUnknownVar,
-			fmt.Sprintf("eem: server %s has no variable %q", s.name, id.Var))
+			fmt.Sprintf("eem: server %s has no variable %q", s.name, name))
 	}
-	return src.Get(id.Var, id.Index)
+	return src.Get(name, index)
 }
 
 // Crash simulates abrupt server death: every session is severed with a
@@ -207,7 +208,7 @@ func (s *Server) handleLine(sess *session, line []byte) {
 		s.obs.Emit("eem", "deregister-all", sess.key())
 	case msgPoll:
 		s.PollsServed++
-		v, err := s.get(m.ID)
+		v, err := s.Get(m.ID.Var, m.ID.Index)
 		reply := wireMsg{Kind: msgPollReply, Seq: m.Seq, ID: m.ID, V: v}
 		if err != nil {
 			reply.Err = err.Error()
@@ -241,7 +242,7 @@ func (s *Server) Tick() {
 		var batch []varUpdate
 		for _, r := range sess.regs {
 			in := false
-			v, err := s.get(r.id)
+			v, err := s.Get(r.id.Var, r.id.Index)
 			if err == nil {
 				in, err = r.attr.Matches(v)
 			}

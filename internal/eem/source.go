@@ -58,54 +58,49 @@ var ExtraVariables = []string{
 	"ethOutAvg", "deviceList", "bytes_rx", "bytes_tx",
 }
 
-// NodeSource serves the Table 6.1/6.2 variables from a simulated
-// host's counters — the stand-in for the local SNMP daemon the thesis
-// used. Variables with no simulator analogue return zero values,
-// which keeps the full SNMP surface available to clients.
+// linkVariables are the per-interface link-shaping variables, indexed
+// by interface number like the if* tables. They read the *transmit*
+// direction — the one the host pushes traffic into, which is where
+// blockage bites. link.bw and link.delay_ms read the live shaping (a
+// Blockage or trace segment shows the moment it is applied);
+// link.delivery_bps is a windowed delivered-bits rate — the
+// ground-truth throughput signal a blockage rule fires on even when
+// the configured bandwidth alone cannot tell LoS from NLoS.
+var linkVariables = []string{
+	"link.bw", "link.delay_ms", "link.queue", "link.peak_queue",
+	"link.down", "link.delivery_bps",
+}
+
+// linkDeliveryWindow is the minimum width of a link.delivery_bps
+// window: blockage dwells are short, and the policy loop must see the
+// collapse within a dwell or two.
+const linkDeliveryWindow = 500 * time.Millisecond
+
+// NodeSource serves the Table 6.1/6.2 variables and the link.* set from
+// a simulated host's counters — the stand-in for the local SNMP daemon
+// the thesis used. Variables with no simulator analogue return zero
+// values, which keeps the full SNMP surface available to clients.
 type NodeSource struct {
 	Node *netsim.Node
 	// TCP, when set, supplies the MIB-II tcp group (tcpActiveOpens,
 	// tcpCurrEstab, tcpRetransSegs, ...) from the host's TCP stack.
 	TCP *tcp.Stack
 
-	rates map[string]*rateSample
+	rates    Window // the Table 6.2 averages, no minimum width
+	delivery Window // link.delivery_bps, linkDeliveryWindow wide
 }
 
-// rateSample tracks one counter's per-second rate between queries.
-type rateSample struct {
-	lastT time.Duration
-	lastV int64
-	rate  float64
-	valid bool
-}
-
-// rate returns the per-second rate of change of counter cur under key,
-// computed between successive queries (the thesis's "avg" variables
-// derive from SNMP history; here the history is the query history).
-func (s *NodeSource) rate(key string, cur int64) float64 {
-	if s.rates == nil {
-		s.rates = make(map[string]*rateSample)
-	}
-	now := time.Duration(s.Node.Clock().Now())
-	r, ok := s.rates[key]
-	if !ok {
-		s.rates[key] = &rateSample{lastT: now, lastV: cur}
-		return 0
-	}
-	if dt := now - r.lastT; dt > 0 {
-		r.rate = float64(cur-r.lastV) / dt.Seconds()
-		r.lastT = now
-		r.lastV = cur
-		r.valid = true
-	}
-	return r.rate
+// rate returns the per-second rate of counter cur for (name, index).
+func (s *NodeSource) rate(name string, index int, cur int64) float64 {
+	return s.rates.Roll(s.Node.Clock().Now(), name, index, cur, 0, perSecond)
 }
 
 // Variables implements Source.
 func (s *NodeSource) Variables() []string {
-	out := make([]string, 0, len(SNMPVariables)+len(ExtraVariables))
+	out := make([]string, 0, len(SNMPVariables)+len(ExtraVariables)+len(linkVariables))
 	out = append(out, SNMPVariables...)
 	out = append(out, ExtraVariables...)
+	out = append(out, linkVariables...)
 	sort.Strings(out)
 	return out
 }
@@ -156,11 +151,9 @@ func (s *NodeSource) Get(name string, index int) (Value, error) {
 		return Value{}, fmt.Errorf("eem: no interface %d", index)
 	case "ifMtu":
 		return LongValue(1500), nil
-	case "ifSpeed":
-		if f := s.iface(index); f != nil && f.Link() != nil {
-			return LongValue(linkBandwidth(f)), nil
-		}
-		return Value{}, fmt.Errorf("eem: no interface %d", index)
+	case "ifSpeed", "link.bw", "link.delay_ms", "link.queue", "link.peak_queue",
+		"link.down", "link.delivery_bps":
+		return s.link(name, index)
 	case "ifInOctets", "bytes_rx":
 		return LongValue(s.octets(index, false)), nil
 	case "ifOutOctets", "bytes_tx":
@@ -170,13 +163,13 @@ func (s *NodeSource) Get(name string, index int) (Value, error) {
 	case "ifOutUcastPkts":
 		return LongValue(s.pkts(index, true)), nil
 	case "ethInAvg":
-		return DoubleValue(s.rate("ethInAvg", s.pkts(index, false))), nil
+		return DoubleValue(s.rate(name, index, s.pkts(index, false))), nil
 	case "ethOutAvg":
-		return DoubleValue(s.rate("ethOutAvg", s.pkts(index, true))), nil
+		return DoubleValue(s.rate(name, index, s.pkts(index, true))), nil
 	case "ethErrsAvg":
-		return DoubleValue(s.rate("ethErrsAvg", s.Node.Stats.IPInHdrErrors)), nil
+		return DoubleValue(s.rate(name, index, st.IPInHdrErrors)), nil
 	case "avgInIPPkts":
-		return DoubleValue(s.rate("avgInIPPkts", s.Node.Stats.IPInReceives)), nil
+		return DoubleValue(s.rate(name, index, st.IPInReceives)), nil
 	case "ifOutQLen":
 		return LongValue(0), nil
 	case "tcpRtoAlgorithm":
@@ -272,12 +265,35 @@ func dirStats(f *netsim.Iface, out bool) netsim.LinkStats {
 	return l.StatsBA()
 }
 
-// linkBandwidth reports the interface's egress bandwidth in bits per
-// second, as SNMP ifSpeed does.
-func linkBandwidth(f *netsim.Iface) int64 {
-	l := f.Link()
-	if l.IfaceA() == f {
-		return l.ConfigAB().Bandwidth
+// link serves ifSpeed and linkVariables from the interface's
+// transmit direction.
+func (s *NodeSource) link(name string, index int) (Value, error) {
+	f := s.iface(index)
+	if f == nil || f.Link() == nil {
+		return Value{}, fmt.Errorf("eem: no interface %d", index)
 	}
-	return l.ConfigBA().Bandwidth
+	l := f.Link()
+	cfg, st, queued, down := l.ConfigBA(), l.StatsBA(), l.QueuedBA(), l.DownBA()
+	if l.IfaceA() == f {
+		cfg, st, queued, down = l.ConfigAB(), l.StatsAB(), l.QueuedAB(), l.DownAB()
+	}
+	switch name {
+	case "ifSpeed", "link.bw":
+		return LongValue(cfg.Bandwidth), nil
+	case "link.delay_ms":
+		return DoubleValue(float64(cfg.Delay) / float64(time.Millisecond)), nil
+	case "link.queue":
+		return LongValue(int64(queued)), nil
+	case "link.peak_queue":
+		return LongValue(int64(st.PeakQueue)), nil
+	case "link.down":
+		if down {
+			return LongValue(1), nil
+		}
+		return LongValue(0), nil
+	default: // link.delivery_bps
+		s.delivery.Min = linkDeliveryWindow // a zero NodeSource is ready to serve
+		return DoubleValue(s.delivery.Roll(s.Node.Clock().Now(), name, index, st.DeliveredBytes, 0,
+			func(dt time.Duration, da, _ int64) float64 { return float64(da) * 8 / dt.Seconds() })), nil
+	}
 }

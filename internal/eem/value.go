@@ -78,11 +78,24 @@ func (v Value) String() string {
 	}
 }
 
+// ParseValue reads a long, a double, or else a string — the one value
+// grammar of Kati watch bounds and policy rule bounds. Numbers must be
+// whole tokens: "20ms" and "1.5x" are strings, "+7" is the long 7.
+func ParseValue(s string) Value {
+	if l, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return LongValue(l)
+	}
+	if d, err := strconv.ParseFloat(s, 64); err == nil {
+		return DoubleValue(d)
+	}
+	return StringValue(s)
+}
+
 // Equal compares two values of the same kind.
 func (v Value) Equal(o Value) bool { return v == o }
 
-// asFloat coerces numeric values for comparisons.
-func (v Value) asFloat() (float64, bool) {
+// Float coerces a numeric value to float64; ok is false for strings.
+func (v Value) Float() (float64, bool) {
 	switch v.Kind {
 	case Long:
 		return float64(v.L), true
@@ -157,11 +170,11 @@ func (a Attr) Matches(v Value) (bool, error) {
 			return false, ErrTypeMismatch
 		}
 	}
-	f, ok := v.asFloat()
+	f, ok := v.Float()
 	if !ok {
 		return false, ErrTypeMismatch
 	}
-	lo, ok := a.Lower.asFloat()
+	lo, ok := a.Lower.Float()
 	if !ok {
 		return false, ErrTypeMismatch
 	}
@@ -179,7 +192,7 @@ func (a Attr) Matches(v Value) (bool, error) {
 	case NEQ:
 		return f != lo, nil
 	case IN, OUT:
-		hi, ok := a.Upper.asFloat()
+		hi, ok := a.Upper.Float()
 		if !ok {
 			return false, ErrTypeMismatch
 		}

@@ -427,7 +427,8 @@ type StateSnapshotter interface {
 }
 
 // Env is the service the proxy provides to filter instances: queue
-// attachment, packet injection, stream teardown, timers, and logging.
+// attachment, packet injection, stream teardown, timers, logging, and
+// the host's execution-environment and flow-log measurements.
 type Env interface {
 	// Clock returns the scheduler, for filter timers.
 	Clock() *sim.Scheduler
@@ -443,40 +444,23 @@ type Env interface {
 	Inject(raw []byte)
 	// Logf records a diagnostic line in the proxy log.
 	Logf(format string, args ...any)
-}
-
-// Metrics is implemented by Envs that can answer execution-environment
-// queries — the EEM integration of thesis chapter 6 ("EEM clients run
-// as user-level threads which can form part of an application or even
-// of SP filters"). Adaptive filters obtain it by type-asserting their
-// Env; absence means no monitor is wired and the filter should fall
-// back to static behaviour.
-type Metrics interface {
-	// Metric returns the current numeric value of a local
-	// execution-environment variable (Table 6.1/6.2 names).
-	Metric(name string, index int) (float64, bool)
-}
-
-// FlowSampler is implemented by Envs that can answer per-flow
-// transport measurements out of the proxy's flow log — the smoothed
-// RTT a delay-aware filter (mwin) needs to size a bandwidth-delay
-// product. Key orientation is irrelevant: the flow log canonicalizes.
-// Calls are owning-goroutine only (filter hooks and timers already
-// are). Filters obtain it by type-asserting their Env; absence means
-// no flow log is wired and the filter should fall back to static
-// behaviour.
-type FlowSampler interface {
-	// FlowSRTT returns the smoothed RTT estimate of k's flow; ok is
-	// false when the flow is unknown or has no sample yet.
+	// Metric returns the current numeric value of one of the host's
+	// EEM variables — the table EEM clients read (thesis ch. 6: "EEM
+	// clients run as user-level threads which can form part of an
+	// application or even of SP filters"); ok is false when no monitor
+	// is wired or the variable is unknown or not numeric, and the
+	// filter should fall back to static behaviour.
+	Metric(name string, index int) (v float64, ok bool)
+	// FlowSRTT returns the smoothed RTT of k's flow out of the proxy's
+	// flow log — what a delay-aware filter (mwin) needs to size a
+	// bandwidth-delay product. Key orientation is irrelevant: the flow
+	// log canonicalizes. ok is false when the flow is unknown or has
+	// no sample yet.
 	FlowSRTT(k Key) (srtt time.Duration, ok bool)
-}
-
-// Spawner is implemented by Envs that can instantiate other loaded
-// filters on a stream — the capability behind the launcher filter,
-// which applies a configured set of services to each new stream
-// matching its wild-card key. Filters obtain it by type-asserting
-// their Env.
-type Spawner interface {
+	// Spawn instantiates a loaded filter on the exact key k — the
+	// capability behind the launcher filter, which applies a
+	// configured set of services to each new stream matching its
+	// wild-card key.
 	Spawn(name string, k Key, args []string) error
 }
 

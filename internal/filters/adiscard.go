@@ -63,7 +63,6 @@ func ADiscardStatsFor(k filter.Key) (ADiscardStats, bool) {
 
 type adiscardInst struct {
 	env      filter.Env
-	metrics  filter.Metrics
 	ifIndex  int
 	ceil     int // highest layer ever allowed
 	maxLayer int
@@ -78,11 +77,7 @@ type adiscardInst struct {
 }
 
 func (f *adiscard) New(env filter.Env, k filter.Key, args []string) error {
-	m, ok := env.(filter.Metrics)
-	if !ok {
-		return fmt.Errorf("adiscard: environment has no execution-environment metrics")
-	}
-	inst := &adiscardInst{env: env, metrics: m, ceil: 7}
+	inst := &adiscardInst{env: env, ceil: 7}
 	if len(args) > 0 {
 		v, err := strconv.Atoi(args[0])
 		if err != nil || v < 0 {
@@ -126,8 +121,8 @@ func (inst *adiscardInst) arm() {
 // the layer threshold (one step per sample, as adaptive codecs do).
 func (inst *adiscardInst) sample() {
 	defer inst.arm()
-	speed, ok1 := inst.metrics.Metric("ifSpeed", inst.ifIndex)
-	octets, ok2 := inst.metrics.Metric("ifOutOctets", inst.ifIndex)
+	speed, ok1 := inst.env.Metric("ifSpeed", inst.ifIndex)
+	octets, ok2 := inst.env.Metric("ifOutOctets", inst.ifIndex)
 	if !ok1 || !ok2 || speed <= 0 {
 		return
 	}

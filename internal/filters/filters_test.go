@@ -542,7 +542,7 @@ func TestCacheFilterAnswersRepeats(t *testing.T) {
 
 // metricEnv wraps the proxy rig so filters can be tested against a
 // controllable metric source... the real rig's proxy already
-// implements filter.Metrics once a source is set; this test drives the
+// answers filter.Env.Metric once a source is set; this test drives the
 // adaptive-discard filter through changing link conditions.
 func TestAdaptiveDiscardFollowsBandwidth(t *testing.T) {
 	r := newRig(t, rigOpts{wireless: netsim.LinkConfig{Bandwidth: 4e6, Delay: 5 * time.Millisecond, QueueLen: 30}})

@@ -29,10 +29,6 @@ func (*launcher) Description() string {
 }
 
 func (f *launcher) New(env filter.Env, k filter.Key, args []string) error {
-	sp, ok := env.(filter.Spawner)
-	if !ok {
-		return fmt.Errorf("launcher: environment cannot spawn filters")
-	}
 	if len(args) == 0 {
 		return fmt.Errorf("launcher: no services configured")
 	}
@@ -42,7 +38,7 @@ func (f *launcher) New(env filter.Env, k filter.Key, args []string) error {
 			svc = filter.ParseSpec(spec)
 			f.specs[spec] = svc
 		}
-		if err := sp.Spawn(svc.Name, k, svc.Args); err != nil {
+		if err := env.Spawn(svc.Name, k, svc.Args); err != nil {
 			return fmt.Errorf("launcher: spawn %s on %v: %w", svc.Name, k, err)
 		}
 	}

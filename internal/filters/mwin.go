@@ -23,7 +23,7 @@ import (
 //
 // with delivery_rate measured from the mobile's cumulative-ACK advance
 // over a roll interval and the RTT read from the proxy flow log
-// through filter.FlowSampler. The flow log's srtt is taken at the
+// through filter.Env.FlowSRTT. The flow log's srtt is taken at the
 // proxy, so it measures the *wireless-side* round trip — but it also
 // inflates with the queueing delay the stream itself causes, and
 // sizing a window from an inflated RTT ratchets the window (and the
@@ -54,8 +54,8 @@ import (
 // filter rewrites the reverse-direction ACKs, like wsize. It only ever
 // *lowers* the advertised window, never raises it, and never touches
 // sequence or ack numbers — end-to-end semantics are preserved
-// (thesis §8.2.3). Without a FlowSampler env or before the first RTT
-// sample it stays passive (fail open).
+// (thesis §8.2.3). Before the first RTT sample (or with no flow log
+// behind the Env) it stays passive (fail open).
 type mwin struct{}
 
 // NewMWin returns the mwin filter factory.
@@ -112,10 +112,6 @@ func (f *mwin) New(env filter.Env, k filter.Key, args []string) error {
 		env: env, fwd: k, gain: gain, interval: interval,
 		window: mwinMaxWindow,
 	}
-	inst.sampler, _ = env.(filter.FlowSampler)
-	if inst.sampler == nil {
-		env.Logf("mwin: env has no flow sampler, staying passive on %v", k)
-	}
 	_, err := env.Attach(k.Reverse(), filter.Hooks{
 		Filter: "mwin", Priority: filter.Lowest,
 		Out:     inst.out,
@@ -132,7 +128,6 @@ func (f *mwin) New(env filter.Env, k filter.Key, args []string) error {
 // mwinInst is one stream's window controller.
 type mwinInst struct {
 	env      filter.Env
-	sampler  filter.FlowSampler
 	fwd      filter.Key // wired sender → mobile (the data direction)
 	gain     float64
 	interval time.Duration
@@ -205,9 +200,6 @@ func (m *mwinInst) roll() {
 	m.Rolls++
 	acked := m.ackedBytes
 	m.ackedBytes = 0
-	if m.sampler == nil {
-		return
-	}
 	if acked == 0 {
 		// Nothing delivered this interval — blockage or idle. Halve
 		// toward the floor so a dead wireless leg stops admitting
@@ -221,7 +213,7 @@ func (m *mwinInst) roll() {
 		}
 		return
 	}
-	srtt, ok := m.sampler.FlowSRTT(m.fwd)
+	srtt, ok := m.env.FlowSRTT(m.fwd)
 	if !ok {
 		// No RTT estimate: before the first sample, stay passive (fail
 		// open). Once active, keep the current clamp — the flow log may

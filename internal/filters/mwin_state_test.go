@@ -61,8 +61,8 @@ func TestMwinRestoreErrors(t *testing.T) {
 	}
 }
 
-// stubEnv implements filter.Env and nothing else — in particular not
-// FlowSampler — so it exercises mwin's fail-open path.
+// stubEnv implements filter.Env with no measurements behind it —
+// FlowSRTT never has a sample — so it exercises mwin's fail-open path.
 type stubEnv struct {
 	sched *sim.Scheduler
 	hooks []filter.Hooks
@@ -73,9 +73,12 @@ func (e *stubEnv) Attach(k filter.Key, h filter.Hooks) (func(), error) {
 	e.hooks = append(e.hooks, h)
 	return func() {}, nil
 }
-func (e *stubEnv) RemoveStream(filter.Key) {}
-func (e *stubEnv) Inject([]byte)           {}
-func (e *stubEnv) Logf(string, ...any)     {}
+func (e *stubEnv) RemoveStream(filter.Key)                   {}
+func (e *stubEnv) Inject([]byte)                             {}
+func (e *stubEnv) Logf(string, ...any)                       {}
+func (e *stubEnv) Metric(string, int) (float64, bool)        { return 0, false }
+func (e *stubEnv) FlowSRTT(filter.Key) (time.Duration, bool) { return 0, false }
+func (e *stubEnv) Spawn(string, filter.Key, []string) error  { return nil }
 
 // TestMwinPassiveWithoutFlowSampler: with no flow log wired into the
 // Env, mwin must attach but never modify a packet (fail open).

@@ -406,7 +406,7 @@ func (t *Table) ActiveFlows() int64 { return t.stats.Active.Load() }
 // orientation; the table canonicalizes). ok is false when the flow is
 // unknown or has produced no RTT sample yet. Owning-goroutine only,
 // like Record — this is the lookup behind the proxy's
-// filter.FlowSampler.
+// filter.Env.FlowSRTT.
 func (t *Table) SRTT(k filter.Key) (time.Duration, bool) {
 	ck, _ := canonical(k)
 	f := t.active[ck]

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/eem"
@@ -219,10 +220,12 @@ func (sh *Shell) cmdGet(args []string) {
 	}
 	id := eem.ID{Server: args[0], Var: args[1]}
 	if len(args) > 2 {
-		if _, err := fmt.Sscanf(args[2], "%d", &id.Index); err != nil {
+		i, err := strconv.Atoi(args[2])
+		if err != nil {
 			fmt.Fprintf(sh.out, "kati: bad index %q\n", args[2])
 			return
 		}
+		id.Index = i
 	}
 	err := sh.eem.GetValueOnce(id, func(v eem.Value, err error) {
 		if err != nil {
@@ -252,15 +255,9 @@ func (sh *Shell) cmdWatch(args []string) {
 		return
 	}
 	attr := eem.Attr{Op: op}
-	if attr.Lower, err = parseValue(args[3]); err != nil {
-		fmt.Fprintf(sh.out, "kati: bad lower bound: %v\n", err)
-		return
-	}
+	attr.Lower = eem.ParseValue(args[3])
 	if len(args) > 4 {
-		if attr.Upper, err = parseValue(args[4]); err != nil {
-			fmt.Fprintf(sh.out, "kati: bad upper bound: %v\n", err)
-			return
-		}
+		attr.Upper = eem.ParseValue(args[4])
 	} else if op == eem.IN || op == eem.OUT {
 		fmt.Fprintln(sh.out, "kati: IN/OUT need both bounds")
 		return
@@ -311,17 +308,4 @@ func (sh *Shell) cmdStatus() {
 			fmt.Fprintf(sh.out, "  %s = (no data yet)\n", id)
 		}
 	}
-}
-
-// parseValue reads a long, double, or string value.
-func parseValue(s string) (eem.Value, error) {
-	var l int64
-	if _, err := fmt.Sscanf(s, "%d", &l); err == nil && fmt.Sprintf("%d", l) == s {
-		return eem.LongValue(l), nil
-	}
-	var d float64
-	if _, err := fmt.Sscanf(s, "%g", &d); err == nil {
-		return eem.DoubleValue(d), nil
-	}
-	return eem.StringValue(s), nil
 }

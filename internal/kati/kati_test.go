@@ -241,3 +241,32 @@ func TestKatiMultipleProxies(t *testing.T) {
 		t.Fatal("use of unknown proxy accepted")
 	}
 }
+
+// TestKatiValueAndIndexGrammar: watch bounds and get indices are whole
+// tokens, read by the grammar policy rules use. "2000x" is a string
+// bound — it cannot order a numeric variable, so the watch never fires
+// — and "1x" is no interface index.
+func TestKatiValueAndIndexGrammar(t *testing.T) {
+	r := newKatiRig(t)
+	r.run("watch " + r.proxyAddr + " ifMtu LT 2000x")
+	r.sched.RunFor(3 * time.Second)
+	if out := r.out.String(); strings.Contains(out, "ifMtu = ") {
+		t.Fatalf("string bound 2000x ordered ifMtu:\n%s", out)
+	}
+	r.out.Reset()
+	r.run("watch " + r.proxyAddr + " ifSpeed LT +200000000")
+	r.sched.RunFor(3 * time.Second)
+	if out := r.out.String(); !strings.Contains(out, "ifSpeed = 100000000") {
+		t.Fatalf("numeric bound +200000000 did not fire:\n%s", out)
+	}
+	r.out.Reset()
+	r.run("get " + r.proxyAddr + " ifDescr 1x")
+	if out := r.out.String(); !strings.Contains(out, `kati: bad index "1x"`) {
+		t.Fatalf("index 1x accepted:\n%s", out)
+	}
+	r.out.Reset()
+	r.run("get " + r.proxyAddr + " ifDescr 1")
+	if out := r.out.String(); !strings.Contains(out, "ifDescr[1] = if1(") {
+		t.Fatalf("get index 1:\n%s", out)
+	}
+}

@@ -111,7 +111,7 @@ func ParseRule(spec string) (*Rule, error) {
 	if !ok {
 		return nil, fmt.Errorf("policy: rule %q: missing enter bound", r.Name)
 	}
-	r.Enter = parseValue(bound)
+	r.Enter = eem.ParseValue(bound)
 	r.Exit = r.Enter
 
 	t, ok := next()
@@ -120,7 +120,7 @@ func ParseRule(spec string) (*Rule, error) {
 		if !ok {
 			return nil, fmt.Errorf("policy: rule %q: missing exit bound", r.Name)
 		}
-		r.Exit = parseValue(b)
+		r.Exit = eem.ParseValue(b)
 		t, ok = next()
 	}
 	if !ok || t != "for" {
@@ -229,15 +229,3 @@ func (r *Rule) enterAttr() eem.Attr { return eem.Attr{Op: r.Op, Lower: r.Enter} 
 // exitAttr is the region whose exit reverts the rule (the hysteresis
 // band when Exit differs from Enter).
 func (r *Rule) exitAttr() eem.Attr { return eem.Attr{Op: r.Op, Lower: r.Exit} }
-
-// parseValue reads a long, double, or string value — the same coercion
-// order Kati uses for watch bounds.
-func parseValue(s string) eem.Value {
-	if l, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return eem.LongValue(l)
-	}
-	if d, err := strconv.ParseFloat(s, 64); err == nil {
-		return eem.DoubleValue(d)
-	}
-	return eem.StringValue(s)
-}

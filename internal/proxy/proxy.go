@@ -127,8 +127,8 @@ type Proxy struct {
 	Log func(string)
 
 	// metricSource, when set, answers filters' execution-environment
-	// queries (filter.Metrics); typically wired to the host's EEM
-	// variable source.
+	// queries (filter.Env.Metric); wired to the host's EEM variable
+	// table.
 	metricSource func(name string, index int) (float64, bool)
 
 	// obs and metrics, when set, receive structured events and expose
@@ -415,11 +415,8 @@ func (p *Proxy) Logf(format string, args ...any) {
 }
 
 var _ filter.Env = (*Proxy)(nil)
-var _ filter.Spawner = (*Proxy)(nil)
-var _ filter.Metrics = (*Proxy)(nil)
-var _ filter.FlowSampler = (*Proxy)(nil)
 
-// FlowSRTT implements filter.FlowSampler: the smoothed RTT of k's flow
+// FlowSRTT implements filter.Env: the smoothed RTT of k's flow
 // out of this proxy's flow log. Owning-goroutine only, like the flow
 // log itself — filter hooks and timers already run there.
 func (p *Proxy) FlowSRTT(k filter.Key) (time.Duration, bool) {
@@ -427,12 +424,12 @@ func (p *Proxy) FlowSRTT(k filter.Key) (time.Duration, bool) {
 }
 
 // SetMetricSource wires the proxy host's execution-environment
-// variables (e.g. an eem.NodeSource) into the filters' Env.
+// variables (the host's EEM variable table) into the filters' Env.
 func (p *Proxy) SetMetricSource(fn func(name string, index int) (float64, bool)) {
 	p.metricSource = fn
 }
 
-// Metric implements filter.Metrics.
+// Metric implements filter.Env.
 func (p *Proxy) Metric(name string, index int) (float64, bool) {
 	if p.metricSource == nil {
 		return 0, false
@@ -440,7 +437,7 @@ func (p *Proxy) Metric(name string, index int) (float64, bool) {
 	return p.metricSource(name, index)
 }
 
-// Spawn implements filter.Spawner: instantiate a loaded filter on an
+// Spawn implements filter.Env: instantiate a loaded filter on an
 // exact key without creating a stream-registry entry. The launcher
 // filter uses this to apply its configured services to each new
 // stream matching its wild-card key.

@@ -278,7 +278,7 @@ func TestSpawnViaLauncherPattern(t *testing.T) {
 	cat.Register("spawner", func() filter.Factory {
 		return &fakeFilter{name: "spawner", priority: filter.Highest,
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
-				return env.(filter.Spawner).Spawn("svc", k, nil)
+				return env.Spawn("svc", k, nil)
 			}}
 	})
 	rig := newRig(t, cat)
