@@ -36,9 +36,11 @@ fmt-check:
 # checksum against its two-byte reference, the strconv key renderer
 # against its fmt reference, the recycled scheduler against its
 # container/heap reference, the control-port line session against
-# its line-by-line model under any split of the stream, and TCP
+# its line-by-line model under any split of the stream, TCP
 # delivery of Writes split at any sizes and virtual times against
-# their concatenation, with every written slice left untouched.
+# their concatenation, with every written slice left untouched, and
+# the EEM client fed arbitrary server bytes under any split, with
+# no panic and no request answered twice.
 fuzz:
 	$(GO) test ./internal/ip -fuzz FuzzIPParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ip -fuzz FuzzChecksum -fuzztime $(FUZZTIME)
@@ -52,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/migrate -fuzz FuzzMigrationSnapshotDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -fuzz FuzzScheduler -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lines -fuzz FuzzLineSession -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/eem -fuzz FuzzCommaInbound -fuzztime $(FUZZTIME)
 
 # `go build ./...` compiles the examples but nothing executes them, and
 # they are the first thing a reader runs against the public API. Each

@@ -119,7 +119,7 @@ func TestEEMFullCatalogueUpdate(t *testing.T) {
 		})
 	}
 	var names []string
-	cm.ListVariables(server, func(ns []string) { names = ns })
+	cm.ListVariables(server, func(ns []string, _ error) { names = ns })
 	sys.Sched.RunFor(500 * time.Millisecond)
 	if len(names) != len(vars) {
 		t.Fatalf("var-list carried %d of %d names", len(names), len(vars))

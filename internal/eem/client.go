@@ -29,208 +29,158 @@ type CloseNotifier interface {
 	OnDown(fn func())
 }
 
-// pdaEntry is one slot of the protected data area (thesis §6.2).
-type pdaEntry struct {
+// The transport half of Comma: its three tables, the wire, and the
+// reconnection supervisor. The comma_* surface and its notification
+// modes are in comma.go.
+
+// server is one EEM server as the client sees it.
+type server struct {
+	conn    Conn      // the open stream; nil while down
+	redial  sim.Timer // the pending redial, under Supervise
+	attempt int       // redials since the server last answered
+}
+
+// registration is one server-side registration and its slot of the
+// protected data area (thesis §6.2).
+type registration struct {
+	attr Attr // as sent: Interrupt is set iff cb is
+	cb   func(ID, Value)
+	pump *sim.Timer // the WithPDA refresh pump, if any
+
 	val       Value
 	inRange   bool
-	changed   bool // set on update, cleared by Value()
+	changed   bool // set on update, cleared by GetValue
 	haveValue bool
 	stale     bool // server lost since the value arrived
 }
 
-// The transport half of Comma: connections, the protected data area,
-// polls, and the reconnection supervisor. The comma_* surface and its
-// notification modes are in comma.go.
+// store writes v into the protected data area: server updates,
+// notifies and the WithPDA pump all land here.
+func (r *registration) store(v Value, inRange bool) {
+	if !r.haveValue || !r.val.Equal(v) {
+		r.changed = true
+	}
+	r.val, r.haveValue, r.inRange, r.stale = v, true, inRange, false
+}
 
-// connTo returns (dialing if needed) the stream to server.
-func (cm *Comma) connTo(server string) (Conn, error) {
-	if conn, ok := cm.conns[server]; ok {
-		return conn, nil
+func (r *registration) stopPump() {
+	if r.pump != nil {
+		r.pump.Stop()
+		r.pump = nil
 	}
-	conn, wire, err := cm.dial(server)
+}
+
+// request is one poll or catalogue query awaiting its reply: the
+// server it went to, the message kind that answers it, and what to do
+// with the answer (or with the error if the connection dies first).
+type request struct {
+	server string
+	reply  string
+	done   func(wireMsg, error)
+}
+
+// connTo returns (dialing if needed) the stream to name.
+func (cm *Comma) connTo(name string) (Conn, error) {
+	if cm.servers == nil {
+		return nil, ErrTerminated
+	}
+	s := cm.servers[name]
+	if s != nil && s.conn != nil {
+		return s.conn, nil
+	}
+	conn, wire, err := cm.dial(name)
 	if err != nil {
-		return nil, fmt.Errorf("eem: dial %s: %w", server, err)
+		return nil, fmt.Errorf("eem: dial %s: %w", name, err)
 	}
-	wire(readLines(conn, nil, func(line []byte) { cm.handleLine(server, line) }))
+	wire(readLines(conn, nil, func(line []byte) { cm.handleLine(name, line) }))
 	if n, ok := conn.(CloseNotifier); ok {
-		n.OnDown(func() { cm.noteDisconnect(server) })
+		n.OnDown(func() { cm.noteDisconnect(name) })
 	}
-	cm.conns[server] = conn
+	cm.server(name).conn = conn
 	return conn, nil
 }
 
-// writeTo sends msg on the (freshly dialed if needed) stream to
-// server. Any failure evicts the cached connection so the next call
-// redials instead of reusing a dead conn.
-func (cm *Comma) writeTo(server string, msg []byte) error {
-	conn, err := cm.connTo(server)
+// server returns name's record, creating it on first use.
+func (cm *Comma) server(name string) *server {
+	s, ok := cm.servers[name]
+	if !ok {
+		s = &server{}
+		cm.servers[name] = s
+	}
+	return s
+}
+
+// send writes m on the (freshly dialed if needed) stream to name. A
+// request with a done callback takes the next seq and waits in reqs
+// for its reply. A dial failure arms a redial under Supervise; a write
+// failure evicts the connection so the next call redials instead of
+// reusing a dead conn.
+func (cm *Comma) send(name string, m wireMsg, req request) error {
+	conn, err := cm.connTo(name)
 	if err != nil {
-		if cm.sup != nil {
-			cm.sup.scheduleRedial(cm, server)
-		}
+		cm.scheduleRedial(name)
 		return err
 	}
-	if err := conn.Write(msg); err != nil {
-		cm.noteDisconnect(server)
-		return fmt.Errorf("eem: write to %s: %w", server, err)
+	if req.done != nil {
+		cm.nextSeq++
+		m.Seq = cm.nextSeq
+		req.server = name
+		cm.reqs[m.Seq] = req
+	}
+	if err := conn.Write(encodeMsg(m)); err != nil {
+		delete(cm.reqs, m.Seq)
+		cm.noteDisconnect(name)
+		return fmt.Errorf("eem: write to %s: %w", name, err)
 	}
 	return nil
 }
 
-// noteDisconnect evicts the cached connection to server, marks the
+// noteDisconnect evicts the cached connection to name, marks the
 // server's protected-data-area entries stale, and fails its pending
-// polls. Safe to call repeatedly; the supervisor (if any) owns the
+// requests. Safe to call repeatedly; the supervisor (if any) owns the
 // redial schedule.
-func (cm *Comma) noteDisconnect(server string) {
-	if cm.closed {
+func (cm *Comma) noteDisconnect(name string) {
+	if cm.servers == nil {
 		return
 	}
-	if conn, ok := cm.conns[server]; ok {
-		delete(cm.conns, server)
+	if s := cm.servers[name]; s != nil && s.conn != nil {
+		conn := s.conn
+		s.conn = nil
 		conn.Close()
-		for id, e := range cm.pda {
-			if id.Server == server {
-				e.stale = true
+		for id, r := range cm.regs {
+			if id.Server == name {
+				r.stale = true
 			}
 		}
-		// Outstanding polls on this stream will never be answered;
+		// Outstanding requests on this stream will never be answered;
 		// fail them now, in seq order for reproducible callback order.
 		var seqs []int64
-		for seq, srv := range cm.pollSrv {
-			if srv == server {
+		for seq, req := range cm.reqs {
+			if req.server == name {
 				seqs = append(seqs, seq)
 			}
 		}
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		for _, seq := range seqs {
-			fn := cm.polls[seq]
-			delete(cm.polls, seq)
-			delete(cm.pollSrv, seq)
-			if fn != nil {
-				fn(Value{}, wrapKind(ErrConnLost,
-					fmt.Sprintf("eem: connection to %s lost", server)))
+			if req, ok := cm.reqs[seq]; ok {
+				delete(cm.reqs, seq)
+				req.done(wireMsg{}, wrapKind(ErrConnLost,
+					fmt.Sprintf("eem: connection to %s lost", name)))
 			}
 		}
-		cm.obs.Emit("eem-client", "conn-down", server)
+		cm.obs.Emit("eem-client", "conn-down", name)
 	}
-	if cm.sup != nil {
-		cm.sup.scheduleRedial(cm, server)
-	}
+	cm.scheduleRedial(name)
 }
 
-// register asks id's server to watch the variable under attr
-// (comma_var_register). Updates land silently in the protected data
-// area; if attr.Interrupt is set the callback also fires on entry to
-// the region. The interest is remembered even if the server is
-// currently unreachable: a supervising client re-registers it once
-// the connection comes back.
-func (cm *Comma) register(id ID, attr Attr) error {
-	cm.interests[id] = attr
-	if _, ok := cm.pda[id]; !ok {
-		cm.pda[id] = &pdaEntry{}
+// lookup finds the registration an inbound id names, tolerating
+// servers that strip the server name.
+func (cm *Comma) lookup(server string, id ID) (ID, *registration) {
+	if r, ok := cm.regs[id]; ok {
+		return id, r
 	}
-	return cm.writeTo(id.Server, encodeMsg(wireMsg{Kind: msgRegister, ID: id, A: attr}))
-}
-
-// localRegister records a client-only registration (Comma's WithPoll
-// mode): a PDA slot exists for GetValueOnce results but the server is
-// never contacted and the supervisor never replays it.
-func (cm *Comma) localRegister(id ID) {
-	if _, ok := cm.pda[id]; !ok {
-		cm.pda[id] = &pdaEntry{}
-	}
-}
-
-// deregister removes one registration (comma_var_deregister).
-func (cm *Comma) deregister(id ID) error {
-	delete(cm.interests, id)
-	delete(cm.pda, id)
-	return cm.writeTo(id.Server, encodeMsg(wireMsg{Kind: msgDeregister, ID: id}))
-}
-
-// localDeregister drops a client-only registration without touching
-// the server.
-func (cm *Comma) localDeregister(id ID) {
-	delete(cm.interests, id)
-	delete(cm.pda, id)
-}
-
-// deregisterAll removes every registration on every server
-// (comma_var_deregisterall).
-func (cm *Comma) deregisterAll() {
-	servers := make([]string, 0, len(cm.conns))
-	for s := range cm.conns {
-		servers = append(servers, s)
-	}
-	sort.Strings(servers)
-	for _, s := range servers {
-		cm.writeTo(s, encodeMsg(wireMsg{Kind: msgDeregisterAll}))
-	}
-	cm.pda = make(map[ID]*pdaEntry)
-	cm.interests = make(map[ID]Attr)
-}
-
-// storePDA writes a value into the protected data area directly —
-// Comma's WithPDA refresh pump stores poll results through it, keeping
-// the changed/stale bookkeeping identical to a server-pushed update.
-func (cm *Comma) storePDA(id ID, v Value, inRange bool) {
-	e, ok := cm.pda[id]
-	if !ok {
-		return
-	}
-	if !e.haveValue || !e.val.Equal(v) {
-		e.changed = true
-	}
-	e.val = v
-	e.haveValue = true
-	e.inRange = inRange
-	e.stale = false
-}
-
-// pollOnce retrieves a single value directly from the server
-// (comma_query_getvalue_once). The reply is delivered asynchronously
-// to fn — the event-driven rendering of the thesis's synchronous call.
-// If the connection dies before the reply, fn receives an error.
-func (cm *Comma) pollOnce(id ID, fn func(Value, error)) error {
-	conn, err := cm.connTo(id.Server)
-	if err != nil {
-		if cm.sup != nil {
-			cm.sup.scheduleRedial(cm, id.Server)
-		}
-		return err
-	}
-	cm.nextSeq++
-	seq := cm.nextSeq
-	cm.polls[seq] = fn
-	cm.pollSrv[seq] = id.Server
-	if err := conn.Write(encodeMsg(wireMsg{Kind: msgPoll, Seq: seq, ID: id})); err != nil {
-		delete(cm.polls, seq)
-		delete(cm.pollSrv, seq)
-		cm.noteDisconnect(id.Server)
-		return fmt.Errorf("eem: write to %s: %w", id.Server, err)
-	}
-	return nil
-}
-
-// ListVariables asks a server for its variable catalogue (Kati's
-// browsing support).
-func (cm *Comma) ListVariables(server string, fn func([]string)) error {
-	conn, err := cm.connTo(server)
-	if err != nil {
-		if cm.sup != nil {
-			cm.sup.scheduleRedial(cm, server)
-		}
-		return err
-	}
-	cm.nextSeq++
-	seq := cm.nextSeq
-	cm.listReq[seq] = fn
-	if err := conn.Write(encodeMsg(wireMsg{Kind: msgListVars, Seq: seq})); err != nil {
-		delete(cm.listReq, seq)
-		cm.noteDisconnect(server)
-		return fmt.Errorf("eem: write to %s: %w", server, err)
-	}
-	return nil
+	id.Server = server
+	return id, cm.regs[id]
 }
 
 // handleLine processes one inbound protocol message from server.
@@ -241,64 +191,36 @@ func (cm *Comma) handleLine(server string, line []byte) {
 	}
 	// Any parseable message proves the server alive: reset the
 	// supervisor's backoff so the next outage starts from redialBase.
-	if cm.sup != nil {
-		cm.sup.attempt[server] = 0
+	if s := cm.servers[server]; s != nil {
+		s.attempt = 0
 	}
 	switch m.Kind {
 	case msgUpdate:
 		for _, u := range m.Batch {
-			e, ok := cm.pda[u.ID]
-			if !ok {
-				// Tolerate servers that strip the server name.
-				id := u.ID
-				id.Server = server
-				e, ok = cm.pda[id]
-				if !ok {
-					continue
-				}
+			if _, r := cm.lookup(server, u.ID); r != nil {
+				r.store(u.V, true)
 			}
-			if !e.haveValue || !e.val.Equal(u.V) {
-				e.changed = true
-			}
-			e.val = u.V
-			e.haveValue = true
-			e.inRange = true
-			e.stale = false
 		}
 	case msgNotify:
-		id := m.ID
-		if e, ok := cm.pda[id]; ok {
-			if !e.haveValue || !e.val.Equal(m.V) {
-				e.changed = true
+		if id, r := cm.lookup(server, m.ID); r != nil {
+			r.store(m.V, true)
+			if r.cb != nil {
+				r.cb(id, m.V)
 			}
-			e.val = m.V
-			e.haveValue = true
-			e.inRange = true
-			e.stale = false
 		}
-		if fn, ok := cm.cbs[id]; ok {
-			fn(id, m.V)
-		}
-	case msgPollReply:
-		fn, ok := cm.polls[m.Seq]
-		if !ok {
+	case msgPollReply, msgVarList:
+		req, ok := cm.reqs[m.Seq]
+		if !ok || req.reply != m.Kind {
 			return
 		}
-		delete(cm.polls, m.Seq)
-		delete(cm.pollSrv, m.Seq)
-		if m.Err != "" {
-			if kind := kindForCode(m.Code); kind != nil {
-				fn(Value{}, wrapKind(kind, "eem: "+m.Err))
-			} else {
-				fn(Value{}, fmt.Errorf("eem: %s", m.Err))
-			}
-		} else {
-			fn(m.V, nil)
-		}
-	case msgVarList:
-		if fn, ok := cm.listReq[m.Seq]; ok {
-			delete(cm.listReq, m.Seq)
-			fn(m.Names)
+		delete(cm.reqs, m.Seq)
+		switch kind := kindForCode(m.Code); {
+		case m.Err == "":
+			req.done(m, nil)
+		case kind != nil:
+			req.done(wireMsg{}, wrapKind(kind, "eem: "+m.Err))
+		default:
+			req.done(wireMsg{}, fmt.Errorf("eem: %s", m.Err))
 		}
 	case msgError:
 		// Server rejected something; surfaced via logs in callers.
@@ -313,12 +235,6 @@ const (
 	redialMax  = 4 * time.Second
 )
 
-type supervisor struct {
-	sched   *sim.Scheduler
-	pending map[string]bool
-	attempt map[string]int
-}
-
 // Supervise attaches a reconnection supervisor driven by the
 // UseScheduler scheduler: when a connection dies the client redials
 // with exponential backoff and jitter drawn from the scheduler's
@@ -330,65 +246,51 @@ func (cm *Comma) Supervise() error {
 	if cm.sched == nil {
 		return ErrNoScheduler
 	}
-	cm.sup = &supervisor{
-		sched:   cm.sched,
-		pending: make(map[string]bool),
-		attempt: make(map[string]int),
-	}
+	cm.supervised = true
 	return nil
 }
 
-// backoff computes the next redial delay for server: exponential in
-// the consecutive-failure count, capped at redialMax, with ±25% jitter
-// so a fleet of clients doesn't stampede a restarting server.
-func (s *supervisor) backoff(server string) time.Duration {
-	d := redialBase
-	for i := 0; i < s.attempt[server] && d < redialMax; i++ {
-		d *= 2
-	}
-	if d > redialMax {
-		d = redialMax
-	}
-	jitter := 0.75 + s.sched.Rand().Float64()/2
-	return time.Duration(float64(d) * jitter)
-}
-
-// scheduleRedial arms (at most one) pending redial timer for server.
-func (s *supervisor) scheduleRedial(cm *Comma, server string) {
-	if s.pending[server] {
+// scheduleRedial arms (at most one) pending redial timer for name:
+// exponential in the consecutive-failure count, capped at redialMax,
+// with ±25% jitter so a fleet of clients doesn't stampede a restarting
+// server.
+func (cm *Comma) scheduleRedial(name string) {
+	if !cm.supervised || cm.servers == nil {
 		return
 	}
-	s.pending[server] = true
-	d := s.backoff(server)
-	s.attempt[server]++
-	cm.obs.Emit("eem-client", "redial-scheduled", server,
-		obs.F("attempt", s.attempt[server]), obs.F("delay_ms", d.Milliseconds()))
-	s.sched.After(d, func() {
-		s.pending[server] = false
-		if cm.closed {
-			return
-		}
-		if _, ok := cm.conns[server]; ok {
+	s := cm.server(name)
+	if s.redial.Active() {
+		return
+	}
+	d := redialBase
+	for i := 0; i < s.attempt && d < redialMax; i++ {
+		d *= 2
+	}
+	d = time.Duration(float64(min(d, redialMax)) * (0.75 + cm.sched.Rand().Float64()/2))
+	s.attempt++
+	cm.obs.Emit("eem-client", "redial-scheduled", name,
+		obs.F("attempt", s.attempt), obs.F("delay_ms", d.Milliseconds()))
+	s.redial = cm.sched.After(d, func() {
+		if s.conn != nil {
 			return // something else already reconnected
 		}
-		if err := cm.reconnect(server); err != nil {
-			cm.obs.Emit("eem-client", "redial-failed", server)
-			s.scheduleRedial(cm, server)
+		if err := cm.reconnect(name); err != nil {
+			cm.obs.Emit("eem-client", "redial-failed", name)
+			cm.scheduleRedial(name)
 		}
 	})
 }
 
-// reconnect redials server and replays its registrations in a
+// reconnect redials name and replays its registrations in a
 // deterministic (var, index) order.
-func (cm *Comma) reconnect(server string) error {
-	conn, err := cm.connTo(server)
-	if err != nil {
+func (cm *Comma) reconnect(name string) error {
+	if _, err := cm.connTo(name); err != nil {
 		return err
 	}
-	cm.obs.Emit("eem-client", "reconnected", server)
-	ids := make([]ID, 0, len(cm.interests))
-	for id := range cm.interests {
-		if id.Server == server {
+	cm.obs.Emit("eem-client", "reconnected", name)
+	var ids []ID
+	for id := range cm.regs {
+		if id.Server == name {
 			ids = append(ids, id)
 		}
 	}
@@ -399,13 +301,12 @@ func (cm *Comma) reconnect(server string) error {
 		return ids[i].Index < ids[j].Index
 	})
 	for _, id := range ids {
-		if err := conn.Write(encodeMsg(wireMsg{Kind: msgRegister, ID: id, A: cm.interests[id]})); err != nil {
-			cm.noteDisconnect(server)
+		if err := cm.send(name, wireMsg{Kind: msgRegister, ID: id, A: cm.regs[id].attr}, request{}); err != nil {
 			return err
 		}
 	}
 	if len(ids) > 0 {
-		cm.obs.Emit("eem-client", "re-register", server, obs.F("count", len(ids)))
+		cm.obs.Emit("eem-client", "re-register", name, obs.F("count", len(ids)))
 	}
 	return nil
 }

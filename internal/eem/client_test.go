@@ -71,9 +71,9 @@ func TestDeadConnEvictedOnWriteError(t *testing.T) {
 	}
 }
 
-// TestDisconnectFailsPendingPolls pins that polls outstanding on a
-// connection that dies receive an error callback instead of hanging
-// forever.
+// TestDisconnectFailsPendingPolls pins that polls and catalogue
+// queries outstanding on a connection that dies receive an error
+// callback instead of hanging forever.
 func TestDisconnectFailsPendingPolls(t *testing.T) {
 	var cur *fakeConn
 	dial := func(server string) (eem.Conn, func(func([]byte)), error) {
@@ -88,8 +88,13 @@ func TestDisconnectFailsPendingPolls(t *testing.T) {
 	if err := cm.GetValueOnce(id, func(_ eem.Value, err error) { called = true; pollErr = err }); err != nil {
 		t.Fatal(err)
 	}
-	if called {
-		t.Fatal("poll callback fired before any reply")
+	var listErr error
+	listed := 0
+	if err := cm.ListVariables("srv", func(_ []string, err error) { listed++; listErr = err }); err != nil {
+		t.Fatal(err)
+	}
+	if called || listed != 0 {
+		t.Fatal("request callback fired before any reply")
 	}
 	// The conn dies, detected by the next write.
 	cur.failWrites = true
@@ -101,6 +106,9 @@ func TestDisconnectFailsPendingPolls(t *testing.T) {
 	}
 	if pollErr == nil {
 		t.Fatal("pending poll failed without an error")
+	}
+	if listed != 1 || !errors.Is(listErr, eem.ErrConnLost) {
+		t.Fatalf("pending catalogue query: %d callbacks, err %v; want one ErrConnLost", listed, listErr)
 	}
 }
 

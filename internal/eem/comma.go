@@ -1,6 +1,7 @@
 package eem
 
 import (
+	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -20,41 +21,27 @@ import (
 //	                                    client-driven poll every p that
 //	                                    refreshes the PDA even while the
 //	                                    variable is out of range
-//	Register(id, attr, WithPoll())      client-local only: no server
-//	                                    message; values arrive solely
-//	                                    through GetValueOnce
 //
-// WithCallback and WithPDA compose; WithPoll is exclusive. All methods
-// must be called from the event-loop goroutine driving the transports.
+// WithCallback and WithPDA compose. The thesis's synchronous poll is
+// GetValueOnce. All methods must be called from the event-loop
+// goroutine driving the transports.
 type Comma struct {
-	dial    Dialer
-	conns   map[string]Conn
-	pda     map[ID]*pdaEntry
-	nextSeq int64
-	polls   map[int64]func(Value, error)
-	pollSrv map[int64]string // seq → server, to fail polls on disconnect
-	listReq map[int64]func([]string)
-	closed  bool
-
-	// interests mirrors every live server-side registration so the
-	// supervisor can replay them on a fresh connection after the
-	// server comes back.
-	interests map[ID]Attr
-
+	dial  Dialer
 	sched *sim.Scheduler
-	sup   *supervisor
 	obs   *obs.Bus
 
-	modes    map[ID]regMode
-	cbs      map[ID]func(ID, Value)
-	pdaStops map[ID]func()
-}
+	// servers holds one record per server ever dialled or redialled;
+	// nil after Term.
+	servers map[string]*server
+	// regs holds every server-side registration: the supervisor
+	// replays them on a fresh connection after the server comes back.
+	regs map[ID]*registration
+	// reqs holds the polls and catalogue queries awaiting a reply,
+	// keyed by the seq that correlates them.
+	reqs    map[int64]request
+	nextSeq int64
 
-// regMode records which notification modes a registration uses.
-type regMode struct {
-	callback bool
-	pda      bool
-	poll     bool
+	supervised bool
 }
 
 // RegisterOption configures one Comma registration.
@@ -64,7 +51,6 @@ type RegisterOption func(*regConfig)
 type regConfig struct {
 	cb        func(ID, Value)
 	pdaPeriod time.Duration
-	poll      bool
 }
 
 // WithCallback requests interrupt-style notification: fn fires (with
@@ -83,26 +69,13 @@ func WithPDA(period time.Duration) RegisterOption {
 	return func(rc *regConfig) { rc.pdaPeriod = period }
 }
 
-// WithPoll requests a client-local registration: the server is never
-// contacted and values arrive only through explicit GetValueOnce
-// calls. Exclusive with WithCallback and WithPDA.
-func WithPoll() RegisterOption {
-	return func(rc *regConfig) { rc.poll = true }
-}
-
 // NewComma initializes the client library (comma_init).
 func NewComma(dial Dialer) *Comma {
 	return &Comma{
-		dial:      dial,
-		conns:     make(map[string]Conn),
-		pda:       make(map[ID]*pdaEntry),
-		polls:     make(map[int64]func(Value, error)),
-		pollSrv:   make(map[int64]string),
-		listReq:   make(map[int64]func([]string)),
-		interests: make(map[ID]Attr),
-		modes:     make(map[ID]regMode),
-		cbs:       make(map[ID]func(ID, Value)),
-		pdaStops:  make(map[ID]func()),
+		dial:    dial,
+		servers: make(map[string]*server),
+		regs:    make(map[ID]*registration),
+		reqs:    make(map[int64]request),
 	}
 }
 
@@ -114,20 +87,21 @@ func (cm *Comma) UseScheduler(sched *sim.Scheduler) { cm.sched = sched }
 // are emitted under the "eem-client" subsystem, keyed by server name.
 func (cm *Comma) SetObs(b *obs.Bus) { cm.obs = b }
 
-// Term disconnects from all servers and drops state (comma_term).
+// Term disconnects from all servers and stops every timer
+// (comma_term). The protected data area stays readable; every later
+// call that would reach a server fails with ErrTerminated.
 func (cm *Comma) Term() {
-	if cm.closed {
-		return
+	servers := cm.servers
+	cm.servers = nil
+	for _, r := range cm.regs {
+		r.stopPump()
 	}
-	cm.closed = true
-	for _, stop := range cm.pdaStops {
-		stop()
+	for _, s := range servers {
+		s.redial.Stop()
+		if s.conn != nil {
+			s.conn.Close()
+		}
 	}
-	cm.pdaStops = make(map[ID]func())
-	for _, conn := range cm.conns {
-		conn.Close()
-	}
-	cm.conns = nil
 }
 
 // validAttr rejects attributes that can never match: an operator
@@ -147,14 +121,18 @@ func validAttr(a Attr) bool {
 // With no options the registration is PDA-silent: the server pushes
 // periodic updates into the protected data area and no callback ever
 // fires. Options select the other thesis notification modes; see the
-// type comment.
+// type comment. Registering an id again replaces its attribute and
+// mode, keeps its protected-data-area value and sends the server a
+// fresh register message. The registration is remembered even if the
+// server is unreachable: a supervising client replays it once the
+// connection comes back.
 func (cm *Comma) Register(id ID, attr Attr, opts ...RegisterOption) error {
 	var rc regConfig
 	for _, o := range opts {
 		o(&rc)
 	}
-	if rc.poll && (rc.cb != nil || rc.pdaPeriod > 0) {
-		return ErrBadMode
+	if cm.servers == nil {
+		return ErrTerminated
 	}
 	if rc.pdaPeriod > 0 && cm.sched == nil {
 		return ErrNoScheduler
@@ -162,142 +140,132 @@ func (cm *Comma) Register(id ID, attr Attr, opts ...RegisterOption) error {
 	if !validAttr(attr) {
 		return ErrBadAttr
 	}
-
-	mode := regMode{callback: rc.cb != nil, pda: rc.pdaPeriod > 0, poll: rc.poll}
-	if rc.poll {
-		cm.localRegister(id)
-		cm.modes[id] = mode
-		return nil
-	}
-
 	// The registration's mode, not the caller's Attr, decides whether
 	// the server sends interrupt notifies.
 	attr.Interrupt = rc.cb != nil
-	if rc.cb != nil {
-		cm.cbs[id] = rc.cb
-	} else {
-		delete(cm.cbs, id)
+	r, ok := cm.regs[id]
+	if !ok {
+		r = &registration{}
+		cm.regs[id] = r
 	}
-	if err := cm.register(id, attr); err != nil {
-		// The interest is remembered (a supervised client replays it on
-		// reconnect), so the mode bookkeeping must survive the error too.
-		cm.modes[id] = mode
-		cm.armPDA(id, attr, rc.pdaPeriod)
-		return err
-	}
-	cm.modes[id] = mode
-	cm.armPDA(id, attr, rc.pdaPeriod)
-	return nil
+	r.attr, r.cb = attr, rc.cb
+	err := cm.send(id.Server, wireMsg{Kind: msgRegister, ID: id, A: attr}, request{})
+	cm.armPump(id, r, rc.pdaPeriod)
+	return err
 }
 
-// armPDA starts (or replaces) the WithPDA refresh pump for id: every
-// period, poll the server once and store the reply in the protected
-// data area, computing in-range locally so out-of-range values are
-// still visible to GetValue/IsInRange.
-func (cm *Comma) armPDA(id ID, attr Attr, period time.Duration) {
-	if stop, ok := cm.pdaStops[id]; ok {
-		stop()
-		delete(cm.pdaStops, id)
-	}
+// armPump starts (or replaces) r's WithPDA refresh pump: every period,
+// poll the server once and store the reply in the protected data area,
+// computing in-range locally so out-of-range values are still visible
+// to GetValue/IsInRange. A reply that arrives after the pump was
+// replaced or stopped is dropped.
+func (cm *Comma) armPump(id ID, r *registration, period time.Duration) {
+	r.stopPump()
 	if period <= 0 {
 		return
 	}
-	stopped := false
-	cm.pdaStops[id] = func() { stopped = true }
+	pump := new(sim.Timer)
+	r.pump = pump
 	var tick func()
 	tick = func() {
-		if stopped {
-			return
-		}
-		cm.pollOnce(id, func(v Value, err error) {
-			if stopped || err != nil {
+		// A poll that cannot be sent is retried at the next tick.
+		_ = cm.GetValueOnce(id, func(v Value, err error) {
+			if err != nil || r.pump != pump {
 				return
 			}
-			in, merr := attr.Matches(v)
-			if merr != nil {
-				in = false
-			}
-			cm.storePDA(id, v, in)
+			in, merr := r.attr.Matches(v)
+			r.store(v, in && merr == nil)
 		})
-		cm.sched.After(period, tick)
+		*pump = cm.sched.After(period, tick)
 	}
-	cm.sched.After(period, tick)
+	*pump = cm.sched.After(period, tick)
 }
 
 // Deregister removes one registration (comma_var_deregister).
 func (cm *Comma) Deregister(id ID) error {
-	mode, known := cm.modes[id]
-	if stop, ok := cm.pdaStops[id]; ok {
-		stop()
-		delete(cm.pdaStops, id)
+	if r, ok := cm.regs[id]; ok {
+		r.stopPump()
+		delete(cm.regs, id)
 	}
-	delete(cm.cbs, id)
-	delete(cm.modes, id)
-	if known && mode.poll {
-		cm.localDeregister(id)
-		return nil
-	}
-	return cm.deregister(id)
+	return cm.send(id.Server, wireMsg{Kind: msgDeregister, ID: id}, request{})
 }
 
-// DeregisterAll removes every registration on every server
-// (comma_var_deregisterall).
+// DeregisterAll removes every registration on every connected server,
+// in server-name order (comma_var_deregisterall).
 func (cm *Comma) DeregisterAll() {
-	for _, stop := range cm.pdaStops {
-		stop()
+	for _, r := range cm.regs {
+		r.stopPump()
 	}
-	cm.pdaStops = make(map[ID]func())
-	cm.cbs = make(map[ID]func(ID, Value))
-	cm.modes = make(map[ID]regMode)
-	cm.deregisterAll()
+	var names []string
+	for name, s := range cm.servers {
+		if s.conn != nil {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		// A stream whose write fails is evicted, and the server drops
+		// that session's registrations with it.
+		_ = cm.send(name, wireMsg{Kind: msgDeregisterAll}, request{})
+	}
+	cm.regs = make(map[ID]*registration)
 }
 
 // GetValue returns the most recent value from the protected data area
 // (comma_query_getvalue) and whether one has arrived. It clears the
 // changed mark.
 func (cm *Comma) GetValue(id ID) (Value, bool) {
-	e, ok := cm.pda[id]
-	if !ok || !e.haveValue {
+	r, ok := cm.regs[id]
+	if !ok || !r.haveValue {
 		return Value{}, false
 	}
-	e.changed = false
-	return e.val, true
+	r.changed = false
+	return r.val, true
 }
 
 // IsInRange reports whether the most recent update had the variable
 // inside its region of interest (comma_query_isinrange).
 func (cm *Comma) IsInRange(id ID) bool {
-	e, ok := cm.pda[id]
-	return ok && e.inRange
+	r, ok := cm.regs[id]
+	return ok && r.inRange
 }
 
 // HasChanged reports whether the variable changed since last read
 // (comma_query_haschanged).
 func (cm *Comma) HasChanged(id ID) bool {
-	e, ok := cm.pda[id]
-	return ok && e.changed
+	r, ok := cm.regs[id]
+	return ok && r.changed
 }
 
 // Stale reports whether id's protected-data-area value predates a
 // disconnect from its server — still readable, but possibly outdated.
 // It clears when fresh data arrives after the reconnect.
 func (cm *Comma) Stale(id ID) bool {
-	e, ok := cm.pda[id]
-	return ok && e.stale
+	r, ok := cm.regs[id]
+	return ok && r.stale
 }
 
 // GetValueOnce retrieves a single value directly from the server
-// (comma_query_getvalue_once); the reply is delivered asynchronously
-// to fn. If the registration was made WithPoll, the result is also
-// stored in the protected data area for later GetValue reads.
+// (comma_query_getvalue_once). The reply is delivered asynchronously
+// to fn — the event-driven rendering of the thesis's synchronous call.
+// If the connection dies before the reply, fn receives an error.
 func (cm *Comma) GetValueOnce(id ID, fn func(Value, error)) error {
-	mode := cm.modes[id]
-	return cm.pollOnce(id, func(v Value, err error) {
-		if err == nil && mode.poll {
-			cm.storePDA(id, v, true)
-		}
-		if fn != nil {
-			fn(v, err)
-		}
-	})
+	return cm.send(id.Server, wireMsg{Kind: msgPoll, ID: id}, request{reply: msgPollReply,
+		done: func(m wireMsg, err error) {
+			if fn != nil {
+				fn(m.V, err)
+			}
+		}})
+}
+
+// ListVariables asks a server for its variable catalogue (Kati's
+// browsing support). Like a poll, the reply reaches fn asynchronously,
+// and fn receives an error if the connection dies first.
+func (cm *Comma) ListVariables(server string, fn func([]string, error)) error {
+	return cm.send(server, wireMsg{Kind: msgListVars}, request{reply: msgVarList,
+		done: func(m wireMsg, err error) {
+			if fn != nil {
+				fn(m.Names, err)
+			}
+		}})
 }

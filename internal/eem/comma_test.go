@@ -2,10 +2,13 @@ package eem_test
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/eem"
+	"repro/internal/sim"
 )
 
 // capConn records every write so tests can compare wire traffic.
@@ -16,10 +19,19 @@ func (c *capConn) Close()               {}
 func (c *capConn) Abort()               {}
 
 func capDialer() (eem.Dialer, *capConn) {
-	c := &capConn{}
-	return func(string) (eem.Conn, func(func([]byte)), error) {
-		return c, func(func([]byte)) {}, nil
-	}, c
+	dial, c, _ := capWired()
+	return dial, c
+}
+
+// capWired is capDialer with the inbound side exposed: feed hands
+// server bytes to the client's stream.
+func capWired() (dial eem.Dialer, c *capConn, feed func([]byte)) {
+	c = &capConn{}
+	var onData func([]byte)
+	dial = func(string) (eem.Conn, func(func([]byte)), error) {
+		return c, func(fn func([]byte)) { onData = fn }, nil
+	}
+	return dial, c, func(b []byte) { onData(b) }
 }
 
 // TestCommaRegisterDefaultsToPDASilent is the regression test for the
@@ -74,9 +86,6 @@ func TestCommaOptionMatrix(t *testing.T) {
 	}{
 		{"default", ok, nil, nil},
 		{"callback", ok, []eem.RegisterOption{eem.WithCallback(noop)}, nil},
-		{"poll", ok, []eem.RegisterOption{eem.WithPoll()}, nil},
-		{"poll+callback", ok, []eem.RegisterOption{eem.WithPoll(), eem.WithCallback(noop)}, eem.ErrBadMode},
-		{"poll+pda", ok, []eem.RegisterOption{eem.WithPoll(), eem.WithPDA(time.Second)}, eem.ErrBadMode},
 		{"pda-without-scheduler", ok, []eem.RegisterOption{eem.WithPDA(time.Second)}, eem.ErrNoScheduler},
 		{"bad-operator", eem.Attr{Lower: eem.LongValue(0), Op: eem.Operator(99)}, nil, eem.ErrBadAttr},
 		{"string-with-ordering-op", eem.Attr{Lower: eem.StringValue("x"), Op: eem.GT}, nil, eem.ErrBadAttr},
@@ -91,44 +100,6 @@ func TestCommaOptionMatrix(t *testing.T) {
 		if c.want != nil && !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
-	}
-}
-
-// TestCommaWithPollIsClientLocal: a WithPoll registration never
-// contacts the server; values arrive only through GetValueOnce, which
-// then lands them in the protected data area.
-func TestCommaWithPollIsClientLocal(t *testing.T) {
-	dial, conn := capDialer()
-	cm := eem.NewComma(dial)
-	id := eem.ID{Server: "srv", Var: "sysUpTime"}
-	if err := cm.Register(id, eem.Attr{Lower: eem.LongValue(0), Op: eem.GTE}, eem.WithPoll()); err != nil {
-		t.Fatal(err)
-	}
-	if len(conn.lines) != 0 {
-		t.Fatalf("WithPoll registration sent wire traffic: %q", conn.lines)
-	}
-	if _, ok := cm.GetValue(id); ok {
-		t.Fatal("value present before any poll")
-	}
-
-	// Against a live rig: GetValueOnce fills the PDA for poll-mode ids.
-	r := newEEMRig(t, time.Hour)
-	pid := sysUpTimeID(r.serverAddr)
-	if err := r.client.Register(pid, eem.Attr{Lower: eem.LongValue(0), Op: eem.GTE}, eem.WithPoll()); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.client.GetValueOnce(pid, nil); err != nil {
-		t.Fatal(err)
-	}
-	r.sched.RunFor(2 * time.Second)
-	if _, ok := r.client.GetValue(pid); !ok {
-		t.Fatal("GetValueOnce reply did not land in the protected data area")
-	}
-	if err := r.client.Deregister(pid); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.client.GetValue(pid); ok {
-		t.Fatal("poll-mode PDA entry survived deregistration")
 	}
 }
 
@@ -195,4 +166,201 @@ func TestCommaPDAReadSemantics(t *testing.T) {
 	if r.client.HasChanged(id) {
 		t.Fatal("GetValue did not clear the changed mark")
 	}
+}
+
+// capServers is capDialer over several servers: one stream per server
+// dialled, every write recorded as "server line" in write order.
+func capServers() (eem.Dialer, *[]string) {
+	var lines []string
+	return func(server string) (eem.Conn, func(func([]byte)), error) {
+		return serverCap{server, &lines}, func(func([]byte)) {}, nil
+	}, &lines
+}
+
+type serverCap struct {
+	server string
+	lines  *[]string
+}
+
+func (c serverCap) Write(b []byte) error {
+	*c.lines = append(*c.lines, c.server+" "+string(b))
+	return nil
+}
+func (serverCap) Close() {}
+func (serverCap) Abort() {}
+
+// TestCommaWireTranscript pins the exact client wire lines of a session
+// over two servers: registrations in every mode, a re-register (which
+// sends its line again), the WithPDA pump's polls and a direct poll
+// sharing one seq counter with the catalogue query, and DeregisterAll
+// visiting the servers in sorted order.
+func TestCommaWireTranscript(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	dial, lines := capServers()
+	cm := eem.NewComma(dial)
+	cm.UseScheduler(sched)
+	attr := eem.Attr{Lower: eem.LongValue(0), Op: eem.GTE}
+	up := eem.ID{Server: "srv-b", Var: "sysUpTime"}
+	bw := eem.ID{Server: "srv-a", Var: "link.bw", Index: 1}
+	rtt := eem.ID{Server: "srv-b", Var: "netLatency"}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(cm.Register(up, attr))
+	must(cm.Register(bw, attr, eem.WithCallback(func(eem.ID, eem.Value) {})))
+	must(cm.Register(rtt, attr, eem.WithPDA(time.Second)))
+	sched.RunFor(1500 * time.Millisecond)
+	must(cm.Register(up, attr))
+	must(cm.Register(rtt, attr, eem.WithPDA(time.Second)))
+	must(cm.GetValueOnce(bw, nil))
+	must(cm.ListVariables("srv-a", nil))
+	sched.RunFor(1200 * time.Millisecond)
+	must(cm.Deregister(up))
+	cm.DeregisterAll()
+	sched.RunFor(2 * time.Second)
+	want := []string{
+		`srv-b {"kind":"register","id":{"var":"sysUpTime","server":"srv-b"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":1},"value":{"kind":0}}`,
+		`srv-a {"kind":"register","id":{"var":"link.bw","index":1,"server":"srv-a"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":1,"interrupt":true},"value":{"kind":0}}`,
+		`srv-b {"kind":"register","id":{"var":"netLatency","server":"srv-b"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":1},"value":{"kind":0}}`,
+		`srv-b {"kind":"poll","seq":1,"id":{"var":"netLatency","server":"srv-b"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
+		`srv-b {"kind":"register","id":{"var":"sysUpTime","server":"srv-b"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":1},"value":{"kind":0}}`,
+		`srv-b {"kind":"register","id":{"var":"netLatency","server":"srv-b"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":1},"value":{"kind":0}}`,
+		`srv-a {"kind":"poll","seq":2,"id":{"var":"link.bw","index":1,"server":"srv-a"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
+		`srv-a {"kind":"list-vars","seq":3,"id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
+		`srv-b {"kind":"poll","seq":4,"id":{"var":"netLatency","server":"srv-b"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
+		`srv-b {"kind":"deregister","id":{"var":"sysUpTime","server":"srv-b"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
+		`srv-a {"kind":"deregister-all","id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
+		`srv-b {"kind":"deregister-all","id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
+	}
+	if len(*lines) != len(want) {
+		t.Fatalf("%d wire lines, want %d:\n%q", len(*lines), len(want), *lines)
+	}
+	for i, l := range *lines {
+		if l != want[i]+"\n" {
+			t.Errorf("line %d:\n got %q\nwant %q", i, l, want[i]+"\n")
+		}
+	}
+}
+
+// TestCommaAfterTerm: once comma_term has run, every call that would
+// reach a server fails with ErrTerminated, nothing more goes on the
+// wire and no timer revives the client; the protected data area stays
+// readable.
+func TestCommaAfterTerm(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	dial, conn, feed := capWired()
+	cm := eem.NewComma(dial)
+	cm.UseScheduler(sched)
+	if err := cm.Supervise(); err != nil {
+		t.Fatal(err)
+	}
+	id := eem.ID{Server: "srv", Var: "sysUpTime"}
+	attr := eem.Attr{Lower: eem.LongValue(0), Op: eem.GTE}
+	if err := cm.Register(id, attr, eem.WithPDA(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	feed([]byte(`{"kind":"update","batch":[{"id":{"var":"sysUpTime","server":"srv"},"value":{"kind":0,"l":7}}]}` + "\n"))
+	cm.Term()
+	if v, ok := cm.GetValue(id); !ok || v.L != 7 {
+		t.Fatalf("GetValue after Term = %v %v, want 7", v, ok)
+	}
+	sent := len(conn.lines)
+	for name, err := range map[string]error{
+		"Register":      cm.Register(id, attr),
+		"GetValueOnce":  cm.GetValueOnce(id, nil),
+		"ListVariables": cm.ListVariables("srv", nil),
+		"Deregister":    cm.Deregister(id),
+	} {
+		if !errors.Is(err, eem.ErrTerminated) {
+			t.Errorf("%s after Term: err = %v, want ErrTerminated", name, err)
+		}
+	}
+	cm.DeregisterAll()
+	cm.Term()
+	sched.RunFor(10 * time.Second)
+	if len(conn.lines) != sent {
+		t.Fatalf("wire traffic after Term: %q", conn.lines[sent:])
+	}
+}
+
+// TestCommaPumpDropsReplacedReply: re-registering replaces the WithPDA
+// pump, and a reply to the replaced pump's poll is not stored; the new
+// pump's replies are.
+func TestCommaPumpDropsReplacedReply(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	dial, _, feed := capWired()
+	cm := eem.NewComma(dial)
+	cm.UseScheduler(sched)
+	id := eem.ID{Server: "srv", Var: "sysUpTime"}
+	attr := eem.Attr{Lower: eem.LongValue(0), Op: eem.LT}
+	reply := func(seq int) {
+		feed([]byte(fmt.Sprintf(`{"kind":"poll-reply","seq":%d,"value":{"kind":0,"l":%d}}`+"\n", seq, 10*seq)))
+	}
+	if err := cm.Register(id, attr, eem.WithPDA(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	sched.RunFor(time.Second) // poll seq 1
+	if err := cm.Register(id, attr, eem.WithPDA(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	reply(1)
+	if v, ok := cm.GetValue(id); ok {
+		t.Fatalf("replaced pump's reply stored: %v", v)
+	}
+	sched.RunFor(time.Second) // poll seq 2, from the new pump
+	reply(2)
+	if v, ok := cm.GetValue(id); !ok || v.L != 20 || cm.IsInRange(id) {
+		t.Fatalf("new pump's reply: %v %v in-range %v", v, ok, cm.IsInRange(id))
+	}
+}
+
+// FuzzCommaInbound feeds arbitrary server bytes, split anywhere, into a
+// client with a callback registration, a poll and a catalogue query
+// outstanding: nothing may panic, and each request is answered at most
+// once.
+func FuzzCommaInbound(f *testing.F) {
+	seeds := []string{
+		`{"kind":"update","batch":[{"id":{"var":"sysUpTime","server":"srv"},"value":{"kind":0,"l":7}}],"id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
+		`{"kind":"update","batch":[{"id":{"var":"sysUpTime"},"value":{"kind":0,"l":8}}]}`,
+		`{"kind":"notify","id":{"var":"sysUpTime","server":"srv"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0,"l":9}}`,
+		`{"kind":"poll-reply","seq":1,"id":{"var":"sysName","server":"srv"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":2,"s":"server"}}`,
+		`{"kind":"poll-reply","seq":1,"id":{"var":"sysName","server":"srv"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0},"err":"eem: unknown variable \"sysName\"","code":"unknown-var"}`,
+		`{"kind":"poll-reply","seq":1,"id":{"var":"sysName","server":"srv"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0},"err":"boom"}`,
+		`{"kind":"var-list","seq":2,"id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0},"names":["sysUpTime","ifSpeed"]}`,
+		`{"kind":"error","id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0},"err":"unknown message kind x"}`,
+	}
+	f.Add([]byte(strings.Join(seeds, "\n")+"\n"), []byte{5, 40, 3, 200})
+	for _, s := range seeds {
+		f.Add([]byte(s+"\n"+s+"\n"), []byte{17})
+	}
+	f.Fuzz(func(t *testing.T, stream, split []byte) {
+		dial, _, feed := capWired()
+		cm := eem.NewComma(dial)
+		id := eem.ID{Server: "srv", Var: "sysUpTime"}
+		if err := cm.Register(id, eem.Attr{Lower: eem.LongValue(0), Op: eem.GTE},
+			eem.WithCallback(func(eem.ID, eem.Value) {})); err != nil {
+			t.Fatal(err)
+		}
+		polls, lists := 0, 0
+		if err := cm.GetValueOnce(eem.ID{Server: "srv", Var: "sysName"}, func(eem.Value, error) { polls++ }); err != nil {
+			t.Fatal(err)
+		}
+		if err := cm.ListVariables("srv", func([]string, error) { lists++ }); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range split {
+			n := min(int(b), len(stream))
+			feed(stream[:n])
+			stream = stream[n:]
+		}
+		feed(stream)
+		if polls > 1 || lists > 1 {
+			t.Fatalf("poll answered %d times, catalogue query %d times", polls, lists)
+		}
+		cm.GetValue(id)
+		cm.IsInRange(id)
+	})
 }

@@ -169,7 +169,7 @@ func TestPollOnce(t *testing.T) {
 func TestListVariablesIncludesTables61And62(t *testing.T) {
 	r := newEEMRig(t, time.Hour)
 	var names []string
-	r.client.ListVariables(r.serverAddr, func(ns []string) { names = ns })
+	r.client.ListVariables(r.serverAddr, func(ns []string, _ error) { names = ns })
 	r.sched.RunFor(2 * time.Second)
 	set := map[string]bool{}
 	for _, n := range names {

@@ -17,8 +17,8 @@ var (
 	// ErrNoScheduler marks a Comma registration needing timers
 	// (WithPDA) on a facade that has no scheduler attached.
 	ErrNoScheduler = errors.New("eem: no scheduler attached")
-	// ErrBadMode marks an invalid Register option combination.
-	ErrBadMode = errors.New("eem: conflicting registration modes")
+	// ErrTerminated marks a Comma call made after Term.
+	ErrTerminated = errors.New("eem: client terminated")
 )
 
 // Wire error codes: the server tags protocol-level errors so the

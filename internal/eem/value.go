@@ -20,9 +20,11 @@
 //	comma_query_getvalue_once              → Comma.GetValueOnce
 //
 // The notification mode of a registration — silent PDA updates (the
-// default), interrupt callback (WithCallback), client-driven PDA
-// refresh (WithPDA), or explicit polling (WithPoll) — is selected by
-// functional options on Comma.Register.
+// default), interrupt callback (WithCallback) or client-driven PDA
+// refresh (WithPDA) — is selected by functional options on
+// Comma.Register; the synchronous-style poll is GetValueOnce. The
+// client keeps one record per server, per registration (which holds
+// its protected-data-area slot) and per outstanding request.
 package eem
 
 import (

@@ -198,7 +198,11 @@ func (sh *Shell) cmdVars(args []string) {
 		fmt.Fprintln(sh.out, "usage: vars <server>")
 		return
 	}
-	err := sh.eem.ListVariables(args[0], func(names []string) {
+	err := sh.eem.ListVariables(args[0], func(names []string, err error) {
+		if err != nil {
+			fmt.Fprintf(sh.out, "[eem] %s: %v\n", args[0], err)
+			return
+		}
 		fmt.Fprintf(sh.out, "[eem] %d variables at %s:\n", len(names), args[0])
 		for _, n := range names {
 			fmt.Fprintf(sh.out, "  %s\n", n)
