@@ -38,9 +38,11 @@ fmt-check:
 # container/heap reference, the control-port line session against
 # its line-by-line model under any split of the stream, TCP
 # delivery of Writes split at any sizes and virtual times against
-# their concatenation, with every written slice left untouched, and
-# the EEM client fed arbitrary server bytes under any split, with
-# no panic and no request answered twice.
+# their concatenation, with every written slice left untouched, the
+# EEM client fed arbitrary server bytes under any split, with no
+# panic and no request answered twice, and the migration frame
+# splitter, whose frames under any split match the whole stream's
+# and which rejects an oversized header before buffering its payload.
 fuzz:
 	$(GO) test ./internal/ip -fuzz FuzzIPParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ip -fuzz FuzzChecksum -fuzztime $(FUZZTIME)
@@ -52,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/dataplane -fuzz FuzzSteer -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/classifier -fuzz FuzzClassifierParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/migrate -fuzz FuzzMigrationSnapshotDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/migrate -fuzz FuzzMigrateFrames -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -fuzz FuzzScheduler -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lines -fuzz FuzzLineSession -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eem -fuzz FuzzCommaInbound -fuzztime $(FUZZTIME)

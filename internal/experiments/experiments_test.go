@@ -132,7 +132,7 @@ const sweepSeeds = 3
 // knownRed lists the seeds at which a row is known to break its own
 // claims. The mmWave managed leg's peak queue is not below the
 // baseline's at most seeds (DESIGN.md "Link shaping & 5G scenario
-// pack"); ROADMAP item 3 removes this entry.
+// pack"); ROADMAP "mmWave must pass at every seed" removes this entry.
 var knownRed = map[string][]int64{"mmwave": {1, 2, 3}}
 
 // TestSweep runs every row but E15 at seeds 1..sweepSeeds and checks

@@ -27,7 +27,7 @@ const Port = 12002
 //	source                         destination
 //	  | -- OFFER(snapshot) ----------> |  validate, hold pending
 //	  | <-------------- PREPARED/NAK - |
-//	  |  journal phase := committed    |  (the ack boundary)
+//	  |  journal: committed            |  (the ack boundary)
 //	  | -- COMMIT -------------------> |  install pending stream
 //	  | <------------------ DONE/GONE- |
 //	  |  completed / resumed           |
@@ -46,85 +46,79 @@ const (
 	msgGone
 )
 
-// Source-side journal phases. The journal survives Crash/Restart — it
-// models the durable write-ahead log a real SP would keep.
-const (
-	phaseOffered = iota
-	phaseCommitted
-)
-
 const frameHeader = 1 + 8 + 4 // type | txid | payload length
+
+// maxFrame bounds a frame's payload: a snapshot plus slack for a NAK
+// reason. A header claiming more resets the connection.
+const maxFrame = MaxSnapshotSize + 256
 
 // Config wires a Manager into one service proxy.
 type Config struct {
-	Name  string           // manager name in events/log lines ("migrate", "migrateB")
+	Name  string           // manager name in events ("migrate", "migrateB")
 	ID    uint8            // manager ID, high byte of every txid it issues
 	Sched *sim.Scheduler   // simulation clock
 	Plane *dataplane.Plane // the data plane whose streams migrate
 	Stack *tcp.Stack       // control stack the protocol runs over
 	Bus   *obs.Bus         // event bus (nil-safe)
-	Log   func(string, ...any)
 }
 
-// Protocol timings. offerTimeout paces source-side OFFER retries; after
-// offerRetries expiries without a PREPARED the source resumes the
-// stream, so a dead or partitioned peer never wedges it. commitTimeout
-// paces COMMIT re-sends (commitRetries of them) once the journal says
-// committed. pendingTimeout bounds how long the destination holds a
+// Protocol timings. retryTimeout paces source-side re-sends in both
+// phases: after offerRetries unanswered OFFERs the source resumes the
+// stream, so a dead or partitioned peer never wedges it; once the
+// journal says committed it re-sends COMMIT commitRetries times.
+// pendingTimeout bounds how long the destination holds a
 // validated-but-uncommitted offer.
 const (
-	offerTimeout   = 250 * time.Millisecond
+	retryTimeout   = 250 * time.Millisecond
 	offerRetries   = 3
-	commitTimeout  = 250 * time.Millisecond
 	commitRetries  = 25
 	pendingTimeout = 2 * time.Second
 )
 
-type journalEntry struct {
-	tx    uint64
-	peer  ip.Addr
-	ex    *proxy.StreamExport
-	snap  []byte
-	phase int
-}
+// outgoing is one source-side transfer. The journal half survives
+// Crash/Restart — it models the durable write-ahead log a real SP
+// would keep; the live half is cleared by Crash and rebuilt by drive.
+type outgoing struct {
+	tx        uint64
+	peer      ip.Addr
+	ex        *proxy.StreamExport
+	snap      []byte
+	committed bool // past the ack boundary: the peer may own the stream
 
-// attempt is the volatile half of a source-side migration: the live
-// connection and retry budget. Lost on Crash; rebuilt by Restart from
-// the journal.
-type attempt struct {
 	conn    *tcp.Conn
 	retries int
 	timer   sim.Timer
 }
 
-type pendingOffer struct {
-	ex    *proxy.StreamExport
-	timer sim.Timer
+// Destination-side states of a transfer. Pending is volatile (lost on
+// Crash, so an uncommitted offer dies with the process); done and
+// discarded are durable like the journal — they record which transfers
+// this SP owns or has renounced, which a restarted peer re-asks via
+// COMMIT.
+const (
+	inPending = iota
+	inDone
+	inDiscarded
+)
+
+// incoming is one destination-side transfer.
+type incoming struct {
+	state int
+	ex    *proxy.StreamExport // the validated offer while pending
+	timer sim.Timer           // pending expiry
 }
 
 // Manager runs both halves of the migration protocol for one SP: it is
 // the source for streams this SP pushes out and the destination for
 // streams peers push in. All methods run on the simulation goroutine.
 type Manager struct {
-	cfg      Config
-	listener *tcp.Listener
-	nextTx   uint64
-
-	// Source side.
-	journal  map[uint64]*journalEntry
-	attempts map[uint64]*attempt
-
-	// Destination side. pending is volatile (lost on Crash, so an
-	// uncommitted offer dies with the process); done and discarded are
-	// durable like the journal — they record which transfers this SP
-	// owns or has renounced, which a restarted peer re-asks via COMMIT.
-	pending   map[uint64]*pendingOffer
-	done      map[uint64]bool
-	discarded map[uint64]bool
+	cfg    Config
+	nextTx uint64
+	out    map[uint64]*outgoing
+	in     map[uint64]*incoming
 
 	conns []*tcp.Conn // live protocol connections, aborted on Crash
 	down  bool
-	gen   uint64 // bumped by Crash/Restart; invalidates armed timers
 
 	faults map[string]bool // one-shot fault points armed by the injector
 
@@ -137,28 +131,24 @@ type Manager struct {
 
 // NewManager builds a Manager; call Serve to start accepting peers.
 func NewManager(cfg Config) *Manager {
-	if cfg.Log == nil {
-		cfg.Log = func(string, ...any) {}
-	}
 	return &Manager{
-		cfg:       cfg,
-		journal:   make(map[uint64]*journalEntry),
-		attempts:  make(map[uint64]*attempt),
-		pending:   make(map[uint64]*pendingOffer),
-		done:      make(map[uint64]bool),
-		discarded: make(map[uint64]bool),
-		faults:    make(map[string]bool),
+		cfg:    cfg,
+		out:    make(map[uint64]*outgoing),
+		in:     make(map[uint64]*incoming),
+		faults: make(map[string]bool),
 	}
 }
 
 // Serve starts the destination half: accept peer connections on Port.
 func (m *Manager) Serve() error {
-	l, err := m.cfg.Stack.Listen(Port, m.accept)
-	if err != nil {
-		return err
-	}
-	m.listener = l
-	return nil
+	_, err := m.cfg.Stack.Listen(Port, func(c *tcp.Conn) {
+		if m.down {
+			c.Abort()
+			return
+		}
+		m.track(c, m.onDestFrame)
+	})
+	return err
 }
 
 // RegisterMetrics exposes the migration counters, e.g. as
@@ -234,381 +224,266 @@ func (m *Manager) Migrate(k filter.Key, peer ip.Addr) error {
 	}
 	snap, err := EncodeSnapshot(ex)
 	if err != nil {
-		if rerr := m.cfg.Plane.RestoreStream(ex); rerr != nil {
-			m.cfg.Log("migrate: %s: reinstall after encode failure: %v", m.cfg.Name, rerr)
-		}
+		m.restore(ex, "encode")
 		return err
 	}
-	tx := m.newTx()
-	m.journal[tx] = &journalEntry{tx: tx, peer: peer, ex: ex, snap: snap, phase: phaseOffered}
+	m.nextTx++
+	o := &outgoing{tx: uint64(m.cfg.ID)<<56 | m.nextTx, peer: peer, ex: ex, snap: snap}
+	m.out[o.tx] = o
 	m.nAttempts.Add(1)
 	m.nBytes.Add(int64(len(snap)))
-	m.emit("start", k.String(), obs.F("tx", txString(tx)),
+	m.emit("start", k.String(), obs.F("tx", txString(o.tx)),
 		obs.F("peer", peer.String()), obs.F("bytes", len(snap)))
-	m.startAttempt(tx)
+	m.drive(o, offerRetries)
 	return nil
 }
 
-// newTx issues a transfer ID unique across managers: the manager's ID
-// in the high byte, a local counter below. Deterministic by
-// construction.
-func (m *Manager) newTx() uint64 {
-	m.nextTx++
-	return uint64(m.cfg.ID)<<56 | m.nextTx
-}
-
+// txString renders a transfer ID: the issuing manager's ID (the high
+// byte, which keeps IDs unique across managers) and its local counter.
 func txString(tx uint64) string { return fmt.Sprintf("%02x:%d", tx>>56, tx&^(uint64(0xff)<<56)) }
 
 // --- source side --------------------------------------------------------
 
-func (m *Manager) startAttempt(tx uint64) {
-	e := m.journal[tx]
-	if e == nil {
-		return
-	}
-	at := &attempt{retries: offerRetries}
-	m.attempts[tx] = at
-	c, err := m.cfg.Stack.Connect(e.peer, Port)
-	if err != nil {
-		m.resumeSource(tx, "connect: "+err.Error())
-		return
-	}
-	at.conn = c
-	m.track(c)
-	m.wireSourceConn(c)
-	m.sendOffer(tx)
-	m.armRetry(tx)
+// drive (re)starts the live half of o: a fresh budget of retries, one
+// send of the current phase, and the pacing timer.
+func (m *Manager) drive(o *outgoing, retries int) {
+	o.timer.Stop()
+	o.retries = retries
+	m.send(o)
+	m.arm(o)
 }
 
-func (m *Manager) wireSourceConn(c *tcp.Conn) {
-	fb := &frameBuf{}
-	c.OnData = func(b []byte) { m.onData(c, fb, b, m.onSourceFrame) }
-}
-
-func (m *Manager) sendOffer(tx uint64) {
-	e, at := m.journal[tx], m.attempts[tx]
-	if e == nil || at == nil || at.conn == nil {
-		return
-	}
-	payload := e.snap
-	if m.takeFault("corrupt-offer") {
-		payload = append([]byte(nil), e.snap...)
-		payload[len(payload)/2] ^= 0x40
-		m.emit("fault", e.ex.Key.String(), obs.F("point", "corrupt-offer"))
-	}
-	if m.takeFault("drop-offer") {
-		m.emit("fault", e.ex.Key.String(), obs.F("point", "drop-offer"))
-		return
-	}
-	if err := at.conn.Write(encodeFrame(msgOffer, tx, payload)); err != nil {
-		return // retry timer will try again or resume
-	}
-	m.emit("offer", e.ex.Key.String(), obs.F("tx", txString(tx)), obs.F("bytes", len(payload)))
-}
-
-func (m *Manager) sendCommit(tx uint64) {
-	e, at := m.journal[tx], m.attempts[tx]
-	if e == nil || at == nil || at.conn == nil {
-		return
-	}
-	if err := at.conn.Write(encodeFrame(msgCommit, tx, nil)); err != nil {
-		return
-	}
-	m.emit("commit", e.ex.Key.String(), obs.F("tx", txString(tx)))
-}
-
-// armRetry schedules the source-side pacing timer for tx. One timer
-// serves both phases: re-send OFFER while offered (resume when the
-// budget runs out), re-send COMMIT while committed.
-func (m *Manager) armRetry(tx uint64) {
-	at := m.attempts[tx]
-	if at == nil {
-		return
-	}
-	e := m.journal[tx]
-	if e == nil {
-		return
-	}
-	d := offerTimeout
-	if e.phase == phaseCommitted {
-		d = commitTimeout
-	}
-	gen := m.gen
-	at.timer = m.cfg.Sched.After(d, func() {
-		if m.gen != gen {
+// send writes o's current phase — OFFER until the journal says
+// committed, COMMIT after — dialling the peer first when there is no
+// connection or the peer reset it. A failed dial or write is an
+// unanswered send: the pacing timer retries it under the same budget.
+func (m *Manager) send(o *outgoing) {
+	if o.conn == nil || o.conn.State() == tcp.StateClosed {
+		c, err := m.cfg.Stack.Connect(o.peer, Port)
+		if err != nil {
 			return
 		}
-		m.onRetryTimer(tx)
-	})
+		o.conn = c
+		m.track(c, m.onSourceFrame)
+	}
+	key, tx := o.ex.Key.String(), txString(o.tx)
+	if o.committed {
+		if o.conn.Write(encodeFrame(msgCommit, o.tx, nil)) == nil {
+			m.emit("commit", key, obs.F("tx", tx))
+		}
+		return
+	}
+	payload := o.snap
+	if m.takeFault("corrupt-offer") {
+		payload = append([]byte(nil), o.snap...)
+		payload[len(payload)/2] ^= 0x40
+		m.emit("fault", key, obs.F("point", "corrupt-offer"))
+	}
+	if m.takeFault("drop-offer") {
+		m.emit("fault", key, obs.F("point", "drop-offer"))
+		return
+	}
+	if o.conn.Write(encodeFrame(msgOffer, o.tx, payload)) == nil {
+		m.emit("offer", key, obs.F("tx", tx), obs.F("bytes", len(payload)))
+	}
 }
 
-func (m *Manager) onRetryTimer(tx uint64) {
-	e := m.journal[tx]
-	if e == nil {
-		return
-	}
-	at := m.attempts[tx]
-	if at == nil {
-		return
-	}
-	if at.retries <= 0 {
-		if e.phase == phaseOffered {
-			m.resumeSource(tx, "no answer from peer")
+// arm schedules o's pacing timer: re-send while budget remains, then
+// resume an offered transfer or park a committed one as stuck.
+func (m *Manager) arm(o *outgoing) {
+	o.timer = m.cfg.Sched.After(retryTimeout, func() {
+		if o.retries > 0 {
+			o.retries--
+			m.send(o)
+			m.arm(o)
+		} else if !o.committed {
+			m.resume(o, "resume", "no answer from peer")
 		} else {
 			// Committed but the peer never confirmed: the stream may
 			// already run over there, so resuming could double-own it.
-			// Park the journal entry; Restart (or the operator) retries.
-			m.emit("stuck", e.ex.Key.String(), obs.F("tx", txString(tx)))
-			m.cfg.Log("migrate: %s: tx %s stuck in committed phase", m.cfg.Name, txString(tx))
+			// The journal row stays, so an answer still in flight can
+			// end it.
+			m.emit("stuck", o.ex.Key.String(), obs.F("tx", txString(o.tx)))
 		}
-		return
-	}
-	at.retries--
-	if e.phase == phaseOffered {
-		m.sendOffer(tx)
-	} else {
-		m.sendCommit(tx)
-	}
-	m.armRetry(tx)
+	})
 }
 
 func (m *Manager) onSourceFrame(c *tcp.Conn, typ byte, tx uint64, payload []byte) {
-	if m.down {
+	o := m.out[tx]
+	if m.down || o == nil {
 		return
 	}
 	switch typ {
 	case msgPrepared:
-		m.onPrepared(tx)
+		if o.committed {
+			m.send(o) // duplicate PREPARED; COMMIT again
+			return
+		}
+		if m.takeFault("crash-pre-commit") {
+			m.emit("fault", o.ex.Key.String(), obs.F("point", "crash-pre-commit"))
+			m.Crash()
+			return
+		}
+		// The ack boundary: from this journal write on, the destination
+		// may own the stream, so the source may no longer resume it.
+		o.committed = true
+		if m.takeFault("crash-post-commit") {
+			m.emit("fault", o.ex.Key.String(), obs.F("point", "crash-post-commit"))
+			m.Crash()
+			return
+		}
+		m.drive(o, commitRetries)
 	case msgNak:
-		m.onNak(tx, string(payload))
+		if o.committed {
+			return
+		}
+		m.finish(o, "NAK")
+		m.nAborted.Add(1)
+		m.emit("aborted", o.ex.Key.String(), obs.F("tx", txString(tx)), obs.F("reason", string(payload)))
 	case msgDone:
-		m.onDone(tx)
+		m.finish(o, "")
+		m.nCompleted.Add(1)
+		m.emit("completed", o.ex.Key.String(), obs.F("tx", txString(tx)))
 	case msgGone:
-		m.onGone(tx)
+		// The destination renounced the transfer (pending expired,
+		// install failed, or it never saw the offer): the stream
+		// provably does not run over there, so resuming here is safe
+		// in either phase.
+		m.resume(o, "GONE", "peer renounced")
 	}
 }
 
-func (m *Manager) onPrepared(tx uint64) {
-	e := m.journal[tx]
-	if e == nil {
-		return
+// resume reinstalls o's stream here. An uncommitted transfer first
+// tells the peer (best effort) to forget it.
+func (m *Manager) resume(o *outgoing, after, reason string) {
+	if !o.committed && o.conn != nil {
+		o.conn.Write(encodeFrame(msgAbort, o.tx, nil))
 	}
-	if e.phase == phaseCommitted {
-		m.sendCommit(tx) // duplicate PREPARED; COMMIT again
-		return
-	}
-	if m.takeFault("crash-pre-commit") {
-		m.emit("fault", e.ex.Key.String(), obs.F("point", "crash-pre-commit"))
-		m.Crash()
-		return
-	}
-	// The ack boundary: from this journal write on, the destination may
-	// own the stream, so the source may no longer resume it.
-	e.phase = phaseCommitted
-	if at := m.attempts[tx]; at != nil {
-		at.retries = commitRetries
-		at.timer.Stop()
-	}
-	if m.takeFault("crash-post-commit") {
-		m.emit("fault", e.ex.Key.String(), obs.F("point", "crash-post-commit"))
-		m.Crash()
-		return
-	}
-	m.sendCommit(tx)
-	m.armRetry(tx)
-}
-
-func (m *Manager) onNak(tx uint64, reason string) {
-	e := m.journal[tx]
-	if e == nil || e.phase != phaseOffered {
-		return
-	}
-	m.finishAttempt(tx)
-	if err := m.cfg.Plane.RestoreStream(e.ex); err != nil {
-		m.cfg.Log("migrate: %s: reinstall after NAK: %v", m.cfg.Name, err)
-	}
-	m.nAborted.Add(1)
-	m.emit("aborted", e.ex.Key.String(), obs.F("tx", txString(tx)), obs.F("reason", reason))
-}
-
-func (m *Manager) onDone(tx uint64) {
-	e := m.journal[tx]
-	if e == nil {
-		return
-	}
-	m.finishAttempt(tx)
-	m.nCompleted.Add(1)
-	m.emit("completed", e.ex.Key.String(), obs.F("tx", txString(tx)))
-}
-
-func (m *Manager) onGone(tx uint64) {
-	e := m.journal[tx]
-	if e == nil {
-		return
-	}
-	// The destination renounced the transfer (pending expired, install
-	// failed, or it never saw the offer): the stream provably does not
-	// run over there, so resuming here is safe in either phase.
-	m.finishAttempt(tx)
-	if err := m.cfg.Plane.RestoreStream(e.ex); err != nil {
-		m.cfg.Log("migrate: %s: reinstall after GONE: %v", m.cfg.Name, err)
-	}
+	m.finish(o, after)
 	m.nResumed.Add(1)
-	m.emit("resumed", e.ex.Key.String(), obs.F("tx", txString(tx)), obs.F("reason", "peer renounced"))
+	m.emit("resumed", o.ex.Key.String(), obs.F("tx", txString(o.tx)), obs.F("reason", reason))
 }
 
-// resumeSource reinstalls an offered-phase stream locally and tells the
-// peer (best effort) to forget the transfer.
-func (m *Manager) resumeSource(tx uint64, reason string) {
-	e := m.journal[tx]
-	if e == nil {
-		return
+// finish retires o: journal row out, timer stopped, connection closed.
+// A non-empty after names the answer on which the stream comes back
+// here, and reinstalls it.
+func (m *Manager) finish(o *outgoing, after string) {
+	delete(m.out, o.tx)
+	o.timer.Stop()
+	if o.conn != nil {
+		o.conn.Close()
 	}
-	if at := m.attempts[tx]; at != nil && at.conn != nil {
-		at.conn.Write(encodeFrame(msgAbort, tx, nil)) // best effort
+	if after != "" {
+		m.restore(o.ex, after)
 	}
-	m.finishAttempt(tx)
-	if err := m.cfg.Plane.RestoreStream(e.ex); err != nil {
-		m.cfg.Log("migrate: %s: reinstall on resume: %v", m.cfg.Name, err)
-	}
-	m.nResumed.Add(1)
-	m.emit("resumed", e.ex.Key.String(), obs.F("tx", txString(tx)), obs.F("reason", reason))
 }
 
-// finishAttempt retires tx on the source: journal entry out, timer
-// stopped, connection closed.
-func (m *Manager) finishAttempt(tx uint64) {
-	delete(m.journal, tx)
-	at := m.attempts[tx]
-	if at == nil {
-		return
-	}
-	delete(m.attempts, tx)
-	at.timer.Stop()
-	if at.conn != nil {
-		at.conn.Close()
+// restore reinstalls ex on the local plane; a failure is reported on
+// the bus, naming the answer it came after.
+func (m *Manager) restore(ex *proxy.StreamExport, after string) {
+	if err := m.cfg.Plane.RestoreStream(ex); err != nil {
+		m.emit("reinstall-failed", ex.Key.String(), obs.F("after", after), obs.F("err", err.Error()))
 	}
 }
 
 // --- destination side ---------------------------------------------------
 
-func (m *Manager) accept(c *tcp.Conn) {
-	if m.down {
-		c.Abort()
-		return
-	}
-	m.track(c)
-	fb := &frameBuf{}
-	c.OnData = func(b []byte) { m.onData(c, fb, b, m.onDestFrame) }
-}
-
 func (m *Manager) onDestFrame(c *tcp.Conn, typ byte, tx uint64, payload []byte) {
 	if m.down {
 		return
 	}
+	t := m.in[tx]
 	switch typ {
 	case msgOffer:
-		m.onOffer(c, tx, payload)
-	case msgCommit:
-		m.onCommit(c, tx)
-	case msgAbort:
-		m.onAbort(tx)
-	}
-}
-
-func (m *Manager) onOffer(c *tcp.Conn, tx uint64, payload []byte) {
-	if m.done[tx] || m.pending[tx] != nil {
-		// Duplicate offer: our earlier answer was lost. Re-answer;
-		// nothing is re-validated and nothing is installed here.
+		if t != nil && t.state != inDiscarded {
+			// Duplicate offer: our earlier answer was lost. Re-answer;
+			// nothing is re-validated and nothing is installed here.
+			c.Write(encodeFrame(msgPrepared, tx, nil))
+			return
+		}
+		ex, err := DecodeSnapshot(payload)
+		if err == nil {
+			err = m.cfg.Plane.ValidateImport(ex)
+		}
+		if err != nil {
+			m.emit("nak", txString(tx), obs.F("reason", err.Error()))
+			c.Write(encodeFrame(msgNak, tx, []byte(err.Error())))
+			return
+		}
+		// A fresh full offer supersedes an old discard.
+		t = &incoming{state: inPending, ex: ex}
+		m.in[tx] = t
+		t.timer = m.cfg.Sched.After(pendingTimeout, func() {
+			m.discard(tx, t, "pending-expired")
+		})
+		m.emit("prepared", ex.Key.String(), obs.F("tx", txString(tx)),
+			obs.F("bindings", len(ex.Bindings)), obs.F("states", len(ex.States)))
 		c.Write(encodeFrame(msgPrepared, tx, nil))
-		return
-	}
-	ex, err := DecodeSnapshot(payload)
-	if err == nil {
-		err = m.cfg.Plane.ValidateImport(ex)
-	}
-	if err != nil {
-		m.emit("nak", txString(tx), obs.F("reason", err.Error()))
-		c.Write(encodeFrame(msgNak, tx, []byte(err.Error())))
-		return
-	}
-	delete(m.discarded, tx) // a fresh full offer supersedes an old discard
-	po := &pendingOffer{ex: ex}
-	m.pending[tx] = po
-	gen := m.gen
-	po.timer = m.cfg.Sched.After(pendingTimeout, func() {
-		if m.gen != gen {
-			return
+	case msgCommit:
+		switch {
+		case t != nil && t.state == inDone:
+			c.Write(encodeFrame(msgDone, tx, nil)) // idempotent
+		case t == nil || t.state == inDiscarded:
+			// Unknown or discarded: we provably never installed it.
+			m.emit("gone", txString(tx))
+			c.Write(encodeFrame(msgGone, tx, nil))
+		default:
+			t.timer.Stop()
+			ex := t.ex
+			t.ex = nil
+			if err := m.cfg.Plane.RestoreStream(ex); err != nil {
+				t.state = inDiscarded
+				m.emit("install-failed", ex.Key.String(), obs.F("tx", txString(tx)), obs.F("err", err.Error()))
+				c.Write(encodeFrame(msgGone, tx, nil))
+				return
+			}
+			t.state = inDone
+			m.emit("installed", ex.Key.String(), obs.F("tx", txString(tx)),
+				obs.F("bindings", len(ex.Bindings)), obs.F("states", len(ex.States)))
+			c.Write(encodeFrame(msgDone, tx, nil))
 		}
-		if m.pending[tx] != po {
-			return
+	case msgAbort:
+		if t != nil && t.state == inPending {
+			t.timer.Stop()
+			m.discard(tx, t, "abort-rcvd")
 		}
-		delete(m.pending, tx)
-		m.discarded[tx] = true
-		m.emit("pending-expired", ex.Key.String(), obs.F("tx", txString(tx)))
-	})
-	m.emit("prepared", ex.Key.String(), obs.F("tx", txString(tx)),
-		obs.F("bindings", len(ex.Bindings)), obs.F("states", len(ex.States)))
-	c.Write(encodeFrame(msgPrepared, tx, nil))
+	}
 }
 
-func (m *Manager) onCommit(c *tcp.Conn, tx uint64) {
-	if m.done[tx] {
-		c.Write(encodeFrame(msgDone, tx, nil)) // idempotent
-		return
-	}
-	po := m.pending[tx]
-	if po == nil {
-		// Unknown or discarded: we provably never installed it.
-		m.emit("gone", txString(tx))
-		c.Write(encodeFrame(msgGone, tx, nil))
-		return
-	}
-	delete(m.pending, tx)
-	po.timer.Stop()
-	if err := m.cfg.Plane.RestoreStream(po.ex); err != nil {
-		m.discarded[tx] = true
-		m.emit("install-failed", po.ex.Key.String(), obs.F("tx", txString(tx)), obs.F("err", err.Error()))
-		c.Write(encodeFrame(msgGone, tx, nil))
-		return
-	}
-	m.done[tx] = true
-	m.emit("installed", po.ex.Key.String(), obs.F("tx", txString(tx)),
-		obs.F("bindings", len(po.ex.Bindings)), obs.F("states", len(po.ex.States)))
-	c.Write(encodeFrame(msgDone, tx, nil))
-}
-
-func (m *Manager) onAbort(tx uint64) {
-	po := m.pending[tx]
-	if po == nil {
-		return
-	}
-	delete(m.pending, tx)
-	po.timer.Stop()
-	m.discarded[tx] = true
-	m.emit("abort-rcvd", po.ex.Key.String(), obs.F("tx", txString(tx)))
+// discard renounces the pending transfer t and says why on the bus.
+func (m *Manager) discard(tx uint64, t *incoming, kind string) {
+	key := t.ex.Key.String()
+	t.state, t.ex = inDiscarded, nil
+	m.emit(kind, key, obs.F("tx", txString(tx)))
 }
 
 // --- crash / restart ----------------------------------------------------
 
 // Crash models the SP's migration subsystem dying: every connection is
-// reset, volatile state (attempts, pending offers) is lost, armed
-// timers die. The journal and the done/discarded ledgers survive —
-// they model the durable log a real SP keeps precisely so migration is
-// crash-safe.
+// reset, and the volatile state — each transfer's live half and every
+// pending offer — is lost with its timers. The journal rows and the
+// done/discarded ledger survive: they model the durable log a real SP
+// keeps precisely so migration is crash-safe.
 func (m *Manager) Crash() {
 	if m.down {
 		return
 	}
 	m.down = true
-	m.gen++
 	cs := m.conns
 	m.conns = nil // detach first: Abort fires OnClose, which edits conns
 	for _, c := range cs {
 		c.Abort()
 	}
-	m.attempts = make(map[uint64]*attempt)
-	m.pending = make(map[uint64]*pendingOffer)
+	for _, o := range m.out {
+		o.timer.Stop()
+		o.conn = nil
+	}
+	for tx, t := range m.in {
+		if t.state == inPending {
+			t.timer.Stop()
+			delete(m.in, tx)
+		}
+	}
 	m.emit("crash", m.cfg.Name)
 }
 
@@ -621,40 +496,25 @@ func (m *Manager) Restart() {
 		return
 	}
 	m.down = false
-	m.gen++
 	m.emit("restart", m.cfg.Name)
-	txs := make([]uint64, 0, len(m.journal))
-	for tx := range m.journal {
+	txs := make([]uint64, 0, len(m.out))
+	for tx := range m.out {
 		txs = append(txs, tx)
 	}
 	sort.Slice(txs, func(i, j int) bool { return txs[i] < txs[j] })
 	for _, tx := range txs {
-		e := m.journal[tx]
-		switch e.phase {
-		case phaseOffered:
-			m.emit("recover-offered", e.ex.Key.String(), obs.F("tx", txString(tx)))
-			m.resumeSource(tx, "restart with uncommitted journal entry")
-		case phaseCommitted:
-			m.emit("recover-committed", e.ex.Key.String(), obs.F("tx", txString(tx)))
-			at := &attempt{retries: commitRetries}
-			m.attempts[tx] = at
-			c, err := m.cfg.Stack.Connect(e.peer, Port)
-			if err != nil {
-				m.emit("stuck", e.ex.Key.String(), obs.F("tx", txString(tx)))
-				continue
-			}
-			at.conn = c
-			m.track(c)
-			m.wireSourceConn(c)
-			m.sendCommit(tx)
-			m.armRetry(tx)
+		o := m.out[tx]
+		if !o.committed {
+			m.emit("recover-offered", o.ex.Key.String(), obs.F("tx", txString(tx)))
+			m.resume(o, "resume", "restart with uncommitted journal entry")
+		} else {
+			m.emit("recover-committed", o.ex.Key.String(), obs.F("tx", txString(tx)))
+			m.drive(o, commitRetries)
 		}
 	}
 }
 
 // --- framing ------------------------------------------------------------
-
-type frameBuf struct{ b []byte }
 
 func encodeFrame(typ byte, tx uint64, payload []byte) []byte {
 	b := make([]byte, 0, frameHeader+len(payload))
@@ -664,34 +524,36 @@ func encodeFrame(typ byte, tx uint64, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// onData reassembles frames from the TCP byte stream and dispatches
-// complete ones. A frame claiming more than the snapshot bound aborts
-// the connection before anything is buffered for it.
-func (m *Manager) onData(c *tcp.Conn, fb *frameBuf, data []byte,
-	handler func(c *tcp.Conn, typ byte, tx uint64, payload []byte)) {
-	fb.b = append(fb.b, data...)
-	for {
-		if len(fb.b) < frameHeader {
-			return
-		}
-		typ := fb.b[0]
-		tx := binary.BigEndian.Uint64(fb.b[1:9])
-		n := int(binary.BigEndian.Uint32(fb.b[9:frameHeader]))
-		if n > MaxSnapshotSize+256 {
-			m.cfg.Log("migrate: %s: oversized frame (%d bytes), resetting peer", m.cfg.Name, n)
-			c.Abort()
-			return
-		}
-		if len(fb.b) < frameHeader+n {
-			return
-		}
-		payload := append([]byte(nil), fb.b[frameHeader:frameHeader+n]...)
-		fb.b = fb.b[frameHeader+n:]
-		handler(c, typ, tx, payload)
-	}
+// frame is one decoded protocol message.
+type frame struct {
+	typ     byte
+	tx      uint64
+	payload []byte
 }
 
-func (m *Manager) track(c *tcp.Conn) {
+// splitFrames cuts the complete frames off the front of b and returns
+// them with the unconsumed rest. A header claiming more than maxFrame
+// is an error as soon as the header is whole, before any of its
+// payload is waited for. Payloads are copies: b may be reused.
+func splitFrames(b []byte) (frames []frame, rest []byte, err error) {
+	for len(b) >= frameHeader {
+		n := binary.BigEndian.Uint32(b[9:frameHeader])
+		if n > maxFrame {
+			return frames, nil, fmt.Errorf("frame of %d bytes exceeds %d", n, maxFrame)
+		}
+		if len(b) < frameHeader+int(n) {
+			break
+		}
+		frames = append(frames, frame{b[0], binary.BigEndian.Uint64(b[1:9]),
+			append([]byte(nil), b[frameHeader:frameHeader+int(n)]...)})
+		b = b[frameHeader+int(n):]
+	}
+	return frames, b, nil
+}
+
+// track registers c for Crash and feeds its reassembled frames to
+// handle. An oversized frame resets the connection.
+func (m *Manager) track(c *tcp.Conn, handle func(c *tcp.Conn, typ byte, tx uint64, payload []byte)) {
 	m.conns = append(m.conns, c)
 	c.OnClose = func(error) {
 		for i, cc := range m.conns {
@@ -699,6 +561,18 @@ func (m *Manager) track(c *tcp.Conn) {
 				m.conns = append(m.conns[:i], m.conns[i+1:]...)
 				break
 			}
+		}
+	}
+	var buf []byte
+	c.OnData = func(data []byte) {
+		frames, rest, err := splitFrames(append(buf, data...))
+		buf = rest
+		for _, f := range frames {
+			handle(c, f.typ, f.tx, f.payload)
+		}
+		if err != nil {
+			m.emit("oversized-frame", c.RemoteAddr().String(), obs.F("err", err.Error()))
+			c.Abort()
 		}
 	}
 }
