@@ -16,10 +16,13 @@ test:
 	$(GO) test ./...
 
 # The whole suite under the race detector; the concurrent plane's tests
-# in internal/dataplane are the bulk of what it can catch. The second
-# line repeats the scheduling-sensitive ones (wall-clock watchdog,
-# control against live traffic, the idle worker's park handshake), so
-# a flake shows up here, not in somebody's unrelated PR.
+# in internal/dataplane are the bulk of what it can catch. The race
+# build also poisons every datagram buffer netsim recycles (0xDB), so
+# each digest, sweep and relay test here fails on bytes kept past
+# their datagram's death. The second line repeats the
+# scheduling-sensitive ones (wall-clock watchdog, control against live
+# traffic, the idle worker's park handshake), so a flake shows up here,
+# not in somebody's unrelated PR.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'Watchdog|VsTrafficRace|NoStrandedPacket' ./internal/dataplane

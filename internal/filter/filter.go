@@ -220,9 +220,11 @@ type Packet struct {
 	udpDgm udp.Datagram
 }
 
-// packetPool recycles Packet structs between Parse and Release. Raw
-// datagram bytes are never pooled — they are owned by the network and
-// may be in flight after the Packet is released.
+// packetPool recycles Packet structs between Parse and Release. It
+// holds no datagram bytes: those belong to the network, which recycles
+// an intercepted datagram's buffer itself once the hook gives it up
+// (netsim's package comment), so Raw and every slice of it are valid
+// only during the interception.
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
 // Parse decodes a raw IP datagram into a Packet. TCP segments are
@@ -384,7 +386,8 @@ func (p *Packet) RemarshalStale() error {
 
 // Inject queues an additional raw datagram for the proxy to emit
 // alongside (or instead of) this packet. Snoop uses this for local
-// retransmissions; wsize uses it for window-update packets.
+// retransmissions; wsize uses it for window-update packets. As with
+// Env.Inject, the buffer is the network's once queued.
 func (p *Packet) Inject(raw []byte) { p.injects = append(p.injects, raw) }
 
 // Injections returns packets queued by Inject.
@@ -441,6 +444,9 @@ type Env interface {
 	RemoveStream(k Key)
 	// Inject emits a raw datagram from the proxy node outside the
 	// context of an intercepted packet (timer-driven retransmissions).
+	// raw is the network's from then on (netsim's package comment):
+	// a buffer is injected at most once, and a filter that keeps one
+	// to send again injects a copy.
 	Inject(raw []byte)
 	// Logf records a diagnostic line in the proxy log.
 	Logf(format string, args ...any)

@@ -1,6 +1,7 @@
 package filters
 
 import (
+	"bytes"
 	"time"
 
 	"repro/internal/filter"
@@ -210,10 +211,12 @@ func (inst *snoopInst) lookup(seq uint32) *cachedSeg {
 	return nil
 }
 
+// retransmit injects a copy of the cached segment: the cache keeps
+// c.raw for further repairs, and an injected buffer is the network's.
 func (inst *snoopInst) retransmit(c *cachedSeg) {
 	c.rexmits++
 	c.sentAt = inst.env.Clock().Now()
-	inst.env.Inject(c.raw)
+	inst.env.Inject(bytes.Clone(c.raw))
 }
 
 // armTimer schedules the local retransmission timeout for the oldest

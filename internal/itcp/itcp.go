@@ -14,6 +14,7 @@
 package itcp
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/filter"
@@ -159,10 +160,11 @@ func (r *Relay) accept(wired *tcp.Conn, port uint16) {
 		// The wired side has already acknowledged these bytes (our
 		// stack delivered them); relay them onward. If the mobile half
 		// is dead the bytes are stranded — the wired sender cannot
-		// know (§5.1.2).
+		// know (§5.1.2). Write keeps its slice and b is valid only
+		// during this call, so the relay writes a copy.
 		r.Stats.BytesAckedToWired += int64(len(b))
 		p.ackedToWired += int64(len(b))
-		mobileConn.Write(b)
+		mobileConn.Write(bytes.Clone(b))
 	}
 	wired.OnRemoteClose = func() {
 		r.Stats.WiredClosed++
@@ -170,7 +172,7 @@ func (r *Relay) accept(wired *tcp.Conn, port uint16) {
 		wired.Close()
 	}
 	// Reverse direction: mobile -> wired.
-	mobileConn.OnData = func(b []byte) { wired.Write(b) }
+	mobileConn.OnData = func(b []byte) { wired.Write(bytes.Clone(b)) }
 	mobileConn.OnRemoteClose = func() { wired.Close() }
 	mobileConn.OnClose = func(err error) {
 		p.mobileAcked = mobileConn.Stats().BytesAcked

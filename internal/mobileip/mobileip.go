@@ -241,6 +241,8 @@ func (fa *ForeignAgent) relayRegistration(h ip.Header, payload, raw []byte, in *
 // the FA, relying on higher-level communication protocols to handle
 // the loss".
 func (fa *ForeignAgent) handleTunnel(h ip.Header, payload, raw []byte, in *netsim.Iface) {
+	// Decapsulate copies the inner datagram out of raw, which the
+	// network recycles when this handler returns.
 	inner, err := ip.Decapsulate(raw)
 	if err != nil {
 		return

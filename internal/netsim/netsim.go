@@ -7,6 +7,26 @@
 // captures the "wireless variability" of thesis §2.3: the phenomena the
 // service proxy's filters respond to are loss, delay, and bandwidth
 // asymmetry, all of which are link-level parameters here.
+//
+// # Datagram ownership
+//
+// A datagram handed to the network — through SendIP, SendIPFrom,
+// SendDatagram or InjectPacket, or returned by a Hook — is the
+// network's from then on, and it has exactly one owner at a time: the
+// link carrying it, then the node it arrives at. Each Network keeps a
+// free list of datagram buffers (Node.Datagram hands them out), and a
+// buffer goes back to it at the one place its datagram dies: after the
+// local ProtoHandler returns, when a Hook does not re-emit it, or at a
+// drop site (bad header, TTL expiry, no route, link down or detached,
+// zero capacity, full queue, loss, ARQ exhausted). A forwarding node
+// rewrites TTL and header checksum in place. Everyone else keeps three
+// rules:
+//   - a sender never touches a buffer after handing it over, and never
+//     hands the same buffer over twice: the second send is a copy;
+//   - a ProtoHandler's payload and raw, and every slice a transport
+//     hands up from them (tcp.Conn.OnData's b, udp.Handler's payload),
+//     are valid only during the call: whoever keeps bytes copies them;
+//   - a Hook either re-emits raw as is or gives it up.
 package netsim
 
 import (
@@ -272,8 +292,9 @@ type Route struct {
 // Ownership: the returned slice is only valid until the hook's next
 // invocation — hooks may (and the proxy does) reuse one emit slice
 // for every packet, so the node consumes it synchronously and never
-// retains it. The datagram byte slices inside it follow the usual
-// rule: immutable once handed onward.
+// retains it. The datagrams inside it follow the package's ownership
+// rule: the hook re-emits raw as is or gives it up, keeps no part of
+// it, and hands every datagram it returns to the node.
 type Hook func(raw []byte, in *Iface) [][]byte
 
 // Node is a host or router in the simulated network.
@@ -307,6 +328,9 @@ type NodeStats struct {
 }
 
 // ProtoHandler consumes locally delivered datagrams of one protocol.
+// payload and raw are valid only during the call: the datagram's
+// buffer is recycled when the handler returns (see the package
+// comment), so a handler copies whatever it keeps.
 type ProtoHandler func(h ip.Header, payload []byte, raw []byte, in *Iface)
 
 // Network is a collection of nodes and links driven by one scheduler.
@@ -318,6 +342,56 @@ type Network struct {
 	obs *obs.Bus
 	// flights holds released arrival records for reuse.
 	flights []*flight
+	// free holds released datagram buffers, each of capacity
+	// datagramCap, for reuse (see Node.Datagram).
+	free [][]byte
+}
+
+// datagramCap is the capacity of every recycled datagram buffer: room
+// for a 1500-byte datagram. Larger datagrams get a buffer of their own
+// that the free list never takes back.
+const datagramCap = 1536
+
+// poisonByte fills a released buffer when poisonReleased (race builds).
+const poisonByte = 0xDB
+
+// datagram returns a buffer of length n, recycled when one is free.
+// Its bytes are whatever the last datagram left there: the caller
+// writes all n of them.
+func (n *Network) datagram(size int) []byte {
+	if size > datagramCap {
+		return make([]byte, size)
+	}
+	if k := len(n.free); k > 0 {
+		b := n.free[k-1]
+		n.free = n.free[:k-1]
+		return b[:size]
+	}
+	return make([]byte, size, datagramCap)
+}
+
+// release takes back the buffer of a datagram that died. Under the
+// race detector its bytes are poisoned first, so a use after release
+// breaks a checksum or a digest instead of reading plausible data.
+func (n *Network) release(b []byte) {
+	if cap(b) != datagramCap {
+		return
+	}
+	b = b[:datagramCap]
+	if poisonReleased {
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
+	n.free = append(n.free, b)
+}
+
+// clone copies a datagram into a buffer of its own, for the places
+// where one datagram goes out twice.
+func (n *Network) clone(raw []byte) []byte {
+	b := n.datagram(len(raw))
+	copy(b, raw)
+	return b
 }
 
 // SetObs attaches the observability bus to the whole network.
@@ -456,15 +530,22 @@ func (nd *Node) SetHook(h Hook) { nd.hook = h }
 // directly to isolate filtering cost from the network simulation).
 func (nd *Node) PacketHook() Hook { return nd.hook }
 
+// Datagram hands out a datagram buffer of length n from the network's
+// free list, for a sender to fill and pass to SendDatagram; the
+// network takes it back where the datagram dies (see the package
+// comment). Its bytes are stale: the sender writes all of them. It
+// satisfies tcp.Network.
+func (nd *Node) Datagram(n int) []byte { return nd.net.datagram(n) }
+
 // SendIP builds and routes an IP datagram from this node's primary
-// address.
+// address. payload stays the caller's.
 func (nd *Node) SendIP(dst ip.Addr, proto byte, payload []byte) {
 	nd.SendIPFrom(nd.Addr(), dst, proto, payload)
 }
 
 // SendIPFrom is SendIP with an explicit source address.
 func (nd *Node) SendIPFrom(src, dst ip.Addr, proto byte, payload []byte) {
-	datagram := make([]byte, ip.HeaderLen+len(payload))
+	datagram := nd.Datagram(ip.HeaderLen + len(payload))
 	copy(datagram[ip.HeaderLen:], payload)
 	nd.SendDatagram(src, dst, proto, datagram)
 }
@@ -478,6 +559,7 @@ func (nd *Node) SendDatagram(src, dst ip.Addr, proto byte, datagram []byte) {
 	nd.ipID++
 	h := ip.Header{TTL: 64, Protocol: proto, ID: nd.ipID, Src: src, Dst: dst}
 	if err := h.MarshalInto(datagram); err != nil {
+		nd.net.release(datagram)
 		return
 	}
 	nd.Stats.IPOutRequests++
@@ -485,10 +567,12 @@ func (nd *Node) SendDatagram(src, dst ip.Addr, proto byte, datagram []byte) {
 }
 
 // InjectPacket routes a pre-built raw IP datagram from this node. The
-// service proxy uses it to re-inject filtered packets.
+// service proxy uses it to re-inject filtered packets. raw is the
+// network's from then on, like SendDatagram's.
 func (nd *Node) InjectPacket(raw []byte) {
 	h, _, err := ip.Unmarshal(raw)
 	if err != nil {
+		nd.net.release(raw)
 		return
 	}
 	nd.Stats.IPOutRequests++
@@ -499,23 +583,34 @@ func (nd *Node) InjectPacket(raw []byte) {
 // for forwarded packets (nil for locally originated ones).
 func (nd *Node) routePacket(raw []byte, dst ip.Addr, in *Iface) {
 	// Direct delivery to a neighbour: if any interface's link peer owns
-	// dst, use that link (implicit connected route).
+	// dst, use that link (implicit connected route). A broadcast goes
+	// out on every such link, each but the last with a copy of its own.
+	var bcast *Iface
 	for _, f := range nd.ifaces {
 		p := f.peer()
 		if p != nil && (p.addr == dst || dst == Broadcast) && !f.dir().down {
-			f.transmit(raw)
-			if dst == Broadcast {
-				continue
+			if dst != Broadcast {
+				f.transmit(raw)
+				return
 			}
-			return
+			if bcast != nil {
+				bcast.transmit(nd.net.clone(raw))
+			}
+			bcast = f
 		}
 	}
 	if dst == Broadcast {
+		if bcast == nil {
+			nd.net.release(raw)
+			return
+		}
+		bcast.transmit(raw)
 		return
 	}
 	via := nd.lookupRoute(dst)
 	if via == nil {
 		nd.Stats.IPOutNoRoutes++
+		nd.net.release(raw)
 		return
 	}
 	via.transmit(raw)
@@ -526,6 +621,7 @@ func (nd *Node) receive(raw []byte, in *Iface) {
 	nd.Stats.IPInReceives++
 	if !ip.VerifyChecksum(raw) {
 		nd.Stats.IPInHdrErrors++
+		nd.net.release(raw)
 		return
 	}
 	if nd.hook == nil {
@@ -534,16 +630,25 @@ func (nd *Node) receive(raw []byte, in *Iface) {
 	}
 	// The hook's emit slice is borrowed: consume it before returning
 	// (process never re-enters this node's hook synchronously — all
-	// onward transmission is scheduler-deferred).
+	// onward transmission is scheduler-deferred). Each datagram in it
+	// is the node's; raw dies here unless the hook re-emitted it.
+	kept := false
 	for _, p := range nd.hook(raw, in) {
+		kept = kept || len(p) > 0 && &p[0] == &raw[0]
 		nd.process(p, in)
+	}
+	if !kept {
+		nd.net.release(raw)
 	}
 }
 
+// process delivers or forwards one datagram the node owns; every path
+// either hands it on or releases it.
 func (nd *Node) process(raw []byte, in *Iface) {
 	h, payload, err := ip.Unmarshal(raw)
 	if err != nil {
 		nd.Stats.IPInHdrErrors++
+		nd.net.release(raw)
 		return
 	}
 	if nd.HasAddr(h.Dst) || h.Dst == Broadcast {
@@ -552,31 +657,37 @@ func (nd *Node) process(raw []byte, in *Iface) {
 	}
 	if !nd.Forwarding {
 		nd.Stats.IPInAddrErrors++
+		nd.net.release(raw)
 		return
 	}
 	if h.TTL <= 1 {
+		// RFC 1213 counts "time-to-live exceeded" among header errors.
+		nd.Stats.IPInHdrErrors++
+		nd.net.release(raw)
 		return
 	}
-	// Rewrite TTL and checksum, then forward.
-	fwd := make([]byte, len(raw))
-	copy(fwd, raw)
-	fwd[8] = h.TTL - 1
-	fwd[10], fwd[11] = 0, 0
-	hl := int(fwd[0]&0x0f) * 4
-	ck := ip.Checksum(fwd[:hl])
-	fwd[10], fwd[11] = byte(ck>>8), byte(ck)
+	// Rewrite TTL and checksum in place, then forward.
+	raw[8] = h.TTL - 1
+	raw[10], raw[11] = 0, 0
+	hl := int(raw[0]&0x0f) * 4
+	ck := ip.Checksum(raw[:hl])
+	raw[10], raw[11] = byte(ck>>8), byte(ck)
 	nd.Stats.IPForwDatagrams++
-	nd.routePacket(fwd, h.Dst, in)
+	nd.routePacket(raw, h.Dst, in)
 }
 
+// deliverLocal hands the datagram to its protocol's handler; it dies
+// when the handler returns.
 func (nd *Node) deliverLocal(h ip.Header, payload []byte, raw []byte, in *Iface) {
 	handler, ok := nd.handlers[h.Protocol]
 	if !ok {
 		nd.Stats.IPInUnknownProtos++
+		nd.net.release(raw)
 		return
 	}
 	nd.Stats.IPInDelivers++
 	handler(h, payload, raw, in)
+	nd.net.release(raw)
 }
 
 // arqRecover redelivers a frame the loss model killed, charging one
@@ -599,23 +710,32 @@ func (d *direction) arqRecover(s *sim.Scheduler, peer *Iface, pkt []byte) {
 			b.Emit("netsim", "arq-recovered", linkKey(peer), obs.F("rounds", r), obs.F("len", len(pkt)))
 		}
 		s.After(extra, func() {
+			n := peer.node.net
 			if d.down || peer.link == nil {
+				n.release(pkt)
 				return
 			}
 			d.stats.DeliveredPkts++
 			d.stats.DeliveredBytes += int64(len(pkt))
-			peer.node.receive(pkt, peer)
-			if dup {
-				d.stats.ARQDuplicates++
+			if !dup {
 				peer.node.receive(pkt, peer)
+				return
 			}
+			// The duplicate is a datagram of its own: receiving the
+			// first may forward it in place or recycle it.
+			second := n.clone(pkt)
+			peer.node.receive(pkt, peer)
+			d.stats.ARQDuplicates++
+			peer.node.receive(second, peer)
 		})
 		return
 	}
 	d.stats.Dropped++ // exhausted the retry budget
-	if b := peer.link.net.obs; b.Enabled() {
+	n := peer.node.net
+	if b := n.obs; b.Enabled() {
 		b.Emit("netsim", "arq-exhausted", linkKey(peer), obs.F("rounds", a.MaxRetries), obs.F("len", len(pkt)))
 	}
+	n.release(pkt)
 }
 
 // linkKey renders the direction delivering to peer as "src->dst".
@@ -663,10 +783,12 @@ func (nd *Node) RegisterMetrics(r *obs.Registry, prefix string) {
 func (f *Iface) transmit(raw []byte) {
 	l := f.link
 	if l == nil {
+		f.node.net.release(raw)
 		return
 	}
 	d := f.dir()
 	if d.down {
+		l.net.release(raw)
 		return
 	}
 	if d.cfg.Bandwidth <= 0 {
@@ -678,6 +800,7 @@ func (f *Iface) transmit(raw []byte) {
 		if b := l.net.obs; b.Enabled() {
 			b.Emit("netsim", "zero-capacity", f.addr.String()+"->"+peerAddr(f), obs.F("len", len(raw)))
 		}
+		l.net.release(raw)
 		return
 	}
 	if d.queued >= d.cfg.QueueLen {
@@ -685,6 +808,7 @@ func (f *Iface) transmit(raw []byte) {
 		if b := l.net.obs; b.Enabled() {
 			b.Emit("netsim", "queue-drop", f.addr.String()+"->"+peerAddr(f), obs.F("len", len(raw)))
 		}
+		l.net.release(raw)
 		return
 	}
 	s := l.net.sched
@@ -709,8 +833,7 @@ func (f *Iface) transmit(raw []byte) {
 	// Two events a packet, in this order so same-instant ties break as
 	// they always have: the end of its serialisation (the direction
 	// itself) and its arrival at the peer (a recycled flight). The
-	// datagram is carried as is; callers must not mutate it after
-	// transmit.
+	// datagram is carried as is: the flight owns it until it lands.
 	s.Schedule(d.nextFree, d)
 	fl := l.net.flight()
 	fl.d, fl.peer, fl.pkt, fl.link = d, f.peer(), raw, l
@@ -749,7 +872,8 @@ func (fl *flight) Fire() {
 	*fl = flight{}
 	l.net.flights = append(l.net.flights, fl)
 	if d.down || peer.link == nil {
-		return // link went down while in flight
+		l.net.release(pkt) // link went down while in flight
+		return
 	}
 	s := l.net.sched
 	if d.cfg.Loss.Drop(s.Rand(), len(pkt)) {
@@ -761,6 +885,7 @@ func (fl *flight) Fire() {
 		if b := l.net.obs; b.Enabled() {
 			b.Emit("netsim", "loss", linkKey(peer), obs.F("len", len(pkt)))
 		}
+		l.net.release(pkt)
 		return
 	}
 	d.stats.DeliveredPkts++

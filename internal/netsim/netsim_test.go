@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ func TestDirectDelivery(t *testing.T) {
 	s, _, a, b := twoHosts(t, LinkConfig{})
 	var got []byte
 	b.RegisterProto(ip.ProtoUDP, func(h ip.Header, payload, raw []byte, in *Iface) {
-		got = payload
+		got = bytes.Clone(payload) // payload dies with the handler
 		if h.Src != a.Addr() {
 			t.Errorf("src = %v", h.Src)
 		}
@@ -82,20 +83,23 @@ func TestQueueOverflowDrops(t *testing.T) {
 	}
 }
 
-func TestForwardingThroughRouter(t *testing.T) {
+// throughRouter builds a - r - b with r forwarding; cfgAR governs the
+// a-r link.
+func throughRouter(cfgAR LinkConfig) (*sim.Scheduler, *Node, *Node, *Node) {
 	s := sim.NewScheduler(1)
 	n := New(s)
-	a := n.AddNode("a")
-	r := n.AddNode("r")
-	b := n.AddNode("b")
+	a, r, b := n.AddNode("a"), n.AddNode("r"), n.AddNode("b")
 	r.Forwarding = true
-	la := n.Connect(a, ip.MustParseAddr("10.0.1.1"), r, ip.MustParseAddr("10.0.1.254"), LinkConfig{})
+	n.Connect(a, ip.MustParseAddr("10.0.1.1"), r, ip.MustParseAddr("10.0.1.254"), cfgAR)
 	lb := n.Connect(r, ip.MustParseAddr("10.0.2.254"), b, ip.MustParseAddr("10.0.2.1"), LinkConfig{})
-	_ = la
 	a.AddDefaultRoute(a.Ifaces()[0])
 	b.AddDefaultRoute(b.Ifaces()[0])
 	r.AddRoute(ip.MustParseAddr("10.0.2.0"), 24, lb.a)
+	return s, a, r, b
+}
 
+func TestForwardingThroughRouter(t *testing.T) {
+	s, a, r, b := throughRouter(LinkConfig{})
 	var got ip.Header
 	b.RegisterProto(ip.ProtoUDP, func(h ip.Header, payload, raw []byte, in *Iface) { got = h })
 	a.SendIP(b.Addr(), ip.ProtoUDP, []byte("via router"))
@@ -414,4 +418,138 @@ func TestARQChargesRoundsWhenExhausted(t *testing.T) {
 		t.Fatalf("ARQRetries = %d, want %d (each exhausted frame spent %d rounds)",
 			st.ARQRetries, frames*retries, retries)
 	}
+}
+
+func TestTTLExpiryCountsHdrError(t *testing.T) {
+	// RFC 1213: a transit datagram whose TTL runs out is an
+	// ipInHdrErrors, not a silent drop.
+	s, a, r, b := throughRouter(LinkConfig{})
+	delivered := false
+	b.RegisterProto(ip.ProtoUDP, func(ip.Header, []byte, []byte, *Iface) { delivered = true })
+	h := ip.Header{TTL: 1, Protocol: ip.ProtoUDP, Src: a.Addr(), Dst: b.Addr()}
+	raw, err := h.Marshal([]byte("last hop"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.InjectPacket(raw)
+	s.Run()
+	if delivered {
+		t.Fatal("a datagram with TTL 1 crossed a router")
+	}
+	if r.Stats.IPInHdrErrors != 1 || r.Stats.IPForwDatagrams != 0 {
+		t.Fatalf("router IPInHdrErrors = %d, IPForwDatagrams = %d, want 1 and 0",
+			r.Stats.IPInHdrErrors, r.Stats.IPForwDatagrams)
+	}
+}
+
+// dropFirst loses the first frame it judges and no other.
+type dropFirst struct{ seen bool }
+
+func (d *dropFirst) Drop(*rand.Rand, int) bool {
+	first := !d.seen
+	d.seen = true
+	return first
+}
+
+// TestDatagramOwnership pins the package's ownership rule: one buffer
+// a datagram, forwarded in place, copied wherever it would go out
+// twice, and recycled only once it is dead.
+func TestDatagramOwnership(t *testing.T) {
+	first := func(b []byte) *byte { return &b[:1][0] }
+
+	t.Run("forwarded in place", func(t *testing.T) {
+		s, a, _, b := throughRouter(LinkConfig{})
+		var arrived *byte
+		var h ip.Header
+		b.RegisterProto(ip.ProtoUDP, func(hh ip.Header, _, raw []byte, _ *Iface) {
+			if !ip.VerifyChecksum(raw) {
+				t.Error("forwarded datagram has a bad header checksum")
+			}
+			arrived, h = first(raw), hh
+		})
+		sent := a.Datagram(ip.HeaderLen + 4)
+		copy(sent[ip.HeaderLen:], "fwd!")
+		a.SendDatagram(a.Addr(), b.Addr(), ip.ProtoUDP, sent)
+		s.Run()
+		if arrived != first(sent) {
+			t.Fatal("the forwarded datagram arrived in a buffer other than the one sent")
+		}
+		if h.TTL != 63 {
+			t.Fatalf("TTL = %d, want 63", h.TTL)
+		}
+	})
+
+	t.Run("ARQ duplicate is a datagram of its own", func(t *testing.T) {
+		s, a, _, b := throughRouter(LinkConfig{
+			Loss: &dropFirst{},
+			ARQ:  &ARQConfig{RetransDelay: time.Millisecond, MaxRetries: 2, PDup: 1},
+		})
+		var bufs []*byte
+		b.RegisterProto(ip.ProtoUDP, func(h ip.Header, payload, raw []byte, _ *Iface) {
+			if h.TTL != 63 || string(payload) != "twice" || !ip.VerifyChecksum(raw) {
+				t.Errorf("copy %d: TTL %d, payload %q", len(bufs), h.TTL, payload)
+			}
+			bufs = append(bufs, first(raw))
+		})
+		a.SendIP(b.Addr(), ip.ProtoUDP, []byte("twice"))
+		s.Run()
+		if len(bufs) != 2 || bufs[0] == bufs[1] {
+			t.Fatalf("got %d copies, distinct buffers %v; want 2 distinct", len(bufs), len(bufs) == 2 && bufs[0] != bufs[1])
+		}
+	})
+
+	t.Run("broadcast copies per neighbour", func(t *testing.T) {
+		s := sim.NewScheduler(1)
+		n := New(s)
+		a, b, c := n.AddNode("a"), n.AddNode("b"), n.AddNode("c")
+		n.Connect(a, ip.MustParseAddr("10.0.1.1"), b, ip.MustParseAddr("10.0.1.2"), LinkConfig{})
+		n.Connect(a, ip.MustParseAddr("10.0.2.1"), c, ip.MustParseAddr("10.0.2.2"), LinkConfig{})
+		got := map[string]*byte{}
+		for _, nd := range []*Node{b, c} {
+			nd := nd
+			nd.RegisterProto(ip.ProtoUDP, func(_ ip.Header, payload, raw []byte, _ *Iface) {
+				if string(payload) != "all" {
+					t.Errorf("%s got %q", nd.Name(), payload)
+				}
+				got[nd.Name()] = first(raw)
+			})
+		}
+		a.SendIP(Broadcast, ip.ProtoUDP, []byte("all"))
+		s.Run()
+		if len(got) != 2 || got["b"] == got["c"] {
+			t.Fatalf("broadcast reached %d neighbours, in distinct buffers: %v", len(got), got["b"] != got["c"])
+		}
+	})
+
+	t.Run("hook drop recycles, re-emit does not", func(t *testing.T) {
+		s, _, a, b := twoHosts(t, LinkConfig{})
+		var hooked *byte
+		b.SetHook(func(raw []byte, _ *Iface) [][]byte {
+			hooked = first(raw)
+			if string(raw[ip.HeaderLen:]) == "drop" {
+				return nil
+			}
+			return [][]byte{raw}
+		})
+		var handedOut *byte
+		b.RegisterProto(ip.ProtoUDP, func(_ ip.Header, _, raw []byte, _ *Iface) {
+			handedOut = first(b.Datagram(ip.HeaderLen))
+		})
+
+		a.SendIP(b.Addr(), ip.ProtoUDP, []byte("drop"))
+		s.Run()
+		if next := first(a.Datagram(ip.HeaderLen)); next != hooked {
+			t.Fatal("the buffer the hook dropped is not the next one handed out")
+		}
+
+		a.SendIP(b.Addr(), ip.ProtoUDP, []byte("keep"))
+		s.Run()
+		if handedOut == nil || handedOut == hooked {
+			t.Fatal("the buffer the hook re-emitted was handed out before its delivery")
+		}
+		// Delivered, it dies exactly once: two draws get two buffers.
+		if first(a.Datagram(1)) == first(a.Datagram(1)) {
+			t.Fatal("a delivered datagram went back to the free list twice")
+		}
+	})
 }

@@ -38,7 +38,7 @@ type Conn struct {
 
 	// Callbacks. All optional.
 	OnEstablished func()
-	OnData        func([]byte) // in-order payload delivery
+	OnData        func([]byte) // in-order payload, valid only during the call (copy it to keep or Write it)
 	OnRemoteClose func()       // peer FIN arrived (read-side EOF)
 	OnClose       func(error)  // nil error = clean close
 	acceptFn      func(*Conn)  // listener accept, fired at establishment

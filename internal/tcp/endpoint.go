@@ -40,13 +40,20 @@ func (s State) String() string {
 }
 
 // Network is the IP service a Stack runs over: a host in the simulated
-// network (or any other packet carrier).
+// network (or any other packet carrier). It owns every datagram handed
+// to it, and the segments it delivers back through Stack.Deliver are
+// valid only during the call (netsim's package comment states the
+// contract).
 type Network interface {
+	// Datagram returns a buffer of length n for one outgoing datagram,
+	// which the sender fills completely and passes to SendDatagram.
+	Datagram(n int) []byte
 	// SendDatagram emits an IP datagram from src to dst. Its first
 	// ip.HeaderLen bytes are room for the IP header, which the network
 	// writes in place; the rest is the protocol's payload. The source
 	// is explicit so that on multi-homed hosts segments leave with the
-	// address the connection is bound to.
+	// address the connection is bound to. The datagram is the
+	// network's from then on.
 	SendDatagram(src, dst ip.Addr, proto byte, datagram []byte)
 	// Addr returns the host's primary IP address.
 	Addr() ip.Addr
@@ -256,11 +263,11 @@ func (s *Stack) transmit(src, dst ip.Addr, seg *Segment) {
 	s.send(src, dst, seg)
 }
 
-// send marshals seg behind room for the IP header and hands the one
-// buffer to the network.
+// send marshals seg behind room for the IP header into a buffer the
+// network hands out, and hands the one buffer back.
 func (s *Stack) send(src, dst ip.Addr, seg *Segment) {
-	datagram := make([]byte, ip.HeaderLen, ip.HeaderLen+seg.HeaderLength()+len(seg.Payload))
-	s.net.SendDatagram(src, dst, ip.ProtoTCP, seg.AppendMarshal(datagram, src, dst))
+	datagram := s.net.Datagram(ip.HeaderLen + seg.HeaderLength() + len(seg.Payload))
+	s.net.SendDatagram(src, dst, ip.ProtoTCP, seg.AppendMarshal(datagram[:ip.HeaderLen], src, dst))
 }
 
 // ConnCount returns the number of live connections (tests).

@@ -94,7 +94,10 @@ type Network interface {
 	Addr() ip.Addr
 }
 
-// Handler consumes datagrams delivered to a bound port.
+// Handler consumes datagrams delivered to a bound port. payload is
+// valid only during the call: it aliases the arriving datagram, which
+// the network recycles when the handler returns (see netsim's package
+// comment), so a handler copies whatever it keeps.
 type Handler func(src ip.Addr, srcPort uint16, payload []byte)
 
 // Stack is a minimal UDP endpoint: bind ports, send datagrams.

@@ -67,7 +67,7 @@ func TestStackBindSendDeliver(t *testing.T) {
 	var gotSrc ip.Addr
 	var gotPort uint16
 	if err := sb.Bind(4001, func(src ip.Addr, sp uint16, payload []byte) {
-		got, gotSrc, gotPort = payload, src, sp
+		got, gotSrc, gotPort = bytes.Clone(payload), src, sp // payload dies with the handler
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package workload
 
 import (
+	"bytes"
 	"time"
 
 	"repro/internal/ip"
@@ -125,10 +126,11 @@ func (iw *Interactive) Max() time.Duration {
 }
 
 // ServeEcho installs a server on stack:port that echoes every byte
-// back — the peer for Interactive.
+// back — the peer for Interactive. It writes a copy: Write keeps its
+// slice, and OnData's b is valid only during the call.
 func ServeEcho(stack *tcp.Stack, port uint16) error {
 	_, err := stack.Listen(port, func(c *tcp.Conn) {
-		c.OnData = func(b []byte) { c.Write(b) }
+		c.OnData = func(b []byte) { c.Write(bytes.Clone(b)) }
 		c.OnRemoteClose = func() { c.Close() }
 	})
 	return err

@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -74,6 +75,32 @@ func TestInteractiveLatency(t *testing.T) {
 	}
 	if iw.Max() < mean {
 		t.Fatal("max < mean")
+	}
+}
+
+// TestEchoReturnsBytes checks the echo server sends back exactly what
+// it received, retransmissions included: those are sent after OnData
+// returned, when (under -race) the datagram buffer it was handed has
+// been recycled and poisoned.
+func TestEchoReturnsBytes(t *testing.T) {
+	r := newWrig(t, netsim.LinkConfig{Bandwidth: 10e6, Delay: 5 * time.Millisecond, Loss: netsim.Bernoulli{P: 0.2}})
+	if err := workload.ServeEcho(r.sb, 7); err != nil {
+		t.Fatal(err)
+	}
+	c, err := r.sa.Connect(r.b.Addr(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent, echoed []byte
+	c.OnData = func(b []byte) { echoed = append(echoed, b...) }
+	for i := 0; i < 40; i++ {
+		msg := bytes.Repeat([]byte{byte('a' + i%26)}, 100)
+		sent = append(sent, msg...)
+		r.sched.After(time.Duration(i)*200*time.Millisecond+time.Second, func() { c.Write(msg) })
+	}
+	r.sched.RunFor(120 * time.Second)
+	if !bytes.Equal(echoed, sent) {
+		t.Fatalf("echoed %d bytes, want the %d sent back unchanged", len(echoed), len(sent))
 	}
 }
 
