@@ -34,33 +34,27 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Native fuzz targets, each for $(FUZZTIME): codec round-trip
-# stability and no-panic over the packet parsers, the word-wise
-# checksum against its two-byte reference, the strconv key renderer
-# against its fmt reference, the recycled scheduler against its
-# container/heap reference, the control-port line session against
-# its line-by-line model under any split of the stream, TCP
-# delivery of Writes split at any sizes and virtual times against
-# their concatenation, with every written slice left untouched, the
-# EEM client fed arbitrary server bytes under any split, with no
-# panic and no request answered twice, and the migration frame
-# splitter, whose frames under any split match the whole stream's
-# and which rejects an oversized header before buffering its payload.
+# Every native fuzz target, each for $(FUZZTIME), found by `go test
+# -list` in each package so that a new one is never skipped: codec
+# round-trip stability and no-panic over the packet parsers, the
+# word-wise checksum against its two-byte reference, the strconv key
+# renderer against its fmt reference, the recycled scheduler against
+# its container/heap reference, the control-port line session against
+# its line-by-line model under any split of the stream, TCP delivery
+# of Writes split at any sizes and virtual times against their
+# concatenation, with every written slice left untouched, the EEM
+# client fed arbitrary server bytes under any split, with no panic and
+# no request answered twice, and the migration frame splitter, whose
+# frames under any split match the whole stream's and which rejects an
+# oversized header before buffering its payload.
 fuzz:
-	$(GO) test ./internal/ip -fuzz FuzzIPParse -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ip -fuzz FuzzChecksum -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/tcp -fuzz FuzzTCPParse -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/tcp -fuzz FuzzConnWriteSplits -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/filter -fuzz FuzzFilterParse -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/filter -fuzz FuzzSteerKey -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/filter -fuzz FuzzKeyString -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/dataplane -fuzz FuzzSteer -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/classifier -fuzz FuzzClassifierParity -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/migrate -fuzz FuzzMigrationSnapshotDecode -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/migrate -fuzz FuzzMigrateFrames -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sim -fuzz FuzzScheduler -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/lines -fuzz FuzzLineSession -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/eem -fuzz FuzzCommaInbound -fuzztime $(FUZZTIME)
+	@for pkg in $$($(GO) list ./...); do \
+		names=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
+		for name in $$(echo "$$names" | grep '^Fuzz'); do \
+			echo "$$pkg $$name"; \
+			$(GO) test $$pkg -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME) || exit 1; \
+		done; \
+	done
 
 # `go build ./...` compiles the examples but nothing executes them, and
 # they are the first thing a reader runs against the public API. Each

@@ -160,7 +160,10 @@ func TestProgramSwapVsTrafficRace(t *testing.T) {
 // with wild-card commands, and injects micro-stalls at batch
 // boundaries with the watchdog running. The race detector is the
 // oracle for shard-state isolation; the final count asserts no packet
-// was lost in a partial batch across all the quiesce points.
+// was lost in a partial batch across all the quiesce points. The
+// sender holds its second half until the control loop has issued one
+// full round of commands, so the two always overlap and the epoch has
+// advanced before the traffic ends.
 func TestBatchedControlVsTrafficRace(t *testing.T) {
 	cat := filter.NewCatalog()
 	filters.RegisterAll(cat)
@@ -174,10 +177,14 @@ func TestBatchedControlVsTrafficRace(t *testing.T) {
 
 	const bursts = 500
 	const per = 16
+	round := make(chan struct{}) // closed after the first round of seven commands
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < bursts*per; i++ {
+			if i == bursts*per/2 {
+				<-round
+			}
 			pl.Dispatch(mkSeg(t, uint16(1000+i%64), uint32(1+i), []byte("batched race payload")))
 		}
 	}()
@@ -222,6 +229,9 @@ func TestBatchedControlVsTrafficRace(t *testing.T) {
 		case 6:
 			pl.Command("delete rdrop 0.0.0.0 0 0.0.0.0 0")
 			pl.StatsSnapshot()
+			if i == 6 {
+				close(round)
+			}
 		}
 	}
 }

@@ -24,6 +24,7 @@ func runE22(seed int64, w io.Writer) error {
 		baseOnTime int
 		baseSent   int
 	}
+	var c claims
 	run := func(adaptive bool) (*trace.Table, string, []*phase) {
 		sys := core.NewSystem(core.Config{
 			Seed:     seed,
@@ -95,6 +96,8 @@ func runE22(seed int64, w io.Writer) error {
 			if st, ok := filters.ADiscardStatsFor(k); ok {
 				extra = fmt.Sprintf("adaptations: %d, final layer threshold: %d",
 					st.Adaptations, st.CurrentMaxLayer)
+				evs := sys.Obs.Count("adiscard", "shed") + sys.Obs.Count("adiscard", "restore")
+				c.check(int64(evs) == st.Adaptations, "E22: want one shed/restore event per adaptation: %d vs %d", evs, st.Adaptations)
 			}
 		}
 		return t, extra, phases
@@ -114,7 +117,6 @@ shape check: without the service, the slow cell destroys base-layer timing
 layers on the slow cell, keeps base frames on time through all three phases,
 and restores the enhancement layers when the mobile returns to a fast cell —
 "minimal operation can continue and regular operation resume" (thesis ch. 6).`)
-	var c claims
 	slow := plain[1]
 	c.check(2*slow.baseOnTime < slow.baseSent,
 		"E22: want under half the base frames on time on the slow cell without the service: %d/%d", slow.baseOnTime, slow.baseSent)

@@ -165,6 +165,7 @@ func runE8(seed int64, w io.Writer) error {
 func runE9(seed int64, w io.Writer) error {
 	t := trace.NewTable("E9: 20 s disconnection during bursty transfer (2 Mb/s, 10 ms)",
 		"mode", "sender RTOs", "persist probes", "zero-window seen", "restart after reconnect (ms)")
+	var c claims
 	run := func(withZWSM bool) (tcp.Stats, float64) {
 		sys := core.NewSystem(core.Config{
 			Seed:     seed,
@@ -206,13 +207,14 @@ func runE9(seed int64, w io.Writer) error {
 		}
 		st := client.Stats()
 		t.AddRow(mode, st.Timeouts, st.PersistProbes, st.ZeroWindowSeen, restartMS)
+		stalls, releases := sys.Obs.Count("wsize", "zwsm-stall"), sys.Obs.Count("wsize", "zwsm-release")
+		c.check((stalls > 0) == withZWSM && releases <= stalls, "E9 %s: want zwsm-stall events only and always with ZWSM, and no more releases: %d vs %d", mode, stalls, releases)
 		return st, restartMS
 	}
 	plain, plainMS := run(false)
 	zwsm, zwsmMS := run(true)
 	t.Fprint(w)
 	fmt.Fprintln(w, "\nshape check: ZWSM replaces RTO backoff with persist probes and restarts sooner.")
-	var c claims
 	c.check(zwsm.Timeouts == 0 && plain.Timeouts > 0, "E9: want 0 RTOs with ZWSM and some without: %d vs %d", zwsm.Timeouts, plain.Timeouts)
 	c.check(zwsm.PersistProbes > 0, "E9: want persist probes with ZWSM: %d", zwsm.PersistProbes)
 	c.check(zwsmMS >= 0 && zwsmMS < plainMS, "E9: want 0 ≤ ZWSM restart < plain restart: %.1f vs %.1f ms (-1: never)", zwsmMS, plainMS)

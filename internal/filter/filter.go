@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/ip"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/udp"
@@ -430,7 +431,7 @@ type StateSnapshotter interface {
 }
 
 // Env is the service the proxy provides to filter instances: queue
-// attachment, packet injection, stream teardown, timers, logging, and
+// attachment, packet injection, stream teardown, timers, events, and
 // the host's execution-environment and flow-log measurements.
 type Env interface {
 	// Clock returns the scheduler, for filter timers.
@@ -448,8 +449,9 @@ type Env interface {
 	// a buffer is injected at most once, and a filter that keeps one
 	// to send again injects a copy.
 	Inject(raw []byte)
-	// Logf records a diagnostic line in the proxy log.
-	Logf(format string, args ...any)
+	// Emit records an event on the proxy's bus (obs.Bus.Emit), with the
+	// filter's name as subsys, on state changes and failures only.
+	Emit(subsys, kind, key string, fields ...obs.Field)
 	// Metric returns the current numeric value of one of the host's
 	// EEM variables — the table EEM clients read (thesis ch. 6: "EEM
 	// clients run as user-level threads which can form part of an

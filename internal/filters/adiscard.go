@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/filter"
 	"repro/internal/media"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -63,6 +64,7 @@ func ADiscardStatsFor(k filter.Key) (ADiscardStats, bool) {
 
 type adiscardInst struct {
 	env      filter.Env
+	key      filter.Key
 	ifIndex  int
 	ceil     int // highest layer ever allowed
 	maxLayer int
@@ -77,7 +79,7 @@ type adiscardInst struct {
 }
 
 func (f *adiscard) New(env filter.Env, k filter.Key, args []string) error {
-	inst := &adiscardInst{env: env, ceil: 7}
+	inst := &adiscardInst{env: env, key: k, ceil: 7}
 	if len(args) > 0 {
 		v, err := strconv.Atoi(args[0])
 		if err != nil || v < 0 {
@@ -141,11 +143,11 @@ func (inst *adiscardInst) sample() {
 	case util > adiscardHigh && inst.maxLayer > 0:
 		inst.maxLayer--
 		inst.stats.Adaptations++
-		inst.env.Logf("adiscard: utilization %.2f, shedding to layer <=%d", util, inst.maxLayer)
+		inst.env.Emit("adiscard", "shed", inst.key.String(), obs.F("util", util), obs.F("max-layer", inst.maxLayer))
 	case util < adiscardLow && inst.maxLayer < inst.ceil:
 		inst.maxLayer++
 		inst.stats.Adaptations++
-		inst.env.Logf("adiscard: utilization %.2f, restoring to layer <=%d", util, inst.maxLayer)
+		inst.env.Emit("adiscard", "restore", inst.key.String(), obs.F("util", util), obs.F("max-layer", inst.maxLayer))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/filter"
+	"repro/internal/obs"
 	"repro/internal/tcp"
 )
 
@@ -174,7 +175,7 @@ func (f *decomp) New(env filter.Env, k filter.Key, args []string) error {
 			}
 			out, err := DecompressPayload(p.TCP.Payload)
 			if err != nil {
-				env.Logf("decomp: %v (passing through)", err)
+				env.Emit("decomp", "passthrough", k.String(), obs.F("err", err.Error()))
 				return
 			}
 			p.TCP.Payload = out

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/filter"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 )
@@ -258,7 +259,7 @@ func (m *mwinInst) roll() {
 		target = int64(m.gain * float64(acked) * float64(minRTT) / float64(m.interval))
 	}
 	if !m.active {
-		m.env.Logf("mwin: active on %v, window %d (srtt %v)", m.fwd, target, srtt)
+		m.env.Emit("mwin", "active", m.fwd.String(), obs.F("window", target), obs.F("srtt", srtt))
 		m.active = true
 	}
 	m.setWindow(target)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/filter"
 	"repro/internal/ip"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 )
@@ -75,7 +76,7 @@ func (e *stubEnv) Attach(k filter.Key, h filter.Hooks) (func(), error) {
 }
 func (e *stubEnv) RemoveStream(filter.Key)                   {}
 func (e *stubEnv) Inject([]byte)                             {}
-func (e *stubEnv) Logf(string, ...any)                       {}
+func (e *stubEnv) Emit(string, string, string, ...obs.Field) {}
 func (e *stubEnv) Metric(string, int) (float64, bool)        { return 0, false }
 func (e *stubEnv) FlowSRTT(filter.Key) (time.Duration, bool) { return 0, false }
 func (e *stubEnv) Spawn(string, filter.Key, []string) error  { return nil }

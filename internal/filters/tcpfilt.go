@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/filter"
+	"repro/internal/obs"
 	"repro/internal/tcp"
 )
 
@@ -106,7 +107,7 @@ func (inst *tcpFiltInst) unref() {
 func (inst *tcpFiltInst) repair(p *filter.Packet) {
 	if p.Dirty() && !p.Dropped() {
 		if err := p.Remarshal(); err != nil {
-			inst.env.Logf("tcp: remarshal failed: %v", err)
+			inst.env.Emit("tcp", "remarshal-failed", p.Key.String(), obs.F("err", err.Error()))
 			p.Drop()
 		}
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/filter"
 	"repro/internal/media"
+	"repro/internal/obs"
 )
 
 // translate implements data-type translation (thesis §8.3.3):
@@ -88,7 +89,7 @@ func (f *translate) New(env filter.Env, k filter.Key, args []string) error {
 			// UDP streams have no tcp bookkeeping filter to repair
 			// checksums; this filter re-marshals its own work.
 			if err := p.Remarshal(); err != nil {
-				env.Logf("translate: remarshal: %v", err)
+				env.Emit("translate", "remarshal-failed", k.String(), obs.F("err", err.Error()))
 				p.Drop()
 			}
 		},

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/filter"
 	"repro/internal/ip"
+	"repro/internal/obs"
 	"repro/internal/tcp"
 )
 
@@ -572,7 +573,7 @@ func (t *ttsfInst) ackDroppedFrontier(force bool) {
 	h := ip.Header{TTL: 64, Protocol: ip.ProtoTCP, Src: t.tmplSrc, Dst: t.tmplDst}
 	raw, err := h.Marshal(seg.Marshal(t.tmplSrc, t.tmplDst))
 	if err != nil {
-		t.env.Logf("ttsf: synthesize ack: %v", err)
+		t.env.Emit("ttsf", "synth-ack-failed", t.fwd.String(), obs.F("err", err.Error()))
 		return
 	}
 	t.stats.SynthesizedAcks++

@@ -11,6 +11,7 @@ import (
 	"repro/internal/filters"
 	"repro/internal/ip"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 )
@@ -35,7 +36,7 @@ func (e *fakeEnv) Attach(k filter.Key, h filter.Hooks) (func(), error) {
 }
 func (e *fakeEnv) RemoveStream(k filter.Key)                 { delete(e.hooks, k) }
 func (e *fakeEnv) Inject(raw []byte)                         { e.injects = append(e.injects, raw) }
-func (e *fakeEnv) Logf(f string, args ...any)                {}
+func (e *fakeEnv) Emit(string, string, string, ...obs.Field) {}
 func (e *fakeEnv) Metric(string, int) (float64, bool)        { return 0, false }
 func (e *fakeEnv) FlowSRTT(filter.Key) (time.Duration, bool) { return 0, false }
 func (e *fakeEnv) Spawn(string, filter.Key, []string) error  { return nil }
@@ -87,50 +88,60 @@ func ttsfUnit(t *testing.T) (env *fakeEnv, forward func(p *filter.Packet, servic
 	return env, forward, reverse
 }
 
+// traceStarts are the initial sequence numbers the Fig 8.3/8.4 traces
+// run at: the thesis's 1, then two starts whose segments straddle the
+// 2^32 wrap — the second (dropped, or following) segment at -150, the
+// first (shrunk) segment at -50.
+var traceStarts = []uint32{1, 0xFFFFFFFF - 150, 0xFFFFFFFF - 50}
+
 // TestTTSFDropTraceFig83 replays the §8.1.5 packet-dropping example:
 // three segments; the middle one is dropped by a service. The third
 // segment's sequence number shifts down by the dropped length, and the
 // mobile's final ack is translated up past the dropped bytes.
 func TestTTSFDropTraceFig83(t *testing.T) {
-	_, fwd, rev := ttsfUnit(t)
+	for _, s := range traceStarts {
+		t.Run(fmt.Sprintf("start=%d", s), func(t *testing.T) {
+			_, fwd, rev := ttsfUnit(t)
 
-	// seq 1: 100 bytes pass untouched.
-	p1 := mkData(1, bytes.Repeat([]byte{'a'}, 100))
-	fwd(p1, nil)
-	if p1.TCP.Seq != 1 || p1.Dropped() {
-		t.Fatalf("segment 1 modified: seq=%d dropped=%v", p1.TCP.Seq, p1.Dropped())
-	}
+			// s: 100 bytes pass untouched.
+			p1 := mkData(s, bytes.Repeat([]byte{'a'}, 100))
+			fwd(p1, nil)
+			if p1.TCP.Seq != s || p1.Dropped() {
+				t.Fatalf("segment 1 modified: seq=%d dropped=%v", p1.TCP.Seq, p1.Dropped())
+			}
 
-	// Mobile acks the first segment.
-	a1 := mkAck(101)
-	rev(a1)
-	if a1.TCP.Ack != 101 {
-		t.Fatalf("identity ack translated: %d", a1.TCP.Ack)
-	}
+			// Mobile acks the first segment.
+			a1 := mkAck(s + 100)
+			rev(a1)
+			if a1.TCP.Ack != s+100 {
+				t.Fatalf("identity ack translated: %d", a1.TCP.Ack)
+			}
 
-	// seq 101: 100 bytes dropped by the service filter.
-	p2 := mkData(101, bytes.Repeat([]byte{'b'}, 100))
-	fwd(p2, func(p *filter.Packet) { p.Drop() })
-	if !p2.Dropped() {
-		t.Fatal("drop not preserved")
-	}
+			// s+100: 100 bytes dropped by the service filter.
+			p2 := mkData(s+100, bytes.Repeat([]byte{'b'}, 100))
+			fwd(p2, func(p *filter.Packet) { p.Drop() })
+			if !p2.Dropped() {
+				t.Fatal("drop not preserved")
+			}
 
-	// seq 201: 100 bytes; must appear at seq 101 on the wireless side.
-	p3 := mkData(201, bytes.Repeat([]byte{'c'}, 100))
-	fwd(p3, nil)
-	if p3.TCP.Seq != 101 {
-		t.Fatalf("segment 3 seq = %d, want 101", p3.TCP.Seq)
-	}
+			// s+200: 100 bytes; must appear at s+100 on the wireless side.
+			p3 := mkData(s+200, bytes.Repeat([]byte{'c'}, 100))
+			fwd(p3, nil)
+			if p3.TCP.Seq != s+100 {
+				t.Fatalf("segment 3 seq = %d, want %d", p3.TCP.Seq, s+100)
+			}
 
-	// Mobile acks everything it saw (new space 201 = a+c); the sender
-	// must hear ack 301 (a+b+c in original space).
-	a2 := mkAck(201)
-	rev(a2)
-	if a2.TCP.Ack != 301 {
-		t.Fatalf("ack translated to %d, want 301", a2.TCP.Ack)
-	}
-	if !a2.Dirty() {
-		t.Fatal("translated ack not marked dirty")
+			// Mobile acks everything it saw (new space s+200 = a+c); the
+			// sender must hear ack s+300 (a+b+c in original space).
+			a2 := mkAck(s + 200)
+			rev(a2)
+			if a2.TCP.Ack != s+300 {
+				t.Fatalf("ack translated to %d, want %d", a2.TCP.Ack, s+300)
+			}
+			if !a2.Dirty() {
+				t.Fatal("translated ack not marked dirty")
+			}
+		})
 	}
 }
 
@@ -173,44 +184,48 @@ func TestTTSFSynthesizedAckForFrontierDrop(t *testing.T) {
 // segment shrinks from 100 to 40 bytes; following traffic shifts by 60
 // and acks translate back.
 func TestTTSFShrinkTraceFig84(t *testing.T) {
-	_, fwd, rev := ttsfUnit(t)
+	for _, s := range traceStarts {
+		t.Run(fmt.Sprintf("start=%d", s), func(t *testing.T) {
+			_, fwd, rev := ttsfUnit(t)
 
-	small := bytes.Repeat([]byte{'z'}, 40)
-	p1 := mkData(1, bytes.Repeat([]byte{'x'}, 100))
-	fwd(p1, func(p *filter.Packet) {
-		p.TCP.Payload = small
-		p.MarkDirty()
-	})
-	if p1.TCP.Seq != 1 || len(p1.TCP.Payload) != 40 {
-		t.Fatalf("compressed segment wrong: seq=%d len=%d", p1.TCP.Seq, len(p1.TCP.Payload))
-	}
+			small := bytes.Repeat([]byte{'z'}, 40)
+			p1 := mkData(s, bytes.Repeat([]byte{'x'}, 100))
+			fwd(p1, func(p *filter.Packet) {
+				p.TCP.Payload = small
+				p.MarkDirty()
+			})
+			if p1.TCP.Seq != s || len(p1.TCP.Payload) != 40 {
+				t.Fatalf("compressed segment wrong: seq=%d len=%d", p1.TCP.Seq, len(p1.TCP.Payload))
+			}
 
-	p2 := mkData(101, bytes.Repeat([]byte{'y'}, 100))
-	fwd(p2, nil)
-	if p2.TCP.Seq != 41 {
-		t.Fatalf("following segment seq = %d, want 41", p2.TCP.Seq)
-	}
+			p2 := mkData(s+100, bytes.Repeat([]byte{'y'}, 100))
+			fwd(p2, nil)
+			if p2.TCP.Seq != s+40 {
+				t.Fatalf("following segment seq = %d, want %d", p2.TCP.Seq, s+40)
+			}
 
-	// Partial ack inside the compressed range claims nothing (must be
-	// checked before any larger ack arrives, since later acks prune
-	// the edit log).
-	a2 := mkAck(21)
-	rev(a2)
-	if a2.TCP.Ack != 1 {
-		t.Fatalf("partial ack translated to %d, want 1", a2.TCP.Ack)
-	}
-	// Mobile acks the compressed first segment only: 41 (new) -> 101
-	// (orig, upper preimage).
-	a1 := mkAck(41)
-	rev(a1)
-	if a1.TCP.Ack != 101 {
-		t.Fatalf("ack 41 translated to %d, want 101", a1.TCP.Ack)
-	}
-	// Full ack of both segments: 141 (new) -> 201 (orig).
-	a3 := mkAck(141)
-	rev(a3)
-	if a3.TCP.Ack != 201 {
-		t.Fatalf("ack 141 translated to %d, want 201", a3.TCP.Ack)
+			// Partial ack inside the compressed range claims nothing
+			// (must be checked before any larger ack arrives, since
+			// later acks prune the edit log).
+			a2 := mkAck(s + 20)
+			rev(a2)
+			if a2.TCP.Ack != s {
+				t.Fatalf("partial ack translated to %d, want %d", a2.TCP.Ack, s)
+			}
+			// Mobile acks the compressed first segment only: s+40 (new)
+			// -> s+100 (orig, upper preimage).
+			a1 := mkAck(s + 40)
+			rev(a1)
+			if a1.TCP.Ack != s+100 {
+				t.Fatalf("ack %d translated to %d, want %d", s+40, a1.TCP.Ack, s+100)
+			}
+			// Full ack of both segments: s+140 (new) -> s+200 (orig).
+			a3 := mkAck(s + 140)
+			rev(a3)
+			if a3.TCP.Ack != s+200 {
+				t.Fatalf("ack %d translated to %d, want %d", s+140, a3.TCP.Ack, s+200)
+			}
+		})
 	}
 }
 

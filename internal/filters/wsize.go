@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/filter"
 	"repro/internal/ip"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 )
@@ -145,7 +146,6 @@ type zwsmInst struct {
 
 func (f *wsize) newZWSM(env filter.Env, k filter.Key, timeout time.Duration) error {
 	inst := &zwsmInst{env: env, fwd: k, timeout: timeout, lastFromMobile: env.Clock().Now()}
-	var err error
 	// The template observer runs as an out method above the TTSF so
 	// the captured seq/ack values are in the wired sender's sequence
 	// space even when a TTSF is remapping the stream.
@@ -156,9 +156,10 @@ func (f *wsize) newZWSM(env filter.Env, k filter.Key, timeout time.Duration) err
 	if err != nil {
 		return err
 	}
+	// The forward attachment has no hooks: it lists wsize on the stream
+	// and stops the timer when the stream closes.
 	_, err = env.Attach(k, filter.Hooks{
 		Filter: "wsize", Priority: filter.Lowest,
-		In:      inst.fromWired,
 		OnClose: func() { inst.closed = true; inst.timer.Stop(); detachRev() },
 	})
 	if err != nil {
@@ -191,13 +192,9 @@ func (inst *zwsmInst) fromMobile(p *filter.Packet) {
 		// The mobile is back; its own ACK (passing through right now)
 		// re-opens the window at the sender.
 		inst.stalled = false
-		inst.env.Logf("wsize/zwsm: mobile back, window restored on %v", inst.fwd)
+		inst.env.Emit("wsize", "zwsm-release", inst.fwd.String())
 	}
 }
-
-// fromWired only matters to keep the filter cheap: nothing to do, but
-// the hook documents the attachment in reports.
-func (inst *zwsmInst) fromWired(p *filter.Packet) {}
 
 // check fires periodically: if the mobile has been silent past the
 // timeout while we hold a template, stall the sender with a ZWSM.
@@ -211,7 +208,7 @@ func (inst *zwsmInst) check() {
 		return
 	}
 	if !inst.stalled {
-		inst.env.Logf("wsize/zwsm: mobile silent %v on %v, sending ZWSM", silent, inst.fwd)
+		inst.env.Emit("wsize", "zwsm-stall", inst.fwd.String(), obs.F("silent", silent))
 	}
 	inst.stalled = true
 	inst.sendZWSM()
@@ -229,7 +226,7 @@ func (inst *zwsmInst) sendZWSM() {
 	h := ip.Header{TTL: 64, Protocol: ip.ProtoTCP, Src: inst.srcIP, Dst: inst.dstIP}
 	raw, err := h.Marshal(seg.Marshal(inst.srcIP, inst.dstIP))
 	if err != nil {
-		inst.env.Logf("wsize/zwsm: marshal: %v", err)
+		inst.env.Emit("wsize", "zwsm-marshal-failed", inst.fwd.String(), obs.F("err", err.Error()))
 		return
 	}
 	inst.ZWSMsSent++

@@ -92,8 +92,7 @@ func (p *Proxy) ExportStream(k filter.Key) (*StreamExport, error) {
 			if err != nil {
 				// Fail open: the filter migrates fresh rather than
 				// wedging the whole stream's migration.
-				p.Logf("proxy: snapshot of %s on %v failed (migrating fresh): %v",
-					a.hooks.Filter, qk, err)
+				p.obs.Emit("proxy", "snapshot-failed", qk.String(), obs.F("filter", a.hooks.Filter), obs.F("err", err.Error()))
 				continue
 			}
 			ex.States = append(ex.States, FilterState{
@@ -174,8 +173,7 @@ func (p *Proxy) ImportStream(ex *StreamExport) error {
 		if a == nil {
 			// The binding that owned this state did not reattach here
 			// (launcher spawn, differing args): fresh instance, fail open.
-			p.Logf("proxy: no attachment for migrated state %s on %v (ordinal %d): running fresh",
-				fs.Filter, fs.Key, fs.Ordinal)
+			p.obs.Emit("proxy", "state-orphaned", fs.Key.String(), obs.F("filter", fs.Filter), obs.F("ordinal", fs.Ordinal))
 			continue
 		}
 		if err := a.hooks.State.RestoreState(fs.State); err != nil {

@@ -55,9 +55,9 @@ func (f hookFilter) New(env filter.Env, k filter.Key, _ []string) error {
 var lifecycleKey = filter.Key{SrcIP: ip.AddrFrom4(10, 1, 0, 1), SrcPort: 80,
 	DstIP: ip.AddrFrom4(10, 2, 0, 1), DstPort: 2000}
 
-func lifecyclePacket(t *testing.T, k filter.Key) []byte {
+func lifecyclePacket(t *testing.T, k filter.Key, payload ...byte) []byte {
 	t.Helper()
-	seg := tcp.Segment{SrcPort: k.SrcPort, DstPort: k.DstPort, Seq: 1, Flags: tcp.FlagACK, Window: 65535}
+	seg := tcp.Segment{SrcPort: k.SrcPort, DstPort: k.DstPort, Seq: 1, Flags: tcp.FlagACK, Window: 65535, Payload: payload}
 	h := ip.Header{TTL: 64, Protocol: ip.ProtoTCP, Src: k.SrcIP, Dst: k.DstIP}
 	raw, err := h.Marshal(seg.Marshal(k.SrcIP, k.DstIP))
 	if err != nil {

@@ -122,10 +122,6 @@ type Proxy struct {
 	// allocates a fresh [][]byte per packet.
 	emit [][]byte
 
-	// Log, when non-nil, receives diagnostic lines from filters and
-	// the proxy itself.
-	Log func(string)
-
 	// metricSource, when set, answers filters' execution-environment
 	// queries (filter.Env.Metric); wired to the host's EEM variable
 	// table.
@@ -407,11 +403,9 @@ func (p *Proxy) Inject(raw []byte) {
 	p.node.InjectPacket(raw)
 }
 
-// Logf implements filter.Env.
-func (p *Proxy) Logf(format string, args ...any) {
-	if p.Log != nil {
-		p.Log(fmt.Sprintf(format, args...))
-	}
+// Emit implements filter.Env: record an event on the proxy's bus.
+func (p *Proxy) Emit(subsys, kind, key string, fields ...obs.Field) {
+	p.obs.Emit(subsys, kind, key, fields...)
 }
 
 var _ filter.Env = (*Proxy)(nil)
@@ -532,7 +526,7 @@ func (p *Proxy) InterceptAppend(raw []byte, in *netsim.Iface, dst [][]byte) [][]
 			// its stale checksums, as an in-place edit would. Loading
 			// the tcp bookkeeping filter prevents this.
 			if err := pkt.RemarshalStale(); err != nil {
-				p.Logf("proxy: remarshal of dirty packet failed: %v", err)
+				p.obs.Emit("proxy", "remarshal-failed", q.key.String(), obs.F("err", err.Error()))
 			}
 		}
 		p.Stats.Reinjected.Add(1)
@@ -568,8 +562,6 @@ func (p *Proxy) noteHookPanic(q *queue, a *attachment, r any) {
 	p.obs.Emit("proxy", "filter-panic", q.key.String(),
 		obs.F("filter", a.hooks.Filter), obs.F("strikes", a.strikes),
 		obs.F("err", fmt.Sprint(r)))
-	p.Logf("proxy: filter %s panicked on %v (strike %d/%d): %v",
-		a.hooks.Filter, q.key, a.strikes, QuarantineStrikes, r)
 	if a.strikes >= QuarantineStrikes && !a.quarantined {
 		a.quarantined = true
 		q.pendingQuarantine = true
@@ -587,8 +579,6 @@ func (p *Proxy) sweepQuarantined(q *queue) {
 		p.Stats.FilterQuarantines.Add(1)
 		p.obs.Emit("proxy", "filter-quarantine", q.key.String(),
 			obs.F("filter", a.hooks.Filter), obs.F("strikes", a.strikes))
-		p.Logf("proxy: filter %s quarantined on %v after %d panics (stream fails open)",
-			a.hooks.Filter, q.key, a.strikes)
 		if a.hooks.OnClose != nil {
 			// The filter already proved itself broken; a panicking
 			// OnClose must not undo the containment.
@@ -699,7 +689,7 @@ func (p *Proxy) buildQueue(k filter.Key) *queue {
 	for _, i := range p.matchScratch {
 		r := p.registry[i]
 		if err := r.factory.New(p, k, r.args); err != nil {
-			p.Logf("proxy: %s insertion on %v failed: %v", r.factory.Name(), k, err)
+			p.obs.Emit("proxy", "insert-failed", k.String(), obs.F("filter", r.factory.Name()), obs.F("err", err.Error()))
 		}
 	}
 	q := p.queues[k] // filters attached via Env.Attach
