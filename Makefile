@@ -20,12 +20,12 @@ test:
 # build also poisons every datagram buffer netsim recycles (0xDB), so
 # each digest, sweep and relay test here fails on bytes kept past
 # their datagram's death. The second line repeats the
-# scheduling-sensitive ones (wall-clock watchdog, control against live
-# traffic, the idle worker's park handshake), so a flake shows up here,
-# not in somebody's unrelated PR.
+# scheduling-sensitive ones (control against live traffic, the idle
+# worker's park handshake), so a flake shows up here, not in somebody's
+# unrelated PR.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'Watchdog|VsTrafficRace|NoStrandedPacket' ./internal/dataplane
+	$(GO) test -race -count=20 -run 'VsTrafficRace|NoStrandedPacket' ./internal/dataplane
 
 vet:
 	$(GO) vet ./...

@@ -1,8 +1,6 @@
 package dataplane
 
 import (
-	"time"
-
 	"repro/internal/obs"
 	"repro/internal/proxy"
 )
@@ -26,11 +24,6 @@ type executor interface {
 
 	setObs(b *obs.Bus, r *obs.Registry)
 	registerMetrics(pl *Plane, r *obs.Registry, prefix string)
-
-	startWatchdog(interval time.Duration) (stop func())
-	stalledShards() []int
-	watchdogTrips() int64
-	injectStall(i int, d time.Duration)
 	counters() ringCounters
 }
 
@@ -39,8 +32,7 @@ type ringCounters struct{ stalls, batches, wakeups int64 }
 
 // inlineExec runs everything on the caller's goroutine, the only one
 // that intercepts (the simulator's): a direct call in shard order can
-// never meet a packet, there is nothing to drain, and no shard
-// can stall on its own.
+// never meet a packet and there is nothing to drain.
 type inlineExec struct{ shards []*proxy.Proxy }
 
 func (e inlineExec) on(i int, fn func(p *proxy.Proxy)) { fn(e.shards[i]) }
@@ -70,8 +62,4 @@ func (e inlineExec) registerMetrics(pl *Plane, r *obs.Registry, prefix string) {
 	pl.registerMerged(r, prefix)
 }
 
-func (inlineExec) startWatchdog(time.Duration) (stop func()) { return func() {} }
-func (inlineExec) stalledShards() []int                      { return nil }
-func (inlineExec) watchdogTrips() int64                      { return 0 }
-func (inlineExec) injectStall(int, time.Duration)            {}
-func (inlineExec) counters() ringCounters                    { return ringCounters{} }
+func (inlineExec) counters() ringCounters { return ringCounters{} }

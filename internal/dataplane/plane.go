@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/filter"
 	"repro/internal/flowlog"
@@ -131,32 +130,6 @@ func (pl *Plane) Wakeups() int64 { return pl.exec.counters().wakeups }
 // Close stops the shard goroutines after sealing open batches and
 // draining the rings. The plane must not be used afterwards.
 func (pl *Plane) Close() { pl.exec.close() }
-
-// --- shard watchdog ----------------------------------------------------------
-
-// StartWatchdog launches a wall-clock monitor over the shard
-// goroutines: a shard holding backlog (ring batches or queued control
-// messages) that made no progress since the last look is nudged awake
-// — which heals the one benign cause, a lost wakeup — and at the
-// second such look in a row (stallLooks) is flagged stalled and counted
-// in WatchdogTrips. The flag clears when the shard makes progress
-// again. A plane that intercepts on its caller's goroutine has nothing
-// to watch. Returns a stop function (idempotent).
-func (pl *Plane) StartWatchdog(interval time.Duration) (stop func()) {
-	return pl.exec.startWatchdog(interval)
-}
-
-// StalledShards returns the indices currently flagged by the watchdog,
-// in order. Empty on a healthy plane.
-func (pl *Plane) StalledShards() []int { return pl.exec.stalledShards() }
-
-// WatchdogTrips returns the cumulative number of stall detections.
-func (pl *Plane) WatchdogTrips() int64 { return pl.exec.watchdogTrips() }
-
-// InjectStall wedges shard i's goroutine for d at its next batch
-// boundary — the fault-injection primitive of the watchdog tests.
-// Fire-and-forget: the caller is not blocked for the stall's duration.
-func (pl *Plane) InjectStall(i int, d time.Duration) { pl.exec.injectStall(i, d) }
 
 // --- control plane -----------------------------------------------------------
 

@@ -97,8 +97,6 @@ func TestProgramSwapVsTrafficRace(t *testing.T) {
 		Sink:      func(_ int, out [][]byte) { emitted.Add(int64(len(out))) },
 	})
 	defer pl.Close()
-	stopDog := pl.StartWatchdog(5 * time.Millisecond)
-	defer stopDog()
 	reg := obs.NewRegistry()
 	pl.RegisterMetrics(reg, "plane")
 
@@ -156,9 +154,8 @@ func TestProgramSwapVsTrafficRace(t *testing.T) {
 // taking their open arenas race dispatcher seals on the producer lock),
 // while the control side swaps epochs with library-wide load/remove
 // cycles, fires exact-key mutations at the owning shards, forces
-// classifier recompiles, seals every open arena from a third goroutine
-// with wild-card commands, and injects micro-stalls at batch
-// boundaries with the watchdog running. The race detector is the
+// classifier recompiles and seals every open arena from a third
+// goroutine with wild-card commands. The race detector is the
 // oracle for shard-state isolation; the final count asserts no packet
 // was lost in a partial batch across all the quiesce points. The
 // sender holds its second half until the control loop has issued one
@@ -172,8 +169,6 @@ func TestBatchedControlVsTrafficRace(t *testing.T) {
 		BatchSize: 16,
 	})
 	defer pl.Close()
-	stopDog := pl.StartWatchdog(5 * time.Millisecond)
-	defer stopDog()
 
 	const bursts = 500
 	const per = 16
@@ -224,7 +219,6 @@ func TestBatchedControlVsTrafficRace(t *testing.T) {
 			pl.Command("remove rdrop")
 			pl.FlushMatchCache()
 		case 5:
-			pl.InjectStall(i%4, 100*time.Microsecond)
 			pl.Command("streams")
 		case 6:
 			pl.Command("delete rdrop 0.0.0.0 0 0.0.0.0 0")
@@ -242,9 +236,11 @@ func TestBatchedControlVsTrafficRace(t *testing.T) {
 // busy, polling, deciding to park and parked. No Drain and no Command
 // is issued — nothing but the handshake moves a packet — and every one
 // must reach the sink, in order per flow, before the deadline. The
-// RingSize 2 case fills the ring, so the producer holds the lock while
-// it spins and the worker must never wait for it. Dispatch runs on its
-// own goroutine, so a hang fails at the deadline too.
+// RingSize 2 cases fill the ring, so the producer holds the lock while
+// it spins and the worker must never wait for it; at 4 shards the
+// dispatcher spins on one full ring while the other shards poll and
+// park. Dispatch runs on its own goroutine, so a hang fails at the
+// deadline too.
 func TestParkHandshakeNoStrandedPacket(t *testing.T) {
 	type tc struct{ shards, batch, ring int }
 	var cases []tc
@@ -253,7 +249,7 @@ func TestParkHandshakeNoStrandedPacket(t *testing.T) {
 			cases = append(cases, tc{shards, batch, 64})
 		}
 	}
-	cases = append(cases, tc{1, 1, 2})
+	cases = append(cases, tc{1, 1, 2}, tc{4, 1, 2})
 	for i, c := range cases {
 		t.Run(fmt.Sprintf("shards=%d/batch=%d/ring=%d", c.shards, c.batch, c.ring), func(t *testing.T) {
 			const flows, bursts = 16, 300

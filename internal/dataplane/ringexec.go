@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/filter"
 	"repro/internal/netsim"
@@ -31,11 +29,6 @@ type Sink func(shard int, out [][]byte)
 // per-packet signaling; a shard that keeps up takes each arena as it
 // stands, so the size bounds a batch without delaying a packet.
 const DefaultBatchSize = 64
-
-// stallLooks is how many consecutive watchdog looks must find a shard
-// with backlog and an unchanged progress counter before it is flagged:
-// at one, a goroutine the OS kept off-CPU for an interval looks wedged.
-const stallLooks = 2
 
 // ConcurrentConfig shapes NewConcurrent.
 type ConcurrentConfig struct {
@@ -71,9 +64,7 @@ type ConcurrentConfig struct {
 // the event bus is bound to one scheduler.
 type ringExec struct {
 	workers []*worker
-
-	trips  atomic.Int64 // shard-stall detections
-	closed bool
+	closed  bool
 }
 
 func newRingExec(cfg ConcurrentConfig) *ringExec {
@@ -166,8 +157,6 @@ func (*ringExec) setObs(*obs.Bus, *obs.Registry) {
 
 func (e *ringExec) registerMetrics(pl *Plane, r *obs.Registry, prefix string) {
 	pl.registerMerged(r, prefix)
-	r.Counter(prefix+".watchdog_trips", e.watchdogTrips)
-	r.Gauge(prefix+".stalled_shards", func() float64 { return float64(len(e.stalledShards())) })
 	r.Counter(prefix+".batches", func() int64 { return e.counters().batches })
 	r.Counter(prefix+".wakeups", func() int64 { return e.counters().wakeups })
 	r.Counter(prefix+".ring_stalls", func() int64 { return e.counters().stalls })
@@ -181,62 +170,4 @@ func (e *ringExec) counters() ringCounters {
 		c.wakeups += w.wakes.Load()
 	}
 	return c
-}
-
-// startWatchdog: progress is the worker's fine-grained counter — batch
-// pickups, every packet inside a batch, control executions — not
-// completed batches, so a shard grinding through a large in-flight
-// batch is never flagged for finishing none within the interval.
-// Backlog counts the open arena too: packets a wedged worker never took
-// wait there, unsealed, until a quiesce.
-func (e *ringExec) startWatchdog(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	stopCh := make(chan struct{})
-	last := make([]int64, len(e.workers))
-	idle := make([]int, len(e.workers)) // consecutive looks with backlog and no progress
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-t.C:
-				for i, w := range e.workers {
-					p := w.progress.Load()
-					backlog := w.ring.len() > 0 || len(w.ctrl) > 0 || w.openBacklog()
-					if backlog && p == last[i] {
-						idle[i]++
-						if idle[i] >= stallLooks && !w.stalled.Swap(true) {
-							e.trips.Add(1)
-						}
-						w.wakeup() // on the first look already: heals a lost wakeup
-					} else {
-						idle[i] = 0
-						w.stalled.Store(false)
-					}
-					last[i] = p
-				}
-			}
-		}
-	}()
-	return sync.OnceFunc(func() { close(stopCh) })
-}
-
-func (e *ringExec) stalledShards() []int {
-	var out []int
-	for i, w := range e.workers {
-		if w.stalled.Load() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func (e *ringExec) watchdogTrips() int64 { return e.trips.Load() }
-
-func (e *ringExec) injectStall(i int, d time.Duration) {
-	e.workers[i].send(ctrlMsg{fn: func(*proxy.Proxy) { time.Sleep(d) }})
 }

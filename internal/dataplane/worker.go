@@ -12,8 +12,7 @@ import (
 // ctrlMsg is one control-plane operation executed by the shard
 // goroutine between batches. done, when non-nil, is signalled after fn
 // returns, so a broadcast that waits on every shard's done is a full
-// quiesce point; fire-and-forget messages (fault injection) leave it
-// nil.
+// quiesce point; fire-and-forget messages leave it nil.
 type ctrlMsg struct {
 	fn   func(p *proxy.Proxy)
 	done *sync.WaitGroup
@@ -47,13 +46,13 @@ type worker struct {
 
 	// The producer's fields sit on cache lines of their own: it writes
 	// mu and open per packet and reads parked per packet, while the
-	// worker writes out and progress per packet.
+	// worker writes out per packet.
 	_ [64]byte
 	// mu serializes the producer side: the open arena and ring pushes.
 	// Dispatchers, quiesce-time flushes and the idle worker taking the
 	// open arena all land here, so the ring keeps a single logical
 	// producer even though several goroutines may seal batches. The
-	// worker and the watchdog only ever TryLock it: a producer spinning
+	// worker only ever TryLocks it: a producer spinning
 	// on a full ring holds mu until the worker drains a slot.
 	mu   sync.Mutex
 	open [][]byte // accumulating batch; nil refs after recycle
@@ -82,19 +81,11 @@ type worker struct {
 	arenaAllocs atomic.Int64
 
 	// wakes counts wakeup signals actually sent — at most one per park
-	// from the packet path, plus control messages and watchdog nudges.
+	// from the packet path, plus control messages.
 	wakes atomic.Int64
 
 	// batches counts batches fully drained.
 	batches atomic.Int64
-	// progress advances on every unit of forward motion the shard
-	// makes — batch pickup, each packet within a batch, each control
-	// message — so the watchdog can tell a shard grinding through a
-	// large in-flight batch from a wedged one.
-	progress atomic.Int64
-	// stalled is the watchdog's verdict: backlog with no progress on
-	// stallLooks consecutive looks. Cleared when progress resumes.
-	stalled atomic.Bool
 }
 
 // wakeup nudges a possibly-parked worker; a full wake buffer means a
@@ -195,18 +186,6 @@ func (w *worker) takeOpen() [][]byte {
 	return b
 }
 
-// openBacklog reports whether the open arena holds packets, for the
-// watchdog. A busy mu reads as no: the producer holding it is either
-// mid-enqueue or spinning on a full ring, which shows as ring backlog.
-func (w *worker) openBacklog() bool {
-	if !w.mu.TryLock() {
-		return false
-	}
-	n := len(w.open)
-	w.mu.Unlock()
-	return n > 0
-}
-
 // run is the shard loop: work while there is any, poll for one
 // wake latency when there is none, then park. It ends when the plane
 // stops.
@@ -283,7 +262,6 @@ func (w *worker) park() bool {
 }
 
 func (w *worker) runCtrl(m ctrlMsg) {
-	w.progress.Add(1)
 	m.fn(w.prox)
 	if m.done != nil {
 		m.done.Done()
@@ -292,13 +270,9 @@ func (w *worker) runCtrl(m ctrlMsg) {
 
 // deliverBatch intercepts every packet of the batch, delivers the
 // accumulated output in a single sink call, and recycles the arena.
-// progress advances per packet, so the watchdog sees a shard grinding
-// a large batch as live, not stalled.
 func (w *worker) deliverBatch(b [][]byte) {
-	w.progress.Add(1)
 	for _, raw := range b {
 		w.out = w.prox.InterceptAppend(raw, nil, w.out)
-		w.progress.Add(1)
 	}
 	if w.sink != nil && len(w.out) > 0 {
 		w.sink(w.idx, w.out)

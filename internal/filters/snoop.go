@@ -119,7 +119,7 @@ func (inst *snoopInst) dataToMobile(p *filter.Packet) {
 		return
 	}
 	seq := p.TCP.Seq
-	if inst.haveAck && seqLEu(seq+uint32(len(p.TCP.Payload)), inst.lastAck) {
+	if inst.haveAck && tcp.SeqLE(seq+uint32(len(p.TCP.Payload)), inst.lastAck) {
 		return // entirely old data, mobile already has it
 	}
 	// Snapshot the packet as it will appear on the wireless link,
@@ -145,7 +145,7 @@ func (inst *snoopInst) dataToMobile(p *filter.Packet) {
 	}
 	inst.stats.Cached++
 	i := 0
-	for i < len(inst.cache) && seqLTu(inst.cache[i].seq, seq) {
+	for i < len(inst.cache) && tcp.SeqLT(inst.cache[i].seq, seq) {
 		i++
 	}
 	inst.cache = append(inst.cache, nil)
@@ -162,10 +162,10 @@ func (inst *snoopInst) ackFromMobile(p *filter.Packet) {
 		return
 	}
 	ack := p.TCP.Ack
-	if !inst.haveAck || seqLTu(inst.lastAck, ack) {
+	if !inst.haveAck || tcp.SeqLT(inst.lastAck, ack) {
 		// New ACK: sample RTT from the oldest segment it covers, then
 		// evict covered segments.
-		for len(inst.cache) > 0 && seqLEu(inst.cache[0].seq+inst.cache[0].length, ack) {
+		for len(inst.cache) > 0 && tcp.SeqLE(inst.cache[0].seq+inst.cache[0].length, ack) {
 			c := inst.cache[0]
 			if c.rexmits == 0 { // Karn, locally
 				m := inst.env.Clock().Now().Sub(c.sentAt)
@@ -250,7 +250,3 @@ func (inst *snoopInst) onTimeout() {
 	inst.timerBackoff++
 	inst.armTimer()
 }
-
-// Sequence comparison helpers (unsigned 32-bit circular space).
-func seqLTu(a, b uint32) bool { return int32(a-b) < 0 }
-func seqLEu(a, b uint32) bool { return int32(a-b) <= 0 }

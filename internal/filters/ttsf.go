@@ -291,7 +291,7 @@ func (t *ttsfInst) before(live []edit, i int) int64 {
 // and span far less than 2³¹ of sequence space, so "ends at or before
 // s" holds for a prefix of them and a binary search finds its end.
 func firstEndingAfter(live []edit, s uint32) int {
-	return sort.Search(len(live), func(i int) bool { return seqLTu(s, live[i].origEnd()) })
+	return sort.Search(len(live), func(i int) bool { return tcp.SeqLT(s, live[i].origEnd()) })
 }
 
 // deltaBefore returns the cumulative sequence-space delta of all edits
@@ -315,8 +315,8 @@ func (t *ttsfInst) mapOrig(s uint32) uint32 {
 // ack is not before its end and the search passes over it).
 func (t *ttsfInst) invMapAck(a uint32) uint32 {
 	live := t.live()
-	i := sort.Search(len(live), func(i int) bool { return seqLTu(a, live[i].newEnd()) })
-	if i < len(live) && !seqLTu(a, live[i].newStart()) {
+	i := sort.Search(len(live), func(i int) bool { return tcp.SeqLT(a, live[i].newEnd()) })
+	if i < len(live) && !tcp.SeqLT(a, live[i].newStart()) {
 		// Partial ack of a transformed range: conservatively claim
 		// nothing of the original range.
 		return live[i].origStart
@@ -372,13 +372,13 @@ func (t *ttsfInst) forwardOut(p *filter.Packet) {
 
 	end := seq + origLen
 	switch {
-	case seq == t.frontier || seqLTu(t.frontier, seq):
+	case seq == t.frontier || tcp.SeqLT(t.frontier, seq):
 		// New data (possibly with a gap we'll see later as a
 		// retransmission): record the service filters' work.
 		t.recordNew(p, seq, origLen)
 	default:
 		// Retransmission of serviced data.
-		if t.haveAckFwd && seqLEu(end, t.maxAckFwd) {
+		if t.haveAckFwd && tcp.SeqLE(end, t.maxAckFwd) {
 			// The whole range is already acknowledged toward the
 			// sender (its covering ack may have been lost): drop the
 			// stale copy and re-assert the ack. Edits below this point
@@ -389,7 +389,7 @@ func (t *ttsfInst) forwardOut(p *filter.Packet) {
 			return
 		}
 		// Rebuild it from the record.
-		if seqLTu(t.frontier, end) {
+		if tcp.SeqLT(t.frontier, end) {
 			// Straddles the frontier: cut at the frontier; the tail
 			// will arrive again as new data later. Only the recorded
 			// prefix can be reproduced faithfully.
@@ -464,10 +464,10 @@ func (t *ttsfInst) reconstruct(p *filter.Packet, seq, origLen uint32) {
 	live := t.live()
 	for i := firstEndingAfter(live, seq); i < len(live); i++ {
 		e := &live[i]
-		if seqLEu(end, e.origStart) {
+		if tcp.SeqLE(end, e.origStart) {
 			break
 		}
-		if seqLTu(cur, e.origStart) {
+		if tcp.SeqLT(cur, e.origStart) {
 			out = append(out, orig[cur-seq:e.origStart-seq]...)
 			cur = e.origStart
 		}
@@ -477,7 +477,7 @@ func (t *ttsfInst) reconstruct(p *filter.Packet, seq, origLen uint32) {
 			p.Drop()
 			return
 		}
-		if seqLTu(end, e.origEnd()) {
+		if tcp.SeqLT(end, e.origEnd()) {
 			// The retransmission ends inside this edit (the sender
 			// re-chunked the window differently): forward only the
 			// reconstructable prefix. The covering ack for it moves
@@ -488,7 +488,7 @@ func (t *ttsfInst) reconstruct(p *filter.Packet, seq, origLen uint32) {
 		out = append(out, e.newBytes...)
 		cur = e.origEnd()
 	}
-	if !truncated && seqLTu(cur, end) {
+	if !truncated && tcp.SeqLT(cur, end) {
 		out = append(out, orig[cur-seq:end-seq]...)
 	}
 	t.stats.Reconstructed++
@@ -536,7 +536,7 @@ func (t *ttsfInst) reverseOut(p *filter.Packet) {
 	t.tmplDst = p.IP.Dst
 
 	a := p.TCP.Ack
-	if !t.haveMobileAck || seqLTu(t.mobileAckNew, a) {
+	if !t.haveMobileAck || tcp.SeqLT(t.mobileAckNew, a) {
 		t.mobileAckNew = a
 		t.haveMobileAck = true
 	}
@@ -545,7 +545,7 @@ func (t *ttsfInst) reverseOut(p *filter.Packet) {
 		p.TCP.Ack = orig
 		p.MarkDirty()
 	}
-	if !t.haveAckFwd || seqLTu(t.maxAckFwd, orig) {
+	if !t.haveAckFwd || tcp.SeqLT(t.maxAckFwd, orig) {
 		t.maxAckFwd = orig
 		t.haveAckFwd = true
 		t.prune()
@@ -560,7 +560,7 @@ func (t *ttsfInst) ackDroppedFrontier(force bool) {
 		return
 	}
 	orig := t.invMapAck(t.mobileAckNew)
-	if t.haveAckFwd && !seqLTu(t.maxAckFwd, orig) && !(force && orig == t.maxAckFwd) {
+	if t.haveAckFwd && !tcp.SeqLT(t.maxAckFwd, orig) && !(force && orig == t.maxAckFwd) {
 		return
 	}
 	t.maxAckFwd = orig
@@ -591,7 +591,7 @@ func (t *ttsfInst) prune() {
 	if !t.haveAckFwd {
 		return
 	}
-	for t.head < len(t.edits) && seqLEu(t.edits[t.head].origEnd(), t.maxAckFwd) {
+	for t.head < len(t.edits) && tcp.SeqLE(t.edits[t.head].origEnd(), t.maxAckFwd) {
 		t.edits[t.head].newBytes = nil
 		t.head++
 	}

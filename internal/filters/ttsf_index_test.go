@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tcp"
 )
 
 // linearLog is the edit log as the TTSF kept it before the cumulative
@@ -18,7 +20,7 @@ type linearLog struct {
 func (l *linearLog) deltaBefore(s uint32) int64 {
 	d := l.base
 	for i := range l.edits {
-		if !seqLEu(l.edits[i].origEnd(), s) {
+		if !tcp.SeqLE(l.edits[i].origEnd(), s) {
 			break
 		}
 		d += l.edits[i].delta()
@@ -32,10 +34,10 @@ func (l *linearLog) invMapAck(a uint32) uint32 {
 		e := &l.edits[i]
 		newStart := uint32(int64(e.origStart) + d)
 		newEnd := newStart + uint32(len(e.newBytes))
-		if seqLTu(a, newStart) {
+		if tcp.SeqLT(a, newStart) {
 			return uint32(int64(a) - d)
 		}
-		if seqLTu(a, newEnd) {
+		if tcp.SeqLT(a, newEnd) {
 			return e.origStart
 		}
 		d += e.delta()
@@ -45,7 +47,7 @@ func (l *linearLog) invMapAck(a uint32) uint32 {
 
 func (l *linearLog) prune(maxAckFwd uint32) {
 	n := 0
-	for n < len(l.edits) && seqLEu(l.edits[n].origEnd(), maxAckFwd) {
+	for n < len(l.edits) && tcp.SeqLE(l.edits[n].origEnd(), maxAckFwd) {
 		l.base += l.edits[n].delta()
 		n++
 	}
@@ -100,7 +102,7 @@ func TestTTSFIndexMatchesLinearScan(t *testing.T) {
 				if got := idx.invMapAck(mobileAck); got != orig {
 					t.Fatalf("trial %d step %d: invMapAck(%d) = %d, oracle %d", trial, step, mobileAck, got, orig)
 				}
-				if seqLTu(idx.maxAckFwd, orig) {
+				if tcp.SeqLT(idx.maxAckFwd, orig) {
 					idx.maxAckFwd = orig
 					idx.prune()
 					lin.prune(orig)

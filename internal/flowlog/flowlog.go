@@ -184,10 +184,6 @@ func canonical(k filter.Key) (ck filter.Key, dir int) {
 	return k, 0
 }
 
-// seqLT/seqLE are TCP sequence-space comparisons (wrap-safe).
-func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
-func seqLE(a, b uint32) bool { return int32(a-b) <= 0 }
-
 // Record folds one TCP segment into its flow. k is the packet's parse
 // key (source endpoint first); seg's fields are copied, never
 // retained, honoring the packet pool's release contract. Steady state
@@ -224,7 +220,7 @@ func (t *Table) Record(k filter.Key, seg *tcp.Segment, rawLen int) {
 	retrans := false
 	if slen := seg.SeqLen(); slen > 0 {
 		end := seg.Seq + slen
-		if f.haveSeq[d] && seqLE(end, f.maxSeqEnd[d]) {
+		if f.haveSeq[d] && tcp.SeqLE(end, f.maxSeqEnd[d]) {
 			// The segment's whole range is at or below the frontier:
 			// a retransmission. (A partial overlap advances the
 			// frontier and counts as new data.)
@@ -233,7 +229,7 @@ func (t *Table) Record(k filter.Key, seg *tcp.Segment, rawLen int) {
 			t.stats.Retrans.Add(1)
 			f.pendSet[d] = false // Karn: the pending sample is ambiguous now
 		} else {
-			if !f.haveSeq[d] || seqLT(f.maxSeqEnd[d], end) {
+			if !f.haveSeq[d] || tcp.SeqLT(f.maxSeqEnd[d], end) {
 				f.maxSeqEnd[d] = end
 				f.haveSeq[d] = true
 			}
@@ -266,7 +262,7 @@ func (t *Table) Record(k filter.Key, seg *tcp.Segment, rawLen int) {
 
 	if seg.Flags&tcp.FlagACK != 0 {
 		o := 1 - d
-		if f.pendSet[o] && seqLE(f.pendSeq[o], seg.Ack) {
+		if f.pendSet[o] && tcp.SeqLE(f.pendSeq[o], seg.Ack) {
 			t.sample(f, now.Sub(f.pendTime[o]))
 			f.pendSet[o] = false
 		}

@@ -1,6 +1,7 @@
 package flowlog
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -95,18 +96,27 @@ func TestHandshakeRTTAndCounters(t *testing.T) {
 	}
 }
 
+// TestRetransDetection runs the same four segments from three
+// sequence bases: 0; one where the first segment ends exactly on the
+// 2^32 wrap; and one where the frontier sits just below the wrap and
+// the partial overlap ends past it, which only a wrap-safe comparison
+// counts as new data.
 func TestRetransDetection(t *testing.T) {
-	tbl, _ := newTestTable(Config{})
-	rec(tbl, fwd, tcp.FlagACK, 1000, 1, 65535, 100) // new data, frontier 1100
-	rec(tbl, fwd, tcp.FlagACK, 1000, 1, 65535, 100) // full retransmission
-	rec(tbl, fwd, tcp.FlagACK, 1050, 1, 65535, 100) // partial overlap: new data
-	rec(tbl, fwd, tcp.FlagACK, 1100, 1, 65535, 50)  // fully below frontier 1150
-	r := one(t, tbl, StateActive)
-	if r.Init.Retrans != 2 {
-		t.Fatalf("retrans %d, want 2", r.Init.Retrans)
-	}
-	if snap := tbl.Stats().Snapshot(); snap.Retrans != 2 || snap.DataPkts != 4 {
-		t.Fatalf("stats retrans/data = %d/%d, want 2/4", snap.Retrans, snap.DataPkts)
+	for _, base := range []uint32{0, 0xFFFFFFFF - 1099, 0xFFFFFFFF - 1119} {
+		t.Run(fmt.Sprintf("base=%#x", base), func(t *testing.T) {
+			tbl, _ := newTestTable(Config{})
+			rec(tbl, fwd, tcp.FlagACK, base+1000, 1, 65535, 100) // new data, frontier base+1100
+			rec(tbl, fwd, tcp.FlagACK, base+1000, 1, 65535, 100) // full retransmission
+			rec(tbl, fwd, tcp.FlagACK, base+1050, 1, 65535, 100) // partial overlap: new data
+			rec(tbl, fwd, tcp.FlagACK, base+1100, 1, 65535, 50)  // fully below frontier base+1150
+			r := one(t, tbl, StateActive)
+			if r.Init.Retrans != 2 {
+				t.Fatalf("retrans %d, want 2", r.Init.Retrans)
+			}
+			if snap := tbl.Stats().Snapshot(); snap.Retrans != 2 || snap.DataPkts != 4 {
+				t.Fatalf("stats retrans/data = %d/%d, want 2/4", snap.Retrans, snap.DataPkts)
+			}
+		})
 	}
 }
 

@@ -3,16 +3,16 @@
 //
 // It has two halves. The event bus records structured records
 // (sim.Time, subsystem, kind, key, fields) in the exact order the
-// scheduler produced them, with ring-buffer retention and an optional
-// pcap-style packet-capture sink. An event holds its fields' values —
-// strings and tagged numbers, copied into the ring slot — and is
-// rendered when somebody reads it, so emitting costs the emitter its
-// key string and nothing in the bus; only a fmt.Stringer or a value of
-// a type F does not know is formatted at emission. The ring grows to
-// its retention as events arrive. The metrics registry unifies the
-// per-package counters (proxy.Stats, netsim.LinkStats/NodeStats, the
-// tcp MIB, eem.Server stats) behind named, snapshotable counters and
-// gauges rendered through internal/trace.
+// scheduler produced them, with ring-buffer retention. An event holds
+// its fields' values — strings and tagged numbers, copied into the
+// ring slot — and is rendered when somebody reads it, so emitting costs
+// the emitter its key string and nothing in the bus; only a
+// fmt.Stringer or a value of a type F does not know is formatted at
+// emission. The ring grows to its retention as events arrive. The
+// metrics registry unifies the per-package counters (proxy.Stats,
+// netsim.LinkStats/NodeStats, the tcp MIB, eem.Server stats) behind
+// named, snapshotable counters and gauges rendered through
+// internal/trace.
 //
 // Determinism contract: everything emitted derives from simulation
 // state — virtual time, seeded randomness, scheduler order. Two runs
@@ -200,7 +200,6 @@ type Bus struct {
 	next      int     // ring slot the next event lands in, once full
 	total     uint64  // events emitted over the bus's lifetime
 
-	capture      *Capture
 	tracePackets bool
 }
 
@@ -248,9 +247,6 @@ func (b *Bus) slot() *Event {
 	return &b.ring[len(b.ring)-1]
 }
 
-// SetCapture attaches a pcap-style packet sink fed by EmitPacket.
-func (b *Bus) SetCapture(c *Capture) { b.capture = c }
-
 // SetTracePackets toggles per-packet events from EmitPacket. Off by
 // default: the packet path is the hot path, and per-packet records are
 // only worth their cost when someone asked to see them.
@@ -259,20 +255,13 @@ func (b *Bus) SetTracePackets(on bool) { b.tracePackets = on }
 // PacketsTraced reports whether EmitPacket currently does anything, so
 // hot paths can skip building the key string. Safe on a nil bus.
 func (b *Bus) PacketsTraced() bool {
-	return b != nil && (b.tracePackets || b.capture != nil)
+	return b != nil && b.tracePackets
 }
 
-// EmitPacket records a packet-level event: the raw datagram goes to
-// the capture sink (if attached) and a compact event (length only) to
-// the ring (if packet tracing is on). Safe on a nil bus.
+// EmitPacket records a compact packet-level event (length only) when
+// packet tracing is on. Safe on a nil bus.
 func (b *Bus) EmitPacket(subsys, kind, key string, raw []byte) {
-	if !b.PacketsTraced() {
-		return
-	}
-	if b.capture != nil {
-		b.capture.Packet(b.clock.Now(), raw)
-	}
-	if b.tracePackets {
+	if b.PacketsTraced() {
 		b.Emit(subsys, kind, key, F("len", len(raw)))
 	}
 }

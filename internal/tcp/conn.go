@@ -401,7 +401,7 @@ func (c *Conn) onRetransmitTimeout() {
 		// byte so slow start retransmits the whole lost window with
 		// ACK clocking (classic BSD behaviour). Without this, a
 		// multi-segment loss would crawl back at one segment per RTO.
-		if seqLT(c.sndUna, c.sndNxt) {
+		if SeqLT(c.sndUna, c.sndNxt) {
 			c.sndNxt = c.sndUna
 			if c.finSent {
 				c.finSent = false // the FIN is resent after the data
@@ -431,7 +431,7 @@ func (c *Conn) retransmitOne() {
 		c.stats.BytesSent += int64(dataLen)
 		return
 	}
-	if c.finSent && seqLE(c.sndUna, c.sndNxt-1) {
+	if c.finSent && SeqLE(c.sndUna, c.sndNxt-1) {
 		c.sendSegment(&Segment{
 			Flags: FlagFIN | FlagACK, Seq: c.sndNxt - 1, Ack: c.rcvNxt,
 			Window: uint16(c.rcvWndSize()),
@@ -446,7 +446,7 @@ func (c *Conn) handshakeInProgress() bool {
 // --- RTT estimation ---------------------------------------------------------
 
 func (c *Conn) sampleRTT(ack uint32) {
-	if !c.rttPending || seqLT(ack, c.rttSeq) {
+	if !c.rttPending || SeqLT(ack, c.rttSeq) {
 		return
 	}
 	c.rttPending = false
@@ -583,16 +583,16 @@ func (c *Conn) acceptable(seg *Segment) bool {
 		if wnd == 0 {
 			return seg.Seq == c.rcvNxt
 		}
-		return seqLE(c.rcvNxt, seg.Seq) && seqLT(seg.Seq, c.rcvNxt+wnd) ||
-			seqLE(seg.Seq, c.rcvNxt) && seqLE(c.rcvNxt, seg.Seq+segLen)
+		return SeqLE(c.rcvNxt, seg.Seq) && SeqLT(seg.Seq, c.rcvNxt+wnd) ||
+			SeqLE(seg.Seq, c.rcvNxt) && SeqLE(c.rcvNxt, seg.Seq+segLen)
 	}
 	if wnd == 0 {
 		return false
 	}
 	// Any overlap with [rcvNxt, rcvNxt+wnd).
-	startsInWindow := seqLE(c.rcvNxt, seg.Seq) && seqLT(seg.Seq, c.rcvNxt+wnd)
-	endsInWindow := seqLT(c.rcvNxt, seg.Seq+segLen) && seqLE(seg.Seq+segLen, c.rcvNxt+wnd)
-	coversWindow := seqLE(seg.Seq, c.rcvNxt) && seqLT(c.rcvNxt, seg.Seq+segLen)
+	startsInWindow := SeqLE(c.rcvNxt, seg.Seq) && SeqLT(seg.Seq, c.rcvNxt+wnd)
+	endsInWindow := SeqLT(c.rcvNxt, seg.Seq+segLen) && SeqLE(seg.Seq+segLen, c.rcvNxt+wnd)
+	coversWindow := SeqLE(seg.Seq, c.rcvNxt) && SeqLT(c.rcvNxt, seg.Seq+segLen)
 	return startsInWindow || endsInWindow || coversWindow
 }
 
@@ -606,12 +606,12 @@ func (c *Conn) processACK(seg *Segment) {
 		c.probePending = false
 		c.stats.BytesSent++
 	}
-	if seqLT(c.sndMax, ack) {
+	if SeqLT(c.sndMax, ack) {
 		// ACK for data we never sent: ignore after re-ACKing.
 		c.sendACK()
 		return
 	}
-	if seqLT(c.sndUna, ack) {
+	if SeqLT(c.sndUna, ack) {
 		c.advanceUna(seg)
 		return
 	}
@@ -638,7 +638,7 @@ func (c *Conn) advanceUna(seg *Segment) {
 
 	// Consume SYN/FIN sequence space.
 	dataAcked := acked
-	if c.state == StateSynRcvd || (c.sndUna == c.iss && seqLT(c.iss, ack)) {
+	if c.state == StateSynRcvd || (c.sndUna == c.iss && SeqLT(c.iss, ack)) {
 		dataAcked-- // SYN
 	}
 	finAcked := false
@@ -660,12 +660,12 @@ func (c *Conn) advanceUna(seg *Segment) {
 	// After a go-back-N rollback an ACK may land beyond the rolled-back
 	// send point (the receiver had the data all along); keep sndNxt on
 	// or ahead of una.
-	if seqLT(c.sndNxt, c.sndUna) {
+	if SeqLT(c.sndNxt, c.sndUna) {
 		c.sndNxt = c.sndUna
 	}
 
 	if c.inRecovery {
-		if seqLT(ack, c.recover) {
+		if SeqLT(ack, c.recover) {
 			// NewReno partial ACK: the next hole is lost too.
 			c.retransmitOne()
 			c.cwnd -= acked
@@ -712,8 +712,8 @@ func (c *Conn) advanceUna(seg *Segment) {
 }
 
 func (c *Conn) maybeUpdateWindow(seg *Segment) {
-	if seqLT(c.sndWL1, seg.Seq) ||
-		(c.sndWL1 == seg.Seq && seqLE(c.sndWL2, seg.Ack)) {
+	if SeqLT(c.sndWL1, seg.Seq) ||
+		(c.sndWL1 == seg.Seq && SeqLE(c.sndWL2, seg.Ack)) {
 		if int(seg.Window) == 0 && c.sndWnd != 0 {
 			c.stats.ZeroWindowSeen++
 		}
@@ -750,7 +750,7 @@ func (c *Conn) processPayload(seg *Segment) {
 		return
 	}
 	// Trim data lying before rcvNxt (retransmitted overlap).
-	if seqLT(seq, c.rcvNxt) {
+	if SeqLT(seq, c.rcvNxt) {
 		skip := c.rcvNxt - seq
 		if uint32(len(data)) <= skip {
 			if !(fin && seq+seg.SeqLen()-1 == c.rcvNxt) {
@@ -796,7 +796,7 @@ func (c *Conn) deliver(data []byte, fin bool) {
 
 func (c *Conn) insertOOO(s oooSeg) {
 	i := sort.Search(len(c.oooSegs), func(i int) bool {
-		return seqLE(s.seq, c.oooSegs[i].seq)
+		return SeqLE(s.seq, c.oooSegs[i].seq)
 	})
 	if i < len(c.oooSegs) && c.oooSegs[i].seq == s.seq {
 		if len(s.data) > len(c.oooSegs[i].data) {
@@ -812,15 +812,15 @@ func (c *Conn) insertOOO(s oooSeg) {
 func (c *Conn) drainOOO() {
 	for len(c.oooSegs) > 0 {
 		s := c.oooSegs[0]
-		if seqLT(c.rcvNxt, s.seq) {
+		if SeqLT(c.rcvNxt, s.seq) {
 			return
 		}
 		c.oooSegs = c.oooSegs[1:]
 		data := s.data
-		if seqLT(s.seq, c.rcvNxt) {
+		if SeqLT(s.seq, c.rcvNxt) {
 			skip := c.rcvNxt - s.seq
 			if uint32(len(data)) <= skip {
-				if s.fin && seqLE(s.seq+uint32(len(s.data)), c.rcvNxt) {
+				if s.fin && SeqLE(s.seq+uint32(len(s.data)), c.rcvNxt) {
 					c.deliver(nil, true)
 				}
 				continue

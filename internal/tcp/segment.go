@@ -200,15 +200,15 @@ func (s *Segment) String() string {
 		s.Seq, s.Seq+uint32(len(s.Payload)), len(s.Payload), s.Ack, s.Window, s.FlagString())
 }
 
-// seqLT reports a < b in 32-bit sequence-number space.
-func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
+// SeqLT reports a < b in 32-bit sequence-number space.
+func SeqLT(a, b uint32) bool { return int32(a-b) < 0 }
 
-// seqLE reports a <= b in sequence space.
-func seqLE(a, b uint32) bool { return int32(a-b) <= 0 }
+// SeqLE reports a <= b in sequence space.
+func SeqLE(a, b uint32) bool { return int32(a-b) <= 0 }
 
 // seqMax returns the later of a and b in sequence space.
 func seqMax(a, b uint32) uint32 {
-	if seqLT(a, b) {
+	if SeqLT(a, b) {
 		return b
 	}
 	return a
