@@ -85,7 +85,10 @@ benchmark-check:
 	bash benchmark/run.sh --workload paced --seed 1 --seconds 2 --trace 0
 	bash benchmark/run.sh --workload sim-suite --seed 1 --seconds 2 --trace 0
 
-verify: build test race vet fmt-check examples benchmark-check
+# The same steps as CI, in its order; fuzz runs each target for 2 s
+# there as here.
+verify: FUZZTIME = 2s
+verify: build vet test race fmt-check fuzz examples benchmark-check
 	@echo "verify: OK"
 
 # Non-test Go lines in internal/, cmd/ and examples/: the size figure

@@ -137,9 +137,9 @@ var knownRed = map[string][]int64{"mmwave": {1, 2, 3}}
 
 // TestSweep runs every row but E15 at seeds 1..sweepSeeds and checks
 // only what the rows return: each row's claims, away from the one seed
-// its digest pins. The rows run one after another because filter
-// instances live in package-global tables that E4 and E22 read back by
-// stream key.
+// its digest pins. The rows run one after another because live TTSFs
+// are listed in a package-global table that E4 and migrate read back
+// by stream key.
 func TestSweep(t *testing.T) {
 	for _, e := range experiments.Table {
 		if e.Name == wallClock {

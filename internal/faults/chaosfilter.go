@@ -68,7 +68,7 @@ func (f *chaosFilter) New(env filter.Env, k filter.Key, args []string) error {
 		p := 0.1
 		if len(args) > 1 {
 			v, err := strconv.ParseFloat(args[1], 64)
-			if err != nil || v < 0 || v > 100 {
+			if err != nil || !(v >= 0 && v <= 100) { // NaN fails every comparison
 				return fmt.Errorf("chaos: bad drop pct %q (want 0..100)", args[1])
 			}
 			p = v / 100

@@ -116,6 +116,7 @@ func TestChaosFilterModes(t *testing.T) {
 		{"err"},
 		{"warp"},
 		{"drop", "101"},
+		{"drop", "NaN"},
 		{"delay"},
 		{"delay", "0"},
 		{"delay", "10", "-1"},

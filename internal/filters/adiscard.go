@@ -41,27 +41,6 @@ const (
 	adiscardLow  = 0.50 // below this, restore a layer
 )
 
-// ADiscardStats counts the adaptive filter's behaviour.
-type ADiscardStats struct {
-	Passed, Discarded int64
-	Adaptations       int64 // threshold changes
-	CurrentMaxLayer   int
-}
-
-// adiscardInstances exposes per-stream state, keyed by forward key.
-var adiscardInstances instanceTable[adiscardInst]
-
-// ADiscardStatsFor returns the stats of the adaptive-discard instance
-// on k.
-func ADiscardStatsFor(k filter.Key) (ADiscardStats, bool) {
-	if inst, ok := adiscardInstances.get(k); ok {
-		st := inst.stats
-		st.CurrentMaxLayer = inst.maxLayer
-		return st, true
-	}
-	return ADiscardStats{}, false
-}
-
 type adiscardInst struct {
 	env      filter.Env
 	key      filter.Key
@@ -74,8 +53,6 @@ type adiscardInst struct {
 	haveSample bool
 	timer      sim.Timer
 	closed     bool
-
-	stats ADiscardStats
 }
 
 func (f *adiscard) New(env filter.Env, k filter.Key, args []string) error {
@@ -101,13 +78,11 @@ func (f *adiscard) New(env filter.Env, k filter.Key, args []string) error {
 		OnClose: func() {
 			inst.closed = true
 			inst.timer.Stop()
-			adiscardInstances.del(k)
 		},
 	})
 	if err != nil {
 		return err
 	}
-	adiscardInstances.put(k, inst)
 	inst.arm()
 	return nil
 }
@@ -142,11 +117,9 @@ func (inst *adiscardInst) sample() {
 	switch {
 	case util > adiscardHigh && inst.maxLayer > 0:
 		inst.maxLayer--
-		inst.stats.Adaptations++
 		inst.env.Emit("adiscard", "shed", inst.key.String(), obs.F("util", util), obs.F("max-layer", inst.maxLayer))
 	case util < adiscardLow && inst.maxLayer < inst.ceil:
 		inst.maxLayer++
-		inst.stats.Adaptations++
 		inst.env.Emit("adiscard", "restore", inst.key.String(), obs.F("util", util), obs.F("max-layer", inst.maxLayer))
 	}
 }
@@ -161,9 +134,6 @@ func (inst *adiscardInst) filterFrame(p *filter.Packet) {
 		return
 	}
 	if int(frame.Layer) > inst.maxLayer {
-		inst.stats.Discarded++
 		p.Drop()
-		return
 	}
-	inst.stats.Passed++
 }

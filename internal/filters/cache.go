@@ -72,28 +72,11 @@ func DecodeFetch(p []byte) (key string, body []byte, isRequest, ok bool) {
 	return "", nil, false, false
 }
 
-// CacheStats counts the filter's work for the harness.
-type CacheStats struct {
-	Hits, Misses, Stored int64
-}
-
-// cacheInstances exposes per-stream stats, keyed by the request key.
-var cacheInstances instanceTable[cacheInst]
-
-// CacheStatsFor returns the stats of the cache instance on k.
-func CacheStatsFor(k filter.Key) (CacheStats, bool) {
-	if inst, ok := cacheInstances.get(k); ok {
-		return inst.stats, true
-	}
-	return CacheStats{}, false
-}
-
 type cacheInst struct {
 	env      filter.Env
 	maxEntry int
 	entries  map[string][]byte
 	order    []string // FIFO eviction
-	stats    CacheStats
 }
 
 func (f *cacheFilter) New(env filter.Env, k filter.Key, args []string) error {
@@ -115,18 +98,13 @@ func (f *cacheFilter) New(env filter.Env, k filter.Key, args []string) error {
 	}
 	_, err = env.Attach(k, filter.Hooks{
 		Filter: "cache", Priority: filter.Normal,
-		Out: inst.answerRequest,
-		OnClose: func() {
-			cacheInstances.del(k)
-			detachRev()
-		},
+		Out:     inst.answerRequest,
+		OnClose: detachRev,
 	})
 	if err != nil {
 		detachRev()
-		return err
 	}
-	cacheInstances.put(k, inst)
-	return nil
+	return err
 }
 
 type badCacheSize string
@@ -147,10 +125,8 @@ func (inst *cacheInst) answerRequest(p *filter.Packet) {
 	}
 	body, hit := inst.entries[key]
 	if !hit {
-		inst.stats.Misses++
 		return
 	}
-	inst.stats.Hits++
 	p.Drop()
 	// Answer on the server's behalf: swap the datagram's direction.
 	resp := udp.Datagram{
@@ -183,7 +159,6 @@ func (inst *cacheInst) storeResponse(p *filter.Packet) {
 			delete(inst.entries, oldest)
 		}
 		inst.order = append(inst.order, key)
-		inst.stats.Stored++
 	}
 	inst.entries[key] = append([]byte(nil), body...)
 }

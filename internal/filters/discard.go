@@ -26,38 +26,15 @@ func (*discard) Description() string {
 	return "hierarchical discard of layered media above a layer threshold"
 }
 
-// DiscardStats counts the filter's decisions for the harness.
-type DiscardStats struct {
-	Passed, Discarded           int64
-	BytesPassed, BytesDiscarded int64
-}
-
-// discardInstances exposes per-stream stats, keyed by forward key.
-var discardInstances instanceTable[discardInst]
-
-// DiscardStatsFor returns the stats of the discard instance on k.
-func DiscardStatsFor(k filter.Key) (DiscardStats, bool) {
-	if inst, ok := discardInstances.get(k); ok {
-		return inst.stats, true
-	}
-	return DiscardStats{}, false
-}
-
-type discardInst struct {
-	maxLayer uint8
-	stats    DiscardStats
-}
-
 func (f *discard) New(env filter.Env, k filter.Key, args []string) error {
-	maxLayer := 0
+	maxLayer := uint8(0)
 	if len(args) > 0 {
 		v, err := strconv.Atoi(args[0])
 		if err != nil || v < 0 || v > 255 {
 			return fmt.Errorf("discard: bad layer threshold %q", args[0])
 		}
-		maxLayer = v
+		maxLayer = uint8(v)
 	}
-	inst := &discardInst{maxLayer: uint8(maxLayer)}
 	_, err := env.Attach(k, filter.Hooks{
 		Filter: "discard", Priority: filter.Low,
 		Out: func(p *filter.Packet) {
@@ -68,20 +45,10 @@ func (f *discard) New(env filter.Env, k filter.Key, args []string) error {
 			if err != nil {
 				return // not a media frame; leave it alone
 			}
-			if frame.Layer > inst.maxLayer {
-				inst.stats.Discarded++
-				inst.stats.BytesDiscarded += int64(len(p.Raw))
+			if frame.Layer > maxLayer {
 				p.Drop()
-				return
 			}
-			inst.stats.Passed++
-			inst.stats.BytesPassed += int64(len(p.Raw))
 		},
-		OnClose: func() { discardInstances.del(k) },
 	})
-	if err != nil {
-		return err
-	}
-	discardInstances.put(k, inst)
-	return nil
+	return err
 }

@@ -30,11 +30,7 @@
 //     to monochrome (§8.3.3).
 package filters
 
-import (
-	"sync"
-
-	"repro/internal/filter"
-)
+import "repro/internal/filter"
 
 // PriorityTTSF sits between the service filters (Low/Normal) and the
 // tcp bookkeeping filter (High): on the out queue the TTSF rewrites
@@ -58,35 +54,4 @@ func RegisterAll(c *filter.Catalog) {
 	c.Register("cache", func() filter.Factory { return NewCache() })
 	c.Register("adiscard", func() filter.Factory { return NewADiscard() })
 	c.Register("translate", func() filter.Factory { return NewTranslate() })
-}
-
-// instanceTable maps forward keys to the live instances of one filter,
-// so the harness can read per-stream stats. Instances come and go on
-// whichever shard goroutine runs the stream's New and OnClose, hence
-// the lock; neither is on the per-packet path.
-type instanceTable[T any] struct {
-	mu sync.Mutex
-	m  map[filter.Key]*T
-}
-
-func (t *instanceTable[T]) put(k filter.Key, inst *T) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.m == nil {
-		t.m = make(map[filter.Key]*T)
-	}
-	t.m[k] = inst
-}
-
-func (t *instanceTable[T]) del(k filter.Key) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.m, k)
-}
-
-func (t *instanceTable[T]) get(k filter.Key) (*T, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	inst, ok := t.m[k]
-	return inst, ok
 }

@@ -2,6 +2,7 @@ package filters_test
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/ip"
 	"repro/internal/media"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 )
@@ -412,10 +414,6 @@ func TestDiscardDropsEnhancementLayers(t *testing.T) {
 	if layerCount[2] != 0 || layerCount[3] != 0 {
 		t.Fatalf("enhancement layers leaked through: %v", layerCount)
 	}
-	st, ok := filters.DiscardStatsFor(filter.Key{SrcIP: wiredAddr, SrcPort: 4000, DstIP: mobileAddr, DstPort: 4001})
-	if !ok || st.Discarded != 100 || st.Passed != 100 {
-		t.Fatalf("discard stats: %+v ok=%v", st, ok)
-	}
 }
 
 func TestTranslateMonoTiles(t *testing.T) {
@@ -533,28 +531,23 @@ func TestCacheFilterAnswersRepeats(t *testing.T) {
 	if !bytes.Equal(got[0].body, got[1].body) || got[0].key != "doc-a" {
 		t.Fatal("cached response differs from the original")
 	}
-	k := filter.Key{SrcIP: mobileAddr, SrcPort: 6001, DstIP: wiredAddr, DstPort: 6000}
-	st, ok := filters.CacheStatsFor(k)
-	if !ok || st.Hits != 1 || st.Misses != 2 || st.Stored != 2 {
-		t.Fatalf("cache stats: %+v ok=%v", st, ok)
-	}
 }
 
-// metricEnv wraps the proxy rig so filters can be tested against a
-// controllable metric source... the real rig's proxy already
-// answers filter.Env.Metric once a source is set; this test drives the
-// adaptive-discard filter through changing link conditions.
+// TestAdaptiveDiscardFollowsBandwidth drives the adaptive-discard
+// filter through changing link conditions, with the rig's proxy
+// answering filter.Env.Metric from the wireless link's counters. The
+// threshold is read from the filter's own shed/restore events, what it
+// delivers from the mobile's per-phase layer counts.
 func TestAdaptiveDiscardFollowsBandwidth(t *testing.T) {
 	r := newRig(t, rigOpts{wireless: netsim.LinkConfig{Bandwidth: 4e6, Delay: 5 * time.Millisecond, QueueLen: 30}})
-	// Wire the proxy-host metrics: interface 1 is the wireless egress
-	// (interface 0 is the wired side).
-	wlessIface := r.wless.IfaceA()
+	bus := obs.NewBus(r.sched, 0)
+	r.proxyA.SetObs(bus, nil)
+	// Interface 1 is the wireless egress (interface 0 is the wired side).
 	r.proxyA.SetMetricSource(func(name string, index int) (float64, bool) {
 		switch name {
 		case "ifSpeed":
 			return float64(r.wless.ConfigAB().Bandwidth), true
 		case "ifOutOctets":
-			_ = wlessIface
 			return float64(r.wless.StatsAB().Bytes), true
 		}
 		return 0, false
@@ -562,11 +555,29 @@ func TestAdaptiveDiscardFollowsBandwidth(t *testing.T) {
 	r.cmd(t, r.proxyA, "load adiscard")
 	r.cmd(t, r.proxyA, "add adiscard 11.11.10.99 4000 11.11.10.10 4001 0 3")
 
-	layerCount := map[uint8]int{}
+	// threshold returns the layer threshold the filter last announced
+	// (the add's ceiling until it first sheds) and how often it moved.
+	threshold := func() (layer, adaptations int) {
+		layer = 3
+		for _, e := range bus.Events() {
+			if e.Subsys != "adiscard" || (e.Kind != "shed" && e.Kind != "restore") {
+				continue
+			}
+			adaptations++
+			for _, f := range e.Fields() {
+				if f.K == "max-layer" {
+					layer, _ = strconv.Atoi(f.Value())
+				}
+			}
+		}
+		return layer, adaptations
+	}
+	phase := 0
+	var layerCount [3][4]int // per phase, per layer: frames the mobile got
 	r.mUDP.Bind(4001, func(_ ip.Addr, _ uint16, payload []byte) {
 		f, err := media.UnmarshalFrame(payload)
 		if err == nil {
-			layerCount[f.Layer]++
+			layerCount[phase][f.Layer]++
 		}
 	})
 	// 4 layers of 300B base at 25fps: full stream ≈ 0.3+0.6+1.2+2.4KB
@@ -587,36 +598,39 @@ func TestAdaptiveDiscardFollowsBandwidth(t *testing.T) {
 
 	// Phase 1 (4 Mb/s): everything fits, threshold stays at the ceiling.
 	r.sched.RunFor(5 * time.Second)
-	k := filter.Key{SrcIP: wiredAddr, SrcPort: 4000, DstIP: mobileAddr, DstPort: 4001}
-	st, ok := filters.ADiscardStatsFor(k)
-	if !ok {
-		t.Fatal("no adiscard instance")
+	if layer, n := threshold(); layer != 3 || n != 0 {
+		t.Fatalf("phase 1 threshold %d after %d adaptations, want 3 after 0 (link uncongested)", layer, n)
 	}
-	if st.CurrentMaxLayer != 3 {
-		t.Fatalf("phase 1 threshold %d, want 3 (link uncongested)", st.CurrentMaxLayer)
+	if layerCount[0] != [4]int{125, 125, 125, 125} {
+		t.Fatalf("phase 1 layer counts %v, want every frame of 125", layerCount[0])
 	}
 
 	// Phase 2: the mobile moves to a 600 kb/s cell.
+	phase = 1
 	r.wless.Shape(netsim.DirBoth, netsim.Shaping{Fields: netsim.ShapeBandwidth, Bandwidth: 600e3})
 	r.sched.RunFor(6 * time.Second)
-	st, _ = filters.ADiscardStatsFor(k)
-	if st.CurrentMaxLayer >= 3 {
-		t.Fatalf("phase 2 threshold %d, want < 3 (link saturated)", st.CurrentMaxLayer)
+	low, n := threshold()
+	if low >= 3 || n == 0 {
+		t.Fatalf("phase 2 threshold %d after %d adaptations, want < 3 (link saturated)", low, n)
 	}
-	if st.Adaptations == 0 || st.Discarded == 0 {
-		t.Fatalf("no adaptation happened: %+v", st)
+	// Shedding keeps every base frame of 150 and passes the top layer
+	// only until the first shed; without it the queue drops some of each.
+	if c := layerCount[1]; c[0] != 150 || 4*c[3] >= 150 {
+		t.Fatalf("phase 2 layer counts %v, want 150 base and under a quarter of the top layer", c)
 	}
-	low := st.CurrentMaxLayer
 
 	// Phase 3: back to a fast cell — layers are restored.
+	phase = 2
 	r.wless.Shape(netsim.DirBoth, netsim.Shaping{Fields: netsim.ShapeBandwidth, Bandwidth: 4e6})
 	r.sched.RunFor(6 * time.Second)
-	st, _ = filters.ADiscardStatsFor(k)
-	if st.CurrentMaxLayer <= low {
-		t.Fatalf("phase 3 threshold %d did not recover from %d", st.CurrentMaxLayer, low)
+	if layer, _ := threshold(); layer <= low {
+		t.Fatalf("phase 3 threshold %d did not recover from %d", layer, low)
 	}
-	if layerCount[0] == 0 {
-		t.Fatal("base layer never delivered")
+	if c := layerCount[2]; c[0] != 150 || c[3] <= layerCount[1][3] {
+		t.Fatalf("phase 3 layer counts %v, want 150 base and the top layer back above phase 2's %d", c, layerCount[1][3])
+	}
+	if bus.Total() != uint64(len(bus.Events())) {
+		t.Fatalf("bus evicted events: %d retained of %d", len(bus.Events()), bus.Total())
 	}
 }
 

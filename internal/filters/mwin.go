@@ -97,7 +97,7 @@ func (f *mwin) New(env filter.Env, k filter.Key, args []string) error {
 	interval := 50 * time.Millisecond
 	if len(args) > 0 {
 		v, err := strconv.ParseFloat(args[0], 64)
-		if err != nil || v < 1 || v > 16 {
+		if err != nil || !(v >= 1 && v <= 16) { // NaN fails every comparison
 			return fmt.Errorf("mwin: bad gain %q (want 1..16)", args[0])
 		}
 		gain = v

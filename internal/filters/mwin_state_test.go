@@ -116,12 +116,29 @@ func TestMwinPassiveWithoutFlowSampler(t *testing.T) {
 	}
 }
 
+// TestMwinBadArgs checks that mwin and rdrop refuse every argument
+// outside their ranges, NaN (which fails every comparison) included.
 func TestMwinBadArgs(t *testing.T) {
 	env := &stubEnv{sched: sim.NewScheduler(1)}
 	k := filter.Key{SrcIP: 1, SrcPort: 2, DstIP: 3, DstPort: 4}
-	for _, args := range [][]string{{"0.5"}, {"17"}, {"x"}, {"2", "0"}, {"2", "-5"}, {"2", "ms"}} {
-		if err := NewMWin().New(env, k, args); err == nil {
-			t.Fatalf("args %v accepted", args)
+	for _, row := range []struct {
+		f    filter.Factory
+		args []string
+	}{
+		{NewMWin(), []string{"0.5"}},
+		{NewMWin(), []string{"17"}},
+		{NewMWin(), []string{"x"}},
+		{NewMWin(), []string{"NaN"}},
+		{NewMWin(), []string{"2", "0"}},
+		{NewMWin(), []string{"2", "-5"}},
+		{NewMWin(), []string{"2", "ms"}},
+		{NewRDrop(), []string{"-1"}},
+		{NewRDrop(), []string{"101"}},
+		{NewRDrop(), []string{"x"}},
+		{NewRDrop(), []string{"NaN"}},
+	} {
+		if err := row.f.New(env, k, row.args); err == nil {
+			t.Errorf("%s: args %v accepted", row.f.Name(), row.args)
 		}
 	}
 }

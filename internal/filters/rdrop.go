@@ -29,7 +29,7 @@ func (f *rdrop) New(env filter.Env, k filter.Key, args []string) error {
 	rate := 50.0
 	if len(args) > 0 {
 		v, err := strconv.ParseFloat(args[0], 64)
-		if err != nil || v < 0 || v > 100 {
+		if err != nil || !(v >= 0 && v <= 100) { // NaN fails every comparison
 			return fmt.Errorf("rdrop: bad rate %q (want 0..100)", args[0])
 		}
 		rate = v

@@ -29,27 +29,6 @@ func (*snoop) Description() string {
 	return "TCP-aware wireless caching: local retransmission and dup-ACK suppression"
 }
 
-// SnoopStats counts snoop protocol events for the experiment harness.
-type SnoopStats struct {
-	Cached            int64
-	LocalRexmits      int64
-	TimeoutRexmits    int64
-	DupAcksSuppressed int64
-}
-
-// snoopInstances lets experiments retrieve per-stream stats; keyed by
-// the forward stream key.
-var snoopInstances instanceTable[snoopInst]
-
-// SnoopStatsFor returns the stats of the snoop instance on key k, if
-// any.
-func SnoopStatsFor(k filter.Key) (SnoopStats, bool) {
-	if inst, ok := snoopInstances.get(k); ok {
-		return inst.stats, true
-	}
-	return SnoopStats{}, false
-}
-
 type cachedSeg struct {
 	raw     []byte // full IP datagram as last forwarded
 	seq     uint32
@@ -72,8 +51,6 @@ type snoopInst struct {
 	timer        sim.Timer
 	timerBackoff uint // consecutive timer firings without progress
 	closed       bool
-
-	stats SnoopStats
 }
 
 // Snoop straddles the TTSF boundary: it must see data segments in the
@@ -101,16 +78,13 @@ func (f *snoop) New(env filter.Env, k filter.Key, args []string) error {
 		OnClose: func() {
 			inst.closed = true
 			inst.timer.Stop()
-			snoopInstances.del(k)
 			detachRev()
 		},
 	})
 	if err != nil {
 		detachRev()
-		return err
 	}
-	snoopInstances.put(k, inst)
-	return nil
+	return err
 }
 
 // dataToMobile caches data segments on their way to the wireless link.
@@ -143,7 +117,6 @@ func (inst *snoopInst) dataToMobile(p *filter.Packet) {
 			return
 		}
 	}
-	inst.stats.Cached++
 	i := 0
 	for i < len(inst.cache) && tcp.SeqLT(inst.cache[i].seq, seq) {
 		i++
@@ -193,9 +166,7 @@ func (inst *snoopInst) ackFromMobile(p *filter.Packet) {
 			age := inst.env.Clock().Now().Sub(c.sentAt)
 			if inst.dupAcks == 1 || age > inst.srtt/2 {
 				inst.retransmit(c)
-				inst.stats.LocalRexmits++
 			}
-			inst.stats.DupAcksSuppressed++
 			p.Drop()        // the wired sender never sees the duplicate
 			inst.armTimer() // backstop relative to this repair attempt
 		}
@@ -246,7 +217,6 @@ func (inst *snoopInst) onTimeout() {
 		return
 	}
 	inst.retransmit(inst.cache[0])
-	inst.stats.TimeoutRexmits++
 	inst.timerBackoff++
 	inst.armTimer()
 }

@@ -28,28 +28,6 @@ func (*translate) Description() string {
 	return "data-type translation: 'mono' (RGB→mono tiles) or 'ascii' (rich text→ASCII)"
 }
 
-// TranslateStats counts conversion work for the harness.
-type TranslateStats struct {
-	Converted         int64
-	BytesIn, BytesOut int64
-}
-
-// translateInstances exposes per-stream stats, keyed by forward key.
-var translateInstances instanceTable[translateInst]
-
-// TranslateStatsFor returns the stats of the translate instance on k.
-func TranslateStatsFor(k filter.Key) (TranslateStats, bool) {
-	if inst, ok := translateInstances.get(k); ok {
-		return inst.stats, true
-	}
-	return TranslateStats{}, false
-}
-
-type translateInst struct {
-	mode  string
-	stats TranslateStats
-}
-
 func (f *translate) New(env filter.Env, k filter.Key, args []string) error {
 	mode := "mono"
 	if len(args) > 0 {
@@ -58,7 +36,6 @@ func (f *translate) New(env filter.Env, k filter.Key, args []string) error {
 	if mode != "mono" && mode != "ascii" {
 		return fmt.Errorf("translate: unknown mode %q (want mono or ascii)", mode)
 	}
-	inst := &translateInst{mode: mode}
 	_, err := env.Attach(k, filter.Hooks{
 		Filter: "translate", Priority: filter.Low,
 		Out: func(p *filter.Packet) {
@@ -67,7 +44,7 @@ func (f *translate) New(env filter.Env, k filter.Key, args []string) error {
 			}
 			in := p.UDP.Payload
 			var out []byte
-			switch inst.mode {
+			switch mode {
 			case "mono":
 				tile, err := media.UnmarshalTile(in)
 				if err != nil || tile.Mode != media.ModeRGB {
@@ -81,9 +58,6 @@ func (f *translate) New(env filter.Env, k filter.Key, args []string) error {
 			case "ascii":
 				out = media.RichToASCII(in)
 			}
-			inst.stats.Converted++
-			inst.stats.BytesIn += int64(len(in))
-			inst.stats.BytesOut += int64(len(out))
 			p.UDP.Payload = out
 			p.MarkDirty()
 			// UDP streams have no tcp bookkeeping filter to repair
@@ -93,11 +67,6 @@ func (f *translate) New(env filter.Env, k filter.Key, args []string) error {
 				p.Drop()
 			}
 		},
-		OnClose: func() { translateInstances.del(k) },
 	})
-	if err != nil {
-		return err
-	}
-	translateInstances.put(k, inst)
-	return nil
+	return err
 }

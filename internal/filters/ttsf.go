@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/filter"
 	"repro/internal/ip"
@@ -60,12 +61,20 @@ type TTSFStats struct {
 	Unreconstructable int64 // retransmissions dropped (partial overlap)
 }
 
-// ttsfInstances exposes per-stream stats; keyed by the forward key.
-var ttsfInstances instanceTable[ttsfInst]
+// ttsfInstances lists the live TTSFs by forward key, so that
+// TTSFStatsFor can read a stream's stats. Instances come and go on
+// whichever shard goroutine runs the stream's New and OnClose, hence
+// the lock; neither is on the per-packet path.
+var ttsfInstances = struct {
+	sync.Mutex
+	m map[filter.Key]*ttsfInst
+}{m: make(map[filter.Key]*ttsfInst)}
 
 // TTSFStatsFor returns the stats of the TTSF on key k, if any.
 func TTSFStatsFor(k filter.Key) (TTSFStats, bool) {
-	if inst, ok := ttsfInstances.get(k); ok {
+	ttsfInstances.Lock()
+	defer ttsfInstances.Unlock()
+	if inst, ok := ttsfInstances.m[k]; ok {
 		return inst.stats, true
 	}
 	return TTSFStats{}, false
@@ -137,7 +146,9 @@ func (f *ttsf) New(env filter.Env, k filter.Key, args []string) error {
 		In:  inst.forwardIn,
 		Out: inst.forwardOut,
 		OnClose: func() {
-			ttsfInstances.del(k)
+			ttsfInstances.Lock()
+			delete(ttsfInstances.m, k)
+			ttsfInstances.Unlock()
 			detachRev()
 		},
 		State: inst,
@@ -146,7 +157,9 @@ func (f *ttsf) New(env filter.Env, k filter.Key, args []string) error {
 		detachRev()
 		return err
 	}
-	ttsfInstances.put(k, inst)
+	ttsfInstances.Lock()
+	ttsfInstances.m[k] = inst
+	ttsfInstances.Unlock()
 	return nil
 }
 

@@ -139,9 +139,6 @@ type zwsmInst struct {
 	srcIP, dstIP ip.Addr
 	timer        sim.Timer
 	closed       bool
-
-	// Stats for experiments.
-	ZWSMsSent int64
 }
 
 func (f *wsize) newZWSM(env filter.Env, k filter.Key, timeout time.Duration) error {
@@ -229,6 +226,5 @@ func (inst *zwsmInst) sendZWSM() {
 		inst.env.Emit("wsize", "zwsm-marshal-failed", inst.fwd.String(), obs.F("err", err.Error()))
 		return
 	}
-	inst.ZWSMsSent++
 	inst.env.Inject(raw)
 }

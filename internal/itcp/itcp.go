@@ -25,10 +25,7 @@ import (
 
 // Stats counts relay activity.
 type Stats struct {
-	Accepted          int64 // wired-side connections terminated
-	BytesAckedToWired int64 // bytes the proxy acknowledged to the sender
-	WiredClosed       int64 // wired halves that closed cleanly
-	MobileFailed      int64 // mobile halves that died before draining
+	Accepted int64 // wired-side connections terminated
 }
 
 // Relay is an I-TCP style Mobility Support Router function attached to
@@ -162,23 +159,18 @@ func (r *Relay) accept(wired *tcp.Conn, port uint16) {
 		// is dead the bytes are stranded — the wired sender cannot
 		// know (§5.1.2). Write keeps its slice and b is valid only
 		// during this call, so the relay writes a copy.
-		r.Stats.BytesAckedToWired += int64(len(b))
 		p.ackedToWired += int64(len(b))
 		mobileConn.Write(bytes.Clone(b))
 	}
 	wired.OnRemoteClose = func() {
-		r.Stats.WiredClosed++
 		mobileConn.Close()
 		wired.Close()
 	}
 	// Reverse direction: mobile -> wired.
 	mobileConn.OnData = func(b []byte) { wired.Write(bytes.Clone(b)) }
 	mobileConn.OnRemoteClose = func() { wired.Close() }
-	mobileConn.OnClose = func(err error) {
+	mobileConn.OnClose = func(error) {
 		p.mobileAcked = mobileConn.Stats().BytesAcked
 		p.closed = true
-		if err != nil {
-			r.Stats.MobileFailed++
-		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/filters"
 	"repro/internal/ip"
 	"repro/internal/tcp"
-	"repro/internal/udp"
 )
 
 // mkTCPFlow is mkTCP with a caller-chosen source port, so tests can
@@ -141,82 +140,52 @@ func TestShardedConcurrentNoLoss(t *testing.T) {
 	}
 }
 
-// mkUDPFlow is mkTCPFlow for a UDP datagram.
-func mkUDPFlow(tb testing.TB, srcPort uint16, payload int) []byte {
-	tb.Helper()
-	d := udp.Datagram{SrcPort: srcPort, DstPort: 5001, Payload: pattern(payload)}
-	h := ip.Header{TTL: 64, Protocol: ip.ProtoUDP, Src: core.WiredAddr, Dst: core.MobileAddr}
-	raw, err := h.Marshal(d.Marshal(core.WiredAddr, core.MobileAddr))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return raw
-}
-
-// TestShardedTTSFSpawnAndClose drives the one piece of state a filter's
-// instances share across shards — the table behind its …StatsFor — from
-// several shard goroutines at once: first-sight packets of 256 streams
-// make a wild-card launcher spawn the chain per stream on whichever
-// shard owns it, and a wild-card delete then closes them all, every
-// shard at the same time. Under -race this fails if the table of the
-// chain's last filter is unguarded.
+// TestShardedTTSFSpawnAndClose drives the one package-level table a
+// filter keeps — the live TTSFs behind TTSFStatsFor — from several
+// shard goroutines at once: first-sight packets of 256 streams make a
+// wild-card launcher spawn "tcp ttsf" per stream on whichever shard
+// owns it, and a wild-card delete then closes them all, every shard at
+// the same time. Under -race this fails if the table is unguarded.
 func TestShardedTTSFSpawnAndClose(t *testing.T) {
 	const flows = 256
 	key := func(i int) filter.Key {
 		return filter.Key{SrcIP: core.WiredAddr, SrcPort: uint16(1000 + i), DstIP: core.MobileAddr, DstPort: 5001}
 	}
-	for _, row := range []struct {
-		chain string // what the launcher spawns; the last name owns the table under test
-		udp   bool
-		live  func(filter.Key) bool // the stream's instance is listed (and saw the packet, where stats tell)
-	}{
-		{"tcp ttsf", false, func(k filter.Key) bool { st, ok := filters.TTSFStatsFor(k); return ok && st.BytesIn == 100 }},
-		{"tcp snoop", false, func(k filter.Key) bool { _, ok := filters.SnoopStatsFor(k); return ok }},
-		{"tcp cache", false, func(k filter.Key) bool { _, ok := filters.CacheStatsFor(k); return ok }},
-		{"discard", true, func(k filter.Key) bool { _, ok := filters.DiscardStatsFor(k); return ok }},
-		{"adiscard", true, func(k filter.Key) bool { _, ok := filters.ADiscardStatsFor(k); return ok }},
-		{"translate", true, func(k filter.Key) bool { _, ok := filters.TranslateStatsFor(k); return ok }},
-	} {
-		row := row
-		t.Run(row.chain, func(t *testing.T) {
-			cat := filter.NewCatalog()
-			filters.RegisterAll(cat)
-			pl := dataplane.NewConcurrent(dataplane.ConcurrentConfig{
-				Shards: 4, Catalog: cat, Seed: 17, RingSize: 1024,
-				Sink: func(int, [][]byte) {},
-			})
-			defer pl.Close()
-			wild := fmt.Sprintf("%v 0 %v 0", core.WiredAddr, core.MobileAddr)
-			names := strings.Fields(row.chain)
-			for _, name := range append(names, "launcher") {
-				mustPlaneCommand(t, pl, "load "+name)
-			}
-			mustPlaneCommand(t, pl, "add launcher "+wild+" "+row.chain)
-
-			shardsUsed := map[int]bool{}
-			for i := 0; i < flows; i++ {
-				if row.udp {
-					pl.Dispatch(mkUDPFlow(t, uint16(1000+i), 100))
-				} else {
-					pl.Dispatch(mkTCPFlow(t, uint16(1000+i), 1, 100))
-				}
-				shardsUsed[dataplane.ShardOf(key(i), pl.N())] = true
-			}
-			pl.Drain()
-			if len(shardsUsed) < 2 {
-				t.Fatalf("all %d streams steered to one shard", flows)
-			}
-			for i := 0; i < flows; i++ {
-				if !row.live(key(i)) {
-					t.Fatalf("stream %d: instance missing or idle", i)
-				}
-			}
-			mustPlaneCommand(t, pl, "delete "+names[len(names)-1]+" "+wild)
-			for i := 0; i < flows; i++ {
-				if row.live(key(i)) {
-					t.Fatalf("stream %d: instance still listed after its close", i)
-				}
-			}
+	// live reports that the stream's TTSF is listed and saw the packet.
+	live := func(k filter.Key) bool { st, ok := filters.TTSFStatsFor(k); return ok && st.BytesIn == 100 }
+	t.Run("tcp ttsf", func(t *testing.T) {
+		cat := filter.NewCatalog()
+		filters.RegisterAll(cat)
+		pl := dataplane.NewConcurrent(dataplane.ConcurrentConfig{
+			Shards: 4, Catalog: cat, Seed: 17, RingSize: 1024,
+			Sink: func(int, [][]byte) {},
 		})
-	}
+		defer pl.Close()
+		wild := fmt.Sprintf("%v 0 %v 0", core.WiredAddr, core.MobileAddr)
+		for _, name := range []string{"tcp", "ttsf", "launcher"} {
+			mustPlaneCommand(t, pl, "load "+name)
+		}
+		mustPlaneCommand(t, pl, "add launcher "+wild+" tcp ttsf")
+
+		shardsUsed := map[int]bool{}
+		for i := 0; i < flows; i++ {
+			pl.Dispatch(mkTCPFlow(t, uint16(1000+i), 1, 100))
+			shardsUsed[dataplane.ShardOf(key(i), pl.N())] = true
+		}
+		pl.Drain()
+		if len(shardsUsed) < 2 {
+			t.Fatalf("all %d streams steered to one shard", flows)
+		}
+		for i := 0; i < flows; i++ {
+			if !live(key(i)) {
+				t.Fatalf("stream %d: instance missing or idle", i)
+			}
+		}
+		mustPlaneCommand(t, pl, "delete ttsf "+wild)
+		for i := 0; i < flows; i++ {
+			if live(key(i)) {
+				t.Fatalf("stream %d: instance still listed after its close", i)
+			}
+		}
+	})
 }
