@@ -22,7 +22,6 @@ import (
 	"log"
 	"net"
 	_ "net/http/pprof"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -39,7 +38,7 @@ func main() {
 	loss := flag.Float64("loss", 0.0, "wireless packet loss probability")
 	bw := flag.Int64("bw", 2e6, "wireless bandwidth, bits/s")
 	debug := flag.String("debug", "", "address for expvar/pprof debug HTTP (e.g. localhost:6060); empty disables")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "data-plane shard count (1 = classic single interception loop)")
+	shards := flag.Int("shards", 1, "data-plane shard count (1 = classic single interception loop)")
 	var rules multiFlag
 	flag.Var(&rules, "policy", "adaptive policy rule (repeatable); see internal/policy for the grammar")
 	flag.Parse()

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eem"
+	"repro/internal/flowlog"
 	"repro/internal/ip"
 	"repro/internal/netsim"
 	"repro/internal/tcp"
@@ -293,5 +294,45 @@ func TestReportThroughControlPort(t *testing.T) {
 	sys.Sched.RunFor(2 * time.Second)
 	if !strings.Contains(resp.String(), "tcp") {
 		t.Fatalf("control response: %q", resp.String())
+	}
+}
+
+// TestSilentFlowAgesWithoutTraffic: a flow that stops without FIN or
+// RST, with no segment after it anywhere, is closed idle once the flow
+// log's timeout has passed — the `flows` listing and the EEM's
+// flow.active say so although no later packet went through the table.
+func TestSilentFlowAgesWithoutTraffic(t *testing.T) {
+	sys := core.NewSystem(core.Config{})
+	// One data segment towards an address nobody holds: it opens a flow
+	// and draws no answer.
+	src, dst := core.WiredAddr, ip.MustParseAddr("11.11.10.77")
+	seg := tcp.Segment{SrcPort: 4000, DstPort: 5001, Seq: 1000, Ack: 1,
+		Flags: tcp.FlagACK, Window: 8760, Payload: []byte("last words")}
+	h := ip.Header{TTL: 64, Protocol: ip.ProtoTCP, Src: src, Dst: dst}
+	raw, err := h.Marshal(seg.Marshal(src, dst))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.ProxyHost.PacketHook()(raw, sys.ProxyHost.Ifaces()[0])
+
+	active := func() int64 {
+		t.Helper()
+		v, err := sys.EEM.Get("flow.active", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.L
+	}
+	const flow = "11.11.10.99 4000 -> 11.11.10.77 5001"
+	sys.Sched.RunFor(time.Second)
+	if n, out := active(), sys.MustCommand("flows"); n != 1 || !strings.Contains(out, flow+"  active") {
+		t.Fatalf("flow.active = %d, want 1; flows:\n%s", n, out)
+	}
+	sys.Sched.RunFor(flowlog.DefaultIdleTimeout)
+	if n := active(); n != 0 {
+		t.Fatalf("flow.active = %d after the idle timeout, want 0", n)
+	}
+	if out := sys.MustCommand("flows"); !strings.Contains(out, "flows: 0 active, 1 closed") || !strings.Contains(out, flow+"  idle") {
+		t.Fatalf("flows after the idle timeout:\n%s", out)
 	}
 }

@@ -189,12 +189,12 @@ func (pl *Plane) registerMerged(r *obs.Registry, prefix string) {
 	r.Counter(prefix+".filter_quarantines", func() int64 { return pl.StatsSnapshot().FilterQuarantines })
 	r.Counter(prefix+".registry_misses", func() int64 { return pl.StatsSnapshot().RegistryMisses })
 	r.Counter(prefix+".registry_rebuilds", func() int64 { return pl.StatsSnapshot().RegistryRebuilds })
-	r.Gauge(prefix+".flow.active", func() float64 { return float64(pl.FlowStats().Active) })
-	r.Counter(prefix+".flow.opened", func() int64 { return pl.FlowStats().Opened })
-	r.Counter(prefix+".flow.closed", func() int64 { return pl.FlowStats().Closed })
-	r.Counter(prefix+".flow.evicted", func() int64 { return pl.FlowStats().Evicted })
-	r.Counter(prefix+".flow.retrans", func() int64 { return pl.FlowStats().Retrans })
-	r.Counter(prefix+".flow.zero_win", func() int64 { return pl.FlowStats().ZeroWin })
+	r.Gauge(prefix+".flow.active", func() float64 { return float64(pl.flowCounters().Active) })
+	r.Counter(prefix+".flow.opened", func() int64 { return pl.flowCounters().Opened })
+	r.Counter(prefix+".flow.closed", func() int64 { return pl.flowCounters().Closed })
+	r.Counter(prefix+".flow.evicted", func() int64 { return pl.flowCounters().Evicted })
+	r.Counter(prefix+".flow.retrans", func() int64 { return pl.flowCounters().Retrans })
+	r.Counter(prefix+".flow.zero_win", func() int64 { return pl.flowCounters().ZeroWin })
 	r.Gauge(prefix+".streams", func() float64 {
 		var t int64
 		for _, s := range pl.shards {
@@ -399,11 +399,24 @@ func (pl *Plane) Streams() []proxy.StreamInfo {
 	return out
 }
 
-// FlowStats returns the merged flow-log counters across shards.
+// FlowStats returns the merged flow-log counters across shards, each
+// read on its owning goroutine after closing its idle flows.
 func (pl *Plane) FlowStats() flowlog.StatsSnapshot {
+	ts := make([]flowlog.StatsSnapshot, pl.n)
+	pl.exec.all(func(i int, p *proxy.Proxy) { ts[i] = p.FlowStats() })
+	var t flowlog.StatsSnapshot
+	for _, s := range ts {
+		t = t.Merge(s)
+	}
+	return t
+}
+
+// flowCounters merges the shards' flow-log counters as they stand: the
+// read for metrics, which ages nothing.
+func (pl *Plane) flowCounters() flowlog.StatsSnapshot {
 	var t flowlog.StatsSnapshot
 	for _, s := range pl.shards {
-		t = t.Merge(s.FlowStats())
+		t = t.Merge(s.FlowCounters())
 	}
 	return t
 }

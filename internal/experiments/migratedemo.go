@@ -202,7 +202,7 @@ func MigrateDemo(seed int64, w io.Writer) error {
 		}
 		installed := 0
 		for _, e := range sys.Obs.Events()[nEvents:] {
-			if e.Subsys == "migrate" && e.Kind == "installed" && e.Key == k.String() {
+			if e.Subsys == "migrate" && e.Kind == "installed" && e.HasStream && e.Stream == obs.Stream(k) {
 				installed++
 			}
 		}

@@ -39,11 +39,13 @@ func (e *unknownFilterError) Unwrap() error { return ErrUnknownFilter }
 // quadruple of source address/port and destination address/port
 // (thesis §5.2). Zero-valued fields act as wild-cards when the key is
 // used in the stream registry.
+//
+// The addresses come first: the struct then has no padding, and a map
+// keyed by it hashes its 12 bytes in one piece. Its fields are
+// obs.Stream's, so obs.Stream(k) converts a key for nothing.
 type Key struct {
-	SrcIP   ip.Addr
-	SrcPort uint16
-	DstIP   ip.Addr
-	DstPort uint16
+	SrcIP, DstIP     ip.Addr
+	SrcPort, DstPort uint16
 }
 
 // Matches reports whether the (possibly wild-card) key k matches the
@@ -77,18 +79,10 @@ func (k Key) String() string {
 	return string(k.AppendTo(buf[:0]))
 }
 
-// AppendTo appends the report format of k to b. Every queue build and
-// teardown renders its key for the event bus; the buffer in String
-// stays on the stack, so the string itself is the only allocation.
-func (k Key) AppendTo(b []byte) []byte {
-	b = k.SrcIP.AppendTo(b)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, uint64(k.SrcPort), 10)
-	b = append(b, " -> "...)
-	b = k.DstIP.AppendTo(b)
-	b = append(b, ' ')
-	return strconv.AppendUint(b, uint64(k.DstPort), 10)
-}
+// AppendTo appends the report format of k to b, through obs.Stream's
+// renderer, the one the event bus uses. The buffer in String stays on
+// the stack, so the string itself is the only allocation.
+func (k Key) AppendTo(b []byte) []byte { return obs.Stream(k).AppendTo(b) }
 
 // SortByKey sorts s by the rendered text of each element's key: the
 // order every listing and teardown sequence has, and the one the
@@ -449,9 +443,10 @@ type Env interface {
 	// a buffer is injected at most once, and a filter that keeps one
 	// to send again injects a copy.
 	Inject(raw []byte)
-	// Emit records an event on the proxy's bus (obs.Bus.Emit), with the
-	// filter's name as subsys, on state changes and failures only.
-	Emit(subsys, kind, key string, fields ...obs.Field)
+	// Emit records an event keyed by stream k on the proxy's bus
+	// (obs.Bus.EmitStream), with the filter's name as subsys, on state
+	// changes and failures only.
+	Emit(subsys, kind string, k Key, fields ...obs.Field)
 	// Metric returns the current numeric value of one of the host's
 	// EEM variables — the table EEM clients read (thesis ch. 6: "EEM
 	// clients run as user-level threads which can form part of an

@@ -117,10 +117,10 @@ func (inst *adiscardInst) sample() {
 	switch {
 	case util > adiscardHigh && inst.maxLayer > 0:
 		inst.maxLayer--
-		inst.env.Emit("adiscard", "shed", inst.key.String(), obs.F("util", util), obs.F("max-layer", inst.maxLayer))
+		inst.env.Emit("adiscard", "shed", inst.key, obs.F("util", util), obs.F("max-layer", inst.maxLayer))
 	case util < adiscardLow && inst.maxLayer < inst.ceil:
 		inst.maxLayer++
-		inst.env.Emit("adiscard", "restore", inst.key.String(), obs.F("util", util), obs.F("max-layer", inst.maxLayer))
+		inst.env.Emit("adiscard", "restore", inst.key, obs.F("util", util), obs.F("max-layer", inst.maxLayer))
 	}
 }
 

@@ -136,7 +136,7 @@ func (inst *cacheInst) answerRequest(p *filter.Packet) {
 	h := ip.Header{TTL: 64, Protocol: ip.ProtoUDP, Src: p.IP.Dst, Dst: p.IP.Src}
 	raw, err := h.Marshal(resp.Marshal(p.IP.Dst, p.IP.Src))
 	if err != nil {
-		inst.env.Emit("cache", "marshal-failed", p.Key.String(), obs.F("err", err.Error()))
+		inst.env.Emit("cache", "marshal-failed", p.Key, obs.F("err", err.Error()))
 		return
 	}
 	p.Inject(raw)

@@ -175,7 +175,7 @@ func (f *decomp) New(env filter.Env, k filter.Key, args []string) error {
 			}
 			out, err := DecompressPayload(p.TCP.Payload)
 			if err != nil {
-				env.Emit("decomp", "passthrough", k.String(), obs.F("err", err.Error()))
+				env.Emit("decomp", "passthrough", k, obs.F("err", err.Error()))
 				return
 			}
 			p.TCP.Payload = out

@@ -259,7 +259,7 @@ func (m *mwinInst) roll() {
 		target = int64(m.gain * float64(acked) * float64(minRTT) / float64(m.interval))
 	}
 	if !m.active {
-		m.env.Emit("mwin", "active", m.fwd.String(), obs.F("window", target), obs.F("srtt", srtt))
+		m.env.Emit("mwin", "active", m.fwd, obs.F("window", target), obs.F("srtt", srtt))
 		m.active = true
 	}
 	m.setWindow(target)

@@ -74,12 +74,12 @@ func (e *stubEnv) Attach(k filter.Key, h filter.Hooks) (func(), error) {
 	e.hooks = append(e.hooks, h)
 	return func() {}, nil
 }
-func (e *stubEnv) RemoveStream(filter.Key)                   {}
-func (e *stubEnv) Inject([]byte)                             {}
-func (e *stubEnv) Emit(string, string, string, ...obs.Field) {}
-func (e *stubEnv) Metric(string, int) (float64, bool)        { return 0, false }
-func (e *stubEnv) FlowSRTT(filter.Key) (time.Duration, bool) { return 0, false }
-func (e *stubEnv) Spawn(string, filter.Key, []string) error  { return nil }
+func (e *stubEnv) RemoveStream(filter.Key)                       {}
+func (e *stubEnv) Inject([]byte)                                 {}
+func (e *stubEnv) Emit(string, string, filter.Key, ...obs.Field) {}
+func (e *stubEnv) Metric(string, int) (float64, bool)            { return 0, false }
+func (e *stubEnv) FlowSRTT(filter.Key) (time.Duration, bool)     { return 0, false }
+func (e *stubEnv) Spawn(string, filter.Key, []string) error      { return nil }
 
 // TestMwinPassiveWithoutFlowSampler: with no flow log wired into the
 // Env, mwin must attach but never modify a packet (fail open).

@@ -107,7 +107,7 @@ func (inst *tcpFiltInst) unref() {
 func (inst *tcpFiltInst) repair(p *filter.Packet) {
 	if p.Dirty() && !p.Dropped() {
 		if err := p.Remarshal(); err != nil {
-			inst.env.Emit("tcp", "remarshal-failed", p.Key.String(), obs.F("err", err.Error()))
+			inst.env.Emit("tcp", "remarshal-failed", p.Key, obs.F("err", err.Error()))
 			p.Drop()
 		}
 	}

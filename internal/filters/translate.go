@@ -63,7 +63,7 @@ func (f *translate) New(env filter.Env, k filter.Key, args []string) error {
 			// UDP streams have no tcp bookkeeping filter to repair
 			// checksums; this filter re-marshals its own work.
 			if err := p.Remarshal(); err != nil {
-				env.Emit("translate", "remarshal-failed", k.String(), obs.F("err", err.Error()))
+				env.Emit("translate", "remarshal-failed", k, obs.F("err", err.Error()))
 				p.Drop()
 			}
 		},

@@ -586,7 +586,7 @@ func (t *ttsfInst) ackDroppedFrontier(force bool) {
 	h := ip.Header{TTL: 64, Protocol: ip.ProtoTCP, Src: t.tmplSrc, Dst: t.tmplDst}
 	raw, err := h.Marshal(seg.Marshal(t.tmplSrc, t.tmplDst))
 	if err != nil {
-		t.env.Emit("ttsf", "synth-ack-failed", t.fwd.String(), obs.F("err", err.Error()))
+		t.env.Emit("ttsf", "synth-ack-failed", t.fwd, obs.F("err", err.Error()))
 		return
 	}
 	t.stats.SynthesizedAcks++

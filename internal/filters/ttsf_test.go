@@ -34,12 +34,12 @@ func (e *fakeEnv) Attach(k filter.Key, h filter.Hooks) (func(), error) {
 	e.hooks[k] = append(e.hooks[k], h)
 	return func() {}, nil
 }
-func (e *fakeEnv) RemoveStream(k filter.Key)                 { delete(e.hooks, k) }
-func (e *fakeEnv) Inject(raw []byte)                         { e.injects = append(e.injects, raw) }
-func (e *fakeEnv) Emit(string, string, string, ...obs.Field) {}
-func (e *fakeEnv) Metric(string, int) (float64, bool)        { return 0, false }
-func (e *fakeEnv) FlowSRTT(filter.Key) (time.Duration, bool) { return 0, false }
-func (e *fakeEnv) Spawn(string, filter.Key, []string) error  { return nil }
+func (e *fakeEnv) RemoveStream(k filter.Key)                     { delete(e.hooks, k) }
+func (e *fakeEnv) Inject(raw []byte)                             { e.injects = append(e.injects, raw) }
+func (e *fakeEnv) Emit(string, string, filter.Key, ...obs.Field) {}
+func (e *fakeEnv) Metric(string, int) (float64, bool)            { return 0, false }
+func (e *fakeEnv) FlowSRTT(filter.Key) (time.Duration, bool)     { return 0, false }
+func (e *fakeEnv) Spawn(string, filter.Key, []string) error      { return nil }
 
 var (
 	uSender = ip.MustParseAddr("1.0.0.1")

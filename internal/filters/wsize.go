@@ -189,7 +189,7 @@ func (inst *zwsmInst) fromMobile(p *filter.Packet) {
 		// The mobile is back; its own ACK (passing through right now)
 		// re-opens the window at the sender.
 		inst.stalled = false
-		inst.env.Emit("wsize", "zwsm-release", inst.fwd.String())
+		inst.env.Emit("wsize", "zwsm-release", inst.fwd)
 	}
 }
 
@@ -205,7 +205,7 @@ func (inst *zwsmInst) check() {
 		return
 	}
 	if !inst.stalled {
-		inst.env.Emit("wsize", "zwsm-stall", inst.fwd.String(), obs.F("silent", silent))
+		inst.env.Emit("wsize", "zwsm-stall", inst.fwd, obs.F("silent", silent))
 	}
 	inst.stalled = true
 	inst.sendZWSM()
@@ -223,7 +223,7 @@ func (inst *zwsmInst) sendZWSM() {
 	h := ip.Header{TTL: 64, Protocol: ip.ProtoTCP, Src: inst.srcIP, Dst: inst.dstIP}
 	raw, err := h.Marshal(seg.Marshal(inst.srcIP, inst.dstIP))
 	if err != nil {
-		inst.env.Emit("wsize", "zwsm-marshal-failed", inst.fwd.String(), obs.F("err", err.Error()))
+		inst.env.Emit("wsize", "zwsm-marshal-failed", inst.fwd, obs.F("err", err.Error()))
 		return
 	}
 	inst.env.Inject(raw)

@@ -10,11 +10,12 @@
 // zero-window rate, mean RTT) feed the EEM so policy rules can fire on
 // traffic conditions, not just link metrics.
 //
-// Concurrency contract: Record and AppendRecords run only on the
-// owning goroutine (the proxy's interception path / the shard
+// Concurrency contract: Record, Snapshot and AppendRecords run only on
+// the owning goroutine (the proxy's interception path / the shard
 // goroutine under the plane's quiesce barrier); the Stats counters are
-// single-writer atomics, so Snapshot is safe from any goroutine and
-// per-shard snapshots merge exactly, like proxy.StatsSnapshot.
+// single-writer atomics, so Stats().Snapshot and ActiveFlows are safe
+// from any goroutine (and age nothing) and per-shard snapshots merge
+// exactly, like proxy.StatsSnapshot.
 package flowlog
 
 import (
@@ -37,7 +38,8 @@ const (
 	DefaultClosedRing = 256
 	// DefaultIdleTimeout closes a flow that has carried no segment for
 	// this long (lazy aging: expiry is checked against the LRU head on
-	// each Record call, so no timer fires on the hot path).
+	// each Record call and before each Snapshot or AppendRecords, so no
+	// timer fires on the hot path and the table ages when nobody sends).
 	DefaultIdleTimeout = 60 * time.Second
 	// DefaultShow is the "flows [n]" display bound when n is omitted.
 	DefaultShow = 20
@@ -191,7 +193,7 @@ func canonical(k filter.Key) (ck filter.Key, dir int) {
 func (t *Table) Record(k filter.Key, seg *tcp.Segment, rawLen int) {
 	now := t.now()
 	t.stats.Pkts.Add(1)
-	t.expireIdle(now)
+	t.expireIdle(now, 2)
 
 	ck, d := canonical(k)
 	f := t.active[ck]
@@ -301,10 +303,12 @@ func (t *Table) sample(f *flowState, d time.Duration) {
 }
 
 // expireIdle lazily closes flows whose last segment predates the idle
-// timeout. At most two expire per Record call, bounding the per-packet
-// cost while still draining any backlog over a handful of packets.
-func (t *Table) expireIdle(now sim.Time) {
-	for i := 0; i < 2; i++ {
+// timeout, at most limit of them (all when limit < 0). Record expires
+// two, bounding the per-packet cost while still draining any backlog
+// over a handful of packets; the accessors expire all, so what they
+// show does not depend on whether traffic is still passing.
+func (t *Table) expireIdle(now sim.Time, limit int) {
+	for ; limit != 0; limit-- {
 		h := t.lruHead
 		if h == nil || now.Sub(h.last) < t.cfg.IdleTimeout {
 			return
@@ -378,12 +382,14 @@ func (f *flowState) record(state string) Record {
 	return r
 }
 
-// AppendRecords appends every active flow (as StateActive records) and
-// every retained closed record to dst and returns it. Owning-goroutine
-// only; the data plane gathers per-shard slices under its quiesce
-// barrier and merges them — a flow is always whole on one shard, so
-// concatenation is the whole merge.
+// AppendRecords closes the flows idle past the timeout, then appends
+// every active flow (as StateActive records) and every retained closed
+// record to dst and returns it. Owning-goroutine only; the data plane
+// gathers per-shard slices under its quiesce barrier and merges them —
+// a flow is always whole on one shard, so concatenation is the whole
+// merge.
 func (t *Table) AppendRecords(dst []Record) []Record {
+	t.expireIdle(t.now(), -1)
 	for f := t.lruHead; f != nil; f = f.next {
 		dst = append(dst, f.record(StateActive))
 	}
@@ -394,8 +400,15 @@ func (t *Table) AppendRecords(dst []Record) []Record {
 	return dst
 }
 
+// Snapshot closes the flows idle past the timeout, then copies the
+// counters. Owning-goroutine only.
+func (t *Table) Snapshot() StatsSnapshot {
+	t.expireIdle(t.now(), -1)
+	return t.stats.Snapshot()
+}
+
 // ActiveFlows returns the current active-flow count (safe from any
-// goroutine).
+// goroutine; it ages nothing).
 func (t *Table) ActiveFlows() int64 { return t.stats.Active.Load() }
 
 // SRTT returns the smoothed RTT estimate of k's active flow (either

@@ -232,7 +232,7 @@ func (m *Manager) Migrate(k filter.Key, peer ip.Addr) error {
 	m.out[o.tx] = o
 	m.nAttempts.Add(1)
 	m.nBytes.Add(int64(len(snap)))
-	m.emit("start", k.String(), obs.F("tx", txString(o.tx)),
+	m.emitStream("start", k, obs.F("tx", txString(o.tx)),
 		obs.F("peer", peer.String()), obs.F("bytes", len(snap)))
 	m.drive(o, offerRetries)
 	return nil
@@ -266,10 +266,10 @@ func (m *Manager) send(o *outgoing) {
 		o.conn = c
 		m.track(c, m.onSourceFrame)
 	}
-	key, tx := o.ex.Key.String(), txString(o.tx)
+	k, tx := o.ex.Key, txString(o.tx)
 	if o.committed {
 		if o.conn.Write(encodeFrame(msgCommit, o.tx, nil)) == nil {
-			m.emit("commit", key, obs.F("tx", tx))
+			m.emitStream("commit", k, obs.F("tx", tx))
 		}
 		return
 	}
@@ -277,14 +277,14 @@ func (m *Manager) send(o *outgoing) {
 	if m.takeFault("corrupt-offer") {
 		payload = append([]byte(nil), o.snap...)
 		payload[len(payload)/2] ^= 0x40
-		m.emit("fault", key, obs.F("point", "corrupt-offer"))
+		m.emitStream("fault", k, obs.F("point", "corrupt-offer"))
 	}
 	if m.takeFault("drop-offer") {
-		m.emit("fault", key, obs.F("point", "drop-offer"))
+		m.emitStream("fault", k, obs.F("point", "drop-offer"))
 		return
 	}
 	if o.conn.Write(encodeFrame(msgOffer, o.tx, payload)) == nil {
-		m.emit("offer", key, obs.F("tx", tx), obs.F("bytes", len(payload)))
+		m.emitStream("offer", k, obs.F("tx", tx), obs.F("bytes", len(payload)))
 	}
 }
 
@@ -303,7 +303,7 @@ func (m *Manager) arm(o *outgoing) {
 			// already run over there, so resuming could double-own it.
 			// The journal row stays, so an answer still in flight can
 			// end it.
-			m.emit("stuck", o.ex.Key.String(), obs.F("tx", txString(o.tx)))
+			m.emitStream("stuck", o.ex.Key, obs.F("tx", txString(o.tx)))
 		}
 	})
 }
@@ -320,7 +320,7 @@ func (m *Manager) onSourceFrame(c *tcp.Conn, typ byte, tx uint64, payload []byte
 			return
 		}
 		if m.takeFault("crash-pre-commit") {
-			m.emit("fault", o.ex.Key.String(), obs.F("point", "crash-pre-commit"))
+			m.emitStream("fault", o.ex.Key, obs.F("point", "crash-pre-commit"))
 			m.Crash()
 			return
 		}
@@ -328,7 +328,7 @@ func (m *Manager) onSourceFrame(c *tcp.Conn, typ byte, tx uint64, payload []byte
 		// may own the stream, so the source may no longer resume it.
 		o.committed = true
 		if m.takeFault("crash-post-commit") {
-			m.emit("fault", o.ex.Key.String(), obs.F("point", "crash-post-commit"))
+			m.emitStream("fault", o.ex.Key, obs.F("point", "crash-post-commit"))
 			m.Crash()
 			return
 		}
@@ -339,11 +339,11 @@ func (m *Manager) onSourceFrame(c *tcp.Conn, typ byte, tx uint64, payload []byte
 		}
 		m.finish(o, "NAK")
 		m.nAborted.Add(1)
-		m.emit("aborted", o.ex.Key.String(), obs.F("tx", txString(tx)), obs.F("reason", string(payload)))
+		m.emitStream("aborted", o.ex.Key, obs.F("tx", txString(tx)), obs.F("reason", string(payload)))
 	case msgDone:
 		m.finish(o, "")
 		m.nCompleted.Add(1)
-		m.emit("completed", o.ex.Key.String(), obs.F("tx", txString(tx)))
+		m.emitStream("completed", o.ex.Key, obs.F("tx", txString(tx)))
 	case msgGone:
 		// The destination renounced the transfer (pending expired,
 		// install failed, or it never saw the offer): the stream
@@ -361,7 +361,7 @@ func (m *Manager) resume(o *outgoing, after, reason string) {
 	}
 	m.finish(o, after)
 	m.nResumed.Add(1)
-	m.emit("resumed", o.ex.Key.String(), obs.F("tx", txString(o.tx)), obs.F("reason", reason))
+	m.emitStream("resumed", o.ex.Key, obs.F("tx", txString(o.tx)), obs.F("reason", reason))
 }
 
 // finish retires o: journal row out, timer stopped, connection closed.
@@ -382,7 +382,7 @@ func (m *Manager) finish(o *outgoing, after string) {
 // the bus, naming the answer it came after.
 func (m *Manager) restore(ex *proxy.StreamExport, after string) {
 	if err := m.cfg.Plane.RestoreStream(ex); err != nil {
-		m.emit("reinstall-failed", ex.Key.String(), obs.F("after", after), obs.F("err", err.Error()))
+		m.emitStream("reinstall-failed", ex.Key, obs.F("after", after), obs.F("err", err.Error()))
 	}
 }
 
@@ -416,7 +416,7 @@ func (m *Manager) onDestFrame(c *tcp.Conn, typ byte, tx uint64, payload []byte) 
 		t.timer = m.cfg.Sched.After(pendingTimeout, func() {
 			m.discard(tx, t, "pending-expired")
 		})
-		m.emit("prepared", ex.Key.String(), obs.F("tx", txString(tx)),
+		m.emitStream("prepared", ex.Key, obs.F("tx", txString(tx)),
 			obs.F("bindings", len(ex.Bindings)), obs.F("states", len(ex.States)))
 		c.Write(encodeFrame(msgPrepared, tx, nil))
 	case msgCommit:
@@ -433,12 +433,12 @@ func (m *Manager) onDestFrame(c *tcp.Conn, typ byte, tx uint64, payload []byte) 
 			t.ex = nil
 			if err := m.cfg.Plane.RestoreStream(ex); err != nil {
 				t.state = inDiscarded
-				m.emit("install-failed", ex.Key.String(), obs.F("tx", txString(tx)), obs.F("err", err.Error()))
+				m.emitStream("install-failed", ex.Key, obs.F("tx", txString(tx)), obs.F("err", err.Error()))
 				c.Write(encodeFrame(msgGone, tx, nil))
 				return
 			}
 			t.state = inDone
-			m.emit("installed", ex.Key.String(), obs.F("tx", txString(tx)),
+			m.emitStream("installed", ex.Key, obs.F("tx", txString(tx)),
 				obs.F("bindings", len(ex.Bindings)), obs.F("states", len(ex.States)))
 			c.Write(encodeFrame(msgDone, tx, nil))
 		}
@@ -452,9 +452,8 @@ func (m *Manager) onDestFrame(c *tcp.Conn, typ byte, tx uint64, payload []byte) 
 
 // discard renounces the pending transfer t and says why on the bus.
 func (m *Manager) discard(tx uint64, t *incoming, kind string) {
-	key := t.ex.Key.String()
+	m.emitStream(kind, t.ex.Key, obs.F("tx", txString(tx)))
 	t.state, t.ex = inDiscarded, nil
-	m.emit(kind, key, obs.F("tx", txString(tx)))
 }
 
 // --- crash / restart ----------------------------------------------------
@@ -505,10 +504,10 @@ func (m *Manager) Restart() {
 	for _, tx := range txs {
 		o := m.out[tx]
 		if !o.committed {
-			m.emit("recover-offered", o.ex.Key.String(), obs.F("tx", txString(tx)))
+			m.emitStream("recover-offered", o.ex.Key, obs.F("tx", txString(tx)))
 			m.resume(o, "resume", "restart with uncommitted journal entry")
 		} else {
-			m.emit("recover-committed", o.ex.Key.String(), obs.F("tx", txString(tx)))
+			m.emitStream("recover-committed", o.ex.Key, obs.F("tx", txString(tx)))
 			m.drive(o, commitRetries)
 		}
 	}
@@ -577,10 +576,21 @@ func (m *Manager) track(c *tcp.Conn, handle func(c *tcp.Conn, typ byte, tx uint6
 	}
 }
 
+// emit records an event keyed by a string (a transfer ID, the
+// manager's name, a peer address), emitStream one keyed by the stream
+// it concerns; the manager's name leads the fields of both.
 func (m *Manager) emit(kind, key string, fields ...obs.Field) {
-	if m.cfg.Bus == nil {
-		return
+	if m.cfg.Bus != nil {
+		m.cfg.Bus.Emit("migrate", kind, key, m.named(fields)...)
 	}
-	fields = append([]obs.Field{obs.F("mgr", m.cfg.Name)}, fields...)
-	m.cfg.Bus.Emit("migrate", kind, key, fields...)
+}
+
+func (m *Manager) emitStream(kind string, k filter.Key, fields ...obs.Field) {
+	if m.cfg.Bus != nil {
+		m.cfg.Bus.EmitStream("migrate", kind, obs.Stream(k), m.named(fields)...)
+	}
+}
+
+func (m *Manager) named(fields []obs.Field) []obs.Field {
+	return append([]obs.Field{obs.F("mgr", m.cfg.Name)}, fields...)
 }

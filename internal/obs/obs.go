@@ -4,11 +4,12 @@
 // It has two halves. The event bus records structured records
 // (sim.Time, subsystem, kind, key, fields) in the exact order the
 // scheduler produced them, with ring-buffer retention. An event holds
-// its fields' values — strings and tagged numbers, copied into the
-// ring slot — and is rendered when somebody reads it, so emitting costs
-// the emitter its key string and nothing in the bus; only a
-// fmt.Stringer or a value of a type F does not know is formatted at
-// emission. The ring grows to its retention as events arrive. The
+// values — its key (a string, or a stream's 4-tuple) and its fields
+// (strings and tagged numbers), copied into the ring slot — and is
+// rendered when somebody reads it, so a stream-keyed emit with numeric
+// fields allocates nothing; only a fmt.Stringer or a value of a type F
+// does not know is formatted at emission, and F boxes what it is
+// given. The ring grows to its retention as events arrive. The
 // metrics registry unifies the per-package counters (proxy.Stats,
 // netsim.LinkStats/NodeStats, the tcp MIB, eem.Server stats) behind
 // named, snapshotable counters and gauges rendered through
@@ -29,8 +30,30 @@ import (
 	"math"
 	"strconv"
 
+	"repro/internal/ip"
 	"repro/internal/sim"
 )
+
+// Stream is the primary key of a stream-keyed event: the 4-tuple of a
+// unidirectional stream. It has filter.Key's fields in filter.Key's
+// order, so a filter.Key converts to it for nothing.
+type Stream struct {
+	SrcIP, DstIP     ip.Addr
+	SrcPort, DstPort uint16
+}
+
+// AppendTo appends the thesis's report format of s to b:
+// "11.11.10.99 7 -> 11.11.10.10 1169". It is the one renderer of a
+// stream key; filter.Key's String and AppendTo call it.
+func (s Stream) AppendTo(b []byte) []byte {
+	b = s.SrcIP.AppendTo(b)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(s.SrcPort), 10)
+	b = append(b, " -> "...)
+	b = s.DstIP.AppendTo(b)
+	b = append(b, ' ')
+	return strconv.AppendUint(b, uint64(s.DstPort), 10)
+}
 
 // Field is one key=value pair attached to an event. It holds the value
 // itself — a string or a tagged number — not its text: the text is
@@ -56,6 +79,17 @@ const (
 	kindTime
 )
 
+// Int, Uint and Float build a numeric Field without passing the
+// number through an interface, which F's any would box (allocate) for
+// most values: the constructors for fields on hot paths.
+func Int(k string, v int64) Field { return Field{K: k, kind: kindInt, num: uint64(v)} }
+
+// Uint builds an unsigned numeric Field (see Int).
+func Uint(k string, v uint64) Field { return Field{K: k, kind: kindUint, num: v} }
+
+// Float builds a floating-point Field (see Int).
+func Float(k string, v float64) Field { return Field{K: k, kind: kindFloat, num: math.Float64bits(v)} }
+
 // F builds a Field. Supported value types are the ones simulation
 // state is made of; they are recorded as values. Everything else is
 // formatted here, at emission, because it may change afterwards: a
@@ -67,20 +101,20 @@ func F(k string, v any) Field {
 	case string:
 		f.str = x
 	case int:
-		f.kind, f.num = kindInt, uint64(x)
+		return Int(k, int64(x))
 	case int64:
-		f.kind, f.num = kindInt, uint64(x)
+		return Int(k, x)
 	case uint64:
-		f.kind, f.num = kindUint, x
+		return Uint(k, x)
 	case uint16:
-		f.kind, f.num = kindUint, uint64(x)
+		return Uint(k, uint64(x))
 	case bool:
 		f.kind = kindBool
 		if x {
 			f.num = 1
 		}
 	case float64:
-		f.kind, f.num = kindFloat, math.Float64bits(x)
+		return Float(k, x)
 	case sim.Time:
 		f.kind, f.num = kindTime, uint64(x)
 	case fmt.Stringer:
@@ -126,7 +160,12 @@ type Event struct {
 	Seq    uint64   // global emission index (0-based, never recycled)
 	Subsys string   // emitting subsystem: "proxy", "eem", "netsim", "tcp"
 	Kind   string   // event kind within the subsystem
-	Key    string   // primary key: stream key, session id, link name
+	Key    string   // primary key of a string-keyed event: session id, link name
+
+	// The primary key of a stream-keyed event (EmitStream), held as a
+	// value and rendered when the event is read.
+	Stream    Stream
+	HasStream bool
 
 	// The ordered extra fields: the first inlineFields in place, so
 	// that recording an event copies values and allocates nothing, and
@@ -162,7 +201,11 @@ func (e *Event) appendLine(b []byte) []byte {
 	b = append(b, '\t')
 	b = append(b, e.Kind...)
 	b = append(b, '\t')
-	b = append(b, e.Key...)
+	if e.HasStream {
+		b = e.Stream.AppendTo(b)
+	} else {
+		b = append(b, e.Key...)
+	}
 	sep := byte('\t')
 	for _, fs := range [2][]Field{e.inline[:e.nInline], e.more} {
 		for i := range fs {
@@ -217,17 +260,33 @@ func NewBus(clock *sim.Scheduler, retention int) *Bus {
 // Enabled reports whether events emitted here are recorded.
 func (b *Bus) Enabled() bool { return b != nil }
 
-// Emit appends one event. Safe on a nil bus (no-op). The fields are
-// copied into the ring slot, so the caller's argument slice does not
-// escape and the bus allocates only when the ring grows.
+// Emit appends one event keyed by a string. Safe on a nil bus
+// (no-op). The fields are copied into the ring slot, so the caller's
+// argument slice does not escape and the bus allocates only when the
+// ring grows.
 func (b *Bus) Emit(subsys, kind, key string, fields ...Field) {
-	if b == nil {
-		return
+	if b != nil {
+		b.record(subsys, kind, fields).Key = key
 	}
+}
+
+// EmitStream appends one event keyed by the stream s, which is stored
+// as a value and rendered when the event is read. Safe on a nil bus.
+func (b *Bus) EmitStream(subsys, kind string, s Stream, fields ...Field) {
+	if b != nil {
+		e := b.record(subsys, kind, fields)
+		e.Stream, e.HasStream = s, true
+	}
+}
+
+// record fills the next ring slot with everything but the key.
+func (b *Bus) record(subsys, kind string, fields []Field) *Event {
 	e := b.slot()
-	e.At, e.Seq, e.Subsys, e.Kind, e.Key = b.clock.Now(), b.total, subsys, kind, key
+	e.At, e.Seq, e.Subsys, e.Kind = b.clock.Now(), b.total, subsys, kind
+	e.Key, e.Stream, e.HasStream = "", Stream{}, false
 	e.setFields(fields)
 	b.total++
+	return e
 }
 
 // slot returns the ring slot the next event lands in: a fresh one
@@ -252,17 +311,17 @@ func (b *Bus) slot() *Event {
 // only worth their cost when someone asked to see them.
 func (b *Bus) SetTracePackets(on bool) { b.tracePackets = on }
 
-// PacketsTraced reports whether EmitPacket currently does anything, so
-// hot paths can skip building the key string. Safe on a nil bus.
+// PacketsTraced reports whether EmitPacket currently does anything.
+// Safe on a nil bus.
 func (b *Bus) PacketsTraced() bool {
 	return b != nil && b.tracePackets
 }
 
-// EmitPacket records a compact packet-level event (length only) when
-// packet tracing is on. Safe on a nil bus.
-func (b *Bus) EmitPacket(subsys, kind, key string, raw []byte) {
+// EmitPacket records a compact packet-level event (length only) of
+// stream s when packet tracing is on. Safe on a nil bus.
+func (b *Bus) EmitPacket(subsys, kind string, s Stream, raw []byte) {
 	if b.PacketsTraced() {
-		b.Emit(subsys, kind, key, F("len", len(raw)))
+		b.EmitStream(subsys, kind, s, Int("len", int64(len(raw))))
 	}
 }
 

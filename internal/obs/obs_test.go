@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ip"
 	"repro/internal/sim"
 )
 
@@ -145,7 +146,7 @@ func TestBusRingGrowsToRetention(t *testing.T) {
 func TestNilBusIsInert(t *testing.T) {
 	var b *Bus
 	b.Emit("x", "y", "z")
-	b.EmitPacket("x", "y", "z", []byte{1})
+	b.EmitPacket("x", "y", Stream{}, []byte{1})
 	if b.Enabled() || b.PacketsTraced() || b.Total() != 0 || b.Events() != nil || b.Count("x", "y") != 0 {
 		t.Fatal("nil bus not inert")
 	}
@@ -213,7 +214,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 func TestEmitPacketGating(t *testing.T) {
 	s := sim.NewScheduler(1)
 	b := NewBus(s, 8)
-	b.EmitPacket("proxy", "pkt", "k", []byte{1, 2})
+	b.EmitPacket("proxy", "pkt", Stream{}, []byte{1, 2})
 	if b.Total() != 0 {
 		t.Fatal("EmitPacket recorded with tracing off")
 	}
@@ -221,7 +222,7 @@ func TestEmitPacketGating(t *testing.T) {
 	if !b.PacketsTraced() {
 		t.Fatal("PacketsTraced false with tracing on")
 	}
-	b.EmitPacket("proxy", "pkt", "k", []byte{1, 2})
+	b.EmitPacket("proxy", "pkt", Stream{}, []byte{1, 2})
 	if b.Total() != 1 {
 		t.Fatal("EmitPacket did not record with tracing on")
 	}
@@ -229,8 +230,72 @@ func TestEmitPacketGating(t *testing.T) {
 	if b.PacketsTraced() {
 		t.Fatal("PacketsTraced true with tracing switched off")
 	}
-	b.EmitPacket("proxy", "pkt", "k", []byte{1, 2})
+	b.EmitPacket("proxy", "pkt", Stream{}, []byte{1, 2})
 	if b.Total() != 1 {
 		t.Fatal("EmitPacket recorded after tracing was switched off")
+	}
+}
+
+// TestStreamKeyRendering: a stream-keyed event renders its 4-tuple in
+// the report format at every reader — the line, Tail and WriteLog —
+// down to the edges of every field. The all-zero stream renders as
+// such, not as the empty key of a string-keyed event.
+func TestStreamKeyRendering(t *testing.T) {
+	for _, tc := range []struct {
+		s    Stream
+		want string
+	}{
+		{Stream{}, "0.0.0.0 0 -> 0.0.0.0 0"},
+		{Stream{SrcIP: 0xffffffff, DstIP: 0xffffffff, SrcPort: 65535, DstPort: 65535},
+			"255.255.255.255 65535 -> 255.255.255.255 65535"},
+		{Stream{SrcIP: ip.AddrFrom4(11, 11, 10, 99), DstIP: ip.AddrFrom4(11, 11, 10, 10), SrcPort: 7, DstPort: 1169},
+			"11.11.10.99 7 -> 11.11.10.10 1169"},
+	} {
+		b := NewBus(sim.NewScheduler(1), 4)
+		b.EmitStream("proxy", "queue-build", tc.s, Int("filters", 1))
+		b.Emit("eem", "crash", "")
+		want := "0s\tproxy\tqueue-build\t" + tc.want + "\tfilters=1\n" + "0s\teem\tcrash\t\n"
+		if got := b.Tail(0); got != want {
+			t.Fatalf("Tail:\n got %q\nwant %q", got, want)
+		}
+		var log bytes.Buffer
+		if err := b.WriteLog(&log); err != nil {
+			t.Fatal(err)
+		}
+		if got := log.String(); got != "# obs events: total=2 retained=2\n"+want {
+			t.Fatalf("WriteLog:\n got %q\nwant %q", got, want)
+		}
+		if e := b.Events()[0]; !e.HasStream || e.Stream != tc.s || e.Key != "" {
+			t.Fatalf("event holds key %q, stream %v (%v), want stream %v", e.Key, e.Stream, e.HasStream, tc.s)
+		}
+		if e := b.Events()[1]; e.HasStream {
+			t.Fatalf("string-keyed event holds stream %v", e.Stream)
+		}
+	}
+}
+
+// TestEmitAllocatesNothing: once the ring is full, an event is copied
+// into the oldest slot, its key and numbers as values, so neither a
+// string-keyed nor a stream-keyed emit allocates, whatever size the
+// numbers are (F's any would box most of them).
+func TestEmitAllocatesNothing(t *testing.T) {
+	const retention = 16
+	b := NewBus(sim.NewScheduler(1), retention)
+	s := Stream{SrcIP: ip.AddrFrom4(11, 11, 10, 99), DstIP: ip.AddrFrom4(11, 11, 10, 10), SrcPort: 7, DstPort: 1169}
+	n, f := int64(1)<<40, 0.75
+	emit := func() {
+		b.Emit("eem", "update", "s1", Int("vars", -n), Uint("bytes", uint64(n)), Float("util", f))
+		b.EmitStream("proxy", "queue-teardown", s, Int("pkts", n), Uint("bytes", uint64(n)), Float("util", f))
+		n++
+	}
+	for i := 0; i < retention; i++ {
+		emit()
+	}
+	if allocs := testing.AllocsPerRun(100, emit); allocs != 0 {
+		t.Fatalf("two emits on a full ring allocate %.1f times, want 0", allocs)
+	}
+	last := strconv.FormatInt(n-1, 10)
+	if got, want := b.Tail(1), "0s\tproxy\tqueue-teardown\t11.11.10.99 7 -> 11.11.10.10 1169\tpkts="+last+" bytes="+last+" util=0.75\n"; got != want {
+		t.Fatalf("last event:\n got %q\nwant %q", got, want)
 	}
 }

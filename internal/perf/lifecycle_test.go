@@ -12,10 +12,11 @@ import (
 // to teardown: classify, launcher spawn, tcp instance, two attachments,
 // the queue-build event, the close-grace timer, two queue teardowns and
 // their events. Queues, attachments and tcp instances are recycled, the
-// bus records values and the scheduler recycles its events, so what is
-// left per flow is two detach handles, three rendered keys and a boxed
-// byte count: at most 10 allocations, where 45 were made when every key
-// went through fmt and every struct through the allocator.
+// bus records each event's stream key and numbers as values and the
+// scheduler recycles its events, so what is left per flow is the two
+// detach handles that Attach returns: at most 2 allocations, where 45
+// were made when every key went through fmt and every struct through
+// the allocator.
 func TestFlowLifecycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate: the race detector's sync.Pool drops puts at random")
@@ -28,7 +29,7 @@ func TestFlowLifecycleAllocs(t *testing.T) {
 
 	// Every batch is fresh keys; build them all first, so the measured
 	// function allocates nothing of its own.
-	const batch, runs, bound = 256, 8, 10
+	const batch, runs, bound = 256, 8, 2
 	c := workload.NewChurn(workload.ChurnConfig{DataPkts: 2, PayloadSize: 64})
 	batches := make([][][]byte, runs+1) // AllocsPerRun warms up with one extra call
 	for b := range batches {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/filter"
+	"repro/internal/obs"
 )
 
 // grower is a Normal-priority filter that pushes every payload past
@@ -102,8 +103,8 @@ func TestFailureSitesEmit(t *testing.T) {
 				t.Fatalf("%d %s %s events, want 1; bus:\n%s", n, tc.subsys, tc.kind, bus.Tail(10))
 			}
 			for _, e := range bus.Events() {
-				if e.Subsys == tc.subsys && e.Kind == tc.kind && e.Key != k.String() {
-					t.Fatalf("event keyed %q, want %q", e.Key, k.String())
+				if e.Subsys == tc.subsys && e.Kind == tc.kind && (!e.HasStream || e.Stream != obs.Stream(k)) {
+					t.Fatalf("event %q, want it keyed by stream %v", e.String(), k)
 				}
 			}
 		})

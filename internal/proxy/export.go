@@ -92,7 +92,7 @@ func (p *Proxy) ExportStream(k filter.Key) (*StreamExport, error) {
 			if err != nil {
 				// Fail open: the filter migrates fresh rather than
 				// wedging the whole stream's migration.
-				p.obs.Emit("proxy", "snapshot-failed", qk.String(), obs.F("filter", a.hooks.Filter), obs.F("err", err.Error()))
+				p.Emit("proxy", "snapshot-failed", qk, obs.F("filter", a.hooks.Filter), obs.F("err", err.Error()))
 				continue
 			}
 			ex.States = append(ex.States, FilterState{
@@ -115,7 +115,7 @@ func (p *Proxy) ExtractStream(k filter.Key) (*StreamExport, error) {
 		return nil, err
 	}
 	p.DropStream(k)
-	p.obs.Emit("proxy", "stream-extract", k.String(),
+	p.Emit("proxy", "stream-extract", k,
 		obs.F("bindings", len(ex.Bindings)), obs.F("states", len(ex.States)))
 	return ex, nil
 }
@@ -173,7 +173,7 @@ func (p *Proxy) ImportStream(ex *StreamExport) error {
 		if a == nil {
 			// The binding that owned this state did not reattach here
 			// (launcher spawn, differing args): fresh instance, fail open.
-			p.obs.Emit("proxy", "state-orphaned", fs.Key.String(), obs.F("filter", fs.Filter), obs.F("ordinal", fs.Ordinal))
+			p.Emit("proxy", "state-orphaned", fs.Key, obs.F("filter", fs.Filter), obs.F("ordinal", fs.Ordinal))
 			continue
 		}
 		if err := a.hooks.State.RestoreState(fs.State); err != nil {
@@ -186,7 +186,7 @@ func (p *Proxy) ImportStream(ex *StreamExport) error {
 	if rq := p.queues[ex.Key.Reverse()]; rq != nil {
 		rq.pkts, rq.bytes = ex.RevPkts, ex.RevBytes
 	}
-	p.obs.Emit("proxy", "stream-import", ex.Key.String(),
+	p.Emit("proxy", "stream-import", ex.Key,
 		obs.F("bindings", len(ex.Bindings)), obs.F("states", len(ex.States)))
 	return nil
 }

@@ -266,11 +266,17 @@ func (p *Proxy) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.Counter(prefix+".flow.zero_win", func() int64 { return fs.ZeroWin.Load() })
 }
 
-// FlowStats snapshots the flow-log counters. Safe from any goroutine.
-func (p *Proxy) FlowStats() flowlog.StatsSnapshot { return p.flows.Stats().Snapshot() }
+// FlowStats closes the flows idle past the flow log's timeout, then
+// snapshots its counters. Owning-goroutine only.
+func (p *Proxy) FlowStats() flowlog.StatsSnapshot { return p.flows.Snapshot() }
+
+// FlowCounters snapshots the flow-log counters as they stand, aging
+// nothing: the read for metrics. Safe from any goroutine.
+func (p *Proxy) FlowCounters() flowlog.StatsSnapshot { return p.flows.Stats().Snapshot() }
 
 // AppendFlowRecords appends this proxy's flow records (active +
-// retained closed) to dst. Owning-goroutine only.
+// retained closed, after closing the idle ones) to dst.
+// Owning-goroutine only.
 func (p *Proxy) AppendFlowRecords(dst []flowlog.Record) []flowlog.Record {
 	return p.flows.AppendRecords(dst)
 }
@@ -374,8 +380,8 @@ func (p *Proxy) dropQueue(q *queue) {
 			a.hooks.OnClose()
 		}
 	}
-	p.obs.Emit("proxy", "queue-teardown", q.key.String(),
-		obs.F("pkts", q.pkts), obs.F("bytes", q.bytes))
+	p.Emit("proxy", "queue-teardown", q.key,
+		obs.Int("pkts", q.pkts), obs.Int("bytes", q.bytes))
 	if q == p.running {
 		return
 	}
@@ -403,9 +409,10 @@ func (p *Proxy) Inject(raw []byte) {
 	p.node.InjectPacket(raw)
 }
 
-// Emit implements filter.Env: record an event on the proxy's bus.
-func (p *Proxy) Emit(subsys, kind, key string, fields ...obs.Field) {
-	p.obs.Emit(subsys, kind, key, fields...)
+// Emit implements filter.Env: record an event keyed by stream k on the
+// proxy's bus.
+func (p *Proxy) Emit(subsys, kind string, k filter.Key, fields ...obs.Field) {
+	p.obs.EmitStream(subsys, kind, obs.Stream(k), fields...)
 }
 
 var _ filter.Env = (*Proxy)(nil)
@@ -480,7 +487,7 @@ func (p *Proxy) InterceptAppend(raw []byte, in *netsim.Iface, dst [][]byte) [][]
 		return append(dst, raw) // unparseable: pass through untouched
 	}
 	if p.obs.PacketsTraced() {
-		p.obs.EmitPacket("proxy", "intercept", pkt.Key.String(), raw)
+		p.obs.EmitPacket("proxy", "intercept", obs.Stream(pkt.Key), raw)
 	}
 	if pkt.TCP != nil {
 		p.flows.Record(pkt.Key, pkt.TCP, len(raw))
@@ -519,14 +526,14 @@ func (p *Proxy) InterceptAppend(raw []byte, in *netsim.Iface, dst [][]byte) [][]
 
 	if pkt.Dropped() {
 		p.Stats.DroppedByFilter.Add(1)
-		p.obs.Emit("proxy", "filter-drop", q.key.String(), obs.F("len", len(raw)))
+		p.Emit("proxy", "filter-drop", q.key, obs.Int("len", int64(len(raw))))
 	} else {
 		if pkt.Dirty() {
 			// No filter remarshalled the modified packet: emit it with
 			// its stale checksums, as an in-place edit would. Loading
 			// the tcp bookkeeping filter prevents this.
 			if err := pkt.RemarshalStale(); err != nil {
-				p.obs.Emit("proxy", "remarshal-failed", q.key.String(), obs.F("err", err.Error()))
+				p.Emit("proxy", "remarshal-failed", q.key, obs.F("err", err.Error()))
 			}
 		}
 		p.Stats.Reinjected.Add(1)
@@ -559,7 +566,7 @@ func (p *Proxy) runHook(q *queue, a *attachment, hook func(*filter.Packet), pkt 
 func (p *Proxy) noteHookPanic(q *queue, a *attachment, r any) {
 	p.Stats.HookPanics.Add(1)
 	a.strikes++
-	p.obs.Emit("proxy", "filter-panic", q.key.String(),
+	p.Emit("proxy", "filter-panic", q.key,
 		obs.F("filter", a.hooks.Filter), obs.F("strikes", a.strikes),
 		obs.F("err", fmt.Sprint(r)))
 	if a.strikes >= QuarantineStrikes && !a.quarantined {
@@ -577,7 +584,7 @@ func (p *Proxy) sweepQuarantined(q *queue) {
 	q.pendingQuarantine = false
 	for _, a := range q.take(func(a *attachment) bool { return a.quarantined }) {
 		p.Stats.FilterQuarantines.Add(1)
-		p.obs.Emit("proxy", "filter-quarantine", q.key.String(),
+		p.Emit("proxy", "filter-quarantine", q.key,
 			obs.F("filter", a.hooks.Filter), obs.F("strikes", a.strikes))
 		if a.hooks.OnClose != nil {
 			// The filter already proved itself broken; a panicking
@@ -689,12 +696,12 @@ func (p *Proxy) buildQueue(k filter.Key) *queue {
 	for _, i := range p.matchScratch {
 		r := p.registry[i]
 		if err := r.factory.New(p, k, r.args); err != nil {
-			p.obs.Emit("proxy", "insert-failed", k.String(), obs.F("filter", r.factory.Name()), obs.F("err", err.Error()))
+			p.Emit("proxy", "insert-failed", k, obs.F("filter", r.factory.Name()), obs.F("err", err.Error()))
 		}
 	}
 	q := p.queues[k] // filters attached via Env.Attach
 	if q != nil {
-		p.obs.Emit("proxy", "queue-build", k.String(), obs.F("filters", len(q.attached)))
+		p.Emit("proxy", "queue-build", k, obs.Int("filters", int64(len(q.attached))))
 	}
 	return q
 }
