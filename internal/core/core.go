@@ -32,6 +32,7 @@ import (
 	"repro/internal/filter"
 	"repro/internal/filters"
 	"repro/internal/ip"
+	"repro/internal/itcp"
 	"repro/internal/migrate"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -330,11 +331,17 @@ func (s *System) newSite(tag string, cfg Config, control bool) *Site {
 	st.Plane.SetObs(s.Obs, s.Metrics)
 	st.Plane.RegisterMetrics(s.Metrics, "proxy"+tag)
 	if control {
-		st.Ctrl = tcp.NewStack(st.ProxyHost, cfg.TCP)
-		registerStacks(st.ProxyHost, st.Ctrl, nil)
-		st.Ctrl.RegisterMetrics(s.Metrics, "tcp.proxyctrl"+tag)
+		s.addCtrl(st, cfg.TCP)
 	}
 	return st
+}
+
+// addCtrl gives st a TCP stack terminating what is addressed to its
+// host, counted under "tcp.proxyctrl"+tag.
+func (s *System) addCtrl(st *Site, cfg tcp.Config) {
+	st.Ctrl = tcp.NewStack(st.ProxyHost, cfg)
+	registerStacks(st.ProxyHost, st.Ctrl, nil)
+	st.Ctrl.RegisterMetrics(s.Metrics, "tcp.proxyctrl"+st.tag)
 }
 
 // connectMobile hangs the mobile off the primary proxy host over the
@@ -402,6 +409,24 @@ func (s *System) ArmPolicy(st *Site, pc PolicyConfig) error {
 	st.Plane.RegisterCommand("policy", st.Policy.Command)
 	st.Policy.Start()
 	return nil
+}
+
+// ArmRelay puts an I-TCP relay (thesis §3.2, the split-connection
+// comparator) in front of st's data plane: connections from the wired
+// side to the mobile on ports are terminated at st's host and
+// re-originated from its control stack, while every other packet still
+// reaches the plane and the host's own ports (SP, EEM, migration). A
+// site without a control stack gets one with the deployment's TCP
+// configuration.
+func (s *System) ArmRelay(st *Site, ports ...uint16) *itcp.Relay {
+	if st.Ctrl == nil {
+		s.addCtrl(st, s.WiredTCP.Config())
+	}
+	r, err := itcp.New(st.ProxyHost, st.Ctrl, MobileAddr, ports)
+	if err != nil {
+		panic(fmt.Sprintf("core: relay (proxy%s): %v", st.tag, err))
+	}
+	return r
 }
 
 func registerStacks(node *netsim.Node, t *tcp.Stack, u *udp.Stack) {

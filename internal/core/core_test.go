@@ -336,3 +336,59 @@ func TestSilentFlowAgesWithoutTraffic(t *testing.T) {
 		t.Fatalf("flows after the idle timeout:\n%s", out)
 	}
 }
+
+// TestRelayComposesWithSite: the I-TCP relay armed on a site takes only
+// the connections it relays. The host's SP port still answers over TCP,
+// a stream to another port still runs through the plane's filters, and
+// a transfer to the relayed port is terminated at the proxy host and
+// re-originated from it, past the plane.
+func TestRelayComposesWithSite(t *testing.T) {
+	sys := core.NewSystem(core.Config{})
+	relay := sys.ArmRelay(sys.Site, 5001)
+	sys.MustCommand("load tcp")
+	sys.MustCommand("load launcher")
+	sys.MustCommand("add launcher 11.11.10.99 0 11.11.10.10 0 tcp")
+
+	conn, err := sys.WiredTCP.Connect(core.ProxyCtrlAddr, 12000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp strings.Builder
+	conn.OnData = func(b []byte) { resp.Write(b) }
+	conn.OnEstablished = func() { conn.Write([]byte("report\n")) }
+	sys.Sched.RunFor(2 * time.Second)
+	if !strings.Contains(resp.String(), "launcher") {
+		t.Fatalf("SP port behind the relay answered %q", resp.String())
+	}
+
+	payload := bytes.Repeat([]byte("comma"), 10_000)
+	if _, err := sys.CheckedTransfer("leg 5002", payload, 7, 5002, 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	filtered := sys.Plane.StatsSnapshot().Filtered
+	if filtered == 0 {
+		t.Fatal("a stream to an unrelayed port bypassed the plane's filters")
+	}
+	if _, err := sys.CheckedTransfer("leg 5001", payload, 8, 5001, 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if relay.Stats.Accepted != 1 {
+		t.Fatalf("relay accepted %d connections, want 1", relay.Stats.Accepted)
+	}
+	if got := sys.Plane.StatsSnapshot().Filtered; got != filtered {
+		t.Fatalf("the relayed stream reached the plane's filters: filtered %d → %d", filtered, got)
+	}
+}
+
+// TestRelayOnPeerSite: a site without a control stack — TopoDouble's
+// far proxy — gets one when the relay is armed on it.
+func TestRelayOnPeerSite(t *testing.T) {
+	sys := core.NewSystem(core.Config{Topology: core.TopoDouble})
+	relay := sys.ArmRelay(sys.Peer, 5001)
+	if _, err := sys.CheckedTransfer("leg", bytes.Repeat([]byte("comma"), 10_000), 7, 5001, 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if sys.Peer.Ctrl == nil || relay.Stats.Accepted != 1 {
+		t.Fatalf("peer relay: control stack %v, accepted %d", sys.Peer.Ctrl != nil, relay.Stats.Accepted)
+	}
+}

@@ -5,61 +5,16 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/ip"
+	"repro/internal/core"
 	"repro/internal/itcp"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/trace"
 )
 
-// splitRig builds wired — proxy — wireless — mobile with no service
-// proxy, optionally attaching an I-TCP relay on the middle node.
-type splitRig struct {
-	sched          *sim.Scheduler
-	wired, mobile  *netsim.Node
-	wStack, mStack *tcp.Stack
-	relay          *itcp.Relay
-	wless          *netsim.Link
-	proxyNode      *netsim.Node
-}
-
-func newSplitRig(seed int64, wireless netsim.LinkConfig, withRelay bool) *splitRig {
-	s := sim.NewScheduler(seed)
-	n := netsim.New(s)
-	w := n.AddNode("wired")
-	p := n.AddNode("proxy")
-	m := n.AddNode("mobile")
-	p.Forwarding = true
-	wire := netsim.LinkConfig{Bandwidth: 100e6, Delay: 2 * time.Millisecond}
-	wiredA := ip.MustParseAddr("11.11.10.99")
-	proxyA := ip.MustParseAddr("11.11.10.1")
-	mobileA := ip.MustParseAddr("11.11.10.10")
-	lw := n.Connect(w, wiredA, p, proxyA, wire)
-	lm := n.Connect(p, ip.MustParseAddr("11.11.11.1"), m, mobileA, wireless)
-	w.AddDefaultRoute(lw.IfaceA())
-	m.AddDefaultRoute(lm.IfaceB())
-	p.AddRoute(mobileA.Mask(32), 32, lm.IfaceA())
-
-	r := &splitRig{sched: s, wired: w, mobile: m, wless: lm, proxyNode: p}
-	r.wStack = tcp.NewStack(w, tcp.Config{})
-	r.mStack = tcp.NewStack(m, tcp.Config{})
-	w.RegisterProto(ip.ProtoTCP, func(h ip.Header, pl, raw []byte, in *netsim.Iface) { r.wStack.Deliver(h.Src, h.Dst, pl) })
-	m.RegisterProto(ip.ProtoTCP, func(h ip.Header, pl, raw []byte, in *netsim.Iface) { r.mStack.Deliver(h.Src, h.Dst, pl) })
-	if withRelay {
-		relay, err := itcp.New(p, mobileA, []uint16{5001})
-		if err != nil {
-			panic(err)
-		}
-		r.relay = relay
-	}
-	return r
-}
-
 func runE17(seed int64, w io.Writer) error {
 	t := trace.NewTable("E17: permanent disconnection at t=1s of a 200 KB transfer (500 kb/s wireless)",
 		"proxy model", "sender outcome", "sender believes delivered", "mobile actually got", "silently lost")
-	mobileA := ip.MustParseAddr("11.11.10.10")
 
 	type outcome struct {
 		model    string
@@ -69,18 +24,22 @@ func runE17(seed int64, w io.Writer) error {
 		stranded int64
 	}
 	run := func(model string) outcome {
-		wireless := netsim.LinkConfig{Bandwidth: 500e3, Delay: 20 * time.Millisecond}
-		r := newSplitRig(seed, wireless, model == "I-TCP split")
+		sys := core.NewSystem(core.Config{Seed: seed,
+			Wireless: netsim.LinkConfig{Bandwidth: 500e3, Delay: 20 * time.Millisecond}})
+		var relay *itcp.Relay
+		if model == "I-TCP split" {
+			relay = sys.ArmRelay(sys.Site, 5001)
+		}
 		rcvd := 0
-		r.mStack.Listen(5001, func(c *tcp.Conn) { c.OnData = func(b []byte) { rcvd += len(b) } })
+		sys.MobileTCP.Listen(5001, func(c *tcp.Conn) { c.OnData = func(b []byte) { rcvd += len(b) } })
 		payload := pattern(200_000)
-		client, _ := r.wStack.Connect(mobileA, 5001)
+		client, _ := sys.WiredTCP.Connect(core.MobileAddr, 5001)
 		closedClean := false
 		client.OnClose = func(err error) { closedClean = err == nil }
 		client.OnEstablished = func() { client.Write(payload); client.Close() }
-		r.sched.RunFor(time.Second)
-		r.wless.SetDown(true) // the mobile never comes back
-		r.sched.RunFor(300 * time.Second)
+		sys.Sched.RunFor(time.Second)
+		sys.Wireless.SetDown(true) // the mobile never comes back
+		sys.Sched.RunFor(300 * time.Second)
 
 		o := outcome{model: model, received: rcvd}
 		st := client.Stats()
@@ -93,10 +52,9 @@ func runE17(seed int64, w io.Writer) error {
 		default:
 			o.sender = fmt.Sprintf("stuck in %v (knows delivery failed)", client.State())
 		}
-		if r.relay != nil {
-			o.stranded = r.relay.Stranded()
-		} else {
-			o.stranded = 0 // direct TCP: acked == delivered, nothing silent
+		// Direct TCP strands nothing: acked == delivered.
+		if relay != nil {
+			o.stranded = relay.Stranded()
 		}
 		return o
 	}

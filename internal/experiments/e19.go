@@ -7,55 +7,26 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/tcp"
 	"repro/internal/trace"
 )
 
 func runE19(seed int64, w io.Writer) error {
 	// Both models are tuned to the same ~5% average loss; the GE model
 	// concentrates it into bursts (mean burst ≈ 3 packets).
-	iid := netsim.Bernoulli{P: 0.05}
-	mkGE := func() netsim.LossModel {
-		return &netsim.GilbertElliott{PGB: 0.017, PBG: 0.33, PBad: 1.0}
+	loss := []func() netsim.LossModel{
+		func() netsim.LossModel { return netsim.Bernoulli{P: 0.05} },
+		func() netsim.LossModel { return &netsim.GilbertElliott{PGB: 0.017, PBG: 0.33, PBad: 1.0} },
 	}
 	t := trace.NewTable("E19: loss-model ablation at ≈5% average loss (300 KB, 2 Mb/s, 25 ms)",
 		"loss model", "plain TCP KB/s", "snoop KB/s", "snoop advantage")
 	models := []string{"independent (Bernoulli)", "bursty (Gilbert–Elliott)"}
-	byModel := map[string]map[string]float64{} // model -> mode -> KB/s
-	for _, model := range models {
-		goodput := map[string]float64{}
-		byModel[model] = goodput
-		for _, mode := range []string{"plain", "snoop"} {
-			total := 0.0
-			const seeds = 3
-			for sd := seed; sd < seed+seeds; sd++ {
-				var loss netsim.LossModel = iid
-				if model != "independent (Bernoulli)" {
-					loss = mkGE()
-				}
-				sys := core.NewSystem(core.Config{
-					Seed: sd,
-					TCP:  tcp.Config{RcvWnd: 16384},
-					Wireless: netsim.LinkConfig{Bandwidth: 2e6, Delay: 25 * time.Millisecond,
-						Loss: loss, QueueLen: 200},
-				})
-				sys.MustCommand("load tcp")
-				sys.MustCommand("load launcher")
-				svc := "tcp"
-				if mode == "snoop" {
-					sys.MustCommand("load snoop")
-					svc = "tcp snoop"
-				}
-				sys.MustCommand(fmt.Sprintf("add launcher %v 0 %v 0 %s", core.WiredAddr, core.MobileAddr, svc))
-				res, err := sys.Transfer(pattern(300_000), 7, 5001, 900*time.Second)
-				if err == nil && res.Completed {
-					total += float64(res.Sent) / res.Elapsed.Seconds() / 1000
-				}
-			}
-			goodput[mode] = total / seeds
-		}
-		adv := goodput["snoop"] / goodput["plain"]
-		t.AddRow(model, goodput["plain"], goodput["snoop"], fmt.Sprintf("%.2fx", adv))
+	rows := make([]struct{ plain, snoop float64 }, len(models)) // KB/s
+	for i, model := range models {
+		cfg := func(sd int64) core.Config { return lossyConfig(sd, loss[i]()) }
+		r := &rows[i]
+		r.plain, _ = lossLeg(seed, cfg, "tcp", 900*time.Second)
+		r.snoop, _ = lossLeg(seed, cfg, "tcp snoop", 900*time.Second)
+		t.AddRow(model, r.plain, r.snoop, fmt.Sprintf("%.2fx", r.snoop/r.plain))
 	}
 	t.Fprint(w)
 	fmt.Fprintln(w, `
@@ -68,13 +39,12 @@ local-repair advantage persists under both models.`)
 	// to plain at seeds 2–5. What holds at every seed is checked; see
 	// EXPERIMENTS.md §E19.
 	var c claims
-	indep := byModel[models[0]]
-	c.check(indep["snoop"] > indep["plain"],
-		"E19: want snoop > plain under independent loss: %.1f vs %.1f KB/s", indep["snoop"], indep["plain"])
-	for _, m := range models {
-		for _, mode := range []string{"plain", "snoop"} {
-			c.check(byModel[m][mode] > 0, "E19: want %s to complete a transfer under %s loss", mode, m)
-		}
+	indep := rows[0]
+	c.check(indep.snoop > indep.plain,
+		"E19: want snoop > plain under independent loss: %.1f vs %.1f KB/s", indep.snoop, indep.plain)
+	for i, m := range models {
+		c.check(rows[i].plain > 0, "E19: want plain to complete a transfer under %s loss", m)
+		c.check(rows[i].snoop > 0, "E19: want snoop to complete a transfer under %s loss", m)
 	}
 	return c.err()
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/tcp"
 	"repro/internal/trace"
 )
 
@@ -21,44 +20,32 @@ func runE21(seed int64, w io.Writer) error {
 		wirelessKB          int64
 	}
 	run := func(mode string) result {
+		chain := "tcp"
+		if mode == "snoop (TCP-aware)" {
+			chain = "tcp snoop"
+		}
 		var acc result
-		const seeds = 3
-		for sd := seed; sd < seed+seeds; sd++ {
-			wireless := netsim.LinkConfig{Bandwidth: 2e6, Delay: 25 * time.Millisecond,
-				Loss: netsim.Bernoulli{P: 0.08}, QueueLen: 200}
+		var runs []legRun
+		acc.goodput, runs = lossLeg(seed, func(sd int64) core.Config {
+			cfg := lossyConfig(sd, netsim.Bernoulli{P: 0.08})
 			if mode == "link ARQ (AIRMAIL-style)" {
 				// One ARQ round costs a frame timeout + resend over the
 				// 25 ms link; lost link acks duplicate 30% of retries.
-				wireless.ARQ = &netsim.ARQConfig{
+				cfg.Wireless.ARQ = &netsim.ARQConfig{
 					RetransDelay: 60 * time.Millisecond,
 					MaxRetries:   6,
 					PDup:         0.3,
 				}
 			}
-			sys := core.NewSystem(core.Config{
-				Seed:     sd,
-				TCP:      tcp.Config{RcvWnd: 16384},
-				Wireless: wireless,
-			})
-			sys.MustCommand("load tcp")
-			sys.MustCommand("load launcher")
-			svc := "tcp"
-			if mode == "snoop (TCP-aware)" {
-				sys.MustCommand("load snoop")
-				svc = "tcp snoop"
-			}
-			sys.MustCommand(fmt.Sprintf("add launcher %v 0 %v 0 %s", core.WiredAddr, core.MobileAddr, svc))
-			res, err := sys.Transfer(pattern(300_000), 7, 5001, 900*time.Second)
-			if err == nil && res.Completed {
-				acc.goodput += float64(res.Sent) / res.Elapsed.Seconds() / 1000
-			}
-			st := res.Client.Stats()
+			return cfg
+		}, chain, 900*time.Second)
+		for _, r := range runs {
+			st := r.res.Client.Stats()
 			acc.fast += st.FastRetransmits
 			acc.rtos += st.Timeouts
 			acc.dupAcks += st.DupAcksRcvd
-			acc.wirelessKB += sys.Wireless.StatsAB().DeliveredBytes / 1000
+			acc.wirelessKB += r.sys.Wireless.StatsAB().DeliveredBytes / 1000
 		}
-		acc.goodput /= seeds
 		return acc
 	}
 	var rs []result

@@ -28,40 +28,17 @@ func runE7(seed int64, w io.Writer) error {
 		got[mode] = append(got[mode], kbps)
 	}
 	for _, lossPct := range losses {
-		for _, mode := range []string{"plain", "snoop", "split"} {
-			if mode == "split" {
-				add(mode, lossPct, splitGoodput(seed, lossPct))
-				continue
-			}
-			// Average over seeds: a single run's goodput at high loss
-			// is dominated by a handful of timeout coincidences.
-			total := 0.0
-			const seeds = 3
-			for sd := seed; sd < seed+seeds; sd++ {
-				sys := core.NewSystem(core.Config{
-					Seed: sd,
-					// A 16 KB receive window matches the era's BSD
-					// socket buffers and keeps the base-station queue
-					// near the bandwidth-delay product, as in the
-					// Snoop testbed.
-					TCP: tcp.Config{RcvWnd: 16384},
-					Wireless: netsim.LinkConfig{Bandwidth: 2e6, Delay: 25 * time.Millisecond,
-						Loss: netsim.Bernoulli{P: lossPct / 100}, QueueLen: 200},
-				})
-				sys.MustCommand("load tcp")
-				sys.MustCommand("load launcher")
-				svc := "tcp"
-				if mode == "snoop" {
-					sys.MustCommand("load snoop")
-					svc = "tcp snoop"
+		for _, m := range []struct{ mode, chain string }{{"plain", "tcp"}, {"snoop", "tcp snoop"}, {"split", relayChain}} {
+			kbps, _ := lossLeg(seed, func(sd int64) core.Config {
+				cfg := lossyConfig(sd, netsim.Bernoulli{P: lossPct / 100})
+				if m.chain == relayChain {
+					// The split leg's endpoints and relay keep the
+					// default window (see EXPERIMENTS.md §E7).
+					cfg.TCP = tcp.Config{}
 				}
-				sys.MustCommand(fmt.Sprintf("add launcher %v 0 %v 0 %s", core.WiredAddr, core.MobileAddr, svc))
-				res, err := sys.Transfer(pattern(300_000), 7, 5001, 600*time.Second)
-				if err == nil && res.Completed {
-					total += float64(res.Sent) / res.Elapsed.Seconds() / 1000
-				}
-			}
-			add(mode, lossPct, total/seeds)
+				return cfg
+			}, m.chain, 600*time.Second)
+			add(m.mode, lossPct, kbps)
 		}
 	}
 	s.Fprint(w)
@@ -87,39 +64,6 @@ func runE7(seed int64, w io.Writer) error {
 		}
 	}
 	return c.err()
-}
-
-// splitGoodput measures the I-TCP baseline at one loss point, averaged
-// over the same seeds as the other modes.
-func splitGoodput(seed int64, lossPct float64) float64 {
-	total := 0.0
-	const seeds = 3
-	for sd := seed; sd < seed+seeds; sd++ {
-		wireless := netsim.LinkConfig{Bandwidth: 2e6, Delay: 25 * time.Millisecond,
-			Loss: netsim.Bernoulli{P: lossPct / 100}, QueueLen: 200}
-		r := newSplitRig(sd, wireless, true)
-		payload := pattern(300_000)
-		rcvd := 0
-		first, done := sim.Time(-1), sim.Time(-1)
-		r.mStack.Listen(5001, func(c *tcp.Conn) {
-			c.OnData = func(b []byte) {
-				if first < 0 {
-					first = r.sched.Now()
-				}
-				rcvd += len(b)
-				if rcvd == len(payload) {
-					done = r.sched.Now()
-				}
-			}
-		})
-		client, _ := r.wStack.Connect(ip.MustParseAddr("11.11.10.10"), 5001)
-		client.OnEstablished = func() { client.Write(payload) }
-		r.sched.RunFor(600 * time.Second)
-		if done >= 0 {
-			total += float64(len(payload)) / done.Sub(0).Seconds() / 1000
-		}
-	}
-	return total / seeds
 }
 
 func runE8(seed int64, w io.Writer) error {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/filter"
 	"repro/internal/ip"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/tcp"
 )
@@ -59,6 +60,60 @@ func (f *dropNth) New(env filter.Env, k filter.Key, args []string) error {
 // registerExtras adds the experiment-only filters to a system catalog.
 func registerExtras(sys *core.System) {
 	sys.Catalog.Register("dropnth", func() filter.Factory { return &dropNth{} })
+}
+
+// lossyConfig is the system E7, E19 and E21 run their loss legs on: a
+// 2 Mb/s, 25 ms wireless link dropping by loss behind a 200-packet
+// queue, and 16 KB receive windows — the era's BSD socket buffers,
+// which keep the base-station queue near the bandwidth-delay product,
+// as in the Snoop testbed.
+func lossyConfig(sd int64, loss netsim.LossModel) core.Config {
+	return core.Config{Seed: sd, TCP: tcp.Config{RcvWnd: 16384},
+		Wireless: netsim.LinkConfig{Bandwidth: 2e6, Delay: 25 * time.Millisecond, Loss: loss, QueueLen: 200}}
+}
+
+// relayChain, as lossLeg's chain, puts the I-TCP relay on the
+// transfer's port in place of a filter chain.
+const relayChain = "itcp"
+
+// legRun is one seed of a lossLeg.
+type legRun struct {
+	sys *core.System
+	res *core.TransferResult
+}
+
+// lossLeg is the loss leg E7, E19 and E21 share: a 300 KB transfer from
+// the wired host to the mobile's port 5001 at seeds seed, seed+1 and
+// seed+2, each on the system cfg builds for its seed, behind `launcher
+// → chain` ("tcp" or "tcp snoop") or through the I-TCP relay
+// (relayChain). It returns the mean goodput in KB/s, a transfer
+// unfinished at deadline counting 0, and each seed's run. It averages
+// because a single run at high loss is dominated by a handful of
+// timeout coincidences.
+func lossLeg(seed int64, cfg func(sd int64) core.Config, chain string, deadline time.Duration) (float64, []legRun) {
+	const seeds = 3
+	total := 0.0
+	runs := make([]legRun, 0, seeds)
+	for sd := seed; sd < seed+seeds; sd++ {
+		sys := core.NewSystem(cfg(sd))
+		if chain == relayChain {
+			sys.ArmRelay(sys.Site, 5001)
+		} else {
+			for _, f := range append([]string{"launcher"}, strings.Fields(chain)...) {
+				sys.MustCommand("load " + f)
+			}
+			sys.MustCommand(fmt.Sprintf("add launcher %v 0 %v 0 %s", core.WiredAddr, core.MobileAddr, chain))
+		}
+		res, err := sys.Transfer(pattern(300_000), 7, 5001, deadline)
+		if err != nil {
+			panic(fmt.Sprintf("loss leg %q: %v", chain, err)) // a fresh system always starts one
+		}
+		if res.Completed {
+			total += float64(res.Sent) / res.Elapsed.Seconds() / 1000
+		}
+		runs = append(runs, legRun{sys, res})
+	}
+	return total / seeds, runs
 }
 
 // segTracer records a one-line-per-segment trace at a stack, with

@@ -10,14 +10,15 @@
 // acknowledged by the proxy before the corresponding data has reached
 // the final destination" (§5.1.2). Experiment E17 demonstrates exactly
 // that failure, which is the thesis's motivation for the transparent
-// (TTSF) approach instead.
+// (TTSF) approach instead. core.System.ArmRelay arms a relay on a
+// Service Proxy site.
 package itcp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 
-	"repro/internal/filter"
 	"repro/internal/ip"
 	"repro/internal/netsim"
 	"repro/internal/tcp"
@@ -33,25 +34,22 @@ type Stats struct {
 // connections from the wired side are terminated at the proxy and
 // re-originated toward the mobile.
 type Relay struct {
-	node   *netsim.Node
 	mobile ip.Addr
+	ports  map[uint16]bool
+	// next is the node's hook the relay sits in front of: it sees every
+	// packet the relay does not terminate.
+	next netsim.Hook
 
 	// wiredSide impersonates the mobile toward wired senders; packets
 	// addressed to the mobile on relayed ports are hijacked into it.
 	wiredSide *tcp.Stack
-	// mobileSide originates the wireless-specific connections. The
+	// mobileSide originates the wireless-side connections. The
 	// thesis-era I-TCP used a wireless-tuned transport here; we use the
-	// same TCP with its own (typically more aggressive) configuration,
-	// which preserves the property under study: two independent
-	// reliability domains.
+	// host's own TCP, which preserves the property under study: two
+	// independent reliability domains.
 	mobileSide *tcp.Stack
 
-	ports map[uint16]bool
 	pipes []*pipe
-
-	// emit is the reusable pass-through return of hook (see
-	// netsim.Hook's ownership contract).
-	emit [][]byte
 
 	Stats Stats
 }
@@ -83,62 +81,43 @@ func (r *Relay) Stranded() int64 {
 	return total
 }
 
-// New attaches a relay to the proxy node for connections to
-// mobile:port.
-func New(node *netsim.Node, mobile ip.Addr, ports []uint16) (*Relay, error) {
+// New puts a relay for connections to mobile:ports in front of node's
+// installed packet hook, which must be set (a Service Proxy's data
+// plane): that hook still sees every packet the relay does not
+// terminate. mobileSide is the host's own TCP stack, already receiving
+// what is addressed to the host; the relay originates its
+// mobile-side connections there, and impersonates the mobile on a
+// second stack of the same configuration.
+func New(node *netsim.Node, mobileSide *tcp.Stack, mobile ip.Addr, ports []uint16) (*Relay, error) {
 	r := &Relay{
-		node:       node,
 		mobile:     mobile,
-		wiredSide:  tcp.NewStack(node, tcp.Config{}),
-		mobileSide: tcp.NewStack(node, tcp.Config{}),
 		ports:      make(map[uint16]bool),
+		next:       node.PacketHook(),
+		wiredSide:  tcp.NewStack(node, mobileSide.Config()),
+		mobileSide: mobileSide,
 	}
 	for _, p := range ports {
-		p := p
 		r.ports[p] = true
 		if _, err := r.wiredSide.Listen(p, func(c *tcp.Conn) { r.accept(c, p) }); err != nil {
 			return nil, fmt.Errorf("itcp: %w", err)
 		}
 	}
 	node.SetHook(r.hook)
-	node.RegisterProto(ip.ProtoTCP, func(h ip.Header, payload, raw []byte, in *netsim.Iface) {
-		// Mobile-side traffic addressed to the proxy itself.
-		r.mobileSide.Deliver(h.Src, h.Dst, payload)
-	})
 	return r, nil
 }
 
-// hook hijacks wired-side segments addressed to the mobile on relayed
-// ports into the local impersonating stack; everything else passes.
+// hook terminates segments addressed to the mobile on relayed ports in
+// the impersonating stack and hands everything else to the next hook.
+// Replies from the mobile are addressed to the host itself, so they
+// reach mobileSide through the node's protocol handler.
 func (r *Relay) hook(raw []byte, in *netsim.Iface) [][]byte {
-	pkt, err := filter.Parse(raw)
-	if err != nil {
-		return r.passThrough(raw)
-	}
-	if pkt.TCP == nil {
-		pkt.Release()
-		return r.passThrough(raw)
-	}
-	// Wired -> mobile on a relayed port: terminate locally.
-	if pkt.IP.Dst == r.mobile && r.ports[pkt.TCP.DstPort] {
-		r.wiredSide.Deliver(pkt.IP.Src, pkt.IP.Dst, pkt.Data)
-		pkt.Release()
+	h, seg, err := ip.Unmarshal(raw)
+	if err == nil && h.Protocol == ip.ProtoTCP && h.Dst == r.mobile &&
+		len(seg) >= 4 && r.ports[binary.BigEndian.Uint16(seg[2:])] {
+		r.wiredSide.Deliver(h.Src, h.Dst, seg)
 		return nil
 	}
-	// Mobile -> wired replies to the impersonated connections are
-	// generated locally by wiredSide, so anything arriving *from* the
-	// mobile for a relayed source port belongs to the mobileSide stack
-	// and is delivered by the protocol handler (dst == proxy address).
-	pkt.Release()
-	return r.passThrough(raw)
-}
-
-func (r *Relay) passThrough(raw []byte) [][]byte {
-	if len(r.emit) > 0 {
-		r.emit[0] = nil
-	}
-	r.emit = append(r.emit[:0], raw)
-	return r.emit
+	return r.next(raw, in)
 }
 
 // accept bridges one wired-side connection to a fresh mobile-side

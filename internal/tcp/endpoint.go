@@ -121,6 +121,9 @@ func NewStack(n Network, cfg Config) *Stack {
 	}
 }
 
+// Config returns the stack's configuration, defaults filled in.
+func (s *Stack) Config() Config { return s.cfg }
+
 // Clock exposes the stack's scheduler so components layered on top
 // (control sessions, supervisors) can arm timers on the same timeline.
 func (s *Stack) Clock() *sim.Scheduler { return s.net.Clock() }
