@@ -164,9 +164,46 @@ type LinkStats struct {
 type direction struct {
 	cfg      LinkConfig
 	nextFree sim.Time // when the transmitter finishes its current queue
-	queued   int
-	stats    LinkStats
-	down     bool
+	// ends is a ring of the serialisation end times of the packets in
+	// the transmit queue, oldest first (nextFree only grows, so they
+	// are in order): head indexes the oldest, n counts them. Its
+	// QueueLen slots suffice: transmit drops a packet that finds n at
+	// QueueLen, and no shaping changes QueueLen.
+	ends    []sim.Time
+	head, n int
+	stats   LinkStats
+	down    bool
+}
+
+// newDirection fills in cfg's defaults and sizes the ring of ends.
+func newDirection(cfg LinkConfig) direction {
+	cfg = cfg.withDefaults()
+	return direction{cfg: cfg, ends: make([]sim.Time, max(cfg.QueueLen, 0))}
+}
+
+// queued pops the packets whose serialisation has ended by now and
+// returns how many are still in the transmit queue. A packet whose
+// serialisation ends at T has left the queue for anything offered at T.
+func (d *direction) queued(now sim.Time) int {
+	for d.n > 0 && d.ends[d.head] <= now {
+		d.head++
+		if d.head == len(d.ends) {
+			d.head = 0
+		}
+		d.n--
+	}
+	return d.n
+}
+
+// enqueue appends a serialisation end behind the queue; the caller has
+// checked that the queue is not full.
+func (d *direction) enqueue(end sim.Time) {
+	i := d.head + d.n
+	if i >= len(d.ends) {
+		i -= len(d.ends)
+	}
+	d.ends[i] = end
+	d.n++
 }
 
 // Link is a duplex point-to-point link between two interfaces.
@@ -241,8 +278,8 @@ func (l *Link) ShapingBA() Shaping { return l.ba.shaping() }
 // direction's transmit queue — the proxy-side buffer occupancy the
 // mmWave scenario compares with and without delay-aware window
 // control.
-func (l *Link) QueuedAB() int { return l.ab.queued }
-func (l *Link) QueuedBA() int { return l.ba.queued }
+func (l *Link) QueuedAB() int { return l.ab.queued(l.net.sched.Now()) }
+func (l *Link) QueuedBA() int { return l.ba.queued(l.net.sched.Now()) }
 
 // Iface is a node's attachment to a link.
 type Iface struct {
@@ -422,23 +459,20 @@ func (n *Network) Node(name string) *Node { return n.nodes[name] }
 // interface addresses on the respective nodes; cfg applies to both
 // directions.
 func (n *Network) Connect(a *Node, addrA ip.Addr, b *Node, addrB ip.Addr, cfg LinkConfig) *Link {
-	cfg = cfg.withDefaults()
-	l := &Link{net: n}
-	ia := &Iface{node: a, link: l, addr: addrA}
-	ib := &Iface{node: b, link: l, addr: addrB}
-	l.a, l.b = ia, ib
-	l.ab = direction{cfg: cfg}
-	l.ba = direction{cfg: cfg}
-	a.ifaces = append(a.ifaces, ia)
-	b.ifaces = append(b.ifaces, ib)
-	return l
+	return n.ConnectAsym(a, addrA, b, addrB, cfg, cfg)
 }
 
 // ConnectAsym is Connect with different configs per direction
 // (cfgAB governs a→b traffic).
 func (n *Network) ConnectAsym(a *Node, addrA ip.Addr, b *Node, addrB ip.Addr, cfgAB, cfgBA LinkConfig) *Link {
-	l := n.Connect(a, addrA, b, addrB, cfgAB)
-	l.ba.cfg = cfgBA.withDefaults()
+	l := &Link{net: n}
+	ia := &Iface{node: a, link: l, addr: addrA}
+	ib := &Iface{node: b, link: l, addr: addrB}
+	l.a, l.b = ia, ib
+	l.ab = newDirection(cfgAB)
+	l.ba = newDirection(cfgBA)
+	a.ifaces = append(a.ifaces, ia)
+	b.ifaces = append(b.ifaces, ib)
 	return l
 }
 
@@ -803,7 +837,9 @@ func (f *Iface) transmit(raw []byte) {
 		l.net.release(raw)
 		return
 	}
-	if d.queued >= d.cfg.QueueLen {
+	s := l.net.sched
+	now := s.Now()
+	if d.queued(now) >= d.cfg.QueueLen {
 		d.stats.QueueDrops++
 		if b := l.net.obs; b.Enabled() {
 			b.Emit("netsim", "queue-drop", f.addr.String()+"->"+peerAddr(f), obs.F("len", len(raw)))
@@ -811,17 +847,15 @@ func (f *Iface) transmit(raw []byte) {
 		l.net.release(raw)
 		return
 	}
-	s := l.net.sched
-	now := s.Now()
 	start := d.nextFree
 	if start < now {
 		start = now
 	}
 	serialize := time.Duration(int64(len(raw)) * 8 * int64(time.Second) / d.cfg.Bandwidth)
 	d.nextFree = start.Add(serialize)
-	d.queued++
-	if d.queued > d.stats.PeakQueue {
-		d.stats.PeakQueue = d.queued
+	d.enqueue(d.nextFree)
+	if d.n > d.stats.PeakQueue {
+		d.stats.PeakQueue = d.n
 	}
 	d.stats.Packets++
 	d.stats.Bytes += int64(len(raw))
@@ -830,19 +864,14 @@ func (f *Iface) transmit(raw []byte) {
 	if d.cfg.Jitter > 0 {
 		delay += time.Duration(s.Rand().Int63n(int64(d.cfg.Jitter)))
 	}
-	// Two events a packet, in this order so same-instant ties break as
-	// they always have: the end of its serialisation (the direction
-	// itself) and its arrival at the peer (a recycled flight). The
-	// datagram is carried as is: the flight owns it until it lands.
-	s.Schedule(d.nextFree, d)
+	// One event a packet: its arrival at the peer (a recycled flight).
+	// The end of its serialisation is no event: it waits in the ring
+	// until a reader of the queue finds it passed. The datagram is
+	// carried as is: the flight owns it until it lands.
 	fl := l.net.flight()
 	fl.d, fl.peer, fl.pkt, fl.link = d, f.peer(), raw, l
 	s.Schedule(d.nextFree.Add(delay), fl)
 }
-
-// Fire ends one packet's serialisation: the direction is its own
-// serialisation-done event, so scheduling it allocates nothing.
-func (d *direction) Fire() { d.queued-- }
 
 // flight is one packet crossing a link direction: the arrival event
 // Iface.transmit schedules. Records are recycled on the Network.

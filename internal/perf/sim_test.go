@@ -37,11 +37,12 @@ func TestSchedulerEventZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestNetsimHopZeroAlloc gates the closure-free link hop: serialisation
-// and arrival are a direction and a recycled flight on recycled
-// scheduler records, and the datagram is a buffer off the network's
-// free list that goes back once its handler returns, so in steady
-// state a datagram crossing a link allocates nothing.
+// TestNetsimHopZeroAlloc gates the link hop: a hop is one scheduler
+// event, the arrival, a recycled flight on a recycled scheduler record
+// (the end of serialisation is a slot in the direction's ring of ends,
+// not an event), and the datagram is a buffer off the network's free
+// list that goes back once its handler returns, so in steady state a
+// datagram crossing a link allocates nothing.
 func TestNetsimHopZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate: run it on an uninstrumented binary")
@@ -66,6 +67,13 @@ func TestNetsimHopZeroAlloc(t *testing.T) {
 	if got != 101*burst {
 		t.Fatalf("%d datagrams delivered, want %d", got, 101*burst)
 	}
+	for i := 0; i < burst; i++ {
+		a.SendIP(addrB, proto, payload)
+	}
+	if n := nw.Scheduler().Pending(); n != burst {
+		t.Fatalf("a burst of %d datagrams leaves %d events pending, want one arrival each", burst, n)
+	}
+	nw.Scheduler().Run()
 }
 
 // TestIntactTransferBytesPerByte gates the bulk path of a transfer:
@@ -92,5 +100,34 @@ func TestIntactTransferBytesPerByte(t *testing.T) {
 	t.Logf("%.2f bytes allocated per payload byte", perByte)
 	if perByte > 0.5 {
 		t.Fatalf("an intact 4 MB transfer allocates %.2f bytes per payload byte, want at most 0.5", perByte)
+	}
+}
+
+// TestTransferSegmentAllocs gates the TCP segment path: a sent segment
+// and a received one are built and decoded on the stack (only the
+// OnSegment copy escapes, and no hook is set here), marshalled into a
+// datagram off the network's free list and carried by zero-allocation
+// hops. A 4 MB transfer across the default topology so allocates only
+// per-connection bookkeeping and the free lists' high-water marks — at
+// most 0.25 heap allocations per segment the client sends. A Segment
+// that escapes on send and on receive costs two more.
+func TestTransferSegmentAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: run it on an uninstrumented binary")
+	}
+	payload := pattern(4 << 20)
+	sys := core.NewSystem(core.Config{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := sys.CheckedTransfer("4 MB", payload, 7, 5001, 120*time.Second)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := res.Client.Stats().SegmentsSent
+	perSeg := float64(after.Mallocs-before.Mallocs) / float64(segs)
+	t.Logf("%.2f allocations per segment sent (%d segments)", perSeg, segs)
+	if perSeg > 0.25 {
+		t.Fatalf("a 4 MB transfer makes %.2f allocations per segment sent, want at most 0.25", perSeg)
 	}
 }

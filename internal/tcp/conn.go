@@ -339,16 +339,12 @@ func (c *Conn) persistProbe() {
 	c.updatePersist()
 }
 
-// sendSegment stamps ports, marshals, counts, and emits a segment.
+// sendSegment stamps ports, counts, and emits a segment.
 func (c *Conn) sendSegment(seg *Segment) {
 	seg.SrcPort = c.tuple.localPort
 	seg.DstPort = c.tuple.remotePort
 	c.stats.SegmentsSent++
-	c.stack.mib.OutSegs++
-	if c.stack.OnSegment != nil {
-		c.stack.OnSegment(true, c.tuple.localAddr, c.tuple.remoteAddr, seg)
-	}
-	c.stack.send(c.tuple.localAddr, c.tuple.remoteAddr, seg)
+	c.stack.transmit(c.tuple.localAddr, c.tuple.remoteAddr, seg)
 }
 
 // --- retransmission --------------------------------------------------------

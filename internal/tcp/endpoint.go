@@ -101,7 +101,11 @@ type Stack struct {
 	ephemeral uint16
 
 	// OnSegment, when non-nil, observes every segment the stack sends
-	// (send=true) or receives (send=false), for traces and tests.
+	// (send=true) or receives (send=false), for traces and tests. It
+	// gets a copy of the segment, valid only during the call; what it
+	// edits is written back, so an edit on send changes what is sent.
+	// While it is set, each segment costs one allocation (the copy);
+	// without it a segment allocates nothing.
 	OnSegment func(send bool, src, dst ip.Addr, seg *Segment)
 
 	mib MIB
@@ -211,7 +215,7 @@ func (s *Stack) Deliver(src, dst ip.Addr, payload []byte) {
 		return
 	}
 	if s.OnSegment != nil {
-		s.OnSegment(false, src, dst, &seg)
+		s.trace(false, src, dst, &seg)
 	}
 	t := fourTuple{dst, seg.DstPort, src, seg.SrcPort}
 	if c, ok := s.conns[t]; ok {
@@ -256,21 +260,26 @@ func (s *Stack) acceptSyn(l *Listener, t fourTuple, seg *Segment) {
 	c.armRetransmit()
 }
 
-// transmit marshals and emits a segment that is not tied to a live
-// connection (RSTs to unknown ports).
+// transmit counts, traces and emits a segment: every segment the
+// stack sends, a connection's or an RST to an unknown port, goes out
+// here. It marshals seg behind room for the IP header into a buffer
+// the network hands out, and hands the one buffer back.
 func (s *Stack) transmit(src, dst ip.Addr, seg *Segment) {
 	s.mib.OutSegs++
 	if s.OnSegment != nil {
-		s.OnSegment(true, src, dst, seg)
+		s.trace(true, src, dst, seg)
 	}
-	s.send(src, dst, seg)
-}
-
-// send marshals seg behind room for the IP header into a buffer the
-// network hands out, and hands the one buffer back.
-func (s *Stack) send(src, dst ip.Addr, seg *Segment) {
 	datagram := s.net.Datagram(ip.HeaderLen + seg.HeaderLength() + len(seg.Payload))
 	s.net.SendDatagram(src, dst, ip.ProtoTCP, seg.AppendMarshal(datagram[:ip.HeaderLen], src, dst))
+}
+
+// trace shows OnSegment a copy of seg and writes the copy back. Only
+// the copy escapes to the hook, so seg itself stays on its caller's
+// stack whether or not a hook is set.
+func (s *Stack) trace(send bool, src, dst ip.Addr, seg *Segment) {
+	cp := *seg
+	s.OnSegment(send, src, dst, &cp)
+	*seg = cp
 }
 
 // ConnCount returns the number of live connections (tests).

@@ -382,6 +382,51 @@ func TestMSSNegotiation(t *testing.T) {
 	}
 }
 
+// TestOnSegmentHookSeesCopies checks the trace hook from the receive
+// side: it sees every segment the stack takes in, and a stack with
+// hooks set on both ends carries the same conversation — same bytes
+// delivered, same sender counters — as one without, over a lossy link.
+func TestOnSegmentHookSeesCopies(t *testing.T) {
+	cfg := netsim.LinkConfig{Bandwidth: 2e6, Delay: 10 * time.Millisecond, Loss: netsim.Bernoulli{P: 0.03}, QueueLen: 100}
+	payload := make([]byte, 300_000)
+	for i := range payload {
+		payload[i] = byte(i*13 + i/251)
+	}
+	plain := newPair(21, cfg, tcp.Config{})
+	want, wantClient, _ := plain.transfer(t, payload, 120*time.Second)
+	if !bytes.Equal(want, payload) {
+		t.Fatalf("without hooks: received %d of %d bytes intact", len(want), len(payload))
+	}
+
+	traced := newPair(21, cfg, tcp.Config{})
+	seen, sent, seenBytes := 0, 0, 0
+	traced.sb.OnSegment = func(send bool, _, _ ip.Addr, seg *tcp.Segment) {
+		if !send {
+			seen++
+			seenBytes += len(seg.Payload)
+		}
+	}
+	traced.sa.OnSegment = func(send bool, _, _ ip.Addr, _ *tcp.Segment) {
+		if send {
+			sent++
+		}
+	}
+	got, client, _ := traced.transfer(t, payload, 120*time.Second)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("with hooks: received %d bytes, %d without, or different ones", len(got), len(want))
+	}
+	if in := traced.sb.MIB().InSegs; int64(seen) != in {
+		t.Fatalf("the receive hook saw %d segments, the stack took in %d", seen, in)
+	}
+	if seenBytes < len(payload) {
+		t.Fatalf("the receive hook saw %d payload bytes of %d", seenBytes, len(payload))
+	}
+	if st := client.Stats(); st != wantClient.Stats() || int64(sent) != st.SegmentsSent {
+		t.Fatalf("with hooks the sender counted %+v and the hook saw %d sent; without hooks %+v",
+			st, sent, wantClient.Stats())
+	}
+}
+
 func TestFlowControlRespectsWindow(t *testing.T) {
 	// Small receive window: the sender must never have more than the
 	// advertised window outstanding.
