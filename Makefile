@@ -44,7 +44,9 @@ fmt-check:
 # of Writes split at any sizes and virtual times against their
 # concatenation, with every written slice left untouched, the EEM
 # client fed arbitrary server bytes under any split, with no panic and
-# no request answered twice, and the migration frame splitter, whose
+# no request answered twice, the EEM wire codec differentially against
+# encoding/json (the same bytes out, the same lines rejected, the same
+# messages decoded), and the migration frame splitter, whose
 # frames under any split match the whole stream's and which rejects an
 # oversized header before buffering its payload.
 fuzz:

@@ -1,7 +1,6 @@
 package eem
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -185,8 +184,8 @@ func (cm *Comma) lookup(server string, id ID) (ID, *registration) {
 
 // handleLine processes one inbound protocol message from server.
 func (cm *Comma) handleLine(server string, line []byte) {
-	var m wireMsg
-	if err := json.Unmarshal(line, &m); err != nil {
+	m, err := decodeMsg(line)
+	if err != nil {
 		return
 	}
 	// Any parseable message proves the server alive: reset the

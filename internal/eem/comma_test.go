@@ -322,16 +322,7 @@ func TestCommaPumpDropsReplacedReply(t *testing.T) {
 // outstanding: nothing may panic, and each request is answered at most
 // once.
 func FuzzCommaInbound(f *testing.F) {
-	seeds := []string{
-		`{"kind":"update","batch":[{"id":{"var":"sysUpTime","server":"srv"},"value":{"kind":0,"l":7}}],"id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
-		`{"kind":"update","batch":[{"id":{"var":"sysUpTime"},"value":{"kind":0,"l":8}}]}`,
-		`{"kind":"notify","id":{"var":"sysUpTime","server":"srv"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0,"l":9}}`,
-		`{"kind":"poll-reply","seq":1,"id":{"var":"sysName","server":"srv"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":2,"s":"server"}}`,
-		`{"kind":"poll-reply","seq":1,"id":{"var":"sysName","server":"srv"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0},"err":"eem: unknown variable \"sysName\"","code":"unknown-var"}`,
-		`{"kind":"poll-reply","seq":1,"id":{"var":"sysName","server":"srv"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0},"err":"boom"}`,
-		`{"kind":"var-list","seq":2,"id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0},"names":["sysUpTime","ifSpeed"]}`,
-		`{"kind":"error","id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0},"err":"unknown message kind x"}`,
-	}
+	seeds := eem.CommaInboundSeeds
 	f.Add([]byte(strings.Join(seeds, "\n")+"\n"), []byte{5, 40, 3, 200})
 	for _, s := range seeds {
 		f.Add([]byte(s+"\n"+s+"\n"), []byte{17})
@@ -363,4 +354,57 @@ func FuzzCommaInbound(f *testing.F) {
 		cm.GetValue(id)
 		cm.IsInRange(id)
 	})
+}
+
+// TestCommaReadsEquivalentLines: a client fed server lines with keys
+// reordered, whitespace between tokens, unknown nested members and
+// \u-escaped names sees exactly what a client fed the canonical lines
+// sees: the same callbacks, protected data area, poll answer and
+// catalogue.
+func TestCommaReadsEquivalentLines(t *testing.T) {
+	read := func(lines ...string) string {
+		dial, _, feed := capWired()
+		cm := eem.NewComma(dial)
+		var log []string
+		id := eem.ID{Server: "srv", Var: "sysUpTime"}
+		if err := cm.Register(id, eem.Attr{Lower: eem.LongValue(0), Op: eem.GTE},
+			eem.WithCallback(func(id eem.ID, v eem.Value) { log = append(log, fmt.Sprintf("cb %v=%v", id, v)) })); err != nil {
+			t.Fatal(err)
+		}
+		if err := cm.GetValueOnce(eem.ID{Server: "srv", Var: "sysName"}, func(v eem.Value, err error) {
+			log = append(log, fmt.Sprintf("poll %v %v", v, err))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cm.ListVariables("srv", func(names []string, err error) {
+			log = append(log, fmt.Sprintf("list %q %v", names, err))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range lines {
+			feed([]byte(l + "\n"))
+			v, ok := cm.GetValue(id)
+			log = append(log, fmt.Sprintf("pda %v %v %v", v, ok, cm.IsInRange(id)))
+		}
+		return strings.Join(log, "\n")
+	}
+	canonical := read(
+		`{"kind":"update","batch":[{"id":{"var":"sysUpTime","server":"srv"},"value":{"kind":0,"l":7}}],"id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
+		`{"kind":"notify","id":{"var":"sysUpTime","server":"srv"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0,"l":9}}`,
+		`{"kind":"poll-reply","seq":1,"id":{"var":"sysName","server":"srv"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":2,"s":"server"}}`,
+		`{"kind":"var-list","seq":2,"id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0},"names":["sysUpTime","ifSpeed","😀"]}`,
+	)
+	variant := read(
+		` {"batch" : [ {"value":{"l":7,"kind":0,"x":{"y":[1,2]}}, "id":{"server":"srv","var":"sys\u0055pTime"}} ], "ext":[{}], "kind" : "update" } `,
+		"{\t\"value\":{\"kind\":0,\"l\":9},\r \"id\":{\"var\":\"sysUpTime\",\"server\":\"srv\"},\"kind\":\"n\\u006ftify\"}",
+		`{"value":{"s":"ser\u0076er","kind":2},"seq":1,"kind":"poll-reply","id":{"var":"sysName","server":"srv"},"err":null,"junk":"\"}"}`,
+		`{"names":["sysUpTime","if\u0053peed","\ud83d\ude00"],"seq":2,"kind":"var-list","batch":null}`,
+	)
+	if variant != canonical {
+		t.Fatalf("variant lines read differently:\n got %s\nwant %s", variant, canonical)
+	}
+	if strings.Count(canonical, "cb ") != 1 || !strings.Contains(canonical, "poll server <nil>") ||
+		!strings.Contains(canonical, `list ["sysUpTime" "ifSpeed" "`+"\U0001F600"+`"] <nil>`) {
+		t.Fatalf("canonical lines not served:\n%s", canonical)
+	}
 }

@@ -5,3 +5,6 @@ const (
 	RedialBase = redialBase
 	RedialMax  = redialMax
 )
+
+// CommaInboundSeeds are the server lines FuzzCommaInbound starts from.
+var CommaInboundSeeds = commaInboundSeeds

@@ -1,7 +1,6 @@
 package eem
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -178,8 +177,8 @@ func (s *Server) Accept(conn Conn) (onData func([]byte), onClose func()) {
 }
 
 func (s *Server) handleLine(sess *session, line []byte) {
-	var m wireMsg
-	if err := json.Unmarshal(line, &m); err != nil {
+	m, err := decodeMsg(line)
+	if err != nil {
 		sess.conn.Write(encodeMsg(wireMsg{Kind: msgError, Err: "bad message: " + err.Error()}))
 		return
 	}

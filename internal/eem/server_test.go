@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -218,5 +219,75 @@ func TestEEMUnframedFloodSevered(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*MaxLine {
 		t.Fatalf("reading a %d-byte flood allocated %d bytes, bound %d", flood, grew, MaxLine)
+	}
+}
+
+// TestServerServesEquivalentLines: a session fed its messages with
+// keys reordered, whitespace between tokens, unknown nested members
+// and \u-escaped names is served exactly as one fed the canonical
+// lines. A malformed line gets an error reply that starts "bad
+// message: ", and the session keeps answering after it.
+func TestServerServesEquivalentLines(t *testing.T) {
+	serve := func(lines ...string) []string {
+		s := NewServer("srv")
+		s.AddSource(SourceFunc{
+			Names: []string{"sysUpTime", "sysName"},
+			Fn: func(name string, index int) (Value, error) {
+				if name == "sysName" {
+					return StringValue("srv"), nil
+				}
+				return LongValue(int64(7 + index)), nil
+			},
+		})
+		c := &floodConn{}
+		onData, _ := s.Accept(c)
+		for _, l := range lines {
+			onData([]byte(l + "\n"))
+			s.Tick()
+		}
+		out := make([]string, len(c.wrote))
+		for i, b := range c.wrote {
+			out[i] = string(b)
+		}
+		return out
+	}
+	line := func(m wireMsg) string { return strings.TrimSuffix(string(encodeMsg(m)), "\n") }
+	canonical := serve(
+		line(wireMsg{Kind: msgRegister, ID: ID{Var: "sysUpTime", Index: 2, Server: "srv"},
+			A: Attr{Lower: LongValue(0), Upper: LongValue(100), Op: IN, Interrupt: true}}),
+		line(wireMsg{Kind: msgPoll, Seq: 1, ID: ID{Var: "sysName", Server: "srv"}}),
+		line(wireMsg{Kind: msgListVars, Seq: 2}),
+		line(wireMsg{Kind: msgPoll, Seq: 3, ID: ID{Var: "nope"}}),
+		line(wireMsg{Kind: msgDeregister, ID: ID{Var: "sysUpTime", Index: 2, Server: "srv"}}),
+	)
+	variant := serve(
+		` { "attr" : { "op" : 6 , "interrupt" : true, "upper" : {"l":100,"kind":0} , "lower":{"x":[{"y":null}]} } ,`+
+			` "ext" : {"a":[true,false,null,"s",-1.5e3,{}]}, "id":{"server":"srv","index":2,"var":"sys\u0055pTime"},`+
+			"\t\"kind\"\t:\t\"regist\\u0065r\"\r} ",
+		`{"id":{"var":"\u0073ysName","server":"srv","more":{}},"seq":1,"kind":"poll","value":null}`,
+		`{"seq":2,"kind":"list-vars","names":null,"batch":[]}`,
+		`{"kind":"poll","id":{"var":"nope"},"seq":3,"attr":{}}`,
+		`{"id":{"index":2,"server":"srv","var":"sysUpTime"},"kind":"deregister","seq":0}`,
+	)
+	if strings.Join(variant, "") != strings.Join(canonical, "") {
+		t.Fatalf("variant lines served differently:\n got %q\nwant %q", variant, canonical)
+	}
+	if len(canonical) < 5 {
+		t.Fatalf("canonical session got %d replies: %q", len(canonical), canonical)
+	}
+
+	poll := line(wireMsg{Kind: msgPoll, Seq: 9, ID: ID{Var: "sysName"}})
+	for _, bad := range []string{`{"kind":"poll","seq":1`, `{"kind":"poll","seq":1.5}`, `{"kind":"poll"}}`, `[]`, "\x00"} {
+		got := serve(bad, poll)
+		if len(got) != 2 {
+			t.Fatalf("%q: %d replies, want an error and the poll's: %q", bad, len(got), got)
+		}
+		m, err := decodeMsg([]byte(strings.TrimSuffix(got[0], "\n")))
+		if err != nil || m.Kind != msgError || !strings.HasPrefix(m.Err, "bad message: ") {
+			t.Errorf("%q: reply %q, want a bad message error", bad, got[0])
+		}
+		if !strings.Contains(got[1], `"kind":"poll-reply","seq":9`) {
+			t.Errorf("%q: session did not answer the next poll: %q", bad, got[1])
+		}
 	}
 }

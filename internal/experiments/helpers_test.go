@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"crypto/sha256"
+	"testing"
+)
 
 // TestPatternMatchesFormula checks the doubled fill against the
 // per-byte formula it replaces, around every period boundary.
@@ -15,5 +18,13 @@ func TestPatternMatchesFormula(t *testing.T) {
 				t.Fatalf("pattern(%d)[%d] = %#x, want %#x", n, i, c, want)
 			}
 		}
+	}
+}
+
+// TestMMWavePayloadSum: the digest the mmwave scenario prints for its
+// legs is the digest of the payload each call builds and sends.
+func TestMMWavePayloadSum(t *testing.T) {
+	if mmPayloadSum() != sha256.Sum256(pattern(8<<20)) {
+		t.Fatal("cached mmwave digest differs from the payload's")
 	}
 }

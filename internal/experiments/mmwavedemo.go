@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -81,7 +82,7 @@ func MMWaveDemo(seed int64, w io.Writer) error {
 	payload := pattern(8 << 20)
 	// Every leg that returns delivered exactly payload (CheckedTransfer
 	// says so), so one digest serves all three.
-	sum := sha256.Sum256(payload)
+	sum := mmPayloadSum()
 	shedRule := "shed when link.bw:1 LT 1000000 for 1 then command mmwave:shed" +
 		" on 0.0.0.0 0 0.0.0.0 0 rate 1"
 	legs := []mmLeg{
@@ -130,6 +131,14 @@ func MMWaveDemo(seed int64, w io.Writer) error {
 	}
 	return nil
 }
+
+// mmPayloadSum is the SHA-256 of the scenario's 8 MB payload, hashed
+// once per process. The payload itself is built per call: held for the
+// process, it would sit in every later scenario's live heap and raise
+// the collector's heap target by twice its size.
+var mmPayloadSum = sync.OnceValue(func() [sha256.Size]byte {
+	return sha256.Sum256(pattern(8 << 20))
+})
 
 // runMMWaveLeg builds a fresh system (same seed — the legs differ only
 // in proxy services), replays the trace, and pushes the payload, whose
