@@ -1,7 +1,8 @@
 // Command eemd is the EEM server daemon: it serves the Table 6.1/6.2
 // variable catalogue of a live simulated proxy host over a real TCP
-// port, speaking the newline-delimited JSON protocol that the eem
-// client library and Kati use.
+// port, speaking the EEM line protocol (internal/eem/protocol.go) that
+// the eem client library and Kati use; it is plain text, so telnet
+// speaks it too.
 //
 // Usage:
 //

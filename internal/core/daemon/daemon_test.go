@@ -143,7 +143,9 @@ func TestEEMFullCatalogueUpdate(t *testing.T) {
 	}
 	// Headroom for further sources: the update must not be more than
 	// half the bound.
-	if line := received - before; line > eem.MaxLine/2 {
+	line := received - before
+	if line > eem.MaxLine/2 {
 		t.Fatalf("full-catalogue update is %d bytes, over half of MaxLine %d", line, eem.MaxLine)
 	}
+	t.Logf("full-catalogue update: %d bytes for %d registrations", line, len(ids))
 }

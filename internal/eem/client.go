@@ -70,8 +70,9 @@ func (r *registration) stopPump() {
 }
 
 // request is one poll or catalogue query awaiting its reply: the
-// server it went to, the message kind that answers it, and what to do
-// with the answer (or with the error if the connection dies first).
+// server it went to, the message kind that answers it (an error with
+// its seq fails it), and what to do with the answer (or with the error
+// if the connection dies first).
 type request struct {
 	server string
 	reply  string
@@ -172,16 +173,6 @@ func (cm *Comma) noteDisconnect(name string) {
 	cm.scheduleRedial(name)
 }
 
-// lookup finds the registration an inbound id names, tolerating
-// servers that strip the server name.
-func (cm *Comma) lookup(server string, id ID) (ID, *registration) {
-	if r, ok := cm.regs[id]; ok {
-		return id, r
-	}
-	id.Server = server
-	return id, cm.regs[id]
-}
-
 // handleLine processes one inbound protocol message from server.
 func (cm *Comma) handleLine(server string, line []byte) {
 	m, err := decodeMsg(line)
@@ -193,36 +184,39 @@ func (cm *Comma) handleLine(server string, line []byte) {
 	if s := cm.servers[server]; s != nil {
 		s.attempt = 0
 	}
+	// The lines name no server: it is the connection's.
 	switch m.Kind {
 	case msgUpdate:
 		for _, u := range m.Batch {
-			if _, r := cm.lookup(server, u.ID); r != nil {
+			u.ID.Server = server
+			if r := cm.regs[u.ID]; r != nil {
 				r.store(u.V, true)
 			}
 		}
 	case msgNotify:
-		if id, r := cm.lookup(server, m.ID); r != nil {
+		m.ID.Server = server
+		if r := cm.regs[m.ID]; r != nil {
 			r.store(m.V, true)
 			if r.cb != nil {
-				r.cb(id, m.V)
+				r.cb(m.ID, m.V)
 			}
 		}
-	case msgPollReply, msgVarList:
+	case msgPollReply, msgVarList, msgError:
+		// An error with seq 0 rejected a message that expects no
+		// reply: no request waits for it, and it is dropped.
 		req, ok := cm.reqs[m.Seq]
-		if !ok || req.reply != m.Kind {
+		if !ok || m.Kind != req.reply && m.Kind != msgError {
 			return
 		}
 		delete(cm.reqs, m.Seq)
 		switch kind := kindForCode(m.Code); {
-		case m.Err == "":
+		case m.Kind != msgError:
 			req.done(m, nil)
 		case kind != nil:
 			req.done(wireMsg{}, wrapKind(kind, "eem: "+m.Err))
 		default:
 			req.done(wireMsg{}, fmt.Errorf("eem: %s", m.Err))
 		}
-	case msgError:
-		// Server rejected something; surfaced via logs in callers.
 	}
 }
 

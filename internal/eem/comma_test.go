@@ -45,10 +45,8 @@ func capWired() (dial eem.Dialer, c *capConn, feed func([]byte)) {
 func TestCommaRegisterDefaultsToPDASilent(t *testing.T) {
 	id := eem.ID{Server: "srv", Var: "sysUpTime"}
 	attr := eem.Attr{Lower: eem.LongValue(0), Op: eem.GTE}
-	const silentWire = `{"kind":"register","id":{"var":"sysUpTime","server":"srv"},` +
-		`"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":1},"value":{"kind":0}}` + "\n"
-	const interruptWire = `{"kind":"register","id":{"var":"sysUpTime","server":"srv"},` +
-		`"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":1,"interrupt":true},"value":{"kind":0}}` + "\n"
+	const silentWire = "register sysUpTime 0 1 0 l 0 l 0\n"
+	const interruptWire = "register sysUpTime 0 1 1 l 0 l 0\n"
 
 	newDial, newConn := capDialer()
 	cm := eem.NewComma(newDial)
@@ -221,26 +219,32 @@ func TestCommaWireTranscript(t *testing.T) {
 	must(cm.Deregister(up))
 	cm.DeregisterAll()
 	sched.RunFor(2 * time.Second)
-	want := []string{
-		`srv-b {"kind":"register","id":{"var":"sysUpTime","server":"srv-b"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":1},"value":{"kind":0}}`,
-		`srv-a {"kind":"register","id":{"var":"link.bw","index":1,"server":"srv-a"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":1,"interrupt":true},"value":{"kind":0}}`,
-		`srv-b {"kind":"register","id":{"var":"netLatency","server":"srv-b"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":1},"value":{"kind":0}}`,
-		`srv-b {"kind":"poll","seq":1,"id":{"var":"netLatency","server":"srv-b"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
-		`srv-b {"kind":"register","id":{"var":"sysUpTime","server":"srv-b"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":1},"value":{"kind":0}}`,
-		`srv-b {"kind":"register","id":{"var":"netLatency","server":"srv-b"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":1},"value":{"kind":0}}`,
-		`srv-a {"kind":"poll","seq":2,"id":{"var":"link.bw","index":1,"server":"srv-a"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
-		`srv-a {"kind":"list-vars","seq":3,"id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
-		`srv-b {"kind":"poll","seq":4,"id":{"var":"netLatency","server":"srv-b"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
-		`srv-b {"kind":"deregister","id":{"var":"sysUpTime","server":"srv-b"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
-		`srv-a {"kind":"deregister-all","id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
-		`srv-b {"kind":"deregister-all","id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
+	// Each line after its server's name, with its length newline
+	// included: no line names a server, and a poll is 20 bytes.
+	want := []struct {
+		line string
+		n    int
+	}{
+		{"srv-b register sysUpTime 0 1 0 l 0 l 0", 33},
+		{"srv-a register link.bw 1 1 1 l 0 l 0", 31},
+		{"srv-b register netLatency 0 1 0 l 0 l 0", 34},
+		{"srv-b poll 1 netLatency 0", 20},
+		{"srv-b register sysUpTime 0 1 0 l 0 l 0", 33},
+		{"srv-b register netLatency 0 1 0 l 0 l 0", 34},
+		{"srv-a poll 2 link.bw 1", 17},
+		{"srv-a list-vars 3", 12},
+		{"srv-b poll 4 netLatency 0", 20},
+		{"srv-b deregister sysUpTime 0", 23},
+		{"srv-a deregister-all", 15},
+		{"srv-b deregister-all", 15},
 	}
 	if len(*lines) != len(want) {
 		t.Fatalf("%d wire lines, want %d:\n%q", len(*lines), len(want), *lines)
 	}
 	for i, l := range *lines {
-		if l != want[i]+"\n" {
-			t.Errorf("line %d:\n got %q\nwant %q", i, l, want[i]+"\n")
+		_, line, _ := strings.Cut(l, " ")
+		if l != want[i].line+"\n" || len(line) != want[i].n {
+			t.Errorf("line %d:\n got %q (%d bytes)\nwant %q (%d bytes)", i, l, len(line), want[i].line+"\n", want[i].n)
 		}
 	}
 }
@@ -262,7 +266,7 @@ func TestCommaAfterTerm(t *testing.T) {
 	if err := cm.Register(id, attr, eem.WithPDA(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	feed([]byte(`{"kind":"update","batch":[{"id":{"var":"sysUpTime","server":"srv"},"value":{"kind":0,"l":7}}]}` + "\n"))
+	feed([]byte("update sysUpTime 0 l 7\n"))
 	cm.Term()
 	if v, ok := cm.GetValue(id); !ok || v.L != 7 {
 		t.Fatalf("GetValue after Term = %v %v, want 7", v, ok)
@@ -297,7 +301,7 @@ func TestCommaPumpDropsReplacedReply(t *testing.T) {
 	id := eem.ID{Server: "srv", Var: "sysUpTime"}
 	attr := eem.Attr{Lower: eem.LongValue(0), Op: eem.LT}
 	reply := func(seq int) {
-		feed([]byte(fmt.Sprintf(`{"kind":"poll-reply","seq":%d,"value":{"kind":0,"l":%d}}`+"\n", seq, 10*seq)))
+		feed([]byte(fmt.Sprintf("poll-reply %d l %d\n", seq, 10*seq)))
 	}
 	if err := cm.Register(id, attr, eem.WithPDA(time.Second)); err != nil {
 		t.Fatal(err)
@@ -356,11 +360,10 @@ func FuzzCommaInbound(f *testing.F) {
 	})
 }
 
-// TestCommaReadsEquivalentLines: a client fed server lines with keys
-// reordered, whitespace between tokens, unknown nested members and
-// \u-escaped names sees exactly what a client fed the canonical lines
-// sees: the same callbacks, protected data area, poll answer and
-// catalogue.
+// TestCommaReadsEquivalentLines: a client fed server lines with names
+// and strings quoted, escapes included, where they could stand bare
+// sees exactly what a client fed the canonical lines sees: the same
+// callbacks, protected data area, poll answer and catalogue.
 func TestCommaReadsEquivalentLines(t *testing.T) {
 	read := func(lines ...string) string {
 		dial, _, feed := capWired()
@@ -389,16 +392,16 @@ func TestCommaReadsEquivalentLines(t *testing.T) {
 		return strings.Join(log, "\n")
 	}
 	canonical := read(
-		`{"kind":"update","batch":[{"id":{"var":"sysUpTime","server":"srv"},"value":{"kind":0,"l":7}}],"id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0}}`,
-		`{"kind":"notify","id":{"var":"sysUpTime","server":"srv"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0,"l":9}}`,
-		`{"kind":"poll-reply","seq":1,"id":{"var":"sysName","server":"srv"},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":2,"s":"server"}}`,
-		`{"kind":"var-list","seq":2,"id":{"var":""},"attr":{"lower":{"kind":0},"upper":{"kind":0},"op":0},"value":{"kind":0},"names":["sysUpTime","ifSpeed","😀"]}`,
+		`update sysUpTime 0 l 7`,
+		`notify sysUpTime 0 l 9`,
+		`poll-reply 1 s server`,
+		`var-list 2 sysUpTime ifSpeed "😀"`,
 	)
 	variant := read(
-		` {"batch" : [ {"value":{"l":7,"kind":0,"x":{"y":[1,2]}}, "id":{"server":"srv","var":"sys\u0055pTime"}} ], "ext":[{}], "kind" : "update" } `,
-		"{\t\"value\":{\"kind\":0,\"l\":9},\r \"id\":{\"var\":\"sysUpTime\",\"server\":\"srv\"},\"kind\":\"n\\u006ftify\"}",
-		`{"value":{"s":"ser\u0076er","kind":2},"seq":1,"kind":"poll-reply","id":{"var":"sysName","server":"srv"},"err":null,"junk":"\"}"}`,
-		`{"names":["sysUpTime","if\u0053peed","\ud83d\ude00"],"seq":2,"kind":"var-list","batch":null}`,
+		`"update" "sys\u0055pTime" 0 l 7`,
+		`notify "sysUpTime" 0 l 9`,
+		`poll-reply 1 s "ser\x76er"`,
+		`var-list 2 "sysUpTime" "if\123peed" "\U0001F600"`,
 	)
 	if variant != canonical {
 		t.Fatalf("variant lines read differently:\n got %s\nwant %s", variant, canonical)

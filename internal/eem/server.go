@@ -208,17 +208,16 @@ func (s *Server) handleLine(sess *session, line []byte) {
 	case msgPoll:
 		s.PollsServed++
 		v, err := s.Get(m.ID.Var, m.ID.Index)
-		reply := wireMsg{Kind: msgPollReply, Seq: m.Seq, ID: m.ID, V: v}
+		reply := wireMsg{Kind: msgPollReply, Seq: m.Seq, V: v}
 		if err != nil {
-			reply.Err = err.Error()
-			reply.Code = codeFor(err)
+			reply = wireMsg{Kind: msgError, Seq: m.Seq, Err: err.Error(), Code: codeFor(err)}
 		}
 		s.obs.Emit("eem", "poll", sess.key(), obs.F("var", m.ID.Var))
 		sess.conn.Write(encodeMsg(reply))
 	case msgListVars:
 		sess.conn.Write(encodeMsg(wireMsg{Kind: msgVarList, Seq: m.Seq, Names: s.Variables()}))
 	default:
-		sess.conn.Write(encodeMsg(wireMsg{Kind: msgError, Err: "unknown message kind " + m.Kind}))
+		sess.conn.Write(encodeMsg(wireMsg{Kind: msgError, Err: "unexpected message kind " + m.Kind}))
 	}
 }
 

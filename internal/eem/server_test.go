@@ -7,7 +7,6 @@ package eem
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -22,8 +21,8 @@ type recConn struct {
 }
 
 func (c *recConn) Write(b []byte) error {
-	var m wireMsg
-	if err := json.Unmarshal(b, &m); err != nil {
+	m, err := decodeMsg(b)
+	if err != nil {
 		panic(err)
 	}
 	*c.log = append(*c.log, c.name+":"+m.Kind)
@@ -223,10 +222,10 @@ func TestEEMUnframedFloodSevered(t *testing.T) {
 }
 
 // TestServerServesEquivalentLines: a session fed its messages with
-// keys reordered, whitespace between tokens, unknown nested members
-// and \u-escaped names is served exactly as one fed the canonical
-// lines. A malformed line gets an error reply that starts "bad
-// message: ", and the session keeps answering after it.
+// names quoted, escapes included, where they could stand bare is
+// served exactly as one fed the canonical lines. Each malformed line
+// gets an error reply that starts "bad message: ", and the session
+// answers the poll after it.
 func TestServerServesEquivalentLines(t *testing.T) {
 	serve := func(lines ...string) []string {
 		s := NewServer("srv")
@@ -253,21 +252,19 @@ func TestServerServesEquivalentLines(t *testing.T) {
 	}
 	line := func(m wireMsg) string { return strings.TrimSuffix(string(encodeMsg(m)), "\n") }
 	canonical := serve(
-		line(wireMsg{Kind: msgRegister, ID: ID{Var: "sysUpTime", Index: 2, Server: "srv"},
+		line(wireMsg{Kind: msgRegister, ID: ID{Var: "sysUpTime", Index: 2},
 			A: Attr{Lower: LongValue(0), Upper: LongValue(100), Op: IN, Interrupt: true}}),
-		line(wireMsg{Kind: msgPoll, Seq: 1, ID: ID{Var: "sysName", Server: "srv"}}),
+		line(wireMsg{Kind: msgPoll, Seq: 1, ID: ID{Var: "sysName"}}),
 		line(wireMsg{Kind: msgListVars, Seq: 2}),
 		line(wireMsg{Kind: msgPoll, Seq: 3, ID: ID{Var: "nope"}}),
-		line(wireMsg{Kind: msgDeregister, ID: ID{Var: "sysUpTime", Index: 2, Server: "srv"}}),
+		line(wireMsg{Kind: msgDeregister, ID: ID{Var: "sysUpTime", Index: 2}}),
 	)
 	variant := serve(
-		` { "attr" : { "op" : 6 , "interrupt" : true, "upper" : {"l":100,"kind":0} , "lower":{"x":[{"y":null}]} } ,`+
-			` "ext" : {"a":[true,false,null,"s",-1.5e3,{}]}, "id":{"server":"srv","index":2,"var":"sys\u0055pTime"},`+
-			"\t\"kind\"\t:\t\"regist\\u0065r\"\r} ",
-		`{"id":{"var":"\u0073ysName","server":"srv","more":{}},"seq":1,"kind":"poll","value":null}`,
-		`{"seq":2,"kind":"list-vars","names":null,"batch":[]}`,
-		`{"kind":"poll","id":{"var":"nope"},"seq":3,"attr":{}}`,
-		`{"id":{"index":2,"server":"srv","var":"sysUpTime"},"kind":"deregister","seq":0}`,
+		`register "sys\x55pTime" 2 6 1 l 0 l 100`,
+		`"poll" 1 "sysName" 0`,
+		`list-vars 2`,
+		`poll 3 "no\u0070e" 0`,
+		`deregister "sysUpTime" 2`,
 	)
 	if strings.Join(variant, "") != strings.Join(canonical, "") {
 		t.Fatalf("variant lines served differently:\n got %q\nwant %q", variant, canonical)
@@ -277,16 +274,26 @@ func TestServerServesEquivalentLines(t *testing.T) {
 	}
 
 	poll := line(wireMsg{Kind: msgPoll, Seq: 9, ID: ID{Var: "sysName"}})
-	for _, bad := range []string{`{"kind":"poll","seq":1`, `{"kind":"poll","seq":1.5}`, `{"kind":"poll"}}`, `[]`, "\x00"} {
+	for _, bad := range []string{
+		`register sysUpTime 0 1 0 l`,         // truncated
+		`subscribe sysUpTime 0`,              // unknown kind
+		`poll 1 sysName`,                     // missing field
+		`poll 1 sysName 0 srv`,               // extra field
+		`register sysUpTime 0 1 0 i 0 l 0`,   // bad value tag
+		`poll 9223372036854775808 sysName 0`, // seq overflow
+		`poll 1 sysName 9223372036854775808`, // index overflow
+		`poll 1 "sysName 0`,                  // unterminated quoted string
+		`{"kind":"poll","seq":1}`, "\x00",
+	} {
 		got := serve(bad, poll)
 		if len(got) != 2 {
 			t.Fatalf("%q: %d replies, want an error and the poll's: %q", bad, len(got), got)
 		}
-		m, err := decodeMsg([]byte(strings.TrimSuffix(got[0], "\n")))
+		m, err := decodeMsg([]byte(got[0]))
 		if err != nil || m.Kind != msgError || !strings.HasPrefix(m.Err, "bad message: ") {
 			t.Errorf("%q: reply %q, want a bad message error", bad, got[0])
 		}
-		if !strings.Contains(got[1], `"kind":"poll-reply","seq":9`) {
+		if got[1] != "poll-reply 9 s srv\n" {
 			t.Errorf("%q: session did not answer the next poll: %q", bad, got[1])
 		}
 	}

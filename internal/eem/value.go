@@ -57,10 +57,10 @@ func (k Kind) String() string {
 
 // Value is the union type of thesis §6.3.1 (comma_type_t).
 type Value struct {
-	Kind Kind    `json:"kind"`
-	L    int64   `json:"l,omitempty"`
-	D    float64 `json:"d,omitempty"`
-	S    string  `json:"s,omitempty"`
+	Kind Kind
+	L    int64
+	D    float64
+	S    string
 }
 
 // LongValue, DoubleValue, and StringValue build Values.
@@ -151,12 +151,12 @@ var ErrTypeMismatch = errors.New("eem: operator invalid for value type")
 // only Lower is used. Notify selects interrupt-style callbacks in
 // addition to periodic updates.
 type Attr struct {
-	Lower Value    `json:"lower"`
-	Upper Value    `json:"upper"`
-	Op    Operator `json:"op"`
+	Lower Value
+	Upper Value
+	Op    Operator
 	// Interrupt requests callback notification the moment the variable
 	// enters the region (in addition to periodic PDA updates).
-	Interrupt bool `json:"interrupt,omitempty"`
+	Interrupt bool
 }
 
 // Matches reports whether v lies in the attribute's region of
@@ -210,9 +210,9 @@ func (a Attr) Matches(v Value) (bool, error) {
 // ID names a variable on a specific EEM server (thesis comma_id_t:
 // variable name/number, optional index, and server).
 type ID struct {
-	Var    string `json:"var"`
-	Index  int    `json:"index,omitempty"` // e.g. interface number for if* variables
-	Server string `json:"server,omitempty"`
+	Var    string
+	Index  int // e.g. interface number for if* variables
+	Server string
 }
 
 // String renders "server/var[index]".
