@@ -15,20 +15,25 @@ build:
 test:
 	$(GO) test ./...
 
-# The whole suite under the race detector; the concurrent plane's tests
-# in internal/dataplane are the bulk of what it can catch. The race
+# The whole suite under the race detector; the ring plane's tests in
+# internal/dataplane (shard goroutines fed through SPSC rings, control
+# at batch boundaries) are the bulk of what it can catch. The race
 # build also poisons every datagram buffer netsim recycles (0xDB), so
 # each digest, sweep and relay test here fails on bytes kept past
-# their datagram's death. The second line repeats the
-# scheduling-sensitive ones (control against live traffic, the idle
+# their datagram's death. The second line repeats the ring's
+# scheduling-sensitive tests (control against live traffic, the idle
 # worker's park handshake), so a flake shows up here, not in somebody's
 # unrelated PR.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'VsTrafficRace|NoStrandedPacket' ./internal/dataplane
 
+# The simulator runs one proxy per Site; the concurrent plane is the
+# benchmark's and the stress tests'. So no non-test package but
+# internal/dataplane itself may import internal/dataplane.
 vet:
 	$(GO) vet ./...
+	@! $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -v '^repro/internal/dataplane:' | grep -w 'repro/internal/dataplane'
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	spd [-listen :12000] [-loss 0.02] [-bw 2000000] [-shards 4]
+//	spd [-listen :12000] [-loss 0.02] [-bw 2000000]
 //	    [-policy '<rule>' ...]
 //
 // Each -policy flag (repeatable) arms one adaptive rule on the policy
@@ -38,7 +38,6 @@ func main() {
 	loss := flag.Float64("loss", 0.0, "wireless packet loss probability")
 	bw := flag.Int64("bw", 2e6, "wireless bandwidth, bits/s")
 	debug := flag.String("debug", "", "address for expvar/pprof debug HTTP (e.g. localhost:6060); empty disables")
-	shards := flag.Int("shards", 1, "data-plane shard count (1 = classic single interception loop)")
 	var rules multiFlag
 	flag.Var(&rules, "policy", "adaptive policy rule (repeatable); see internal/policy for the grammar")
 	flag.Parse()
@@ -50,8 +49,7 @@ func main() {
 	}
 
 	sys := core.NewSystem(core.Config{
-		Seed:   time.Now().UnixNano(),
-		Shards: *shards,
+		Seed: time.Now().UnixNano(),
 		Wireless: netsim.LinkConfig{
 			Bandwidth: *bw,
 			Delay:     10 * time.Millisecond,
@@ -96,7 +94,7 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("service proxy control on %s (try: telnet %s then 'report')", *listen, *listen)
-	log.Fatal(daemon.Serve(l, rt, proxy.AcceptControl(sys.Sched, sys.Plane.Command, nil)))
+	log.Fatal(daemon.Serve(l, rt, proxy.AcceptControl(sys.Sched, sys.Proxy.Exec, nil)))
 }
 
 // multiFlag collects a repeatable string flag.

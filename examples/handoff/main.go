@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/dataplane"
 	"repro/internal/filter"
 	"repro/internal/filters"
 	"repro/internal/ip"
@@ -30,6 +29,7 @@ import (
 	"repro/internal/mobileip"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/proxy"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 )
@@ -84,14 +84,14 @@ func main() {
 	// and forwarded return traffic both pass its filters.
 	bus := obs.NewBus(s, 4096)
 	metrics := obs.NewRegistry()
-	newPlane := func(nd *netsim.Node) *dataplane.Plane {
+	newProxy := func(nd *netsim.Node) *proxy.Proxy {
 		cat := filter.NewCatalog()
 		filters.RegisterAll(cat)
-		pl := dataplane.NewInline(nd, cat, 1)
-		pl.SetObs(bus, metrics)
-		return pl
+		p := proxy.New(nd, cat)
+		p.SetObs(bus, metrics)
+		return p
 	}
-	pl1, pl2 := newPlane(fa1N), newPlane(fa2N)
+	sp1, sp2 := newProxy(fa1N), newProxy(fa2N)
 
 	// Migration managers on both agents, talking over the wired segment
 	// (the care-of addresses are mutually routable through the internet
@@ -104,10 +104,10 @@ func main() {
 		return st
 	}
 	mgr1 := migrate.NewManager(migrate.Config{
-		Name: "fa1", ID: 1, Sched: s, Plane: pl1, Stack: newCtrl(fa1N), Bus: bus,
+		Name: "fa1", ID: 1, Sched: s, Proxy: sp1, Stack: newCtrl(fa1N), Bus: bus,
 	})
 	mgr2 := migrate.NewManager(migrate.Config{
-		Name: "fa2", ID: 2, Sched: s, Plane: pl2, Stack: newCtrl(fa2N), Bus: bus,
+		Name: "fa2", ID: 2, Sched: s, Proxy: sp2, Stack: newCtrl(fa2N), Bus: bus,
 	})
 	for _, mg := range []*migrate.Manager{mgr1, mgr2} {
 		if err := mg.Serve(); err != nil {
@@ -115,11 +115,11 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	pl1.RegisterCommand("migrate", mgr1.Command)
-	pl2.RegisterCommand("migrate", mgr2.Command)
+	sp1.RegisterCommand("migrate", mgr1.Command)
+	sp2.RegisterCommand("migrate", mgr2.Command)
 
-	mustCmd := func(pl *dataplane.Plane, line string) string {
-		out := pl.Command(line)
+	mustCmd := func(p *proxy.Proxy, line string) string {
+		out := p.Exec(line)
 		if strings.HasPrefix(out, "error") {
 			fmt.Printf("FAIL: command %q: %s", line, out)
 			os.Exit(1)
@@ -137,7 +137,7 @@ func main() {
 		"load tcp", "load ttsf", "load wsize",
 		"add tcp " + keyStr, "add ttsf " + keyStr, "add wsize " + keyStr + " cap 16000",
 	} {
-		mustCmd(pl1, c)
+		mustCmd(sp1, c)
 	}
 
 	// A download from the correspondent to the mobile's home address.
@@ -194,7 +194,7 @@ func main() {
 		preBytes = st.BytesIn
 	}
 	fmt.Printf("t=%-8v MIGRATE: %s\n", s.Now(),
-		strings.TrimSpace(mustCmd(pl1, fmt.Sprintf("migrate %s %v", keyStr, fa2A))))
+		strings.TrimSpace(mustCmd(sp1, fmt.Sprintf("migrate %s %v", keyStr, fa2A))))
 	s.RunFor(200 * time.Millisecond)
 
 	fmt.Printf("t=%-8v HANDOFF: mobile leaves cell 1\n", s.Now())
@@ -221,7 +221,7 @@ func main() {
 	}
 	check(len(received) == len(payload) && sha256.Sum256(received) == wantSum,
 		"payload corrupt: received %d of %d bytes", len(received), len(payload))
-	b1, b2 := pl1.StreamBindings(key), pl2.StreamBindings(key)
+	b1, b2 := sp1.StreamBindings(key), sp2.StreamBindings(key)
 	check(b1 == 0 && b2 == 3,
 		"ownership invariant violated: FA1 holds %d bindings, FA2 holds %d (want 0 and 3)", b1, b2)
 	a, c, r, ab := mgr1.Counters()

@@ -13,7 +13,7 @@
 //	                        └ EEM server     (control on TCP :12001)
 //
 // Config.Topology picks the shape, one value per shape in use. Every
-// Service Proxy in a deployment is a Site — host node, data plane,
+// Service Proxy in a deployment is a Site — host node, one proxy,
 // optional control stack, migration manager and policy engine — built
 // by one constructor; a System embeds its primary Site and, in the
 // double-proxy shapes (thesis §10.2.4: a second proxy on the far side
@@ -27,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/dataplane"
 	"repro/internal/eem"
 	"repro/internal/filter"
 	"repro/internal/filters"
@@ -83,22 +82,17 @@ const (
 // Config shapes a System. Zero values give the reference topology with
 // a 2 Mb/s, 10 ms, lossless wireless link and default TCP parameters.
 type Config struct {
-	Seed     int64
-	Topology Topology
-	Wireless netsim.LinkConfig
-	Wire     netsim.LinkConfig
-	TCP      tcp.Config
-	// Shards is the data-plane shard count of every proxy (0 or 1 = the
-	// classic single interception loop, byte-for-byte deterministic; N>1
-	// partitions proxy state by flow-steering hash, still inline and
-	// deterministic inside the simulator).
-	Shards      int
+	Seed        int64
+	Topology    Topology
+	Wireless    netsim.LinkConfig
+	Wire        netsim.LinkConfig
+	TCP         tcp.Config
 	EEMInterval time.Duration
 	// ObsRetention bounds the observability event ring
 	// (obs.DefaultRetention when 0).
 	ObsRetention int
 	// Policy, when it carries rules, arms an adaptive policy engine
-	// against the primary data plane (thesis ch. 7: the control loop
+	// against the primary proxy (thesis ch. 7: the control loop
 	// that loads services in response to EEM conditions).
 	Policy PolicyConfig
 	// LTE shapes the LTE leg of TopoMMWaveLTE; zero values give a
@@ -121,10 +115,9 @@ type Site struct {
 	ProxyHost *netsim.Node
 	// Catalog is the filter catalogue the site's proxy loads from.
 	Catalog *filter.Catalog
-	// Plane is the sharded data plane owning the host's packet hook;
-	// commands go through it so mutations reach every shard.
-	Plane *dataplane.Plane
-	Proxy *proxy.Proxy // shard 0 of Plane
+	// Proxy is the site's one Service Proxy, installed as the host's
+	// packet hook; SP commands go through its Exec.
+	Proxy *proxy.Proxy
 	// Ctrl terminates TCP on the proxy host: SP and EEM control on the
 	// primary, the migration protocol on either. Nil on a peer that
 	// migrates nothing — nothing else is addressed to it.
@@ -139,7 +132,7 @@ type Site struct {
 }
 
 // System is a running Comma deployment. It embeds its primary Site, so
-// sys.Proxy, sys.Plane, sys.MustCommand … address the proxy of the
+// sys.Proxy, sys.MustCommand … address the proxy of the
 // reference topology in every shape.
 type System struct {
 	Sched *sim.Scheduler
@@ -242,7 +235,7 @@ func NewSystem(cfg Config) *System {
 		sys.ProxyHost.AddRoute(MobileAddr.Mask(32), 32, lte.IfaceA())
 		sys.Mobile.AddDefaultRoute(lte.IfaceB())
 		lte.RegisterMetrics(sys.Metrics, "link.lte")
-		sys.Plane.RegisterCommand("mmwave", sys.mmwaveCommand)
+		sys.Proxy.RegisterCommand("mmwave", sys.mmwaveCommand)
 	case TopoDouble:
 		sys.connectPeer(cfg, false)
 	case TopoDoubleMigrating:
@@ -274,7 +267,7 @@ func NewSystem(cfg Config) *System {
 
 	// Control plane on the primary proxy host: SP command port and EEM
 	// server.
-	if err := proxy.ServeControl(sys.Ctrl, proxy.ControlPort, sys.Plane.Command); err != nil {
+	if err := proxy.ServeControl(sys.Ctrl, proxy.ControlPort, sys.Proxy.Exec); err != nil {
 		panic(fmt.Sprintf("core: control port: %v", err))
 	}
 	sys.EEM = eem.NewServer("proxy")
@@ -288,10 +281,10 @@ func NewSystem(cfg Config) *System {
 	// streams are doing (retrans ratio, zero-window rate), not just
 	// what the links report.
 	sys.EEM.AddSource(&eem.NodeSource{Node: sys.ProxyHost, TCP: sys.Ctrl})
-	sys.EEM.AddSource(newFlowVarSource(s, sys.Plane))
+	sys.EEM.AddSource(newFlowVarSource(s, sys.Proxy))
 	// Adaptive filters read the same table through their Env (thesis
 	// ch. 6: filters are EEM clients too).
-	sys.Plane.SetMetricSource(func(name string, index int) (float64, bool) {
+	sys.Proxy.SetMetricSource(func(name string, index int) (float64, bool) {
 		v, err := sys.EEM.Get(name, index)
 		if err != nil {
 			return 0, false
@@ -318,18 +311,17 @@ var (
 )
 
 // newSite is the one place a Service Proxy is put on the network: a
-// forwarding host node "proxy"+tag with its own filter catalogue and an
-// inline data plane hooked on it, reporting to the deployment's bus and
+// forwarding host node "proxy"+tag with its own filter catalogue and
+// one proxy hooked on it, reporting to the deployment's bus and
 // registry. With control the host also terminates TCP on a stack of
 // its own.
 func (s *System) newSite(tag string, cfg Config, control bool) *Site {
 	st := &Site{tag: tag, ProxyHost: s.Net.AddNode("proxy" + tag), Catalog: filter.NewCatalog()}
 	st.ProxyHost.Forwarding = true
 	filters.RegisterAll(st.Catalog)
-	st.Plane = dataplane.NewInline(st.ProxyHost, st.Catalog, cfg.Shards)
-	st.Proxy = st.Plane.Shard(0)
-	st.Plane.SetObs(s.Obs, s.Metrics)
-	st.Plane.RegisterMetrics(s.Metrics, "proxy"+tag)
+	st.Proxy = proxy.New(st.ProxyHost, st.Catalog)
+	st.Proxy.SetObs(s.Obs, s.Metrics)
+	st.Proxy.RegisterMetrics(s.Metrics, "proxy"+tag)
 	if control {
 		s.addCtrl(st, cfg.TCP)
 	}
@@ -371,17 +363,17 @@ func (s *System) connectPeer(cfg Config, control bool) {
 func (s *System) armMigration(st *Site, id uint8) {
 	st.Migrate = migrate.NewManager(migrate.Config{
 		Name: "migrate" + st.tag, ID: id, Sched: s.Sched,
-		Plane: st.Plane, Stack: st.Ctrl, Bus: s.Obs,
+		Proxy: st.Proxy, Stack: st.Ctrl, Bus: s.Obs,
 	})
 	if err := st.Migrate.Serve(); err != nil {
 		panic(fmt.Sprintf("core: migrate port (proxy%s): %v", st.tag, err))
 	}
 	st.Migrate.RegisterMetrics(s.Metrics, "migrate"+st.tag)
-	st.Plane.RegisterCommand("migrate", st.Migrate.Command)
+	st.Proxy.RegisterCommand("migrate", st.Migrate.Command)
 }
 
-// ArmPolicy starts an adaptive policy engine with st's data plane as
-// its control surface, counted under "policy"+tag and reachable as the
+// ArmPolicy starts an adaptive policy engine with st's proxy as its
+// control surface, counted under "policy"+tag and reachable as the
 // site's "policy" SP command (so Kati's `policy` reaches it like any
 // other; a site without an engine keeps its command surface and help
 // text unchanged). Every engine is an EEM client of the primary proxy
@@ -395,7 +387,7 @@ func (s *System) ArmPolicy(st *Site, pc PolicyConfig) error {
 	st.Policy = policy.New(policy.Config{
 		Sched:   s.Sched,
 		Comma:   cm,
-		Control: st.Plane,
+		Control: st.Proxy,
 		Server:  ProxyCtrlAddr.String(),
 		Bus:     s.Obs,
 		Period:  pc.Period,
@@ -406,16 +398,16 @@ func (s *System) ArmPolicy(st *Site, pc PolicyConfig) error {
 			return err
 		}
 	}
-	st.Plane.RegisterCommand("policy", st.Policy.Command)
+	st.Proxy.RegisterCommand("policy", st.Policy.Command)
 	st.Policy.Start()
 	return nil
 }
 
 // ArmRelay puts an I-TCP relay (thesis §3.2, the split-connection
-// comparator) in front of st's data plane: connections from the wired
+// comparator) in front of st's proxy: connections from the wired
 // side to the mobile on ports are terminated at st's host and
 // re-originated from its control stack, while every other packet still
-// reaches the plane and the host's own ports (SP, EEM, migration). A
+// reaches the proxy and the host's own ports (SP, EEM, migration). A
 // site without a control stack gets one with the deployment's TCP
 // configuration.
 func (s *System) ArmRelay(st *Site, ports ...uint16) *itcp.Relay {
@@ -443,7 +435,7 @@ func registerStacks(node *netsim.Node, t *tcp.Stack, u *udp.Stack) {
 // MustCommand runs an SP command on the site's proxy and panics on an
 // error response (setup helper for examples and experiments).
 func (st *Site) MustCommand(line string) string {
-	out := st.Plane.Command(line)
+	out := st.Proxy.Exec(line)
 	if strings.HasPrefix(out, "error") {
 		panic(fmt.Sprintf("core: proxy%s command %q: %s", st.tag, line, out))
 	}

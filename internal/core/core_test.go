@@ -337,6 +337,36 @@ func TestSilentFlowAgesWithoutTraffic(t *testing.T) {
 	}
 }
 
+// TestFlowVarsReadAllocatesNothing: after a transfer, one read of all
+// twelve flow.* variables through the EEM allocates nothing. A site has
+// one proxy and so one flow log, read in place: the read ages it (an
+// LRU-head check) and copies its counters.
+func TestFlowVarsReadAllocatesNothing(t *testing.T) {
+	sys := core.NewSystem(core.Config{Seed: 3})
+	sys.MustCommand("load tcp")
+	sys.MustCommand("add tcp 0.0.0.0 0 0.0.0.0 0")
+	if res, err := sys.Transfer(make([]byte, 20000), 7, 5001, 10*time.Second); err != nil || !res.Completed {
+		t.Fatalf("transfer: err=%v res=%+v", err, res)
+	}
+	names := []string{
+		"flow.active", "flow.opened", "flow.closed", "flow.evicted",
+		"flow.pkts", "flow.data_pkts", "flow.retrans", "flow.zero_win",
+		"flow.retrans_ratio", "flow.zero_win_rate", "flow.rtt_mean_ms",
+		"flow.rtt",
+	}
+	read := func() {
+		for _, name := range names {
+			if _, err := sys.EEM.Get(name, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	read() // the windowed ratios' first read opens their windows
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Fatalf("one read of the %d flow.* variables allocates %.1f times, want 0", len(names), allocs)
+	}
+}
+
 // TestRelayComposesWithSite: the I-TCP relay armed on a site takes only
 // the connections it relays. The host's SP port still answers over TCP,
 // a stream to another port still runs through the plane's filters, and
@@ -365,7 +395,7 @@ func TestRelayComposesWithSite(t *testing.T) {
 	if _, err := sys.CheckedTransfer("leg 5002", payload, 7, 5002, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	filtered := sys.Plane.StatsSnapshot().Filtered
+	filtered := sys.Proxy.Stats.Filtered.Load()
 	if filtered == 0 {
 		t.Fatal("a stream to an unrelayed port bypassed the plane's filters")
 	}
@@ -375,7 +405,7 @@ func TestRelayComposesWithSite(t *testing.T) {
 	if relay.Stats.Accepted != 1 {
 		t.Fatalf("relay accepted %d connections, want 1", relay.Stats.Accepted)
 	}
-	if got := sys.Plane.StatsSnapshot().Filtered; got != filtered {
+	if got := sys.Proxy.Stats.Filtered.Load(); got != filtered {
 		t.Fatalf("the relayed stream reached the plane's filters: filtered %d → %d", filtered, got)
 	}
 }

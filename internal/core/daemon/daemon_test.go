@@ -58,7 +58,7 @@ func TestDaemonControlMatchesSimulatedPort(t *testing.T) {
 	defer rt.Stop()
 	client, server := net.Pipe()
 	defer client.Close()
-	go daemon.ServeConn(server, rt, proxy.AcceptControl(sys.Sched, sys.Plane.Command, nil))
+	go daemon.ServeConn(server, rt, proxy.AcceptControl(sys.Sched, sys.Proxy.Exec, nil))
 
 	if _, err := client.Write([]byte("help\n")); err != nil {
 		t.Fatal(err)

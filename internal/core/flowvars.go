@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/dataplane"
 	"repro/internal/eem"
+	"repro/internal/proxy"
 	"repro/internal/sim"
 )
 
@@ -31,12 +31,12 @@ var flowVarNames = []string{
 // between 0 and spikes and flap any rule watching it.
 type flowVarSource struct {
 	sched  *sim.Scheduler
-	plane  *dataplane.Plane
+	proxy  *proxy.Proxy
 	ratios eem.Window
 }
 
-func newFlowVarSource(s *sim.Scheduler, pl *dataplane.Plane) *flowVarSource {
-	return &flowVarSource{sched: s, plane: pl, ratios: eem.Window{Min: flowVarMinWindow}}
+func newFlowVarSource(s *sim.Scheduler, p *proxy.Proxy) *flowVarSource {
+	return &flowVarSource{sched: s, proxy: p, ratios: eem.Window{Min: flowVarMinWindow}}
 }
 
 // Variables implements eem.Source.
@@ -44,7 +44,7 @@ func (s *flowVarSource) Variables() []string { return flowVarNames }
 
 // Get implements eem.Source.
 func (s *flowVarSource) Get(name string, index int) (eem.Value, error) {
-	snap := s.plane.FlowStats()
+	snap := s.proxy.FlowStats()
 	switch name {
 	case "flow.active":
 		return eem.LongValue(snap.Active), nil

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataplane"
 	"repro/internal/netsim"
+	"repro/internal/proxy"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -29,40 +30,22 @@ func buildFlowTrace(flows int) [][]byte {
 	return trace
 }
 
-// TestFlowRecordsShardMergeEquivalence is the PR 8 shard-merge
-// property: for the same traffic, the merged "flows" output of an
-// N-shard plane — inline or concurrent batched — must be byte-equal to
-// the 1-shard inline reference, and the merged flow counters must sum
-// to the same totals. Direction-normalized steering keeps each flow
-// whole on one shard, so any divergence means a flow was split,
-// double-counted, or lost in the merge.
+// TestFlowRecordsShardMergeEquivalence is the shard-merge property:
+// for the same traffic, the merged "flows" output of an N-shard
+// concurrent plane must be byte-equal to one proxy's, and the merged
+// flow counters must sum to the same totals. Direction-normalized
+// steering keeps each flow whole on one shard, so any divergence means
+// a flow was split, double-counted, or lost in the merge.
 func TestFlowRecordsShardMergeEquivalence(t *testing.T) {
 	trace := buildFlowTrace(120)
 
-	runInline := func(shards int) (string, string) {
-		s := sim.NewScheduler(7)
-		net := netsim.New(s)
-		node := net.AddNode("proxy")
-		pl := dataplane.NewInline(node, detCatalog(), shards)
-		for _, raw := range trace {
-			pl.Hook(raw, nil)
-		}
-		return pl.Command("flows 1000"), fmt.Sprintf("%+v", pl.FlowStats())
+	ref := proxy.New(netsim.New(sim.NewScheduler(7)).AddNode("proxy"), detCatalog())
+	for _, raw := range trace {
+		ref.Intercept(raw, nil)
 	}
-
-	refOut, refStats := runInline(1)
+	refOut, refStats := ref.Exec("flows 1000"), fmt.Sprintf("%+v", ref.FlowStats())
 	if refOut == "" {
 		t.Fatal("reference flows output empty")
-	}
-
-	for _, shards := range []int{2, 4, 8} {
-		out, stats := runInline(shards)
-		if out != refOut {
-			t.Fatalf("inline %d-shard flows output diverges from 1-shard:\n got %q\nwant %q", shards, out, refOut)
-		}
-		if stats != refStats {
-			t.Fatalf("inline %d-shard FlowStats %s, want %s", shards, stats, refStats)
-		}
 	}
 
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -79,7 +62,7 @@ func TestFlowRecordsShardMergeEquivalence(t *testing.T) {
 		stats := fmt.Sprintf("%+v", pl.FlowStats())
 		pl.Close()
 		if out != refOut {
-			t.Fatalf("concurrent %d-shard flows output diverges from inline:\n got %q\nwant %q", shards, out, refOut)
+			t.Fatalf("concurrent %d-shard flows output diverges from one proxy's:\n got %q\nwant %q", shards, out, refOut)
 		}
 		if stats != refStats {
 			t.Fatalf("concurrent %d-shard FlowStats %s, want %s", shards, stats, refStats)

@@ -7,60 +7,24 @@ import (
 
 	"repro/internal/filter"
 	"repro/internal/flowlog"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/proxy"
 )
 
-// Plane is the sharded data plane: N proxy shards behind a
-// flow-steering dispatcher, plus the epoch/quiesce control plane that
-// keeps the telnet interface (and Kati behind it) working unchanged.
-// It holds what is the same however the shards run — steering, Command,
-// the typed control surface (where all routing lives), stream
-// migration, epoch and extensions — and reaches the shards' proxies
-// through exec, chosen once by the constructor.
+// Plane is the concurrent data plane: N proxy shards behind a
+// flow-steering dispatcher, each on its own goroutine (ringExec), plus
+// the epoch/quiesce control plane that keeps the telnet grammar working
+// unchanged. It holds steering, Command and the typed control surface,
+// where all routing lives.
 type Plane struct {
 	shards []*proxy.Proxy
 	n      int
-
-	exec executor
-	// ring is exec on a NewConcurrent plane, nil otherwise: Dispatch
-	// calls the owning worker on the concrete type, not through exec.
-	ring *ringExec
-
-	// bus receives the single "proxy/command" event per control line;
-	// bus and metrics are what the stats and events commands read.
-	bus     *obs.Bus
-	metrics *obs.Registry
+	exec   *ringExec
 
 	// epoch counts applied control-plane mutations. A reader that
 	// observes epoch E is guaranteed every shard has applied mutations
 	// 1..E: the counter is bumped only after the quiesce barrier.
 	epoch atomic.Uint64
-
-	// ext holds runtime-registered extension commands (e.g. the policy
-	// engine's "policy"), dispatched ahead of shard routing so they
-	// work at every shard count. Extension names are appended to the
-	// plane's help line.
-	ext map[string]func(args []string) string
-}
-
-// NewInline builds a plane over inlineExec: steering, interception and
-// control all run synchronously on the caller's goroutine — inside the
-// deterministic simulator. It installs itself as node's packet hook.
-// With shards=1 the plane is a transparent wrapper over today's proxy:
-// same hook, same events, same bytes.
-func NewInline(node *netsim.Node, catalog *filter.Catalog, shards int) *Plane {
-	if shards < 1 {
-		shards = 1
-	}
-	pl := &Plane{n: shards}
-	for i := 0; i < shards; i++ {
-		pl.shards = append(pl.shards, proxy.NewDetached(node, catalog))
-	}
-	pl.exec = inlineExec{pl.shards}
-	node.SetHook(pl.Hook)
-	return pl
 }
 
 // NewConcurrent builds a plane over ringExec: one goroutine per shard,
@@ -69,7 +33,7 @@ func NewInline(node *netsim.Node, catalog *filter.Catalog, shards int) *Plane {
 // the deterministic experiments: see ringExec for what it does not run.
 func NewConcurrent(cfg ConcurrentConfig) *Plane {
 	e := newRingExec(cfg)
-	pl := &Plane{n: len(e.workers), exec: e, ring: e}
+	pl := &Plane{n: len(e.workers), exec: e}
 	for _, w := range e.workers {
 		pl.shards = append(pl.shards, w.prox)
 	}
@@ -89,16 +53,6 @@ func (pl *Plane) Shard(i int) *proxy.Proxy { return pl.shards[i] }
 
 // --- packet path -------------------------------------------------------------
 
-// Hook is the inline plane's node packet hook: steer, then run the
-// owning shard's interception synchronously. Allocation-free: SteerKey
-// reads the raw bytes in place and the shard reuses its emit list.
-func (pl *Plane) Hook(raw []byte, in *netsim.Iface) [][]byte {
-	if pl.n == 1 {
-		return pl.shards[0].Intercept(raw, in)
-	}
-	return pl.shards[pl.steer(raw)].Intercept(raw, in)
-}
-
 // Dispatch is the concurrent plane's packet entry: it steers raw into
 // its shard's open batch arena. An idle shard takes the arena at once
 // (a parked one is woken by this packet); a busy one finds it sealed
@@ -106,7 +60,7 @@ func (pl *Plane) Hook(raw []byte, in *netsim.Iface) [][]byte {
 // ring applies backpressure: the producer wakes the consumer and
 // yields until a slot frees, so packets are delayed, never dropped.
 func (pl *Plane) Dispatch(raw []byte) {
-	pl.ring.workers[pl.steer(raw)].enqueue(raw)
+	pl.exec.workers[pl.steer(raw)].enqueue(raw)
 }
 
 // Drain blocks until every open batch is sealed, every ring is empty,
@@ -139,19 +93,6 @@ func (pl *Plane) mutate(fn func(i int, p *proxy.Proxy)) {
 	pl.epoch.Add(1)
 }
 
-// SetObs attaches the deployment bus and metrics registry to the plane
-// and every shard. The concurrent plane refuses (see ringExec).
-func (pl *Plane) SetObs(b *obs.Bus, r *obs.Registry) {
-	pl.exec.setObs(b, r)
-	pl.bus, pl.metrics = b, r
-}
-
-// SetMetricSource forwards the execution-environment variable source
-// to every shard (filters are EEM clients, thesis ch. 6).
-func (pl *Plane) SetMetricSource(fn func(name string, index int) (float64, bool)) {
-	pl.exec.all(func(_ int, p *proxy.Proxy) { p.SetMetricSource(fn) })
-}
-
 // FlushMatchCache recompiles every shard's registry match program. The
 // broadcast rides the quiesce/epoch barrier like any other mutation,
 // so each shard swaps its program between batches — no packet can
@@ -172,14 +113,9 @@ func (pl *Plane) StatsSnapshot() proxy.StatsSnapshot {
 }
 
 // RegisterMetrics exposes the plane's counters: merged aggregates,
-// per-shard breakdowns and the control epoch, plus whatever rows the
-// executor adds (or, for one inline shard, the proxy's own table).
+// per-shard breakdowns, the control epoch and the ring's handoff
+// totals.
 func (pl *Plane) RegisterMetrics(r *obs.Registry, prefix string) {
-	pl.exec.registerMetrics(pl, r, prefix)
-}
-
-// registerMerged is the part of RegisterMetrics both executors share.
-func (pl *Plane) registerMerged(r *obs.Registry, prefix string) {
 	r.Counter(prefix+".intercepted", func() int64 { return pl.StatsSnapshot().Intercepted })
 	r.Counter(prefix+".filtered", func() int64 { return pl.StatsSnapshot().Filtered })
 	r.Counter(prefix+".dropped_by_filter", func() int64 { return pl.StatsSnapshot().DroppedByFilter })
@@ -218,60 +154,27 @@ func (pl *Plane) registerMerged(r *obs.Registry, prefix string) {
 		r.Counter(sp+".filtered", func() int64 { return s.Stats.Filtered.Load() })
 		r.Gauge(sp+".streams", func() float64 { return float64(s.QueueCount()) })
 	}
+	r.Counter(prefix+".batches", func() int64 { return pl.exec.counters().batches })
+	r.Counter(prefix+".wakeups", func() int64 { return pl.exec.counters().wakeups })
+	r.Counter(prefix+".ring_stalls", func() int64 { return pl.exec.counters().stalls })
 }
 
-// RegisterCommand installs an extension command on the plane's control
-// surface: lines starting with name are handed to fn (arguments only,
-// command word stripped) instead of the shard grammar, and name is
-// appended to the plane's help line. Extensions let subsystems that
-// live above the shards — the policy engine above all — speak the same
-// telnet dialect as everything else.
-func (pl *Plane) RegisterCommand(name string, fn func(args []string) string) {
-	if pl.ext == nil {
-		pl.ext = make(map[string]func(args []string) string)
-	}
-	pl.ext[name] = fn
-}
+// Help is the SP help line: the plane has no extension commands.
+func (pl *Plane) Help() string { return proxy.HelpLine() }
 
-// Help is the SP help line with the registered extension commands
-// appended, sorted.
-func (pl *Plane) Help() string {
-	names := make([]string, 0, len(pl.ext))
-	for n := range pl.ext {
-		names = append(names, n)
-	}
-	return proxy.HelpLine(names...)
-}
-
-// Command runs one SP command line over the sharded plane; the control
-// port (proxy.ServeControl) and the daemons serve it. Every line costs
-// one "proxy/command" event, emitted here so the event log does not
-// depend on the shard count. Extension commands dispatch first (they
-// exist at the plane, not on any shard); every other line runs the
-// proxy's command table over the plane's typed control surface below,
-// which is where each command's routing lives.
+// Command runs one SP command line over the plane: the proxy's command
+// table over the plane's typed control surface below, which is where
+// each command's routing lives.
 func (pl *Plane) Command(line string) string {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return ""
-	}
-	pl.bus.Emit("proxy", "command", fields[0], obs.F("args", len(fields)-1))
-	if fn, ok := pl.ext[fields[0]]; ok {
-		if spec, known := proxy.Lookup(fields[0]); known && !spec.ArityOK(len(fields)-1) {
-			return spec.UsageError()
-		}
-		return fn(fields[1:])
-	}
-	return proxy.RunCommand(pl, fields)
+	return proxy.RunCommand(pl, strings.Fields(line))
 }
 
 // --- typed control surface ----------------------------------------------------
 //
 // The plane's proxy.Control: the command table runs over these methods,
-// and the policy engine mutates filter state through them directly, so
-// its rollback logic can branch on the typed sentinels
-// (proxy.ErrNotLoaded, proxy.ErrAlreadyLoaded, proxy.ErrNoSuchStream,
-// filter.ErrUnknownFilter). Registry, pool and service state is
+// and they return the proxy's typed sentinels (proxy.ErrNotLoaded,
+// proxy.ErrAlreadyLoaded, proxy.ErrNoSuchStream,
+// filter.ErrUnknownFilter) unchanged. Registry, pool and service state is
 // replicated: mutations broadcast under the quiesce barrier and queries
 // answer from shard 0. Stream bindings live where their packets steer;
 // per-stream views merge every shard's.
@@ -328,11 +231,12 @@ func (pl *Plane) ServiceListing() (out string) {
 	return out
 }
 
-// Bus returns the bus SetObs attached (nil if none).
-func (pl *Plane) Bus() *obs.Bus { return pl.bus }
+// Bus returns nil: the shards' private schedulers cannot feed a bus.
+func (pl *Plane) Bus() *obs.Bus { return nil }
 
-// Metrics returns the registry SetObs attached (nil if none).
-func (pl *Plane) Metrics() *obs.Registry { return pl.metrics }
+// Metrics returns nil: the plane's counters are registered with
+// RegisterMetrics, not served by its stats command.
+func (pl *Plane) Metrics() *obs.Registry { return nil }
 
 // mutateErr is mutate for operations that can fail: shards are
 // deterministic replicas for registry/pool/service state, so their

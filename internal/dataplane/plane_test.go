@@ -1,101 +1,50 @@
 package dataplane_test
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataplane"
 	"repro/internal/faults"
 	"repro/internal/filter"
 	"repro/internal/filters"
 	"repro/internal/ip"
-	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/sim"
+	"repro/internal/proxy"
 	"repro/internal/tcp"
 )
 
-// runScenario drives one filtered transfer at the given shard count
-// and returns the full event log, the received bytes, and the merged
-// stats.
-func runScenario(t *testing.T, shards int) (string, []byte, int64) {
-	t.Helper()
-	sys := core.NewSystem(core.Config{Seed: 5, Shards: shards, ObsRetention: 1 << 14})
-	sys.MustCommand("load tcp")
-	sys.MustCommand("load rdrop")
-	sys.MustCommand("add tcp 0.0.0.0 0 0.0.0.0 0")
-	sys.MustCommand("add rdrop 0.0.0.0 0 0.0.0.0 0 20")
-	payload := make([]byte, 20000)
-	for i := range payload {
-		payload[i] = byte(i * 13)
-	}
-	res, err := sys.Transfer(payload, 7, 5001, 10e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatalf("transfer incomplete at %d shards: %d/%d bytes",
-			shards, len(res.Received), len(payload))
-	}
-	var log bytes.Buffer
-	if err := sys.Obs.WriteLog(&log); err != nil {
-		t.Fatal(err)
-	}
-	return log.String(), res.Received, sys.Plane.StatsSnapshot().Intercepted
-}
-
-// TestInlineShardingEquivalence is the determinism tentpole check: the
-// same deployment at 1 and 4 inline shards must produce byte-identical
-// event logs, payloads, and packet counts — sharding partitions state,
-// never behavior, inside the simulator.
-func TestInlineShardingEquivalence(t *testing.T) {
-	log1, recv1, pkts1 := runScenario(t, 1)
-	log4, recv4, pkts4 := runScenario(t, 4)
-	if !bytes.Equal(recv1, recv4) {
-		t.Fatalf("received payload differs between 1 and 4 shards")
-	}
-	if pkts1 != pkts4 {
-		t.Fatalf("intercepted count differs: %d at 1 shard, %d at 4", pkts1, pkts4)
-	}
-	if log1 != log4 {
-		i := 0
-		for i < len(log1) && i < len(log4) && log1[i] == log4[i] {
-			i++
-		}
-		lo := i - 80
-		if lo < 0 {
-			lo = 0
-		}
-		t.Fatalf("event logs diverge at byte %d:\n1 shard: %.160q\n4 shards: %.160q",
-			i, log1[lo:], log4[lo:])
-	}
-}
-
 // TestMergedMetricsCoverProxy: a sharded plane's merged metrics must
-// name everything a single proxy's do — an operator's `stats` on a
-// multi-shard SP must not lose sight of a counter, least of all the
-// two that report a misbehaving filter. A panicking filter on a
-// 4-shard inline plane has to show up as filter_quarantines >= 1.
+// name everything a single proxy's do — an operator reading a 4-shard
+// plane must not lose sight of a counter, least of all the two that
+// report a misbehaving filter. A panicking filter on dispatched
+// packets has to show up as filter_quarantines >= 1.
 func TestMergedMetricsCoverProxy(t *testing.T) {
-	sys := core.NewSystem(core.Config{Seed: 5, Shards: 4})
-	faults.RegisterChaosFilter(sys.Catalog)
+	cat := filter.NewCatalog()
+	filters.RegisterAll(cat)
+	faults.RegisterChaosFilter(cat)
+	pl := dataplane.NewConcurrent(dataplane.ConcurrentConfig{Shards: 4, Catalog: cat, Seed: 5})
+	defer pl.Close()
 	const key = " 11.11.10.99 7 11.11.10.10 5001"
 	for _, c := range []string{"load tcp", "load chaos", "add tcp" + key, "add chaos" + key + " panic"} {
-		sys.MustCommand(c)
+		if out := pl.Command(c); strings.HasPrefix(out, "error") {
+			t.Fatalf("%s: %s", c, out)
+		}
 	}
-	if res, err := sys.Transfer(make([]byte, 20000), 7, 5001, 10e9); err != nil || !res.Completed {
-		t.Fatalf("transfer under a panicking filter: err=%v res=%+v", err, res)
+	for i := 0; i < 2*proxy.QuarantineStrikes; i++ {
+		pl.Dispatch(mkSeg(t, 7, uint32(1+100*i), []byte("payload")))
 	}
+	pl.Drain()
 
+	reg := obs.NewRegistry()
+	pl.RegisterMetrics(reg, "proxy")
 	merged := make(map[string]string)
-	for _, s := range sys.Metrics.Snapshot() {
+	for _, s := range reg.Snapshot() {
 		merged[s.Name] = s.Value
 	}
 	single := obs.NewRegistry()
-	sys.Plane.Shard(0).RegisterMetrics(single, "proxy")
+	pl.Shard(0).RegisterMetrics(single, "proxy")
 	for _, name := range single.Names() {
 		if _, ok := merged[name]; !ok {
 			t.Errorf("merged plane registers no %s", name)
@@ -109,16 +58,15 @@ func TestMergedMetricsCoverProxy(t *testing.T) {
 	}
 }
 
-// standalonePlane builds an inline plane outside core, driven directly
-// through its Hook.
+// standalonePlane builds a ring plane over the full filter catalogue,
+// closed when the test ends.
 func standalonePlane(t *testing.T, shards int) *dataplane.Plane {
 	t.Helper()
-	s := sim.NewScheduler(3)
-	net := netsim.New(s)
-	node := net.AddNode("proxy")
 	cat := filter.NewCatalog()
 	filters.RegisterAll(cat)
-	return dataplane.NewInline(node, cat, shards)
+	pl := dataplane.NewConcurrent(dataplane.ConcurrentConfig{Shards: shards, Catalog: cat, Seed: 3})
+	t.Cleanup(pl.Close)
+	return pl
 }
 
 func mkSeg(t testing.TB, srcPort uint16, seq uint32, payload []byte) []byte {
@@ -216,34 +164,13 @@ func TestCommandRouting(t *testing.T) {
 	}
 }
 
-// TestWildcardAddCoherenceInline: traffic first seen with no matching
-// registration takes the pass-through miss path on its owning shard; a
-// wild-card registration added mid-traffic must still take effect on
-// that same stream — no stale per-shard match state (once a negCache
-// entry, now a compiled program a mutation left behind) may mask it.
-func TestWildcardAddCoherenceInline(t *testing.T) {
-	pl := standalonePlane(t, 4)
-	raw := mkSeg(t, 7, 1000, []byte("payload-1"))
-	// Pass-through traffic: no registrations, so the owning shard now
-	// caches this key as a negative match.
-	if out := pl.Hook(raw, nil); len(out) != 1 || !bytes.Equal(out[0], raw) {
-		t.Fatal("expected clean pass-through before registration")
-	}
-	pl.Command("load rdrop")
-	pl.Command("add rdrop 0.0.0.0 0 0.0.0.0 0 100")
-	// Same stream, next packet: the wildcard must now catch it.
-	raw2 := mkSeg(t, 7, 2000, []byte("payload-2"))
-	if out := pl.Hook(raw2, nil); len(out) != 0 {
-		t.Fatalf("packet after wildcard add was not dropped (emitted %d): stale match state", len(out))
-	}
-	if got := pl.StatsSnapshot().DroppedByFilter; got != 1 {
-		t.Fatalf("DroppedByFilter = %d, want 1", got)
-	}
-}
-
-// TestWildcardAddCoherenceConcurrent is the same regression against
-// the concurrent plane, where the mutation crosses goroutines through
-// the epoch/quiesce broadcast.
+// TestWildcardAddCoherenceConcurrent: traffic first seen with no
+// matching registration takes the pass-through miss path on its owning
+// shard; a wild-card registration added mid-traffic must still take
+// effect on that same stream — no stale per-shard match state (once a
+// negCache entry, now a compiled program a mutation left behind) may
+// mask it, though the mutation crosses goroutines through the
+// epoch/quiesce broadcast.
 func TestWildcardAddCoherenceConcurrent(t *testing.T) {
 	cat := filter.NewCatalog()
 	filters.RegisterAll(cat)

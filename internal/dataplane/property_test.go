@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/filter"
 	"repro/internal/netsim"
+	"repro/internal/proxy"
 	"repro/internal/sim"
 )
 
@@ -109,7 +110,7 @@ func runTrace(t *testing.T, trace [][]byte, shards int) (map[filter.Key][][]byte
 	return perStream, total
 }
 
-// --- batch-vs-inline equivalence under control interleavings ------------------
+// --- batch-vs-proxy equivalence under control interleavings -------------------
 
 // scriptStep is one step of a mixed traffic/control script: a packet
 // to intercept or a control line to execute.
@@ -198,24 +199,21 @@ func detCatalog() *filter.Catalog {
 	return cat
 }
 
-// runScriptInline executes the script on the synchronous inline plane —
-// the reference semantics.
-func runScriptInline(t *testing.T, script []scriptStep) scriptResult {
+// runScriptProxy executes the script on one proxy — the reference
+// semantics.
+func runScriptProxy(t *testing.T, script []scriptStep) scriptResult {
 	t.Helper()
-	s := sim.NewScheduler(7)
-	net := netsim.New(s)
-	node := net.AddNode("proxy")
-	pl := dataplane.NewInline(node, detCatalog(), 1)
+	p := proxy.New(netsim.New(sim.NewScheduler(7)).AddNode("proxy"), detCatalog())
 	res := scriptResult{perStream: make(map[filter.Key][][]byte)}
 	for _, st := range script {
 		if st.raw == nil {
-			res.cmdOut = append(res.cmdOut, pl.Command(st.cmd))
+			res.cmdOut = append(res.cmdOut, p.Exec(st.cmd))
 			continue
 		}
-		for _, out := range pl.Hook(st.raw, nil) {
+		for _, out := range p.Intercept(st.raw, nil) {
 			k, ok := filter.SteerKey(out)
 			if !ok {
-				t.Fatalf("unparseable inline output packet")
+				t.Fatalf("unparseable reference output packet")
 			}
 			res.perStream[k] = append(res.perStream[k], append([]byte(nil), out...))
 			res.total++
@@ -226,7 +224,7 @@ func runScriptInline(t *testing.T, script []scriptStep) scriptResult {
 
 // runScriptConcurrent executes the script on a concurrent batched
 // plane. Drain() before each control line pins the traffic/control
-// order to the script order, exactly as inline executes it.
+// order to the script order, exactly as one proxy executes it.
 func runScriptConcurrent(t *testing.T, script []scriptStep, shards, batch int) scriptResult {
 	t.Helper()
 	var mu sync.Mutex
@@ -265,27 +263,28 @@ func runScriptConcurrent(t *testing.T, script []scriptStep, shards, batch int) s
 // equivalence property: for a random interleaving of traffic and
 // control-plane operations, the concurrent batched plane — at every
 // shard count and batch size, including partial batches an idle worker
-// takes itself or a quiesce seals — must emit exactly the inline plane's per-stream
-// event log, and every control line must produce the same output.
+// takes itself or a quiesce seals — must emit exactly one proxy's
+// per-stream event log, and every control line must produce the same
+// output.
 // Control mutations landing mid-batch, a stale negative-match cache
 // surviving an epoch, or a partial batch lost at a quiesce would all
 // break it.
 func TestBatchedEquivalentToInlineUnderControl(t *testing.T) {
 	for _, seed := range []int64{1, 23} {
 		script := buildScript(t, 12, 40, seed)
-		ref := runScriptInline(t, script)
+		ref := runScriptProxy(t, script)
 		if ref.total == 0 {
-			t.Fatal("inline reference produced no output; bad script")
+			t.Fatal("reference proxy produced no output; bad script")
 		}
 		for _, shards := range []int{1, 2, 4, 8} {
 			for _, batch := range []int{1, 7, 64} {
 				got := runScriptConcurrent(t, script, shards, batch)
 				name := fmt.Sprintf("seed=%d shards=%d batch=%d", seed, shards, batch)
 				if got.total != ref.total {
-					t.Fatalf("%s: emitted %d packets, inline emitted %d", name, got.total, ref.total)
+					t.Fatalf("%s: emitted %d packets, the proxy emitted %d", name, got.total, ref.total)
 				}
 				if len(got.cmdOut) != len(ref.cmdOut) {
-					t.Fatalf("%s: %d command outputs, inline %d", name, len(got.cmdOut), len(ref.cmdOut))
+					t.Fatalf("%s: %d command outputs, the proxy %d", name, len(got.cmdOut), len(ref.cmdOut))
 				}
 				for i := range ref.cmdOut {
 					if got.cmdOut[i] != ref.cmdOut[i] {
@@ -294,7 +293,7 @@ func TestBatchedEquivalentToInlineUnderControl(t *testing.T) {
 					}
 				}
 				if len(got.perStream) != len(ref.perStream) {
-					t.Fatalf("%s: %d streams, inline %d", name, len(got.perStream), len(ref.perStream))
+					t.Fatalf("%s: %d streams, the proxy %d", name, len(got.perStream), len(ref.perStream))
 				}
 				for k, want := range ref.perStream {
 					seq := got.perStream[k]
@@ -303,7 +302,7 @@ func TestBatchedEquivalentToInlineUnderControl(t *testing.T) {
 					}
 					for i := range want {
 						if !bytes.Equal(seq[i], want[i]) {
-							t.Fatalf("%s stream %v packet %d differs from inline:\n got %q\nwant %q",
+							t.Fatalf("%s stream %v packet %d differs from the proxy's:\n got %q\nwant %q",
 								name, k, i, seq[i], want[i])
 						}
 					}

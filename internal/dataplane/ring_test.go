@@ -217,7 +217,7 @@ func TestIdleShardDeliversWithoutDrain(t *testing.T) {
 	const pkts = 5
 	var got atomic.Int64
 	pl := concurrentPlane(t, 1, 64, func(_ int, out [][]byte) { got.Add(int64(len(out))) })
-	w := pl.ring.workers[0]
+	w := pl.exec.workers[0]
 	base := w.wakes.Load()
 	for i := 0; i < pkts; i++ {
 		waitFor(t, "the worker to park", w.parked.Load)
@@ -239,7 +239,7 @@ func TestIdleShardDeliversWithoutDrain(t *testing.T) {
 func TestIdleSealKeepsOrderAndParkRechecks(t *testing.T) {
 	const batch = 4
 	pl := concurrentPlane(t, 1, batch, nil)
-	w := pl.ring.workers[0]
+	w := pl.exec.workers[0]
 	release := wedge(t, w)
 	for i := 0; i < batch+2; i++ {
 		pl.Dispatch(mkTestSeg(t, 1000, uint32(1+i)))
@@ -274,14 +274,14 @@ func TestPartialBatchFlushOnQuiesce(t *testing.T) {
 		pkts.Add(int64(len(out)))
 	})
 	var releases []func()
-	for _, w := range pl.ring.workers {
+	for _, w := range pl.exec.workers {
 		releases = append(releases, wedge(t, w))
 	}
 	for i := 0; i < 6; i++ {
 		pl.Dispatch(mkTestSeg(t, uint16(1000+i), 1))
 	}
 	open := func() (n int) {
-		for _, w := range pl.ring.workers {
+		for _, w := range pl.exec.workers {
 			n += openLen(w)
 		}
 		return n
@@ -327,7 +327,7 @@ func TestPartialBatchFlushOnDrain(t *testing.T) {
 func TestWakeupOncePerBatch(t *testing.T) {
 	const batch = 8
 	pl := concurrentPlane(t, 1, batch, nil)
-	w := pl.ring.workers[0]
+	w := pl.exec.workers[0]
 	release := wedge(t, w)
 	base := w.wakes.Load()
 	for i := 0; i < 3*batch; i++ {
@@ -358,7 +358,7 @@ func TestWakeupOncePerBatch(t *testing.T) {
 func TestArenaRecycling(t *testing.T) {
 	const batch, ringSize = 4, 64 // concurrentPlane's RingSize
 	pl := concurrentPlane(t, 1, batch, nil)
-	w := pl.ring.workers[0]
+	w := pl.exec.workers[0]
 	raws := make([][]byte, 3*batch)
 	for i := range raws {
 		raws[i] = mkTestSeg(t, 1000, uint32(1+i))

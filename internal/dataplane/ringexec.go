@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/filter"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/proxy"
 	"repro/internal/sim"
 )
@@ -52,7 +51,7 @@ type ConcurrentConfig struct {
 	Sink Sink
 }
 
-// ringExec is the concurrent executor: one goroutine per shard, each
+// ringExec runs the plane's shards: one goroutine per shard, each
 // fed batches through a bounded SPSC ring. A control operation
 // seals the shard's open arena, posts a ctrlMsg and waits for the
 // shard goroutine to run it at its next batch boundary, so it never
@@ -60,8 +59,8 @@ type ConcurrentConfig struct {
 //
 // What it does not run: each shard owns a private scheduler nobody
 // advances, so filter timers never fire (FIN teardown, mwin's roll,
-// snoop's RTO, the flow log's idle sweep), and setObs refuses because
-// the event bus is bound to one scheduler.
+// snoop's RTO, the flow log's idle sweep), and no shard has an event
+// bus, because a bus is bound to one scheduler.
 type ringExec struct {
 	workers []*worker
 	closed  bool
@@ -106,6 +105,8 @@ func newRingExec(cfg ConcurrentConfig) *ringExec {
 	return e
 }
 
+// on runs fn on shard i's proxy while no packet of that shard is
+// mid-interception, and returns when fn has.
 func (e *ringExec) on(i int, fn func(p *proxy.Proxy)) {
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -114,6 +115,9 @@ func (e *ringExec) on(i int, fn func(p *proxy.Proxy)) {
 	wg.Wait()
 }
 
+// all is on for every shard and returns after the last: mutation
+// broadcast and quiesce barrier in one. fn may run concurrently
+// across shards, so it must not share unsynchronized state.
 func (e *ringExec) all(fn func(i int, p *proxy.Proxy)) {
 	var wg sync.WaitGroup
 	wg.Add(len(e.workers))
@@ -125,6 +129,7 @@ func (e *ringExec) all(fn func(i int, p *proxy.Proxy)) {
 	wg.Wait()
 }
 
+// drain waits until every accepted packet is delivered.
 func (e *ringExec) drain() {
 	for _, w := range e.workers {
 		w.flush()
@@ -136,6 +141,7 @@ func (e *ringExec) drain() {
 	e.all(func(int, *proxy.Proxy) {}) // quiesce: in-flight batch completes
 }
 
+// close drains and stops the workers; idempotent.
 func (e *ringExec) close() {
 	if e.closed {
 		return
@@ -151,16 +157,8 @@ func (e *ringExec) close() {
 	}
 }
 
-func (*ringExec) setObs(*obs.Bus, *obs.Registry) {
-	panic("dataplane: SetObs is inline-only (concurrent shards own private schedulers)")
-}
-
-func (e *ringExec) registerMetrics(pl *Plane, r *obs.Registry, prefix string) {
-	pl.registerMerged(r, prefix)
-	r.Counter(prefix+".batches", func() int64 { return e.counters().batches })
-	r.Counter(prefix+".wakeups", func() int64 { return e.counters().wakeups })
-	r.Counter(prefix+".ring_stalls", func() int64 { return e.counters().stalls })
-}
+// ringCounters are the handoff totals across shards.
+type ringCounters struct{ stalls, batches, wakeups int64 }
 
 func (e *ringExec) counters() ringCounters {
 	var c ringCounters

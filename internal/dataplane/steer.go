@@ -1,23 +1,16 @@
-// Package dataplane is the sharded flow-steering execution layer of
-// the Service Proxy: a dispatcher hashes each packet's stream key onto
-// one of N shards, and each shard is a complete single-writer proxy
-// instance (its own slice of the stream registry, filter queues,
-// flow log, and Stats). Both directions of a stream land on the same
-// shard, so per-stream packet order — the property TCP filters depend
-// on — is preserved while unrelated streams proceed in parallel.
+// Package dataplane is the concurrent execution layer of the Service
+// Proxy, used by the benchmark and the stress tests: a dispatcher
+// hashes each packet's stream key onto one of N shards, and each shard
+// is a complete single-writer proxy instance (its own slice of the
+// stream registry, filter queues, flow log, and Stats) on a goroutine
+// of its own, fed batches through a bounded SPSC ring with control
+// delivered at batch boundaries (ringExec). Both directions of a
+// stream land on the same shard, so per-stream packet order — the
+// property TCP filters depend on — is preserved while unrelated
+// streams proceed in parallel. Filter timers do not fire here.
 //
-// Plane routes over one of two executors, chosen by its constructor
-// and by nothing else (exec.go):
-//
-//   - inlineExec (NewInline): steering, interception and control run
-//     synchronously on the caller's goroutine, inside the deterministic
-//     simulator. With one shard this is byte-for-byte today's proxy;
-//     with more it partitions state while keeping scheduler-ordered
-//     execution.
-//   - ringExec (NewConcurrent): one goroutine per shard behind a
-//     bounded SPSC ring of packet batches, control delivered at batch
-//     boundaries, for multi-core throughput outside the simulator (the
-//     benchmark, stress tests). Filter timers do not fire there.
+// The simulator does not use this package: each core.Site runs one
+// proxy.Proxy as its node's hook.
 package dataplane
 
 import "repro/internal/filter"
@@ -58,9 +51,8 @@ func ShardOf(k filter.Key, n int) int {
 	return int(Hash(k) % uint64(n))
 }
 
-// steer is the shared steering step of both packet entry points (Hook,
-// Dispatch): extract the stream key from the raw bytes in place and
-// hash it to the owning shard. Packets that fail extraction go to
+// steer is Dispatch's steering step: extract the stream key from the
+// raw bytes in place and hash it to the owning shard. Packets that fail extraction go to
 // shard 0.
 func (pl *Plane) steer(raw []byte) int {
 	if pl.n == 1 {

@@ -53,7 +53,7 @@ func AdaptDemo(seed int64, w io.Writer) error {
 
 	// The B proxy gets its own engine: same EEM server (the A proxy
 	// host's ifSpeed:1 IS the shared wireless link), its own client
-	// API session, and the B data plane as control surface.
+	// API session, and the B proxy as control surface.
 	if err := sys.ArmPolicy(sys.Peer, core.PolicyConfig{
 		Period: 250 * time.Millisecond,
 		Rules: []string{fmt.Sprintf("expand when ifSpeed:1 LT %d exit %d for 2 then load decomp%s",

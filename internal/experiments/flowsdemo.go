@@ -58,7 +58,7 @@ func FlowsDemo(seed int64, w io.Writer) error {
 	payload := repeatText(120_000)
 	bulk := repeatText(1_200_000)
 	flowLine := func(tag string) {
-		fs := sys.Plane.FlowStats()
+		fs := sys.Proxy.FlowStats()
 		fmt.Fprintf(w, "flow aggregates %-9s active=%d opened=%d closed=%d retrans=%d zero_win=%d rtt_samples=%d\n",
 			tag, fs.Active, fs.Opened, fs.Closed, fs.Retrans, fs.ZeroWin, fs.RTTSamples)
 	}

@@ -130,7 +130,7 @@ func MigrateDemo(seed int64, w io.Writer) error {
 			if st, ok := filters.TTSFStatsFor(k); ok {
 				preBytes = st.BytesIn
 			}
-			cmdOut = sys.Plane.Command("migrate " + keyStr + " 11.11.11.2")
+			cmdOut = sys.Proxy.Exec("migrate " + keyStr + " 11.11.11.2")
 		})
 		// Transfer runs the scheduler for its whole deadline, well past the
 		// tcp filter's close-grace teardown, so the surviving TTSF instance
@@ -154,7 +154,7 @@ func MigrateDemo(seed int64, w io.Writer) error {
 			// protocol is still in flight at +300ms), then send it home.
 			var back func()
 			back = func() {
-				if out := sys.Peer.Plane.Command("migrate " + keyStr + " 11.11.11.1"); strings.HasPrefix(out, "error") {
+				if out := sys.Peer.Proxy.Exec("migrate " + keyStr + " 11.11.11.1"); strings.HasPrefix(out, "error") {
 					sys.Sched.After(100*time.Millisecond, back)
 				}
 			}
@@ -176,7 +176,7 @@ func MigrateDemo(seed int64, w io.Writer) error {
 		}
 		// The ownership invariant: exactly one proxy holds the stream's
 		// exact-key bindings, and it is the one the outcome names.
-		bindA, bindB := sys.Plane.StreamBindings(k), sys.Peer.Plane.StreamBindings(k)
+		bindA, bindB := sys.Proxy.StreamBindings(k), sys.Peer.Proxy.StreamBindings(k)
 		wantA, wantB := 3, 0
 		if lg.ownerB {
 			wantA, wantB = 0, 3
@@ -216,10 +216,10 @@ func MigrateDemo(seed int64, w io.Writer) error {
 
 	// Command-surface error paths: unknown streams and wild cards are
 	// rejected before anything freezes.
-	if out := sys.Plane.Command("migrate 11.11.10.99 1 11.11.10.10 2 11.11.11.2"); !strings.HasPrefix(out, "error") {
+	if out := sys.Proxy.Exec("migrate 11.11.10.99 1 11.11.10.10 2 11.11.11.2"); !strings.HasPrefix(out, "error") {
 		return fmt.Errorf("migrate: bogus key accepted: %q", out)
 	}
-	if out := sys.Plane.Command("migrate 11.11.10.99 0 11.11.10.10 0 11.11.11.2"); !strings.HasPrefix(out, "error") {
+	if out := sys.Proxy.Exec("migrate 11.11.10.99 0 11.11.10.10 0 11.11.11.2"); !strings.HasPrefix(out, "error") {
 		return fmt.Errorf("migrate: wild-card key accepted: %q", out)
 	}
 	a, c, r, ab := sys.Migrate.Counters()

@@ -191,7 +191,7 @@ func runMMWaveLeg(w io.Writer, seed int64, payload []byte, sum [sha256.Size]byte
 		leg.name, res.Elapsed, out.bps/1e6, out.peak,
 		out.lteBytes, out.zeroCap, out.fires, out.reverts, sum[:8])
 	if leg.rules != nil {
-		fmt.Fprintf(w, "  %s\n", sys.Plane.Command("mmwave status"))
+		fmt.Fprintf(w, "  %s\n", sys.Proxy.Exec("mmwave status"))
 		fmt.Fprintf(w, "  shed timeline (first 10):\n")
 		shown := 0
 		for _, e := range sys.Obs.Events() {

@@ -53,7 +53,7 @@ func Chaos(seed int64, w io.Writer) error {
 
 	// Injected insertion failure: the add must fail with a diagnostic
 	// and leave the SP healthy — subsequent commands still work.
-	if out := sys.Plane.Command("add chaos " + key(6000, 6001) + " err"); !strings.HasPrefix(out, "error") {
+	if out := sys.Proxy.Exec("add chaos " + key(6000, 6001) + " err"); !strings.HasPrefix(out, "error") {
 		return fmt.Errorf("chaos: err-mode add not rejected: %q", out)
 	} else {
 		fmt.Fprintf(w, "insertion fault rejected: %s", out)
@@ -148,7 +148,7 @@ func Chaos(seed int64, w io.Writer) error {
 	eng := policy.New(policy.Config{
 		Sched:   sys.Sched,
 		Comma:   client,
-		Control: sys.Plane,
+		Control: sys.Proxy,
 		Server:  core.ProxyCtrlAddr.String(),
 		Bus:     sys.Obs,
 		Period:  250 * time.Millisecond,

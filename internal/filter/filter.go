@@ -414,9 +414,9 @@ type Hooks struct {
 // instance: SnapshotState serializes the per-stream state behind one
 // attachment into an opaque, self-contained byte string, and
 // RestoreState rehydrates a freshly instantiated instance on the
-// destination proxy from exactly those bytes. Snapshots are taken at a
-// data-plane batch boundary (the stream is quiescent on this shard),
-// so implementations serialize plain fields — no locking, no pending
+// destination proxy from exactly those bytes. Snapshots are taken
+// between two packets on the proxy's own goroutine (the stream is
+// quiescent), so implementations serialize plain fields — no locking, no pending
 // in-flight packet views. A filter that cannot (or need not) carry
 // state across a migration simply leaves Hooks.State nil.
 type StateSnapshotter interface {

@@ -5,11 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dataplane"
 	"repro/internal/filter"
 	"repro/internal/filters"
 	"repro/internal/ip"
 	"repro/internal/netsim"
+	"repro/internal/proxy"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/udp"
@@ -28,9 +28,9 @@ type rig struct {
 	net    *netsim.Network
 	wired  *netsim.Node
 	mobile *netsim.Node
-	proxyA *dataplane.Plane
-	proxyB *dataplane.Plane // nil unless double-proxy
-	wless  *netsim.Link     // the wireless link
+	proxyA *proxy.Proxy
+	proxyB *proxy.Proxy // nil unless double-proxy
+	wless  *netsim.Link // the wireless link
 
 	wStack, mStack *tcp.Stack
 	wUDP, mUDP     *udp.Stack
@@ -66,7 +66,7 @@ func newRig(t *testing.T, o rigOpts) *rig {
 
 	cat := filter.NewCatalog()
 	filters.RegisterAll(cat)
-	r.proxyA = dataplane.NewInline(pa, cat, 1)
+	r.proxyA = proxy.New(pa, cat)
 
 	if o.doubleProxy {
 		pb := n.AddNode("proxyB")
@@ -81,7 +81,7 @@ func newRig(t *testing.T, o rigOpts) *rig {
 		r.mobile.AddDefaultRoute(r.mobile.Ifaces()[0])
 		cat2 := filter.NewCatalog()
 		filters.RegisterAll(cat2)
-		r.proxyB = dataplane.NewInline(pb, cat2, 1)
+		r.proxyB = proxy.New(pb, cat2)
 	} else {
 		lw := n.Connect(pa, ip.MustParseAddr("10.0.2.254"), r.mobile, mobileAddr, o.wireless)
 		r.wless = lw
@@ -109,9 +109,9 @@ func newRig(t *testing.T, o rigOpts) *rig {
 }
 
 // cmd runs a proxy command and fails the test on an error response.
-func (r *rig) cmd(t *testing.T, p *dataplane.Plane, line string) string {
+func (r *rig) cmd(t *testing.T, p *proxy.Proxy, line string) string {
 	t.Helper()
-	out := p.Command(line)
+	out := p.Exec(line)
 	if len(out) >= 5 && out[:5] == "error" {
 		t.Fatalf("proxy command %q: %s", line, out)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dataplane"
 	"repro/internal/eem"
 	"repro/internal/filter"
 	"repro/internal/filters"
@@ -55,14 +54,14 @@ func newKatiRig(t *testing.T) *katiRig {
 
 	cat := filter.NewCatalog()
 	filters.RegisterAll(cat)
-	pl := dataplane.NewInline(r, cat, 1)
+	sp := proxy.New(r, cat)
 
 	// Control plane on the proxy host: SP port 12000, EEM port 12001.
 	ctrlStack := tcp.NewStack(r, tcp.Config{})
 	r.RegisterProto(ip.ProtoTCP, func(h ip.Header, p, raw []byte, in *netsim.Iface) {
 		ctrlStack.Deliver(h.Src, h.Dst, p)
 	})
-	if err := proxy.ServeControl(ctrlStack, proxy.ControlPort, pl.Command); err != nil {
+	if err := proxy.ServeControl(ctrlStack, proxy.ControlPort, sp.Exec); err != nil {
 		t.Fatal(err)
 	}
 	srv := eem.NewServer("proxyhost")

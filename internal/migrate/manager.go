@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dataplane"
 	"repro/internal/filter"
 	"repro/internal/ip"
 	"repro/internal/obs"
@@ -54,12 +53,12 @@ const maxFrame = MaxSnapshotSize + 256
 
 // Config wires a Manager into one service proxy.
 type Config struct {
-	Name  string           // manager name in events ("migrate", "migrateB")
-	ID    uint8            // manager ID, high byte of every txid it issues
-	Sched *sim.Scheduler   // simulation clock
-	Plane *dataplane.Plane // the data plane whose streams migrate
-	Stack *tcp.Stack       // control stack the protocol runs over
-	Bus   *obs.Bus         // event bus (nil-safe)
+	Name  string         // manager name in events ("migrate", "migrateB")
+	ID    uint8          // manager ID, high byte of every txid it issues
+	Sched *sim.Scheduler // simulation clock
+	Proxy *proxy.Proxy   // the proxy whose streams migrate
+	Stack *tcp.Stack     // control stack the protocol runs over
+	Bus   *obs.Bus       // event bus (nil-safe)
 }
 
 // Protocol timings. retryTimeout paces source-side re-sends in both
@@ -210,7 +209,7 @@ func (m *Manager) Command(args []string) string {
 	return fmt.Sprintf("migrating %v -> %v\n", k, peer)
 }
 
-// Migrate freezes stream k at a batch boundary, journals the snapshot,
+// Migrate freezes stream k between two packets, journals the snapshot,
 // and starts the transfer to peer. An error means nothing was frozen
 // (the stream stays where it is); after a nil return the stream ends
 // either completed on the peer or resumed here.
@@ -218,7 +217,7 @@ func (m *Manager) Migrate(k filter.Key, peer ip.Addr) error {
 	if m.down {
 		return fmt.Errorf("migrate: %s is down", m.cfg.Name)
 	}
-	ex, err := m.cfg.Plane.ExtractStream(k)
+	ex, err := m.cfg.Proxy.ExtractStream(k)
 	if err != nil {
 		return err
 	}
@@ -378,10 +377,10 @@ func (m *Manager) finish(o *outgoing, after string) {
 	}
 }
 
-// restore reinstalls ex on the local plane; a failure is reported on
+// restore reinstalls ex on the local proxy; a failure is reported on
 // the bus, naming the answer it came after.
 func (m *Manager) restore(ex *proxy.StreamExport, after string) {
-	if err := m.cfg.Plane.RestoreStream(ex); err != nil {
+	if err := m.cfg.Proxy.ImportStream(ex); err != nil {
 		m.emitStream("reinstall-failed", ex.Key, obs.F("after", after), obs.F("err", err.Error()))
 	}
 }
@@ -403,7 +402,7 @@ func (m *Manager) onDestFrame(c *tcp.Conn, typ byte, tx uint64, payload []byte) 
 		}
 		ex, err := DecodeSnapshot(payload)
 		if err == nil {
-			err = m.cfg.Plane.ValidateImport(ex)
+			err = m.cfg.Proxy.ValidateImport(ex)
 		}
 		if err != nil {
 			m.emit("nak", txString(tx), obs.F("reason", err.Error()))
@@ -431,7 +430,7 @@ func (m *Manager) onDestFrame(c *tcp.Conn, typ byte, tx uint64, payload []byte) 
 			t.timer.Stop()
 			ex := t.ex
 			t.ex = nil
-			if err := m.cfg.Plane.RestoreStream(ex); err != nil {
+			if err := m.cfg.Proxy.ImportStream(ex); err != nil {
 				t.state = inDiscarded
 				m.emitStream("install-failed", ex.Key, obs.F("tx", txString(tx)), obs.F("err", err.Error()))
 				c.Write(encodeFrame(msgGone, tx, nil))

@@ -58,7 +58,7 @@ func TestMigrateDestinationCrash(t *testing.T) {
 			}
 			var cmdOut string
 			sys.Sched.After(300*time.Millisecond, func() {
-				cmdOut = sys.Plane.Command("migrate " + keyStr + " 11.11.11.2")
+				cmdOut = sys.Proxy.Exec("migrate " + keyStr + " 11.11.11.2")
 			})
 			var crashedAt sim.Time = -1
 			var probe func()
@@ -89,7 +89,7 @@ func TestMigrateDestinationCrash(t *testing.T) {
 				t.Errorf("A outcome attempts=%d completed=%d resumed=%d aborted=%d, want 1/%d/%d/0",
 					a, c, r, ab, row.completed, row.resumed)
 			}
-			bindA, bindB := sys.Plane.StreamBindings(k), sys.Peer.Plane.StreamBindings(k)
+			bindA, bindB := sys.Proxy.StreamBindings(k), sys.Peer.Proxy.StreamBindings(k)
 			if bindA != row.bindA || bindB != row.bindB {
 				t.Errorf("bindings A=%d B=%d, want A=%d B=%d", bindA, bindB, row.bindA, row.bindB)
 			}

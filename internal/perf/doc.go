@@ -4,7 +4,7 @@
 //
 // Allocation gates (testing.AllocsPerRun): pass-through and
 // tcp-filtered interception, the flow log, the pooled Parse/Release,
-// steering across inline shards, an 8000-rule classifier lookup, a
+// an 8000-rule classifier lookup, a
 // churn of 2^16 never-matching keys and a simulator event (After +
 // Step) allocate nothing; a re-marshal, a translated reverse ACK and a
 // simulated link hop allocate exactly the datagram; a whole first-sight

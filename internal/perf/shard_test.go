@@ -92,29 +92,6 @@ func TestShardedNoCollapse(t *testing.T) {
 	}
 }
 
-// TestShardedInlineZeroAlloc gates the sharded steady-state invariant:
-// steering (SteerKey + ShardOf) plus the owning shard's interception
-// must stay allocation-free, exactly like the single-proxy hot path.
-func TestShardedInlineZeroAlloc(t *testing.T) {
-	sys := core.NewSystem(core.Config{Seed: 17, Shards: 4})
-	sys.MustCommand("load tcp")
-	sys.MustCommand("add tcp 0.0.0.0 0 0.0.0.0 0")
-	hook := sys.ProxyHost.PacketHook()
-	in := sys.ProxyHost.Ifaces()[0]
-	flows := make([][]byte, 8)
-	for i := range flows {
-		flows[i] = mkTCPFlow(t, uint16(1000+i), 1, 1000)
-		hook(flows[i], in) // build each stream's queue outside the measurement
-	}
-	i := 0
-	if allocs := testing.AllocsPerRun(1000, func() {
-		hook(flows[i%len(flows)], in)
-		i++
-	}); allocs != 0 {
-		t.Fatalf("sharded inline intercept allocates %.1f times per packet, want 0", allocs)
-	}
-}
-
 // TestShardedConcurrentNoLoss: every packet dispatched into the
 // concurrent plane comes out exactly once.
 func TestShardedConcurrentNoLoss(t *testing.T) {

@@ -30,17 +30,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Control is the SP surface the engine drives: typed mutations, plus
-// the raw command line that rules with the "command" action run. The
-// sharded *dataplane.Plane satisfies it; the engine depends on the
-// shape, not the implementation, so it works identically against one
-// shard or many.
+// Control is the SP surface the engine drives: typed mutations, whose
+// sentinel errors its rollback logic branches on, plus the raw command
+// line that rules with the "command" action run. A site's
+// *proxy.Proxy satisfies it; the tests drive a fake.
 type Control interface {
 	LoadFilter(lib string) (string, error)
 	UnloadFilter(name string) error
 	AddFilter(name string, k filter.Key, args []string) error
 	DeleteFilter(name string, k filter.Key) error
-	Command(line string) string
+	Exec(line string) string
 }
 
 // DefaultPeriod is the sampling tick when Config.Period is zero.
@@ -368,7 +367,7 @@ func (e *Engine) doFire(r *boundRule) error {
 func (e *Engine) runCommand(r *boundRule, state string) error {
 	parts := append([]string{r.Filter}, r.FArgs...)
 	line := strings.Join(append(parts, state), " ")
-	if out := e.ctrl.Command(line); strings.HasPrefix(out, "error") {
+	if out := e.ctrl.Exec(line); strings.HasPrefix(out, "error") {
 		return fmt.Errorf("command %q: %s", line, out)
 	}
 	return nil
@@ -444,7 +443,7 @@ func (e *Engine) traceAdd(line string) {
 //	policy del <name>     disarm and remove a rule
 //	policy trace [n]      last n trace entries (default 20)
 //
-// It is registered on the data plane via RegisterCommand, so it speaks
+// It is registered on the proxy via RegisterCommand, so it speaks
 // the same fail-silent telnet dialect as the rest of the SP grammar.
 func (e *Engine) Command(args []string) string {
 	switch args[0] {

@@ -49,7 +49,7 @@ func (f *fakeControl) DeleteFilter(name string, k filter.Key) error {
 	return nil
 }
 
-func (f *fakeControl) Command(line string) string {
+func (f *fakeControl) Exec(line string) string {
 	f.calls = append(f.calls, "cmd:"+line)
 	return ""
 }

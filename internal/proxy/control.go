@@ -18,17 +18,43 @@ import (
 // machine").
 const ControlPort = 12000
 
-// Exec runs one SP command line on this proxy and returns its output.
+// Exec runs one SP command line on this proxy and returns its output;
+// the control port, the daemons and MustCommand all serve it.
 // Per the thesis the interface is fail-silent: successful load prints
 // the registered name, report prints its listing, and everything else
 // prints nothing. Errors return a brief diagnostic (a small usability
 // deviation, documented in DESIGN.md).
 //
-// A deployment reaches its proxies through a dataplane.Plane, whose
-// Command runs the same table over the plane and emits the single
-// "proxy/command" event, so the event log does not depend on the
-// shard count.
-func (p *Proxy) Exec(line string) string { return RunCommand(p, strings.Fields(line)) }
+// Every line costs one "proxy/command" event. Extension commands
+// (RegisterCommand) dispatch first; every other line runs the command
+// table over the proxy's typed control surface.
+func (p *Proxy) Exec(line string) string {
+	fields := strings.Fields(line)
+	if len(fields) == 0 {
+		return ""
+	}
+	p.obs.Emit("proxy", "command", fields[0], obs.F("args", len(fields)-1))
+	if fn, ok := p.ext[fields[0]]; ok {
+		if spec, known := Lookup(fields[0]); known && !spec.ArityOK(len(fields)-1) {
+			return spec.UsageError()
+		}
+		return fn(fields[1:])
+	}
+	return RunCommand(p, fields)
+}
+
+// RegisterCommand installs an extension command on the proxy's control
+// surface: lines starting with name are handed to fn (arguments only,
+// command word stripped) instead of the command table, and name is
+// appended to the help line. Extensions let subsystems that live
+// beside the proxy — the policy engine, the migration manager — speak
+// the same telnet dialect as everything else.
+func (p *Proxy) RegisterCommand(name string, fn func(args []string) string) {
+	if p.ext == nil {
+		p.ext = make(map[string]func(args []string) string)
+	}
+	p.ext[name] = fn
+}
 
 // FilterListing renders the loaded pool (with descriptions) and what
 // the catalog could still load.
@@ -51,8 +77,15 @@ func (p *Proxy) Bus() *obs.Bus { return p.obs }
 // Metrics returns the attached metrics registry (nil if none).
 func (p *Proxy) Metrics() *obs.Registry { return p.metrics }
 
-// Help is the base help line: a bare proxy has no extensions.
-func (p *Proxy) Help() string { return HelpLine() }
+// Help is the SP help line with the registered extension commands
+// appended, sorted.
+func (p *Proxy) Help() string {
+	names := make([]string, 0, len(p.ext))
+	for n := range p.ext {
+		names = append(names, n)
+	}
+	return HelpLine(names...)
+}
 
 // Control-session bounds: the control plane sits at a sensitive
 // network position, so a wedged or malicious client must not be able

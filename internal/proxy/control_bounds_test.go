@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dataplane"
 	"repro/internal/filter"
 	"repro/internal/ip"
 	"repro/internal/netsim"
@@ -38,8 +37,8 @@ func newControlRig(t *testing.T) *controlRig {
 	ss := tcp.NewStack(sh, tcp.Config{})
 	ch.RegisterProto(ip.ProtoTCP, func(h ip.Header, p, raw []byte, in *netsim.Iface) { cs.Deliver(h.Src, h.Dst, p) })
 	sh.RegisterProto(ip.ProtoTCP, func(h ip.Header, p, raw []byte, in *netsim.Iface) { ss.Deliver(h.Src, h.Dst, p) })
-	pl := dataplane.NewInline(sh, filter.NewCatalog(), 1)
-	if err := proxy.ServeControl(ss, proxy.ControlPort, pl.Command); err != nil {
+	sp := proxy.New(sh, filter.NewCatalog())
+	if err := proxy.ServeControl(ss, proxy.ControlPort, sp.Exec); err != nil {
 		t.Fatal(err)
 	}
 	rig := &controlRig{sched: s}

@@ -13,14 +13,14 @@ import (
 	"repro/internal/sim"
 )
 
-func newControlPlane(t *testing.T) *dataplane.Plane {
+func newControlProxy(t *testing.T) *proxy.Proxy {
 	t.Helper()
 	cat := filter.NewCatalog()
 	filters.RegisterAll(cat)
 	sched := sim.NewScheduler(1)
-	pl := dataplane.NewInline(netsim.New(sched).AddNode("proxy"), cat, 1)
-	pl.SetObs(obs.NewBus(sched, 64), obs.NewRegistry())
-	return pl
+	p := proxy.New(netsim.New(sched).AddNode("proxy"), cat)
+	p.SetObs(obs.NewBus(sched, 64), obs.NewRegistry())
+	return p
 }
 
 // TestCommandMalformedLines drives the SP control parser with
@@ -59,17 +59,17 @@ func TestCommandMalformedLines(t *testing.T) {
 		{"events count trailing junk", "events 2junk"},
 		{"unknown command", "frobnicate everything"},
 	}
-	p := newControlPlane(t)
+	p := newControlProxy(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out := p.Command(tc.line)
+			out := p.Exec(tc.line)
 			if !strings.HasPrefix(out, "error:") {
-				t.Fatalf("Command(%q) = %q, want an error: diagnostic", tc.line, out)
+				t.Fatalf("Exec(%q) = %q, want an error: diagnostic", tc.line, out)
 			}
 		})
 	}
 	// None of the rejected lines may have left state behind.
-	if got := p.Shard(0).LoadedFilters(); len(got) != 0 {
+	if got := p.LoadedFilters(); len(got) != 0 {
 		t.Fatalf("rejected commands loaded filters: %v", got)
 	}
 	if got := p.Streams(); len(got) != 0 {
@@ -80,7 +80,7 @@ func TestCommandMalformedLines(t *testing.T) {
 // TestCommandWellFormedLines pins the happy path the experiments rely
 // on, so the strictness added for malformed input cannot regress it.
 func TestCommandWellFormedLines(t *testing.T) {
-	p := newControlPlane(t)
+	p := newControlProxy(t)
 	goodKey := "11.11.10.99 7 11.11.10.10 5001"
 	steps := []struct {
 		line string
@@ -93,18 +93,18 @@ func TestCommandWellFormedLines(t *testing.T) {
 		{"remove rdrop", ""},
 	}
 	for _, s := range steps {
-		if out := p.Command(s.line); out != s.want {
-			t.Fatalf("Command(%q) = %q, want %q", s.line, out, s.want)
+		if out := p.Exec(s.line); out != s.want {
+			t.Fatalf("Exec(%q) = %q, want %q", s.line, out, s.want)
 		}
 	}
 }
 
 // TestOneGrammarFourTargets runs one script through the command table
-// on a detached proxy and on 1-shard inline, 4-shard inline and
-// 4-shard concurrent planes: every line prints the same bytes on all
-// four, so neither the shard count nor the executor shows through the
-// control port. None has a bus or registry, so stats and events agree
-// on their diagnostics.
+// on a detached proxy, a hooked proxy (proxy.New, what a Site runs) and
+// 1-shard and 4-shard concurrent planes: every line prints the same
+// bytes on all four, so neither the hook nor the shard count shows
+// through the control port. None has a bus or registry, so stats and
+// events agree on their diagnostics.
 func TestOneGrammarFourTargets(t *testing.T) {
 	cat := filter.NewCatalog()
 	filters.RegisterAll(cat)
@@ -115,14 +115,17 @@ func TestOneGrammarFourTargets(t *testing.T) {
 		feed func([]byte)
 	}
 	bare := proxy.NewDetached(node(), cat)
-	inline1 := dataplane.NewInline(node(), cat, 1)
-	inline4 := dataplane.NewInline(node(), cat, 4)
+	hookedNode := node()
+	hooked := proxy.New(hookedNode, cat)
+	hook := hookedNode.PacketHook()
+	ring1 := dataplane.NewConcurrent(dataplane.ConcurrentConfig{Shards: 1, Catalog: cat, Seed: 1})
+	defer ring1.Close()
 	ring4 := dataplane.NewConcurrent(dataplane.ConcurrentConfig{Shards: 4, Catalog: cat, Seed: 1})
 	defer ring4.Close()
 	targets := []target{
 		{"proxy", bare.Exec, func(raw []byte) { bare.Intercept(raw, nil) }},
-		{"inline/1", inline1.Command, func(raw []byte) { inline1.Hook(raw, nil) }},
-		{"inline/4", inline4.Command, func(raw []byte) { inline4.Hook(raw, nil) }},
+		{"hooked", hooked.Exec, func(raw []byte) { hook(raw, nil) }},
+		{"ring/1", ring1.Command, func(raw []byte) { ring1.Dispatch(raw); ring1.Drain() }},
 		{"ring/4", ring4.Command, func(raw []byte) { ring4.Dispatch(raw); ring4.Drain() }},
 	}
 	const k = "11.11.10.99 7 11.11.10.10 5001"

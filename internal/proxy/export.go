@@ -150,9 +150,14 @@ func (p *Proxy) ValidateImport(ex *StreamExport) error {
 // is registered and instantiated (exact keys instantiate immediately),
 // snapshotted per-filter state is restored onto the matching
 // attachments, and the queue accounting carries over. Owning-goroutine
-// only. On error the proxy may hold a partial import; callers tear the
-// stream down (ExtractStream/RemoveStream) before reporting failure.
-func (p *Proxy) ImportStream(ex *StreamExport) error {
+// only. On error the partial import is dropped (DropStream) before
+// returning, so a failed import leaves the stream unbound here.
+func (p *Proxy) ImportStream(ex *StreamExport) (err error) {
+	defer func() {
+		if err != nil {
+			p.DropStream(ex.Key)
+		}
+	}()
 	if err := p.ValidateImport(ex); err != nil {
 		return err
 	}
@@ -193,9 +198,8 @@ func (p *Proxy) ImportStream(ex *StreamExport) error {
 
 // DropStream releases stream k unconditionally: exact-key
 // registrations in both directions are stripped and any live filter
-// queues torn down. ExtractStream uses it after a successful export;
-// callers use it directly to clean up a failed import. Owning-goroutine
-// only.
+// queues torn down. ExtractStream uses it after a successful export,
+// ImportStream to clean up after a failed one. Owning-goroutine only.
 func (p *Proxy) DropStream(k filter.Key) {
 	keep := p.registry[:0]
 	for _, r := range p.registry {

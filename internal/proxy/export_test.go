@@ -6,7 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/filter"
+	"repro/internal/filters"
+	"repro/internal/ip"
+	"repro/internal/netsim"
 	"repro/internal/proxy"
+	"repro/internal/sim"
 )
 
 // snapInst is a test filter instance whose whole state is one byte
@@ -184,5 +188,74 @@ func TestImportQueueCounters(t *testing.T) {
 	}
 	if ex2.Pkts != 42 || ex2.Bytes != 99999 {
 		t.Fatalf("queue counters not restored: %+v", ex2)
+	}
+}
+
+// TestImportStreamCleansUpFailure moves a `tcp ttsf` stream between two
+// proxies through the operations the migration manager runs: extract
+// (a second extract finds no stream), validate, and import. An import
+// whose ttsf state is cut short fails after its bindings went in and
+// must leave none behind; a binding on an unknown filter fails
+// validation; the intact export then imports with both bindings.
+func TestImportStreamCleansUpFailure(t *testing.T) {
+	newProxy := func() *proxy.Proxy {
+		cat := filter.NewCatalog()
+		filters.RegisterAll(cat)
+		return proxy.NewDetached(netsim.New(sim.NewScheduler(9)).AddNode("proxy"), cat)
+	}
+	src, dst := newProxy(), newProxy()
+	k := filter.Key{
+		SrcIP: ip.MustParseAddr("11.11.10.99"), SrcPort: 7000,
+		DstIP: ip.MustParseAddr("11.11.10.10"), DstPort: 5001,
+	}
+	for _, lib := range []string{"tcp", "ttsf"} {
+		if _, err := src.LoadFilter(lib); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.AddFilter(lib, k, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := src.StreamBindings(k); got != 2 {
+		t.Fatalf("source has %d bindings before extract, want 2", got)
+	}
+
+	ex, err := src.ExtractStream(k)
+	if err != nil {
+		t.Fatalf("extract: %v", err)
+	}
+	if got := src.StreamBindings(k); got != 0 {
+		t.Fatalf("source has %d bindings after extract, want 0", got)
+	}
+	if _, err := src.ExtractStream(k); !errors.Is(err, proxy.ErrNoSuchStream) {
+		t.Fatalf("second extract: err = %v, want %v", err, proxy.ErrNoSuchStream)
+	}
+
+	if err := dst.ValidateImport(ex); err != nil {
+		t.Fatalf("validate: %v", err)
+	}
+	if len(ex.States) == 0 {
+		t.Fatal("extract carried no filter state")
+	}
+	bad := *ex
+	bad.States = append([]proxy.FilterState(nil), ex.States...)
+	bad.States[0].State = bad.States[0].State[:1]
+	if err := dst.ImportStream(&bad); !errors.Is(err, filter.ErrStateTruncated) {
+		t.Fatalf("import of truncated state: err = %v, want %v", err, filter.ErrStateTruncated)
+	}
+	if got := dst.StreamBindings(k); got != 0 {
+		t.Fatalf("destination has %d bindings after a failed import, want 0", got)
+	}
+	if err := dst.ValidateImport(&proxy.StreamExport{
+		Key: k, Bindings: []proxy.BindingExport{{Filter: "nothere", Key: k}},
+	}); !errors.Is(err, filter.ErrUnknownFilter) {
+		t.Fatalf("validate unknown filter: err = %v, want %v", err, filter.ErrUnknownFilter)
+	}
+
+	if err := dst.ImportStream(ex); err != nil {
+		t.Fatalf("import: %v", err)
+	}
+	if got := dst.StreamBindings(k); got != 2 {
+		t.Fatalf("destination has %d bindings after import, want 2", got)
 	}
 }

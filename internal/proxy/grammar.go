@@ -14,15 +14,16 @@ import (
 
 // This file is the SP control grammar (thesis §5.3), the one table
 // every surface reads: a command's name, arity, help text, mutation
-// class and what it runs. A proxy answers it through Exec, the sharded
-// data plane through dataplane.Plane.Command, the control session
-// gates its mutating rows, and Kati forwards and documents its Kati
-// rows. Each row runs over Control; where a command runs — one shard,
-// every shard, a merge — is the Control implementation's business.
+// class and what it runs. A proxy answers it through Exec, the
+// concurrent data plane through dataplane.Plane.Command, the control
+// session gates its mutating rows, and Kati forwards and documents its
+// Kati rows. Each row runs over Control; where a command runs — one
+// shard, every shard, a merge — is the Control implementation's
+// business.
 
 // Control is the typed control surface the grammar runs over. *Proxy
-// implements it directly; dataplane.Plane implements it by routing
-// each method to the shards that hold the state.
+// implements it directly; the concurrent dataplane.Plane implements it
+// by routing each method to the shards that hold the state.
 type Control interface {
 	LoadFilter(lib string) (string, error)
 	UnloadFilter(name string) error
@@ -61,9 +62,9 @@ type Spec struct {
 	// Kati marks commands the Kati shell forwards verbatim to the
 	// currently selected service proxy.
 	Kati bool
-	// Ext marks plane-extension commands (registered at runtime via
-	// Plane.RegisterCommand): they are not listed in the base help
-	// line, and a plane without them answers "unknown command".
+	// Ext marks extension commands (registered at runtime via
+	// Proxy.RegisterCommand): they are not listed in the base help
+	// line, and a proxy without them answers "unknown command".
 	Ext bool
 	// Run executes the command over c with arity already checked. It
 	// is nil for the extensions and for auth, which the ControlSession

@@ -133,6 +133,11 @@ type Proxy struct {
 	obs     *obs.Bus
 	metrics *obs.Registry
 
+	// ext holds runtime-registered extension commands (the policy
+	// engine's "policy", the migration manager's "migrate"), dispatched
+	// by Exec ahead of the command table.
+	ext map[string]func(args []string) string
+
 	// nQueues/nRegs mirror len(queues)/len(registry) atomically so a
 	// sharded data plane can expose merged gauges without entering the
 	// shard goroutine. Updated (single-writer) at every mutation.
@@ -142,7 +147,7 @@ type Proxy struct {
 	// Stats counts proxy-level events.
 	Stats Stats
 
-	// flows is the per-shard flow-log accumulator: every parsed TCP
+	// flows is the proxy's flow-log accumulator: every parsed TCP
 	// segment folds into its flow record on the interception path.
 	flows *flowlog.Table
 
@@ -218,9 +223,19 @@ func (a StatsSnapshot) Merge(b StatsSnapshot) StatsSnapshot {
 	return a
 }
 
+// New builds a proxy on node and installs Intercept as the node's
+// packet hook: the one interception loop at the routing bottleneck
+// (thesis ch. 5) that every simulated Site runs.
+func New(node *netsim.Node, catalog *filter.Catalog) *Proxy {
+	p := NewDetached(node, catalog)
+	node.SetHook(p.Intercept)
+	return p
+}
+
 // NewDetached builds a proxy bound to node for clock/injection but
-// without installing the node packet hook: the sharded data plane owns
-// dispatch and feeds each shard through Intercept directly.
+// without installing the node packet hook: its owner feeds it through
+// Intercept or InterceptAppend directly (the concurrent plane's shard
+// workers, the benchmark's replay rig).
 func NewDetached(node *netsim.Node, catalog *filter.Catalog) *Proxy {
 	return &Proxy{
 		node:    node,
@@ -455,9 +470,8 @@ func (p *Proxy) Spawn(name string, k filter.Key, args []string) error {
 
 // --- interception path -------------------------------------------------------
 
-// Intercept is the node packet hook — what New installs and what the
-// inline data plane calls on the owning shard (in may be nil; the path
-// ignores it). It runs InterceptAppend into the proxy's reusable emit
+// Intercept is the node packet hook that New installs (in may be nil;
+// the path ignores it). It runs InterceptAppend into the proxy's reusable emit
 // list, so the steady-state hook path never allocates a fresh [][]byte
 // per packet; the returned slice is borrowed, valid until the proxy's
 // next interception.
@@ -863,8 +877,8 @@ func (p *Proxy) removeAttachments(name string, match func(filter.Key) bool) int 
 }
 
 // ReportData gathers the raw report listing: the filter names to show
-// (sorted) and, per filter, the stream keys it services. The sharded
-// data plane merges the per-shard maps before rendering.
+// (sorted) and, per filter, the stream keys it services. The
+// concurrent data plane merges the per-shard maps before rendering.
 func (p *Proxy) ReportData(name string) ([]string, map[string][]string, error) {
 	if name != "" {
 		_, isFilter := p.pool[name]

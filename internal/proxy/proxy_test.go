@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dataplane"
 	"repro/internal/filter"
 	"repro/internal/ip"
 	"repro/internal/netsim"
@@ -27,15 +26,14 @@ func (f *fakeFilter) New(env filter.Env, k filter.Key, args []string) error {
 	return f.onNew(env, k, args)
 }
 
-// testRig is a wired-host -> proxy -> mobile topology with a one-shard
-// inline plane on the middle router, the path deployments run.
+// testRig is a wired-host -> proxy -> mobile topology with one proxy
+// hooked on the middle router, the path deployments run.
 type testRig struct {
 	sched          *sim.Scheduler
 	net            *netsim.Network
 	wired, mobile  *netsim.Node
 	router         *netsim.Node
-	pl             *dataplane.Plane
-	prox           *proxy.Proxy // pl's one shard
+	prox           *proxy.Proxy
 	catalog        *filter.Catalog
 	wStack, mStack *tcp.Stack
 }
@@ -54,8 +52,7 @@ func newRig(t *testing.T, catalog *filter.Catalog) *testRig {
 	m.AddDefaultRoute(m.Ifaces()[0])
 	r.AddRoute(ip.MustParseAddr("10.2.0.0"), 24, lm.IfaceA())
 	rig := &testRig{sched: s, net: n, wired: w, mobile: m, router: r, catalog: catalog}
-	rig.pl = dataplane.NewInline(r, catalog, 1)
-	rig.prox = rig.pl.Shard(0)
+	rig.prox = proxy.New(r, catalog)
 	rig.wStack = tcp.NewStack(w, tcp.Config{})
 	rig.mStack = tcp.NewStack(m, tcp.Config{})
 	w.RegisterProto(ip.ProtoTCP, func(h ip.Header, p, raw []byte, in *netsim.Iface) { rig.wStack.Deliver(h.Src, h.Dst, p) })
@@ -73,52 +70,52 @@ func TestLoadAddReportDelete(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	p := rig.pl
+	p := rig.prox
 
-	if out := p.Command("load noop"); out != "noop\n" {
+	if out := p.Exec("load noop"); out != "noop\n" {
 		t.Fatalf("load output %q", out)
 	}
-	if out := p.Command("load noop"); !strings.HasPrefix(out, "error") {
+	if out := p.Exec("load noop"); !strings.HasPrefix(out, "error") {
 		t.Fatalf("duplicate load: %q", out)
 	}
-	if out := p.Command("add noop 10.1.0.1 80 10.2.0.1 2000"); out != "" {
+	if out := p.Exec("add noop 10.1.0.1 80 10.2.0.1 2000"); out != "" {
 		t.Fatalf("add output %q", out)
 	}
-	rep := p.Command("report")
+	rep := p.Exec("report")
 	if !strings.Contains(rep, "noop") || !strings.Contains(rep, "10.1.0.1 80 -> 10.2.0.1 2000") {
 		t.Fatalf("report missing entries:\n%s", rep)
 	}
-	if out := p.Command("delete noop 10.1.0.1 80 10.2.0.1 2000"); out != "" {
+	if out := p.Exec("delete noop 10.1.0.1 80 10.2.0.1 2000"); out != "" {
 		t.Fatalf("delete output %q", out)
 	}
-	rep = p.Command("report noop")
+	rep = p.Exec("report noop")
 	if strings.Contains(rep, "10.1.0.1") {
 		t.Fatalf("deleted key still reported:\n%s", rep)
 	}
-	if out := p.Command("remove noop"); out != "" {
+	if out := p.Exec("remove noop"); out != "" {
 		t.Fatalf("remove output %q", out)
 	}
-	if out := p.Command("report noop"); !strings.HasPrefix(out, "error") {
+	if out := p.Exec("report noop"); !strings.HasPrefix(out, "error") {
 		t.Fatalf("report on unloaded filter: %q", out)
 	}
 }
 
 func TestUnknownCommandsAndErrors(t *testing.T) {
 	rig := newRig(t, filter.NewCatalog())
-	p := rig.pl
-	if out := p.Command("bogus"); !strings.HasPrefix(out, "error") {
+	p := rig.prox
+	if out := p.Exec("bogus"); !strings.HasPrefix(out, "error") {
 		t.Errorf("bogus command: %q", out)
 	}
-	if out := p.Command("load nothere"); !strings.HasPrefix(out, "error") {
+	if out := p.Exec("load nothere"); !strings.HasPrefix(out, "error") {
 		t.Errorf("load missing: %q", out)
 	}
-	if out := p.Command("add nofilter 0.0.0.0 0 0.0.0.0 0"); !strings.HasPrefix(out, "error") {
+	if out := p.Exec("add nofilter 0.0.0.0 0 0.0.0.0 0"); !strings.HasPrefix(out, "error") {
 		t.Errorf("add unloaded: %q", out)
 	}
-	if out := p.Command("add x 1.2.3.4 99"); !strings.HasPrefix(out, "error") {
+	if out := p.Exec("add x 1.2.3.4 99"); !strings.HasPrefix(out, "error") {
 		t.Errorf("short add: %q", out)
 	}
-	if out := p.Command(""); out != "" {
+	if out := p.Exec(""); out != "" {
 		t.Errorf("empty command: %q", out)
 	}
 }
@@ -135,10 +132,10 @@ func TestWildcardMatchingBuildsQueues(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	p := rig.pl
-	p.Command("load watch")
+	p := rig.prox
+	p.Exec("load watch")
 	// Wild-card: everything to the mobile, any port.
-	p.Command("add watch 0.0.0.0 0 10.2.0.1 0")
+	p.Exec("add watch 0.0.0.0 0 10.2.0.1 0")
 
 	// Drive a TCP connection through the proxy.
 	rig.mStack.Listen(2000, func(c *tcp.Conn) {})
@@ -178,12 +175,12 @@ func TestInOutOrderingByPriority(t *testing.T) {
 	cat.Register("mid", mk("mid", filter.Normal))
 	cat.Register("lo", mk("lo", filter.Low))
 	rig := newRig(t, cat)
-	p := rig.pl
+	p := rig.prox
 	for _, c := range []string{"load hi", "load mid", "load lo",
 		"add lo 0.0.0.0 0 10.2.0.1 0",
 		"add hi 0.0.0.0 0 10.2.0.1 0",
 		"add mid 0.0.0.0 0 10.2.0.1 0"} {
-		if out := p.Command(c); out != "" && !strings.Contains(out, "\n") {
+		if out := p.Exec(c); out != "" && !strings.Contains(out, "\n") {
 			t.Fatalf("%s: %q", c, out)
 		}
 	}
@@ -217,8 +214,8 @@ func TestFilterDropsPacket(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	rig.pl.Command("load blackhole")
-	rig.pl.Command("add blackhole 0.0.0.0 0 10.2.0.1 0")
+	rig.prox.Exec("load blackhole")
+	rig.prox.Exec("add blackhole 0.0.0.0 0 10.2.0.1 0")
 
 	accepted := false
 	rig.mStack.Listen(2000, func(c *tcp.Conn) { accepted = true })
@@ -253,8 +250,8 @@ func TestModificationWithoutRemarshalBreaksChecksum(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	rig.pl.Command("load careless")
-	rig.pl.Command("add careless 0.0.0.0 0 10.2.0.1 0")
+	rig.prox.Exec("load careless")
+	rig.prox.Exec("add careless 0.0.0.0 0 10.2.0.1 0")
 	accepted := false
 	rig.mStack.Listen(2000, func(c *tcp.Conn) { accepted = true })
 	rig.wStack.Connect(rig.mobile.Addr(), 2000)
@@ -282,16 +279,16 @@ func TestSpawnViaLauncherPattern(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	rig.pl.Command("load svc")
-	rig.pl.Command("load spawner")
-	rig.pl.Command("add spawner 0.0.0.0 0 10.2.0.1 0")
+	rig.prox.Exec("load svc")
+	rig.prox.Exec("load spawner")
+	rig.prox.Exec("add spawner 0.0.0.0 0 10.2.0.1 0")
 	rig.mStack.Listen(2000, func(c *tcp.Conn) {})
 	rig.wStack.Connect(rig.mobile.Addr(), 2000)
 	rig.sched.RunFor(1e9)
 	if !spawned {
 		t.Fatal("launcher-style spawn never happened")
 	}
-	rep := rig.pl.Command("report svc")
+	rep := rig.prox.Exec("report svc")
 	if !strings.Contains(rep, "10.2.0.1 2000") {
 		t.Fatalf("spawned filter not in report:\n%s", rep)
 	}
@@ -309,7 +306,7 @@ func TestAddExactKeyToActiveStream(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	rig.pl.Command("load count")
+	rig.prox.Exec("load count")
 	var server *tcp.Conn
 	rig.mStack.Listen(2000, func(c *tcp.Conn) { server = c })
 	client, _ := rig.wStack.Connect(rig.mobile.Addr(), 2000)
@@ -344,7 +341,7 @@ func TestRemoveStreamClosesHooks(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	rig.pl.Command("load cl")
+	rig.prox.Exec("load cl")
 	k := filter.Key{SrcIP: rig.wired.Addr(), SrcPort: 80, DstIP: rig.mobile.Addr(), DstPort: 2000}
 	rig.prox.AddFilter("cl", k, nil)
 	if len(rig.prox.Streams()) != 1 {
@@ -378,7 +375,7 @@ func TestControlOverSimulatedTCP(t *testing.T) {
 			ctrlStack.Deliver(h.Src, h.Dst, p)
 		}
 	})
-	if err := proxy.ServeControl(ctrlStack, proxy.ControlPort, rig.pl.Command); err != nil {
+	if err := proxy.ServeControl(ctrlStack, proxy.ControlPort, rig.prox.Exec); err != nil {
 		t.Fatal(err)
 	}
 	var resp strings.Builder
@@ -407,8 +404,8 @@ func TestStreamsAccounting(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	rig.pl.Command("load noop")
-	rig.pl.Command("add noop 0.0.0.0 0 10.2.0.1 0")
+	rig.prox.Exec("load noop")
+	rig.prox.Exec("add noop 0.0.0.0 0 10.2.0.1 0")
 	rig.mStack.Listen(2000, func(c *tcp.Conn) {})
 	client, _ := rig.wStack.Connect(rig.mobile.Addr(), 2000)
 	client.OnEstablished = func() { client.Write(make([]byte, 5000)) }
@@ -420,7 +417,7 @@ func TestStreamsAccounting(t *testing.T) {
 	if ss[0].Packets == 0 || ss[0].Bytes < 5000 {
 		t.Fatalf("accounting: %+v", ss[0])
 	}
-	out := rig.pl.Command("streams")
+	out := rig.prox.Exec("streams")
 	if !strings.Contains(out, "noop") {
 		t.Fatalf("streams command output: %q", out)
 	}
@@ -437,8 +434,8 @@ func TestFiltersCommand(t *testing.T) {
 			onNew: func(env filter.Env, k filter.Key, args []string) error { return nil }}
 	})
 	rig := newRig(t, cat)
-	rig.pl.Command("load noop2")
-	out := rig.pl.Command("filters")
+	rig.prox.Exec("load noop2")
+	out := rig.prox.Exec("filters")
 	if !strings.Contains(out, "loaded: noop2") {
 		t.Fatalf("filters output missing loaded:\n%s", out)
 	}

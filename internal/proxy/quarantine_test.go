@@ -31,8 +31,8 @@ func TestPanickingFilterQuarantined(t *testing.T) {
 	rig := newRig(t, cat)
 	bus := obs.NewBus(rig.sched, 4096)
 	rig.prox.SetObs(bus, nil)
-	rig.pl.Command("load bomb")
-	if out := rig.pl.Command("add bomb 0.0.0.0 0 0.0.0.0 0"); out != "" {
+	rig.prox.Exec("load bomb")
+	if out := rig.prox.Exec("add bomb 0.0.0.0 0 0.0.0.0 0"); out != "" {
 		t.Fatalf("add bomb: %q", out)
 	}
 
@@ -108,8 +108,8 @@ func TestQuarantineFailsOpenNotRebuilt(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	rig.pl.Command("load bomb")
-	rig.pl.Command("add bomb 0.0.0.0 0 0.0.0.0 0")
+	rig.prox.Exec("load bomb")
+	rig.prox.Exec("add bomb 0.0.0.0 0 0.0.0.0 0")
 
 	rig.mStack.Listen(2000, func(c *tcp.Conn) {})
 	client, err := rig.wStack.Connect(rig.mobile.Addr(), 2000)

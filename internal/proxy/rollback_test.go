@@ -32,11 +32,11 @@ func TestAddFilterRollsBackFailedRegistration(t *testing.T) {
 			}}
 	})
 	rig := newRig(t, cat)
-	p := rig.pl
-	p.Command("load flaky")
+	p := rig.prox
+	p.Exec("load flaky")
 
 	const key = "10.1.0.1 7 10.2.0.1 2000"
-	if out := p.Command("add flaky " + key); !strings.HasPrefix(out, "error") {
+	if out := p.Exec("add flaky " + key); !strings.HasPrefix(out, "error") {
 		t.Fatalf("failed add reported %q, want error", out)
 	}
 	if newCalls != 1 {
@@ -57,7 +57,7 @@ func TestAddFilterRollsBackFailedRegistration(t *testing.T) {
 	}
 
 	// A later add of the (now healthy) filter must work normally.
-	if out := p.Command("add flaky " + key); out != "" {
+	if out := p.Exec("add flaky " + key); out != "" {
 		t.Fatalf("second add: %q", out)
 	}
 	if newCalls != 2 {

@@ -27,24 +27,24 @@ func TestServiceDefinitionAndApply(t *testing.T) {
 	registerNoop(cat, "f1")
 	registerNoop(cat, "f2")
 	rig := newRig(t, cat)
-	p := rig.pl
+	p := rig.prox
 
 	// Defining with unloaded filters fails.
-	if out := p.Command("service combo f1 f2"); !strings.HasPrefix(out, "error") {
+	if out := p.Exec("service combo f1 f2"); !strings.HasPrefix(out, "error") {
 		t.Fatalf("service with unloaded filters: %q", out)
 	}
-	p.Command("load f1")
-	p.Command("load f2")
-	if out := p.Command("service combo f1 f2"); out != "" {
+	p.Exec("load f1")
+	p.Exec("load f2")
+	if out := p.Exec("service combo f1 f2"); out != "" {
 		t.Fatalf("service define: %q", out)
 	}
-	if out := p.Command("services"); !strings.Contains(out, "combo = f1 f2") {
+	if out := p.Exec("services"); !strings.Contains(out, "combo = f1 f2") {
 		t.Fatalf("services listing: %q", out)
 	}
 
 	// Apply the service to a wild-card key; a matching stream gets both
 	// filters.
-	if out := p.Command("add combo 0.0.0.0 0 10.2.0.1 0"); out != "" {
+	if out := p.Exec("add combo 0.0.0.0 0 10.2.0.1 0"); out != "" {
 		t.Fatalf("add service: %q", out)
 	}
 	rig.mStack.Listen(2000, func(c *tcp.Conn) {})
@@ -63,14 +63,14 @@ func TestServiceDefinitionAndApply(t *testing.T) {
 		t.Fatalf("service members not attached: %v", ss[0].Filters)
 	}
 	// The service name shows in the report with its wild-card key.
-	rep := p.Command("report")
+	rep := p.Exec("report")
 	if !strings.Contains(rep, "combo") {
 		t.Fatalf("report missing service:\n%s", rep)
 	}
-	if out := p.Command("unservice combo"); out != "" {
+	if out := p.Exec("unservice combo"); out != "" {
 		t.Fatalf("unservice: %q", out)
 	}
-	if out := p.Command("services"); strings.Contains(out, "combo") {
+	if out := p.Exec("services"); strings.Contains(out, "combo") {
 		t.Fatalf("service survived unservice: %q", out)
 	}
 }
@@ -79,8 +79,8 @@ func TestServiceNameCannotShadowFilter(t *testing.T) {
 	cat := filter.NewCatalog()
 	registerNoop(cat, "f1")
 	rig := newRig(t, cat)
-	rig.pl.Command("load f1")
-	if out := rig.pl.Command("service f1 f1"); !strings.HasPrefix(out, "error") {
+	rig.prox.Exec("load f1")
+	if out := rig.prox.Exec("service f1 f1"); !strings.HasPrefix(out, "error") {
 		t.Fatalf("service shadowing a filter accepted: %q", out)
 	}
 }
@@ -90,7 +90,7 @@ func TestControlSessionAuth(t *testing.T) {
 	registerNoop(cat, "f1")
 	rig := newRig(t, cat)
 	policy := &proxy.ControlPolicy{Token: "sekrit"}
-	sess := proxy.NewControlSession(rig.pl.Command, policy)
+	sess := proxy.NewControlSession(rig.prox.Exec, policy)
 
 	// Read-only commands work unauthenticated.
 	if out := sess.Exec("report"); strings.HasPrefix(out, "error") {
@@ -110,7 +110,7 @@ func TestControlSessionAuth(t *testing.T) {
 		t.Fatalf("authenticated load: %q", out)
 	}
 	// Auth on a policy without a token is an error.
-	open := proxy.NewControlSession(rig.pl.Command, nil)
+	open := proxy.NewControlSession(rig.prox.Exec, nil)
 	if out := open.Exec("auth anything"); !strings.Contains(out, "not enabled") {
 		t.Fatalf("auth without policy: %q", out)
 	}
@@ -133,7 +133,7 @@ func TestControlPolicyPeerACL(t *testing.T) {
 	})
 	// Only the mobile (10.2.0.1) is allowed to control the proxy.
 	policy := &proxy.ControlPolicy{AllowedPeers: []ip.Addr{rig.mobile.Addr()}}
-	if err := proxy.ServeControlWithPolicy(ctrlStack, proxy.ControlPort, rig.pl.Command, policy); err != nil {
+	if err := proxy.ServeControlWithPolicy(ctrlStack, proxy.ControlPort, rig.prox.Exec, policy); err != nil {
 		t.Fatal(err)
 	}
 
