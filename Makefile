@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fmt-check fuzz examples benchmark-check verify loc
+.PHONY: build test race vet fmt-check fuzz examples benchmark-check verify loc deadcode
 
 build:
 	$(GO) build ./...
@@ -106,3 +106,38 @@ verify: build vet test race fmt-check fuzz examples benchmark-check
 # the change log quotes. Not a gate.
 loc:
 	@find internal cmd examples -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
+
+# Non-test functions of internal/ that no program links, one a line
+# with its file. Every cmd/*, every examples/* and the benchmark are
+# built without inlining (-gcflags=all=-l), so every function a program
+# can reach keeps a text symbol of its own; `go tool nm` lists them,
+# and the declarations are read from the source. Symbols are reduced
+# to package, receiver type and name: type arguments ([go.shape...]),
+# pointer receivers, closures (.func1, .gowrap1, .deferwrap1) and
+# method values (-fm) fold into the function they belong to. What it
+# prints is reached by tests alone or by nothing (the linker keeps a
+# method that an interface call might reach, so a miss is possible, a
+# false alarm is not). Not a gate.
+deadcode:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -gcflags=all=-l -o "$$tmp/" ./cmd/... ./examples/... && \
+	(cd benchmark && $(GO) build -gcflags=all=-l -o "$$tmp/bench" .) || exit 1; \
+	for b in "$$tmp"/*; do $(GO) tool nm "$$b"; done | \
+	sed -n -E 's/^ *[0-9a-f]+ [Tt] repro\/(internal\/.*)$$/\1/p' | \
+	sed -E -e ':a' -e 's/\[[^][]*\]//' -e 'ta' | \
+	sed -E -e 's/-fm$$//' -e 's/\.(func|gowrap|deferwrap)[0-9].*$$//' \
+		-e 's/^([^.]*)\.\(\*?([A-Za-z0-9_]+)\)/\1.\2/' -e 's/^([^.]*)\./\1 /' | \
+	sort -u >"$$tmp/linked"; \
+	find internal -name '*.go' ! -name '*_test.go' | sort | xargs awk ' \
+		FNR == 1 { dir = FILENAME; sub(/\/[^\/]*$$/, "", dir) } \
+		/^func / { \
+			s = substr($$0, 6); recv = ""; \
+			if (s ~ /^\(/) { \
+				recv = substr(s, 2, index(s, ")") - 2); s = substr(s, index(s, ")") + 2); \
+				gsub(/\[[^]]*\]/, "", recv); n = split(recv, w, " "); recv = w[n]; sub(/^\*/, "", recv); recv = recv "."; \
+			} \
+			name = s; sub(/[^A-Za-z0-9_].*/, "", name); \
+			if (name != "init" && name != "main" && name != "_") print dir, recv name, FILENAME ":" FNR; \
+		}' >"$$tmp/declared"; \
+	awk 'NR == FNR { linked[$$1 " " $$2] = 1; next } !(($$1 " " $$2) in linked) { print $$3 ": " $$2 }' \
+		"$$tmp/linked" "$$tmp/declared"

@@ -8,12 +8,13 @@
 // Usage:
 //
 //	spd [-listen :12000] [-loss 0.02] [-bw 2000000]
-//	    [-policy '<rule>' ...]
+//	    [-debug localhost:6060] [-policy '<rule>' ...]
 //
-// Each -policy flag (repeatable) arms one adaptive rule on the policy
-// engine; rule state is then inspectable over the control port with
-// `policy list` and `policy trace`. See internal/policy for the rule
-// grammar.
+// Each -policy flag (repeatable) adds one adaptive rule; with any, the
+// daemon arms a policy engine on its proxy (core.System.ArmPolicy)
+// and exits on a rule that does not parse. Rule state is then
+// inspectable over the control port with `policy list` and `policy
+// trace`. See internal/policy for the rule grammar.
 package main
 
 import (
@@ -27,7 +28,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/daemon"
 	"repro/internal/netsim"
-	"repro/internal/policy"
 	"repro/internal/proxy"
 	"repro/internal/sim"
 	"repro/internal/tcp"
@@ -42,11 +42,6 @@ func main() {
 	flag.Var(&rules, "policy", "adaptive policy rule (repeatable); see internal/policy for the grammar")
 	flag.Parse()
 	log.SetPrefix("spd: ")
-	for _, r := range rules {
-		if _, err := policy.ParseRule(r); err != nil {
-			log.Fatal(err)
-		}
-	}
 
 	sys := core.NewSystem(core.Config{
 		Seed: time.Now().UnixNano(),
@@ -55,8 +50,12 @@ func main() {
 			Delay:     10 * time.Millisecond,
 			Loss:      netsim.Bernoulli{P: *loss},
 		},
-		Policy: core.PolicyConfig{Rules: rules},
 	})
+	if len(rules) > 0 {
+		if err := sys.ArmPolicy(sys.Site, core.PolicyConfig{Rules: rules}); err != nil {
+			log.Fatal(err)
+		}
+	}
 	rt := sim.NewRealtime(sys.Sched)
 
 	// A perpetual demonstration stream so `report` has something to

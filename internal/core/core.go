@@ -14,11 +14,13 @@
 //
 // Config.Topology picks the shape, one value per shape in use. Every
 // Service Proxy in a deployment is a Site — host node, one proxy,
-// optional control stack, migration manager and policy engine — built
-// by one constructor; a System embeds its primary Site and, in the
-// double-proxy shapes (thesis §10.2.4: a second proxy on the far side
+// control stack, migration manager and policy engine — built by one
+// constructor; a System embeds its primary Site and, in the
+// double-proxy shape (thesis §10.2.4: a second proxy on the far side
 // of the wireless link, which is how the transparent compression
-// service is deployed end-to-end), carries the other as Peer.
+// service is deployed end-to-end), carries the other as Peer. A
+// Site's facilities beyond its proxy are armed after NewSystem, each
+// by one System method: ArmPolicy, ArmRelay and ArmMigration.
 package core
 
 import (
@@ -63,12 +65,6 @@ const (
 	// TopoDouble puts a second Service Proxy (System.Peer) on the far
 	// side of the wireless link, wired to the mobile (thesis §10.2.4).
 	TopoDouble
-	// TopoDoubleMigrating is TopoDouble with live stream migration
-	// armed: a migration manager on each proxy host speaks the two-phase
-	// transfer protocol on migrate.Port, the peer host gets a control
-	// stack to terminate it, and the "migrate" command appears on both
-	// SPs.
-	TopoDoubleMigrating
 	// TopoMMWaveLTE is the 5G dual-connectivity shape: the wireless link
 	// becomes the mmWave leg and a second, steadier LTE leg
 	// (Config.LTE, System.LTELink) connects proxy host and mobile in
@@ -91,22 +87,18 @@ type Config struct {
 	// ObsRetention bounds the observability event ring
 	// (obs.DefaultRetention when 0).
 	ObsRetention int
-	// Policy, when it carries rules, arms an adaptive policy engine
-	// against the primary proxy (thesis ch. 7: the control loop
-	// that loads services in response to EEM conditions).
-	Policy PolicyConfig
 	// LTE shapes the LTE leg of TopoMMWaveLTE; zero values give a
 	// 12 Mb/s, 25 ms link — an order of magnitude below a healthy
 	// mmWave leg but immune to its blockage dynamics.
 	LTE netsim.LinkConfig
 }
 
-// PolicyConfig configures the optional adaptive policy engine.
+// PolicyConfig configures the adaptive policy engine ArmPolicy starts.
 type PolicyConfig struct {
 	// Period is the engine's sampling tick (policy.DefaultPeriod when 0).
 	Period time.Duration
-	// Rules are parsed by policy.ParseRule; a bad rule in Config.Policy
-	// panics NewSystem.
+	// Rules are parsed by policy.ParseRule; ArmPolicy returns the first
+	// bad rule's error.
 	Rules []string
 }
 
@@ -119,11 +111,11 @@ type Site struct {
 	// packet hook; SP commands go through its Exec.
 	Proxy *proxy.Proxy
 	// Ctrl terminates TCP on the proxy host: SP and EEM control on the
-	// primary, the migration protocol on either. Nil on a peer that
-	// migrates nothing — nothing else is addressed to it.
+	// primary, the migration protocol and relayed connections on
+	// either. Nil on a peer until ArmMigration or ArmRelay gives it one
+	// — nothing else is addressed to it.
 	Ctrl *tcp.Stack
-	// Migrate is the site's migration manager; nil unless the topology
-	// arms migration.
+	// Migrate is the site's migration manager; nil until ArmMigration.
 	Migrate *migrate.Manager
 	// Policy is the site's adaptive engine; nil until ArmPolicy.
 	Policy *policy.Engine
@@ -140,7 +132,7 @@ type System struct {
 
 	*Site
 	// Peer is the proxy on the far side of the wireless link; nil unless
-	// TopoDouble or TopoDoubleMigrating.
+	// TopoDouble.
 	Peer *Site
 
 	Wired, Mobile *netsim.Node
@@ -193,7 +185,8 @@ func NewSystem(cfg Config) *System {
 	n.SetObs(sys.Obs)
 
 	sys.Wired = n.AddNode("wired")
-	sys.Site = sys.newSite("", cfg, true)
+	sys.Site = sys.newSite("")
+	sys.addCtrl(sys.Site, cfg.TCP)
 	sys.Mobile = n.AddNode("mobile")
 
 	lw := n.Connect(sys.Wired, WiredAddr, sys.ProxyHost, ProxyCtrlAddr, cfg.Wire)
@@ -237,16 +230,7 @@ func NewSystem(cfg Config) *System {
 		lte.RegisterMetrics(sys.Metrics, "link.lte")
 		sys.Proxy.RegisterCommand("mmwave", sys.mmwaveCommand)
 	case TopoDouble:
-		sys.connectPeer(cfg, false)
-	case TopoDoubleMigrating:
-		sys.connectPeer(cfg, true)
-		// The primary has no route to the peer's wireless address (only
-		// keyed routes toward the mobile); the migration control
-		// connection needs one. The peer's default route covers the way
-		// back.
-		sys.ProxyHost.AddRoute(peerWirelessAddr.Mask(32), 32, sys.Wireless.IfaceA())
-		sys.armMigration(sys.Site, 1)
-		sys.armMigration(sys.Peer, 2)
+		sys.connectPeer(cfg)
 	default:
 		panic(fmt.Sprintf("core: unknown Topology %d", cfg.Topology))
 	}
@@ -295,12 +279,6 @@ func NewSystem(cfg Config) *System {
 		panic(fmt.Sprintf("core: eem port: %v", err))
 	}
 	sys.EEM.StartSimTicker(s)
-
-	if len(cfg.Policy.Rules) > 0 {
-		if err := sys.ArmPolicy(sys.Site, cfg.Policy); err != nil {
-			panic(fmt.Sprintf("core: %v", err))
-		}
-	}
 	return sys
 }
 
@@ -313,18 +291,14 @@ var (
 // newSite is the one place a Service Proxy is put on the network: a
 // forwarding host node "proxy"+tag with its own filter catalogue and
 // one proxy hooked on it, reporting to the deployment's bus and
-// registry. With control the host also terminates TCP on a stack of
-// its own.
-func (s *System) newSite(tag string, cfg Config, control bool) *Site {
+// registry.
+func (s *System) newSite(tag string) *Site {
 	st := &Site{tag: tag, ProxyHost: s.Net.AddNode("proxy" + tag), Catalog: filter.NewCatalog()}
 	st.ProxyHost.Forwarding = true
 	filters.RegisterAll(st.Catalog)
 	st.Proxy = proxy.New(st.ProxyHost, st.Catalog)
 	st.Proxy.SetObs(s.Obs, s.Metrics)
 	st.Proxy.RegisterMetrics(s.Metrics, "proxy"+tag)
-	if control {
-		s.addCtrl(st, cfg.TCP)
-	}
 	return st
 }
 
@@ -345,9 +319,9 @@ func (s *System) connectMobile(wireless netsim.LinkConfig) {
 }
 
 // connectPeer puts the second proxy between the wireless link and the
-// mobile: the double-proxy shapes.
-func (s *System) connectPeer(cfg Config, control bool) {
-	s.Peer = s.newSite("B", cfg, control)
+// mobile: the double-proxy shape.
+func (s *System) connectPeer(cfg Config) {
+	s.Peer = s.newSite("B")
 	peer := s.Peer.ProxyHost
 	s.Wireless = s.Net.Connect(s.ProxyHost, proxyWirelessAddr, peer, peerWirelessAddr, cfg.Wireless)
 	lm := s.Net.Connect(peer, ip.MustParseAddr("11.11.12.1"), s.Mobile, MobileAddr, cfg.Wire)
@@ -357,19 +331,34 @@ func (s *System) connectPeer(cfg Config, control bool) {
 	s.Mobile.AddDefaultRoute(lm.IfaceB())
 }
 
-// armMigration gives a site its migration manager: listening on
-// migrate.Port of the site's control stack, counted under
-// "migrate"+tag, and reachable as the site's "migrate" SP command.
-func (s *System) armMigration(st *Site, id uint8) {
-	st.Migrate = migrate.NewManager(migrate.Config{
-		Name: "migrate" + st.tag, ID: id, Sched: s.Sched,
-		Proxy: st.Proxy, Stack: st.Ctrl, Bus: s.Obs,
-	})
-	if err := st.Migrate.Serve(); err != nil {
-		panic(fmt.Sprintf("core: migrate port (proxy%s): %v", st.tag, err))
+// ArmMigration arms live stream migration between the two Sites of a
+// TopoDouble deployment: each gets a migration manager (IDs 1 and 2)
+// speaking the two-phase transfer protocol on migrate.Port of its
+// control stack, counted under "migrate"+tag and reachable as its
+// "migrate" SP command. The peer gets a control stack with the
+// deployment's TCP configuration, and the primary a /32 route to the
+// peer's wireless address (it has only keyed routes toward the
+// mobile; the peer's default route covers the way back). It panics
+// without a Peer.
+func (s *System) ArmMigration() {
+	if s.Peer == nil {
+		panic("core: ArmMigration needs a Peer (TopoDouble)")
 	}
-	st.Migrate.RegisterMetrics(s.Metrics, "migrate"+st.tag)
-	st.Proxy.RegisterCommand("migrate", st.Migrate.Command)
+	if s.Peer.Ctrl == nil {
+		s.addCtrl(s.Peer, s.WiredTCP.Config())
+	}
+	s.ProxyHost.AddRoute(peerWirelessAddr.Mask(32), 32, s.Wireless.IfaceA())
+	for id, st := range []*Site{s.Site, s.Peer} {
+		st.Migrate = migrate.NewManager(migrate.Config{
+			Name: "migrate" + st.tag, ID: uint8(id + 1), Sched: s.Sched,
+			Proxy: st.Proxy, Stack: st.Ctrl, Bus: s.Obs,
+		})
+		if err := st.Migrate.Serve(); err != nil {
+			panic(fmt.Sprintf("core: migrate port (proxy%s): %v", st.tag, err))
+		}
+		st.Migrate.RegisterMetrics(s.Metrics, "migrate"+st.tag)
+		st.Proxy.RegisterCommand("migrate", st.Migrate.Command)
+	}
 }
 
 // ArmPolicy starts an adaptive policy engine with st's proxy as its
@@ -507,9 +496,11 @@ func (s *System) Transfer(payload []byte, srcPort, dstPort uint16, deadline time
 	return res, nil
 }
 
-// CheckedTransfer is Transfer plus the integrity check every scenario
-// leg makes: the error names what (e.g. "adapt: leg baseline") unless
-// the transfer completed with exactly the payload's bytes. The result
+// CheckedTransfer is Transfer plus the checks every scenario leg makes:
+// the error names what (e.g. "adapt: leg baseline") unless the
+// transfer completed with exactly the payload's bytes and the sender
+// was never acknowledged past what it sent (tcp.Stats.AcksAboveSndMax:
+// a transparent proxy's ACK translation never overshoots). The result
 // is nil only when the transfer could not start, so a caller can still
 // print the leg before failing on a corrupt or incomplete one.
 func (s *System) CheckedTransfer(what string, payload []byte, srcPort, dstPort uint16, deadline time.Duration) (*TransferResult, error) {
@@ -520,6 +511,8 @@ func (s *System) CheckedTransfer(what string, payload []byte, srcPort, dstPort u
 	if !res.Completed || !bytes.Equal(res.Received, payload) {
 		err = fmt.Errorf("%s corrupt or incomplete: completed=%v received=%d/%d",
 			what, res.Completed, len(res.Received), res.Sent)
+	} else if n := res.Client.Stats().AcksAboveSndMax; n > 0 {
+		err = fmt.Errorf("%s: the sender got %d ACKs above anything it sent", what, n)
 	}
 	return res, err
 }

@@ -135,20 +135,19 @@ func TestTransferReceivedAliasing(t *testing.T) {
 
 // TestTopologies builds every Topology value and carries 10 KB across
 // it intact; the parts a shape documents are there for that shape and
-// nil for every other. One value per shape is what makes a half-built
-// combination (migration without a peer, an LTE leg beside one)
-// impossible to ask for.
+// nil for every other, and no shape arms a facility (migration is
+// ArmMigration's). One value per shape is what makes a half-built
+// combination (an LTE leg beside a peer) impossible to ask for.
 func TestTopologies(t *testing.T) {
 	rows := []struct {
-		name                     string
-		topo                     core.Topology
-		peer, migrate, lte, user bool
+		name            string
+		topo            core.Topology
+		peer, lte, user bool
 	}{
-		{"reference", core.TopoReference, false, false, false, false},
-		{"kati", core.TopoKati, false, false, false, true},
-		{"double", core.TopoDouble, true, false, false, false},
-		{"double-migrating", core.TopoDoubleMigrating, true, true, false, false},
-		{"mmwave-lte", core.TopoMMWaveLTE, false, false, true, false},
+		{"reference", core.TopoReference, false, false, false},
+		{"kati", core.TopoKati, false, false, true},
+		{"double", core.TopoDouble, true, false, false},
+		{"mmwave-lte", core.TopoMMWaveLTE, false, true, false},
 	}
 	payload := bytes.Repeat([]byte("comma"), 2000)
 	for i, row := range rows {
@@ -164,11 +163,8 @@ func TestTopologies(t *testing.T) {
 			if got := sys.Peer != nil; got != row.peer {
 				t.Errorf("Peer present = %v, want %v", got, row.peer)
 			}
-			if got := sys.Migrate != nil; got != row.migrate {
-				t.Errorf("Migrate present = %v, want %v", got, row.migrate)
-			}
-			if got := sys.Peer != nil && sys.Peer.Migrate != nil; got != row.migrate {
-				t.Errorf("Peer.Migrate present = %v, want %v", got, row.migrate)
+			if sys.Migrate != nil || sys.Peer != nil && (sys.Peer.Migrate != nil || sys.Peer.Ctrl != nil) {
+				t.Error("the topology armed migration or a peer control stack")
 			}
 			if got := sys.LTELink != nil; got != row.lte {
 				t.Errorf("LTELink present = %v, want %v", got, row.lte)
@@ -421,4 +417,53 @@ func TestRelayOnPeerSite(t *testing.T) {
 	if sys.Peer.Ctrl == nil || relay.Stats.Accepted != 1 {
 		t.Fatalf("peer relay: control stack %v, accepted %d", sys.Peer.Ctrl != nil, relay.Stats.Accepted)
 	}
+}
+
+// TestArmMigration: ArmMigration on TopoDouble gives both Sites a
+// manager and a "migrate" SP command and the peer a control stack, and
+// a stream migrated over it mid-transfer arrives intact with the
+// source counting one completion. Without a Peer it panics.
+func TestArmMigration(t *testing.T) {
+	sys := core.NewSystem(core.Config{Topology: core.TopoDouble})
+	const usage = "error: usage: migrate"
+	if strings.HasPrefix(sys.Proxy.Exec("migrate"), usage) {
+		t.Fatal("TopoDouble has a migrate command before ArmMigration")
+	}
+	sys.ArmMigration()
+	for _, st := range []*core.Site{sys.Site, sys.Peer} {
+		if st.Migrate == nil {
+			t.Fatal("a site has no migration manager")
+		}
+		if out := st.Proxy.Exec("migrate"); !strings.HasPrefix(out, usage) {
+			t.Fatalf("migrate command answered %q", out)
+		}
+	}
+	if sys.Peer.Ctrl == nil {
+		t.Fatal("the peer has no control stack")
+	}
+
+	const key = "11.11.10.99 7 11.11.10.10 5001"
+	for _, c := range []string{"load tcp", "load ttsf", "add tcp " + key, "add ttsf " + key} {
+		sys.MustCommand(c)
+	}
+	var cmdOut string
+	sys.Sched.After(300*time.Millisecond, func() {
+		cmdOut = sys.Proxy.Exec("migrate " + key + " 11.11.11.2")
+	})
+	if _, err := sys.CheckedTransfer("migrated leg", bytes.Repeat([]byte("comma"), 40_000), 7, 5001, 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(cmdOut, "migrating") {
+		t.Fatalf("migrate command answered %q", cmdOut)
+	}
+	if a, c, r, ab := sys.Migrate.Counters(); a != 1 || c != 1 || r != 0 || ab != 0 {
+		t.Fatalf("source outcome attempts=%d completed=%d resumed=%d aborted=%d, want 1/1/0/0", a, c, r, ab)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ArmMigration without a Peer did not panic")
+		}
+	}()
+	core.NewSystem(core.Config{}).ArmMigration()
 }

@@ -22,9 +22,8 @@ import (
 // reproduce the N=1 output exactly.
 type detFilter struct{}
 
-func (*detFilter) Name() string              { return "det" }
-func (*detFilter) Priority() filter.Priority { return filter.Low }
-func (*detFilter) Description() string       { return "deterministic drop/truncate (test)" }
+func (*detFilter) Name() string        { return "det" }
+func (*detFilter) Description() string { return "deterministic drop/truncate (test)" }
 
 func (*detFilter) New(env filter.Env, k filter.Key, args []string) error {
 	count := 0

@@ -62,7 +62,7 @@ var ExtraVariables = []string{
 // by interface number like the if* tables. They read the *transmit*
 // direction — the one the host pushes traffic into, which is where
 // blockage bites. link.bw and link.delay_ms read the live shaping (a
-// Blockage or trace segment shows the moment it is applied);
+// trace segment shows the moment it is applied);
 // link.delivery_bps is a windowed delivered-bits rate — the
 // ground-truth throughput signal a blockage rule fires on even when
 // the configured bandwidth alone cannot tell LoS from NLoS.

@@ -41,14 +41,14 @@ func AdaptDemo(seed int64, w io.Writer) error {
 		EEMInterval:  time.Second,
 		ObsRetention: 1 << 16,
 		Wireless:     netsim.LinkConfig{Bandwidth: 2e6, Delay: 10 * time.Millisecond},
-		Policy: core.PolicyConfig{
-			Period: 250 * time.Millisecond,
-			Rules: []string{
-				fmt.Sprintf("compress when ifSpeed:1 LT %d exit %d for 2 then load comp:6%s",
-					enterBound, exitBound, wild),
-			},
-		},
 	})
+	if err := sys.ArmPolicy(sys.Site, core.PolicyConfig{
+		Period: 250 * time.Millisecond,
+		Rules: []string{fmt.Sprintf("compress when ifSpeed:1 LT %d exit %d for 2 then load comp:6%s",
+			enterBound, exitBound, wild)},
+	}); err != nil {
+		return fmt.Errorf("adapt: A rule: %w", err)
+	}
 	fmt.Fprintf(w, "=== adaptive services (seed %d) ===\n", seed)
 
 	// The B proxy gets its own engine: same EEM server (the A proxy

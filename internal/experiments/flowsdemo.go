@@ -34,14 +34,14 @@ func FlowsDemo(seed int64, w io.Writer) error {
 		EEMInterval:  time.Second,
 		ObsRetention: 1 << 16,
 		Wireless:     netsim.LinkConfig{Bandwidth: 2e6, Delay: 10 * time.Millisecond},
-		Policy: core.PolicyConfig{
-			Period: 250 * time.Millisecond,
-			Rules: []string{
-				"shed when flow.retrans_ratio GT 0.02 exit 0.005 for 2" +
-					" then load wsize on 11.11.10.99 0 11.11.10.10 0 rate 1",
-			},
-		},
 	})
+	if err := sys.ArmPolicy(sys.Site, core.PolicyConfig{
+		Period: 250 * time.Millisecond,
+		Rules: []string{"shed when flow.retrans_ratio GT 0.02 exit 0.005 for 2" +
+			" then load wsize on 11.11.10.99 0 11.11.10.10 0 rate 1"},
+	}); err != nil {
+		return fmt.Errorf("flows: rule: %w", err)
+	}
 	fmt.Fprintf(w, "=== flow-log analytics (seed %d) ===\n", seed)
 
 	// Static plumbing: interception with remarshal bookkeeping in both

@@ -23,9 +23,8 @@ import (
 // (Fig 8.3's worked example drops one specific packet).
 type dropNth struct{}
 
-func (*dropNth) Name() string              { return "dropnth" }
-func (*dropNth) Priority() filter.Priority { return filter.Low }
-func (*dropNth) Description() string       { return "drops exactly the nth data segment" }
+func (*dropNth) Name() string        { return "dropnth" }
+func (*dropNth) Description() string { return "drops exactly the nth data segment" }
 
 func (f *dropNth) New(env filter.Env, k filter.Key, args []string) error {
 	n := 2

@@ -47,10 +47,11 @@ import (
 func MigrateDemo(seed int64, w io.Writer) error {
 	sys := core.NewSystem(core.Config{
 		Seed:         seed,
-		Topology:     core.TopoDoubleMigrating,
+		Topology:     core.TopoDouble,
 		ObsRetention: 1 << 16,
 		Wireless:     netsim.LinkConfig{Bandwidth: 2e6, Delay: 10 * time.Millisecond},
 	})
+	sys.ArmMigration()
 	fmt.Fprintf(w, "=== live stream migration (seed %d) ===\n", seed)
 	inj := faults.NewInjector(sys.Sched, sys.Obs)
 	payload := repeatText(256_000)

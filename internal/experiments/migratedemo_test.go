@@ -16,9 +16,10 @@ import (
 func TestMigrateMetricsAcrossShards(t *testing.T) {
 	sys := core.NewSystem(core.Config{
 		Seed:     5,
-		Topology: core.TopoDoubleMigrating,
+		Topology: core.TopoDouble,
 		Wireless: netsim.LinkConfig{Bandwidth: 2e6, Delay: 10 * time.Millisecond},
 	})
+	sys.ArmMigration()
 	const srcPort, dstPort = 7000, 8000
 	keyStr := fmt.Sprintf("11.11.10.99 %d 11.11.10.10 %d", srcPort, dstPort)
 	for _, c := range []string{

@@ -159,9 +159,13 @@ func runMMWaveLeg(w io.Writer, seed int64, payload []byte, sum [sha256.Size]byte
 		// few ms away, not classic-LTE 25ms): the smaller the delay gap,
 		// the shorter the reordering window when traffic swings back to
 		// mmWave after a shed.
-		LTE:    netsim.LinkConfig{Bandwidth: 12e6, Delay: 10 * time.Millisecond},
-		Policy: core.PolicyConfig{Period: 100 * time.Millisecond, Rules: leg.rules},
+		LTE: netsim.LinkConfig{Bandwidth: 12e6, Delay: 10 * time.Millisecond},
 	})
+	if len(leg.rules) > 0 {
+		if err := sys.ArmPolicy(sys.Site, core.PolicyConfig{Period: 100 * time.Millisecond, Rules: leg.rules}); err != nil {
+			return mmResult{}, fmt.Errorf("mmwave: leg %s: %w", leg.name, err)
+		}
+	}
 	if leg.mwin {
 		sys.MustCommand("load tcp")
 		sys.MustCommand("load mwin")

@@ -33,8 +33,7 @@ func RegisterChaosFilter(c *filter.Catalog) {
 
 type chaosFilter struct{}
 
-func (*chaosFilter) Name() string              { return "chaos" }
-func (*chaosFilter) Priority() filter.Priority { return filter.Normal }
+func (*chaosFilter) Name() string { return "chaos" }
 func (*chaosFilter) Description() string {
 	return "fault injection: panic, insertion err, deterministic drop/delay"
 }

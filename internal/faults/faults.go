@@ -94,22 +94,6 @@ func (in *Injector) DegradeLink(name string, l *netsim.Link, at, dur time.Durati
 	})
 }
 
-// Blockage starts a seeded LoS/NLoS blockage process on l at now+at
-// and stops it after dur, restoring the LoS shaping. The model's
-// transitions ride its own seeded RNG, so the fault script stays
-// byte-reproducible per seed.
-func (in *Injector) Blockage(name string, l *netsim.Link, at, dur time.Duration, cfg netsim.BlockageConfig) {
-	in.sched.After(at, func() {
-		in.emit("blockage-start", name, obs.F("dur_ms", int(dur/time.Millisecond)))
-		b := netsim.StartBlockage(in.sched, l, cfg)
-		in.sched.After(dur, func() {
-			b.Stop()
-			l.Shape(cfg.Dir, cfg.LoS)
-			in.emit("blockage-stop", name, obs.F("transitions", len(b.Transitions())))
-		})
-	})
-}
-
 // CrashEEM hard-crashes the EEM server at now+at (all client
 // connections are severed with a reset) and restarts it after outage.
 // Supervised clients are expected to back off, redial, and re-register

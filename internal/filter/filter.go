@@ -475,8 +475,6 @@ type Env interface {
 type Factory interface {
 	// Name is the identifier used in SP commands ("rdrop", "wsize"...).
 	Name() string
-	// Priority is the default queue priority for the filter's hooks.
-	Priority() Priority
 	// Description is a one-line summary for the report command.
 	Description() string
 	// New instantiates the filter for the stream identified by

@@ -29,8 +29,7 @@ type adiscard struct{}
 // NewADiscard returns the adaptive-discard filter factory.
 func NewADiscard() filter.Factory { return &adiscard{} }
 
-func (*adiscard) Name() string              { return "adiscard" }
-func (*adiscard) Priority() filter.Priority { return filter.Low }
+func (*adiscard) Name() string { return "adiscard" }
 func (*adiscard) Description() string {
 	return "EEM-driven hierarchical discard: layer threshold follows link utilization"
 }

@@ -29,8 +29,7 @@ type cacheFilter struct{}
 // NewCache returns the cache filter factory.
 func NewCache() filter.Factory { return &cacheFilter{} }
 
-func (*cacheFilter) Name() string              { return "cache" }
-func (*cacheFilter) Priority() filter.Priority { return filter.Normal }
+func (*cacheFilter) Name() string { return "cache" }
 func (*cacheFilter) Description() string {
 	return "answers repeated fetch-protocol requests from a proxy-side cache"
 }

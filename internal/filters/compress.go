@@ -31,8 +31,7 @@ type comp struct{}
 // NewCompress returns the comp filter factory.
 func NewCompress() filter.Factory { return &comp{} }
 
-func (*comp) Name() string              { return "comp" }
-func (*comp) Priority() filter.Priority { return filter.Low }
+func (*comp) Name() string { return "comp" }
 func (*comp) Description() string {
 	return "transparent per-segment payload compression (pair with decomp + ttsf)"
 }
@@ -157,8 +156,7 @@ type decomp struct{}
 // NewDecompress returns the decomp filter factory.
 func NewDecompress() filter.Factory { return &decomp{} }
 
-func (*decomp) Name() string              { return "decomp" }
-func (*decomp) Priority() filter.Priority { return filter.Low }
+func (*decomp) Name() string { return "decomp" }
 func (*decomp) Description() string {
 	return "inverts the comp filter's per-segment framing"
 }

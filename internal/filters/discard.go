@@ -20,8 +20,7 @@ type discard struct{}
 // NewDiscard returns the discard filter factory.
 func NewDiscard() filter.Factory { return &discard{} }
 
-func (*discard) Name() string              { return "discard" }
-func (*discard) Priority() filter.Priority { return filter.Low }
+func (*discard) Name() string { return "discard" }
 func (*discard) Description() string {
 	return "hierarchical discard of layered media above a layer threshold"
 }

@@ -22,8 +22,7 @@ type launcher struct {
 // NewLauncher returns the launcher filter factory.
 func NewLauncher() filter.Factory { return &launcher{specs: make(map[string]filter.Spec)} }
 
-func (*launcher) Name() string              { return "launcher" }
-func (*launcher) Priority() filter.Priority { return filter.Highest }
+func (*launcher) Name() string { return "launcher" }
 func (*launcher) Description() string {
 	return "applies configured services to each new matching stream"
 }

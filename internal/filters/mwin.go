@@ -62,8 +62,7 @@ type mwin struct{}
 // NewMWin returns the mwin filter factory.
 func NewMWin() filter.Factory { return &mwin{} }
 
-func (*mwin) Name() string              { return "mwin" }
-func (*mwin) Priority() filter.Priority { return filter.Lowest }
+func (*mwin) Name() string { return "mwin" }
 func (*mwin) Description() string {
 	return "delay-aware receive-window sizing from measured wireless BDP: 'mwin [gain] [interval-ms]'"
 }

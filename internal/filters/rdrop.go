@@ -19,8 +19,7 @@ type rdrop struct{}
 // NewRDrop returns the rdrop filter factory.
 func NewRDrop() filter.Factory { return &rdrop{} }
 
-func (*rdrop) Name() string              { return "rdrop" }
-func (*rdrop) Priority() filter.Priority { return filter.Low }
+func (*rdrop) Name() string { return "rdrop" }
 func (*rdrop) Description() string {
 	return "randomly drops data packets at a given percentage"
 }

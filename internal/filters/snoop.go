@@ -23,8 +23,7 @@ type snoop struct{}
 // NewSnoop returns the snoop filter factory.
 func NewSnoop() filter.Factory { return &snoop{} }
 
-func (*snoop) Name() string              { return "snoop" }
-func (*snoop) Priority() filter.Priority { return filter.Normal }
+func (*snoop) Name() string { return "snoop" }
 func (*snoop) Description() string {
 	return "TCP-aware wireless caching: local retransmission and dup-ACK suppression"
 }

@@ -23,8 +23,7 @@ type tcpFilt struct {
 // NewTCPFilt returns the tcp bookkeeping filter factory.
 func NewTCPFilt() filter.Factory { return &tcpFilt{} }
 
-func (*tcpFilt) Name() string              { return "tcp" }
-func (*tcpFilt) Priority() filter.Priority { return filter.High }
+func (*tcpFilt) Name() string { return "tcp" }
 func (*tcpFilt) Description() string {
 	return "TCP bookkeeping: checksum repair and stream teardown"
 }

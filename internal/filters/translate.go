@@ -22,8 +22,7 @@ type translate struct{}
 // NewTranslate returns the translate filter factory.
 func NewTranslate() filter.Factory { return &translate{} }
 
-func (*translate) Name() string              { return "translate" }
-func (*translate) Priority() filter.Priority { return filter.Low }
+func (*translate) Name() string { return "translate" }
 func (*translate) Description() string {
 	return "data-type translation: 'mono' (RGB→mono tiles) or 'ascii' (rich text→ASCII)"
 }

@@ -45,8 +45,7 @@ type ttsf struct{}
 // NewTTSF returns the TTSF factory.
 func NewTTSF() filter.Factory { return &ttsf{} }
 
-func (*ttsf) Name() string              { return "ttsf" }
-func (*ttsf) Priority() filter.Priority { return PriorityTTSF }
+func (*ttsf) Name() string { return "ttsf" }
 func (*ttsf) Description() string {
 	return "sequence-space remapping for transparent payload modification"
 }

@@ -37,8 +37,7 @@ type wsize struct{}
 // NewWSize returns the wsize filter factory.
 func NewWSize() filter.Factory { return &wsize{} }
 
-func (*wsize) Name() string              { return "wsize" }
-func (*wsize) Priority() filter.Priority { return filter.Lowest }
+func (*wsize) Name() string { return "wsize" }
 func (*wsize) Description() string {
 	return "TCP window rewriting: 'cap <bytes>' prioritization or 'zwsm [ms]' disconnection management"
 }

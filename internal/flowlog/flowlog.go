@@ -63,17 +63,6 @@ type DirCounts struct {
 	ZeroWin int64
 }
 
-func (d DirCounts) add(o DirCounts) DirCounts {
-	d.Pkts += o.Pkts
-	d.Bytes += o.Bytes
-	d.Payload += o.Payload
-	d.Syn += o.Syn
-	d.SynAck += o.SynAck
-	d.Retrans += o.Retrans
-	d.ZeroWin += o.ZeroWin
-	return d
-}
-
 // Flow states of a Record.
 const (
 	StateActive = "active"

@@ -46,10 +46,11 @@ func TestMigrateDestinationCrash(t *testing.T) {
 		t.Run(fmt.Sprintf("%s-%v", row.trigger, row.outage), func(t *testing.T) {
 			sys := core.NewSystem(core.Config{
 				Seed:         5,
-				Topology:     core.TopoDoubleMigrating,
+				Topology:     core.TopoDouble,
 				ObsRetention: 1 << 16,
 				Wireless:     netsim.LinkConfig{Bandwidth: 2e6, Delay: 10 * time.Millisecond},
 			})
+			sys.ArmMigration()
 			const srcPort, dstPort = 7000, 8000
 			keyStr := fmt.Sprintf("11.11.10.99 %d 11.11.10.10 %d", srcPort, dstPort)
 			k := filter.Key{SrcIP: core.WiredAddr, SrcPort: srcPort, DstIP: core.MobileAddr, DstPort: dstPort}

@@ -6,7 +6,9 @@
 // loss model (independent Bernoulli or bursty Gilbert–Elliott), which
 // captures the "wireless variability" of thesis §2.3: the phenomena the
 // service proxy's filters respond to are loss, delay, and bandwidth
-// asymmetry, all of which are link-level parameters here.
+// asymmetry, all of which are link-level parameters here. A link that
+// varies in time replays a committed TraceProfile: its dynamics are
+// part of the experiment's input, not drawn from a random process.
 //
 // # Datagram ownership
 //

@@ -4,15 +4,13 @@
 // (bandwidth or a loss model, both directions at once). mmWave-style
 // links need more: capacity, delay, jitter, and loss all swing
 // together, per direction, on ~100ms blockage timescales. Shaping is
-// the explicit per-direction mutation record; Blockage is a
-// scheduler-driven two-state LoS/NLoS process with seeded dwell times;
-// TraceProfile replays a committed (time, shaping) segment list so an
-// experiment's link dynamics are part of its reproducible input.
+// the explicit per-direction mutation record; TraceProfile replays a
+// committed (time, shaping) segment list, so an experiment's link
+// dynamics are part of its reproducible input.
 package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/obs"
@@ -28,18 +26,6 @@ const (
 	DirBA                         // b → a
 	DirBoth = DirAB | DirBA
 )
-
-func (d Direction) String() string {
-	switch d {
-	case DirAB:
-		return "ab"
-	case DirBA:
-		return "ba"
-	case DirBoth:
-		return "both"
-	}
-	return fmt.Sprintf("Direction(%d)", uint8(d))
-}
 
 // ShapeField names the link parameters a Shaping carries. Only fields
 // named in Shaping.Fields are applied, so every value — including
@@ -131,109 +117,18 @@ func (d *direction) shaping() Shaping {
 	}
 }
 
-// Transition is one entry of a link model's transition log: at virtual
-// time At the model applied Shape to its direction. NLoS marks the
-// blocked state of a Blockage model; for a trace player it is false
-// and Seg indexes the profile segment that started.
+// Transition is one entry of a trace player's log: at virtual time At
+// the player applied Shape, the shaping of profile segment Seg, to its
+// direction.
 type Transition struct {
 	At    sim.Time
-	NLoS  bool
 	Seg   int
 	Shape Shaping
 }
 
 // String renders the transition for determinism diffs.
 func (t Transition) String() string {
-	state := "los"
-	if t.NLoS {
-		state = "nlos"
-	}
-	return fmt.Sprintf("%v %s seg=%d %v", time.Duration(t.At), state, t.Seg, t.Shape)
-}
-
-// BlockageConfig parameterizes a two-state LoS/NLoS blockage process.
-type BlockageConfig struct {
-	// Seed drives the model's own RNG: dwell-time draws never touch the
-	// scheduler's shared stream, so two models with the same seed make
-	// the same transitions at the same virtual instants regardless of
-	// what traffic runs beside them.
-	Seed int64
-	// Dir is the link direction(s) the model retunes (DirAB when 0 is
-	// not meaningful — pass explicitly; StartBlockage panics on 0).
-	Dir Direction
-	// LoS and NLoS are the shapings applied on entering each state.
-	LoS, NLoS Shaping
-	// MeanLoS and MeanNLoS are the mean exponential dwell times
-	// (mmWave measurements put blockage events at ~100ms–1s NLoS
-	// against seconds of LoS).
-	MeanLoS, MeanNLoS time.Duration
-}
-
-// minDwell floors every dwell draw so the model cannot degenerate into
-// a zero-interval flap storm.
-const minDwell = 10 * time.Millisecond
-
-// Blockage is a running LoS/NLoS process bound to one link.
-type Blockage struct {
-	sched *sim.Scheduler
-	link  *Link
-	cfg   BlockageConfig
-	rng   *rand.Rand
-	nlos  bool
-	log   []Transition
-	timer sim.Timer
-	done  bool
-}
-
-// StartBlockage starts a blockage process on l: the LoS shaping is
-// applied immediately and the first NLoS transition is scheduled. The
-// process runs until Stop.
-func StartBlockage(s *sim.Scheduler, l *Link, cfg BlockageConfig) *Blockage {
-	if cfg.Dir == 0 {
-		panic("netsim: StartBlockage needs an explicit Direction")
-	}
-	b := &Blockage{sched: s, link: l, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-	b.transition(false)
-	return b
-}
-
-// transition enters the given state, applies its shaping, logs it, and
-// schedules the next flip.
-func (b *Blockage) transition(nlos bool) {
-	if b.done {
-		return
-	}
-	b.nlos = nlos
-	shape, mean := b.cfg.LoS, b.cfg.MeanLoS
-	kind := "blockage-los"
-	if nlos {
-		shape, mean = b.cfg.NLoS, b.cfg.MeanNLoS
-		kind = "blockage-nlos"
-	}
-	b.link.Shape(b.cfg.Dir, shape)
-	b.log = append(b.log, Transition{At: b.sched.Now(), NLoS: nlos, Shape: shape})
-	if bus := b.link.net.obs; bus.Enabled() {
-		bus.Emit("netsim", kind, b.cfg.Dir.String(), obs.F("dwell_ms", int(mean/time.Millisecond)))
-	}
-	dwell := minDwell + time.Duration(b.rng.ExpFloat64()*float64(mean))
-	b.timer = b.sched.After(dwell, func() { b.transition(!nlos) })
-}
-
-// NLoS reports whether the model is currently in the blocked state.
-func (b *Blockage) NLoS() bool { return b.nlos }
-
-// Transitions returns a copy of the transition log.
-func (b *Blockage) Transitions() []Transition {
-	out := make([]Transition, len(b.log))
-	copy(out, b.log)
-	return out
-}
-
-// Stop halts the process, leaving the link in whatever state it last
-// applied (restore explicitly with Shape if needed).
-func (b *Blockage) Stop() {
-	b.done = true
-	b.timer.Stop()
+	return fmt.Sprintf("%v seg=%d %v", time.Duration(t.At), t.Seg, t.Shape)
 }
 
 // TraceSegment is one segment of a replayable link trace: the shaping

@@ -134,87 +134,6 @@ func transitionLog(ts []Transition) string {
 	return out
 }
 
-func TestBlockageDeterminism(t *testing.T) {
-	// Two blockage models with the same seed, on different links in
-	// differently loaded networks, make identical transitions at
-	// identical virtual instants: the dwell draws ride the model's own
-	// RNG, not the scheduler's shared stream.
-	run := func(withTraffic bool) string {
-		s, _, a, b := twoHosts(t, LinkConfig{Bandwidth: 10e6, Delay: time.Millisecond})
-		cfg := BlockageConfig{
-			Seed: 42, Dir: DirAB,
-			LoS:      Shaping{Fields: ShapeBandwidth | ShapeLoss, Bandwidth: 10e6},
-			NLoS:     Shaping{Fields: ShapeBandwidth | ShapeLoss, Bandwidth: 200e3, Loss: Bernoulli{P: 0.1}},
-			MeanLoS:  800 * time.Millisecond,
-			MeanNLoS: 150 * time.Millisecond,
-		}
-		bl := StartBlockage(s, link(a), cfg)
-		if withTraffic {
-			// Competing consumers of scheduler randomness: lossy traffic.
-			b.RegisterProto(ip.ProtoUDP, func(ip.Header, []byte, []byte, *Iface) {})
-			var tick func()
-			tick = func() {
-				a.SendIP(b.Addr(), ip.ProtoUDP, make([]byte, 500))
-				s.After(7*time.Millisecond, tick)
-			}
-			s.After(0, tick)
-		}
-		s.RunFor(10 * time.Second)
-		bl.Stop()
-		return transitionLog(bl.Transitions())
-	}
-	quiet, loaded := run(false), run(true)
-	if quiet != loaded {
-		t.Fatalf("blockage transitions depend on unrelated traffic:\n-- quiet --\n%s-- loaded --\n%s", quiet, loaded)
-	}
-	if len(quiet) == 0 {
-		t.Fatal("no transitions logged")
-	}
-	// And a different seed takes a different trajectory.
-	s2 := sim.NewScheduler(1)
-	n2 := New(s2)
-	a2 := n2.AddNode("a2")
-	b2 := n2.AddNode("b2")
-	l2 := n2.Connect(a2, ip.MustParseAddr("10.1.0.1"), b2, ip.MustParseAddr("10.1.0.2"), LinkConfig{})
-	bl2 := StartBlockage(s2, l2, BlockageConfig{
-		Seed: 43, Dir: DirAB,
-		LoS:      Shaping{Fields: ShapeBandwidth, Bandwidth: 10e6},
-		NLoS:     Shaping{Fields: ShapeBandwidth, Bandwidth: 200e3},
-		MeanLoS:  800 * time.Millisecond,
-		MeanNLoS: 150 * time.Millisecond,
-	})
-	s2.RunFor(10 * time.Second)
-	if transitionLog(bl2.Transitions()) == quiet {
-		t.Fatal("different seeds produced identical transition logs")
-	}
-}
-
-func TestBlockageAppliesShapings(t *testing.T) {
-	s, _, a, _ := twoHosts(t, LinkConfig{Bandwidth: 10e6})
-	l := link(a)
-	bl := StartBlockage(s, l, BlockageConfig{
-		Seed: 7, Dir: DirAB,
-		LoS:      Shaping{Fields: ShapeBandwidth, Bandwidth: 10e6},
-		NLoS:     Shaping{Fields: ShapeBandwidth, Bandwidth: 100e3},
-		MeanLoS:  200 * time.Millisecond,
-		MeanNLoS: 200 * time.Millisecond,
-	})
-	defer bl.Stop()
-	for i := 0; i < 200; i++ {
-		s.RunFor(25 * time.Millisecond)
-		want := int64(10e6)
-		if bl.NLoS() {
-			want = 100e3
-		}
-		if got := l.ConfigAB().Bandwidth; got != want {
-			t.Fatalf("t=%v nlos=%v bandwidth=%d, want %d", s.Now(), bl.NLoS(), got, want)
-		}
-	}
-	if len(bl.Transitions()) < 2 {
-		t.Fatalf("only %d transitions in 5s", len(bl.Transitions()))
-	}
-}
-
 func TestTraceReplayBoundaries(t *testing.T) {
 	s, _, a, _ := twoHosts(t, LinkConfig{Bandwidth: 1e6})
 	l := link(a)

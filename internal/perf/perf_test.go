@@ -150,9 +150,8 @@ func TestPacketParseReleaseZeroAlloc(t *testing.T) {
 // segment.
 type chopHalf struct{}
 
-func (chopHalf) Name() string              { return "chop" }
-func (chopHalf) Priority() filter.Priority { return filter.Low }
-func (chopHalf) Description() string       { return "truncate payloads to half (test helper)" }
+func (chopHalf) Name() string        { return "chop" }
+func (chopHalf) Description() string { return "truncate payloads to half (test helper)" }
 func (chopHalf) New(env filter.Env, k filter.Key, args []string) error {
 	_, err := env.Attach(k, filter.Hooks{
 		Filter: "chop", Priority: filter.Low,

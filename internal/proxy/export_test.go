@@ -29,7 +29,7 @@ func (s *snapInst) RestoreState(b []byte) error {
 func exportCatalog(snaps, plains map[string][]*snapInst, tag *string) *filter.Catalog {
 	cat := filter.NewCatalog()
 	cat.Register("snap", func() filter.Factory {
-		return &fakeFilter{name: "snap", priority: filter.Normal,
+		return &fakeFilter{name: "snap",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				inst := &snapInst{data: []byte("fresh")}
 				if len(args) > 0 {
@@ -41,7 +41,7 @@ func exportCatalog(snaps, plains map[string][]*snapInst, tag *string) *filter.Ca
 			}}
 	})
 	cat.Register("plain", func() filter.Factory {
-		return &fakeFilter{name: "plain", priority: filter.Low,
+		return &fakeFilter{name: "plain",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				inst := &snapInst{data: []byte("fresh")}
 				plains[*tag] = append(plains[*tag], inst)

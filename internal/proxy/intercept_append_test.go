@@ -37,7 +37,7 @@ func mkDgram(t testing.TB, srcPort uint16, seq uint32, payload []byte) []byte {
 func TestInterceptAppendBufferStability(t *testing.T) {
 	cat := filter.NewCatalog()
 	cat.Register("trunc", func() filter.Factory {
-		return &fakeFilter{name: "trunc", priority: filter.Normal,
+		return &fakeFilter{name: "trunc",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				_, err := env.Attach(k, filter.Hooks{
 					Filter: "trunc", Priority: filter.Normal,

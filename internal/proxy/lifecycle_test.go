@@ -42,9 +42,8 @@ type hookFilter struct {
 	hooks func(env filter.Env, k filter.Key) filter.Hooks
 }
 
-func (f hookFilter) Name() string            { return f.name }
-func (hookFilter) Priority() filter.Priority { return filter.Normal }
-func (hookFilter) Description() string       { return "lifecycle test filter" }
+func (f hookFilter) Name() string      { return f.name }
+func (hookFilter) Description() string { return "lifecycle test filter" }
 func (f hookFilter) New(env filter.Env, k filter.Key, _ []string) error {
 	h := f.hooks(env, k)
 	h.Filter, h.Priority = f.name, filter.Normal

@@ -16,16 +16,14 @@ import (
 type nopFactory struct{ name string }
 
 func (f nopFactory) Name() string                             { return f.name }
-func (nopFactory) Priority() filter.Priority                  { return filter.Normal }
 func (nopFactory) Description() string                        { return "registry churn stub" }
 func (nopFactory) New(filter.Env, filter.Key, []string) error { return nil }
 
 // failFactory always fails instantiation, for rollback tests.
 type failFactory struct{}
 
-func (failFactory) Name() string              { return "fail" }
-func (failFactory) Priority() filter.Priority { return filter.Normal }
-func (failFactory) Description() string       { return "always-failing stub" }
+func (failFactory) Name() string        { return "fail" }
+func (failFactory) Description() string { return "always-failing stub" }
 func (failFactory) New(filter.Env, filter.Key, []string) error {
 	return errors.New("fail: refusing instantiation")
 }

@@ -14,14 +14,12 @@ import (
 
 // fakeFilter is a configurable test filter.
 type fakeFilter struct {
-	name     string
-	priority filter.Priority
-	onNew    func(env filter.Env, k filter.Key, args []string) error
+	name  string
+	onNew func(env filter.Env, k filter.Key, args []string) error
 }
 
-func (f *fakeFilter) Name() string              { return f.name }
-func (f *fakeFilter) Priority() filter.Priority { return f.priority }
-func (f *fakeFilter) Description() string       { return "test filter" }
+func (f *fakeFilter) Name() string        { return f.name }
+func (f *fakeFilter) Description() string { return "test filter" }
 func (f *fakeFilter) New(env filter.Env, k filter.Key, args []string) error {
 	return f.onNew(env, k, args)
 }
@@ -63,7 +61,7 @@ func newRig(t *testing.T, catalog *filter.Catalog) *testRig {
 func TestLoadAddReportDelete(t *testing.T) {
 	cat := filter.NewCatalog()
 	cat.Register("noop", func() filter.Factory {
-		return &fakeFilter{name: "noop", priority: filter.Normal,
+		return &fakeFilter{name: "noop",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				_, err := env.Attach(k, filter.Hooks{Filter: "noop", Priority: filter.Normal})
 				return err
@@ -124,7 +122,7 @@ func TestWildcardMatchingBuildsQueues(t *testing.T) {
 	cat := filter.NewCatalog()
 	var seenKeys []filter.Key
 	cat.Register("watch", func() filter.Factory {
-		return &fakeFilter{name: "watch", priority: filter.Normal,
+		return &fakeFilter{name: "watch",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				seenKeys = append(seenKeys, k)
 				_, err := env.Attach(k, filter.Hooks{Filter: "watch", Priority: filter.Normal})
@@ -159,7 +157,7 @@ func TestInOutOrderingByPriority(t *testing.T) {
 	var order []string
 	mk := func(name string, prio filter.Priority) func() filter.Factory {
 		return func() filter.Factory {
-			return &fakeFilter{name: name, priority: prio,
+			return &fakeFilter{name: name,
 				onNew: func(env filter.Env, k filter.Key, args []string) error {
 					_, err := env.Attach(k, filter.Hooks{
 						Filter: name, Priority: prio,
@@ -206,7 +204,7 @@ func TestInOutOrderingByPriority(t *testing.T) {
 func TestFilterDropsPacket(t *testing.T) {
 	cat := filter.NewCatalog()
 	cat.Register("blackhole", func() filter.Factory {
-		return &fakeFilter{name: "blackhole", priority: filter.Normal,
+		return &fakeFilter{name: "blackhole",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				_, err := env.Attach(k, filter.Hooks{Filter: "blackhole", Priority: filter.Normal,
 					Out: func(p *filter.Packet) { p.Drop() }})
@@ -236,7 +234,7 @@ func TestModificationWithoutRemarshalBreaksChecksum(t *testing.T) {
 	// This is why the thesis's tcp filter exists.
 	cat := filter.NewCatalog()
 	cat.Register("careless", func() filter.Factory {
-		return &fakeFilter{name: "careless", priority: filter.Normal,
+		return &fakeFilter{name: "careless",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				_, err := env.Attach(k, filter.Hooks{Filter: "careless", Priority: filter.Normal,
 					Out: func(p *filter.Packet) {
@@ -265,7 +263,7 @@ func TestSpawnViaLauncherPattern(t *testing.T) {
 	cat := filter.NewCatalog()
 	spawned := false
 	cat.Register("svc", func() filter.Factory {
-		return &fakeFilter{name: "svc", priority: filter.Normal,
+		return &fakeFilter{name: "svc",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				spawned = true
 				_, err := env.Attach(k, filter.Hooks{Filter: "svc", Priority: filter.Normal})
@@ -273,7 +271,7 @@ func TestSpawnViaLauncherPattern(t *testing.T) {
 			}}
 	})
 	cat.Register("spawner", func() filter.Factory {
-		return &fakeFilter{name: "spawner", priority: filter.Highest,
+		return &fakeFilter{name: "spawner",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				return env.Spawn("svc", k, nil)
 			}}
@@ -298,7 +296,7 @@ func TestAddExactKeyToActiveStream(t *testing.T) {
 	cat := filter.NewCatalog()
 	hits := 0
 	cat.Register("count", func() filter.Factory {
-		return &fakeFilter{name: "count", priority: filter.Normal,
+		return &fakeFilter{name: "count",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				_, err := env.Attach(k, filter.Hooks{Filter: "count", Priority: filter.Normal,
 					In: func(p *filter.Packet) { hits++ }})
@@ -333,7 +331,7 @@ func TestRemoveStreamClosesHooks(t *testing.T) {
 	cat := filter.NewCatalog()
 	closed := 0
 	cat.Register("cl", func() filter.Factory {
-		return &fakeFilter{name: "cl", priority: filter.Normal,
+		return &fakeFilter{name: "cl",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				_, err := env.Attach(k, filter.Hooks{Filter: "cl", Priority: filter.Normal,
 					OnClose: func() { closed++ }})
@@ -361,7 +359,7 @@ func TestControlOverSimulatedTCP(t *testing.T) {
 	// the proxy host and run commands over the simulated network.
 	cat := filter.NewCatalog()
 	cat.Register("noop", func() filter.Factory {
-		return &fakeFilter{name: "noop", priority: filter.Normal,
+		return &fakeFilter{name: "noop",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				_, err := env.Attach(k, filter.Hooks{Filter: "noop", Priority: filter.Normal})
 				return err
@@ -397,7 +395,7 @@ func TestControlOverSimulatedTCP(t *testing.T) {
 func TestStreamsAccounting(t *testing.T) {
 	cat := filter.NewCatalog()
 	cat.Register("noop", func() filter.Factory {
-		return &fakeFilter{name: "noop", priority: filter.Normal,
+		return &fakeFilter{name: "noop",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				_, err := env.Attach(k, filter.Hooks{Filter: "noop", Priority: filter.Normal})
 				return err
@@ -426,11 +424,11 @@ func TestStreamsAccounting(t *testing.T) {
 func TestFiltersCommand(t *testing.T) {
 	cat := filter.NewCatalog()
 	cat.Register("noop2", func() filter.Factory {
-		return &fakeFilter{name: "noop2", priority: filter.Normal,
+		return &fakeFilter{name: "noop2",
 			onNew: func(env filter.Env, k filter.Key, args []string) error { return nil }}
 	})
 	cat.Register("other", func() filter.Factory {
-		return &fakeFilter{name: "other", priority: filter.Normal,
+		return &fakeFilter{name: "other",
 			onNew: func(env filter.Env, k filter.Key, args []string) error { return nil }}
 	})
 	rig := newRig(t, cat)

@@ -18,7 +18,7 @@ import (
 func TestPanickingFilterQuarantined(t *testing.T) {
 	cat := filter.NewCatalog()
 	cat.Register("bomb", func() filter.Factory {
-		return &fakeFilter{name: "bomb", priority: filter.Normal,
+		return &fakeFilter{name: "bomb",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				_, err := env.Attach(k, filter.Hooks{
 					Filter:   "bomb",
@@ -96,7 +96,7 @@ func TestQuarantineFailsOpenNotRebuilt(t *testing.T) {
 	instantiations := 0
 	cat := filter.NewCatalog()
 	cat.Register("bomb", func() filter.Factory {
-		return &fakeFilter{name: "bomb", priority: filter.Normal,
+		return &fakeFilter{name: "bomb",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				instantiations++
 				_, err := env.Attach(k, filter.Hooks{

@@ -21,7 +21,7 @@ func TestAddFilterRollsBackFailedRegistration(t *testing.T) {
 	newCalls := 0
 	cat := filter.NewCatalog()
 	cat.Register("flaky", func() filter.Factory {
-		return &fakeFilter{name: "flaky", priority: filter.Normal,
+		return &fakeFilter{name: "flaky",
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				newCalls++
 				if newCalls == 1 {

@@ -89,8 +89,7 @@ type serviceFactory struct {
 	d *serviceDef
 }
 
-func (f *serviceFactory) Name() string              { return f.d.name }
-func (f *serviceFactory) Priority() filter.Priority { return filter.Highest }
+func (f *serviceFactory) Name() string { return f.d.name }
 func (f *serviceFactory) Description() string {
 	return "service: " + strings.Join(f.d.specs, " ")
 }

@@ -14,7 +14,7 @@ import (
 
 func registerNoop(cat *filter.Catalog, name string) {
 	cat.Register(name, func() filter.Factory {
-		return &fakeFilter{name: name, priority: filter.Normal,
+		return &fakeFilter{name: name,
 			onNew: func(env filter.Env, k filter.Key, args []string) error {
 				_, err := env.Attach(k, filter.Hooks{Filter: name, Priority: filter.Normal})
 				return err

@@ -23,6 +23,10 @@ type Stats struct {
 	DupAcksRcvd     int64
 	ZeroWindowSeen  int64 // times the peer advertised a zero window
 	PersistProbes   int64
+	// AcksAboveSndMax counts ACKs for sequence space never sent. Each is
+	// re-ACKed and otherwise ignored; on an unmodified path there are
+	// none, so a proxy that mistranslates an ACK shows up here.
+	AcksAboveSndMax int64
 }
 
 // ErrReset is delivered to OnClose when the peer resets the connection.
@@ -604,6 +608,7 @@ func (c *Conn) processACK(seg *Segment) {
 	}
 	if SeqLT(c.sndMax, ack) {
 		// ACK for data we never sent: ignore after re-ACKing.
+		c.stats.AcksAboveSndMax++
 		c.sendACK()
 		return
 	}

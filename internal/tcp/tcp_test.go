@@ -427,6 +427,57 @@ func TestOnSegmentHookSeesCopies(t *testing.T) {
 	}
 }
 
+// TestAckAboveSndMaxCounted: an ACK for sequence space the sender never
+// sent is counted in AcksAboveSndMax, answered with one re-ACK and
+// otherwise ignored — nothing more is acknowledged, and the connection
+// carries on to an intact transfer.
+func TestAckAboveSndMaxCounted(t *testing.T) {
+	p := newPair(3, netsim.LinkConfig{Bandwidth: 10e6, Delay: time.Millisecond}, tcp.Config{})
+	var last tcp.Segment // the last segment b sent
+	p.sb.OnSegment = func(send bool, _, _ ip.Addr, seg *tcp.Segment) {
+		if send {
+			last = *seg
+		}
+	}
+	var rcvd bytes.Buffer
+	if _, err := p.sb.Listen(80, func(c *tcp.Conn) {
+		c.OnData = func(b []byte) { rcvd.Write(b) }
+		c.OnRemoteClose = func() { c.Close() }
+	}); err != nil {
+		t.Fatal(err)
+	}
+	client, err := p.sa.Connect(p.b.Addr(), 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := bytes.Repeat([]byte("a"), 10_000), bytes.Repeat([]byte("b"), 10_000)
+	client.OnEstablished = func() { client.Write(first) }
+	p.sched.RunFor(time.Second)
+	before := client.Stats()
+	if before.BytesAcked != int64(len(first)) || before.AcksAboveSndMax != 0 {
+		t.Fatalf("before the forged ACK: %+v", before)
+	}
+
+	forged := tcp.Segment{SrcPort: 80, DstPort: client.LocalPort(), Seq: last.Seq,
+		Ack: last.Ack + 1000, Flags: tcp.FlagACK, Window: last.Window}
+	p.sa.Deliver(p.b.Addr(), p.a.Addr(), forged.Marshal(p.b.Addr(), p.a.Addr()))
+	p.sched.RunFor(time.Second)
+	want := before
+	want.AcksAboveSndMax++
+	want.SegmentsRcvd++
+	want.SegmentsSent++ // the re-ACK
+	if got := client.Stats(); got != want {
+		t.Fatalf("after the forged ACK the sender counted\n%+v, want\n%+v", got, want)
+	}
+
+	client.Write(second)
+	client.Close()
+	p.sched.RunFor(5 * time.Second)
+	if !bytes.Equal(rcvd.Bytes(), append(first, second...)) {
+		t.Fatalf("received %d of %d bytes intact", rcvd.Len(), len(first)+len(second))
+	}
+}
+
 func TestFlowControlRespectsWindow(t *testing.T) {
 	// Small receive window: the sender must never have more than the
 	// advertised window outstanding.
