@@ -45,7 +45,9 @@ fmt-check:
 # word-wise checksum against its two-byte reference, the strconv key
 # renderer against its fmt reference, the recycled scheduler against
 # its container/heap reference, the control-port line session against
-# its line-by-line model under any split of the stream, TCP delivery
+# its line-by-line model under any split of the stream, the stream
+# table (filter.KeyMap) against Go's map under colliding and wrapping
+# keys, growth and back-shifting deletes, TCP delivery
 # of Writes split at any sizes and virtual times against their
 # concatenation, with every written slice left untouched, the EEM
 # client fed arbitrary server bytes under any split, with no panic and

@@ -131,7 +131,7 @@ type Table struct {
 	cfg Config
 	now func() sim.Time
 
-	active   map[filter.Key]*flowState
+	active   filter.KeyMap[*flowState]
 	lruHead  *flowState
 	lruTail  *flowState
 	freeList *flowState
@@ -157,7 +157,6 @@ func New(now func() sim.Time, cfg Config) *Table {
 	return &Table{
 		cfg:    cfg,
 		now:    now,
-		active: make(map[filter.Key]*flowState),
 		closed: make([]Record, cfg.ClosedRing),
 	}
 }
@@ -185,16 +184,19 @@ func (t *Table) Record(k filter.Key, seg *tcp.Segment, rawLen int) {
 	t.expireIdle(now, 2)
 
 	ck, d := canonical(k)
-	f := t.active[ck]
-	if f == nil {
+	var f *flowState
+	if seg.SeqLen() == 0 {
 		// Only segments that consume sequence space (SYN, FIN, or
 		// payload) open a flow: the trailing pure ACK of a teardown —
 		// arriving after the second FIN closed the record — must not
 		// resurrect the flow as a one-packet ghost.
-		if seg.SeqLen() == 0 {
+		if f, _ = t.active.Get(ck); f == nil {
 			return
 		}
-		f = t.open(ck, d, now)
+	} else if slot, found := t.active.Insert(ck); found {
+		f = *slot
+	} else {
+		f = t.open(slot, ck, d, now)
 	}
 	f.last = now
 	t.lruMoveBack(f)
@@ -306,12 +308,10 @@ func (t *Table) expireIdle(now sim.Time, limit int) {
 	}
 }
 
-// open admits a new flow, evicting the least-recently-seen one when
-// the table is at capacity.
-func (t *Table) open(ck filter.Key, d int, now sim.Time) *flowState {
-	if len(t.active) >= t.cfg.MaxActive {
-		t.close(t.lruHead, StateEvict)
-	}
+// open admits a new flow into the slot Insert has just made for it,
+// then evicts the least-recently-seen flow if that put the table over
+// capacity.
+func (t *Table) open(slot **flowState, ck filter.Key, d int, now sim.Time) *flowState {
 	f := t.freeList
 	if f != nil {
 		t.freeList = f.next
@@ -322,8 +322,11 @@ func (t *Table) open(ck filter.Key, d int, now sim.Time) *flowState {
 	f.key = ck
 	f.opened, f.last = now, now
 	f.initDir, f.score = int8(d), ScoreGuessed
-	t.active[ck] = f
+	*slot = f
 	t.lruPushBack(f)
+	if t.active.Len() > t.cfg.MaxActive {
+		t.close(t.lruHead, StateEvict)
+	}
 	t.stats.Opened.Add(1)
 	t.stats.Active.Add(1)
 	return f
@@ -338,7 +341,7 @@ func (t *Table) close(f *flowState, state string) {
 	if t.closedLen < len(t.closed) {
 		t.closedLen++
 	}
-	delete(t.active, f.key)
+	t.active.Delete(f.key)
 	t.lruRemove(f)
 	f.next = t.freeList
 	t.freeList = f
@@ -407,7 +410,7 @@ func (t *Table) ActiveFlows() int64 { return t.stats.Active.Load() }
 // filter.Env.FlowSRTT.
 func (t *Table) SRTT(k filter.Key) (time.Duration, bool) {
 	ck, _ := canonical(k)
-	f := t.active[ck]
+	f, _ := t.active.Get(ck)
 	if f == nil || f.srtt == 0 {
 		return 0, false
 	}

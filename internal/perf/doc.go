@@ -17,7 +17,10 @@
 // rules as against 1 (TestRegistryLookupFlat), and 8 shard goroutines
 // carry no less than 0.7x what 1 does (TestShardedNoCollapse).
 //
-// The package measures nothing for the record. Numbers — per layer and
-// end to end, and their comparison across commits — come from the
-// repository benchmark: `bash benchmark/run.sh --workload W --trace 1`.
+// The package records no numbers. Numbers — per layer and end to end,
+// and their comparison across commits — come from the repository
+// benchmark: `bash benchmark/run.sh --workload W --trace 1`. The one
+// benchmark here, BenchmarkStreamTable, sets the stream table
+// (filter.KeyMap) beside the Go map it replaced in one harness:
+// `go test -run '^$' -bench StreamTable -benchmem ./internal/perf`.
 package perf

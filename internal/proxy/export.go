@@ -60,12 +60,12 @@ func (p *Proxy) ExportStream(k filter.Key) (*StreamExport, error) {
 	if k.IsWild() {
 		return nil, fmt.Errorf("proxy: cannot export wild-card key %v", k)
 	}
-	q := p.queues[k]
+	q, _ := p.queues.Get(k)
 	if q == nil {
 		return nil, fmt.Errorf("proxy: %w %v", ErrNoSuchStream, k)
 	}
 	ex := &StreamExport{Key: k, Pkts: q.pkts, Bytes: q.bytes}
-	if rq := p.queues[k.Reverse()]; rq != nil {
+	if rq, _ := p.queues.Get(k.Reverse()); rq != nil {
 		ex.RevPkts, ex.RevBytes = rq.pkts, rq.bytes
 	}
 	for _, r := range p.registry {
@@ -77,7 +77,7 @@ func (p *Proxy) ExportStream(k filter.Key) (*StreamExport, error) {
 		}
 	}
 	for _, qk := range []filter.Key{k, k.Reverse()} {
-		sq := p.queues[qk]
+		sq, _ := p.queues.Get(qk)
 		if sq == nil {
 			continue
 		}
@@ -185,10 +185,10 @@ func (p *Proxy) ImportStream(ex *StreamExport) (err error) {
 			return fmt.Errorf("proxy: restore %s on %v: %w", fs.Filter, fs.Key, err)
 		}
 	}
-	if q := p.queues[ex.Key]; q != nil {
+	if q, _ := p.queues.Get(ex.Key); q != nil {
 		q.pkts, q.bytes = ex.Pkts, ex.Bytes
 	}
-	if rq := p.queues[ex.Key.Reverse()]; rq != nil {
+	if rq, _ := p.queues.Get(ex.Key.Reverse()); rq != nil {
 		rq.pkts, rq.bytes = ex.RevPkts, ex.RevBytes
 	}
 	p.Emit("proxy", "stream-import", ex.Key,
@@ -218,7 +218,7 @@ func (p *Proxy) DropStream(k filter.Key) {
 // findSnapshotter locates the ordinal'th snapshottable attachment of
 // the named filter on key k, in queue order.
 func (p *Proxy) findSnapshotter(name string, k filter.Key, ordinal uint16) *attachment {
-	q := p.queues[k]
+	q, _ := p.queues.Get(k)
 	if q == nil {
 		return nil
 	}

@@ -154,7 +154,8 @@ func TestRecycledAttachmentComesBackClean(t *testing.T) {
 	if _, err := p.Attach(other, filter.Hooks{Filter: "count", In: func(*filter.Packet) { seen++ }}); err != nil {
 		t.Fatal(err)
 	}
-	a := p.queues[other].attached[0]
+	q, _ := p.queues.Get(other)
+	a := q.attached[0]
 	if p.freeAtts.Len() != 0 {
 		t.Fatal("the next Attach did not reuse the recycled attachment")
 	}

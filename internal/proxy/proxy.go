@@ -99,8 +99,14 @@ type Proxy struct {
 	pool     map[string]filter.Factory // loaded filters
 	services map[string]*serviceDef    // named compositions (§10.2.1)
 	registry []*registration
-	queues   map[filter.Key]*queue
+	queues   filter.KeyMap[*queue]
 	seq      int
+
+	// sighted is the exact key buildQueue is building queues for, and
+	// sightedQ the queue Attach has made or found for it since: what
+	// buildQueue returns, without looking the key up again.
+	sighted  filter.Key
+	sightedQ *queue
 
 	// prog is the compiled registry match program: per-packet lookups
 	// cost O(1) in the rule count with zero allocations — no negative
@@ -241,7 +247,6 @@ func NewDetached(node *netsim.Node, catalog *filter.Catalog) *Proxy {
 		node:    node,
 		catalog: catalog,
 		pool:    make(map[string]filter.Factory),
-		queues:  make(map[filter.Key]*queue),
 		prog:    classifier.Compile(nil),
 		flows:   flowlog.New(func() sim.Time { return node.Clock().Now() }, flowlog.Config{}),
 	}
@@ -307,7 +312,7 @@ func (p *Proxy) RegistrationCount() int64 { return p.nRegs.Load() }
 // noteSizes refreshes the atomic mirrors of len(queues)/len(registry);
 // called by the owning goroutine after every mutation.
 func (p *Proxy) noteSizes() {
-	p.nQueues.Store(int64(len(p.queues)))
+	p.nQueues.Store(int64(p.queues.Len()))
 	p.nRegs.Store(int64(len(p.registry)))
 }
 
@@ -317,22 +322,27 @@ func (p *Proxy) noteSizes() {
 func (p *Proxy) Clock() *sim.Scheduler { return p.node.Clock() }
 
 // Attach implements filter.Env: it splices hooks into the queue for
-// exact key k, creating the queue if necessary. The queue and the
-// attachment come off the proxy's free lists; the detach handle is the
-// one allocation, and it does nothing once the attachment is gone —
-// detached, or closed with its queue — whoever holds the struct now.
+// exact key k, creating the queue if necessary, in one probe of the
+// queue table. The queue and the attachment come off the proxy's free
+// lists; the detach handle is the one allocation, and it does nothing
+// once the attachment is gone — detached, or closed with its queue —
+// whoever holds the struct now.
 func (p *Proxy) Attach(k filter.Key, h filter.Hooks) (func(), error) {
 	if k.IsWild() {
 		return nil, fmt.Errorf("proxy: cannot attach hooks to wild-card key %v", k)
 	}
-	q := p.queues[k]
-	if q == nil {
+	slot, found := p.queues.Insert(k)
+	q := *slot
+	if !found {
 		if q = p.freeQueues.Get(); q == nil {
 			q = new(queue)
 		}
 		q.key = k
-		p.queues[k] = q
+		*slot = q
 		p.noteSizes()
+	}
+	if k == p.sighted {
+		p.sightedQ = q
 	}
 	a := p.freeAtts.Get()
 	if a == nil {
@@ -365,28 +375,40 @@ func (p *Proxy) detach(a *attachment) {
 		a.hooks.OnClose()
 	}
 	p.recycle(q, a)
-	// OnClose may itself have emptied and dropped q.
-	if len(q.attached) == 0 && p.queues[q.key] == q {
+	p.dropIfEmpty(q)
+}
+
+// dropIfEmpty tears q down once its last attachment is gone, unless an
+// OnClose has already taken it out of the table.
+func (p *Proxy) dropIfEmpty(q *queue) {
+	if len(q.attached) > 0 {
+		return
+	}
+	if cur, _ := p.queues.Get(q.key); cur == q {
+		p.queues.Delete(q.key)
 		p.dropQueue(q)
 	}
 }
 
 // RemoveStream implements filter.Env: tear down the queue for k.
 func (p *Proxy) RemoveStream(k filter.Key) {
-	if q := p.queues[k]; q != nil {
+	if q, ok := p.queues.Delete(k); ok {
 		p.dropQueue(q)
 	}
 }
 
-// dropQueue tears a live queue down: out of the map, every attachment
-// still in it closed, the teardown event, and the pieces onto the free
-// lists. The attachments are marked detached before the first OnClose
-// runs, so a handle called from an OnClose (the forward side of ttsf,
-// wsize, snoop and cache detaches its reverse side) or at any time
-// later finds nothing to close a second time.
+// dropQueue tears down a live queue its caller has just deleted from
+// the table: every attachment still in it closed, the teardown event,
+// and the pieces onto the free lists. The attachments are marked
+// detached before the first OnClose runs, so a handle called from an
+// OnClose (the forward side of ttsf, wsize, snoop and cache detaches
+// its reverse side) or at any time later finds nothing to close a
+// second time.
 func (p *Proxy) dropQueue(q *queue) {
-	delete(p.queues, q.key)
 	p.noteSizes()
+	if q == p.sightedQ {
+		p.sightedQ = nil
+	}
 	for _, a := range q.attached {
 		a.q = nil
 	}
@@ -506,7 +528,7 @@ func (p *Proxy) InterceptAppend(raw []byte, in *netsim.Iface, dst [][]byte) [][]
 	if pkt.TCP != nil {
 		p.flows.Record(pkt.Key, pkt.TCP, len(raw))
 	}
-	q := p.queues[pkt.Key]
+	q, _ := p.queues.Get(pkt.Key)
 	if q == nil {
 		q = p.buildQueue(pkt.Key)
 	}
@@ -698,22 +720,25 @@ func (p *Proxy) FlushMatchCache() { p.rebuildProgram() }
 // matches the new exact key (thesis: "a filter queue is built by
 // creating a new instantiation of each filter object in the stream
 // registry whose associated wild-card key matches the packet key").
-// Returns nil when no registration matches. The compiled program
-// answers the match in O(1) w.r.t. registry size and, on the
-// (overwhelmingly common) no-match path, allocation-free.
+// Returns nil when no registration matches, or when no filter attached
+// to k itself. The compiled program answers the match in O(1) w.r.t.
+// registry size and, on the (overwhelmingly common) no-match path,
+// allocation-free.
 func (p *Proxy) buildQueue(k filter.Key) *queue {
 	p.matchScratch = p.program().AppendMatches(p.matchScratch[:0], k)
 	if len(p.matchScratch) == 0 {
 		p.Stats.RegistryMisses.Add(1)
 		return nil
 	}
+	p.sighted, p.sightedQ = k, nil
 	for _, i := range p.matchScratch {
 		r := p.registry[i]
 		if err := r.factory.New(p, k, r.args); err != nil {
 			p.Emit("proxy", "insert-failed", k, obs.F("filter", r.factory.Name()), obs.F("err", err.Error()))
 		}
 	}
-	q := p.queues[k] // filters attached via Env.Attach
+	q := p.sightedQ // filters attached via Env.Attach
+	p.sighted, p.sightedQ = filter.Key{}, nil
 	if q != nil {
 		p.Emit("proxy", "queue-build", k, obs.Int("filters", int64(len(q.attached))))
 	}
@@ -795,11 +820,12 @@ func (p *Proxy) AddFilter(name string, k filter.Key, args []string) error {
 	}
 	// Service active streams that match the new wild-card.
 	var live []filter.Key
-	for qk := range p.queues {
+	p.queues.All(func(qk filter.Key, _ *queue) bool {
 		if k.Matches(qk) {
 			live = append(live, qk)
 		}
-	}
+		return true
+	})
 	filter.SortKeys(live)
 	for _, qk := range live {
 		if err := f.New(p, qk, args); err != nil {
@@ -848,18 +874,19 @@ func (p *Proxy) DeleteFilter(name string, k filter.Key) error {
 func (p *Proxy) removeAttachments(name string, match func(filter.Key) bool) int {
 	// Sort the matching keys before touching them: OnClose hooks have
 	// observable effects (events, TCP teardown), so their order must
-	// not depend on map iteration.
+	// not depend on the table's slot order.
 	var keys []filter.Key
-	for qk := range p.queues {
+	p.queues.All(func(qk filter.Key, _ *queue) bool {
 		if match(qk) {
 			keys = append(keys, qk)
 		}
-	}
+		return true
+	})
 	filter.SortKeys(keys)
 	removed := 0
 	for _, qk := range keys {
-		q := p.queues[qk]
-		if q == nil {
+		q, ok := p.queues.Get(qk)
+		if !ok {
 			continue // emptied by an OnClose run for an earlier key
 		}
 		for _, a := range q.take(func(a *attachment) bool { return a.hooks.Filter == name }) {
@@ -869,9 +896,7 @@ func (p *Proxy) removeAttachments(name string, match func(filter.Key) bool) int 
 			removed++
 			p.recycle(q, a)
 		}
-		if len(q.attached) == 0 && p.queues[qk] == q {
-			p.dropQueue(q)
-		}
+		p.dropIfEmpty(q)
 	}
 	return removed
 }
@@ -896,11 +921,12 @@ func (p *Proxy) ReportData(name string) ([]string, map[string][]string, error) {
 			perFilter[r.factory.Name()] = append(perFilter[r.factory.Name()], r.key.String())
 		}
 	}
-	for qk, q := range p.queues {
+	p.queues.All(func(qk filter.Key, q *queue) bool {
 		for _, a := range q.attached {
 			perFilter[a.hooks.Filter] = append(perFilter[a.hooks.Filter], qk.String())
 		}
-	}
+		return true
+	})
 	var names []string
 	if name != "" {
 		names = []string{name}
@@ -947,13 +973,14 @@ func dedup(s []string) []string {
 // the filter names attached to each — Kati's stream view.
 func (p *Proxy) Streams() []StreamInfo {
 	var out []StreamInfo
-	for k, q := range p.queues {
+	p.queues.All(func(k filter.Key, q *queue) bool {
 		si := StreamInfo{Key: k, Packets: q.pkts, Bytes: q.bytes}
 		for _, a := range q.attached {
 			si.Filters = append(si.Filters, a.hooks.Filter)
 		}
 		out = append(out, si)
-	}
+		return true
+	})
 	filter.SortByKey(out, func(si StreamInfo) filter.Key { return si.Key })
 	return out
 }
