@@ -1,21 +1,12 @@
 // Package classifier compiles the stream registry's wild-card key set
-// into an immutable match program whose lookup cost is independent of
-// rule count. The construction is dimension-wise equivalence-class
-// cross-producting (recursive flow classification, the shape of
-// yanet2's filter/ range-compiled tables): each of the four key
-// dimensions (source address, source port, destination address,
-// destination port) maps a packet value to an equivalence class — two
-// values share a class iff exactly the same rules accept them — and
-// pairs of class dimensions are folded together through deduplicated
-// cross-product tables until a single table entry names the full set
-// of matching rules.
-//
-// A lookup is then two map reads (addresses), two dense-array reads
-// (ports), and three table reads — O(1) in the number of rules, with
-// zero allocations. The price is paid at compile time, which the proxy
-// runs only on registry mutations (control-plane rare); mutations on
-// the concurrent plane already execute on the owning shard goroutine
-// at batch/epoch boundaries, so the program swap needs no locking.
+// into an immutable match program: a tuple space (Srinivasan, Suri and
+// Varghese, SIGCOMM '99). Each field of a rule key is either named or
+// wild (zero), so a rule's pattern — the set of fields it names — is
+// one of 16. Compile puts every rule key in one stream table
+// (filter.KeyMap) and records the patterns present; a lookup masks the
+// exact key with each pattern and probes the table once per pattern.
+// Its cost is bounded by the pattern count, at most 16, whatever the
+// rule count, and it allocates nothing.
 //
 // The reference semantics are filter.Key.Matches: a compiled program
 // must answer every lookup exactly as a linear scan of the rules would
@@ -23,324 +14,116 @@
 package classifier
 
 import (
+	"slices"
+
 	"repro/internal/filter"
-	"repro/internal/ip"
 )
 
-// MaxCrossEntries caps the size of any one cross-product table. A
-// pathological rule set — thousands of distinct source addresses
-// multiplied by thousands of distinct source ports — can make the
-// pairwise tables quadratic; past the cap Compile falls back to a
-// linear-scan program rather than exploding memory. Realistic registry
-// shapes (many rules sharing wild-carded dimensions) stay far below it.
-const MaxCrossEntries = 1 << 20
-
-// numPorts is the size of a dense port lookup table.
-const numPorts = 1 << 16
-
-// zeroPorts is the shared port table for a dimension with no concrete
-// port values: every port (including 0) is in class 0. Read-only, so
-// one instance serves every program.
-var zeroPorts = make([]uint32, numPorts)
+// The bits of a pattern: which fields a key names.
+const (
+	srcIP uint8 = 1 << iota
+	srcPort
+	dstIP
+	dstPort
+)
 
 // Program is an immutable compiled match program. The zero value (and
 // a program compiled from an empty rule set) matches nothing. Lookups
-// are safe from any number of goroutines; mutation is by recompiling
-// and swapping the pointer.
+// only read it, so they are safe from any number of goroutines;
+// mutation is by recompiling and swapping the pointer.
 type Program struct {
-	n int // rule count
-
-	// scanKeys, when non-nil, marks a fallback program: the cross
-	// product blew past MaxCrossEntries, so lookups linear-scan this
-	// copy of the rules instead of using tables.
-	scanKeys []filter.Key
-
-	// Phase 0: per-dimension value -> class. Addresses absent from the
-	// map (and the zero address) are class 0; ports index dense tables
-	// where port 0's entry is always class 0. Class 0 is the "only
-	// wild-carded rules accept this value" class, which is exactly the
-	// right answer for lookup keys carrying zero fields.
-	srcIP   map[ip.Addr]uint32
-	dstIP   map[ip.Addr]uint32
-	srcPort []uint32
-	dstPort []uint32
-
-	// Phase 1: (srcIP class, srcPort class) -> source-pair class, and
-	// likewise for the destination side. Row-major: a*nB + b.
-	nSrcPort uint32
-	nDstPort uint32
-	tSrc     []uint32
-	tDst     []uint32
-
-	// Phase 2: (source-pair class, destination-pair class) -> result.
-	nDstPair uint32
-	final    []uint32
-
-	// results maps a final class to the ascending rule indices it
-	// matches; nil means no rule matches.
-	results [][]int32
-
-	// classes / tableEntries record compile-time shape for Stats.
-	classes      int
-	tableEntries int
+	n        int                  // rule count
+	table    filter.KeyMap[int32] // rule key -> its entry in matches
+	matches  [][]int32            // ascending indices of the rules with one key
+	patterns []uint8              // the patterns present, in first-use order
 }
 
-// Compile builds the match program for rules. The slice is not
-// retained (fallback scan programs keep their own copy).
+// Compile builds the match program for rules. The slice is not retained.
 func Compile(rules []filter.Key) *Program {
-	n := len(rules)
-	pr := &Program{n: n}
-	if n == 0 {
-		return pr
+	pr := &Program{n: len(rules)}
+	for i, r := range rules {
+		m, found := pr.table.Insert(r)
+		if !found {
+			*m = int32(len(pr.matches))
+			pr.matches = append(pr.matches, nil)
+			if p := pattern(r); !slices.Contains(pr.patterns, p) {
+				pr.patterns = append(pr.patterns, p)
+			}
+		}
+		pr.matches[*m] = append(pr.matches[*m], int32(i))
 	}
-
-	srcIPDim, srcIPMap := addrDim(rules, func(r filter.Key) ip.Addr { return r.SrcIP })
-	srcPortDim, srcPortTbl := portDim(rules, func(r filter.Key) uint16 { return r.SrcPort })
-	dstIPDim, dstIPMap := addrDim(rules, func(r filter.Key) ip.Addr { return r.DstIP })
-	dstPortDim, dstPortTbl := portDim(rules, func(r filter.Key) uint16 { return r.DstPort })
-
-	tSrc, srcPair, ok := cross(srcIPDim, srcPortDim, n)
-	if !ok {
-		return scanProgram(rules)
-	}
-	tDst, dstPair, ok := cross(dstIPDim, dstPortDim, n)
-	if !ok {
-		return scanProgram(rules)
-	}
-	final, fin, ok := cross(srcPair, dstPair, n)
-	if !ok {
-		return scanProgram(rules)
-	}
-
-	pr.srcIP, pr.dstIP = srcIPMap, dstIPMap
-	pr.srcPort, pr.dstPort = srcPortTbl, dstPortTbl
-	pr.nSrcPort = uint32(len(srcPortDim.classes))
-	pr.nDstPort = uint32(len(dstPortDim.classes))
-	pr.tSrc, pr.tDst = tSrc, tDst
-	pr.nDstPair = uint32(len(dstPair.classes))
-	pr.final = final
-	pr.results = make([][]int32, len(fin.classes))
-	for c, b := range fin.classes {
-		pr.results[c] = b.indices()
-	}
-	pr.classes = len(srcIPDim.classes) + len(srcPortDim.classes) +
-		len(dstIPDim.classes) + len(dstPortDim.classes) +
-		len(srcPair.classes) + len(dstPair.classes) + len(fin.classes)
-	pr.tableEntries = len(tSrc) + len(tDst) + len(final)
 	return pr
 }
 
-// scanProgram is the linear fallback for rule sets whose cross product
-// exceeds MaxCrossEntries.
-func scanProgram(rules []filter.Key) *Program {
-	return &Program{n: len(rules), scanKeys: append([]filter.Key(nil), rules...)}
-}
-
-// classify runs the table pipeline on one exact key. Addresses missing
-// from the maps read as class 0 (Go's zero value for absent map keys),
-// so never-registered values cost the same as registered ones.
-func (pr *Program) classify(k filter.Key) uint32 {
-	cs := pr.tSrc[pr.srcIP[k.SrcIP]*pr.nSrcPort+pr.srcPort[k.SrcPort]]
-	cd := pr.tDst[pr.dstIP[k.DstIP]*pr.nDstPort+pr.dstPort[k.DstPort]]
-	return pr.final[cs*pr.nDstPair+cd]
-}
-
-// Match reports whether any rule matches k. Allocation-free.
-func (pr *Program) Match(k filter.Key) bool {
-	if pr.n == 0 {
-		return false
+// pattern returns the fields k names.
+func pattern(k filter.Key) uint8 {
+	var p uint8
+	if !k.SrcIP.IsZero() {
+		p |= srcIP
 	}
-	if pr.scanKeys != nil {
-		for i := range pr.scanKeys {
-			if pr.scanKeys[i].Matches(k) {
+	if k.SrcPort != 0 {
+		p |= srcPort
+	}
+	if !k.DstIP.IsZero() {
+		p |= dstIP
+	}
+	if k.DstPort != 0 {
+		p |= dstPort
+	}
+	return p
+}
+
+// mask returns k with every field outside pattern p made wild: the key
+// a rule of pattern p must have to match k.
+func mask(k filter.Key, p uint8) filter.Key {
+	if p&srcIP == 0 {
+		k.SrcIP = 0
+	}
+	if p&srcPort == 0 {
+		k.SrcPort = 0
+	}
+	if p&dstIP == 0 {
+		k.DstIP = 0
+	}
+	if p&dstPort == 0 {
+		k.DstPort = 0
+	}
+	return k
+}
+
+// Match reports whether any rule matches k. A rule names a field only
+// with a non-zero value, so a pattern naming a field k has zero can
+// match nothing and is not probed. Allocation-free.
+func (pr *Program) Match(k filter.Key) bool {
+	named := pattern(k)
+	for _, p := range pr.patterns {
+		if p&^named == 0 {
+			if _, ok := pr.table.Get(mask(k, p)); ok {
 				return true
 			}
 		}
-		return false
 	}
-	return pr.results[pr.classify(k)] != nil
+	return false
 }
 
 // AppendMatches appends the indices (ascending, in compile order) of
 // every rule matching k to dst and returns the extended slice. It
 // allocates only if dst needs growing.
 func (pr *Program) AppendMatches(dst []int32, k filter.Key) []int32 {
-	if pr.n == 0 {
-		return dst
-	}
-	if pr.scanKeys != nil {
-		for i := range pr.scanKeys {
-			if pr.scanKeys[i].Matches(k) {
-				dst = append(dst, int32(i))
+	named, start, hits := pattern(k), len(dst), 0
+	for _, p := range pr.patterns {
+		if p&^named == 0 {
+			if m, ok := pr.table.Get(mask(k, p)); ok {
+				dst = append(dst, pr.matches[m]...)
+				hits++
 			}
 		}
-		return dst
 	}
-	return append(dst, pr.results[pr.classify(k)]...)
+	if hits > 1 {
+		slices.Sort(dst[start:])
+	}
+	return dst
 }
 
 // Len returns the number of rules the program was compiled from.
 func (pr *Program) Len() int { return pr.n }
-
-// Stats describes the compiled shape, for observability and tests.
-type Stats struct {
-	Rules        int  // rule count
-	Classes      int  // equivalence classes across all seven dimensions
-	TableEntries int  // total cross-product table entries
-	Scan         bool // true when the program fell back to linear scan
-}
-
-// Stats returns the program's compile-time shape.
-func (pr *Program) Stats() Stats {
-	return Stats{
-		Rules:        pr.n,
-		Classes:      pr.classes,
-		TableEntries: pr.tableEntries,
-		Scan:         pr.scanKeys != nil,
-	}
-}
-
-// --- compilation machinery ---------------------------------------------------
-
-// bitset is a fixed-width set of rule indices.
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
-
-// indices returns the set bits ascending, or nil when empty.
-func (b bitset) indices() []int32 {
-	var out []int32
-	for wi, w := range b {
-		for bit := 0; w != 0; bit++ {
-			if w&1 != 0 {
-				out = append(out, int32(wi*64+bit))
-			}
-			w >>= 1
-		}
-	}
-	return out
-}
-
-// andInto sets dst = a & b; all three share a width.
-func andInto(dst, a, b bitset) {
-	for i := range dst {
-		dst[i] = a[i] & b[i]
-	}
-}
-
-// dimension interns bitsets as equivalence classes: identical rule
-// sets share one class id.
-type dimension struct {
-	classes []bitset
-	index   map[string]uint32
-	keyBuf  []byte
-}
-
-func newDimension() *dimension {
-	return &dimension{index: make(map[string]uint32)}
-}
-
-// class returns the id for b, registering a copy if unseen.
-func (d *dimension) class(b bitset) uint32 {
-	d.keyBuf = d.keyBuf[:0]
-	for _, w := range b {
-		d.keyBuf = append(d.keyBuf,
-			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-	}
-	k := string(d.keyBuf)
-	if id, ok := d.index[k]; ok {
-		return id
-	}
-	id := uint32(len(d.classes))
-	d.classes = append(d.classes, append(bitset(nil), b...))
-	d.index[k] = id
-	return id
-}
-
-// addrDim builds one address dimension: class 0 is the set of rules
-// wild-carding the field (the answer for any unregistered address,
-// including the zero address), and each distinct concrete address gets
-// the class of wild-rules ∪ its own rules.
-func addrDim(rules []filter.Key, get func(filter.Key) ip.Addr) (*dimension, map[ip.Addr]uint32) {
-	n := len(rules)
-	wild := newBitset(n)
-	byVal := make(map[ip.Addr][]int)
-	for i, r := range rules {
-		if v := get(r); v.IsZero() {
-			wild.set(i)
-		} else {
-			byVal[v] = append(byVal[v], i)
-		}
-	}
-	d := newDimension()
-	d.class(wild) // class 0
-	var m map[ip.Addr]uint32
-	if len(byVal) > 0 {
-		m = make(map[ip.Addr]uint32, len(byVal))
-		tmp := newBitset(n)
-		for v, idxs := range byVal {
-			copy(tmp, wild)
-			for _, i := range idxs {
-				tmp.set(i)
-			}
-			m[v] = d.class(tmp)
-		}
-	}
-	return d, m
-}
-
-// portDim builds one port dimension as a dense 65536-entry table.
-// Port 0 can never be a concrete rule value (zero means wild-card), so
-// its entry stays class 0 and zero-port lookup keys get the pure
-// wild-card answer — matching the reference scan.
-func portDim(rules []filter.Key, get func(filter.Key) uint16) (*dimension, []uint32) {
-	n := len(rules)
-	wild := newBitset(n)
-	byVal := make(map[uint16][]int)
-	for i, r := range rules {
-		if v := get(r); v == 0 {
-			wild.set(i)
-		} else {
-			byVal[v] = append(byVal[v], i)
-		}
-	}
-	d := newDimension()
-	d.class(wild) // class 0
-	if len(byVal) == 0 {
-		return d, zeroPorts
-	}
-	tbl := make([]uint32, numPorts)
-	tmp := newBitset(n)
-	for v, idxs := range byVal {
-		copy(tmp, wild)
-		for _, i := range idxs {
-			tmp.set(i)
-		}
-		tbl[v] = d.class(tmp)
-	}
-	return d, tbl
-}
-
-// cross folds two class dimensions into one: the returned table maps
-// (a-class, b-class) row-major to a class in the returned dimension,
-// whose bitsets are the pairwise intersections. ok is false when the
-// table would exceed MaxCrossEntries.
-func cross(a, b *dimension, n int) (tbl []uint32, out *dimension, ok bool) {
-	na, nb := len(a.classes), len(b.classes)
-	if na*nb > MaxCrossEntries {
-		return nil, nil, false
-	}
-	tbl = make([]uint32, na*nb)
-	out = newDimension()
-	tmp := newBitset(n)
-	for i := 0; i < na; i++ {
-		for j := 0; j < nb; j++ {
-			andInto(tmp, a.classes[i], b.classes[j])
-			tbl[i*nb+j] = out.class(tmp)
-		}
-	}
-	return tbl, out, true
-}

@@ -48,8 +48,8 @@ func checkParity(t *testing.T, pr *Program, rules []filter.Key, k filter.Key) {
 	t.Helper()
 	want := refMatch(rules, k)
 	if got := pr.Match(k); got != want {
-		t.Fatalf("Match(%v) = %v, reference scan says %v (rules=%v, scan=%v)",
-			k, got, want, rules, pr.Stats().Scan)
+		t.Fatalf("Match(%v) = %v, reference scan says %v (rules=%v)",
+			k, got, want, rules)
 	}
 	wantIdx := refIndices(rules, k)
 	gotIdx := pr.AppendMatches(nil, k)
@@ -89,9 +89,6 @@ func TestCompiledParityRandom(t *testing.T) {
 			rules[i] = randKey(rng)
 		}
 		pr := Compile(rules)
-		if pr.Stats().Scan {
-			t.Fatalf("small rule set unexpectedly fell back to scan: %v", rules)
-		}
 		for probe := 0; probe < 64; probe++ {
 			checkParity(t, pr, rules, randKey(rng))
 		}
@@ -169,37 +166,6 @@ func TestDuplicateRules(t *testing.T) {
 	}
 }
 
-// TestScanFallbackParity forces the cross-product cap: ~1100 rules
-// each with a distinct source address AND distinct source port give
-// 1101×1101 > 2^20 source-pair entries, so Compile must fall back to
-// the linear-scan program — and still answer identically.
-func TestScanFallbackParity(t *testing.T) {
-	const n = 1100
-	rules := make([]filter.Key, n)
-	for i := range rules {
-		rules[i] = filter.Key{
-			SrcIP:   ip.AddrFrom4(10, 1, byte(i>>8), byte(i)),
-			SrcPort: uint16(1000 + i),
-		}
-	}
-	pr := Compile(rules)
-	if !pr.Stats().Scan {
-		t.Fatalf("expected scan fallback at %d distinct src addr×port rules (stats %+v)",
-			n, pr.Stats())
-	}
-	rng := rand.New(rand.NewSource(11))
-	for probe := 0; probe < 200; probe++ {
-		i := rng.Intn(n)
-		k := filter.Key{
-			SrcIP:   ip.AddrFrom4(10, 1, byte(i>>8), byte(i)),
-			SrcPort: uint16(1000 + rng.Intn(n+100)),
-			DstIP:   testAddrs[rng.Intn(len(testAddrs))],
-			DstPort: testPorts[rng.Intn(len(testPorts))],
-		}
-		checkParity(t, pr, rules, k)
-	}
-}
-
 // TestAppendMatchesReusesDst pins the zero-allocation contract: with a
 // pre-grown dst, AppendMatches must not allocate.
 func TestAppendMatchesReusesDst(t *testing.T) {
@@ -218,9 +184,8 @@ func TestAppendMatchesReusesDst(t *testing.T) {
 	}
 }
 
-// TestLargeRegistryShape compiles a perf-bench-shaped registry (many
-// rules differing in one dimension) and checks the table program, not
-// the fallback, handles it.
+// TestLargeRegistryShape checks parity on a perf-bench-shaped registry:
+// many rules differing in one field.
 func TestLargeRegistryShape(t *testing.T) {
 	const n = 8000
 	rules := make([]filter.Key, n)
@@ -228,9 +193,6 @@ func TestLargeRegistryShape(t *testing.T) {
 		rules[i] = filter.Key{SrcPort: uint16(10000 + i%50000), DstIP: testAddrs[3]}
 	}
 	pr := Compile(rules)
-	if st := pr.Stats(); st.Scan {
-		t.Fatalf("one-varying-dimension registry fell back to scan: %+v", st)
-	}
 	rng := rand.New(rand.NewSource(3))
 	for probe := 0; probe < 100; probe++ {
 		k := filter.Key{
@@ -240,5 +202,47 @@ func TestLargeRegistryShape(t *testing.T) {
 			DstPort: uint16(rng.Intn(3)),
 		}
 		checkParity(t, pr, rules, k)
+	}
+}
+
+// TestPatternCount pins the lookup's cost model without a clock: a
+// lookup probes the table once per pattern present, so the pattern
+// count, not the rule count, is what a registry's shape costs. One rule
+// and 8000 of the proxy's common shape (concrete endpoints, wild
+// destination port) are one pattern; the benchmark's fwd-small registry
+// (5 destination-only rules, 500 naming the source endpoint and the
+// destination address, 500 exact) is three; and a registry using every
+// pattern, many times over, is 16.
+func TestPatternCount(t *testing.T) {
+	common := func(n int) []filter.Key {
+		rules := make([]filter.Key, n)
+		for i := range rules {
+			rules[i] = filter.Key{SrcIP: testAddrs[4], SrcPort: uint16(10000 + i%50000), DstIP: testAddrs[3]}
+		}
+		return rules
+	}
+	var fwdSmall []filter.Key
+	for i := 0; i < 5; i++ {
+		fwdSmall = append(fwdSmall, filter.Key{DstIP: testAddrs[3]})
+	}
+	for i := 0; i < 500; i++ {
+		fwdSmall = append(fwdSmall,
+			filter.Key{SrcIP: testAddrs[4], SrcPort: uint16(20000 + i), DstIP: testAddrs[3]},
+			filter.Key{SrcIP: ip.AddrFrom4(10, 1, 0, byte(1+i%20)), SrcPort: uint16(7000 + i/20),
+				DstIP: testAddrs[3], DstPort: 5001})
+	}
+	var every []filter.Key
+	for i := 0; i < 64; i++ {
+		every = append(every, mask(filter.Key{SrcIP: testAddrs[1+i%4], SrcPort: uint16(1 + i),
+			DstIP: testAddrs[1+i/4%4], DstPort: 80}, uint8(i%16)))
+	}
+	for _, c := range []struct {
+		name     string
+		rules    []filter.Key
+		patterns int
+	}{{"1 rule", common(1), 1}, {"8000 rules", common(8000), 1}, {"fwd-small", fwdSmall, 3}, {"every pattern", every, 16}} {
+		if got := len(Compile(c.rules).patterns); got != c.patterns {
+			t.Errorf("%s: %d patterns, want %d", c.name, got, c.patterns)
+		}
 	}
 }

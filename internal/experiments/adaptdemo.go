@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"time"
@@ -84,7 +85,7 @@ func AdaptDemo(seed int64, w io.Writer) error {
 		carried = sys.Wireless.StatsAB().Bytes - before
 		fmt.Fprintf(w, "leg %-10s sent=%d received=%d wireless=%d ratio=%.2f elapsed=%v intact=%v\n",
 			name, res.Sent, len(res.Received), carried,
-			float64(carried)/float64(res.Sent), res.Elapsed, err == nil)
+			float64(carried)/float64(res.Sent), res.Elapsed, res.Completed && bytes.Equal(res.Received, payload))
 		return carried, err
 	}
 

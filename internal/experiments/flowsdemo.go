@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"time"
@@ -66,7 +67,7 @@ func FlowsDemo(seed int64, w io.Writer) error {
 		res, err := sys.CheckedTransfer("flows: leg "+name, payload, srcPort, dstPort, window)
 		if res != nil {
 			fmt.Fprintf(w, "leg %-8s sent=%d received=%d elapsed=%v intact=%v\n",
-				name, res.Sent, len(res.Received), res.Elapsed, err == nil)
+				name, res.Sent, len(res.Received), res.Elapsed, res.Completed && bytes.Equal(res.Received, payload))
 		}
 		return err
 	}

@@ -14,13 +14,17 @@
 // Ratio gates (fastestOf, skipped under -short and -race): the TTSF
 // remap costs the same against 4096 live edits as against 16
 // (TestTTSFEditMapFlat), a classifier lookup the same against 8000
-// rules as against 1 (TestRegistryLookupFlat), and 8 shard goroutines
-// carry no less than 0.7x what 1 does (TestShardedNoCollapse).
+// rules of one pattern as against 1 (TestRegistryLookupFlat), and 8
+// shard goroutines carry no less than 0.7x what 1 does
+// (TestShardedNoCollapse).
 //
 // The package records no numbers. Numbers — per layer and end to end,
 // and their comparison across commits — come from the repository
-// benchmark: `bash benchmark/run.sh --workload W --trace 1`. The one
-// benchmark here, BenchmarkStreamTable, sets the stream table
-// (filter.KeyMap) beside the Go map it replaced in one harness:
-// `go test -run '^$' -bench StreamTable -benchmem ./internal/perf`.
+// benchmark: `bash benchmark/run.sh --workload W --trace 1`. Two
+// benchmarks here time what its rows do not isolate:
+// BenchmarkStreamTable sets the stream table (filter.KeyMap) beside the
+// Go map it replaced, and BenchmarkRegistryMiss times a registry miss
+// against fwd-small's three-pattern registry (the classifier rows
+// register one pattern):
+// `go test -run '^$' -bench 'StreamTable|RegistryMiss' -benchmem ./internal/perf`.
 package perf

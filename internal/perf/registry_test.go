@@ -15,7 +15,7 @@ var lookupSink int
 
 // registryRules builds n distinct registrations of the proxy's common
 // shape — concrete endpoints, wild destination port — so the compiled
-// program has one source-port class per rule.
+// program has one pattern however many rules it holds.
 func registryRules(n int) []filter.Key {
 	rules := make([]filter.Key, n)
 	for i := range rules {
@@ -42,12 +42,11 @@ func registryProbes() []filter.Key {
 	return probes
 }
 
-// TestRegistryLookupFlat gates the compiled classifier's O(1) lookup:
-// the program answers with two map probes, two port-table reads and
-// three cross-table reads whatever the rule count, so a fixed run of
-// Match calls against 8000 rules costs at most 1.25x the same run
-// against 1. Above that, something rule-linear is back on the hot path
-// (the scan fallback behind classifier.MaxCrossEntries is exactly that).
+// TestRegistryLookupFlat gates the compiled classifier's flat lookup:
+// the program probes its table once per pattern, and registryRules is
+// one pattern at every size, so a fixed run of Match calls against 8000
+// rules costs at most 1.25x the same run against 1. Above that,
+// something rule-linear is back on the hot path.
 func TestRegistryLookupFlat(t *testing.T) {
 	skipTimingGate(t)
 	const lookups, bound = 1 << 16, 1.25

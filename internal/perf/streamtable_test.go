@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/classifier"
+	"repro/internal/core"
 	"repro/internal/filter"
 	"repro/internal/ip"
 )
@@ -82,6 +84,48 @@ func BenchmarkStreamTable(b *testing.B) {
 				m[keys[(i+live)%(2*live)]] = q
 			}
 		})
+	}
+}
+
+// fwdSmallRegistry is the registry of the benchmark's fwd-small
+// workload: five destination-only rules, 500 naming the source endpoint
+// and the destination address, and 500 exact keys of 20 clients on an
+// unused network. That is three wild-card patterns.
+func fwdSmallRegistry() []filter.Key {
+	var rules []filter.Key
+	for i := 0; i < 5; i++ {
+		rules = append(rules, filter.Key{DstIP: core.MobileAddr})
+	}
+	for i := 0; i < 500; i++ {
+		rules = append(rules,
+			filter.Key{SrcIP: core.WiredAddr, SrcPort: uint16(20000 + i), DstIP: core.MobileAddr},
+			filter.Key{SrcIP: ip.AddrFrom4(10, 1, 0, byte(1+i%20)), SrcPort: uint16(7000 + i/20),
+				DstIP: core.MobileAddr, DstPort: 5001})
+	}
+	return rules
+}
+
+// BenchmarkRegistryMiss times the registry lookup that half of
+// fwd-small's packets pay: the key of one of its 32 unserviced flows,
+// in either direction, against its registry, missing in every pattern:
+//
+//	go test -run '^$' -bench RegistryMiss -benchmem ./internal/perf
+func BenchmarkRegistryMiss(b *testing.B) {
+	pr := classifier.Compile(fwdSmallRegistry())
+	keys := make([]filter.Key, 64)
+	for i := range keys {
+		keys[i] = filter.Key{SrcIP: core.WiredAddr, SrcPort: uint16(2032 + i/2),
+			DstIP: ip.AddrFrom4(11, 11, 10, 11), DstPort: 5001}
+		if i%2 == 1 {
+			keys[i] = keys[i].Reverse()
+		}
+	}
+	var matches []int32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if matches = pr.AppendMatches(matches[:0], keys[i&63]); len(matches) != 0 {
+			b.Fatal("an unserviced flow matched the registry")
+		}
 	}
 }
 

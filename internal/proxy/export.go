@@ -209,8 +209,7 @@ func (p *Proxy) DropStream(k filter.Key) {
 		keep = append(keep, r)
 	}
 	p.registry = keep
-	p.noteSizes()
-	p.markProgramDirty()
+	p.registryChanged()
 	p.RemoveStream(k)
 	p.RemoveStream(k.Reverse())
 }

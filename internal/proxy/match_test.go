@@ -189,12 +189,9 @@ func TestAddRebuildsProgram(t *testing.T) {
 }
 
 // TestFailedAddRebuildsProgram covers the AddFilter rollback path: a
-// failed exact-key instantiation must leave the program compiled from
-// the *restored* registry, so the key reads as unmatched again (the
-// old code restored a saved negCache snapshot here; the invariant —
-// nothing can mutate the registry between the append and the rollback
-// — is now documented at the rollback site and moot, since the program
-// is recompiled from the registry itself).
+// failed exact-key instantiation leaves no registration behind, and the
+// program compiled from the restored registry reads the key as
+// unmatched again.
 func TestFailedAddRebuildsProgram(t *testing.T) {
 	p := newMatchProxy(t)
 	k := filter.Key{SrcIP: addr1(), SrcPort: 7, DstIP: addr1(), DstPort: 80}

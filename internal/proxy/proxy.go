@@ -108,14 +108,14 @@ type Proxy struct {
 	sighted  filter.Key
 	sightedQ *queue
 
-	// prog is the compiled registry match program: per-packet lookups
-	// cost O(1) in the rule count with zero allocations — no negative
-	// cache needed, hence no mass-eviction rescan cliff under SYN/FIN
-	// churn. Registry mutations set progDirty instead of recompiling
-	// inline, so a burst of control mutations (policy storms, bulk
-	// provisioning) costs one compile, paid by the first lookup after
-	// the burst — still on the owning goroutine, between packets.
-	// Single-writer: only the owning goroutine swaps the pointer.
+	// prog is the compiled registry match program: a lookup costs one
+	// table probe per wild-card pattern in the registry, whatever the
+	// rule count, with zero allocations. Registry mutations set
+	// progDirty instead of recompiling inline, so a burst of control
+	// mutations (policy storms, bulk provisioning) costs one compile,
+	// paid by the first lookup after the burst — still on the owning
+	// goroutine, between packets. Single-writer: only the owning
+	// goroutine swaps the pointer.
 	prog      *classifier.Program
 	progDirty bool
 
@@ -309,11 +309,14 @@ func (p *Proxy) QueueCount() int64 { return p.nQueues.Load() }
 // goroutine.
 func (p *Proxy) RegistrationCount() int64 { return p.nRegs.Load() }
 
-// noteSizes refreshes the atomic mirrors of len(queues)/len(registry);
-// called by the owning goroutine after every mutation.
-func (p *Proxy) noteSizes() {
-	p.nQueues.Store(int64(p.queues.Len()))
+// registryChanged follows every registry mutation on the owning
+// goroutine: it refreshes the atomic mirror of len(registry) and marks
+// the compiled program stale, so program() recompiles before the next
+// lookup and no lookup sees a pre-mutation answer. A burst of
+// mutations costs one compile.
+func (p *Proxy) registryChanged() {
 	p.nRegs.Store(int64(len(p.registry)))
+	p.progDirty = true
 }
 
 // --- filter.Env -------------------------------------------------------------
@@ -339,7 +342,7 @@ func (p *Proxy) Attach(k filter.Key, h filter.Hooks) (func(), error) {
 		}
 		q.key = k
 		*slot = q
-		p.noteSizes()
+		p.nQueues.Store(int64(p.queues.Len()))
 	}
 	if k == p.sighted {
 		p.sightedQ = q
@@ -405,7 +408,7 @@ func (p *Proxy) RemoveStream(k filter.Key) {
 // its reverse side) or at any time later finds nothing to close a
 // second time.
 func (p *Proxy) dropQueue(q *queue) {
-	p.noteSizes()
+	p.nQueues.Store(int64(p.queues.Len()))
 	if q == p.sightedQ {
 		p.sightedQ = nil
 	}
@@ -668,16 +671,6 @@ func (p *Proxy) matchesRegistry(k filter.Key) bool {
 	return false
 }
 
-// markProgramDirty flags the compiled program as stale. Every registry
-// mutation calls it before returning, and program() recompiles before
-// the next lookup, so no lookup can ever see a pre-mutation answer —
-// there is no cached per-key state that can go stale, which is what
-// retired the old negative-match cache (and its mass-eviction rescan
-// cliff at 2^16 keys under SYN/FIN churn). Deferring the compile to
-// the next lookup makes a burst of mutations cost one compile instead
-// of one per mutation.
-func (p *Proxy) markProgramDirty() { p.progDirty = true }
-
 // program returns the compiled match program, recompiling first if a
 // mutation left it dirty.
 //
@@ -721,9 +714,9 @@ func (p *Proxy) FlushMatchCache() { p.rebuildProgram() }
 // creating a new instantiation of each filter object in the stream
 // registry whose associated wild-card key matches the packet key").
 // Returns nil when no registration matches, or when no filter attached
-// to k itself. The compiled program answers the match in O(1) w.r.t.
-// registry size and, on the (overwhelmingly common) no-match path,
-// allocation-free.
+// to k itself. The compiled program answers the match in one probe per
+// registry pattern, whatever the registry size, and allocation-free on
+// the (overwhelmingly common) no-match path.
 func (p *Proxy) buildQueue(k filter.Key) *queue {
 	p.matchScratch = p.program().AppendMatches(p.matchScratch[:0], k)
 	if len(p.matchScratch) == 0 {
@@ -775,8 +768,7 @@ func (p *Proxy) UnloadFilter(name string) error {
 		}
 	}
 	p.registry = keep
-	p.noteSizes()
-	p.markProgramDirty()
+	p.registryChanged()
 	p.removeAttachments(name, func(filter.Key) bool { return true })
 	return nil
 }
@@ -797,23 +789,16 @@ func (p *Proxy) AddFilter(name string, k filter.Key, args []string) error {
 		}
 	}
 	p.registry = append(p.registry, &registration{key: k, factory: f, args: args})
-	p.noteSizes()
-	p.markProgramDirty()
+	p.registryChanged()
 	if !k.IsWild() {
 		if err := f.New(p, k, args); err != nil {
-			// Roll back: a registration left behind after New fails
-			// would respawn the broken filter on the next matching
-			// packet. Recompiling from the restored registry is always
-			// correct — unlike the retired negCache-snapshot restore,
-			// there is no saved lookup state that an interleaved
-			// mutation could make stale, because the program is a pure
-			// function of p.registry and f.New (the only code that ran
-			// since the append) has no path back into the registry:
-			// filter.Env exposes Attach/RemoveStream/Spawn, none of
-			// which touch registrations.
+			// Roll back: a registration left behind would respawn the
+			// broken filter on the next matching packet. filter.Env
+			// gives f.New no path to the registry, so the last entry is
+			// still this one; the program is compiled from p.registry
+			// alone, so restoring it restores every answer.
 			p.registry = p.registry[:len(p.registry)-1]
-			p.noteSizes()
-			p.markProgramDirty()
+			p.registryChanged()
 			return err
 		}
 		return nil
@@ -852,8 +837,7 @@ func (p *Proxy) DeleteFilter(name string, k filter.Key) error {
 		keep = append(keep, r)
 	}
 	p.registry = keep
-	p.noteSizes()
-	p.markProgramDirty()
+	p.registryChanged()
 	// Remove attachments on the exact key and its reverse (filters
 	// conventionally attach both directions), or on all matching keys
 	// for a wild-card delete.
