@@ -22,18 +22,25 @@ test:
 # each digest, sweep and relay test here fails on bytes kept past
 # their datagram's death. The second line repeats the ring's
 # scheduling-sensitive tests (control against live traffic, the idle
-# worker's park handshake), so a flake shows up here, not in somebody's
-# unrelated PR.
+# worker's park handshake, counter reads under the quiesce barrier and
+# after Close), so a flake shows up here, not in somebody's unrelated
+# PR.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'VsTrafficRace|NoStrandedPacket' ./internal/dataplane
+	$(GO) test -race -count=20 -run 'VsTrafficRace|NoStrandedPacket|CountersAfterClose' ./internal/dataplane
 
 # The simulator runs one proxy per Site; the concurrent plane is the
 # benchmark's and the stress tests'. So no non-test package but
-# internal/dataplane itself may import internal/dataplane.
+# internal/dataplane itself may import internal/dataplane. A proxy
+# belongs to one goroutine, so its per-packet path takes no pool slot
+# and runs no atomic operation: no non-test file of internal/proxy or
+# internal/flowlog may import sync/atomic, and none of internal/proxy
+# may name sync.Pool.
 vet:
 	$(GO) vet ./...
 	@! $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -v '^repro/internal/dataplane:' | grep -w 'repro/internal/dataplane'
+	@! $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/proxy ./internal/flowlog | grep -w 'sync/atomic'
+	@! $(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./internal/proxy | xargs grep -n 'sync\.Pool'
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -391,7 +391,7 @@ func TestRelayComposesWithSite(t *testing.T) {
 	if _, err := sys.CheckedTransfer("leg 5002", payload, 7, 5002, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	filtered := sys.Proxy.Stats.Filtered.Load()
+	filtered := sys.Proxy.Stats.Filtered
 	if filtered == 0 {
 		t.Fatal("a stream to an unrelayed port bypassed the plane's filters")
 	}
@@ -401,7 +401,7 @@ func TestRelayComposesWithSite(t *testing.T) {
 	if relay.Stats.Accepted != 1 {
 		t.Fatalf("relay accepted %d connections, want 1", relay.Stats.Accepted)
 	}
-	if got := sys.Proxy.Stats.Filtered.Load(); got != filtered {
+	if got := sys.Proxy.Stats.Filtered; got != filtered {
 		t.Fatalf("the relayed stream reached the plane's filters: filtered %d → %d", filtered, got)
 	}
 }

@@ -46,9 +46,10 @@ func (pl *Plane) N() int { return pl.n }
 // Epoch returns the number of applied control-plane mutations.
 func (pl *Plane) Epoch() uint64 { return pl.epoch.Load() }
 
-// Shard exposes shard i's proxy. On a concurrent plane only its atomic
-// surface (Stats, QueueCount, RegistrationCount) is safe to touch from
-// outside the shard goroutine.
+// Shard exposes shard i's proxy. It belongs to the shard goroutine:
+// outside a function that the plane runs there, read it only while the
+// shard is quiescent (after Drain or a command, with nothing dispatched
+// since) or once Close has returned.
 func (pl *Plane) Shard(i int) *proxy.Proxy { return pl.shards[i] }
 
 // --- packet path -------------------------------------------------------------
@@ -82,7 +83,10 @@ func (pl *Plane) Batches() int64 { return pl.exec.counters().batches }
 func (pl *Plane) Wakeups() int64 { return pl.exec.counters().wakeups }
 
 // Close stops the shard goroutines after sealing open batches and
-// draining the rings. The plane must not be used afterwards.
+// draining the rings. Afterwards nothing may be dispatched; the reads
+// (StatsSnapshot, FlowStats, the registered metrics, the listings) and
+// the commands run on the caller's goroutine, on the shards as Close
+// left them. Close must not race another call.
 func (pl *Plane) Close() { pl.exec.close() }
 
 // --- control plane -----------------------------------------------------------
@@ -102,20 +106,33 @@ func (pl *Plane) FlushMatchCache() {
 	pl.exec.all(func(_ int, p *proxy.Proxy) { p.FlushMatchCache() })
 }
 
-// StatsSnapshot returns the exact merged counters across shards (each
-// counter is a single-writer atomic).
-func (pl *Plane) StatsSnapshot() proxy.StatsSnapshot {
-	var t proxy.StatsSnapshot
-	for _, s := range pl.shards {
-		t = t.Merge(s.Stats.Snapshot())
+// StatsSnapshot returns the exact merged counters across shards, each
+// read on its shard goroutine under the quiesce barrier (directly, once
+// Close has returned).
+func (pl *Plane) StatsSnapshot() proxy.Stats {
+	ss := make([]proxy.Stats, pl.n)
+	pl.exec.all(func(i int, p *proxy.Proxy) { ss[i] = p.Stats })
+	var t proxy.Stats
+	for _, s := range ss {
+		t = t.Merge(s)
 	}
 	return t
 }
 
 // RegisterMetrics exposes the plane's counters: merged aggregates,
 // per-shard breakdowns, the control epoch and the ring's handoff
-// totals.
+// totals. Every shard counter is read on its shard goroutine, so a
+// scrape quiesces the plane once per row.
 func (pl *Plane) RegisterMetrics(r *obs.Registry, prefix string) {
+	sum := func(f func(p *proxy.Proxy) int64) float64 {
+		vs := make([]int64, pl.n)
+		pl.exec.all(func(i int, p *proxy.Proxy) { vs[i] = f(p) })
+		var t int64
+		for _, v := range vs {
+			t += v
+		}
+		return float64(t)
+	}
 	r.Counter(prefix+".intercepted", func() int64 { return pl.StatsSnapshot().Intercepted })
 	r.Counter(prefix+".filtered", func() int64 { return pl.StatsSnapshot().Filtered })
 	r.Counter(prefix+".dropped_by_filter", func() int64 { return pl.StatsSnapshot().DroppedByFilter })
@@ -125,34 +142,28 @@ func (pl *Plane) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.Counter(prefix+".filter_quarantines", func() int64 { return pl.StatsSnapshot().FilterQuarantines })
 	r.Counter(prefix+".registry_misses", func() int64 { return pl.StatsSnapshot().RegistryMisses })
 	r.Counter(prefix+".registry_rebuilds", func() int64 { return pl.StatsSnapshot().RegistryRebuilds })
-	r.Gauge(prefix+".flow.active", func() float64 { return float64(pl.flowCounters().Active) })
-	r.Counter(prefix+".flow.opened", func() int64 { return pl.flowCounters().Opened })
-	r.Counter(prefix+".flow.closed", func() int64 { return pl.flowCounters().Closed })
-	r.Counter(prefix+".flow.evicted", func() int64 { return pl.flowCounters().Evicted })
-	r.Counter(prefix+".flow.retrans", func() int64 { return pl.flowCounters().Retrans })
-	r.Counter(prefix+".flow.zero_win", func() int64 { return pl.flowCounters().ZeroWin })
-	r.Gauge(prefix+".streams", func() float64 {
-		var t int64
-		for _, s := range pl.shards {
-			t += s.QueueCount()
-		}
-		return float64(t)
-	})
-	r.Gauge(prefix+".registrations", func() float64 {
-		var t int64
-		for _, s := range pl.shards {
-			t += s.RegistrationCount()
-		}
-		return float64(t)
-	})
+	r.Gauge(prefix+".flow.active", func() float64 { return float64(pl.FlowStats().Active) })
+	r.Counter(prefix+".flow.opened", func() int64 { return pl.FlowStats().Opened })
+	r.Counter(prefix+".flow.closed", func() int64 { return pl.FlowStats().Closed })
+	r.Counter(prefix+".flow.evicted", func() int64 { return pl.FlowStats().Evicted })
+	r.Counter(prefix+".flow.retrans", func() int64 { return pl.FlowStats().Retrans })
+	r.Counter(prefix+".flow.zero_win", func() int64 { return pl.FlowStats().ZeroWin })
+	r.Gauge(prefix+".streams", func() float64 { return sum((*proxy.Proxy).QueueCount) })
+	r.Gauge(prefix+".registrations", func() float64 { return sum((*proxy.Proxy).RegistrationCount) })
 	r.Gauge(prefix+".shards", func() float64 { return float64(pl.n) })
 	r.Counter(prefix+".epoch", func() int64 { return int64(pl.Epoch()) })
-	for i, s := range pl.shards {
-		s := s
+	for i := range pl.shards {
+		on := func(f func(p *proxy.Proxy) int64) func() int64 {
+			return func() (v int64) {
+				pl.exec.on(i, func(p *proxy.Proxy) { v = f(p) })
+				return v
+			}
+		}
+		streams := on((*proxy.Proxy).QueueCount)
 		sp := fmt.Sprintf("%s.shard%d", prefix, i)
-		r.Counter(sp+".intercepted", func() int64 { return s.Stats.Intercepted.Load() })
-		r.Counter(sp+".filtered", func() int64 { return s.Stats.Filtered.Load() })
-		r.Gauge(sp+".streams", func() float64 { return float64(s.QueueCount()) })
+		r.Counter(sp+".intercepted", on(func(p *proxy.Proxy) int64 { return p.Stats.Intercepted }))
+		r.Counter(sp+".filtered", on(func(p *proxy.Proxy) int64 { return p.Stats.Filtered }))
+		r.Gauge(sp+".streams", func() float64 { return float64(streams()) })
 	}
 	r.Counter(prefix+".batches", func() int64 { return pl.exec.counters().batches })
 	r.Counter(prefix+".wakeups", func() int64 { return pl.exec.counters().wakeups })
@@ -304,23 +315,26 @@ func (pl *Plane) Streams() []proxy.StreamInfo {
 }
 
 // FlowStats returns the merged flow-log counters across shards, each
-// read on its owning goroutine after closing its idle flows.
-func (pl *Plane) FlowStats() flowlog.StatsSnapshot {
-	ts := make([]flowlog.StatsSnapshot, pl.n)
+// read on its owning goroutine after closing its idle flows. No shard
+// scheduler advances (see ringExec), so on this plane no flow ever
+// goes idle and the read ages nothing. Every field sums, the Active
+// gauge too, since a flow lives whole on one shard.
+func (pl *Plane) FlowStats() flowlog.Stats {
+	ts := make([]flowlog.Stats, pl.n)
 	pl.exec.all(func(i int, p *proxy.Proxy) { ts[i] = p.FlowStats() })
-	var t flowlog.StatsSnapshot
+	var t flowlog.Stats
 	for _, s := range ts {
-		t = t.Merge(s)
-	}
-	return t
-}
-
-// flowCounters merges the shards' flow-log counters as they stand: the
-// read for metrics, which ages nothing.
-func (pl *Plane) flowCounters() flowlog.StatsSnapshot {
-	var t flowlog.StatsSnapshot
-	for _, s := range pl.shards {
-		t = t.Merge(s.FlowCounters())
+		t.Active += s.Active
+		t.Opened += s.Opened
+		t.Closed += s.Closed
+		t.Evicted += s.Evicted
+		t.IdleClosed += s.IdleClosed
+		t.Pkts += s.Pkts
+		t.DataPkts += s.DataPkts
+		t.Retrans += s.Retrans
+		t.ZeroWin += s.ZeroWin
+		t.RTTSamples += s.RTTSamples
+		t.RTTSumMicros += s.RTTSumMicros
 	}
 	return t
 }

@@ -315,3 +315,64 @@ func TestParkHandshakeNoStrandedPacket(t *testing.T) {
 		})
 	}
 }
+
+// TestCountersAfterCloseRace reads the shards' plain counters the two
+// ways the plane offers: under the quiesce barrier while traffic runs
+// (merged and per-shard metric rows, StatsSnapshot, a scrape racing
+// the dispatcher), then directly once Close has returned, when no
+// shard goroutine is left to run a barrier. After Close the merged
+// count must equal what was dispatched, and each shard's row what was
+// steered to that shard; the race detector checks that no read
+// touched a shard outside its goroutine.
+func TestCountersAfterCloseRace(t *testing.T) {
+	const shards, pkts = 4, 4000
+	pl := dataplane.NewConcurrent(dataplane.ConcurrentConfig{
+		Shards: shards, Catalog: filter.NewCatalog(), Seed: 3, RingSize: 16, BatchSize: 8,
+	})
+	reg := obs.NewRegistry()
+	pl.RegisterMetrics(reg, "plane")
+
+	var want [shards]int64
+	raws := make([][]byte, pkts)
+	for i := range raws {
+		raws[i] = mkSeg(t, uint16(1000+i%64), uint32(1+i), nil)
+		k, _ := filter.SteerKey(raws[i])
+		want[dataplane.ShardOf(k, shards)]++
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, raw := range raws {
+			pl.Dispatch(raw)
+		}
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+			reg.Snapshot()
+			if got := pl.StatsSnapshot().Intercepted; got > pkts {
+				t.Fatalf("intercepted %d of %d dispatched", got, pkts)
+			}
+		}
+	}
+	pl.Close()
+
+	if got := pl.StatsSnapshot().Intercepted; got != pkts {
+		t.Fatalf("StatsSnapshot after Close: intercepted %d, dispatched %d", got, pkts)
+	}
+	rows := make(map[string]string)
+	for _, s := range reg.Snapshot() {
+		rows[s.Name] = s.Value
+	}
+	if got := rows["plane.intercepted"]; got != fmt.Sprint(pkts) {
+		t.Fatalf("plane.intercepted after Close = %s, want %d", got, pkts)
+	}
+	for i, n := range want {
+		name := fmt.Sprintf("plane.shard%d.intercepted", i)
+		if got := rows[name]; got != fmt.Sprint(n) {
+			t.Fatalf("%s after Close = %s, want %d (packets steered to it)", name, got, n)
+		}
+	}
+}

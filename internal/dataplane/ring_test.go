@@ -260,7 +260,7 @@ func TestIdleSealKeepsOrderAndParkRechecks(t *testing.T) {
 	}
 	release()
 	pl.Drain()
-	if got := w.prox.Stats.Intercepted.Load(); got != batch+2 {
+	if got := w.prox.Stats.Intercepted; got != batch+2 {
 		t.Fatalf("processed %d packets, want %d", got, batch+2)
 	}
 }
@@ -341,7 +341,7 @@ func TestWakeupOncePerBatch(t *testing.T) {
 	}
 	release()
 	pl.Drain()
-	if got := w.prox.Stats.Intercepted.Load(); got != 3*batch {
+	if got := w.prox.Stats.Intercepted; got != 3*batch {
 		t.Fatalf("processed %d packets, want %d", got, 3*batch)
 	}
 	if got := w.batches.Load(); got != 3 {

@@ -106,8 +106,13 @@ func newRingExec(cfg ConcurrentConfig) *ringExec {
 }
 
 // on runs fn on shard i's proxy while no packet of that shard is
-// mid-interception, and returns when fn has.
+// mid-interception, and returns when fn has. Once close has returned
+// the shard goroutines are gone, and fn runs on the caller's.
 func (e *ringExec) on(i int, fn func(p *proxy.Proxy)) {
+	if e.closed {
+		fn(e.workers[i].prox)
+		return
+	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	e.workers[i].flush()
@@ -119,6 +124,12 @@ func (e *ringExec) on(i int, fn func(p *proxy.Proxy)) {
 // broadcast and quiesce barrier in one. fn may run concurrently
 // across shards, so it must not share unsynchronized state.
 func (e *ringExec) all(fn func(i int, p *proxy.Proxy)) {
+	if e.closed {
+		for i, w := range e.workers {
+			fn(i, w.prox)
+		}
+		return
+	}
 	var wg sync.WaitGroup
 	wg.Add(len(e.workers))
 	for i, w := range e.workers {

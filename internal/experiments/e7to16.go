@@ -534,7 +534,7 @@ func filterQueueCost(seed int64, depth int) (pkts int64, usPerPkt float64, err e
 		if err != nil || !res.Completed {
 			return 0, 0, fmt.Errorf("E15: the 2 MB transfer through %d filters did not complete (err %v)", depth, err)
 		}
-		pkts = sys.Proxy.Stats.Intercepted.Load()
+		pkts = sys.Proxy.Stats.Intercepted
 		us := float64(time.Since(start).Microseconds()) / float64(pkts)
 		if best < 0 || us < best {
 			best = us

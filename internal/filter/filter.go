@@ -187,13 +187,13 @@ func (p Priority) String() string {
 // MarkDirty so a re-marshalling filter (the tcp filter) or the proxy
 // knows the raw bytes are stale.
 //
-// Packets come from a pool: Parse recycles structs returned by
-// Release, so the decoded view is only valid until the owner (the
-// interception path) releases it. Filters that need any part of a
-// packet beyond the current hook invocation must copy it (snoop's
-// Encode snapshot, the bytes of an edit the TTSF records); holding the
+// A view is reused: each proxy decodes every packet it intercepts into
+// the one view it owns, so the decoded state is only valid until the
+// proxy's next interception. Filters that need any part of a packet
+// beyond the current hook invocation must copy it (snoop's Encode
+// snapshot, the bytes of an edit the TTSF records); holding the
 // *Packet, its TCP/UDP pointers, or slices of its decoded headers
-// across packets is a use-after-release bug.
+// across packets reads whatever packet came next.
 type Packet struct {
 	Raw []byte        // datagram as intercepted (stale once dirty)
 	IP  ip.Header     // decoded network header
@@ -208,34 +208,30 @@ type Packet struct {
 	dirty   bool
 	injects [][]byte
 
-	// Pool-resident decode targets: TCP/UDP point at these when the
-	// transport parses, so a recycled Packet performs no per-parse
-	// header allocations.
+	// Decode targets: TCP/UDP point at these when the transport
+	// parses, so a reused Packet performs no per-decode header
+	// allocations.
 	tcpSeg tcp.Segment
 	udpDgm udp.Datagram
 }
 
-// packetPool recycles Packet structs between Parse and Release. It
-// holds no datagram bytes: those belong to the network, which recycles
-// an intercepted datagram's buffer itself once the hook gives it up
-// (netsim's package comment), so Raw and every slice of it are valid
-// only during the interception.
-var packetPool = sync.Pool{New: func() any { return new(Packet) }}
-
-// Parse decodes a raw IP datagram into a Packet. TCP segments are
-// decoded when the protocol is TCP and the bytes parse; otherwise TCP
-// stays nil and the transport payload is exposed via Data.
+// Decode decodes the raw IP datagram into p in place. Every field is
+// reset first — the transport views, the drop and dirty marks, and the
+// injections (keeping their slice's capacity) — so nothing of the
+// packet p last held survives. TCP segments are decoded when the
+// protocol is TCP and the bytes parse; otherwise TCP stays nil and the
+// transport payload is exposed via Data (likewise UDP).
 //
-// The returned Packet is pool-backed: callers that process packets in
-// a loop (the proxy's interception path) should call Release when
-// done so steady-state parsing is allocation-free. Dropping the
-// Packet without releasing it is safe, merely slower.
-func Parse(raw []byte) (*Packet, error) {
+// The view holds slices of raw, which stays the caller's: it belongs
+// to the network (netsim's package comment) and is valid only during
+// the interception.
+func (p *Packet) Decode(raw []byte) error {
+	clear(p.injects)
+	*p = Packet{injects: p.injects[:0]}
 	h, payload, err := ip.Unmarshal(raw)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p := packetPool.Get().(*Packet)
 	p.Raw, p.IP, p.Data = raw, h, payload
 	p.Key = Key{SrcIP: h.Src, DstIP: h.Dst}
 	switch h.Protocol {
@@ -254,21 +250,31 @@ func Parse(raw []byte) (*Packet, error) {
 			p.Key.DstPort = d.DstPort
 		}
 	}
+	return nil
+}
+
+// packetPool recycles the views Parse hands out and Release gives
+// back. The proxy decodes into a view of its own and never uses it.
+var packetPool = sync.Pool{New: func() any { return new(Packet) }}
+
+// Parse decodes a raw IP datagram into a pooled Packet (see Decode).
+// Callers that parse in a loop should call Release when done, so that
+// steady-state parsing is allocation-free; dropping the Packet without
+// releasing it is safe, merely slower.
+func Parse(raw []byte) (*Packet, error) {
+	p := packetPool.Get().(*Packet)
+	if err := p.Decode(raw); err != nil {
+		packetPool.Put(p)
+		return nil, err
+	}
 	return p, nil
 }
 
-// Release returns the packet to the parse pool. The caller must be
-// the packet's owner (the code that called Parse) and must not touch
-// the packet — or anything reached through its TCP/UDP pointers —
-// afterwards. Raw bytes and injected datagrams are not recycled; only
-// the decoded view is.
-func (p *Packet) Release() {
-	for i := range p.injects {
-		p.injects[i] = nil
-	}
-	*p = Packet{injects: p.injects[:0]}
-	packetPool.Put(p)
-}
+// Release returns a Packet from Parse to the pool. The caller must not
+// touch the packet — or anything reached through its TCP/UDP pointers —
+// afterwards. The view is reset by the Decode that next takes it from
+// the pool.
+func (p *Packet) Release() { packetPool.Put(p) }
 
 // Drop marks the packet to be discarded instead of reinjected.
 func (p *Packet) Drop() { p.dropped = true }

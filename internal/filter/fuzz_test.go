@@ -2,6 +2,7 @@ package filter
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/ip"
@@ -12,8 +13,8 @@ import (
 // FuzzFilterParse drives the proxy's packet view with arbitrary
 // datagrams: Parse must never panic, Encode must be repeatable,
 // Remarshal must produce a packet that re-parses to the same stream
-// key, and the pool must not leak decoded state from one packet into
-// the next (the Release discipline of the hot path).
+// key, and neither a pooled view nor a reused one (the proxy's hot
+// path) may leak decoded state from one packet into the next.
 func FuzzFilterParse(f *testing.F) {
 	src := ip.MustParseAddr("11.11.10.99")
 	dst := ip.MustParseAddr("11.11.10.10")
@@ -92,5 +93,38 @@ func FuzzFilterParse(f *testing.F) {
 				t.Fatalf("recycled parse leaked state:\n%+v\n%+v", seg1, s2)
 			}
 		}
+
+		// Reuse check: a view that last held a packet of the other
+		// transport, dropped, dirtied and with an injection queued, must
+		// decode b exactly as a fresh Parse does, with no verdict left.
+		other := rawTCP
+		if pkt2.TCP != nil {
+			other = rawUDP
+		}
+		var view Packet
+		if err := view.Decode(other); err != nil {
+			t.Fatal(err)
+		}
+		view.Drop()
+		view.MarkDirty()
+		view.Inject([]byte{0x45})
+		if err := view.Decode(b); err != nil {
+			t.Fatalf("Decode into a used view failed where Parse succeeded: %v", err)
+		}
+		if !sameDecode(&view, pkt2) {
+			t.Fatalf("reused view leaked state:\n%+v\n%+v", view, *pkt2)
+		}
+		if view.Dropped() || view.Dirty() || len(view.Injections()) != 0 {
+			t.Fatalf("reused view kept a verdict: dropped=%v dirty=%v injections=%d",
+				view.Dropped(), view.Dirty(), len(view.Injections()))
+		}
 	})
+}
+
+// sameDecode reports whether a and b hold the same decoded packet,
+// field by field, following the transport pointers.
+func sameDecode(a, b *Packet) bool {
+	return bytes.Equal(a.Raw, b.Raw) && reflect.DeepEqual(a.IP, b.IP) &&
+		reflect.DeepEqual(a.TCP, b.TCP) && reflect.DeepEqual(a.UDP, b.UDP) &&
+		bytes.Equal(a.Data, b.Data) && a.Key == b.Key
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // SteerKey extracts the stream key of a raw IPv4 datagram without
-// touching the packet pool or building a decoded view — the sharded
+// building a decoded view — the sharded
 // data plane's dispatcher runs it once per packet before handing the
 // raw bytes to a shard, so it must be allocation-free.
 //

@@ -10,12 +10,12 @@
 // zero-window rate, mean RTT) feed the EEM so policy rules can fire on
 // traffic conditions, not just link metrics.
 //
-// Concurrency contract: Record, Snapshot and AppendRecords run only on
-// the owning goroutine (the proxy's interception path / the shard
-// goroutine under the plane's quiesce barrier); the Stats counters are
-// single-writer atomics, so Stats().Snapshot and ActiveFlows are safe
-// from any goroutine (and age nothing) and per-shard snapshots merge
-// exactly, like proxy.StatsSnapshot.
+// Concurrency contract: a table belongs to one goroutine (the proxy's
+// interception path; on the concurrent plane, the shard goroutine,
+// which other goroutines reach only through the plane's quiesce
+// barrier). Every method, the counter reads Stats and Snapshot too,
+// runs there; the counters are plain integers, which the plane sums
+// across shards.
 package flowlog
 
 import (
@@ -176,11 +176,11 @@ func canonical(k filter.Key) (ck filter.Key, dir int) {
 
 // Record folds one TCP segment into its flow. k is the packet's parse
 // key (source endpoint first); seg's fields are copied, never
-// retained, honoring the packet pool's release contract. Steady state
-// (existing flow) is allocation-free.
+// retained, since seg lives in the proxy's reused packet view. Steady
+// state (existing flow) is allocation-free.
 func (t *Table) Record(k filter.Key, seg *tcp.Segment, rawLen int) {
 	now := t.now()
-	t.stats.Pkts.Add(1)
+	t.stats.Pkts++
 	t.expireIdle(now, 2)
 
 	ck, d := canonical(k)
@@ -207,7 +207,7 @@ func (t *Table) Record(k filter.Key, seg *tcp.Segment, rawLen int) {
 	dc.Bytes += int64(rawLen)
 	dc.Payload += int64(plen)
 	if plen > 0 {
-		t.stats.DataPkts.Add(1)
+		t.stats.DataPkts++
 	}
 
 	retrans := false
@@ -219,7 +219,7 @@ func (t *Table) Record(k filter.Key, seg *tcp.Segment, rawLen int) {
 			// frontier and counts as new data.)
 			retrans = true
 			dc.Retrans++
-			t.stats.Retrans.Add(1)
+			t.stats.Retrans++
 			f.pendSet[d] = false // Karn: the pending sample is ambiguous now
 		} else {
 			if !f.haveSeq[d] || tcp.SeqLT(f.maxSeqEnd[d], end) {
@@ -263,7 +263,7 @@ func (t *Table) Record(k filter.Key, seg *tcp.Segment, rawLen int) {
 
 	if seg.Window == 0 && seg.Flags&tcp.FlagRST == 0 {
 		dc.ZeroWin++
-		t.stats.ZeroWin.Add(1)
+		t.stats.ZeroWin++
 	}
 
 	switch {
@@ -289,8 +289,8 @@ func (t *Table) sample(f *flowState, d time.Duration) {
 	} else {
 		f.srtt += (us - f.srtt) / 8
 	}
-	t.stats.RTTSamples.Add(1)
-	t.stats.RTTSumMicros.Add(us)
+	t.stats.RTTSamples++
+	t.stats.RTTSumMicros += us
 }
 
 // expireIdle lazily closes flows whose last segment predates the idle
@@ -327,8 +327,8 @@ func (t *Table) open(slot **flowState, ck filter.Key, d int, now sim.Time) *flow
 	if t.active.Len() > t.cfg.MaxActive {
 		t.close(t.lruHead, StateEvict)
 	}
-	t.stats.Opened.Add(1)
-	t.stats.Active.Add(1)
+	t.stats.Opened++
+	t.stats.Active++
 	return f
 }
 
@@ -345,13 +345,13 @@ func (t *Table) close(f *flowState, state string) {
 	t.lruRemove(f)
 	f.next = t.freeList
 	t.freeList = f
-	t.stats.Active.Add(-1)
-	t.stats.Closed.Add(1)
+	t.stats.Active--
+	t.stats.Closed++
 	switch state {
 	case StateEvict:
-		t.stats.Evicted.Add(1)
+		t.stats.Evicted++
 	case StateIdle:
-		t.stats.IdleClosed.Add(1)
+		t.stats.IdleClosed++
 	}
 }
 
@@ -394,14 +394,10 @@ func (t *Table) AppendRecords(dst []Record) []Record {
 
 // Snapshot closes the flows idle past the timeout, then copies the
 // counters. Owning-goroutine only.
-func (t *Table) Snapshot() StatsSnapshot {
+func (t *Table) Snapshot() Stats {
 	t.expireIdle(t.now(), -1)
-	return t.stats.Snapshot()
+	return t.stats
 }
-
-// ActiveFlows returns the current active-flow count (safe from any
-// goroutine; it ages nothing).
-func (t *Table) ActiveFlows() int64 { return t.stats.Active.Load() }
 
 // SRTT returns the smoothed RTT estimate of k's active flow (either
 // orientation; the table canonicalizes). ok is false when the flow is

@@ -91,7 +91,7 @@ func TestHandshakeRTTAndCounters(t *testing.T) {
 	if want := int64(10_000 + (2_000-10_000)/8); r.SRTTMicros != want {
 		t.Fatalf("srtt after data sample %dµs, want %d", r.SRTTMicros, want)
 	}
-	if snap := tbl.Stats().Snapshot(); snap.RTTSamples != 2 {
+	if snap := tbl.Stats(); snap.RTTSamples != 2 {
 		t.Fatalf("RTTSamples %d, want 2", snap.RTTSamples)
 	}
 }
@@ -113,7 +113,7 @@ func TestRetransDetection(t *testing.T) {
 			if r.Init.Retrans != 2 {
 				t.Fatalf("retrans %d, want 2", r.Init.Retrans)
 			}
-			if snap := tbl.Stats().Snapshot(); snap.Retrans != 2 || snap.DataPkts != 4 {
+			if snap := tbl.Stats(); snap.Retrans != 2 || snap.DataPkts != 4 {
 				t.Fatalf("stats retrans/data = %d/%d, want 2/4", snap.Retrans, snap.DataPkts)
 			}
 		})
@@ -176,7 +176,7 @@ func TestCloseTransitions(t *testing.T) {
 	if r := one(t, tbl, StateIdle); r.Key != k2 {
 		t.Fatalf("idle-closed record key %v, want %v", r.Key, k2)
 	}
-	snap := tbl.Stats().Snapshot()
+	snap := tbl.Stats()
 	if snap.IdleClosed != 1 || snap.Closed != 2 || snap.Active != 1 {
 		t.Fatalf("snapshot idle/closed/active = %d/%d/%d, want 1/2/1",
 			snap.IdleClosed, snap.Closed, snap.Active)
@@ -192,7 +192,7 @@ func TestEvictionBound(t *testing.T) {
 			t.Fatalf("active %d exceeds MaxActive=4", got)
 		}
 	}
-	snap := tbl.Stats().Snapshot()
+	snap := tbl.Stats()
 	if snap.Active != 4 || snap.Evicted != 16 || snap.Opened != 20 {
 		t.Fatalf("active/evicted/opened = %d/%d/%d, want 4/16/20",
 			snap.Active, snap.Evicted, snap.Opened)
@@ -272,7 +272,7 @@ func TestChurnStormBound(t *testing.T) {
 		}
 		pkt.Release()
 	})
-	snap := tbl.Stats().Snapshot()
+	snap := tbl.Stats()
 	if snap.Active != 0 {
 		t.Fatalf("churn left %d active flows, want 0 (all FIN-closed)", snap.Active)
 	}

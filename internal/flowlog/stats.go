@@ -1,72 +1,22 @@
 package flowlog
 
-import "sync/atomic"
-
-// Stats are the table's fleet-aggregate counters: single-writer
-// (owning goroutine) atomics, readable from any goroutine, merged
-// across shards exactly like proxy.Stats.
+// Stats are the table's fleet-aggregate counters. They are plain
+// integers, written and read on the table's owning goroutine alone;
+// the concurrent plane sums per-shard copies field by field.
 type Stats struct {
-	Active       atomic.Int64 // current active flows (gauge)
-	Opened       atomic.Int64
-	Closed       atomic.Int64 // all closes, any state
-	Evicted      atomic.Int64 // closes forced by the MaxActive bound
-	IdleClosed   atomic.Int64 // closes from the idle timeout
-	Pkts         atomic.Int64 // TCP segments recorded
-	DataPkts     atomic.Int64 // segments with payload
-	Retrans      atomic.Int64
-	ZeroWin      atomic.Int64
-	RTTSamples   atomic.Int64
-	RTTSumMicros atomic.Int64
-}
-
-// StatsSnapshot is a point-in-time copy of Stats.
-type StatsSnapshot struct {
-	Active       int64
+	Active       int64 // current active flows (gauge)
 	Opened       int64
-	Closed       int64
-	Evicted      int64
-	IdleClosed   int64
-	Pkts         int64
-	DataPkts     int64
+	Closed       int64 // all closes, any state
+	Evicted      int64 // closes forced by the MaxActive bound
+	IdleClosed   int64 // closes from the idle timeout
+	Pkts         int64 // TCP segments recorded
+	DataPkts     int64 // segments with payload
 	Retrans      int64
 	ZeroWin      int64
 	RTTSamples   int64
 	RTTSumMicros int64
 }
 
-// Stats exposes the table's counters.
-func (t *Table) Stats() *Stats { return &t.stats }
-
-// Snapshot copies the counters.
-func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Active:       s.Active.Load(),
-		Opened:       s.Opened.Load(),
-		Closed:       s.Closed.Load(),
-		Evicted:      s.Evicted.Load(),
-		IdleClosed:   s.IdleClosed.Load(),
-		Pkts:         s.Pkts.Load(),
-		DataPkts:     s.DataPkts.Load(),
-		Retrans:      s.Retrans.Load(),
-		ZeroWin:      s.ZeroWin.Load(),
-		RTTSamples:   s.RTTSamples.Load(),
-		RTTSumMicros: s.RTTSumMicros.Load(),
-	}
-}
-
-// Merge folds another shard's snapshot into s. Every field sums —
-// including the Active gauge, since a flow lives whole on one shard.
-func (s StatsSnapshot) Merge(o StatsSnapshot) StatsSnapshot {
-	s.Active += o.Active
-	s.Opened += o.Opened
-	s.Closed += o.Closed
-	s.Evicted += o.Evicted
-	s.IdleClosed += o.IdleClosed
-	s.Pkts += o.Pkts
-	s.DataPkts += o.DataPkts
-	s.Retrans += o.Retrans
-	s.ZeroWin += o.ZeroWin
-	s.RTTSamples += o.RTTSamples
-	s.RTTSumMicros += o.RTTSumMicros
-	return s
-}
+// Stats copies the counters as they stand, aging nothing.
+// Owning-goroutine only.
+func (t *Table) Stats() Stats { return t.stats }

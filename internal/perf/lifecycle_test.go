@@ -18,9 +18,6 @@ import (
 // were made when every key went through fmt and every struct through
 // the allocator.
 func TestFlowLifecycleAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation gate: the race detector's sync.Pool drops puts at random")
-	}
 	sys := core.NewSystem(core.Config{Seed: 17})
 	sys.MustCommand("load tcp")
 	sys.MustCommand("load launcher")

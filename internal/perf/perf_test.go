@@ -114,7 +114,7 @@ func TestInterceptFlowLogZeroAlloc(t *testing.T) {
 			hook(raw, in)
 		}
 		cycle++
-	}); allocs != 0 && !raceEnabled { // under -race sync.Pool drops puts at random, so the packet pool allocates
+	}); allocs != 0 {
 		t.Fatalf("flow-logged intercept allocates %.0f times per cycle, want 0", allocs)
 	}
 	fs := sys.Proxy.FlowStats()
@@ -123,10 +123,20 @@ func TestInterceptFlowLogZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPacketParseReleaseZeroAlloc gates the pooled codec on its own,
-// so a pool regression is attributed to Parse rather than the proxy.
+// TestPacketParseReleaseZeroAlloc gates the packet codec on its own,
+// so a decode regression is attributed to it rather than the proxy:
+// decoding into a reused view, what every interception does, and
+// Parse+Release, the pooled wrapper over the same decode.
 func TestPacketParseReleaseZeroAlloc(t *testing.T) {
 	raw := mkTCP(t, 1, 1000)
+	var view filter.Packet
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := view.Decode(raw); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Decode into a reused view allocates %.1f times per packet, want 0", allocs)
+	}
 	if pkt, err := filter.Parse(raw); err != nil {
 		t.Fatal(err)
 	} else {
@@ -295,7 +305,7 @@ func TestTTSFReverseAckOneAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(acks, func() { // acks runs and one warm-up
 		last = hook(raws[next], in)[0]
 		next++
-	}); allocs != 1 && !raceEnabled { // under -race sync.Pool drops puts at random, so the packet pool allocates
+	}); allocs != 1 {
 		t.Fatalf("reverse ACK through tcp+ttsf allocates %.2f times, want 1 (the datagram)", allocs)
 	}
 	// The sender must hear the original bytes acknowledged: 100 a segment.

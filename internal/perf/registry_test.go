@@ -133,7 +133,7 @@ func TestRegistryMissChurnZeroAlloc(t *testing.T) {
 		src := ip.AddrFrom4(10, 0, 0, 1) + ip.Addr(i/64511)
 		pkts[i] = mkMissPkt(t, src, uint16(1024+i%64511))
 	}
-	hook(pkts[0], in) // warm pool, emit list, compiled program
+	hook(pkts[0], in) // warm the emit list and the compiled program
 	if allocs := testing.AllocsPerRun(1, func() {
 		for _, raw := range pkts {
 			hook(raw, in)

@@ -96,7 +96,7 @@ func TestInterceptAppendBufferStability(t *testing.T) {
 	}
 	// The filtered flows really were remarshalled (shorter payload), so
 	// the stability above covered fresh buffers, not just passthrough.
-	snap := p.Stats.Snapshot()
+	snap := p.Stats
 	if snap.Filtered == 0 {
 		t.Fatal("no packet went through the modifying filter")
 	}

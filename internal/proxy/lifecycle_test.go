@@ -145,7 +145,7 @@ func TestRecycledAttachmentComesBackClean(t *testing.T) {
 	for i := 0; i < QuarantineStrikes; i++ {
 		p.Intercept(raw, nil)
 	}
-	if n := p.Stats.FilterQuarantines.Load(); n != 1 || p.freeAtts.Len() != 1 {
+	if n := p.Stats.FilterQuarantines; n != 1 || p.freeAtts.Len() != 1 {
 		t.Fatalf("%d quarantines, %d recycled attachments, want 1 and 1", n, p.freeAtts.Len())
 	}
 

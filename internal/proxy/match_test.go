@@ -152,7 +152,7 @@ func TestMissStormBuildsNoState(t *testing.T) {
 			t.Fatalf("key %v built a queue against a srcport-9999 registration", k)
 		}
 	}
-	if got := p.Stats.RegistryMisses.Load(); got != storm {
+	if got := p.Stats.RegistryMisses; got != storm {
 		t.Fatalf("RegistryMisses = %d, want %d", got, storm)
 	}
 	if got := p.QueueCount(); got != 0 {
@@ -176,14 +176,14 @@ func TestAddRebuildsProgram(t *testing.T) {
 	if p.program().Match(k) {
 		t.Fatal("empty registry matched")
 	}
-	rebuilds := p.Stats.RegistryRebuilds.Load()
+	rebuilds := p.Stats.RegistryRebuilds
 	if err := p.AddFilter("nop", filter.Key{DstPort: 80}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !p.program().Match(k) {
 		t.Fatal("program not rebuilt by AddFilter")
 	}
-	if got := p.Stats.RegistryRebuilds.Load(); got != rebuilds+1 {
+	if got := p.Stats.RegistryRebuilds; got != rebuilds+1 {
 		t.Fatalf("RegistryRebuilds moved %d -> %d across one add, want +1", rebuilds, got)
 	}
 }

@@ -12,6 +12,15 @@
 // budget"). Every teardown path closes each attachment exactly once
 // and marks it detached first; a detach handle that outlives its
 // attachment does nothing.
+//
+// A proxy belongs to the one goroutine that feeds it packets: the
+// simulator's scheduler for a Site's proxy, the shard goroutine on the
+// concurrent plane. Its per-packet state is therefore plain: it decodes
+// each packet into the one filter.Packet view it owns, and its counters
+// (Stats, the flow log's) are ordinary integers. Nothing on the
+// interception path takes a pool slot or runs an atomic operation;
+// whoever reads a counter from elsewhere does so through the owner (the
+// control port runs there; the plane reads under its quiesce barrier).
 package proxy
 
 import (
@@ -19,7 +28,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/classifier"
@@ -144,14 +152,12 @@ type Proxy struct {
 	// by Exec ahead of the command table.
 	ext map[string]func(args []string) string
 
-	// nQueues/nRegs mirror len(queues)/len(registry) atomically so a
-	// sharded data plane can expose merged gauges without entering the
-	// shard goroutine. Updated (single-writer) at every mutation.
-	nQueues atomic.Int64
-	nRegs   atomic.Int64
-
 	// Stats counts proxy-level events.
 	Stats Stats
+
+	// pkt is the view every interception decodes into; one
+	// interception at a time holds it (InterceptAppend).
+	pkt filter.Packet
 
 	// flows is the proxy's flow-log accumulator: every parsed TCP
 	// segment folds into its flow record on the interception path.
@@ -171,52 +177,22 @@ type Proxy struct {
 }
 
 // Stats counts packets through the interception module. The counters
-// are atomics so the sharded data plane can sum per-shard instances
-// exactly while shard goroutines keep writing: each field has a single
-// writer (the owning shard) and any number of readers.
+// are plain integers of the owning goroutine: the concurrent plane sums
+// per-shard copies read under its quiesce barrier.
 type Stats struct {
-	Intercepted       atomic.Int64
-	Filtered          atomic.Int64 // packets that traversed a non-empty queue
-	DroppedByFilter   atomic.Int64
-	Injected          atomic.Int64
-	Reinjected        atomic.Int64
-	HookPanics        atomic.Int64 // filter hook panics caught (never crashes)
-	FilterQuarantines atomic.Int64 // attachments detached after repeated panics
-	RegistryMisses    atomic.Int64 // first-sight packets no registration matched
-	RegistryRebuilds  atomic.Int64 // match-program recompiles (registry mutations)
-}
-
-// Snapshot returns a point-in-time copy of the counters.
-func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Intercepted:       s.Intercepted.Load(),
-		Filtered:          s.Filtered.Load(),
-		DroppedByFilter:   s.DroppedByFilter.Load(),
-		Injected:          s.Injected.Load(),
-		Reinjected:        s.Reinjected.Load(),
-		HookPanics:        s.HookPanics.Load(),
-		FilterQuarantines: s.FilterQuarantines.Load(),
-		RegistryMisses:    s.RegistryMisses.Load(),
-		RegistryRebuilds:  s.RegistryRebuilds.Load(),
-	}
-}
-
-// StatsSnapshot is a plain-value copy of Stats, mergeable across
-// shards.
-type StatsSnapshot struct {
 	Intercepted       int64
-	Filtered          int64
+	Filtered          int64 // packets that traversed a non-empty queue
 	DroppedByFilter   int64
 	Injected          int64
 	Reinjected        int64
-	HookPanics        int64
-	FilterQuarantines int64
-	RegistryMisses    int64
-	RegistryRebuilds  int64
+	HookPanics        int64 // filter hook panics caught (never crashes)
+	FilterQuarantines int64 // attachments detached after repeated panics
+	RegistryMisses    int64 // first-sight packets no registration matched
+	RegistryRebuilds  int64 // match-program recompiles (registry mutations)
 }
 
 // Merge returns the field-wise sum of a and b.
-func (a StatsSnapshot) Merge(b StatsSnapshot) StatsSnapshot {
+func (a Stats) Merge(b Stats) Stats {
 	a.Intercepted += b.Intercepted
 	a.Filtered += b.Filtered
 	a.DroppedByFilter += b.DroppedByFilter
@@ -264,35 +240,32 @@ func (p *Proxy) SetObs(b *obs.Bus, r *obs.Registry) {
 }
 
 // RegisterMetrics exposes the proxy's counters under prefix
-// (e.g. "proxy" -> "proxy.intercepted").
+// (e.g. "proxy" -> "proxy.intercepted"). The registry must be read on
+// the proxy's owning goroutine, as the "stats" command and the
+// daemons' debug endpoint do.
 func (p *Proxy) RegisterMetrics(r *obs.Registry, prefix string) {
-	r.Counter(prefix+".intercepted", func() int64 { return p.Stats.Intercepted.Load() })
-	r.Counter(prefix+".filtered", func() int64 { return p.Stats.Filtered.Load() })
-	r.Counter(prefix+".dropped_by_filter", func() int64 { return p.Stats.DroppedByFilter.Load() })
-	r.Counter(prefix+".injected", func() int64 { return p.Stats.Injected.Load() })
-	r.Counter(prefix+".reinjected", func() int64 { return p.Stats.Reinjected.Load() })
-	r.Counter(prefix+".hook_panics", func() int64 { return p.Stats.HookPanics.Load() })
-	r.Counter(prefix+".filter_quarantines", func() int64 { return p.Stats.FilterQuarantines.Load() })
-	r.Counter(prefix+".registry_misses", func() int64 { return p.Stats.RegistryMisses.Load() })
-	r.Counter(prefix+".registry_rebuilds", func() int64 { return p.Stats.RegistryRebuilds.Load() })
+	r.Counter(prefix+".intercepted", func() int64 { return p.Stats.Intercepted })
+	r.Counter(prefix+".filtered", func() int64 { return p.Stats.Filtered })
+	r.Counter(prefix+".dropped_by_filter", func() int64 { return p.Stats.DroppedByFilter })
+	r.Counter(prefix+".injected", func() int64 { return p.Stats.Injected })
+	r.Counter(prefix+".reinjected", func() int64 { return p.Stats.Reinjected })
+	r.Counter(prefix+".hook_panics", func() int64 { return p.Stats.HookPanics })
+	r.Counter(prefix+".filter_quarantines", func() int64 { return p.Stats.FilterQuarantines })
+	r.Counter(prefix+".registry_misses", func() int64 { return p.Stats.RegistryMisses })
+	r.Counter(prefix+".registry_rebuilds", func() int64 { return p.Stats.RegistryRebuilds })
 	r.Gauge(prefix+".streams", func() float64 { return float64(p.QueueCount()) })
 	r.Gauge(prefix+".registrations", func() float64 { return float64(p.RegistrationCount()) })
-	fs := p.flows.Stats()
-	r.Gauge(prefix+".flow.active", func() float64 { return float64(fs.Active.Load()) })
-	r.Counter(prefix+".flow.opened", func() int64 { return fs.Opened.Load() })
-	r.Counter(prefix+".flow.closed", func() int64 { return fs.Closed.Load() })
-	r.Counter(prefix+".flow.evicted", func() int64 { return fs.Evicted.Load() })
-	r.Counter(prefix+".flow.retrans", func() int64 { return fs.Retrans.Load() })
-	r.Counter(prefix+".flow.zero_win", func() int64 { return fs.ZeroWin.Load() })
+	r.Gauge(prefix+".flow.active", func() float64 { return float64(p.flows.Stats().Active) })
+	r.Counter(prefix+".flow.opened", func() int64 { return p.flows.Stats().Opened })
+	r.Counter(prefix+".flow.closed", func() int64 { return p.flows.Stats().Closed })
+	r.Counter(prefix+".flow.evicted", func() int64 { return p.flows.Stats().Evicted })
+	r.Counter(prefix+".flow.retrans", func() int64 { return p.flows.Stats().Retrans })
+	r.Counter(prefix+".flow.zero_win", func() int64 { return p.flows.Stats().ZeroWin })
 }
 
 // FlowStats closes the flows idle past the flow log's timeout, then
-// snapshots its counters. Owning-goroutine only.
-func (p *Proxy) FlowStats() flowlog.StatsSnapshot { return p.flows.Snapshot() }
-
-// FlowCounters snapshots the flow-log counters as they stand, aging
-// nothing: the read for metrics. Safe from any goroutine.
-func (p *Proxy) FlowCounters() flowlog.StatsSnapshot { return p.flows.Stats().Snapshot() }
+// copies its counters. Owning-goroutine only.
+func (p *Proxy) FlowStats() flowlog.Stats { return p.flows.Snapshot() }
 
 // AppendFlowRecords appends this proxy's flow records (active +
 // retained closed, after closing the idle ones) to dst.
@@ -301,23 +274,19 @@ func (p *Proxy) AppendFlowRecords(dst []flowlog.Record) []flowlog.Record {
 	return p.flows.AppendRecords(dst)
 }
 
-// QueueCount returns the number of live filter queues (streams). Safe
-// from any goroutine.
-func (p *Proxy) QueueCount() int64 { return p.nQueues.Load() }
+// QueueCount returns the number of live filter queues (streams).
+// Owning-goroutine only.
+func (p *Proxy) QueueCount() int64 { return int64(p.queues.Len()) }
 
-// RegistrationCount returns the stream-registry size. Safe from any
-// goroutine.
-func (p *Proxy) RegistrationCount() int64 { return p.nRegs.Load() }
+// RegistrationCount returns the stream-registry size. Owning-goroutine
+// only.
+func (p *Proxy) RegistrationCount() int64 { return int64(len(p.registry)) }
 
-// registryChanged follows every registry mutation on the owning
-// goroutine: it refreshes the atomic mirror of len(registry) and marks
-// the compiled program stale, so program() recompiles before the next
+// registryChanged follows every registry mutation: it marks the
+// compiled program stale, so program() recompiles before the next
 // lookup and no lookup sees a pre-mutation answer. A burst of
 // mutations costs one compile.
-func (p *Proxy) registryChanged() {
-	p.nRegs.Store(int64(len(p.registry)))
-	p.progDirty = true
-}
+func (p *Proxy) registryChanged() { p.progDirty = true }
 
 // --- filter.Env -------------------------------------------------------------
 
@@ -342,7 +311,6 @@ func (p *Proxy) Attach(k filter.Key, h filter.Hooks) (func(), error) {
 		}
 		q.key = k
 		*slot = q
-		p.nQueues.Store(int64(p.queues.Len()))
 	}
 	if k == p.sighted {
 		p.sightedQ = q
@@ -408,7 +376,6 @@ func (p *Proxy) RemoveStream(k filter.Key) {
 // its reverse side) or at any time later finds nothing to close a
 // second time.
 func (p *Proxy) dropQueue(q *queue) {
-	p.nQueues.Store(int64(p.queues.Len()))
 	if q == p.sightedQ {
 		p.sightedQ = nil
 	}
@@ -445,7 +412,7 @@ func (p *Proxy) recycle(q *queue, as ...*attachment) {
 
 // Inject implements filter.Env: emit a raw datagram from the proxy.
 func (p *Proxy) Inject(raw []byte) {
-	p.Stats.Injected.Add(1)
+	p.Stats.Injected++
 	p.node.InjectPacket(raw)
 }
 
@@ -517,12 +484,15 @@ func (p *Proxy) Intercept(raw []byte, in *netsim.Iface) [][]byte {
 // batched shard pipeline relies on this to accumulate a whole batch's
 // output before one sink delivery. The steady-state pass-through path
 // (no matching service, or a clean traversal of the tcp filter) is
-// allocation-free: the parsed view comes from the packet pool and is
-// Released before returning.
+// allocation-free: the packet is decoded into the proxy's own view.
+//
+// One interception at a time: a hook must not call back into
+// InterceptAppend or Intercept of the same proxy (netsim's receive
+// never does; Env.Inject goes round the hook).
 func (p *Proxy) InterceptAppend(raw []byte, in *netsim.Iface, dst [][]byte) [][]byte {
-	p.Stats.Intercepted.Add(1)
-	pkt, err := filter.Parse(raw)
-	if err != nil {
+	p.Stats.Intercepted++
+	pkt := &p.pkt
+	if err := pkt.Decode(raw); err != nil {
 		return append(dst, raw) // unparseable: pass through untouched
 	}
 	if p.obs.PacketsTraced() {
@@ -536,10 +506,9 @@ func (p *Proxy) InterceptAppend(raw []byte, in *netsim.Iface, dst [][]byte) [][]
 		q = p.buildQueue(pkt.Key)
 	}
 	if q == nil || len(q.attached) == 0 {
-		pkt.Release()
 		return append(dst, raw)
 	}
-	p.Stats.Filtered.Add(1)
+	p.Stats.Filtered++
 	q.pkts++
 	q.bytes += int64(len(raw))
 
@@ -564,7 +533,7 @@ func (p *Proxy) InterceptAppend(raw []byte, in *netsim.Iface, dst [][]byte) [][]
 	}
 
 	if pkt.Dropped() {
-		p.Stats.DroppedByFilter.Add(1)
+		p.Stats.DroppedByFilter++
 		p.Emit("proxy", "filter-drop", q.key, obs.Int("len", int64(len(raw))))
 	} else {
 		if pkt.Dirty() {
@@ -575,14 +544,13 @@ func (p *Proxy) InterceptAppend(raw []byte, in *netsim.Iface, dst [][]byte) [][]
 				p.Emit("proxy", "remarshal-failed", q.key, obs.F("err", err.Error()))
 			}
 		}
-		p.Stats.Reinjected.Add(1)
+		p.Stats.Reinjected++
 		dst = append(dst, pkt.Raw)
 	}
 	for _, extra := range pkt.Injections() {
-		p.Stats.Injected.Add(1)
+		p.Stats.Injected++
 		dst = append(dst, extra)
 	}
-	pkt.Release()
 	return dst
 }
 
@@ -603,7 +571,7 @@ func (p *Proxy) runHook(q *queue, a *attachment, hook func(*filter.Packet), pkt 
 // noteHookPanic records one strike against the attachment and marks it
 // for quarantine once it reaches QuarantineStrikes.
 func (p *Proxy) noteHookPanic(q *queue, a *attachment, r any) {
-	p.Stats.HookPanics.Add(1)
+	p.Stats.HookPanics++
 	a.strikes++
 	p.Emit("proxy", "filter-panic", q.key,
 		obs.F("filter", a.hooks.Filter), obs.F("strikes", a.strikes),
@@ -622,7 +590,7 @@ func (p *Proxy) noteHookPanic(q *queue, a *attachment, r any) {
 func (p *Proxy) sweepQuarantined(q *queue) {
 	q.pendingQuarantine = false
 	for _, a := range q.take(func(a *attachment) bool { return a.quarantined }) {
-		p.Stats.FilterQuarantines.Add(1)
+		p.Stats.FilterQuarantines++
 		p.Emit("proxy", "filter-quarantine", q.key,
 			obs.F("filter", a.hooks.Filter), obs.F("strikes", a.strikes))
 		if a.hooks.OnClose != nil {
@@ -698,7 +666,7 @@ func (p *Proxy) rebuildProgram() {
 	p.progKeys = keys
 	p.prog = classifier.Compile(keys)
 	p.progDirty = false
-	p.Stats.RegistryRebuilds.Add(1)
+	p.Stats.RegistryRebuilds++
 }
 
 // FlushMatchCache forces an immediate recompile of the registry match
@@ -720,7 +688,7 @@ func (p *Proxy) FlushMatchCache() { p.rebuildProgram() }
 func (p *Proxy) buildQueue(k filter.Key) *queue {
 	p.matchScratch = p.program().AppendMatches(p.matchScratch[:0], k)
 	if len(p.matchScratch) == 0 {
-		p.Stats.RegistryMisses.Add(1)
+		p.Stats.RegistryMisses++
 		return nil
 	}
 	p.sighted, p.sightedQ = k, nil

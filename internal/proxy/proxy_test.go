@@ -223,7 +223,7 @@ func TestFilterDropsPacket(t *testing.T) {
 	if accepted {
 		t.Fatal("SYN crossed a blackhole filter")
 	}
-	if rig.prox.Stats.DroppedByFilter.Load() == 0 {
+	if rig.prox.Stats.DroppedByFilter == 0 {
 		t.Fatal("no drops counted")
 	}
 }

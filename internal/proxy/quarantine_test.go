@@ -62,10 +62,10 @@ func TestPanickingFilterQuarantined(t *testing.T) {
 	// Containment: the wild-card registration instantiates the filter
 	// once per stream direction, so exactly QuarantineStrikes panics
 	// and one quarantine per direction — then silence.
-	if n := rig.prox.Stats.HookPanics.Load(); n != 2*proxy.QuarantineStrikes {
+	if n := rig.prox.Stats.HookPanics; n != 2*proxy.QuarantineStrikes {
 		t.Fatalf("HookPanics = %d, want %d", n, 2*proxy.QuarantineStrikes)
 	}
-	if n := rig.prox.Stats.FilterQuarantines.Load(); n != 2 {
+	if n := rig.prox.Stats.FilterQuarantines; n != 2 {
 		t.Fatalf("FilterQuarantines = %d, want 2", n)
 	}
 
@@ -124,7 +124,7 @@ func TestQuarantineFailsOpenNotRebuilt(t *testing.T) {
 	if instantiations > 2 {
 		t.Fatalf("broken filter instantiated %d times — queue rebuilt after quarantine", instantiations)
 	}
-	if n := rig.prox.Stats.HookPanics.Load(); n > 2*proxy.QuarantineStrikes {
+	if n := rig.prox.Stats.HookPanics; n > 2*proxy.QuarantineStrikes {
 		t.Fatalf("HookPanics = %d — quarantine did not stick", n)
 	}
 }
