@@ -35,12 +35,15 @@ race:
 # belongs to one goroutine, so its per-packet path takes no pool slot
 # and runs no atomic operation: no non-test file of internal/proxy or
 # internal/flowlog may import sync/atomic, and none of internal/proxy
-# may name sync.Pool.
+# may name sync.Pool. The proxy's packet view decodes each header in
+# place, so no non-test file of internal/filter may call ip.Unmarshal,
+# tcp.Unmarshal or udp.Unmarshal, which return a header by value.
 vet:
 	$(GO) vet ./...
 	@! $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -v '^repro/internal/dataplane:' | grep -w 'repro/internal/dataplane'
 	@! $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/proxy ./internal/flowlog | grep -w 'sync/atomic'
 	@! $(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./internal/proxy | xargs grep -n 'sync\.Pool'
+	@! $(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./internal/filter | xargs grep -nE '\<(ip|tcp|udp)\.Unmarshal\('
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -6,6 +6,7 @@
 package filter
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -210,45 +211,59 @@ type Packet struct {
 
 	// Decode targets: TCP/UDP point at these when the transport
 	// parses, so a reused Packet performs no per-decode header
-	// allocations.
+	// allocations. A target whose pointer is nil keeps what it last
+	// decoded; nothing reaches it until Decode fills it again.
 	tcpSeg tcp.Segment
 	udpDgm udp.Datagram
 }
 
 // Decode decodes the raw IP datagram into p in place. Every field is
-// reset first — the transport views, the drop and dirty marks, and the
+// reset — the transport views, the drop and dirty marks, and the
 // injections (keeping their slice's capacity) — so nothing of the
 // packet p last held survives. TCP segments are decoded when the
 // protocol is TCP and the bytes parse; otherwise TCP stays nil and the
 // transport payload is exposed via Data (likewise UDP).
+//
+// Each field is stored once: the headers decode straight into p.IP and
+// the transport targets, and the key is built from the wire words, not
+// read back from the fields just written (a wide load of narrow stores
+// still in flight cannot be forwarded and stalls).
 //
 // The view holds slices of raw, which stays the caller's: it belongs
 // to the network (netsim's package comment) and is valid only during
 // the interception.
 func (p *Packet) Decode(raw []byte) error {
 	clear(p.injects)
-	*p = Packet{injects: p.injects[:0]}
-	h, payload, err := ip.Unmarshal(raw)
+	p.injects = p.injects[:0]
+	p.dropped, p.dirty = false, false
+	payload, err := p.IP.Decode(raw)
 	if err != nil {
+		p.Raw, p.TCP, p.UDP, p.Data, p.Key = nil, nil, nil, nil, Key{}
 		return err
 	}
-	p.Raw, p.IP, p.Data = raw, h, payload
-	p.Key = Key{SrcIP: h.Src, DstIP: h.Dst}
-	switch h.Protocol {
+	var (
+		seg   *tcp.Segment
+		dgm   *udp.Datagram
+		ports uint32
+	)
+	// w is the header p.IP.Decode checked; byte 9 is the protocol.
+	w := raw[:ip.HeaderLen]
+	switch w[9] {
 	case ip.ProtoTCP:
-		if seg, err := tcp.Unmarshal(payload); err == nil {
-			p.tcpSeg = seg
-			p.TCP = &p.tcpSeg
-			p.Key.SrcPort = seg.SrcPort
-			p.Key.DstPort = seg.DstPort
+		if p.tcpSeg.Decode(payload) == nil {
+			seg, ports = &p.tcpSeg, binary.BigEndian.Uint32(payload)
 		}
 	case ip.ProtoUDP:
-		if d, err := udp.Unmarshal(payload); err == nil {
-			p.udpDgm = d
-			p.UDP = &p.udpDgm
-			p.Key.SrcPort = d.SrcPort
-			p.Key.DstPort = d.DstPort
+		if p.udpDgm.Decode(payload) == nil {
+			dgm, ports = &p.udpDgm, binary.BigEndian.Uint32(payload)
 		}
+	}
+	p.Raw, p.TCP, p.UDP, p.Data = raw, seg, dgm, payload
+	p.Key = Key{
+		SrcIP:   ip.Addr(binary.BigEndian.Uint32(w[12:])),
+		DstIP:   ip.Addr(binary.BigEndian.Uint32(w[16:])),
+		SrcPort: uint16(ports >> 16),
+		DstPort: uint16(ports),
 	}
 	return nil
 }

@@ -34,6 +34,14 @@ func FuzzFilterParse(f *testing.F) {
 	rawICMP, _ := h.Marshal([]byte{8, 0, 0, 0})
 	f.Add(rawICMP)
 	f.Add([]byte{0x45, 0x00})
+	// IP options and an MSS option: what an in-place decode of the
+	// next packet must clear.
+	syn := tcp.Segment{SrcPort: 7, DstPort: 5001, Seq: 999, Flags: tcp.FlagSYN,
+		Window: 8760, MSS: 1460}
+	h = hdr(ip.ProtoTCP)
+	h.Options = []byte{1, 1, 1, 0}
+	rawOpts, _ := h.Marshal(syn.Marshal(src, dst))
+	f.Add(rawOpts)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		pkt, err := Parse(b)
@@ -95,28 +103,31 @@ func FuzzFilterParse(f *testing.F) {
 		}
 
 		// Reuse check: a view that last held a packet of the other
-		// transport, dropped, dirtied and with an injection queued, must
-		// decode b exactly as a fresh Parse does, with no verdict left.
+		// transport, or the SYN with IP and MSS options, dropped,
+		// dirtied and with an injection queued, must decode b exactly as
+		// a fresh Parse does, with no verdict left.
 		other := rawTCP
 		if pkt2.TCP != nil {
 			other = rawUDP
 		}
-		var view Packet
-		if err := view.Decode(other); err != nil {
-			t.Fatal(err)
-		}
-		view.Drop()
-		view.MarkDirty()
-		view.Inject([]byte{0x45})
-		if err := view.Decode(b); err != nil {
-			t.Fatalf("Decode into a used view failed where Parse succeeded: %v", err)
-		}
-		if !sameDecode(&view, pkt2) {
-			t.Fatalf("reused view leaked state:\n%+v\n%+v", view, *pkt2)
-		}
-		if view.Dropped() || view.Dirty() || len(view.Injections()) != 0 {
-			t.Fatalf("reused view kept a verdict: dropped=%v dirty=%v injections=%d",
-				view.Dropped(), view.Dirty(), len(view.Injections()))
+		for _, prior := range [][]byte{other, rawOpts} {
+			var view Packet
+			if err := view.Decode(prior); err != nil {
+				t.Fatal(err)
+			}
+			view.Drop()
+			view.MarkDirty()
+			view.Inject([]byte{0x45})
+			if err := view.Decode(b); err != nil {
+				t.Fatalf("Decode into a used view failed where Parse succeeded: %v", err)
+			}
+			if !sameDecode(&view, pkt2) {
+				t.Fatalf("reused view leaked state:\n%+v\n%+v", view, *pkt2)
+			}
+			if view.Dropped() || view.Dirty() || len(view.Injections()) != 0 {
+				t.Fatalf("reused view kept a verdict: dropped=%v dirty=%v injections=%d",
+					view.Dropped(), view.Dirty(), len(view.Injections()))
+			}
 		}
 	})
 }

@@ -40,7 +40,7 @@ func SteerKey(raw []byte) (Key, bool) {
 			k.DstPort = binary.BigEndian.Uint16(t[2:])
 		}
 	case ip.ProtoUDP:
-		// Mirrors udp.Unmarshal: 8-byte header and a sane length field.
+		// Mirrors udp.Datagram.Decode: 8-byte header and a sane length field.
 		if len(t) >= 8 {
 			if l := int(binary.BigEndian.Uint16(t[4:])); l >= 8 && l <= len(t) {
 				k.SrcPort = binary.BigEndian.Uint16(t[0:])
@@ -51,7 +51,7 @@ func SteerKey(raw []byte) (Key, bool) {
 	return k, true
 }
 
-// tcpHeaderOK mirrors tcp.Unmarshal's accept/reject decision (not its
+// tcpHeaderOK mirrors tcp.Segment.Decode's accept/reject decision (not its
 // decoding): header length bounds plus the options walk, which rejects
 // segments whose option list is malformed.
 func tcpHeaderOK(b []byte) bool {

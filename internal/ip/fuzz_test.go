@@ -2,13 +2,15 @@ package ip
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
 // FuzzIPParse drives the IPv4 codec with arbitrary bytes: decoding
-// must never panic, and any datagram that decodes must survive a
-// decode→encode→decode round trip with identical fields and reach a
-// byte-stable encoding.
+// must never panic, decoding into a used header must give what
+// decoding into a zero one gives, error or not, and any datagram that
+// decodes must survive a decode→encode→decode round trip with
+// identical fields and reach a byte-stable encoding.
 func FuzzIPParse(f *testing.F) {
 	// Real packets as seeds: plain, with options, odd payload length,
 	// and trailing junk past TotalLen.
@@ -24,7 +26,23 @@ func FuzzIPParse(f *testing.F) {
 	f.Add([]byte{0x45})
 	f.Add([]byte{})
 
+	// used is a header that last held the datagram with options.
+	var used Header
+	if _, err := used.Decode(withOpts); err != nil {
+		f.Fatal(err)
+	}
+
 	f.Fuzz(func(t *testing.T, b []byte) {
+		// Decode stores in place: nothing of the header it last held
+		// (Options above all) may survive, not even on an error.
+		var fresh Header
+		payload0, err0 := fresh.Decode(b)
+		reused := used
+		payloadR, errR := reused.Decode(b)
+		if errR != err0 || !reflect.DeepEqual(reused, fresh) || !bytes.Equal(payloadR, payload0) {
+			t.Fatalf("Decode into a used header diverges (%v, %v):\n%+v\n%+v", errR, err0, reused, fresh)
+		}
+
 		h1, payload1, err := Unmarshal(b)
 		if err != nil {
 			return

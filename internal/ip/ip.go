@@ -183,28 +183,25 @@ func (h *Header) MarshalInto(datagram []byte) error {
 	return nil
 }
 
-// Unmarshal decodes an IPv4 header from b. It returns the decoded
-// header and the payload sub-slice of b (aliasing b, not a copy).
-// The header checksum is not verified; call VerifyChecksum.
-func Unmarshal(b []byte) (Header, []byte, error) {
-	var h Header
-	if len(b) < HeaderLen {
-		return h, nil, ErrTruncated
+// Decode decodes the IPv4 header at the front of b into h and returns
+// the payload sub-slice of b (aliasing b, not a copy). It checks b
+// before it stores anything, then stores each field once, straight
+// from the wire: a header built elsewhere and copied in would be read
+// back wider than it was written, which defeats store forwarding on
+// the proxy's per-packet path. Options aliases b, and is cleared when
+// the header has none, so nothing of the header h last held survives;
+// on an error h is left zero. The header checksum is not verified;
+// call VerifyChecksum.
+func (h *Header) Decode(b []byte) ([]byte, error) {
+	hl, total, err := bounds(b)
+	if err != nil {
+		*h = Header{}
+		return nil, err
 	}
-	if b[0]>>4 != 4 {
-		return h, nil, ErrVersion
-	}
-	hl := int(b[0]&0x0f) * 4
-	if hl < HeaderLen || len(b) < hl {
-		return h, nil, ErrTruncated
-	}
-	h.TOS = b[1]
-	h.TotalLen = binary.BigEndian.Uint16(b[2:])
-	if int(h.TotalLen) < hl || int(h.TotalLen) > len(b) {
-		return h, nil, ErrTruncated
-	}
-	h.ID = binary.BigEndian.Uint16(b[4:])
 	frag := binary.BigEndian.Uint16(b[6:])
+	h.TOS = b[1]
+	h.TotalLen = uint16(total)
+	h.ID = binary.BigEndian.Uint16(b[4:])
 	h.Flags = byte(frag >> 13)
 	h.FragOff = frag & 0x1fff
 	h.TTL = b[8]
@@ -214,8 +211,33 @@ func Unmarshal(b []byte) (Header, []byte, error) {
 	h.Dst = Addr(binary.BigEndian.Uint32(b[16:]))
 	if hl > HeaderLen {
 		h.Options = b[HeaderLen:hl]
+	} else {
+		h.Options = nil
 	}
-	return h, b[hl:h.TotalLen], nil
+	return b[hl:total], nil
+}
+
+// bounds checks that b starts with a whole IPv4 header and holds the
+// whole datagram it announces, and returns the lengths of both.
+func bounds(b []byte) (hl, total int, err error) {
+	if len(b) < HeaderLen {
+		return 0, 0, ErrTruncated
+	}
+	if b[0]>>4 != 4 {
+		return 0, 0, ErrVersion
+	}
+	hl, total = int(b[0]&0x0f)*4, int(binary.BigEndian.Uint16(b[2:]))
+	if hl < HeaderLen || total < hl || total > len(b) {
+		return 0, 0, ErrTruncated
+	}
+	return hl, total, nil
+}
+
+// Unmarshal decodes an IPv4 header from b (see Decode). It returns the
+// decoded header and the payload sub-slice of b.
+func Unmarshal(b []byte) (h Header, payload []byte, err error) {
+	payload, err = h.Decode(b)
+	return h, payload, err
 }
 
 // VerifyChecksum reports whether the header checksum of the encoded

@@ -681,7 +681,10 @@ func (nd *Node) receive(raw []byte, in *Iface) {
 // process delivers or forwards one datagram the node owns; every path
 // either hands it on or releases it.
 func (nd *Node) process(raw []byte, in *Iface) {
-	h, payload, err := ip.Unmarshal(raw)
+	// Decoded in place: a header returned by value would be copied out
+	// with loads wider than Decode's stores, which stalls.
+	var h ip.Header
+	payload, err := h.Decode(raw)
 	if err != nil {
 		nd.Stats.IPInHdrErrors++
 		nd.net.release(raw)

@@ -20,11 +20,13 @@
 //
 // The package records no numbers. Numbers — per layer and end to end,
 // and their comparison across commits — come from the repository
-// benchmark: `bash benchmark/run.sh --workload W --trace 1`. Two
+// benchmark: `bash benchmark/run.sh --workload W --trace 1`. Three
 // benchmarks here time what its rows do not isolate:
 // BenchmarkStreamTable sets the stream table (filter.KeyMap) beside the
-// Go map it replaced, and BenchmarkRegistryMiss times a registry miss
+// Go map it replaced, BenchmarkRegistryMiss times a registry miss
 // against fwd-small's three-pattern registry (the classifier rows
-// register one pattern):
-// `go test -run '^$' -bench 'StreamTable|RegistryMiss' -benchmem ./internal/perf`.
+// register one pattern), and BenchmarkPacketDecode times the proxy's
+// in-place decode of a 64-byte data segment, a 40-byte ACK and a
+// 1460-byte segment (filter.parse_ns times the pooled Parse/Release):
+// `go test -run '^$' -bench 'StreamTable|RegistryMiss|PacketDecode' -benchmem ./internal/perf`.
 package perf

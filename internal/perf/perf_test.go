@@ -153,6 +153,29 @@ func TestPacketParseReleaseZeroAlloc(t *testing.T) {
 	}
 }
 
+// BenchmarkPacketDecode times the proxy's decode on its own: a data
+// segment with fwd-small's 64 payload bytes, a bare 40-byte ACK and an
+// MSS-size segment of 1460 payload bytes, each decoded into one reused
+// view, as every interception does:
+//
+//	go test -run '^$' -bench PacketDecode -benchmem ./internal/perf
+func BenchmarkPacketDecode(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		payload int
+	}{{"data64", 64}, {"ack40", 0}, {"mss1460", 1460}} {
+		b.Run(c.name, func(b *testing.B) {
+			raw := mkTCP(b, 1, c.payload)
+			var view filter.Packet
+			for i := 0; i < b.N; i++ {
+				if err := view.Decode(raw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- TTSF edit map -----------------------------------------------------------
 
 // chopHalf is a minimal TTSF service for these gates: it truncates

@@ -119,7 +119,7 @@ func TestCompiledMatchAgreesWithReference(t *testing.T) {
 			registered = kept
 		default: // lookup: compiled and reference matchers must agree
 			k := randKey(true)
-			want := p.matchesRegistry(k)
+			want := len(refIndices(p, k)) > 0
 			if got := p.program().Match(k); got != want {
 				t.Fatalf("op %d: prog.Match(%v) = %v, reference = %v (registry %d entries)",
 					i, k, got, want, len(p.registry))

@@ -625,20 +625,6 @@ func (q *queue) take(pick func(*attachment) bool) []*attachment {
 	return taken
 }
 
-// matchesRegistry is the naive reference matcher: scan every
-// registration for a (wild-card) key matching exact key k. The
-// compiled match program must agree with this on every lookup (see the
-// property test in match_test.go and the classifier package's parity
-// fuzz target).
-func (p *Proxy) matchesRegistry(k filter.Key) bool {
-	for _, r := range p.registry {
-		if r.key.Matches(k) {
-			return true
-		}
-	}
-	return false
-}
-
 // program returns the compiled match program, recompiling first if a
 // mutation left it dirty.
 //

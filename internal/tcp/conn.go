@@ -122,26 +122,15 @@ func (c *Conn) State() State { return c.state }
 // Stats returns a snapshot of the connection's counters.
 func (c *Conn) Stats() Stats { return c.stats }
 
-// LocalPort and RemotePort expose the connection's addressing.
-func (c *Conn) LocalPort() uint16  { return c.tuple.localPort }
-func (c *Conn) RemotePort() uint16 { return c.tuple.remotePort }
+// LocalPort exposes the connection's local port.
+func (c *Conn) LocalPort() uint16 { return c.tuple.localPort }
 
-// LocalAddr and RemoteAddr expose the connection's endpoints.
-func (c *Conn) LocalAddr() ip.Addr  { return c.tuple.localAddr }
+// RemoteAddr exposes the connection's peer.
 func (c *Conn) RemoteAddr() ip.Addr { return c.tuple.remoteAddr }
 
 // BufferedOut returns the number of payload bytes queued but not yet
 // acknowledged (the send backlog).
 func (c *Conn) BufferedOut() int { return len(c.sndBuf) }
-
-// CongestionWindow returns the current cwnd in bytes (experiments).
-func (c *Conn) CongestionWindow() int { return c.cwnd }
-
-// RTO returns the current retransmission timeout (experiments).
-func (c *Conn) RTO() time.Duration { return c.rto }
-
-// SRTT returns the smoothed round-trip estimate (experiments).
-func (c *Conn) SRTT() time.Duration { return c.srtt }
 
 // MSS returns the effective maximum segment size after negotiation.
 func (c *Conn) MSS() int { return int(c.smss) }

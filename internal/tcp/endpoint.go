@@ -281,6 +281,3 @@ func (s *Stack) trace(send bool, src, dst ip.Addr, seg *Segment) {
 	s.OnSegment(send, src, dst, &cp)
 	*seg = cp
 }
-
-// ConnCount returns the number of live connections (tests).
-func (s *Stack) ConnCount() int { return len(s.conns) }

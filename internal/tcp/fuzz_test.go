@@ -2,15 +2,18 @@ package tcp
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/ip"
 )
 
 // FuzzTCPParse drives the segment codec with arbitrary bytes: decoding
-// must never panic, any segment that decodes must keep its fields
-// across a decode→encode→decode round trip, and the normalized
-// encoding (unknown options dropped, MSS kept) must be byte-stable.
+// must never panic, decoding into a used segment must give what
+// decoding into a zero one gives, error or not, any segment that
+// decodes must keep its fields across a decode→encode→decode round
+// trip, and the normalized encoding (unknown options dropped, MSS
+// kept) must be byte-stable.
 func FuzzTCPParse(f *testing.F) {
 	src := ip.MustParseAddr("11.11.10.99")
 	dst := ip.MustParseAddr("11.11.10.10")
@@ -23,8 +26,23 @@ func FuzzTCPParse(f *testing.F) {
 	f.Add(uint32(0), uint32(0), []byte{})
 	f.Add(uint32(1), uint32(2), bytes.Repeat([]byte{0x01}, 40)) // NOP options
 
+	// used is a segment that last held the SYN with its MSS option.
+	var used Segment
+	if err := used.Decode(syn.Marshal(src, dst)); err != nil {
+		f.Fatal(err)
+	}
+
 	f.Fuzz(func(t *testing.T, srcU, dstU uint32, b []byte) {
 		src, dst := ip.Addr(srcU), ip.Addr(dstU)
+		// Decode stores in place: nothing of the segment it last held
+		// (MSS above all) may survive, not even on an error.
+		var fresh Segment
+		err0 := fresh.Decode(b)
+		reused := used
+		if errR := reused.Decode(b); errR != err0 || !reflect.DeepEqual(reused, fresh) {
+			t.Fatalf("Decode into a used segment diverges (%v, %v):\n%+v\n%+v", errR, err0, reused, fresh)
+		}
+
 		s1, err := Unmarshal(b)
 		if err != nil {
 			return

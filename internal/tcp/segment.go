@@ -136,33 +136,49 @@ func growSlice(b []byte, n int) []byte {
 	return b[:len(b)+n]
 }
 
-// Errors returned by Unmarshal and VerifyChecksum.
+// Errors returned by Decode and VerifyChecksum.
 var (
 	ErrTruncated = errors.New("tcp: truncated segment")
 	ErrChecksum  = errors.New("tcp: bad checksum")
 )
 
-// Unmarshal decodes a TCP segment. Payload aliases b. The checksum is
-// not verified here; use VerifyChecksum with the pseudo-header
-// addresses.
-func Unmarshal(b []byte) (Segment, error) {
-	var s Segment
-	if len(b) < HeaderLen {
-		return s, ErrTruncated
+// Decode decodes the TCP segment b into s. It checks b, options
+// included, before it stores anything, then stores each field once,
+// straight from the wire (see ip.Header.Decode for why). MSS is
+// cleared when the segment carries no MSS option, so nothing of the
+// segment s last held survives; on an error s is left zero. Payload
+// aliases b. The checksum is not verified here; use VerifyChecksum
+// with the pseudo-header addresses.
+func (s *Segment) Decode(b []byte) error {
+	hl, mss, err := checkHeader(b)
+	if err != nil {
+		*s = Segment{}
+		return err
 	}
 	s.SrcPort = binary.BigEndian.Uint16(b[0:])
 	s.DstPort = binary.BigEndian.Uint16(b[2:])
 	s.Seq = binary.BigEndian.Uint32(b[4:])
 	s.Ack = binary.BigEndian.Uint32(b[8:])
-	hl := int(b[12]>>4) * 4
-	if hl < HeaderLen || len(b) < hl {
-		return s, ErrTruncated
-	}
 	s.Flags = b[13]
 	s.Window = binary.BigEndian.Uint16(b[14:])
 	s.Checksum = binary.BigEndian.Uint16(b[16:])
 	s.Urgent = binary.BigEndian.Uint16(b[18:])
-	// Walk options looking for MSS.
+	s.MSS = mss
+	s.Payload = b[hl:]
+	return nil
+}
+
+// checkHeader checks that b starts with a whole TCP header whose
+// options are well formed, and returns the header's length and the
+// value of its MSS option (0 when it has none).
+func checkHeader(b []byte) (hl int, mss uint16, err error) {
+	if len(b) < HeaderLen {
+		return 0, 0, ErrTruncated
+	}
+	hl = int(b[12]>>4) * 4
+	if hl < HeaderLen || len(b) < hl {
+		return 0, 0, ErrTruncated
+	}
 	opts := b[HeaderLen:hl]
 	for len(opts) > 0 {
 		switch opts[0] {
@@ -172,16 +188,21 @@ func Unmarshal(b []byte) (Segment, error) {
 			opts = opts[1:]
 		default:
 			if len(opts) < 2 || int(opts[1]) < 2 || int(opts[1]) > len(opts) {
-				return s, ErrTruncated
+				return 0, 0, ErrTruncated
 			}
 			if opts[0] == 2 && opts[1] == 4 {
-				s.MSS = binary.BigEndian.Uint16(opts[2:])
+				mss = binary.BigEndian.Uint16(opts[2:])
 			}
 			opts = opts[opts[1]:]
 		}
 	}
-	s.Payload = b[hl:]
-	return s, nil
+	return hl, mss, nil
+}
+
+// Unmarshal decodes a TCP segment (see Decode). Payload aliases b.
+func Unmarshal(b []byte) (s Segment, err error) {
+	err = s.Decode(b)
+	return s, err
 }
 
 // VerifyChecksum reports whether the encoded segment b carried between

@@ -58,21 +58,29 @@ func (d *Datagram) AppendMarshal(dst0 []byte, src, dst ip.Addr) []byte {
 // ErrTruncated reports a buffer too short to be a UDP datagram.
 var ErrTruncated = errors.New("udp: truncated datagram")
 
-// Unmarshal decodes a UDP datagram; Payload aliases b.
-func Unmarshal(b []byte) (Datagram, error) {
-	var d Datagram
-	if len(b) < HeaderLen {
-		return d, ErrTruncated
+// Decode decodes the UDP datagram b into d. It checks b before it
+// stores anything, then stores each field once; on an error d is left
+// zero. Payload aliases b.
+func (d *Datagram) Decode(b []byte) error {
+	var length int // stays 0, an error, when b cannot hold a header
+	if len(b) >= HeaderLen {
+		length = int(binary.BigEndian.Uint16(b[4:]))
+	}
+	if length < HeaderLen || length > len(b) {
+		*d = Datagram{}
+		return ErrTruncated
 	}
 	d.SrcPort = binary.BigEndian.Uint16(b[0:])
 	d.DstPort = binary.BigEndian.Uint16(b[2:])
-	length := binary.BigEndian.Uint16(b[4:])
-	if int(length) < HeaderLen || int(length) > len(b) {
-		return d, ErrTruncated
-	}
 	d.Checksum = binary.BigEndian.Uint16(b[6:])
 	d.Payload = b[HeaderLen:length]
-	return d, nil
+	return nil
+}
+
+// Unmarshal decodes a UDP datagram (see Decode); Payload aliases b.
+func Unmarshal(b []byte) (d Datagram, err error) {
+	err = d.Decode(b)
+	return d, err
 }
 
 // VerifyChecksum reports whether the datagram checksum is valid (or
