@@ -23,11 +23,13 @@ test:
 # their datagram's death. The second line repeats the ring's
 # scheduling-sensitive tests (control against live traffic, the idle
 # worker's park handshake, counter reads under the quiesce barrier and
-# after Close), so a flake shows up here, not in somebody's unrelated
-# PR.
+# after Close) and the shard's release of re-marshalled datagrams
+# after its sink (where the poisoning turns a caller's buffer released
+# by mistake into a failure), so a flake shows up here, not in
+# somebody's unrelated change.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'VsTrafficRace|NoStrandedPacket|CountersAfterClose' ./internal/dataplane
+	$(GO) test -race -count=20 -run 'VsTrafficRace|NoStrandedPacket|CountersAfterClose|RingReuse' ./internal/dataplane
 
 # The simulator runs one proxy per Site; the concurrent plane is the
 # benchmark's and the stress tests'. So no non-test package but

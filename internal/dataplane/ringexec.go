@@ -13,11 +13,13 @@ import (
 
 // Sink receives each shard's interception output on a concurrent
 // plane, one call per drained batch: out holds the surviving datagrams
-// of every packet in the batch, in interception order. The slice is
-// the shard's reusable delivery buffer — valid only until that shard's
-// next batch — so the sink must consume (forward, count, copy)
-// synchronously, exactly like netsim's hook contract. The referenced
-// buffers themselves are stable (see proxy.InterceptAppend).
+// of every packet in the batch, in interception order. The slice and
+// every datagram in it are valid only during the call, like a netsim
+// ProtoHandler's raw: once the sink returns, the shard gives each
+// datagram its proxy marshalled back to its node's free list, to be
+// rewritten by a later batch. So the sink consumes (forwards, counts,
+// checks) synchronously and copies whatever it keeps. A packet passed
+// through untouched is the caller's own buffer and stays the caller's.
 type Sink func(shard int, out [][]byte)
 
 // DefaultBatchSize is the most packets a ring slot holds when BatchSize

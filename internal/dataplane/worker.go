@@ -63,9 +63,11 @@ type worker struct {
 	_      [64]byte
 
 	// out accumulates the whole batch's interception output for one
-	// sink call per batch. Reused across batches; refs cleared after
-	// delivery.
-	out [][]byte
+	// sink call per batch, and dead those of its datagrams that are not
+	// their packet's own raw, which go back to the shard's node once
+	// the sink has returned. Both are reused across batches; refs
+	// cleared after delivery.
+	out, dead [][]byte
 
 	ctrl chan ctrlMsg
 	wake chan struct{} // buffered(1): at-most-one pending wakeup
@@ -269,10 +271,18 @@ func (w *worker) runCtrl(m ctrlMsg) {
 }
 
 // deliverBatch intercepts every packet of the batch, delivers the
-// accumulated output in a single sink call, and recycles the arena.
+// accumulated output in a single sink call, releases the datagrams the
+// proxy marshalled, and recycles the arena. A packet's own raw stays
+// the caller's: it is told apart by pointer, as netsim's receive does.
 func (w *worker) deliverBatch(b [][]byte) {
 	for _, raw := range b {
+		n := len(w.out)
 		w.out = w.prox.InterceptAppend(raw, nil, w.out)
+		for _, d := range w.out[n:] {
+			if len(d) > 0 && (len(raw) == 0 || &d[0] != &raw[0]) {
+				w.dead = append(w.dead, d)
+			}
+		}
 	}
 	if w.sink != nil && len(w.out) > 0 {
 		w.sink(w.idx, w.out)
@@ -281,6 +291,12 @@ func (w *worker) deliverBatch(b [][]byte) {
 		w.out[i] = nil // drop packet refs; keep the arena
 	}
 	w.out = w.out[:0]
+	node := w.prox.Node()
+	for i, d := range w.dead {
+		node.Release(d)
+		w.dead[i] = nil
+	}
+	w.dead = w.dead[:0]
 	for i := range b {
 		b[i] = nil
 	}

@@ -215,7 +215,18 @@ type Packet struct {
 	// decoded; nothing reaches it until Decode fills it again.
 	tcpSeg tcp.Segment
 	udpDgm udp.Datagram
+
+	// datagram, when set, hands out the buffers Remarshal fills (see
+	// SetDatagrams); Decode leaves it alone.
+	datagram func(n int) []byte
 }
+
+// SetDatagrams makes Remarshal and RemarshalStale fill buffers from
+// datagram instead of allocating: the owning proxy passes its node's
+// Node.Datagram, so an edited packet is re-marshalled into a buffer
+// off the network's free list and goes back to it where it dies.
+// Encode never uses it: its snapshots are kept, not handed over.
+func (p *Packet) SetDatagrams(datagram func(n int) []byte) { p.datagram = datagram }
 
 // Decode decodes the raw IP datagram into p in place. Every field is
 // reset — the transport views, the drop and dirty marks, and the
@@ -313,10 +324,12 @@ func (p *Packet) Dirty() bool { return p.dirty }
 // TCP checksums, clearing the dirty mark. This is what the thesis's
 // "tcp" filter does as the highest-priority out method.
 //
-// It makes exactly one allocation: the datagram itself, which escapes
-// to the network and must stay immutable in flight.
+// The new Raw is the one buffer it takes: off the view's datagram
+// source when it has one (SetDatagrams), freshly allocated when not
+// (a Parse'd view). Either way it is handed over with the packet, to
+// the network or the plane's sink, and the proxy never writes it again.
 func (p *Packet) Remarshal() error {
-	raw, err := p.marshal(&p.IP)
+	raw, err := p.marshal(&p.IP, p.datagram)
 	if err != nil {
 		return err
 	}
@@ -325,23 +338,36 @@ func (p *Packet) Remarshal() error {
 	return nil
 }
 
-// marshal encodes the decoded state into one fresh datagram: the
-// transport layer is marshalled (with its checksum, which lands in the
-// decoded view too) directly behind the room left for the IP header,
-// then h fills that in.
-func (p *Packet) marshal(h *ip.Header) ([]byte, error) {
+// marshal encodes the decoded state into one datagram, from datagram
+// when non-nil and allocated otherwise: the transport layer is
+// marshalled (with its checksum, which lands in the decoded view too)
+// directly behind the room left for the IP header, then h fills that
+// in. Every byte is written, so a recycled buffer's stale bytes never
+// show.
+func (p *Packet) marshal(h *ip.Header, datagram func(n int) []byte) ([]byte, error) {
 	hl := h.HeaderLength()
-	var b []byte
+	n := hl
 	switch {
 	case p.TCP != nil:
-		b = make([]byte, hl, hl+p.TCP.HeaderLength()+len(p.TCP.Payload))
+		n += p.TCP.HeaderLength() + len(p.TCP.Payload)
+	case p.UDP != nil:
+		n += udp.HeaderLen + len(p.UDP.Payload)
+	default:
+		n += len(p.Data)
+	}
+	var b []byte
+	if datagram != nil {
+		b = datagram(n)[:hl]
+	} else {
+		b = make([]byte, hl, n)
+	}
+	switch {
+	case p.TCP != nil:
 		b = p.TCP.AppendMarshal(b, h.Src, h.Dst)
 	case p.UDP != nil:
-		b = make([]byte, hl, hl+udp.HeaderLen+len(p.UDP.Payload))
 		b = p.UDP.AppendMarshal(b, h.Src, h.Dst)
 	default:
-		b = make([]byte, hl+len(p.Data))
-		copy(b[hl:], p.Data)
+		b = append(b, p.Data...)
 	}
 	if err := h.MarshalInto(b); err != nil {
 		return nil, err
@@ -352,7 +378,9 @@ func (p *Packet) marshal(h *ip.Header) ([]byte, error) {
 // Encode marshals the packet's current decoded state into a fresh
 // byte slice with correct checksums, without touching Raw or the dirty
 // mark. Filters use it to snapshot a packet (e.g. the snoop cache)
-// mid-queue, when Raw may be stale.
+// mid-queue, when Raw may be stale. The slice is always allocated,
+// never taken from the view's datagram source: a snapshot is kept,
+// and a recycled buffer would be rewritten under its keeper.
 func (p *Packet) Encode() ([]byte, error) {
 	var tcpCk, udpCk uint16
 	if p.TCP != nil {
@@ -362,7 +390,7 @@ func (p *Packet) Encode() ([]byte, error) {
 		udpCk = p.UDP.Checksum
 	}
 	h := p.IP
-	b, err := p.marshal(&h)
+	b, err := p.marshal(&h, nil)
 	// marshal recomputes transport checksums in place; Encode promises
 	// not to modify the packet, so restore the wire values.
 	if p.TCP != nil {

@@ -163,12 +163,16 @@ func TestRemarshalFixesChecksums(t *testing.T) {
 	}
 }
 
-// TestRemarshalMatchesTwoStepMarshal: the single-buffer re-marshal
-// (transport written directly behind the IP header) must produce the
-// bytes of the plain composition Header.Marshal(Segment.Marshal()),
-// for every shape the packet view has; Encode must produce them too
-// and leave the packet as it found it.
-func TestRemarshalMatchesTwoStepMarshal(t *testing.T) {
+// marshalCase is one packet shape the view re-marshals: the IP
+// options and the transport bytes, which also set the protocol.
+type marshalCase struct {
+	name      string
+	ipOptions []byte
+	transport func(*ip.Header) []byte
+}
+
+// marshalCases covers every shape the packet view has.
+func marshalCases() []marshalCase {
 	src, dst := ip.MustParseAddr("11.11.10.99"), ip.MustParseAddr("11.11.10.10")
 	odd := bytes.Repeat([]byte{0xa5, 0x01, 0xff}, 487) // 1461 bytes: odd length, last word padded
 	tcpSeg := func(mss uint16, payload []byte) func(*ip.Header) []byte {
@@ -179,11 +183,7 @@ func TestRemarshalMatchesTwoStepMarshal(t *testing.T) {
 			return seg.Marshal(src, dst)
 		}
 	}
-	cases := []struct {
-		name      string
-		ipOptions []byte
-		transport func(*ip.Header) []byte
-	}{
+	return []marshalCase{
 		{"tcp", nil, tcpSeg(0, odd)},
 		{"tcp-pure-ack", nil, tcpSeg(0, nil)},
 		{"tcp-mss-option", nil, tcpSeg(1460, []byte("syn data"))},
@@ -208,13 +208,29 @@ func TestRemarshalMatchesTwoStepMarshal(t *testing.T) {
 			return []byte{0, 7, 4, 145, 0} // does not decode: carried as Data
 		}},
 	}
-	for _, c := range cases {
+}
+
+// marshalled builds c's datagram with the plain two-step composition.
+func marshalled(t *testing.T, c marshalCase) []byte {
+	t.Helper()
+	src, dst := ip.MustParseAddr("11.11.10.99"), ip.MustParseAddr("11.11.10.10")
+	h := ip.Header{TOS: 0x10, ID: 0x1234, Flags: ip.FlagDF, TTL: 64, Src: src, Dst: dst, Options: c.ipOptions}
+	want, err := h.Marshal(c.transport(&h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestRemarshalMatchesTwoStepMarshal: the single-buffer re-marshal
+// (transport written directly behind the IP header) must produce the
+// bytes of the plain composition Header.Marshal(Segment.Marshal()),
+// for every shape the packet view has; Encode must produce them too
+// and leave the packet as it found it.
+func TestRemarshalMatchesTwoStepMarshal(t *testing.T) {
+	for _, c := range marshalCases() {
 		t.Run(c.name, func(t *testing.T) {
-			h := ip.Header{TOS: 0x10, ID: 0x1234, Flags: ip.FlagDF, TTL: 64, Src: src, Dst: dst, Options: c.ipOptions}
-			want, err := h.Marshal(c.transport(&h))
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := marshalled(t, c)
 			p, err := Parse(want)
 			if err != nil {
 				t.Fatal(err)
@@ -241,6 +257,59 @@ func TestRemarshalMatchesTwoStepMarshal(t *testing.T) {
 			}
 			if &p.Raw[0] == &want[0] || &p.Raw[0] == &enc[0] {
 				t.Fatal("Remarshal reused a buffer that already escaped")
+			}
+		})
+	}
+}
+
+// TestRemarshalIntoRecycledBuffers: a view with a datagram source
+// re-marshals into the source's buffers, whose stale bytes (0xDB, as
+// netsim poisons released ones) must all be overwritten — for every
+// shape, under Remarshal and RemarshalStale — while Encode never takes
+// a buffer from it: a snapshot is kept, and a recycled buffer would be
+// rewritten under its keeper.
+func TestRemarshalIntoRecycledBuffers(t *testing.T) {
+	var handed [][]byte
+	source := func(n int) []byte {
+		b := bytes.Repeat([]byte{0xdb}, max(n, 1536))[:n]
+		handed = append(handed, b)
+		return b
+	}
+	for _, c := range marshalCases() {
+		t.Run(c.name, func(t *testing.T) {
+			want := marshalled(t, c)
+			var p Packet
+			p.SetDatagrams(source)
+			if err := p.Decode(want); err != nil {
+				t.Fatal(err)
+			}
+			handed = handed[:0]
+			enc, err := p.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(handed) != 0 || !bytes.Equal(enc, want) {
+				t.Fatalf("Encode took %d buffers from the view's source", len(handed))
+			}
+			for _, stale := range []bool{false, true} {
+				p.MarkDirty()
+				remarshal := p.Remarshal
+				if stale {
+					remarshal = p.RemarshalStale
+				}
+				if err := remarshal(); err != nil {
+					t.Fatal(err)
+				}
+				if n := len(handed); n != 1 || &p.Raw[0] != &handed[0][0] {
+					t.Fatalf("stale=%v: Raw is not the one buffer the source handed out (%d handed)", stale, n)
+				}
+				if !bytes.Equal(p.Raw, want) {
+					t.Fatalf("stale=%v: re-marshal into a recycled buffer differs:\n% x\n% x", stale, p.Raw, want)
+				}
+				handed = handed[:0]
+				if again, _ := p.Encode(); len(handed) != 0 || &again[0] == &p.Raw[0] {
+					t.Fatal("Encode of a re-marshalled view shares a source buffer")
+				}
 			}
 		})
 	}

@@ -268,9 +268,25 @@ func Checksum(b []byte) uint16 {
 // byte-swapped once into the big-endian value the wire format wants.
 // A trailing odd byte lands in the low half of its little-endian word,
 // which the swap turns into the high-order byte RFC 1071 pads to.
+//
+// The carry stays in the flags register along a run of adds and has to
+// be turned into a value wherever the loop branches back, so the main
+// loop adds 64 bytes between two such points; a 32-byte block and the
+// 8-byte loop take what is left.
 func sumBytes(acc uint32, b []byte) uint32 {
 	var s, c uint64
-	for len(b) >= 32 {
+	for len(b) >= 64 {
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[8:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[16:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[24:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[32:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[40:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[48:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[56:]), c)
+		b = b[64:]
+	}
+	if len(b) >= 32 {
 		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b), c)
 		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[8:]), c)
 		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[16:]), c)

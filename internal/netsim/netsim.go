@@ -21,8 +21,12 @@
 // local ProtoHandler returns, when a Hook does not re-emit it, or at a
 // drop site (bad header, TTL expiry, no route, link down or detached,
 // zero capacity, full queue, loss, ARQ exhausted). A forwarding node
-// rewrites TTL and header checksum in place. Everyone else keeps three
-// rules:
+// rewrites TTL and header checksum in place. A service proxy
+// re-marshals each packet it edits into a buffer from its node's
+// Datagram (filter.Packet.Remarshal), so on a node that buffer comes
+// back at the same places; the concurrent plane's shard, with no
+// network behind its node, hands it back through Node.Release once its
+// sink has returned. Everyone else keeps three rules:
 //   - a sender never touches a buffer after handing it over, and never
 //     hands the same buffer over twice: the second send is a copy;
 //   - a ProtoHandler's payload and raw, and every slice a transport
@@ -572,6 +576,13 @@ func (nd *Node) PacketHook() Hook { return nd.hook }
 // comment). Its bytes are stale: the sender writes all of them. It
 // satisfies tcp.Network.
 func (nd *Node) Datagram(n int) []byte { return nd.net.datagram(n) }
+
+// Release takes back a datagram buffer that died outside the network,
+// as the concurrent plane's shard does with each re-marshalled
+// datagram once its sink has returned. Give back only what Datagram
+// handed out and nothing reads any more: the free list keeps any
+// buffer of a recycled buffer's capacity, whoever made it.
+func (nd *Node) Release(b []byte) { nd.net.release(b) }
 
 // SendIP builds and routes an IP datagram from this node's primary
 // address. payload stays the caller's.

@@ -175,15 +175,21 @@ type Event struct {
 	more    []Field
 }
 
-// setFields copies fields into the event.
+// setFields copies fields into the event. Inline slots past nInline
+// are always zero, so only those the slot's previous event used beyond
+// the new count are cleared (a Field holds strings: each store is a
+// write barrier).
 func (e *Event) setFields(fields []Field) {
-	e.nInline = copy(e.inline[:], fields)
-	for i := e.nInline; i < inlineFields; i++ {
-		e.inline[i] = Field{}
+	n := copy(e.inline[:], fields)
+	if old := e.nInline; old > n {
+		clear(e.inline[n:old])
 	}
-	e.more = nil
-	if len(fields) > inlineFields {
-		e.more = append(e.more, fields[inlineFields:]...)
+	e.nInline = n
+	switch {
+	case len(fields) > inlineFields:
+		e.more = append([]Field(nil), fields[inlineFields:]...)
+	case e.more != nil:
+		e.more = nil
 	}
 }
 

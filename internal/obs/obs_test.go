@@ -67,6 +67,39 @@ func TestBusRingRetention(t *testing.T) {
 	}
 }
 
+// TestRecycledSlotHoldsOnlyItsFields: a one-event ring reuses its slot
+// for every emit, with more and fewer fields than the event before, so
+// what the previous event left beyond the new count must be cleared,
+// and every inline slot past the count stays zero for the next event's
+// clear to rely on.
+func TestRecycledSlotHoldsOnlyItsFields(t *testing.T) {
+	b := NewBus(sim.NewScheduler(1), 1)
+	for _, n := range []int{4, 1, 6, 0, 3, 2, 4, 5, 1} {
+		fields := make([]Field, n)
+		for i := range fields {
+			fields[i] = F("f"+strconv.Itoa(i), "v"+strconv.Itoa(n))
+		}
+		b.Emit("x", "e", "k", fields...)
+		e := &b.ring[0]
+		if got := e.Fields(); len(got) != n {
+			t.Fatalf("%d fields emitted, event holds %v", n, got)
+		}
+		for i, f := range e.Fields() {
+			if f != fields[i] {
+				t.Fatalf("%d fields emitted: field %d is %v, want %v", n, i, f, fields[i])
+			}
+		}
+		for i := e.nInline; i < inlineFields; i++ {
+			if e.inline[i] != (Field{}) {
+				t.Fatalf("%d fields emitted: unused inline slot %d holds %v", n, i, e.inline[i])
+			}
+		}
+		if (e.more != nil) != (n > inlineFields) {
+			t.Fatalf("%d fields emitted: overflow slice %v", n, e.more)
+		}
+	}
+}
+
 // mutableStringer changes what it prints, as live simulation state
 // behind a String method does.
 type mutableStringer struct{ s string }

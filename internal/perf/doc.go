@@ -5,11 +5,14 @@
 // Allocation gates (testing.AllocsPerRun): pass-through and
 // tcp-filtered interception, the flow log, a decode into a reused
 // packet view and the pooled Parse/Release, an 8000-rule classifier
-// lookup, a churn of 2^16 never-matching keys and a simulator event
-// (After + Step) allocate nothing; a re-marshal, a translated reverse ACK and a
-// simulated link hop allocate exactly the datagram; a whole first-sight
-// flow lifecycle (launcher, tcp, two queues, three bus events, the
-// close-grace timer) allocates at most twice, under -race too.
+// lookup, a churn of 2^16 never-matching keys, a simulator event
+// (After + Step), a simulated link hop and an edited packet through a
+// node-hosted tcp+chop proxy, re-marshalled into a datagram the
+// network recycles, allocate nothing; a re-marshal of a Parse'd view
+// and a translated reverse ACK whose output nothing releases allocate
+// exactly the datagram; a whole first-sight flow lifecycle (launcher,
+// tcp, two queues, three bus events, the close-grace timer) allocates
+// at most twice, under -race too.
 //
 // Ratio gates (fastestOf, skipped under -short and -race): the TTSF
 // remap costs the same against 4096 live edits as against 16

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,8 @@ import (
 	"repro/internal/filters"
 	"repro/internal/ip"
 	"repro/internal/netsim"
+	"repro/internal/proxy"
+	"repro/internal/sim"
 	"repro/internal/tcp"
 )
 
@@ -304,6 +307,62 @@ func TestRemarshalOneAlloc(t *testing.T) {
 		}
 	}); allocs != 1 {
 		t.Fatalf("Remarshal allocates %.1f times per packet, want 1 (the datagram)", allocs)
+	}
+}
+
+// TestEditedPacketRecycledZeroAlloc gates the edited path of a
+// node-hosted proxy: under tcp plus an editing filter (chop) every
+// data segment is re-marshalled, into a buffer off the node's network
+// free list, and the network takes it back once the datagram has died
+// at the far host. Each packet enters from a buffer off the same free
+// list, which it goes back to where the proxy replaces it. So in steady
+// state an edited packet crossing the proxy allocates nothing; a fresh
+// datagram per re-marshal costs one allocation and 1.5 KB.
+func TestEditedPacketRecycledZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: run it on an uninstrumented binary")
+	}
+	nw := netsim.New(sim.NewScheduler(1))
+	a, px, b := nw.AddNode("a"), nw.AddNode("proxy"), nw.AddNode("b")
+	px.Forwarding = true
+	la := nw.Connect(a, core.WiredAddr, px, ip.MustParseAddr("10.9.0.2"), netsim.LinkConfig{Bandwidth: 10e9})
+	nw.Connect(px, ip.MustParseAddr("10.9.1.1"), b, core.MobileAddr, netsim.LinkConfig{Bandwidth: 10e9})
+	a.AddDefaultRoute(la.IfaceA())
+	cat := filter.NewCatalog()
+	filters.RegisterAll(cat)
+	cat.Register("chop", func() filter.Factory { return chopHalf{} })
+	prox := proxy.New(px, cat)
+	for _, c := range []string{"load tcp", "load chop", "add tcp " + probeKey(), "add chop " + probeKey()} {
+		if out := prox.Exec(c); strings.HasPrefix(out, "error") {
+			t.Fatalf("%s: %s", c, out)
+		}
+	}
+	var got, intact int
+	b.RegisterProto(ip.ProtoTCP, func(h ip.Header, payload, _ []byte, _ *netsim.Iface) {
+		got++
+		if seg, err := tcp.Unmarshal(payload); err == nil && len(seg.Payload) == 500 &&
+			tcp.VerifyChecksum(h.Src, h.Dst, payload) {
+			intact++
+		}
+	})
+	const burst = 32
+	raw := mkTCP(t, 1, 1000)
+	perRun := testing.AllocsPerRun(100, func() {
+		for i := 0; i < burst; i++ {
+			d := a.Datagram(len(raw))
+			copy(d, raw)
+			a.InjectPacket(d)
+		}
+		nw.Scheduler().Run()
+	})
+	if perPkt := perRun / burst; perPkt > 0 {
+		t.Fatalf("an edited packet through the proxy allocates %.2f times, want 0", perPkt)
+	}
+	if want := 101 * burst; got != want || intact != want {
+		t.Fatalf("%d datagrams reached the far host, %d of them halved with valid checksums, want %d", got, intact, want)
+	}
+	if st := prox.Stats; st.Filtered != int64(got) {
+		t.Fatalf("the proxy filtered %d packets, want %d", st.Filtered, got)
 	}
 }
 

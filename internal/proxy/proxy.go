@@ -218,14 +218,23 @@ func New(node *netsim.Node, catalog *filter.Catalog) *Proxy {
 // without installing the node packet hook: its owner feeds it through
 // Intercept or InterceptAppend directly (the concurrent plane's shard
 // workers, the benchmark's replay rig).
+//
+// Packets it re-marshals are written into datagram buffers off node's
+// network (Node.Datagram). A hooked proxy's output goes on into the
+// network, which takes each buffer back where its datagram dies; a
+// detached proxy's owner gives back, through Node.Release, each output
+// that is not its packet's own raw once done with it (an owner that
+// never does merely forgoes the reuse).
 func NewDetached(node *netsim.Node, catalog *filter.Catalog) *Proxy {
-	return &Proxy{
+	p := &Proxy{
 		node:    node,
 		catalog: catalog,
 		pool:    make(map[string]filter.Factory),
 		prog:    classifier.Compile(nil),
 		flows:   flowlog.New(func() sim.Time { return node.Clock().Now() }, flowlog.Config{}),
 	}
+	p.pkt.SetDatagrams(node.Datagram)
+	return p
 }
 
 // Node returns the network node hosting the proxy.
@@ -480,9 +489,11 @@ func (p *Proxy) Intercept(raw []byte, in *netsim.Iface) [][]byte {
 // injected) datagrams to dst, returning the extended slice. The
 // appended entries stay valid across later interceptions: each is
 // either the caller's raw buffer passed through untouched, or a
-// freshly marshalled datagram the proxy never writes again. The
-// batched shard pipeline relies on this to accumulate a whole batch's
-// output before one sink delivery. The steady-state pass-through path
+// datagram the proxy marshalled (re-marshalled ones off its node's
+// free list) and never writes again. The batched shard pipeline relies
+// on this to accumulate a whole batch's output before one sink
+// delivery, after which it releases every entry that is not its
+// packet's own raw. The steady-state pass-through path
 // (no matching service, or a clean traversal of the tcp filter) is
 // allocation-free: the packet is decoded into the proxy's own view.
 //
