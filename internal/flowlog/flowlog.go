@@ -10,6 +10,15 @@
 // zero-window rate, mean RTT) feed the EEM so policy rules can fire on
 // traffic conditions, not just link metrics.
 //
+// Each active flow also carries one Tag per direction that the table's
+// owner keeps its own per-stream answer in: Record returns the
+// segment's tag, zeroed when the flow opened, and the table never
+// reads it. The proxy stamps there which filter queue the stream
+// uses, or that no registration matches it, so a known flow's later
+// packets skip the queue table and the registry classifier. A tag
+// lives exactly as long as its flow: a closed, evicted or expired flow
+// that reopens starts from a zero tag.
+//
 // Concurrency contract: a table belongs to one goroutine (the proxy's
 // interception path; on the concurrent plane, the shard goroutine,
 // which other goroutines reach only through the plane's quiesce
@@ -79,6 +88,15 @@ const (
 	ScoreHandshake = 255 // oriented by an observed SYN or SYN-ACK
 )
 
+// Tag is one direction of a flow's owner-kept slot: a value and the
+// generation the owner stamped it with. The table zeroes it when the
+// flow opens and never reads it; what the fields mean is the owner's
+// business.
+type Tag struct {
+	Val any
+	Gen uint64
+}
+
 // Record is one flow's accumulated state, oriented so Init is the
 // connection initiator's direction (per Score's confidence).
 type Record struct {
@@ -124,6 +142,8 @@ type flowState struct {
 	finSeen [2]bool
 	initDir int8 // 0 or 1 (canonical index of the initiator)
 	score   uint8
+
+	tag [2]Tag // the owner's slot per canonical direction
 }
 
 // Table is one shard's flow accumulator.
@@ -174,11 +194,18 @@ func canonical(k filter.Key) (ck filter.Key, dir int) {
 	return k, 0
 }
 
-// Record folds one TCP segment into its flow. k is the packet's parse
-// key (source endpoint first); seg's fields are copied, never
-// retained, since seg lives in the proxy's reused packet view. Steady
-// state (existing flow) is allocation-free.
-func (t *Table) Record(k filter.Key, seg *tcp.Segment, rawLen int) {
+// Record folds one TCP segment into its flow and returns the tag of
+// the segment's direction of that flow (of exact key k, that is). k is
+// the packet's parse key (source endpoint first); seg's fields are
+// copied, never retained, since seg lives in the proxy's reused packet
+// view. Steady state (existing flow) is allocation-free.
+//
+// The tag is nil when the segment has no flow record: a segment that
+// consumes no sequence space opens none, and a RST or second FIN
+// closes the record it was folded into. Otherwise it is the open
+// record's, zero if this segment opened it, and valid until the next
+// call that can close a flow (Record, Snapshot, AppendRecords).
+func (t *Table) Record(k filter.Key, seg *tcp.Segment, rawLen int) *Tag {
 	now := t.now()
 	t.stats.Pkts++
 	t.expireIdle(now, 2)
@@ -191,7 +218,7 @@ func (t *Table) Record(k filter.Key, seg *tcp.Segment, rawLen int) {
 		// arriving after the second FIN closed the record — must not
 		// resurrect the flow as a one-packet ghost.
 		if f, _ = t.active.Get(ck); f == nil {
-			return
+			return nil
 		}
 	} else if slot, found := t.active.Insert(ck); found {
 		f = *slot
@@ -269,12 +296,15 @@ func (t *Table) Record(k filter.Key, seg *tcp.Segment, rawLen int) {
 	switch {
 	case seg.Flags&tcp.FlagRST != 0:
 		t.close(f, StateReset)
+		return nil
 	case seg.Flags&tcp.FlagFIN != 0:
 		f.finSeen[d] = true
 		if f.finSeen[0] && f.finSeen[1] {
 			t.close(f, StateClosed)
+			return nil
 		}
 	}
+	return &f.tag[d]
 }
 
 // sample folds one RTT measurement into the flow's smoothed estimate

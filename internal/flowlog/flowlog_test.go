@@ -31,9 +31,9 @@ func newTestTable(cfg Config) (*Table, *clock) {
 	return New(c.now, cfg), c
 }
 
-// seg builds a segment and records it. rawLen is approximated as
-// 40 + payload.
-func rec(t *Table, k filter.Key, flags byte, seq, ack uint32, win uint16, payload int) {
+// rec builds a segment, records it and returns Record's tag. rawLen
+// is approximated as 40 + payload.
+func rec(t *Table, k filter.Key, flags byte, seq, ack uint32, win uint16, payload int) *Tag {
 	s := &tcp.Segment{
 		SrcPort: k.SrcPort, DstPort: k.DstPort,
 		Seq: seq, Ack: ack, Flags: flags, Window: win,
@@ -41,7 +41,7 @@ func rec(t *Table, k filter.Key, flags byte, seq, ack uint32, win uint16, payloa
 	if payload > 0 {
 		s.Payload = make([]byte, payload)
 	}
-	t.Record(k, s, 40+payload)
+	return t.Record(k, s, 40+payload)
 }
 
 // one finds the single record matching state, failing otherwise.
@@ -322,5 +322,62 @@ func TestSteadyStateRecordZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Record allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestTagLifetime pins the owner's slot: one tag per direction of a
+// flow, kept across its segments, nil where the segment leaves no
+// record, and zero again whenever a flow reopens after a RST, a second
+// FIN, an eviction at MaxActive or an idle expiry.
+func TestTagLifetime(t *testing.T) {
+	stamp := func(tag *Tag) {
+		tag.Val, tag.Gen = "answer", 7
+	}
+	zero := func(t *testing.T, tag *Tag, when string) {
+		t.Helper()
+		if tag == nil || *tag != (Tag{}) {
+			t.Fatalf("%s: tag %v, want a zero tag", when, tag)
+		}
+	}
+	other := filter.Key{SrcIP: cliIP, SrcPort: 8, DstIP: srvIP, DstPort: 5001}
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		close func(tbl *Table, c *clock) *Tag // the tag of fwd's closing segment, if any
+	}{
+		{"rst", Config{}, func(tbl *Table, _ *clock) *Tag {
+			return rec(tbl, fwd.Reverse(), tcp.FlagRST, 900, 0, 0, 0)
+		}},
+		{"second fin", Config{}, func(tbl *Table, _ *clock) *Tag {
+			rec(tbl, fwd, tcp.FlagFIN|tcp.FlagACK, 200, 900, 65535, 0)
+			return rec(tbl, fwd.Reverse(), tcp.FlagFIN|tcp.FlagACK, 900, 201, 65535, 0)
+		}},
+		{"evict", Config{MaxActive: 1}, func(tbl *Table, _ *clock) *Tag {
+			rec(tbl, other, tcp.FlagSYN, 50, 0, 65535, 0) // another flow's tag
+			return nil
+		}},
+		{"idle", Config{}, func(_ *Table, c *clock) *Tag {
+			c.advance(DefaultIdleTimeout)
+			return nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tbl, clk := newTestTable(c.cfg)
+			if tag := rec(tbl, fwd, tcp.FlagACK, 1, 1, 65535, 0); tag != nil {
+				t.Fatal("a pure ACK with no flow returned a tag")
+			}
+			tag := rec(tbl, fwd, tcp.FlagSYN, 100, 0, 65535, 0)
+			zero(t, tag, "opening segment")
+			stamp(tag)
+			rev := rec(tbl, fwd.Reverse(), tcp.FlagSYN|tcp.FlagACK, 800, 101, 65535, 0)
+			zero(t, rev, "first reverse segment")
+			if rec(tbl, fwd, tcp.FlagACK, 101, 801, 65535, 0) != tag || tag.Gen != 7 {
+				t.Fatal("a later segment of the flow did not return its stamped tag")
+			}
+			if got := c.close(tbl, clk); got != nil {
+				t.Fatalf("the closing segment returned tag %v, want nil", got)
+			}
+			zero(t, rec(tbl, fwd, tcp.FlagACK, 300, 900, 65535, 10), "reopened flow")
+		})
 	}
 }

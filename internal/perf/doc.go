@@ -5,7 +5,9 @@
 // Allocation gates (testing.AllocsPerRun): pass-through and
 // tcp-filtered interception, the flow log, a decode into a reused
 // packet view and the pooled Parse/Release, an 8000-rule classifier
-// lookup, a churn of 2^16 never-matching keys, a simulator event
+// lookup, a churn of 2^16 never-matching keys, a known flow's packet
+// on fwd-small's registry answered from its flow tag (serviced and
+// unserviced, the tag stamped afresh each run), a simulator event
 // (After + Step), a simulated link hop and an edited packet through a
 // node-hosted tcp+chop proxy, re-marshalled into a datagram the
 // network recycles, allocate nothing; a re-marshal of a Parse'd view
@@ -23,13 +25,15 @@
 //
 // The package records no numbers. Numbers — per layer and end to end,
 // and their comparison across commits — come from the repository
-// benchmark: `bash benchmark/run.sh --workload W --trace 1`. Three
+// benchmark: `bash benchmark/run.sh --workload W --trace 1`. Four
 // benchmarks here time what its rows do not isolate:
 // BenchmarkStreamTable sets the stream table (filter.KeyMap) beside the
 // Go map it replaced, BenchmarkRegistryMiss times a registry miss
 // against fwd-small's three-pattern registry (the classifier rows
-// register one pattern), and BenchmarkPacketDecode times the proxy's
+// register one pattern), BenchmarkInterceptKnownFlow a known flow's
+// data segment through a hooked proxy on that registry, serviced and
+// not, and BenchmarkPacketDecode times the proxy's
 // in-place decode of a 64-byte data segment, a 40-byte ACK and a
 // 1460-byte segment (filter.parse_ns times the pooled Parse/Release):
-// `go test -run '^$' -bench 'StreamTable|RegistryMiss|PacketDecode' -benchmem ./internal/perf`.
+// `go test -run '^$' -bench 'StreamTable|RegistryMiss|InterceptKnownFlow|PacketDecode' -benchmem ./internal/perf`.
 package perf

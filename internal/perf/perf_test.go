@@ -204,9 +204,10 @@ func (chopHalf) New(env filter.Env, k filter.Key, args []string) error {
 // ttsfEditMapSetup builds a proxy whose probe stream runs under
 // tcp+ttsf+chop and pushes edits data segments through it, so the
 // TTSF's log holds that many live edits (no reverse traffic has
-// flowed, so nothing is pruned). It returns the hook and the next
-// original sequence number.
-func ttsfEditMapSetup(tb testing.TB, edits int) (hook netsim.Hook, in *netsim.Iface, seq uint32) {
+// flowed, so nothing is pruned). It returns the hook, the proxy's node
+// (whose datagrams the proxy re-marshals into) and the next original
+// sequence number.
+func ttsfEditMapSetup(tb testing.TB, edits int) (hook netsim.Hook, in *netsim.Iface, node *netsim.Node, seq uint32) {
 	tb.Helper()
 	sys := core.NewSystem(core.Config{Seed: 17})
 	sys.Catalog.Register("chop", func() filter.Factory { return chopHalf{} })
@@ -218,9 +219,11 @@ func ttsfEditMapSetup(tb testing.TB, edits int) (hook netsim.Hook, in *netsim.If
 	sys.MustCommand("add chop " + probeKey())
 	hook = sys.ProxyHost.PacketHook()
 	in = sys.ProxyHost.Ifaces()[0]
+	node = sys.ProxyHost
 	seq = 1000
 	for i := 0; i < edits; i++ {
-		hook(mkTCP(tb, seq, 100), in)
+		raw := mkTCP(tb, seq, 100)
+		release(node, raw, hook(raw, in))
 		seq += 100
 	}
 	k := filter.Key{SrcIP: core.WiredAddr, SrcPort: 7,
@@ -228,7 +231,18 @@ func ttsfEditMapSetup(tb testing.TB, edits int) (hook netsim.Hook, in *netsim.If
 	if st, ok := filters.TTSFStatsFor(k); !ok || st.Edits != int64(edits) {
 		tb.Fatalf("edit log has %d edits, want %d", st.Edits, edits)
 	}
-	return hook, in, seq
+	return hook, in, node, seq
+}
+
+// release gives node back every output of raw's interception that is
+// not raw itself, as the ring's shard worker does once its sink has
+// returned, so the next re-marshal reuses the buffer.
+func release(node *netsim.Node, raw []byte, out [][]byte) {
+	for _, d := range out {
+		if len(d) > 0 && &d[0] != &raw[0] {
+			node.Release(d)
+		}
+	}
 }
 
 // skipTimingGate skips a wall-clock ratio gate where its verdict means
@@ -277,11 +291,11 @@ func TestTTSFEditMapFlat(t *testing.T) {
 	skipTimingGate(t)
 	const acks, bound = 2000, 1.5
 	remap := func(edits int) func() {
-		hook, in, seq := ttsfEditMapSetup(t, edits)
+		hook, in, node, seq := ttsfEditMapSetup(t, edits)
 		ack := mkTCP(t, seq, 0)
 		return func() {
 			for i := 0; i < acks; i++ {
-				hook(ack, in)
+				release(node, ack, hook(ack, in))
 			}
 		}
 	}
@@ -375,7 +389,7 @@ func TestEditedPacketRecycledZeroAlloc(t *testing.T) {
 // prune must allocate nothing.
 func TestTTSFReverseAckOneAlloc(t *testing.T) {
 	const acks = 128
-	hook, in, _ := ttsfEditMapSetup(t, 128+acks)
+	hook, in, _, _ := ttsfEditMapSetup(t, 128+acks)
 	// chop halves every 100-byte segment from sequence 1000 on, so the
 	// mobile's n-th ACK, in its own sequence space, is 1000 + 50n.
 	raws := make([][]byte, 0, acks+1)

@@ -145,3 +145,37 @@ func TestRegistryMissChurnZeroAlloc(t *testing.T) {
 		t.Fatal("miss churn built filter queues")
 	}
 }
+
+// TestInterceptKnownFlowZeroAlloc gates the flow-tag cache on
+// fwd-small's registry: a known flow's data segment through the hooked
+// path allocates nothing, as a cached hit (the serviced flow's queue)
+// and as a cached miss (an unserviced flow). Each run also closes the
+// flow with a RST and reopens it, so the answer is stamped into a zero
+// tag again: storing the queue in the tag's any does not box it.
+func TestInterceptKnownFlowZeroAlloc(t *testing.T) {
+	r := newKnownFlowRig(t)
+	for _, c := range []struct {
+		name string
+		pkts [2][]byte
+	}{{"hit", r.hit}, {"miss", r.miss}} {
+		t.Run(c.name, func(t *testing.T) {
+			data, rst := c.pkts[0], c.pkts[1]
+			before := r.prox.Stats
+			const runs = 1000
+			if allocs := testing.AllocsPerRun(runs, func() {
+				r.hook(data)
+				r.hook(data)
+				r.hook(rst)
+			}); allocs != 0 {
+				t.Fatalf("a known flow's packets allocate %.2f times a run, want 0", allocs)
+			}
+			st := r.prox.Stats
+			filtered, misses := st.Filtered-before.Filtered, st.RegistryMisses-before.RegistryMisses
+			want := int64(3 * (runs + 1)) // AllocsPerRun warms up with one extra run
+			if c.name == "hit" && (filtered != want || misses != 0) ||
+				c.name == "miss" && (filtered != 0 || misses != want) {
+				t.Fatalf("%d packets: %d filtered, %d registry misses", want, filtered, misses)
+			}
+		})
+	}
+}

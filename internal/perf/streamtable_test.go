@@ -8,6 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/filter"
 	"repro/internal/ip"
+	"repro/internal/proxy"
+	"repro/internal/tcp"
 )
 
 // streamKeys returns n keys in the churn workload's shape: both
@@ -126,6 +128,80 @@ func BenchmarkRegistryMiss(b *testing.B) {
 		if matches = pr.AppendMatches(matches[:0], keys[i&63]); len(matches) != 0 {
 			b.Fatal("an unserviced flow matched the registry")
 		}
+	}
+}
+
+// knownFlowRig is fwd-small's proxy on a simulated node: its registry
+// (tcp and four rdrop on every stream to the mobile host, 1000
+// registrations no packet matches), a serviced flow and an unserviced
+// one. Each flow's packets are a data segment and a RST: the RST
+// closes its flow record, so the next data segment reopens it with a
+// zero tag and the proxy stamps the answer again.
+type knownFlowRig struct {
+	hook      func([]byte)
+	prox      *proxy.Proxy
+	hit, miss [2][]byte // data, RST
+}
+
+func newKnownFlowRig(tb testing.TB) *knownFlowRig {
+	tb.Helper()
+	sys := core.NewSystem(core.Config{Seed: 17})
+	sys.MustCommand("load tcp")
+	sys.MustCommand("load rdrop")
+	for i, k := range fwdSmallRegistry() {
+		name, args := "rdrop", []string{"0"}
+		if i == 0 {
+			name, args = "tcp", nil
+		}
+		if err := sys.Proxy.AddFilter(name, k, args); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	hit := filter.Key{SrcIP: core.WiredAddr, SrcPort: 7, DstIP: core.MobileAddr, DstPort: 5001}
+	miss := filter.Key{SrcIP: core.WiredAddr, SrcPort: 2032, DstIP: ip.AddrFrom4(11, 11, 10, 11), DstPort: 5001}
+	hook, in := sys.ProxyHost.PacketHook(), sys.ProxyHost.Ifaces()[0]
+	return &knownFlowRig{
+		hook: func(raw []byte) { hook(raw, in) },
+		prox: sys.Proxy,
+		hit:  [2][]byte{mkFlowPkt(tb, hit, tcp.FlagACK, 64), mkFlowPkt(tb, hit, tcp.FlagRST, 0)},
+		miss: [2][]byte{mkFlowPkt(tb, miss, tcp.FlagACK, 64), mkFlowPkt(tb, miss, tcp.FlagRST, 0)},
+	}
+}
+
+// mkFlowPkt builds a segment of stream k with the given flags and
+// payload size.
+func mkFlowPkt(tb testing.TB, k filter.Key, flags byte, payload int) []byte {
+	tb.Helper()
+	seg := tcp.Segment{SrcPort: k.SrcPort, DstPort: k.DstPort, Seq: 1, Ack: 1,
+		Flags: flags, Window: 65535, Payload: pattern(payload)}
+	h := ip.Header{TTL: 64, Protocol: ip.ProtoTCP, Src: k.SrcIP, Dst: k.DstIP}
+	raw, err := h.Marshal(seg.Marshal(k.SrcIP, k.DstIP))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// BenchmarkInterceptKnownFlow times one data segment of a known flow
+// through a hooked proxy on fwd-small's registry: "hit" on the
+// serviced flow (tcp and four rdrop), "miss" on an unserviced one.
+// Both take their answer from the flow record's tag, with no queue or
+// classifier probe:
+//
+//	go test -run '^$' -bench InterceptKnownFlow -benchmem ./internal/perf
+func BenchmarkInterceptKnownFlow(b *testing.B) {
+	r := newKnownFlowRig(b)
+	for _, c := range []struct {
+		name string
+		raw  []byte
+	}{{"hit", r.hit[0]}, {"miss", r.miss[0]}} {
+		b.Run(c.name, func(b *testing.B) {
+			r.hook(c.raw)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.hook(c.raw)
+			}
+		})
 	}
 }
 

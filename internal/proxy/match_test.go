@@ -148,7 +148,7 @@ func TestMissStormBuildsNoState(t *testing.T) {
 			SrcIP: ip.AddrFrom4(10, byte(i>>16), byte(i>>8), byte(i)), SrcPort: 7,
 			DstIP: ip.AddrFrom4(10, 0, 0, 1), DstPort: 80,
 		}
-		if q := p.buildQueue(k); q != nil {
+		if q, _ := p.buildQueue(k); q != nil {
 			t.Fatalf("key %v built a queue against a srcport-9999 registration", k)
 		}
 	}
@@ -204,7 +204,7 @@ func TestFailedAddRebuildsProgram(t *testing.T) {
 	if p.program().Match(k) {
 		t.Fatal("failed add left the key matched in the compiled program")
 	}
-	if q := p.buildQueue(k); q != nil {
+	if q, _ := p.buildQueue(k); q != nil {
 		t.Fatal("failed add left a buildable queue behind")
 	}
 }

@@ -71,6 +71,11 @@ type queue struct {
 	pkts     int64
 	bytes    int64
 
+	// gen is bumped each time the queue is torn down, and kept across
+	// its reuse: a flow tag stamped with the queue and an older gen
+	// names a queue that is gone.
+	gen uint64
+
 	// pendingQuarantine flags that some attachment was quarantined
 	// during the current interception; the sweep runs once per packet,
 	// after the out queue, keeping the per-hook path branch-cheap.
@@ -131,6 +136,13 @@ type Proxy struct {
 	progKeys     []filter.Key
 	matchScratch []int32
 
+	// gen is the generation of the lookup's "no registration matches"
+	// answer: it is bumped whenever a queue is created or the registry
+	// changes, the two events that can turn a miss into a match. A
+	// flow tag holding no queue is a cached miss while its Gen equals
+	// it; gen starts at 1, so a zero tag is never one.
+	gen uint64
+
 	// emit is the reusable return slice of Intercept: the node
 	// consumes it before the next interception, so the hot path never
 	// allocates a fresh [][]byte per packet.
@@ -187,7 +199,7 @@ type Stats struct {
 	Reinjected        int64
 	HookPanics        int64 // filter hook panics caught (never crashes)
 	FilterQuarantines int64 // attachments detached after repeated panics
-	RegistryMisses    int64 // first-sight packets no registration matched
+	RegistryMisses    int64 // packets of queueless streams no registration matches
 	RegistryRebuilds  int64 // match-program recompiles (registry mutations)
 }
 
@@ -231,6 +243,7 @@ func NewDetached(node *netsim.Node, catalog *filter.Catalog) *Proxy {
 		catalog: catalog,
 		pool:    make(map[string]filter.Factory),
 		prog:    classifier.Compile(nil),
+		gen:     1,
 		flows:   flowlog.New(func() sim.Time { return node.Clock().Now() }, flowlog.Config{}),
 	}
 	p.pkt.SetDatagrams(node.Datagram)
@@ -293,9 +306,12 @@ func (p *Proxy) RegistrationCount() int64 { return int64(len(p.registry)) }
 
 // registryChanged follows every registry mutation: it marks the
 // compiled program stale, so program() recompiles before the next
-// lookup and no lookup sees a pre-mutation answer. A burst of
-// mutations costs one compile.
-func (p *Proxy) registryChanged() { p.progDirty = true }
+// lookup and no lookup sees a pre-mutation answer, and it retires every
+// cached miss. A burst of mutations costs one compile.
+func (p *Proxy) registryChanged() {
+	p.progDirty = true
+	p.gen++
+}
 
 // --- filter.Env -------------------------------------------------------------
 
@@ -320,6 +336,7 @@ func (p *Proxy) Attach(k filter.Key, h filter.Hooks) (func(), error) {
 		}
 		q.key = k
 		*slot = q
+		p.gen++ // a stream cached as a miss may be this one
 	}
 	if k == p.sighted {
 		p.sightedQ = q
@@ -385,6 +402,7 @@ func (p *Proxy) RemoveStream(k filter.Key) {
 // its reverse side) or at any time later finds nothing to close a
 // second time.
 func (p *Proxy) dropQueue(q *queue) {
+	q.gen++ // retires every flow tag that names q
 	if q == p.sightedQ {
 		p.sightedQ = nil
 	}
@@ -403,7 +421,7 @@ func (p *Proxy) dropQueue(q *queue) {
 	}
 	p.recycle(q, q.attached...)
 	clear(q.attached)
-	*q = queue{attached: q.attached[:0]}
+	*q = queue{attached: q.attached[:0], gen: q.gen}
 	p.freeQueues.Put(q)
 }
 
@@ -509,13 +527,11 @@ func (p *Proxy) InterceptAppend(raw []byte, in *netsim.Iface, dst [][]byte) [][]
 	if p.obs.PacketsTraced() {
 		p.obs.EmitPacket("proxy", "intercept", obs.Stream(pkt.Key), raw)
 	}
+	var tag *flowlog.Tag
 	if pkt.TCP != nil {
-		p.flows.Record(pkt.Key, pkt.TCP, len(raw))
+		tag = p.flows.Record(pkt.Key, pkt.TCP, len(raw))
 	}
-	q, _ := p.queues.Get(pkt.Key)
-	if q == nil {
-		q = p.buildQueue(pkt.Key)
-	}
+	q := p.lookup(pkt.Key, tag)
 	if q == nil || len(q.attached) == 0 {
 		return append(dst, raw)
 	}
@@ -674,19 +690,53 @@ func (p *Proxy) rebuildProgram() {
 // internals.
 func (p *Proxy) FlushMatchCache() { p.rebuildProgram() }
 
+// lookup returns the queue of exact key k, or nil when k passes
+// unserviced. tag is k's flow tag (nil if the packet has no flow
+// record): while it is current it answers alone, so a known flow is
+// classified once (thesis ch. 5: the queue is built when the SP first
+// sees the key). Otherwise the queue table answers, then buildQueue,
+// and the answer is stamped into tag: a queue with its own generation,
+// a miss with the proxy's. A matched registration that attached
+// nothing is not cached, so its factories run again on the next packet.
+func (p *Proxy) lookup(k filter.Key, tag *flowlog.Tag) *queue {
+	if tag != nil {
+		if q, _ := tag.Val.(*queue); q != nil {
+			if tag.Gen == q.gen {
+				return q
+			}
+		} else if tag.Gen == p.gen {
+			p.Stats.RegistryMisses++
+			return nil
+		}
+	}
+	q, _ := p.queues.Get(k)
+	matched := true
+	if q == nil {
+		q, matched = p.buildQueue(k)
+	}
+	switch {
+	case tag == nil:
+	case q != nil:
+		tag.Val, tag.Gen = q, q.gen
+	case !matched:
+		tag.Val, tag.Gen = nil, p.gen
+	}
+	return q
+}
+
 // buildQueue instantiates every registered filter whose wild-card key
 // matches the new exact key (thesis: "a filter queue is built by
 // creating a new instantiation of each filter object in the stream
 // registry whose associated wild-card key matches the packet key").
-// Returns nil when no registration matches, or when no filter attached
-// to k itself. The compiled program answers the match in one probe per
-// registry pattern, whatever the registry size, and allocation-free on
-// the (overwhelmingly common) no-match path.
-func (p *Proxy) buildQueue(k filter.Key) *queue {
+// Returns nil when no registration matches (matched false), or when no
+// filter attached to k itself. The compiled program answers the match
+// in one probe per registry pattern, whatever the registry size, and
+// allocation-free on the no-match path.
+func (p *Proxy) buildQueue(k filter.Key) (q *queue, matched bool) {
 	p.matchScratch = p.program().AppendMatches(p.matchScratch[:0], k)
 	if len(p.matchScratch) == 0 {
 		p.Stats.RegistryMisses++
-		return nil
+		return nil, false
 	}
 	p.sighted, p.sightedQ = k, nil
 	for _, i := range p.matchScratch {
@@ -695,12 +745,12 @@ func (p *Proxy) buildQueue(k filter.Key) *queue {
 			p.Emit("proxy", "insert-failed", k, obs.F("filter", r.factory.Name()), obs.F("err", err.Error()))
 		}
 	}
-	q := p.sightedQ // filters attached via Env.Attach
+	q = p.sightedQ // filters attached via Env.Attach
 	p.sighted, p.sightedQ = filter.Key{}, nil
 	if q != nil {
 		p.Emit("proxy", "queue-build", k, obs.Int("filters", int64(len(q.attached))))
 	}
-	return q
+	return q, true
 }
 
 // --- command operations (§5.3.1) ---------------------------------------------
