@@ -33,11 +33,16 @@ func (f *rdrop) New(env filter.Env, k filter.Key, args []string) error {
 		}
 		rate = v
 	}
+	// The outcome is open only strictly between 0 and 100: there the
+	// hook takes one draw per eligible segment from the scheduler's
+	// random stream; at 0 it never drops and at 100 always drops, and
+	// neither draws.
 	p := rate / 100
+	rng := env.Clock().Rand()
 	_, err := env.Attach(k, filter.Hooks{
 		Filter: "rdrop", Priority: filter.Low,
 		Out: func(pkt *filter.Packet) {
-			if pkt.Dropped() || pkt.TCP == nil || len(pkt.TCP.Payload) == 0 {
+			if p == 0 || pkt.Dropped() || pkt.TCP == nil || len(pkt.TCP.Payload) == 0 {
 				return
 			}
 			// Never drop SYN or FIN segments: they carry control
@@ -45,7 +50,7 @@ func (f *rdrop) New(env filter.Env, k filter.Key, args []string) error {
 			if pkt.TCP.Flags&(tcp.FlagSYN|tcp.FlagFIN) != 0 {
 				return
 			}
-			if env.Clock().Rand().Float64() < p {
+			if p == 1 || rng.Float64() < p {
 				pkt.Drop()
 			}
 		},

@@ -7,7 +7,8 @@
 // packet view and the pooled Parse/Release, an 8000-rule classifier
 // lookup, a churn of 2^16 never-matching keys, a known flow's packet
 // on fwd-small's registry answered from its flow tag (serviced and
-// unserviced, the tag stamped afresh each run), a simulator event
+// unserviced, the tag stamped afresh each run), a known flow's packet
+// through tcp and eight rate-0 rdrops (under -race too), a simulator event
 // (After + Step), a simulated link hop and an edited packet through a
 // node-hosted tcp+chop proxy, re-marshalled into a datagram the
 // network recycles, allocate nothing; a re-marshal of a Parse'd view
@@ -32,7 +33,8 @@
 // against fwd-small's three-pattern registry (the classifier rows
 // register one pattern), BenchmarkInterceptKnownFlow a known flow's
 // data segment through a hooked proxy on that registry, serviced and
-// not, and BenchmarkPacketDecode times the proxy's
+// not, and under tcp plus 0, 4 or 8 rate-0 rdrops (depthN: the
+// marginal cost of one hook), and BenchmarkPacketDecode times the proxy's
 // in-place decode of a 64-byte data segment, a 40-byte ACK and a
 // 1460-byte segment (filter.parse_ns times the pooled Parse/Release):
 // `go test -run '^$' -bench 'StreamTable|RegistryMiss|InterceptKnownFlow|PacketDecode' -benchmem ./internal/perf`.

@@ -146,6 +146,24 @@ func TestRegistryMissChurnZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestInterceptDepth8ZeroAlloc gates the hook passes: a known flow's
+// data segment through tcp and eight rate-0 rdrops (ten hooks under
+// one recover: tcp's In and Out, eight rdrop Outs) allocates nothing,
+// under -race too.
+func TestInterceptDepth8ZeroAlloc(t *testing.T) {
+	hook, prox := newDepthRig(t, 8)
+	raw := mkTCP(t, 1, 64)
+	hook(raw)
+	before := prox.Stats
+	if allocs := testing.AllocsPerRun(1000, func() { hook(raw) }); allocs != 0 {
+		t.Fatalf("a depth-8 known-flow packet allocates %.2f times, want 0", allocs)
+	}
+	if st := prox.Stats; st.Filtered-before.Filtered != 1001 || st.DroppedByFilter != 0 || st.HookPanics != 0 {
+		t.Fatalf("1001 packets: %d filtered, %d dropped, %d hook panics",
+			st.Filtered-before.Filtered, st.DroppedByFilter, st.HookPanics)
+	}
+}
+
 // TestInterceptKnownFlowZeroAlloc gates the flow-tag cache on
 // fwd-small's registry: a known flow's data segment through the hooked
 // path allocates nothing, as a cached hit (the serviced flow's queue)

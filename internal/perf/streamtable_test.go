@@ -182,26 +182,48 @@ func mkFlowPkt(tb testing.TB, k filter.Key, flags byte, payload int) []byte {
 	return raw
 }
 
+// newDepthRig is a hooked proxy whose only registrations are tcp and
+// depth rate-0 rdrops on the probe stream: a queue of depth+1
+// attachments (the E15 and proxy.intercept_depth* chain). It returns the
+// hook, fed a data segment of that stream, and the proxy.
+func newDepthRig(tb testing.TB, depth int) (func([]byte), *proxy.Proxy) {
+	tb.Helper()
+	sys := core.NewSystem(core.Config{Seed: 17})
+	sys.MustCommand("load tcp")
+	sys.MustCommand("load rdrop")
+	sys.MustCommand("add tcp " + probeKey())
+	for i := 0; i < depth; i++ {
+		sys.MustCommand("add rdrop " + probeKey() + " 0")
+	}
+	hook, in := sys.ProxyHost.PacketHook(), sys.ProxyHost.Ifaces()[0]
+	return func(raw []byte) { hook(raw, in) }, sys.Proxy
+}
+
 // BenchmarkInterceptKnownFlow times one data segment of a known flow
-// through a hooked proxy on fwd-small's registry: "hit" on the
+// through a hooked proxy. On fwd-small's registry: "hit" on the
 // serviced flow (tcp and four rdrop), "miss" on an unserviced one.
-// Both take their answer from the flow record's tag, with no queue or
-// classifier probe:
+// "depthN" is the probe stream under tcp and N rate-0 rdrops alone, so
+// (depth8 - depth0) / 8 is the marginal cost of one hook. All take
+// their answer from the flow record's tag, with no queue or classifier
+// probe:
 //
 //	go test -run '^$' -bench InterceptKnownFlow -benchmem ./internal/perf
 func BenchmarkInterceptKnownFlow(b *testing.B) {
 	r := newKnownFlowRig(b)
-	for _, c := range []struct {
-		name string
-		raw  []byte
-	}{{"hit", r.hit[0]}, {"miss", r.miss[0]}} {
-		b.Run(c.name, func(b *testing.B) {
-			r.hook(c.raw)
+	run := func(name string, hook func([]byte), raw []byte) {
+		b.Run(name, func(b *testing.B) {
+			hook(raw)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.hook(c.raw)
+				hook(raw)
 			}
 		})
+	}
+	run("hit", r.hook, r.hit[0])
+	run("miss", r.hook, r.miss[0])
+	for _, depth := range []int{0, 4, 8} {
+		hook, _ := newDepthRig(b, depth)
+		run(fmt.Sprintf("depth%d", depth), hook, mkTCP(b, 1, 64))
 	}
 }
 

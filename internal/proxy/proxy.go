@@ -107,6 +107,7 @@ type registration struct {
 // simulated network.
 type Proxy struct {
 	node    *netsim.Node
+	clock   *sim.Scheduler // node's, read once: the flow log's clock
 	catalog *filter.Catalog
 
 	pool     map[string]filter.Factory // loaded filters
@@ -238,13 +239,15 @@ func New(node *netsim.Node, catalog *filter.Catalog) *Proxy {
 // that is not its packet's own raw once done with it (an owner that
 // never does merely forgoes the reuse).
 func NewDetached(node *netsim.Node, catalog *filter.Catalog) *Proxy {
+	clock := node.Clock()
 	p := &Proxy{
 		node:    node,
+		clock:   clock,
 		catalog: catalog,
 		pool:    make(map[string]filter.Factory),
 		prog:    classifier.Compile(nil),
 		gen:     1,
-		flows:   flowlog.New(func() sim.Time { return node.Clock().Now() }, flowlog.Config{}),
+		flows:   flowlog.New(clock.Now, flowlog.Config{}),
 	}
 	p.pkt.SetDatagrams(node.Datagram)
 	return p
@@ -316,7 +319,7 @@ func (p *Proxy) registryChanged() {
 // --- filter.Env -------------------------------------------------------------
 
 // Clock implements filter.Env.
-func (p *Proxy) Clock() *sim.Scheduler { return p.node.Clock() }
+func (p *Proxy) Clock() *sim.Scheduler { return p.clock }
 
 // Attach implements filter.Env: it splices hooks into the queue for
 // exact key k, creating the queue if necessary, in one probe of the
@@ -539,20 +542,11 @@ func (p *Proxy) InterceptAppend(raw []byte, in *netsim.Iface, dst [][]byte) [][]
 	q.pkts++
 	q.bytes += int64(len(raw))
 
-	// In queue: descending priority (attached is already sorted that
-	// way). Read-only inspection.
+	// The in pass, then the out pass; after a panic the walk resumes
+	// at the hook after the one that raised it.
 	p.running = q
-	for _, a := range q.attached {
-		if a.hooks.In != nil && !a.quarantined {
-			p.runHook(q, a, a.hooks.In, pkt)
-		}
-	}
-	// Out queue: ascending priority — the highest-priority filter
-	// writes last, overriding lower-priority changes (thesis §5.2).
-	for i := len(q.attached) - 1; i >= 0; i-- {
-		if a := q.attached[i]; a.hooks.Out != nil && !a.quarantined {
-			p.runHook(q, a, a.hooks.Out, pkt)
-		}
+	c := hookCursor{as: q.attached}
+	for !p.runHooks(q, &c, pkt) {
 	}
 	p.running = nil
 	if q.pendingQuarantine {
@@ -581,18 +575,55 @@ func (p *Proxy) InterceptAppend(raw []byte, in *netsim.Iface, dst [][]byte) [][]
 	return dst
 }
 
-// runHook invokes hook(pkt), converting a panic into a quarantine
-// strike instead of a crash: a broken filter must never take the
-// stream — or the proxy — down with it. The single static defer is
+// hookCursor is where a packet stands in its queue's two passes: the
+// attachments the current pass walks, as they stood when it began, the
+// index of the next one, and the hook running now.
+type hookCursor struct {
+	as  []*attachment
+	i   int
+	out bool
+	a   *attachment
+}
+
+// runHooks runs a packet's hooks from c on and reports whether both
+// passes are done. The in queue runs in descending priority (attached
+// is already sorted that way), read-only inspection; the out queue in
+// ascending priority, so the highest-priority filter writes last,
+// overriding lower-priority changes (thesis §5.2). One recover guards
+// both passes: a hook that panics takes a quarantine strike instead of
+// crashing — a broken filter must never take the stream, or the proxy,
+// down with it — and runHooks returns false with c on the next hook,
+// for the caller to resume there. The single static defer is
 // open-coded by the compiler, so the no-panic path stays
 // allocation-free (held to by the internal/perf gates).
-func (p *Proxy) runHook(q *queue, a *attachment, hook func(*filter.Packet), pkt *filter.Packet) {
+func (p *Proxy) runHooks(q *queue, c *hookCursor, pkt *filter.Packet) (done bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.noteHookPanic(q, a, r)
+			p.noteHookPanic(q, c.a, r)
+			if c.out {
+				c.i--
+			} else {
+				c.i++
+			}
 		}
 	}()
-	hook(pkt)
+	if !c.out {
+		for ; c.i < len(c.as); c.i++ {
+			if a := c.as[c.i]; a.hooks.In != nil && !a.quarantined {
+				c.a = a
+				a.hooks.In(pkt)
+			}
+		}
+		c.as, c.out = q.attached, true
+		c.i = len(c.as) - 1
+	}
+	for ; c.i >= 0; c.i-- {
+		if a := c.as[c.i]; a.hooks.Out != nil && !a.quarantined {
+			c.a = a
+			a.hooks.Out(pkt)
+		}
+	}
+	return true
 }
 
 // noteHookPanic records one strike against the attachment and marks it
