@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fmt-check fuzz examples benchmark-check verify loc deadcode
+.PHONY: build test race vet fmt-check fuzz examples benchmark-check verify loc deadcode deadcode-check
 
 build:
 	$(GO) build ./...
@@ -113,7 +113,7 @@ benchmark-check:
 # The same steps as CI, in its order; fuzz runs each target for 2 s
 # there as here.
 verify: FUZZTIME = 2s
-verify: build vet test race fmt-check fuzz examples benchmark-check
+verify: build deadcode-check vet test race fmt-check fuzz examples benchmark-check
 	@echo "verify: OK"
 
 # Non-test Go lines in internal/, cmd/ and examples/: the size figure
@@ -131,7 +131,7 @@ loc:
 # method values (-fm) fold into the function they belong to. What it
 # prints is reached by tests alone or by nothing (the linker keeps a
 # method that an interface call might reach, so a miss is possible, a
-# false alarm is not). Not a gate.
+# false alarm is not). deadcode-check, below, is the gate.
 deadcode:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -gcflags=all=-l -o "$$tmp/" ./cmd/... ./examples/... && \
@@ -155,3 +155,14 @@ deadcode:
 		}' >"$$tmp/declared"; \
 	awk 'NR == FNR { linked[$$1 " " $$2] = 1; next } !(($$1 " " $$2) in linked) { print $$3 ": " $$2 }' \
 		"$$tmp/linked" "$$tmp/declared"
+
+# Fails when `make deadcode` prints a line other than the ones that wait
+# on a change to the benchmark. Those are one exclusion of three parts:
+# internal/dataplane/ and Proxy.FlushMatchCache go when the benchmark
+# stops building the ring plane (ROADMAP item 16(b)), and
+# internal/workload/churn.go is linked once benchmark/churn.go drives
+# workload.Churn instead of its own buildChurnPool (item 17).
+deadcode-check:
+	@out=$$($(MAKE) -s --no-print-directory deadcode) || exit 1; \
+	dead=$$(echo "$$out" | grep -vE '^internal/(dataplane/|workload/churn\.go:)|: Proxy\.FlushMatchCache$$'); \
+	if [ -n "$$dead" ]; then echo "internal functions no program links:"; echo "$$dead"; exit 1; fi

@@ -7,6 +7,8 @@
 // Usage:
 //
 //	eemd [-listen :12001] [-interval 10s]
+//
+// SIGINT or SIGTERM stops the daemon, which then exits with status 0.
 package main
 
 import (
@@ -14,6 +16,9 @@ import (
 	"log"
 	"net"
 	_ "net/http/pprof"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -27,10 +32,11 @@ func main() {
 	debug := flag.String("debug", "", "address for expvar/pprof debug HTTP (e.g. localhost:6061); empty disables")
 	flag.Parse()
 	log.SetPrefix("eemd: ")
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 
 	sys := core.NewSystem(core.Config{Seed: time.Now().UnixNano(), EEMInterval: *interval})
 	rt := sim.NewRealtime(sys.Sched)
-	go rt.Run(5 * time.Millisecond)
 
 	if *debug != "" {
 		daemon.ServeDebug(*debug, rt, sys.Metrics)
@@ -42,5 +48,8 @@ func main() {
 	}
 	log.Printf("EEM server on %s (interval %v, %d variables)",
 		*listen, *interval, len(sys.EEM.Variables()))
-	log.Fatal(daemon.Serve(l, rt, sys.EEM.Accept))
+	if err := daemon.Run(l, rt, sys.EEM.Accept, stop); err != nil {
+		log.Fatal(err)
+	}
+	log.Print("stopped")
 }

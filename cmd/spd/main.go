@@ -15,6 +15,8 @@
 // and exits on a rule that does not parse. Rule state is then
 // inspectable over the control port with `policy list` and `policy
 // trace`. See internal/policy for the rule grammar.
+//
+// SIGINT or SIGTERM stops the daemon, which then exits with status 0.
 package main
 
 import (
@@ -23,6 +25,9 @@ import (
 	"log"
 	"net"
 	_ "net/http/pprof"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -42,6 +47,8 @@ func main() {
 	flag.Var(&rules, "policy", "adaptive policy rule (repeatable); see internal/policy for the grammar")
 	flag.Parse()
 	log.SetPrefix("spd: ")
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 
 	sys := core.NewSystem(core.Config{
 		Seed: time.Now().UnixNano(),
@@ -82,7 +89,6 @@ func main() {
 		}
 		client.OnEstablished = func() { sys.Sched.After(0, refill) }
 	})
-	go rt.Run(5 * time.Millisecond)
 
 	if *debug != "" {
 		daemon.ServeDebug(*debug, rt, sys.Metrics)
@@ -93,7 +99,10 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("service proxy control on %s (try: telnet %s then 'report')", *listen, *listen)
-	log.Fatal(daemon.Serve(l, rt, proxy.AcceptControl(sys.Sched, sys.Proxy.Exec, nil)))
+	if err := daemon.Run(l, rt, proxy.AcceptControl(sys.Sched, sys.Proxy.Exec, nil), stop); err != nil {
+		log.Fatal(err)
+	}
+	log.Print("stopped")
 }
 
 // multiFlag collects a repeatable string flag.

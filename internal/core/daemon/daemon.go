@@ -10,6 +10,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"os"
 	"time"
 
 	"repro/internal/lines"
@@ -22,9 +23,32 @@ import (
 // connection's inbound bytes to onData; call onClose once it is down.
 type Accept func(c lines.Conn) (onData func([]byte), onClose func())
 
+// Run serves l through accept (see Serve) and drives rt on the calling
+// goroutine until a value arrives on stop or accepting fails. Either
+// way it stops rt, the only way out of rt.Run, closes l and returns:
+// nil after stop, the accept error otherwise. The spd and eemd daemons
+// pass the channel their SIGINT and SIGTERM arrive on, so a signal
+// ends main with exit status 0.
+func Run(l net.Listener, rt *sim.Realtime, accept Accept, stop <-chan os.Signal) error {
+	served := make(chan error, 1)
+	go func() { served <- Serve(l, rt, accept) }()
+	ended := make(chan error, 1)
+	go func() {
+		var err error
+		select {
+		case <-stop:
+		case err = <-served:
+		}
+		rt.Stop()
+		ended <- err
+	}()
+	rt.Run(5 * time.Millisecond)
+	l.Close()
+	return <-ended
+}
+
 // Serve accepts connections on l until it fails and runs each one
-// through accept (see ServeConn). The spd and eemd daemons serve their
-// ports through it.
+// through accept (see ServeConn).
 func Serve(l net.Listener, rt *sim.Realtime, accept Accept) error {
 	for {
 		conn, err := l.Accept()

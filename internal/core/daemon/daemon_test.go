@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -81,6 +83,69 @@ func TestDaemonControlMatchesSimulatedPort(t *testing.T) {
 	}
 	if got := readN(t, client, len(want)); !strings.HasPrefix(string(got), "commands:") {
 		t.Fatalf("help after over-long line: %q", got)
+	}
+}
+
+// TestRunStopsOnSignal drives the loop the spd and eemd daemons run
+// on a real listener: a connection is served, and a signal on the stop
+// channel ends the realtime driver's Run, closes the listener and
+// returns nil within a bound.
+func TestRunStopsOnSignal(t *testing.T) {
+	sys := core.NewSystem(core.Config{})
+	rt := sim.NewRealtime(sys.Sched)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan os.Signal, 1)
+	ran := make(chan error, 1)
+	go func() { ran <- daemon.Run(l, rt, proxy.AcceptControl(sys.Sched, sys.Proxy.Exec, nil), stop) }()
+
+	client, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Write([]byte("help\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got := readN(t, client, len("commands:")); string(got) != "commands:" {
+		t.Fatalf("help answered %q", got)
+	}
+
+	stop <- syscall.SIGTERM
+	select {
+	case err := <-ran:
+		if err != nil {
+			t.Fatalf("Run after a signal: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return within 5 s of the signal")
+	}
+	if c, err := net.Dial("tcp", l.Addr().String()); err == nil {
+		c.Close()
+		t.Fatal("listener still accepting after Run returned")
+	}
+}
+
+// TestRunReturnsAcceptError: a listener that fails stops the driver
+// too, and Run returns the failure.
+func TestRunReturnsAcceptError(t *testing.T) {
+	rt := sim.NewRealtime(sim.NewScheduler(1))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	ran := make(chan error, 1)
+	go func() { ran <- daemon.Run(l, rt, nil, nil) }()
+	select {
+	case err := <-ran:
+		if err == nil {
+			t.Fatal("Run on a closed listener returned nil")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return within 5 s of the accept failure")
 	}
 }
 

@@ -81,9 +81,6 @@ type request struct {
 
 // connTo returns (dialing if needed) the stream to name.
 func (cm *Comma) connTo(name string) (Conn, error) {
-	if cm.servers == nil {
-		return nil, ErrTerminated
-	}
 	s := cm.servers[name]
 	if s != nil && s.conn != nil {
 		return s.conn, nil
@@ -140,9 +137,6 @@ func (cm *Comma) send(name string, m wireMsg, req request) error {
 // requests. Safe to call repeatedly; the supervisor (if any) owns the
 // redial schedule.
 func (cm *Comma) noteDisconnect(name string) {
-	if cm.servers == nil {
-		return
-	}
 	if s := cm.servers[name]; s != nil && s.conn != nil {
 		conn := s.conn
 		s.conn = nil
@@ -248,7 +242,7 @@ func (cm *Comma) Supervise() error {
 // with ±25% jitter so a fleet of clients doesn't stampede a restarting
 // server.
 func (cm *Comma) scheduleRedial(name string) {
-	if !cm.supervised || cm.servers == nil {
+	if !cm.supervised {
 		return
 	}
 	s := cm.server(name)

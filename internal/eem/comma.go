@@ -1,7 +1,6 @@
 package eem
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -30,8 +29,7 @@ type Comma struct {
 	sched *sim.Scheduler
 	obs   *obs.Bus
 
-	// servers holds one record per server ever dialled or redialled;
-	// nil after Term.
+	// servers holds one record per server ever dialled or redialled.
 	servers map[string]*server
 	// regs holds every server-side registration: the supervisor
 	// replays them on a fresh connection after the server comes back.
@@ -87,23 +85,6 @@ func (cm *Comma) UseScheduler(sched *sim.Scheduler) { cm.sched = sched }
 // are emitted under the "eem-client" subsystem, keyed by server name.
 func (cm *Comma) SetObs(b *obs.Bus) { cm.obs = b }
 
-// Term disconnects from all servers and stops every timer
-// (comma_term). The protected data area stays readable; every later
-// call that would reach a server fails with ErrTerminated.
-func (cm *Comma) Term() {
-	servers := cm.servers
-	cm.servers = nil
-	for _, r := range cm.regs {
-		r.stopPump()
-	}
-	for _, s := range servers {
-		s.redial.Stop()
-		if s.conn != nil {
-			s.conn.Close()
-		}
-	}
-}
-
 // validAttr rejects attributes that can never match: an operator
 // outside the defined set, or a string bound with a numeric-only
 // operator (thesis §6.3.2: strings support only EQ/NEQ).
@@ -130,9 +111,6 @@ func (cm *Comma) Register(id ID, attr Attr, opts ...RegisterOption) error {
 	var rc regConfig
 	for _, o := range opts {
 		o(&rc)
-	}
-	if cm.servers == nil {
-		return ErrTerminated
 	}
 	if rc.pdaPeriod > 0 && cm.sched == nil {
 		return ErrNoScheduler
@@ -188,27 +166,6 @@ func (cm *Comma) Deregister(id ID) error {
 		delete(cm.regs, id)
 	}
 	return cm.send(id.Server, wireMsg{Kind: msgDeregister, ID: id}, request{})
-}
-
-// DeregisterAll removes every registration on every connected server,
-// in server-name order (comma_var_deregisterall).
-func (cm *Comma) DeregisterAll() {
-	for _, r := range cm.regs {
-		r.stopPump()
-	}
-	var names []string
-	for name, s := range cm.servers {
-		if s.conn != nil {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		// A stream whose write fails is evicted, and the server drops
-		// that session's registrations with it.
-		_ = cm.send(name, wireMsg{Kind: msgDeregisterAll}, request{})
-	}
-	cm.regs = make(map[ID]*registration)
 }
 
 // GetValue returns the most recent value from the protected data area

@@ -198,23 +198,6 @@ func TestDeregisterStopsUpdates(t *testing.T) {
 	}
 }
 
-func TestDeregisterAll(t *testing.T) {
-	r := newEEMRig(t, 500*time.Millisecond)
-	id1 := sysUpTimeID(r.serverAddr)
-	id2 := eem.ID{Var: "ipInReceives", Server: r.serverAddr}
-	r.client.Register(id1, eem.Attr{Lower: eem.LongValue(0), Op: eem.GTE})
-	r.client.Register(id2, eem.Attr{Lower: eem.LongValue(-1), Op: eem.GT})
-	r.sched.RunFor(2 * time.Second)
-	r.client.DeregisterAll()
-	r.sched.RunFor(time.Second)
-	if _, ok := r.client.GetValue(id1); ok {
-		t.Fatal("id1 survived DeregisterAll")
-	}
-	if r.client.IsInRange(id2) {
-		t.Fatal("id2 survived DeregisterAll")
-	}
-}
-
 func TestAttrMatching(t *testing.T) {
 	cases := []struct {
 		attr eem.Attr

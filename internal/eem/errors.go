@@ -17,8 +17,6 @@ var (
 	// ErrNoScheduler marks a Comma registration needing timers
 	// (WithPDA) on a facade that has no scheduler attached.
 	ErrNoScheduler = errors.New("eem: no scheduler attached")
-	// ErrTerminated marks a Comma call made after Term.
-	ErrTerminated = errors.New("eem: client terminated")
 )
 
 // Wire error codes: the server tags protocol-level errors so the

@@ -149,9 +149,6 @@ func (s *Server) Restart() {
 	s.obs.Emit("eem", "restart", s.name)
 }
 
-// Down reports whether the server is crashed.
-func (s *Server) Down() bool { return s.down }
-
 // Accept attaches a client connection. Feed inbound bytes through the
 // returned function (wire it to the stream's data callback).
 func (s *Server) Accept(conn Conn) (onData func([]byte), onClose func()) {

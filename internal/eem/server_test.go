@@ -32,6 +32,15 @@ func (c *recConn) Write(b []byte) error {
 func (c *recConn) Close() {}
 func (c *recConn) Abort() {}
 
+// SourceFunc serves a fixed set of variables from one function.
+type SourceFunc struct {
+	Names []string
+	Fn    func(name string, index int) (Value, error)
+}
+
+func (s SourceFunc) Variables() []string                       { return s.Names }
+func (s SourceFunc) Get(name string, index int) (Value, error) { return s.Fn(name, index) }
+
 // register feeds one register line into a session's data callback.
 func register(onData func([]byte), id ID, a Attr) {
 	onData(encodeMsg(wireMsg{Kind: msgRegister, ID: id, A: a}))
@@ -92,6 +101,44 @@ func TestSessionCloseRemovesFromTick(t *testing.T) {
 	s.Tick()
 	if len(log) != 2 || log[0] != "c0:update" || log[1] != "c2:update" {
 		t.Fatalf("post-close tick order = %v, want [c0:update c2:update]", log)
+	}
+}
+
+// TestServerDeregisterAll: a deregister-all line ends every
+// registration of the session that sent it, and only of that session:
+// its periodic updates stop while the other session's go on, and a
+// later register on it is served again.
+func TestServerDeregisterAll(t *testing.T) {
+	s := NewServer("test")
+	s.AddSource(SourceFunc{
+		Names: []string{"v", "w"},
+		Fn:    func(string, int) (Value, error) { return LongValue(5), nil },
+	})
+	var log []string
+	a, _ := s.Accept(&recConn{name: "a", log: &log})
+	b, _ := s.Accept(&recConn{name: "b", log: &log})
+	attr := Attr{Lower: LongValue(0), Op: GTE}
+	for _, onData := range []func([]byte){a, b} {
+		register(onData, ID{Var: "v"}, attr)
+		register(onData, ID{Var: "w", Index: 1}, attr)
+	}
+	tick := func() string {
+		log = log[:0]
+		s.Tick()
+		return strings.Join(log, " ")
+	}
+	if got := tick(); got != "a:update b:update" {
+		t.Fatalf("before deregister-all: %q", got)
+	}
+	a([]byte("deregister-all\n"))
+	for i := 0; i < 3; i++ {
+		if got := tick(); got != "b:update" {
+			t.Fatalf("tick %d after a's deregister-all: %q, want only b's update", i, got)
+		}
+	}
+	register(a, ID{Var: "v"}, attr)
+	if got := tick(); got != "a:update b:update" {
+		t.Fatalf("after a registers again: %q", got)
 	}
 }
 

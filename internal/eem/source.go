@@ -22,18 +22,6 @@ type Source interface {
 	Get(name string, index int) (Value, error)
 }
 
-// SourceFunc adapts a function serving a fixed set of variables.
-type SourceFunc struct {
-	Names []string
-	Fn    func(name string, index int) (Value, error)
-}
-
-// Variables implements Source.
-func (s SourceFunc) Variables() []string { return s.Names }
-
-// Get implements Source.
-func (s SourceFunc) Get(name string, index int) (Value, error) { return s.Fn(name, index) }
-
 // SNMPVariables are the MIB-II names the EEM serves (thesis Table 6.1).
 var SNMPVariables = []string{
 	"sysDescr", "sysObjectID", "sysUpTime", "sysContact", "sysName",

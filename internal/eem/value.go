@@ -9,11 +9,11 @@
 //
 // C-API correspondence (thesis Table 6.3–6.7 → this package):
 //
-//	comma_init / comma_term                → NewComma / Comma.Term
+//	comma_init                             → NewComma
 //	comma_setcallback                      → Comma.Register(..., WithCallback(fn))
 //	comma_id_*                             → ID struct fields
 //	comma_attr_*                           → Attr struct fields
-//	comma_var_register / deregister[all]   → Comma.Register / Deregister / DeregisterAll
+//	comma_var_register / deregister        → Comma.Register / Deregister
 //	comma_query_getvalue                   → Comma.GetValue
 //	comma_query_isinrange                  → Comma.IsInRange
 //	comma_query_haschanged                 → Comma.HasChanged

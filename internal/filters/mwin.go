@@ -276,9 +276,6 @@ func (m *mwinInst) setWindow(target int64) {
 	m.window = uint16(target)
 }
 
-// Window reports the current clamp (65535 while passive).
-func (m *mwinInst) Window() uint16 { return m.window }
-
 // --- migration state ---------------------------------------------------------
 
 const (

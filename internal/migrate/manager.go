@@ -168,9 +168,6 @@ func (m *Manager) Counters() (attempts, completed, resumed, aborted int64) {
 	return m.nAttempts.Load(), m.nCompleted.Load(), m.nResumed.Load(), m.nAborted.Load()
 }
 
-// Down reports whether the manager is crashed.
-func (m *Manager) Down() bool { return m.down }
-
 // ArmFault arms a one-shot fault point: "drop-offer", "corrupt-offer",
 // "crash-pre-commit", "crash-post-commit". The next time the protocol
 // passes the point, the fault fires once and disarms.

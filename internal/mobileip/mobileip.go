@@ -93,18 +93,6 @@ func (ha *HomeAgent) Register(mobile, careOf ip.Addr, lifetime time.Duration) {
 	ha.bindings[mobile] = binding{careOf: careOf, expires: ha.node.Clock().Now().Add(lifetime)}
 }
 
-// Deregister removes a binding (mobile returned home).
-func (ha *HomeAgent) Deregister(mobile ip.Addr) { delete(ha.bindings, mobile) }
-
-// CareOf returns the current binding for a mobile, if live.
-func (ha *HomeAgent) CareOf(mobile ip.Addr) (ip.Addr, bool) {
-	b, ok := ha.bindings[mobile]
-	if !ok || ha.node.Clock().Now() > b.expires {
-		return 0, false
-	}
-	return b.careOf, true
-}
-
 // handleRegistration processes registration requests arriving via a
 // foreign agent and answers with a reply.
 func (ha *HomeAgent) handleRegistration(h ip.Header, payload, raw []byte, in *netsim.Iface) {

@@ -103,8 +103,14 @@ func TestRegistrationViaAdvertisement(t *testing.T) {
 	if registered != fa1CareOf {
 		t.Fatalf("mobile registered care-of %v, want %v", registered, fa1CareOf)
 	}
-	if careOf, ok := tp.ha.CareOf(mobileHome); !ok || careOf != fa1CareOf {
-		t.Fatalf("HA binding = %v, %v", careOf, ok)
+	// The home agent's binding shows as its tunnel: a datagram for the
+	// mobile's home address comes out of fa1's decapsulation.
+	haBefore, faBefore := tp.ha.Tunneled, tp.fa1.Decapsulated
+	tp.corr.SendIP(mobileHome, ip.ProtoUDP, []byte("bound"))
+	tp.sched.RunFor(time.Second)
+	if tp.ha.Tunneled != haBefore+1 || tp.fa1.Decapsulated != faBefore+1 {
+		t.Fatalf("HA tunneled %d, fa1 decapsulated %d, want one more each than %d and %d",
+			tp.ha.Tunneled, tp.fa1.Decapsulated, haBefore, faBefore)
 	}
 	if tp.mob.Registrations != 1 {
 		t.Fatalf("registrations = %d", tp.mob.Registrations)
@@ -161,28 +167,28 @@ func TestHandoffReregistersAndRestoresDelivery(t *testing.T) {
 	tp.fa1.StartAdvertising(500 * time.Millisecond)
 	tp.fa2.StartAdvertising(500 * time.Millisecond)
 	tp.sched.RunFor(2 * time.Second)
-	if careOf, _ := tp.ha.CareOf(mobileHome); careOf != fa1CareOf {
-		t.Fatalf("initial binding %v", careOf)
-	}
 
 	delivered := 0
 	tp.mobileNode.RegisterProto(ip.ProtoUDP, func(ip.Header, []byte, []byte, *netsim.Iface) { delivered++ })
+	fa1Before := tp.fa1.Decapsulated
+	tp.corr.SendIP(mobileHome, ip.ProtoUDP, []byte("before handoff"))
+	tp.sched.RunFor(time.Second)
+	if delivered != 1 || tp.fa1.Decapsulated != fa1Before+1 || tp.fa2.Decapsulated != 0 {
+		t.Fatalf("before handoff: delivered %d, fa1 decapsulated %d more, fa2 %d, want 1, 1, 0",
+			delivered, tp.fa1.Decapsulated-fa1Before, tp.fa2.Decapsulated)
+	}
 
 	tp.handoff(t)
 	tp.sched.RunFor(2 * time.Second)
-	if careOf, _ := tp.ha.CareOf(mobileHome); careOf != fa2CareOf {
-		t.Fatalf("binding after handoff = %v, want %v", careOf, fa2CareOf)
-	}
 	if tp.mob.Handoffs != 1 {
 		t.Fatalf("handoffs = %d", tp.mob.Handoffs)
 	}
+	fa1Before, fa2Before := tp.fa1.Decapsulated, tp.fa2.Decapsulated
 	tp.corr.SendIP(mobileHome, ip.ProtoUDP, []byte("after handoff"))
 	tp.sched.RunFor(time.Second)
-	if delivered != 1 {
-		t.Fatalf("delivered = %d after handoff", delivered)
-	}
-	if tp.fa2.Decapsulated == 0 {
-		t.Fatal("fa2 never decapsulated")
+	if delivered != 2 || tp.fa1.Decapsulated != fa1Before || tp.fa2.Decapsulated != fa2Before+1 {
+		t.Fatalf("after handoff: delivered %d, fa1 decapsulated %d more, fa2 %d more, want 2, 0, 1",
+			delivered, tp.fa1.Decapsulated-fa1Before, tp.fa2.Decapsulated-fa2Before)
 	}
 }
 
@@ -249,12 +255,15 @@ func TestTriangularRoutingPenalty(t *testing.T) {
 func TestBindingExpiry(t *testing.T) {
 	tp := newTopo(t)
 	tp.ha.Register(mobileHome, fa1CareOf, time.Second)
-	if _, ok := tp.ha.CareOf(mobileHome); !ok {
-		t.Fatal("fresh binding not live")
+	tp.corr.SendIP(mobileHome, ip.ProtoUDP, []byte("live"))
+	tp.sched.RunFor(100 * time.Millisecond)
+	if tp.ha.Tunneled != 1 || tp.ha.NoBinding != 0 {
+		t.Fatalf("fresh binding: tunneled %d, no binding %d, want 1 and 0", tp.ha.Tunneled, tp.ha.NoBinding)
 	}
 	tp.sched.RunFor(2 * time.Second)
-	if _, ok := tp.ha.CareOf(mobileHome); ok {
-		t.Fatal("binding survived its lifetime")
+	tp.corr.SendIP(mobileHome, ip.ProtoUDP, []byte("expired"))
+	tp.sched.RunFor(100 * time.Millisecond)
+	if tp.ha.Tunneled != 1 || tp.ha.NoBinding == 0 {
+		t.Fatalf("expired binding: tunneled %d, no binding %d, want 1 and some", tp.ha.Tunneled, tp.ha.NoBinding)
 	}
-	tp.ha.Deregister(mobileHome)
 }

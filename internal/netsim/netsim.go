@@ -246,12 +246,9 @@ func (l *Link) SetDown(down bool) {
 // state, so the reverse direction keeps flowing.
 func (l *Link) SetDownAB(down bool) { l.ab.down = down }
 
-// SetDownBA is SetDownAB for the b→a direction.
-func (l *Link) SetDownBA(down bool) { l.ba.down = down }
-
 // Down reports whether any direction of the link is disabled. With the
 // symmetric SetDown this is the familiar whole-link state; after a
-// per-direction SetDownAB/SetDownBA it means "not fully operational".
+// per-direction SetDownAB it means "not fully operational".
 // Use DownAB/DownBA for the per-direction truth.
 func (l *Link) Down() bool { return l.ab.down || l.ba.down }
 
@@ -445,9 +442,6 @@ func New(s *sim.Scheduler) *Network {
 	return &Network{sched: s, nodes: make(map[string]*Node)}
 }
 
-// Scheduler returns the scheduler driving the network.
-func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
-
 // AddNode creates a named node. Names must be unique.
 func (n *Network) AddNode(name string) *Node {
 	if _, dup := n.nodes[name]; dup {
@@ -457,9 +451,6 @@ func (n *Network) AddNode(name string) *Node {
 	n.nodes[name] = node
 	return node
 }
-
-// Node returns the named node, or nil.
-func (n *Network) Node(name string) *Node { return n.nodes[name] }
 
 // Connect joins two nodes with a duplex link. addrA and addrB become
 // interface addresses on the respective nodes; cfg applies to both

@@ -9,7 +9,7 @@ import (
 )
 
 // TestPerDirectionDown covers the asymmetric link-down state: taking
-// only the b→a direction down must leave a→b traffic flowing, the
+// only the a→b direction down must leave b→a traffic flowing, the
 // per-direction getters must disagree, and Down() must report the link
 // as not fully operational.
 func TestPerDirectionDown(t *testing.T) {
@@ -19,33 +19,33 @@ func TestPerDirectionDown(t *testing.T) {
 	b.RegisterProto(ip.ProtoUDP, func(ip.Header, []byte, []byte, *Iface) { bGot++ })
 	link := a.Ifaces()[0].Link()
 
-	link.SetDownBA(true)
+	link.SetDownAB(true)
 	if !link.Down() {
-		t.Fatal("Down() = false with the b→a direction disabled")
+		t.Fatal("Down() = false with the a→b direction disabled")
 	}
-	if link.DownAB() || !link.DownBA() {
-		t.Fatalf("DownAB=%v DownBA=%v, want false/true", link.DownAB(), link.DownBA())
+	if !link.DownAB() || link.DownBA() {
+		t.Fatalf("DownAB=%v DownBA=%v, want true/false", link.DownAB(), link.DownBA())
 	}
-	a.SendIP(b.Addr(), ip.ProtoUDP, []byte("forward"))
 	b.SendIP(a.Addr(), ip.ProtoUDP, []byte("reverse"))
+	a.SendIP(b.Addr(), ip.ProtoUDP, []byte("forward"))
 	s.Run()
-	if bGot != 1 {
-		t.Fatalf("a→b delivered %d packets with only b→a down, want 1", bGot)
+	if aGot != 1 {
+		t.Fatalf("b→a delivered %d packets with only a→b down, want 1", aGot)
 	}
-	if aGot != 0 {
-		t.Fatalf("b→a delivered %d packets while down, want 0", aGot)
+	if bGot != 0 {
+		t.Fatalf("a→b delivered %d packets while down, want 0", bGot)
 	}
 
-	// Restoring the direction restores the reverse path; the symmetric
+	// Restoring the direction restores the forward path; the symmetric
 	// setter still clears everything.
-	link.SetDownBA(false)
+	link.SetDownAB(false)
 	if link.Down() {
 		t.Fatal("Down() = true after restoring the only disabled direction")
 	}
-	b.SendIP(a.Addr(), ip.ProtoUDP, []byte("reverse2"))
+	a.SendIP(b.Addr(), ip.ProtoUDP, []byte("forward2"))
 	s.Run()
-	if aGot != 1 {
-		t.Fatalf("b→a delivered %d after restore, want 1", aGot)
+	if bGot != 1 {
+		t.Fatalf("a→b delivered %d after restore, want 1", bGot)
 	}
 	link.SetDown(true)
 	if !link.DownAB() || !link.DownBA() || !link.Down() {
@@ -137,16 +137,15 @@ func TestRoutingSkipsTxDownDirection(t *testing.T) {
 	link := n.Connect(a, ip.MustParseAddr("10.0.0.1"), b, ip.MustParseAddr("10.0.0.2"), LinkConfig{})
 	dst := ip.MustParseAddr("10.9.0.1") // not the peer: forces route lookup
 	a.AddRoute(dst.Mask(24), 24, link.IfaceA())
+	b.AddRoute(dst.Mask(24), 24, link.IfaceB())
 
-	// Reverse direction down: outbound route still usable.
-	link.SetDownBA(true)
-	a.SendIP(dst, ip.ProtoUDP, []byte("x"))
-	if a.Stats.IPOutNoRoutes != 0 {
+	// Only a→b down: b's route, whose egress is b→a, is still usable;
+	// a's, whose egress is a→b, is not.
+	link.SetDownAB(true)
+	b.SendIP(dst, ip.ProtoUDP, []byte("x"))
+	if b.Stats.IPOutNoRoutes != 0 {
 		t.Fatalf("route skipped with only the reverse direction down")
 	}
-	// Transmit direction down: no usable route.
-	link.SetDownBA(false)
-	link.SetDownAB(true)
 	a.SendIP(dst, ip.ProtoUDP, []byte("y"))
 	if a.Stats.IPOutNoRoutes != 1 {
 		t.Fatalf("IPOutNoRoutes = %d with the egress direction down, want 1", a.Stats.IPOutNoRoutes)

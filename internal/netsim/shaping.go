@@ -117,20 +117,6 @@ func (d *direction) shaping() Shaping {
 	}
 }
 
-// Transition is one entry of a trace player's log: at virtual time At
-// the player applied Shape, the shaping of profile segment Seg, to its
-// direction.
-type Transition struct {
-	At    sim.Time
-	Seg   int
-	Shape Shaping
-}
-
-// String renders the transition for determinism diffs.
-func (t Transition) String() string {
-	return fmt.Sprintf("%v seg=%d %v", time.Duration(t.At), t.Seg, t.Shape)
-}
-
 // TraceSegment is one segment of a replayable link trace: the shaping
 // holds for Dur, then the next segment starts.
 type TraceSegment struct {
@@ -162,9 +148,7 @@ type TracePlayer struct {
 	dir     Direction
 	profile TraceProfile
 	loop    bool
-	log     []Transition
 	timer   sim.Timer
-	done    bool
 }
 
 // Replay starts replaying the profile on l: segment 0's shaping is
@@ -185,12 +169,8 @@ func (p TraceProfile) Replay(s *sim.Scheduler, l *Link, dir Direction, loop bool
 
 // enter applies segment i and schedules the next boundary.
 func (tp *TracePlayer) enter(i int) {
-	if tp.done {
-		return
-	}
 	seg := tp.profile.Segments[i]
 	tp.link.Shape(tp.dir, seg.Shape)
-	tp.log = append(tp.log, Transition{At: tp.sched.Now(), Seg: i, Shape: seg.Shape})
 	if bus := tp.link.net.obs; bus.Enabled() {
 		bus.Emit("netsim", "trace-segment", tp.profile.Name,
 			obs.F("seg", i), obs.F("dur_ms", int(seg.Dur/time.Millisecond)))
@@ -198,7 +178,6 @@ func (tp *TracePlayer) enter(i int) {
 	next := i + 1
 	if next >= len(tp.profile.Segments) {
 		if !tp.loop {
-			tp.timer = tp.sched.After(seg.Dur, func() { tp.done = true })
 			return
 		}
 		next = 0
@@ -206,20 +185,6 @@ func (tp *TracePlayer) enter(i int) {
 	tp.timer = tp.sched.After(seg.Dur, func() { tp.enter(next) })
 }
 
-// Done reports whether a non-looping replay has passed its last
-// boundary.
-func (tp *TracePlayer) Done() bool { return tp.done }
-
-// Transitions returns a copy of the replay log.
-func (tp *TracePlayer) Transitions() []Transition {
-	out := make([]Transition, len(tp.log))
-	copy(out, tp.log)
-	return out
-}
-
 // Stop halts the replay, leaving the current segment's shaping in
 // place.
-func (tp *TracePlayer) Stop() {
-	tp.done = true
-	tp.timer.Stop()
-}
+func (tp *TracePlayer) Stop() { tp.timer.Stop() }

@@ -126,10 +126,15 @@ func TestShapingCaptureRestore(t *testing.T) {
 	}
 }
 
-func transitionLog(ts []Transition) string {
+// bandwidths runs s to each instant of ats and to the nanosecond
+// before it, and renders l's a→b bandwidth at each.
+func bandwidths(s *sim.Scheduler, l *Link, ats []time.Duration) string {
 	out := ""
-	for _, tr := range ts {
-		out += tr.String() + "\n"
+	for _, at := range ats {
+		for _, t := range []sim.Time{sim.Time(at) - 1, sim.Time(at)} {
+			s.RunUntil(t)
+			out += fmt.Sprintf("%v bw=%d\n", time.Duration(t), l.ConfigAB().Bandwidth)
+		}
 	}
 	return out
 }
@@ -146,50 +151,60 @@ func TestTraceReplayBoundaries(t *testing.T) {
 		t.Fatalf("Duration = %v", p.Duration())
 	}
 
-	// Looping: boundaries land at exact cumulative virtual times.
+	// Looping: segment 0 applies at once, and each boundary lands at
+	// its exact cumulative virtual time, the nanosecond before it still
+	// in the previous segment.
 	tp := p.Replay(s, l, DirAB, true)
-	s.RunFor(500 * time.Millisecond)
-	tp.Stop()
-	wantAt := []time.Duration{0, 100, 150, 225, 325, 375, 450}
-	log := tp.Transitions()
-	if len(log) != len(wantAt) {
-		t.Fatalf("transitions = %d, want %d:\n%s", len(log), len(wantAt), transitionLog(log))
+	if bw := l.ConfigAB().Bandwidth; bw != 5e6 {
+		t.Fatalf("bandwidth at replay start = %d, want segment 0's", bw)
 	}
-	for i, tr := range log {
-		if tr.At != sim.Time(wantAt[i]*time.Millisecond) {
-			t.Fatalf("transition %d at %v, want %v", i, time.Duration(tr.At), wantAt[i]*time.Millisecond)
-		}
-		if tr.Seg != i%3 {
-			t.Fatalf("transition %d seg = %d", i, tr.Seg)
-		}
+	boundaries := []time.Duration{100, 150, 225, 325, 375, 450}
+	for i := range boundaries {
+		boundaries[i] *= time.Millisecond
+	}
+	want := ""
+	for i, at := range boundaries {
+		want += fmt.Sprintf("%v bw=%d\n%v bw=%d\n", at-1, p.Segments[i%3].Shape.Bandwidth,
+			at, p.Segments[(i+1)%3].Shape.Bandwidth)
+	}
+	log := bandwidths(s, l, boundaries)
+	if log != want {
+		t.Fatalf("bandwidth at the boundaries:\n%s\nwant:\n%s", log, want)
 	}
 
-	// Replay is trivially deterministic: same profile, same log.
+	// Stop leaves the current segment's shaping in place: the boundary
+	// at 550 ms never comes.
+	s.RunUntil(sim.Time(500 * time.Millisecond))
+	tp.Stop()
+	s.RunFor(time.Second)
+	if bw := l.ConfigAB().Bandwidth; bw != 5e6 {
+		t.Fatalf("bandwidth after Stop = %d, want segment 0's", bw)
+	}
+
+	// Replay is trivially deterministic: same profile, same boundaries.
 	s2 := sim.NewScheduler(9)
 	n2 := New(s2)
 	a2 := n2.AddNode("a")
 	b2 := n2.AddNode("b")
 	l2 := n2.Connect(a2, ip.MustParseAddr("10.0.0.1"), b2, ip.MustParseAddr("10.0.0.2"), LinkConfig{})
-	tp2 := p.Replay(s2, l2, DirAB, true)
-	s2.RunFor(500 * time.Millisecond)
-	tp2.Stop()
-	if transitionLog(tp2.Transitions()) != transitionLog(log) {
+	p.Replay(s2, l2, DirAB, true)
+	if bandwidths(s2, l2, boundaries) != log {
 		t.Fatal("trace replay not deterministic across networks")
 	}
 
-	// Non-looping: stops after the last segment, shaping left in place.
+	// Non-looping: stops after the last segment, shaping left in place
+	// and nothing left scheduled.
 	s3 := sim.NewScheduler(3)
 	n3 := New(s3)
 	a3 := n3.AddNode("a")
 	b3 := n3.AddNode("b")
 	l3 := n3.Connect(a3, ip.MustParseAddr("10.0.0.1"), b3, ip.MustParseAddr("10.0.0.2"), LinkConfig{})
-	tp3 := p.Replay(s3, l3, DirAB, false)
-	s3.RunFor(time.Second)
-	if !tp3.Done() {
-		t.Fatal("non-looping replay never finished")
+	p.Replay(s3, l3, DirAB, false)
+	if got := bandwidths(s3, l3, boundaries[:2]); got != want[:len(got)] {
+		t.Fatalf("non-looping boundaries:\n%s\nwant:\n%s", got, want[:len(got)])
 	}
-	if got := len(tp3.Transitions()); got != 3 {
-		t.Fatalf("non-looping transitions = %d, want 3", got)
+	if s3.Step() {
+		t.Fatalf("non-looping replay still scheduled at %v", s3.Now())
 	}
 	if l3.ConfigAB().Bandwidth != 0 {
 		t.Fatalf("final segment shaping not left in place: bw=%d", l3.ConfigAB().Bandwidth)

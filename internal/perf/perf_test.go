@@ -336,7 +336,8 @@ func TestEditedPacketRecycledZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate: run it on an uninstrumented binary")
 	}
-	nw := netsim.New(sim.NewScheduler(1))
+	s := sim.NewScheduler(1)
+	nw := netsim.New(s)
 	a, px, b := nw.AddNode("a"), nw.AddNode("proxy"), nw.AddNode("b")
 	px.Forwarding = true
 	la := nw.Connect(a, core.WiredAddr, px, ip.MustParseAddr("10.9.0.2"), netsim.LinkConfig{Bandwidth: 10e9})
@@ -367,7 +368,7 @@ func TestEditedPacketRecycledZeroAlloc(t *testing.T) {
 			copy(d, raw)
 			a.InjectPacket(d)
 		}
-		nw.Scheduler().Run()
+		s.Run()
 	})
 	if perPkt := perRun / burst; perPkt > 0 {
 		t.Fatalf("an edited packet through the proxy allocates %.2f times, want 0", perPkt)

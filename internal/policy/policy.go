@@ -107,7 +107,7 @@ type Engine struct {
 
 	fires, reverts, rollbacks   int64
 	rateLimited, actionFailures int64
-	running                     bool
+	started                     bool
 }
 
 // New builds an engine; call AddRule and then Start.
@@ -124,9 +124,6 @@ func New(cfg Config) *Engine {
 		period: cfg.Period,
 	}
 }
-
-// Period returns the engine's sampling tick.
-func (e *Engine) Period() time.Duration { return e.period }
 
 // RegisterMetrics publishes the engine's counters under prefix.
 func (e *Engine) RegisterMetrics(reg *obs.Registry, prefix string) {
@@ -210,23 +207,17 @@ func (e *Engine) DelRule(name string) error {
 
 // Start arms the sampling tick. Idempotent.
 func (e *Engine) Start() {
-	if e.running {
+	if e.started {
 		return
 	}
-	e.running = true
+	e.started = true
 	var tick func()
 	tick = func() {
-		if !e.running {
-			return
-		}
 		e.step()
 		e.sched.After(e.period, tick)
 	}
 	e.sched.After(e.period, tick)
 }
-
-// Stop halts the sampling tick; applied actions stay applied.
-func (e *Engine) Stop() { e.running = false }
 
 // step evaluates every rule once, in insertion order — determinism
 // depends on this order being stable.

@@ -79,12 +79,7 @@ func newPolRig(t *testing.T) *polRig {
 	val := new(int64)
 	srv := eem.NewServer("proxyhost")
 	srv.Interval = time.Hour // isolate the engine's own PDA pump
-	srv.AddSource(eem.SourceFunc{
-		Names: []string{"load"},
-		Fn: func(name string, index int) (eem.Value, error) {
-			return eem.LongValue(*val), nil
-		},
-	})
+	srv.AddSource(loadSource{val})
 	if err := eem.ServeSim(sStack, eem.DefaultPort, srv); err != nil {
 		t.Fatal(err)
 	}
@@ -104,6 +99,14 @@ func newPolRig(t *testing.T) *polRig {
 		Period:  100 * time.Millisecond,
 	})
 	return &polRig{sched: s, bus: bus, eng: eng, ctrl: ctrl, val: val}
+}
+
+// loadSource serves one variable, "load", whose value is *val.
+type loadSource struct{ val *int64 }
+
+func (loadSource) Variables() []string { return []string{"load"} }
+func (s loadSource) Get(string, int) (eem.Value, error) {
+	return eem.LongValue(*s.val), nil
 }
 
 func (r *polRig) kinds() map[string]int {

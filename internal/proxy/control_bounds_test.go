@@ -17,8 +17,8 @@ import (
 // controlRig is a minimal client ↔ SP topology with a live control
 // session over simulated TCP, for exercising the session-level bounds
 // (line length, UTF-8, idle deadline) that the in-process Command
-// tests cannot reach. The port serves a one-shard inline plane, the
-// path deployments run.
+// tests cannot reach. The port serves a proxy hooked on the SP node
+// (proxy.New), as every simulated Site runs.
 type controlRig struct {
 	sched  *sim.Scheduler
 	client *tcp.Conn

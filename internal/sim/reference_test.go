@@ -155,7 +155,7 @@ func newClock() clock {
 		step:     s.Step,
 		runUntil: s.RunUntil,
 		now:      s.Now,
-		pending:  s.Pending,
+		pending:  func() int { return len(s.heap) },
 	}
 }
 

@@ -181,10 +181,6 @@ func (s *Scheduler) Run() {
 	}
 }
 
-// Pending returns the number of events queued. Stopped events leave
-// the queue when they are stopped, so every one of them is live.
-func (s *Scheduler) Pending() int { return len(s.heap) }
-
 // fireFirst takes the earliest event off the heap, advances the clock
 // to it, releases its record and runs its callback.
 func (s *Scheduler) fireFirst() {

@@ -120,12 +120,12 @@ func TestPendingCount(t *testing.T) {
 	s := NewScheduler(1)
 	t1 := s.After(time.Millisecond, func() {})
 	s.After(2*time.Millisecond, func() {})
-	if s.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", s.Pending())
+	if len(s.heap) != 2 {
+		t.Fatalf("%d events queued, want 2", len(s.heap))
 	}
 	t1.Stop()
-	if s.Pending() != 1 {
-		t.Fatalf("Pending after stop = %d, want 1", s.Pending())
+	if len(s.heap) != 1 {
+		t.Fatalf("%d events queued after stop, want 1", len(s.heap))
 	}
 }
 

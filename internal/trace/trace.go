@@ -184,10 +184,3 @@ func (s *Series) plot(w io.Writer) {
 		}
 	}
 }
-
-// String renders the series.
-func (s *Series) String() string {
-	var b strings.Builder
-	s.Fprint(&b)
-	return b.String()
-}

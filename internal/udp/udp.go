@@ -128,9 +128,6 @@ func (s *Stack) Bind(port uint16, h Handler) error {
 	return nil
 }
 
-// Unbind releases a port.
-func (s *Stack) Unbind(port uint16) { delete(s.ports, port) }
-
 // Send transmits payload from srcPort to dst:dstPort.
 func (s *Stack) Send(srcPort uint16, dst ip.Addr, dstPort uint16, payload []byte) {
 	d := Datagram{SrcPort: srcPort, DstPort: dstPort, Payload: payload}

@@ -148,8 +148,7 @@ func ServeSink(stack *tcp.Stack, port uint16, count *int) error {
 // CBRMedia pushes a layered media stream at a constant frame rate over
 // UDP (the §8.3.2 workload).
 type CBRMedia struct {
-	Sent    int // frames sent (all layers)
-	stopped bool
+	Sent int // frames sent (all layers)
 }
 
 // StartCBRMedia emits `frames` media instants of `layers` layers at
@@ -161,9 +160,6 @@ func StartCBRMedia(sched *sim.Scheduler, stack *udp.Stack, dst ip.Addr, srcPort,
 	n := 0
 	var tick func()
 	tick = func() {
-		if w.stopped {
-			return
-		}
 		for _, f := range src.Next() {
 			stack.Send(srcPort, dst, dstPort, media.MarshalFrame(f))
 			w.Sent++
@@ -176,6 +172,3 @@ func StartCBRMedia(sched *sim.Scheduler, stack *udp.Stack, dst ip.Addr, srcPort,
 	sched.After(0, tick)
 	return w
 }
-
-// Stop halts the media source.
-func (w *CBRMedia) Stop() { w.stopped = true }
